@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/memctrl"
 	"repro/internal/mesh"
@@ -12,8 +14,9 @@ import (
 )
 
 // Fingerprint is the deterministic signature of one unchecked replay:
-// the clock at the last reference retirement and the mesh activity
-// counters. Two replays of the same stream on any executor must
+// the clock at the last reference retirement, the mesh activity
+// counters, the miss profile and the engine's power-event counters
+// (rendered sorted by name, so the struct stays comparable). Two replays of the same stream on any executor must
 // produce the same fingerprint — the differential gate the parallel
 // stress legs use where the shadow checker (hub-resident) cannot
 // follow. The retirement clock is used rather than the drain clock
@@ -22,6 +25,8 @@ import (
 type Fingerprint struct {
 	LastRetire sim.Time
 	Net        mesh.Stats
+	Profile    proto.MissProfile
+	Counters   string
 }
 
 // replayWindow bounds one executor chunk between progress checks; a
@@ -143,5 +148,15 @@ func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards
 			last = t
 		}
 	}
-	return Fingerprint{LastRetire: last, Net: net.Stats()}, nil
+	ctx.FoldLanes()
+	names := eng.Stats().Names()
+	sort.Strings(names)
+	var counters strings.Builder
+	for i, name := range names {
+		if i > 0 {
+			counters.WriteByte(' ')
+		}
+		fmt.Fprintf(&counters, "%s=%d", name, eng.Stats().Value(name))
+	}
+	return Fingerprint{LastRetire: last, Net: net.Stats(), Profile: eng.MissProfile(), Counters: counters.String()}, nil
 }

@@ -5,8 +5,10 @@
 package proto_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -45,10 +47,20 @@ func TestStress(t *testing.T) {
 	}
 }
 
+// stressGolden pins the sequential-merge fingerprint of every default
+// stress stream on every engine. The stress chip (16 tiles, 2-way
+// coherence caches) reaches paths the full-system crosscheck golden
+// never executes — mispredictions, home-owned supply, L2C$ recalls and
+// DiCo-Arin's broadcast invalidation — so this golden is the
+// bit-identity contract for refactors of those paths. Regenerate with
+// CROSSCHECK_UPDATE=1 after an intentional behaviour change.
+const stressGolden = "testdata/stress_fingerprints.json"
+
 // TestStressParallel replays the seeded high-conflict streams on the
 // sharded mini-chip under the concurrent RunParallel executor —
 // shards 1/2/4/8, all four engines — and requires the replay
-// fingerprint to match the sequential merge exactly. The shadow
+// fingerprint to match the sequential merge exactly, and the merge to
+// match the checked-in golden. The shadow
 // checker cannot follow onto the lanes (it is hub-resident), so this
 // leg leans on the differential gate instead: TestStress has already
 // checked these exact streams under the shadow checker, and the
@@ -60,6 +72,17 @@ func TestStressParallel(t *testing.T) {
 	if seeds > 6 && testing.Short() {
 		seeds = 6
 	}
+	update := os.Getenv("CROSSCHECK_UPDATE") != ""
+	golden := map[string]check.Fingerprint{}
+	if !update {
+		data, err := os.ReadFile(stressGolden)
+		if err != nil {
+			t.Fatalf("missing golden (run with CROSSCHECK_UPDATE=1 to capture): %v", err)
+		}
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for seed := 1; seed <= seeds; seed++ {
 		blocks := []int{1, 2, 4, 8, 16, 48}[seed%6]
 		writePct := []int{40, 60, 75}[seed%3]
@@ -70,6 +93,14 @@ func TestStressParallel(t *testing.T) {
 			if err != nil {
 				t.Errorf("%s merge: %v", name, err)
 				continue
+			}
+			if update {
+				golden[name] = want
+			} else if g, ok := golden[name]; ok && g != want {
+				t.Errorf("%s merge fingerprint diverges from %s:\n got %+v\nwant %+v",
+					name, stressGolden, want, g)
+			} else if !ok && seed <= 12 {
+				t.Errorf("%s: missing from %s", name, stressGolden)
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
 				got, err := check.RunRecordSharded(p, recs, 16, 4, shards, uint64(seed), true)
@@ -83,6 +114,19 @@ func TestStressParallel(t *testing.T) {
 				}
 			}
 		}
+	}
+	if update {
+		data, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(stressGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stressGolden, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", stressGolden)
 	}
 }
 
