@@ -581,13 +581,6 @@ func resolveMemFlush(a any, _ uint64) {
 	a.(*Context).Mem.WriteLatency()
 }
 
-// Ev increments a power event counter by name (cold paths; hot sites
-// use the pre-resolved PowerHandles).
-func (c *Context) Ev(name string) { c.Counters.Inc(name) }
-
-// EvN adds n to a power event counter.
-func (c *Context) EvN(name string, n uint64) { c.Counters.Add(name, n) }
-
 // SendCtl sends a 1-flit control message and runs fn on delivery,
 // returning the delivery metadata.
 func (c *Context) SendCtl(src, dst topo.Tile, fn func()) mesh.Delivery {
@@ -843,11 +836,6 @@ const retryBackoff sim.Time = 48
 // bit returns a bit mask for tile t within a full-map vector.
 func bit(t topo.Tile) uint64 { return 1 << uint(t) }
 
-// areaBit returns the bit for t within its area's local vector.
-func areaBit(areas *topo.Areas, t topo.Tile) uint64 {
-	return 1 << uint(areas.IndexInArea(t))
-}
-
 // forEachBit calls fn for every set bit index of v, in ascending
 // order (the order matters for deterministic replay).
 func forEachBit(v uint64, fn func(i int)) {
@@ -861,18 +849,118 @@ func forEachBit(v uint64, fn func(i int)) {
 // popcount returns the number of set bits.
 func popcount(v uint64) int { return bits.OnesCount64(v) }
 
-// forEachPending visits every outstanding MSHR entry across tiles;
-// shared by the four engines' ForEachPending.
-func forEachPending(tiles []*tileState, fn func(tile topo.Tile, e *cache.MSHREntry)) {
-	for i, t := range tiles {
+// engineBase is the state and Engine plumbing all four protocols
+// share: the chip context, the per-tile storage, and the retire path.
+type engineBase struct {
+	ctx   *Context
+	tiles []*tileState
+	name  string
+	// replace runs the protocol's L1 replacement for a victim line; the
+	// retire path uses it to drop a fill that raced an invalidation.
+	replace func(ctx *Context, tile topo.Tile, victim cache.Line)
+}
+
+func newEngineBase(ctx *Context, name string) engineBase {
+	ctx.bindPower()
+	b := engineBase{ctx: ctx, tiles: make([]*tileState, ctx.NumTiles()), name: name}
+	for i := range b.tiles {
+		b.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift())
+	}
+	return b
+}
+
+// base exposes the shared state to the debug and snapshot helpers.
+func (b *engineBase) base() *engineBase { return b }
+
+// Name implements Engine.
+func (b *engineBase) Name() string { return b.name }
+
+// Stats implements Engine.
+func (b *engineBase) Stats() *stats.Set { return &b.ctx.Counters }
+
+// MissProfile implements Engine.
+func (b *engineBase) MissProfile() MissProfile { return b.ctx.Profile }
+
+// ForEachPending implements Engine.
+func (b *engineBase) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
+	for i, t := range b.tiles {
 		tile := topo.Tile(i)
 		t.mshr.ForEach(func(e *cache.MSHREntry) { fn(tile, e) })
 	}
 }
 
+// hit retires an L1 hit.
+func (b *engineBase) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
+	if write {
+		ctx.pw.L1DataWrite.Inc()
+	} else {
+		ctx.pw.L1DataRead.Inc()
+	}
+	ctx.Profile.Hits++
+	ctx.observeRetired(tile, addr, write, true, false)
+	ctx.Kernel.After(ctx.Cfg.L1HitLatency, onDone)
+}
+
+// maybeComplete retires the miss on addr at tile once all its
+// conditions (data, acks, gates) are met.
+func (b *engineBase) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
+	t := b.tiles[tile]
+	e, ok := t.mshr.Lookup(addr)
+	if !ok || !e.Done() {
+		return
+	}
+	dropped := e.InvalidatedWhilePending && !e.Write
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "complete at %d write=%v dropped=%v", tile, e.Write, dropped)
+	}
+	if dropped {
+		// The fill raced an invalidation. Dropping the line is the safe
+		// resolution, but it must go through the regular replacement
+		// protocol so any ownership or providership the fill carried is
+		// handed back properly.
+		if line := t.l1.Peek(addr); line != nil {
+			b.replace(ctx, tile, t.l1.InvalidateLine(line))
+		}
+	}
+	cls := MissClass(e.Tag)
+	ctx.Profile.Count[cls]++
+	ctx.Profile.Links[cls] += uint64(e.Links)
+	ctx.spanEnd(tile, cls, dropped)
+	done := e.OnComplete
+	t.mshr.Release(addr)
+	ctx.observeRetired(tile, addr, e.Write, false, e.InvalidatedWhilePending)
+	t.wakeL1(ctx.Kernel, addr)
+	if done != nil {
+		done()
+	}
+}
+
+// flush writes a dirty block from the executing tile back to its memory
+// controller; the controller only draws the write latency.
+func (b *engineBase) flush(ctx *Context, from topo.Tile, addr cache.Addr) {
+	mc := ctx.Mem.For(addr)
+	ctx.SendDataArg(from, mc, memFlushAt, b.ctx.At(mc))
+}
+
+func memFlushAt(a any) { a.(*Context).MemFlush() }
+
+// dropCopy invalidates the tile's L1 copy of addr, marks a miss in
+// flight on it as racing the invalidation, and returns the dropped line.
+func (t *tileState) dropCopy(ctx *Context, addr cache.Addr) (cache.Line, bool) {
+	ctx.pw.L1TagRead.Inc()
+	old, ok := t.l1.Invalidate(addr)
+	if ok {
+		ctx.pw.L1TagWrite.Inc()
+	}
+	if e, pending := t.mshr.Lookup(addr); pending {
+		e.InvalidatedWhilePending = true
+	}
+	return old, ok
+}
+
 // forEachCopy visits every valid copy of addr using Peek (no access
 // accounting), classifying each L1 line through the engine-specific
-// classify callback; shared by the four engines' ForEachCopy.
+// classify callback; shared by the engines' ForEachCopy.
 func forEachCopy(tiles []*tileState, home topo.Tile, addr cache.Addr,
 	classify func(l *cache.Line) (owner, exclusive bool), fn func(CopyInfo)) {
 	for i, t := range tiles {

@@ -10,22 +10,16 @@ import (
 	"repro/internal/topo"
 )
 
-// engineInternals exposes the shared per-tile state of the four
-// engines to the debug formatters. All transient per-block state
-// (stall queues, busy/blocked flags, recall marks) lives in each
+// engineInternals exposes the shared per-tile state of an engine to
+// the debug formatters and the snapshot layer. All transient per-block
+// state (stall queues, busy/blocked flags, recall marks) lives in each
 // tile's transaction table.
 func engineInternals(e Engine) (tiles []*tileState, ctx *Context) {
-	switch eng := e.(type) {
-	case *Directory:
-		tiles, ctx = eng.tiles, eng.ctx
-	case *DiCo:
-		tiles, ctx = eng.tiles, eng.ctx
-	case *Providers:
-		tiles, ctx = eng.tiles, eng.ctx
-	case *Arin:
-		tiles, ctx = eng.tiles, eng.ctx
+	if eng, ok := e.(interface{ base() *engineBase }); ok {
+		b := eng.base()
+		return b.tiles, b.ctx
 	}
-	return
+	return nil, nil
 }
 
 // FormatBlockState returns the global state of one block: every L1

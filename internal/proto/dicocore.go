@@ -1,0 +1,1130 @@
+package proto
+
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+
+	"repro/internal/cache"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/topo"
+)
+
+// This file is the DiCo-family core: the mechanics DiCo, DiCo-Providers
+// and DiCo-Arin share (Sections III-IV). Ownership and the block's
+// coherence information live in the L1 owner; the L1C$ predicts the
+// supplier so most misses resolve in two hops; the home's L2C$ keeps
+// the precise owner for mispredictions; Change_Owner messages, ordered
+// by stamps and gated by the home's ack, keep the L2C$ current; and an
+// L2C$ eviction recalls the displaced block's ownership to the home L2.
+// Each protocol is this core plus the guarded actions in dicoVariant.
+
+// L1 states of the DiCo family. Owner states carry the sharing code of
+// the owner's area (Sharers) and, in DiCo-Providers, one provider
+// pointer per remote area (ProPos). Providers supply their own area;
+// DiCo never enters dcProvider.
+const (
+	dcShared cache.State = 1 + iota
+	dcProvider
+	dcOwnerShared
+	dcOwnerExclusive
+	dcOwnerModified
+)
+
+// l2Inter is DiCo-Arin's inter-area home L2 form: one provider pointer
+// per area and no sharer information (broadcast invalidation covers
+// the copies). Every other home L2 line is the owner form, l2Present.
+const l2Inter cache.State = l2Present + 1
+
+func dcIsOwner(s cache.State) bool { return s >= dcOwnerShared }
+
+// noProPos is the provider-pointer vector with no provider anywhere.
+var noProPos = [cache.MaxSimAreas]int8{-1, -1, -1, -1, -1, -1, -1, -1}
+
+// dicoVariant is the set of guarded actions in which a DiCo-family
+// protocol differs from the core; DESIGN.md §3 maps each one to the
+// rows of the paper's Tables I and II. homeSupply, applyL2, evictL2 and
+// CheckInvariants have no shared default; the rest default to the
+// dicoCore methods of the same name.
+type dicoVariant interface {
+	// remoteRead serves a read that reached the L1 owner from another area.
+	remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line)
+	// providerRead serves a read that reached a provider of its own area.
+	providerRead(ctx *Context, r dcReq, provider topo.Tile, line *cache.Line)
+	// forwardHome prepares a request the L1 at tile cannot serve for its
+	// trip back to the home.
+	forwardHome(ctx *Context, r dcReq, tile topo.Tile) dcReq
+	// invalidateProviders invalidates every provider in propos outside
+	// skipArea on behalf of requestor and returns the acks to expect.
+	invalidateProviders(ctx *Context, from topo.Tile, addr cache.Addr,
+		propos [cache.MaxSimAreas]int8, skipArea int, requestor topo.Tile) int
+	// evictProvider runs the replacement of a provider copy (Table II).
+	evictProvider(ctx *Context, tile topo.Tile, victim cache.Line)
+	// writebackForm is the home L2 form an evicted owner returns with
+	// when no sharer of its area takes the ownership (Table II).
+	writebackForm(ctx *Context, tile topo.Tile, addr cache.Addr,
+		propos [cache.MaxSimAreas]int8, leftover uint64) l2Form
+	// relinquishForm demotes a recalled L1 owner line and returns the
+	// form the home L2 takes the ownership in (Section IV-A1).
+	relinquishForm(ctx *Context, owner topo.Tile, line *cache.Line) l2Form
+	// homeSupply serves a request at the home when the L2 holds the block.
+	homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line)
+	// land installs ownership arriving at the home from an L1 (recalled
+	// when it answers an L2C$ recall).
+	land(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, recalled bool)
+	// applyL2 writes form f into the home L2 line taking the ownership.
+	applyL2(line *cache.Line, dirty bool, f l2Form)
+	// evictL2 invalidates every copy of an L2 victim, then calls then.
+	evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func())
+	// unblockAfterWrite ends a broadcast write once its data and every
+	// ack have arrived (DiCo-Arin's phase three).
+	unblockAfterWrite(ctx *Context, r dcReq)
+	CheckInvariants()
+}
+
+// l2Form is the coherence information an ownership transfer installs
+// with a block in its home L2.
+type l2Form struct {
+	state   cache.State // l2Present (owner form) or l2Inter
+	areaTag int8        // area whose sharers are tracked (-1: none)
+	sharers uint64      // area-local sharing code
+	propos  [cache.MaxSimAreas]int8
+}
+
+// dicoCore is the shared engine; DiCo, Providers and Arin embed it and
+// install themselves as its variant.
+type dicoCore struct {
+	engineBase
+	v     dicoVariant
+	areas *topo.Areas // DiCo: one area spanning the chip
+
+	// Long-lived adapters for the kernel/mesh argument fast path:
+	// protocol hops travel as (fn, *dcMsg) pairs instead of per-message
+	// closures (see dirMsg for the pattern).
+	atHomeFn  func(any)
+	atL1Fn    func(any)
+	invalFn   func(any)
+	ackFn     func(any)
+	deliverFn func(any)
+	coFn      func(any)
+	coAckFn   func(any)
+	memReqFn  func(any)
+	memRespFn func(any)
+	memFillFn func(any)
+
+	// free holds one message pool per executor lane (see Context.Lane).
+	// It is sized by the tile count because a run never has more lanes
+	// than tiles.
+	free []*dcMsg
+
+	cen dcCensus
+}
+
+// dcCensus holds the engine's registered touch sites. Every site
+// records on the executing tile's diagonal (src == dst): requestor-MSHR
+// updates ride the messages, and the recall path reads the displaced
+// pointer instead of scanning every tile's L1. All sites are nil when
+// the census is disarmed.
+type dcCensus struct {
+	l1Fwd, l1Supply, ownerWrite, invalidate *telemetry.TouchSite
+	homeFwd, homeMemFetch, homeSupply       *telemetry.TouchSite
+	fwdProvider, deliver, memResp, recall   *telemetry.TouchSite
+}
+
+// dcReq is one DiCo-family request on its way through the chip.
+type dcReq struct {
+	addr      cache.Addr
+	requestor topo.Tile
+	write     bool
+	predicted bool
+	bcast     bool // the data completes a DiCo-Arin broadcast write
+	forwards  int
+	// via is the tile that sent this request on toward a supplier it
+	// believed in (-1 if none): DiCo-Providers repairs the stale provider
+	// pointer of the owner or home that forwarded it; DiCo-Arin refreshes
+	// the home's pointer to the L1 that bounced it.
+	via topo.Tile
+	// Ride-the-message fields (see dirReq): requestor-MSHR updates
+	// accumulated along the miss and applied at delivery.
+	links    int16 // mesh links traversed by the request legs
+	acks     int16 // sharer (or broadcast) acks the write must collect
+	provAcks int16 // provider acks the write must collect
+	homeAck  int8  // pending Change_Owner acks / unblock gate
+	clsPlus1 int8  // resolved MissClass + 1 (0 = not resolved yet)
+}
+
+// dcMsg is the pooled argument node for the non-capturing message path
+// (see dirMsg).
+type dcMsg struct {
+	next     *dcMsg
+	r        dcReq
+	tile     topo.Tile   // hop-specific second tile
+	state    cache.State // delivery fill state
+	dirty    bool
+	hasPro   bool  // propos is meaningful
+	supplier int16 // delivery prediction hint
+	count    int   // sharer acks folded into a provider ack
+	stamp    sim.Time
+	propos   [cache.MaxSimAreas]int8
+}
+
+// init builds the core on ctx for the named protocol and binds it to
+// its variant.
+func (p *dicoCore) init(ctx *Context, name string, areas *topo.Areas, v dicoVariant) {
+	if areas.Count > cache.MaxSimAreas {
+		panic(fmt.Sprintf("%s: %d areas exceed the simulator's limit of %d", name, areas.Count, cache.MaxSimAreas))
+	}
+	p.engineBase = newEngineBase(ctx, name)
+	p.replace = p.evictL1
+	p.v, p.areas = v, areas
+	p.free = make([]*dcMsg, ctx.NumTiles())
+	site := func(handler string) *telemetry.TouchSite { return ctx.CensusSite(name, handler, "mshr") }
+	p.cen = dcCensus{
+		l1Fwd:        site("atL1.fwd-home"),
+		l1Supply:     site("atL1.supply"),
+		ownerWrite:   site("ownerWriteSupply"),
+		invalidate:   site("invalidateCopies"),
+		homeFwd:      site("atHome.fwd-owner"),
+		homeMemFetch: site("atHome.mem-fetch"),
+		homeSupply:   site("homeSupply"),
+		fwdProvider:  site("fwd-provider"),
+		deliver:      site("deliver"),
+		memResp:      site("memResp"),
+		recall:       ctx.CensusSite(name, "recallOwnership", "l1"),
+	}
+	p.bindHandlers()
+}
+
+// msg takes a node from the executing lane's pool; at must be the
+// tile whose lane is running the caller.
+func (p *dicoCore) msg(at topo.Tile, r dcReq) *dcMsg {
+	lane := p.ctx.Lane(at)
+	m := p.free[lane]
+	if m != nil {
+		p.free[lane] = m.next
+	} else {
+		m = &dcMsg{}
+	}
+	m.r = r
+	return m
+}
+
+// putMsg recycles a node into the executing lane's pool.
+func (p *dicoCore) putMsg(at topo.Tile, m *dcMsg) {
+	lane := p.ctx.Lane(at)
+	m.next = p.free[lane]
+	p.free[lane] = m
+}
+
+// bindHandlers builds the long-lived adapter funcs once.
+func (p *dicoCore) bindHandlers() {
+	p.atHomeFn = func(a any) {
+		m := a.(*dcMsg)
+		r := m.r
+		p.putMsg(p.ctx.HomeOf(r.addr), m)
+		p.atHome(r)
+	}
+	p.atL1Fn = func(a any) {
+		m := a.(*dcMsg)
+		r, tile := m.r, m.tile
+		p.putMsg(tile, m)
+		p.atL1(r, tile)
+	}
+	p.invalFn = func(a any) {
+		m := a.(*dcMsg)
+		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
+		p.putMsg(tile, m)
+		ctx := p.ctx.At(tile)
+		ctx.chargeVM(requestor)
+		p.invalidateSharer(ctx, tile, addr, requestor)
+	}
+	p.ackFn = func(a any) {
+		m := a.(*dcMsg)
+		requestor, addr := m.tile, m.r.addr
+		p.putMsg(requestor, m)
+		ctx := p.ctx.At(requestor)
+		ctx.chargeVM(requestor)
+		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
+			e.SharerAcks--
+			p.maybeComplete(ctx, requestor, addr)
+		}
+	}
+	p.deliverFn = func(a any) {
+		m := a.(*dcMsg)
+		r := m.r
+		ctx := p.ctx.At(r.requestor)
+		ctx.chargeVM(r.requestor)
+		p.cen.deliver.Touch(int(r.requestor), int(r.requestor))
+		var propos *[cache.MaxSimAreas]int8
+		if m.hasPro {
+			propos = &m.propos
+		}
+		// fillL1 may draw fresh nodes from the pool (self-sharer
+		// invalidations), so m is recycled only after it returns.
+		p.fillL1(ctx, r, m.state, m.dirty, m.supplier, propos)
+		p.putMsg(r.requestor, m)
+		if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
+			e.DataReceived = true
+			e.Links += int(r.links)
+			e.SharerAcks += int(r.acks)
+			e.ProviderAcks += int(r.provAcks)
+			e.HomeAck += int(r.homeAck)
+			if r.clsPlus1 != 0 {
+				e.Tag = int(r.clsPlus1 - 1)
+			}
+			if r.bcast && e.SharerAcks == 0 {
+				// Every broadcast ack beat the data here: run phase
+				// three (the unblock) now.
+				p.v.unblockAfterWrite(ctx, r)
+			}
+		}
+		p.maybeComplete(ctx, r.requestor, r.addr)
+	}
+	// coFn lands a Change_Owner at the home; the node travels on to
+	// carry the gating ack back to the new owner.
+	p.coFn = func(a any) {
+		m := a.(*dcMsg)
+		addr, newOwner, stamp := m.r.addr, m.tile, m.stamp
+		home := p.ctx.HomeOf(addr)
+		ctx := p.ctx.At(home)
+		ctx.chargeVM(newOwner)
+		p.homeOwnerUpdate(ctx, home, addr, newOwner, stamp)
+		ctx.SendCtlArg(home, newOwner, p.coAckFn, m)
+	}
+	p.coAckFn = func(a any) {
+		m := a.(*dcMsg)
+		requestor, addr := m.tile, m.r.addr
+		p.putMsg(requestor, m)
+		ctx := p.ctx.At(requestor)
+		ctx.chargeVM(requestor)
+		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
+			e.HomeAck--
+			p.maybeComplete(ctx, requestor, addr)
+		}
+	}
+	// Memory fetch pipeline: the pooled node rides request -> latency ->
+	// data through the home, which keeps no L2 copy (the new L1 owner
+	// holds the block and its coherence information).
+	p.memReqFn = func(a any) {
+		m := a.(*dcMsg)
+		ctx := p.ctx.At(p.ctx.Mem.For(m.r.addr))
+		ctx.MemFetch(p.memRespFn, m)
+	}
+	p.memRespFn = func(a any) {
+		m := a.(*dcMsg)
+		mc := p.ctx.Mem.For(m.r.addr)
+		ctx := p.ctx.At(mc)
+		ctx.chargeVM(m.r.requestor)
+		p.cen.memResp.Touch(int(mc), int(mc))
+		d2 := ctx.SendDataArg(mc, ctx.HomeOf(m.r.addr), p.memFillFn, m)
+		m.r.links += int16(d2.Hops)
+	}
+	p.memFillFn = func(a any) {
+		m := a.(*dcMsg)
+		r := m.r
+		home := p.ctx.HomeOf(r.addr)
+		p.putMsg(home, m)
+		ctx := p.ctx.At(home)
+		ctx.chargeVM(r.requestor)
+		state, dirty := dcOwnerExclusive, false
+		if r.write {
+			state, dirty = dcOwnerModified, true
+		}
+		p.deliver(ctx, r, home, state, dirty, -1, nil)
+	}
+}
+
+func (p *dicoCore) areaOf(t topo.Tile) int       { return p.areas.Of(t) }
+func (p *dicoCore) areaIdx(t topo.Tile) int8     { return int8(p.areas.IndexInArea(t)) }
+func (p *dicoCore) areaBit(t topo.Tile) uint64   { return 1 << uint(p.areas.IndexInArea(t)) }
+func (p *dicoCore) tileAt(area, i int) topo.Tile { return p.areas.TilesIn(area)[i] }
+
+// supplierKind classifies who supplied the data, for Figure 9b.
+type supplierKind int
+
+const (
+	byOwner supplierKind = iota
+	byProvider
+	byHome
+)
+
+// classify returns the Figure 9b category of a miss at supply time;
+// the supplier rides it to the requestor on the data message.
+func classify(r *dcReq, kind supplierKind) int8 {
+	var c MissClass
+	switch {
+	case r.predicted && r.forwards == 0 && kind == byOwner:
+		c = MissPredOwner
+	case r.predicted && r.forwards == 0 && kind == byProvider:
+		c = MissPredProvider
+	case r.predicted:
+		c = MissPredFail
+	case kind == byOwner:
+		c = MissUnpredOwner
+	case kind == byProvider:
+		c = MissUnpredProvider
+	default:
+		c = MissUnpredHome
+	}
+	return int8(c) + 1
+}
+
+// Access implements Engine.
+func (p *dicoCore) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
+	ctx := p.ctx.At(tile)
+	ctx.chargeVM(tile)
+	t := p.tiles[tile]
+	if _, pending := t.mshr.Lookup(addr); pending || t.blocked(addr) {
+		// A miss in flight, or a DiCo-Arin broadcast freezing the block:
+		// wait for it to finish.
+		t.stallL1(addr, func() { p.Access(tile, addr, write, onDone) })
+		return
+	}
+	ctx.pw.L1TagRead.Inc()
+	if line := t.l1.Lookup(addr); line != nil {
+		if !write {
+			p.hit(ctx, tile, addr, false, onDone)
+			return
+		}
+		switch line.State {
+		case dcOwnerModified, dcOwnerExclusive:
+			line.State = dcOwnerModified
+			line.Dirty = true
+			p.hit(ctx, tile, addr, true, onDone)
+			return
+		case dcOwnerShared:
+			// The owner invalidates its copies itself — the hallmark of
+			// Direct Coherence.
+			p.ownerWriteHit(ctx, tile, addr, line, onDone)
+			return
+		}
+		// Shared or provider copy under a write: the miss path. (A
+		// provider-requestor invalidates its own sharers once it receives
+		// the ownership — Section IV-A's special case, handled at fill.)
+	}
+	e := t.mshr.Allocate(addr, write, uint64(ctx.Kernel.Now()))
+	e.OnComplete = onDone
+	ctx.spanBegin(tile, addr, write)
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "miss at %d write=%v", tile, write)
+	}
+	r := dcReq{addr: addr, requestor: tile, write: write, via: -1}
+	// Predict the supplier via the L1C$ (Figure 5).
+	ctx.pw.L1CAccess.Inc()
+	if ptr, ok := t.l1c.Lookup(addr); ok && topo.Tile(ptr) != tile && !ctx.Cfg.NoPrediction {
+		r.predicted = true
+		e.Tag = int(MissPredFail) // upgraded when the predicted supplier serves it
+		ctx.spanEvent("predict-supplier", tile)
+		pred := topo.Tile(ptr)
+		m := p.msg(tile, r)
+		m.tile = pred
+		del := ctx.SendCtlArg(tile, pred, p.atL1Fn, m)
+		e.Links += del.Hops
+		return
+	}
+	e.Tag = int(MissUnpredHome)
+	del := ctx.SendCtlArg(tile, ctx.HomeOf(addr), p.atHomeFn, p.msg(tile, r))
+	e.Links += del.Hops
+}
+
+// ownerWriteHit: the owner writes while its area has sharers (or remote
+// areas have providers) and invalidates them all from here, with no
+// home involvement.
+func (p *dicoCore) ownerWriteHit(ctx *Context, tile topo.Tile, addr cache.Addr, line *cache.Line, onDone func()) {
+	line.State = dcOwnerModified
+	line.Dirty = true
+	remote := line.ProPos
+	remote[p.areaOf(tile)] = -1
+	if line.Sharers&^p.areaBit(tile) == 0 && remote == noProPos {
+		p.hit(ctx, tile, addr, true, onDone)
+		return
+	}
+	e := p.tiles[tile].mshr.Allocate(addr, true, uint64(ctx.Kernel.Now()))
+	e.OnComplete = onDone
+	e.Tag = int(MissPredOwner) // resolved locally; counted as a 0-link owner hit
+	ctx.spanBegin(tile, addr, true)
+	ctx.spanEvent("owner-write-inv", tile)
+	e.DataReceived = true
+	shAcks, provAcks := p.invalidateCopies(ctx, tile, addr, line, tile)
+	e.SharerAcks += shAcks
+	e.ProviderAcks += provAcks
+	line.Sharers = 0
+	line.ProPos = noProPos
+	ctx.pw.L1DataWrite.Inc()
+	ctx.pw.L1TagWrite.Inc()
+}
+
+// invalidateCopies invalidates every copy an L1 owner's coherence
+// information covers — its area's sharers and the remote-area
+// providers, which invalidate their own sharers — on behalf of
+// requestor, returning the sharer and
+// provider acks the requestor must collect (the two-counter scheme of
+// Section IV-A).
+func (p *dicoCore) invalidateCopies(ctx *Context, owner topo.Tile, addr cache.Addr, line *cache.Line,
+	requestor topo.Tile) (shAcks, provAcks int) {
+	p.cen.invalidate.Touch(int(owner), int(owner))
+	area := p.areaOf(owner)
+	local := line.Sharers &^ p.areaBit(owner)
+	if p.areaOf(requestor) == area {
+		local &^= p.areaBit(requestor)
+	}
+	p.invalidateSharers(ctx, owner, addr, requestor, area, local)
+	return popcount(local), p.v.invalidateProviders(ctx, owner, addr, line.ProPos, area, requestor)
+}
+
+// invalidateSharers sends an invalidation to every tile in the
+// area-local vector sharers; each acks requestor.
+func (p *dicoCore) invalidateSharers(ctx *Context, from topo.Tile, addr cache.Addr, requestor topo.Tile,
+	area int, sharers uint64) {
+	for v := sharers; v != 0; v &= v - 1 {
+		sharer := p.tileAt(area, bits.TrailingZeros64(v))
+		m := p.msg(from, dcReq{addr: addr, requestor: requestor})
+		m.tile = sharer
+		ctx.SendCtlArg(from, sharer, p.invalFn, m)
+	}
+}
+
+// invalidateSharer drops a sharer's copy, points its prediction at the
+// new owner (Figure 5), and acks the requestor.
+func (p *dicoCore) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
+	}
+	t := p.tiles[tile]
+	t.dropCopy(ctx, addr)
+	t.l1c.Update(addr, int16(requestor))
+	ctx.pw.L1CUpdate.Inc()
+	m := p.msg(tile, dcReq{addr: addr})
+	m.tile = requestor
+	ctx.SendCtlArg(tile, requestor, p.ackFn, m)
+}
+
+// atL1 dispatches a request arriving at an L1 (by prediction or
+// forwarded) per the L1 rows of Table I.
+func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
+	ctx := p.ctx.At(tile)
+	ctx.chargeVM(r.requestor)
+	t := p.tiles[tile]
+	if _, pending := t.mshr.Lookup(r.addr); pending || t.blocked(r.addr) {
+		// Pooled-arg stall: a closure here would capture r and force it
+		// to the heap on every atL1 call, not just the stalled ones.
+		m := p.msg(tile, r)
+		m.tile = tile
+		t.stallL1Arg(r.addr, p.atL1Fn, m)
+		return
+	}
+	ctx.pw.L1TagRead.Inc()
+	line := t.l1.Lookup(r.addr)
+	switch {
+	case line != nil && dcIsOwner(line.State) && r.write:
+		p.ownerWriteSupply(ctx, r, tile, line)
+	case line != nil && dcIsOwner(line.State) && p.areaOf(r.requestor) != p.areaOf(tile):
+		p.v.remoteRead(ctx, r, tile, line)
+	case line != nil && dcIsOwner(line.State):
+		// Local read: the requestor becomes a sharer; a two-hop miss
+		// when predicted.
+		p.cen.l1Supply.Touch(int(tile), int(tile))
+		r.clsPlus1 = classify(&r, byOwner)
+		if ctx.tracing(r.addr) {
+			ctx.Trace(r.addr, "owner %d supplies read to %d (sharers %#x)", tile, r.requestor, line.Sharers)
+		}
+		line.Sharers |= p.areaBit(r.requestor)
+		line.State = dcOwnerShared
+		ctx.pw.L1TagWrite.Inc()
+		ctx.pw.L1DataRead.Inc()
+		p.deliver(ctx, r, tile, dcShared, false, int16(tile), nil)
+	case line != nil && line.State == dcProvider && !r.write && p.areaOf(r.requestor) == p.areaOf(tile):
+		p.v.providerRead(ctx, r, tile, line)
+	default:
+		// Not a supplier for this request (misprediction or stale
+		// forward): back to the home.
+		r = p.v.forwardHome(ctx, r, tile)
+		r.forwards++
+		m := p.msg(tile, r)
+		del := ctx.SendCtlArg(tile, ctx.HomeOf(r.addr), p.atHomeFn, m)
+		p.cen.l1Fwd.Touch(int(tile), int(tile))
+		m.r.links += int16(del.Hops)
+	}
+}
+
+// forwardL1 sends r on from one tile to the L1 at to.
+func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq, site *telemetry.TouchSite) {
+	m := p.msg(from, r)
+	m.tile = to
+	del := ctx.SendCtlArg(from, to, p.atL1Fn, m)
+	site.Touch(int(from), int(from))
+	m.r.links += int16(del.Hops)
+}
+
+// ownerWriteSupply transfers ownership to a writer (Table I): the owner
+// invalidates the copies itself, sends the data, and notifies the home
+// with Change_Owner, whose ack gates the transfer.
+func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
+	p.cen.ownerWrite.Touch(int(owner), int(owner))
+	r.clsPlus1 = classify(&r, byOwner)
+	if ctx.tracing(r.addr) {
+		ctx.Trace(r.addr, "owner %d write-supplies %d", owner, r.requestor)
+	}
+	// The ack expectations ride to the requestor with the data; an ack
+	// arriving first drives its MSHR counter transiently negative, which
+	// Done() tolerates.
+	shAcks, provAcks := p.invalidateCopies(ctx, owner, r.addr, line, r.requestor)
+	r.acks += int16(shAcks)
+	r.provAcks += int16(provAcks)
+	r.homeAck++
+	ctx.pw.L1DataRead.Inc()
+	ctx.pw.L1TagWrite.Inc()
+	t := p.tiles[owner]
+	t.l1.Invalidate(r.addr)
+	// The former owner's prediction now points at the new owner.
+	t.l1c.Update(r.addr, int16(r.requestor))
+	ctx.pw.L1CUpdate.Inc()
+	p.deliver(ctx, r, owner, dcOwnerModified, true, -1, nil)
+	m := p.msg(owner, dcReq{addr: r.addr})
+	m.tile = r.requestor
+	m.stamp = ctx.Kernel.Now()
+	ctx.SendCtlArg(owner, ctx.HomeOf(r.addr), p.coFn, m) // Change_Owner (+ gating ack)
+}
+
+// atHome handles a request at the home bank: consult the L2C$ for the
+// precise owner, else let the variant serve from the L2, else fetch
+// memory (the requestor becomes the owner).
+func (p *dicoCore) atHome(r dcReq) {
+	home := p.ctx.HomeOf(r.addr)
+	ctx := p.ctx.At(home)
+	ctx.chargeVM(r.requestor)
+	th := p.tiles[home]
+	if th.homeBusy(r.addr) || th.recallMarked(r.addr) {
+		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(home, r))
+		return
+	}
+	ctx.pw.L2TagRead.Inc()
+	ctx.pw.L2CAccess.Inc()
+	if ptr, ok := th.l2c.Lookup(r.addr); ok && th.l2.Peek(r.addr) == nil {
+		owner := topo.Tile(ptr)
+		if owner == r.requestor || r.forwards >= maxForwards {
+			// Our own transfer is settling, or forwarding keeps bouncing.
+			p.retry(ctx, home, r)
+			return
+		}
+		r.forwards++
+		ctx.spanEvent("home-forward-owner", home)
+		p.forwardL1(ctx, home, owner, r, p.cen.homeFwd)
+		return
+	}
+	if l2line := th.l2.Lookup(r.addr); l2line != nil {
+		// A stale Change_Owner may have re-installed an L2C$ pointer
+		// after the ownership returned home; the L2 line wins.
+		if th.l2c.Invalidate(r.addr) {
+			ctx.pw.L2CUpdate.Inc()
+		}
+		p.v.homeSupply(ctx, r, home, l2line)
+		return
+	}
+	p.updateL2C(ctx, home, r.addr, r.requestor)
+	m := p.msg(home, r)
+	del := ctx.SendCtlArg(home, ctx.Mem.For(r.addr), p.memReqFn, m)
+	p.cen.homeMemFetch.Touch(int(home), int(home))
+	m.r.links += int16(del.Hops)
+}
+
+// retry backs r off and restarts it at the home. The retry keeps the
+// accumulated rides: those hops and ack expectations really happened.
+func (p *dicoCore) retry(ctx *Context, home topo.Tile, r dcReq) {
+	ctx.spanRetry(r.requestor)
+	r.forwards, r.via = 0, -1
+	ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(home, r))
+}
+
+// grantFromHome hands the home L2's ownership to the requestor: the L2
+// copy leaves, the L2C$ points at the new owner, and the data carries
+// state (and provider pointers, when propos is non-nil).
+func (p *dicoCore) grantFromHome(ctx *Context, r dcReq, home topo.Tile, state cache.State, dirty bool,
+	propos *[cache.MaxSimAreas]int8) {
+	ctx.pw.L2DataRead.Inc()
+	p.tiles[home].l2.Invalidate(r.addr)
+	ctx.pw.L2TagWrite.Inc()
+	p.updateL2C(ctx, home, r.addr, r.requestor)
+	p.deliver(ctx, r, home, state, dirty, -1, propos)
+}
+
+// deliver sends the block to the requestor, carrying the miss's
+// accumulated MSHR updates in r. supplier (when >= 0) is kept as the
+// line's prediction hint; propos, when non-nil, rides to an owner.
+func (p *dicoCore) deliver(ctx *Context, r dcReq, from topo.Tile, state cache.State, dirty bool,
+	supplier int16, propos *[cache.MaxSimAreas]int8) {
+	m := p.msg(from, r)
+	m.state, m.dirty, m.supplier, m.hasPro = state, dirty, supplier, propos != nil
+	if propos != nil {
+		m.propos = *propos
+	}
+	del := ctx.SendDataArg(from, r.requestor, p.deliverFn, m)
+	m.r.links += int16(del.Hops)
+}
+
+// fillL1 installs the block at the requestor, running the Table II
+// replacement for a displaced victim. A provider-requestor that just
+// received ownership invalidates its own area's sharers now (Section
+// IV-A's special case; only DiCo-Providers' providers track sharers).
+func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, supplier int16,
+	propos *[cache.MaxSimAreas]int8) {
+	tile := r.requestor
+	if ctx.tracing(r.addr) {
+		ctx.Trace(r.addr, "fill at %d state=%d dirty=%v", tile, state, dirty)
+	}
+	t := p.tiles[tile]
+	ctx.pw.L1TagWrite.Inc()
+	ctx.pw.L1DataWrite.Inc()
+	var selfSharers uint64
+	line := t.l1.Peek(r.addr)
+	if line != nil {
+		if r.write && line.State == dcProvider {
+			selfSharers = line.Sharers &^ p.areaBit(tile)
+		}
+		line.Dirty = line.Dirty || dirty
+		line.Sharers = 0
+		line.Owner = -1
+		line.ProPos = noProPos
+		t.l1.Touch(line)
+	} else {
+		victim, valid := t.l1.Victim(r.addr)
+		if valid {
+			p.evictL1(ctx, tile, *victim)
+			t.l1.Invalidate(victim.Addr)
+		}
+		line = victim
+		t.l1.Fill(line, r.addr, state)
+		line.Dirty = dirty
+		// The block is cached: its dedicated L1C$ entry is redundant.
+		t.l1c.Invalidate(r.addr)
+	}
+	line.State = state
+	if supplier >= 0 {
+		line.Owner = supplier
+	}
+	if propos != nil {
+		line.ProPos = *propos
+	}
+	if selfSharers != 0 {
+		if e, ok := t.mshr.Lookup(r.addr); ok {
+			e.SharerAcks += popcount(selfSharers)
+		}
+		p.invalidateSharers(ctx, tile, r.addr, tile, p.areaOf(tile), selfSharers)
+	}
+}
+
+// evictL1 is the Table II replacement: shared copies leave silently,
+// keeping the supplier hint in the L1C$; providers are the variant's;
+// owners transfer ownership to a sharer of their area, or write back to
+// the home when none remains.
+func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
+	if ctx.tracing(victim.Addr) {
+		ctx.Trace(victim.Addr, "evict at %d state=%d sharers=%#x", tile, victim.State, victim.Sharers)
+	}
+	switch victim.State {
+	case dcShared:
+		p.keepHint(ctx, tile, victim)
+	case dcProvider:
+		p.v.evictProvider(ctx, tile, victim)
+	default:
+		if local := victim.Sharers &^ p.areaBit(tile); local != 0 {
+			p.transferOwnership(ctx, tile, victim.Addr, local, victim.Dirty, victim.ProPos)
+		} else {
+			p.writebackToHome(ctx, tile, victim.Addr, victim.Dirty, victim.ProPos, 0)
+		}
+	}
+}
+
+// keepHint retains a departing copy's supplier hint in the L1C$.
+func (p *dicoCore) keepHint(ctx *Context, tile topo.Tile, victim cache.Line) {
+	if victim.Owner >= 0 {
+		p.tiles[tile].l1c.Update(victim.Addr, victim.Owner)
+		ctx.pw.L1CUpdate.Inc()
+	}
+}
+
+// offer walks an offer chain through the candidates of tryList (an
+// area-local vector of area): the first that still holds a shared copy
+// runs accept with vector minus itself. A candidate with a miss in
+// flight is skipped — stalling behind the miss can deadlock, since the
+// miss may itself be waiting for this block to settle — but stays in
+// vector, so the acceptor's sharing code covers its fill (a superset is
+// always safe); a candidate without a shared copy leaves the vector.
+// When nobody accepts, none runs at the last tile probed: whatever the
+// offer carries rides the chain, so every send's source is the tile
+// whose lane is executing.
+func (p *dicoCore) offer(ctx *Context, from topo.Tile, addr cache.Addr, area int, tryList, vector uint64,
+	accept func(ctx *Context, target topo.Tile, line *cache.Line, others uint64),
+	none func(ctx *Context, last topo.Tile, vector uint64)) {
+	if tryList == 0 {
+		none(ctx, from, vector)
+		return
+	}
+	i := bits.TrailingZeros64(tryList)
+	target := p.tileAt(area, i)
+	ctx.SendCtl(from, target, func() {
+		tctx := p.ctx.At(target)
+		t := p.tiles[target]
+		rest := tryList &^ (1 << uint(i))
+		if _, pending := t.mshr.Lookup(addr); pending {
+			p.offer(tctx, target, addr, area, rest, vector, accept, none)
+			return
+		}
+		tctx.pw.L1TagRead.Inc()
+		if line := t.l1.Peek(addr); line != nil && line.State == dcShared {
+			accept(tctx, target, line, vector&^(1<<uint(i)))
+			return
+		}
+		p.offer(tctx, target, addr, area, rest, vector&^(1<<uint(i)), accept, none)
+	})
+}
+
+// transferOwnership offers an evicted owner's ownership (sharing code
+// and provider pointers) to the sharers of its area (Table II); the
+// acceptor sends Change_Owner to the home and hints the others. If
+// nobody accepts, the data falls back to the home from the chain's end.
+func (p *dicoCore) transferOwnership(ctx *Context, from topo.Tile, addr cache.Addr, sharers uint64, dirty bool,
+	propos [cache.MaxSimAreas]int8) {
+	area := p.areaOf(from)
+	p.offer(ctx, from, addr, area, sharers, sharers,
+		func(tctx *Context, target topo.Tile, line *cache.Line, others uint64) {
+			if tctx.tracing(addr) {
+				tctx.Trace(addr, "transfer accepted at %d (others %#x)", target, others)
+			}
+			line.State = dcOwnerShared
+			line.Dirty = dirty
+			line.Sharers = others
+			line.ProPos = propos
+			line.Owner = -1
+			tctx.pw.L1TagWrite.Inc()
+			home := tctx.HomeOf(addr)
+			stamp := tctx.Kernel.Now()
+			tctx.SendCtl(target, home, func() { // Change_Owner
+				hctx := p.ctx.At(home)
+				p.homeOwnerUpdate(hctx, home, addr, target, stamp)
+				hctx.SendCtl(home, target, func() {}) // ack (gating message)
+			})
+			p.hintSharers(tctx, target, addr, area, others)
+		},
+		func(lctx *Context, last topo.Tile, vector uint64) {
+			p.writebackToHome(lctx, last, addr, dirty, propos, vector)
+		})
+}
+
+// hintSharers tells every tile of the area-local vector sharers that
+// supplier now supplies addr, updating their predictions (Figure 5).
+func (p *dicoCore) hintSharers(ctx *Context, supplier topo.Tile, addr cache.Addr, area int, sharers uint64) {
+	for v := sharers; v != 0; v &= v - 1 {
+		sharer := p.tileAt(area, bits.TrailingZeros64(v))
+		ctx.SendCtl(supplier, sharer, func() {
+			sctx := p.ctx.At(sharer)
+			st := p.tiles[sharer]
+			if l := st.l1.Peek(addr); l != nil && l.State == dcShared {
+				l.Owner = int16(supplier)
+			} else {
+				st.l1c.Update(addr, int16(supplier))
+				sctx.pw.L1CUpdate.Inc()
+			}
+		})
+	}
+}
+
+// writebackToHome returns ownership (and the data) from the executing
+// tile to the home L2; leftover are sharers of the tile's area that may
+// still hold (or soon receive) a copy.
+func (p *dicoCore) writebackToHome(ctx *Context, tile topo.Tile, addr cache.Addr, dirty bool,
+	propos [cache.MaxSimAreas]int8, leftover uint64) {
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "writeback to home from %d leftover=%#x", tile, leftover)
+	}
+	f := p.v.writebackForm(ctx, tile, addr, propos, leftover)
+	ctx.pw.L1DataRead.Inc()
+	p.sendHome(ctx, tile, addr, dirty, f, false)
+}
+
+// writebackForm is the DiCo and DiCo-Arin form: the home L2 becomes the
+// owner and tracks the leftover sharers of the evicted owner's area.
+func (p *dicoCore) writebackForm(_ *Context, tile topo.Tile, _ cache.Addr, _ [cache.MaxSimAreas]int8,
+	leftover uint64) l2Form {
+	f := l2Form{state: l2Present, areaTag: -1, sharers: leftover, propos: noProPos}
+	if leftover != 0 {
+		f.areaTag = int8(p.areaOf(tile))
+	}
+	return f
+}
+
+// sendHome ships ownership and data of addr from the executing tile to
+// the home, which stamps the return — so a Change_Owner sent earlier
+// but arriving later cannot resurrect a stale pointer — and lands it.
+func (p *dicoCore) sendHome(ctx *Context, from topo.Tile, addr cache.Addr, dirty bool, f l2Form, recalled bool) {
+	home := ctx.HomeOf(addr)
+	ctx.SendData(from, home, func() {
+		hctx := p.ctx.At(home)
+		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
+		p.v.land(hctx, home, addr, dirty, f, recalled)
+	})
+}
+
+// land installs the returning ownership, then settles the home.
+func (p *dicoCore) land(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, _ bool) {
+	p.insertL2(ctx, home, addr, dirty, f, func() { p.settleHome(ctx, home, addr) })
+}
+
+// settleHome retires the home's pointer to the old L1 owner, clears any
+// recall mark and wakes the requests stalled on addr.
+func (p *dicoCore) settleHome(ctx *Context, home topo.Tile, addr cache.Addr) {
+	th := p.tiles[home]
+	if th.l2c.Invalidate(addr) {
+		ctx.pw.L2CUpdate.Inc()
+	}
+	th.clearRecall(addr)
+	th.wakeHome(ctx.Kernel, addr)
+}
+
+// homeOwnerUpdate installs a new owner pointer in the home's L2C$,
+// guarded against reordered Change_Owner messages.
+func (p *dicoCore) homeOwnerUpdate(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile, stamp sim.Time) {
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "home owner update -> %d (stamp %d)", owner, stamp)
+	}
+	th := p.tiles[home]
+	if !th.stampIfNewer(addr, stamp) {
+		return // a newer transfer already registered
+	}
+	p.updateL2C(ctx, home, addr, owner)
+	th.clearRecall(addr)
+	th.wakeHome(ctx.Kernel, addr)
+}
+
+// updateL2C writes an owner pointer, running the L2C$ replacement
+// protocol when the insertion displaces a victim: the displaced entry
+// was the home's only pointer to its owner, so that ownership is
+// recalled to the home L2.
+func (p *dicoCore) updateL2C(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
+	evicted, evictedPtr, displaced := p.tiles[home].l2c.Update(addr, int16(owner))
+	ctx.pw.L2CUpdate.Inc()
+	if displaced {
+		p.recallOwnership(ctx, home, evicted, topo.Tile(evictedPtr))
+	}
+}
+
+// recallOwnership implements the L2C$ information replacement of
+// Section IV-A1: the home asks the owner to return the coherence
+// information and the data. The victim's pointer is read before the
+// eviction overwrites it — as the hardware does — so the recall travels
+// straight to the owner; no chip-wide L1 scan. A stale pointer is
+// resolved at the owner's tile: a pending miss stalls the recall
+// behind it, a non-owner drops it and the in-flight Change_Owner clears
+// the mark when it lands.
+func (p *dicoCore) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "recall issued from home %d to %d", home, owner)
+	}
+	p.tiles[home].markRecall(addr)
+	p.cen.recall.Touch(int(home), int(home))
+	ctx.SendCtl(home, owner, func() { p.relinquish(home, owner, addr) })
+}
+
+// relinquish moves a recalled ownership from an L1 back to the home L2.
+func (p *dicoCore) relinquish(home, owner topo.Tile, addr cache.Addr) {
+	ctx := p.ctx.At(owner)
+	t := p.tiles[owner]
+	if _, pending := t.mshr.Lookup(addr); pending {
+		// The recalled grant has not filled yet: wait for it.
+		t.stallL1(addr, func() { p.relinquish(home, owner, addr) })
+		return
+	}
+	ctx.pw.L1TagRead.Inc()
+	line := t.l1.Peek(addr)
+	if line == nil || !dcIsOwner(line.State) {
+		// Stale recall: ownership moved on. The Change_Owner that moved
+		// it clears the recall mark at the home.
+		return
+	}
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "relinquish at %d sharers=%#x", owner, line.Sharers)
+	}
+	dirty := line.Dirty
+	f := p.v.relinquishForm(ctx, owner, line)
+	line.Dirty = false
+	line.Owner = -1
+	ctx.pw.L1TagWrite.Inc()
+	ctx.pw.L1DataRead.Inc()
+	p.sendHome(ctx, owner, addr, dirty, f, true)
+}
+
+// relinquishForm is the DiCo and DiCo-Arin recall: the former owner
+// stays on as a sharer, and the home L2 takes the ownership with the
+// owner's area sharing code.
+func (p *dicoCore) relinquishForm(_ *Context, owner topo.Tile, line *cache.Line) l2Form {
+	f := l2Form{state: l2Present, areaTag: int8(p.areaOf(owner)), sharers: line.Sharers | p.areaBit(owner), propos: noProPos}
+	line.State = dcShared
+	line.Sharers = 0
+	return f
+}
+
+// insertL2 installs a block in its home L2 in form f, first evicting an
+// L2 victim (which invalidates the victim's copies), then calls then.
+func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, then func()) {
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "insert L2 at %d form=%d areatag=%d sharers=%#x", home, f.state, f.areaTag, f.sharers)
+	}
+	th := p.tiles[home]
+	if line := th.l2.Peek(addr); line != nil {
+		ctx.pw.L2TagWrite.Inc()
+		ctx.pw.L2DataWrite.Inc()
+		th.l2.Touch(line)
+		p.v.applyL2(line, dirty, f)
+	} else if victim, valid := th.l2.Victim(addr); valid {
+		// Remove the victim from the array immediately (so no concurrent
+		// insertion picks the same way), invalidate its copies, then
+		// retry the insertion.
+		snapshot := *victim
+		th.l2.Invalidate(snapshot.Addr)
+		ctx.pw.L2TagWrite.Inc()
+		retry := f
+		p.v.evictL2(ctx, home, snapshot, func() { p.insertL2(ctx, home, addr, dirty, retry, then) })
+		return
+	} else {
+		ctx.pw.L2TagWrite.Inc()
+		ctx.pw.L2DataWrite.Inc()
+		th.l2.Fill(victim, addr, f.state)
+		p.v.applyL2(victim, dirty, f)
+	}
+	if then != nil {
+		then()
+	}
+}
+
+// evictL2Sharers evicts an owner-form L2 victim whose copies are the
+// area-local sharers of area: it invalidates them, collects their acks
+// at the home, writes dirty data back to memory, then calls then. The
+// pending counter is touched only on the home's lane (every ack lands
+// there).
+func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, victim cache.Line, area int, sharers uint64,
+	then func()) {
+	addr := victim.Addr
+	if ctx.tracing(addr) {
+		ctx.Trace(addr, "L2 eviction at %d sharers=%#x", home, sharers)
+	}
+	th := p.tiles[home]
+	th.setHomeBusy(addr)
+	pending := popcount(sharers)
+	finish := func() {
+		if victim.Dirty {
+			p.flush(ctx, home, addr)
+		}
+		th.clearHomeBusy(addr)
+		th.wakeHome(ctx.Kernel, addr)
+		then()
+	}
+	if pending == 0 {
+		finish()
+		return
+	}
+	for v := sharers; v != 0; v &= v - 1 {
+		sharer := p.tileAt(area, bits.TrailingZeros64(v))
+		ctx.SendCtl(home, sharer, func() {
+			sctx := p.ctx.At(sharer)
+			p.tiles[sharer].dropCopy(sctx, addr)
+			sctx.SendCtl(sharer, home, func() {
+				pending--
+				if pending == 0 {
+					finish()
+				}
+			})
+		})
+	}
+}
+
+// The remaining defaults are the hooks DiCo never reaches or shares
+// with one of the other variants.
+
+// remoteRead has no DiCo behaviour: DiCo's single area makes every
+// requestor local.
+func (p *dicoCore) remoteRead(*Context, dcReq, topo.Tile, *cache.Line) {
+	panic(p.name + ": read from a remote area")
+}
+
+// providerRead has no DiCo behaviour: no DiCo copy is a provider.
+func (p *dicoCore) providerRead(*Context, dcReq, topo.Tile, *cache.Line) {
+	panic(p.name + ": read served by a provider")
+}
+
+// forwardHome records the bouncing L1 (DiCo-Arin's stale-provider
+// fixup reads it at the home; DiCo ignores it).
+func (p *dicoCore) forwardHome(_ *Context, r dcReq, tile topo.Tile) dcReq {
+	r.via = tile
+	return r
+}
+
+// invalidateProviders: only DiCo-Providers keeps provider pointers.
+func (p *dicoCore) invalidateProviders(*Context, topo.Tile, cache.Addr, [cache.MaxSimAreas]int8, int, topo.Tile) int {
+	return 0
+}
+
+// evictProvider lets a DiCo-Arin provider leave silently like a sharer:
+// the home's pointer to it is refreshed lazily by the forwarder fixup.
+func (p *dicoCore) evictProvider(ctx *Context, tile topo.Tile, victim cache.Line) {
+	p.keepHint(ctx, tile, victim)
+}
+
+// unblockAfterWrite: only DiCo-Arin issues broadcast writes.
+func (p *dicoCore) unblockAfterWrite(*Context, dcReq) {}
+
+// ForEachCopy implements Engine.
+func (p *dicoCore) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
+	forEachCopy(p.tiles, p.ctx.HomeOf(addr), addr, func(l *cache.Line) (bool, bool) {
+		return dcIsOwner(l.State), l.State >= dcOwnerExclusive
+	}, fn)
+}
+
+// blockCopies is one block's L1 copies, for the invariant checkers.
+type blockCopies struct {
+	owner   topo.Tile // -1 when no L1 owns the block
+	holders map[topo.Tile]cache.State
+}
+
+// checkBlocks runs the family-wide invariants at quiescence — at most
+// one owner chip-wide, an exclusive owner holds the only copy, and the
+// home L2C$ points at the actual L1 owner — then calls check for every
+// cached block in address order.
+func (p *dicoCore) checkBlocks(check func(addr cache.Addr, bc *blockCopies, l2line *cache.Line)) {
+	blocks := make(map[cache.Addr]*blockCopies)
+	for i, t := range p.tiles {
+		tile := topo.Tile(i)
+		t.l1.ForEachValid(func(l *cache.Line) {
+			bc := blocks[l.Addr]
+			if bc == nil {
+				bc = &blockCopies{owner: -1, holders: map[topo.Tile]cache.State{}}
+				blocks[l.Addr] = bc
+			}
+			bc.holders[tile] = l.State
+			if dcIsOwner(l.State) {
+				if bc.owner >= 0 {
+					panic(fmt.Sprintf("%s: block %#x has two owners (%d, %d)", p.name, l.Addr, bc.owner, tile))
+				}
+				bc.owner = tile
+			}
+		})
+	}
+	addrs := make([]cache.Addr, 0, len(blocks))
+	for a := range blocks {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for _, addr := range addrs {
+		bc := blocks[addr]
+		th := p.tiles[p.ctx.HomeOf(addr)]
+		if bc.owner >= 0 {
+			if s := bc.holders[bc.owner]; s >= dcOwnerExclusive && len(bc.holders) > 1 {
+				panic(fmt.Sprintf("%s: block %#x exclusive at %d with %d holders", p.name, addr, bc.owner, len(bc.holders)))
+			}
+			if ptr, ok := th.l2c.Lookup(addr); ok && topo.Tile(ptr) != bc.owner {
+				panic(fmt.Sprintf("%s: block %#x L2C$ points to %d, owner is %d", p.name, addr, ptr, bc.owner))
+			}
+		}
+		check(addr, bc, th.l2.Peek(addr))
+	}
+}

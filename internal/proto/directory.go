@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
@@ -26,8 +25,7 @@ const l2Present cache.State = 1
 // (the NCID approach): it can outlive the L2 data block, and only the
 // eviction of a directory entry forces chip-wide invalidation.
 type Directory struct {
-	ctx   *Context
-	tiles []*tileState
+	engineBase
 
 	// The timestamp of the newest ownership decision applied to a
 	// home's directory entry lives in the home tile's transaction
@@ -54,12 +52,12 @@ type Directory struct {
 	memReqFn      func(any)
 	memRespFn     func(any)
 	memFillFn     func(any)
-	flushFn       func(any)
 
-	// free holds one message pool per tile, indexed by the executing
-	// tile: senders take nodes from their own tile's list and delivery
-	// handlers recycle into theirs, so no list is ever touched by two
-	// lanes (an engine-global pool would race under RunParallel).
+	// free holds one message pool per executor lane (see Context.Lane):
+	// senders take nodes from their lane's list and delivery handlers
+	// recycle into theirs, so no list is ever touched by two lanes (an
+	// engine-global pool would race under RunParallel). It is sized by
+	// the tile count because a run never has more lanes than tiles.
 	free []*dirMsg
 
 	cen dirCensus
@@ -78,12 +76,11 @@ type dirCensus struct {
 
 // NewDirectory builds the directory engine on ctx.
 func NewDirectory(ctx *Context) *Directory {
-	ctx.bindPower()
 	d := &Directory{
-		ctx:   ctx,
-		tiles: make([]*tileState, ctx.NumTiles()),
-		free:  make([]*dirMsg, ctx.NumTiles()),
+		engineBase: newEngineBase(ctx, "directory"),
+		free:       make([]*dirMsg, ctx.NumTiles()),
 	}
+	d.replace = d.evictL1
 	d.bindHandlers()
 	d.cen = dirCensus{
 		fwdOwner:    ctx.CensusSite("directory", "atHome.fwd-owner", "mshr"),
@@ -96,8 +93,7 @@ func NewDirectory(ctx *Context) *Directory {
 		deliver:     ctx.CensusSite("directory", "deliverData", "mshr"),
 		memResp:     ctx.CensusSite("directory", "memResp", "mshr"),
 	}
-	for i := range d.tiles {
-		t := newTileState(ctx.Cfg, ctx.BankShift())
+	for _, t := range d.tiles {
 		// Directory information lives with every L2 entry (a full-map
 		// vector per line, Table V) plus the NCID directory cache for
 		// blocks that are in L1s but not in the L2. The combined
@@ -110,19 +106,9 @@ func NewDirectory(ctx *Context) *Directory {
 		}
 		t.dir = cache.NewDirCache("dir", ctx.Cfg.L2Sets, ctx.Cfg.L2Ways+extra)
 		t.dir.SetIndexShift(ctx.BankShift())
-		d.tiles[i] = t
 	}
 	return d
 }
-
-// Name implements Engine.
-func (d *Directory) Name() string { return "directory" }
-
-// Stats implements Engine.
-func (d *Directory) Stats() *stats.Set { return &d.ctx.Counters }
-
-// MissProfile implements Engine.
-func (d *Directory) MissProfile() MissProfile { return d.ctx.Profile }
 
 type dirReq struct {
 	addr      cache.Addr
@@ -248,7 +234,10 @@ func (d *Directory) bindHandlers() {
 		d.putMsg(requestor, m)
 		ctx := d.ctx.At(requestor)
 		ctx.chargeVM(requestor)
-		d.ackAtRequestor(ctx, requestor, addr)
+		if e, ok := d.tiles[requestor].mshr.Lookup(addr); ok {
+			e.SharerAcks--
+			d.maybeComplete(ctx, requestor, addr)
+		}
 	}
 	// handoverFn applies the write-handover directory update at the
 	// home: the forwarded write made m.tile the new exclusive owner.
@@ -294,8 +283,7 @@ func (d *Directory) bindHandlers() {
 			}
 			th.wakeHome(ctx.Kernel, addr)
 			if dirty {
-				mc := ctx.Mem.For(addr)
-				ctx.SendDataArg(home, mc, d.flushFn, mc)
+				d.flush(ctx, home, addr)
 			}
 			return
 		}
@@ -326,8 +314,7 @@ func (d *Directory) bindHandlers() {
 			}
 			th.wakeHome(ctx.Kernel, addr)
 			if dirty {
-				mc := ctx.Mem.For(addr)
-				ctx.SendDataArg(home, mc, d.flushFn, mc)
+				d.flush(ctx, home, addr)
 			}
 			return
 		}
@@ -378,8 +365,6 @@ func (d *Directory) bindHandlers() {
 		}
 		d.deliverData(ctx, r, home, state, dirty)
 	}
-	// flushFn runs at the memory controller tile boxed in the argument.
-	d.flushFn = func(a any) { d.ctx.At(a.(topo.Tile)).MemFlush() }
 }
 
 // Access implements Engine.
@@ -394,19 +379,13 @@ func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone f
 	ctx.pw.L1TagRead.Inc()
 	if line := t.l1.Lookup(addr); line != nil {
 		if !write {
-			ctx.pw.L1DataRead.Inc()
-			ctx.Profile.Hits++
-			ctx.observeRetired(tile, addr, false, true, false)
-			ctx.Kernel.After(ctx.Cfg.L1HitLatency, onDone)
+			d.hit(ctx, tile, addr, false, onDone)
 			return
 		}
 		if line.State == dirModified || line.State == dirExclusive {
 			line.State = dirModified
 			line.Dirty = true
-			ctx.pw.L1DataWrite.Inc()
-			ctx.Profile.Hits++
-			ctx.observeRetired(tile, addr, true, true, false)
-			ctx.Kernel.After(ctx.Cfg.L1HitLatency, onDone)
+			d.hit(ctx, tile, addr, true, onDone)
 			return
 		}
 		// Shared copy under a write: ownership upgrade, handled as a
@@ -701,26 +680,10 @@ func (d *Directory) invalidateAtL1(tile topo.Tile, addr cache.Addr, requestor to
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
 	}
-	ctx.pw.L1TagRead.Inc()
-	if _, ok := t.l1.Invalidate(addr); ok {
-		ctx.pw.L1TagWrite.Inc()
-	}
-	if e, ok := t.mshr.Lookup(addr); ok {
-		e.InvalidatedWhilePending = true
-	}
+	t.dropCopy(ctx, addr)
 	m := d.msg(tile, dirReq{addr: addr})
 	m.tile = requestor
 	ctx.SendCtlArg(tile, requestor, d.ackFn, m)
-}
-
-func (d *Directory) ackAtRequestor(ctx *Context, requestor topo.Tile, addr cache.Addr) {
-	t := d.tiles[requestor]
-	e, ok := t.mshr.Lookup(addr)
-	if !ok {
-		return // transaction already completed (stale ack)
-	}
-	e.SharerAcks--
-	d.maybeComplete(ctx, requestor, addr)
 }
 
 // fetchFromMemory asks the memory controller for the block; the data
@@ -806,8 +769,7 @@ func (d *Directory) insertL2Data(ctx *Context, home topo.Tile, addr cache.Addr, 
 		return
 	}
 	if valid && victim.Dirty {
-		mc := ctx.Mem.For(victim.Addr)
-		ctx.SendDataArg(home, mc, d.flushFn, mc)
+		d.flush(ctx, home, victim.Addr)
 	}
 	th.l2.Fill(victim, addr, l2Present)
 	victim.Dirty = dirty
@@ -856,8 +818,7 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 		// Drop the victim's L2 data (write back if dirty).
 		if l2line := th.l2.Peek(victimAddr); l2line != nil {
 			if l2line.Dirty {
-				mc := ctx.Mem.For(victimAddr)
-				ctx.SendDataArg(home, mc, d.flushFn, mc)
+				d.flush(ctx, home, victimAddr)
 			}
 			th.l2.InvalidateLine(l2line)
 			ctx.pw.L2TagWrite.Inc()
@@ -886,8 +847,7 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 					// Dirty data rides back with the ack and is
 					// flushed to memory from the home.
 					hctx.SendData(holder, home, func() {
-						mc := ctx.Mem.For(victimAddr)
-						ctx.SendDataArg(home, mc, d.flushFn, mc)
+						d.flush(ctx, home, victimAddr)
 						pending--
 						if pending == 0 {
 							finish()
@@ -909,51 +869,12 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 	})
 }
 
-// maybeComplete retires the miss if all its conditions are met.
-func (d *Directory) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
-	t := d.tiles[tile]
-	e, ok := t.mshr.Lookup(addr)
-	if !ok || !e.Done() {
-		return
-	}
-	dropped := e.InvalidatedWhilePending && !e.Write
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "complete at %d write=%v dropped=%v", tile, e.Write, dropped)
-	}
-	if dropped {
-		// The fill raced an invalidation. Dropping the line is the
-		// safe resolution, but it must go through the regular
-		// replacement protocol so any ownership or providership the
-		// fill carried is handed back properly.
-		if line := t.l1.Peek(addr); line != nil {
-			snapshot := t.l1.InvalidateLine(line)
-			d.evictL1(ctx, tile, snapshot)
-		}
-	}
-	cls := MissClass(e.Tag)
-	ctx.Profile.Count[cls]++
-	ctx.Profile.Links[cls] += uint64(e.Links)
-	ctx.spanEnd(tile, cls, dropped)
-	done := e.OnComplete
-	t.mshr.Release(addr)
-	ctx.observeRetired(tile, addr, e.Write, false, e.InvalidatedWhilePending)
-	t.wakeL1(ctx.Kernel, addr)
-	if done != nil {
-		done()
-	}
-}
-
 // ForEachCopy implements Engine.
 func (d *Directory) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
 	forEachCopy(d.tiles, d.ctx.HomeOf(addr), addr, func(l *cache.Line) (bool, bool) {
 		excl := l.State == dirModified || l.State == dirExclusive
 		return excl, excl
 	}, fn)
-}
-
-// ForEachPending implements Engine.
-func (d *Directory) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
-	forEachPending(d.tiles, fn)
 }
 
 // CheckInvariants implements Engine. Call only at quiescence (no

@@ -103,7 +103,7 @@ func TestFigure2Providers(t *testing.T) {
 	// The sharer is now area 3's provider (Table I: no provider in the
 	// requestor's area -> requestor becomes provider).
 	line := c.eng.(*Providers).tiles[sharer].l1.Peek(addr)
-	if line == nil || line.State != pvProvider {
+	if line == nil || line.State != dcProvider {
 		t.Fatalf("sharer did not become provider (state %v)", line)
 	}
 	d = profileDelta(c, func() { c.access(reader, addr, false) })
@@ -170,7 +170,7 @@ func TestFigure4WriteInvalidation(t *testing.T) {
 	c.access(provider, addr, false)
 	c.access(areaShr, addr, false)
 	eng := c.eng.(*Providers)
-	if l := eng.tiles[provider].l1.Peek(addr); l == nil || l.State != pvProvider {
+	if l := eng.tiles[provider].l1.Peek(addr); l == nil || l.State != dcProvider {
 		t.Fatalf("provider setup failed: %v", l)
 	}
 	c.access(writer, addr, true)
@@ -180,7 +180,7 @@ func TestFigure4WriteInvalidation(t *testing.T) {
 			t.Errorf("tile %d still holds the block after the write (state %d)", tile, l.State)
 		}
 	}
-	if l := eng.tiles[writer].l1.Peek(addr); l == nil || l.State != pvOwnerModified {
+	if l := eng.tiles[writer].l1.Peek(addr); l == nil || l.State != dcOwnerModified {
 		t.Errorf("writer does not own the block modified: %v", l)
 	}
 }
@@ -197,18 +197,18 @@ func TestArinDissolution(t *testing.T) {
 	remote := g.At(6, 6) // area 3
 	c.access(owner, addr, false)
 	eng := c.eng.(*Arin)
-	if l := eng.tiles[owner].l1.Peek(addr); l == nil || !arIsOwner(l.State) {
+	if l := eng.tiles[owner].l1.Peek(addr); l == nil || !dcIsOwner(l.State) {
 		t.Fatal("setup: no L1 owner")
 	}
 	c.access(remote, addr, false)
-	if l := eng.tiles[owner].l1.Peek(addr); l == nil || l.State != arProvider {
+	if l := eng.tiles[owner].l1.Peek(addr); l == nil || l.State != dcProvider {
 		t.Errorf("former owner state = %v, want provider", l)
 	}
-	if l := eng.tiles[remote].l1.Peek(addr); l == nil || l.State != arProvider {
+	if l := eng.tiles[remote].l1.Peek(addr); l == nil || l.State != dcProvider {
 		t.Errorf("remote reader state = %v, want provider", l)
 	}
 	l2 := eng.tiles[home].l2.Peek(addr)
-	if l2 == nil || l2.State != l2ArinInter {
+	if l2 == nil || l2.State != l2Inter {
 		t.Fatalf("home entry = %v, want inter-area form", l2)
 	}
 	ownerArea := c.ctx.Areas.Of(owner)
@@ -230,7 +230,7 @@ func TestArinBroadcastWrite(t *testing.T) {
 		c.access(r, addr, false)
 	}
 	eng := c.eng.(*Arin)
-	if l2 := eng.tiles[home].l2.Peek(addr); l2 == nil || l2.State != l2ArinInter {
+	if l2 := eng.tiles[home].l2.Peek(addr); l2 == nil || l2.State != l2Inter {
 		t.Fatal("setup: block not inter-area")
 	}
 	bcastBefore := c.ctx.Net.Stats().Broadcasts
@@ -244,7 +244,7 @@ func TestArinBroadcastWrite(t *testing.T) {
 			t.Errorf("reader %d still holds a copy after the broadcast write", r)
 		}
 	}
-	if l := eng.tiles[writer].l1.Peek(addr); l == nil || l.State != arOwnerModified {
+	if l := eng.tiles[writer].l1.Peek(addr); l == nil || l.State != dcOwnerModified {
 		t.Errorf("writer state = %v, want owner-modified", l)
 	}
 	if eng.tiles[home].l2.Peek(addr) != nil {
@@ -301,12 +301,12 @@ func TestProvidersReplacementTableII(t *testing.T) {
 	c.drain()
 	eng := c.eng.(*Providers)
 	l := eng.tiles[sharer].l1.Peek(addr)
-	if l == nil || l.State != pvProvider {
+	if l == nil || l.State != dcProvider {
 		t.Fatalf("sharer did not inherit providership: %v", l)
 	}
 	// The owner's ProPo for area 3 must point at the new provider.
 	ol := eng.tiles[owner].l1.Peek(addr)
-	if ol == nil || !pvIsOwner(ol.State) {
+	if ol == nil || !dcIsOwner(ol.State) {
 		t.Skip("owner line was evicted by the same pressure; pointer untestable")
 	}
 	area := c.ctx.Areas.Of(sharer)

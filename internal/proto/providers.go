@@ -3,160 +3,40 @@ package proto
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
-
-// L1 states of DiCo-Providers. Owners track their area's sharers (an
-// nta-bit vector) plus one provider pointer per remote area; providers
-// track their own area's sharers.
-const (
-	pvShared cache.State = 1 + iota
-	pvProvider
-	pvOwnerShared
-	pvOwnerExclusive
-	pvOwnerModified
-)
-
-func pvIsOwner(s cache.State) bool {
-	return s == pvOwnerShared || s == pvOwnerExclusive || s == pvOwnerModified
-}
 
 // Providers implements DiCo-Providers (Section III-A and Tables I/II):
 // coherence information is kept per area, every area can have a
 // provider able to supply deduplicated data without leaving the area,
 // and a single ordering point (the owner) remains so the protocol has
-// one level like a flat directory.
+// one level like a flat directory. Owners track their area's sharers
+// plus one provider pointer (ProPo) per remote area; providers track
+// their own area's sharers; the home L2 owner form keeps only the
+// provider pointers (Table V).
 type Providers struct {
-	ctx   *Context
-	tiles []*tileState
+	dicoCore
 
-	// Long-lived adapters for the kernel/mesh argument fast path:
-	// protocol hops travel as (fn, *pvMsg) pairs instead of
-	// per-message closures (see dirMsg for the pattern).
-	atHomeFn  func(any)
-	atL1Fn    func(any)
-	invalShFn func(any)
-	invalPvFn func(any)
-	shAckFn   func(any)
-	pvAckFn   func(any)
-	deliverFn func(any)
-	coFn      func(any)
-	coAckFn   func(any)
-	memReqFn  func(any)
-	memRespFn func(any)
-	memFillFn func(any)
-	flushFn   func(any)
-
-	// free holds one message pool per tile, indexed by the executing
-	// tile (see Directory.free).
-	free []*pvMsg
-
-	cen pvCensus
+	invalPvFn func(any) // provider invalidation at m.tile
+	pvAckFn   func(any) // provider ack folding m.count sharer acks
 }
 
-// pvCensus holds DiCo-Providers' registered touch sites. After
-// messageization every site records on the executing tile's diagonal
-// (src == dst): the former cross-tile requestor-MSHR pokes now ride
-// the messages, and the recall path reads the displaced pointer
-// instead of scanning every tile's L1. All sites are nil when the
-// census is disarmed.
-type pvCensus struct {
-	l1FwdHome, l1Class             *telemetry.TouchSite
-	ownerReadClass, ownerReadFwd   *telemetry.TouchSite
-	ownerWriteClass, ownerWriteAck *telemetry.TouchSite
-	invalAcks                      *telemetry.TouchSite
-	homeFwd, homeMemFetch          *telemetry.TouchSite
-	homeSupplyFwd, homeSupplyClass *telemetry.TouchSite
-	homeSupplyAcks                 *telemetry.TouchSite
-	deliver, memResp               *telemetry.TouchSite
-	recallScan                     *telemetry.TouchSite
-}
-
-// pvMsg is the pooled argument node for DiCo-Providers' non-capturing
-// message path (see dirMsg).
-type pvMsg struct {
-	next     *pvMsg
-	r        pvReq
-	tile     topo.Tile
-	state    cache.State
-	dirty    bool
-	supplier int16
-	stamp    sim.Time
-	count    int // sharer acks folded into a provider ack
-	propos   [cache.MaxSimAreas]int8
-	hasPro   bool // propos is meaningful (deliver's *propos != nil)
-}
-
-// msg takes a node from the executing lane's pool; at must be the
-// tile whose lane is running the caller.
-func (p *Providers) msg(at topo.Tile, r pvReq) *pvMsg {
-	lane := p.ctx.Lane(at)
-	m := p.free[lane]
-	if m != nil {
-		p.free[lane] = m.next
-	} else {
-		m = &pvMsg{}
-	}
-	m.r = r
-	return m
-}
-
-// putMsg recycles a node into the executing lane's pool.
-func (p *Providers) putMsg(at topo.Tile, m *pvMsg) {
-	lane := p.ctx.Lane(at)
-	m.next = p.free[lane]
-	p.free[lane] = m
-}
-
-// bindHandlers builds the long-lived adapter funcs once.
-func (p *Providers) bindHandlers() {
-	p.atHomeFn = func(a any) {
-		m := a.(*pvMsg)
-		r := m.r
-		p.putMsg(p.ctx.HomeOf(r.addr), m)
-		p.atHome(r)
-	}
-	p.atL1Fn = func(a any) {
-		m := a.(*pvMsg)
-		r, tile := m.r, m.tile
-		p.putMsg(tile, m)
-		p.atL1(r, tile)
-	}
-	p.invalShFn = func(a any) {
-		m := a.(*pvMsg)
-		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		p.putMsg(tile, m)
-		ctx := p.ctx.At(tile)
-		ctx.chargeVM(requestor)
-		p.invalidateSharer(ctx, tile, addr, requestor)
-	}
+// NewProviders builds the DiCo-Providers engine on ctx.
+func NewProviders(ctx *Context) *Providers {
+	p := &Providers{}
+	p.init(ctx, "providers", ctx.Areas, p)
 	p.invalPvFn = func(a any) {
-		m := a.(*pvMsg)
+		m := a.(*dcMsg)
 		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
 		p.putMsg(tile, m)
 		ctx := p.ctx.At(tile)
 		ctx.chargeVM(requestor)
 		p.invalidateProvider(ctx, tile, addr, requestor)
 	}
-	p.shAckFn = func(a any) {
-		m := a.(*pvMsg)
-		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
-		ctx := p.ctx.At(requestor)
-		ctx.chargeVM(requestor)
-		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
-			e.SharerAcks--
-			p.maybeComplete(ctx, requestor, addr)
-		}
-	}
 	p.pvAckFn = func(a any) {
-		m := a.(*pvMsg)
+		m := a.(*dcMsg)
 		requestor, addr, count := m.tile, m.r.addr, m.count
 		p.putMsg(requestor, m)
 		ctx := p.ctx.At(requestor)
@@ -167,514 +47,61 @@ func (p *Providers) bindHandlers() {
 			p.maybeComplete(ctx, requestor, addr)
 		}
 	}
-	p.deliverFn = func(a any) {
-		m := a.(*pvMsg)
-		r := m.r
-		ctx := p.ctx.At(r.requestor)
-		ctx.chargeVM(r.requestor)
-		p.cen.deliver.Touch(int(r.requestor), int(r.requestor))
-		var propos *[cache.MaxSimAreas]int8
-		if m.hasPro {
-			propos = &m.propos
-		}
-		// fillL1 may draw fresh nodes from the pool (self-sharer
-		// invalidations), so m is recycled only after it returns.
-		p.fillL1(ctx, r, m.state, m.dirty, m.supplier, propos)
-		p.putMsg(r.requestor, m)
-		if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
-			e.DataReceived = true
-			e.Links += int(r.links)
-			e.SharerAcks += int(r.acks)
-			e.ProviderAcks += int(r.provAcks)
-			e.HomeAck += int(r.homeAck)
-			if r.clsPlus1 != 0 {
-				e.Tag = int(r.clsPlus1 - 1)
-			}
-		}
-		p.maybeComplete(ctx, r.requestor, r.addr)
-	}
-	// coFn lands a Change_Owner at the home; the node travels on to
-	// carry the gating ack back to the new owner.
-	p.coFn = func(a any) {
-		m := a.(*pvMsg)
-		addr, newOwner, stamp := m.r.addr, m.tile, m.stamp
-		home := p.ctx.HomeOf(addr)
-		ctx := p.ctx.At(home)
-		ctx.chargeVM(newOwner)
-		p.homeOwnerUpdate(ctx, home, addr, newOwner, stamp)
-		ctx.SendCtlArg(home, newOwner, p.coAckFn, m)
-	}
-	p.coAckFn = func(a any) {
-		m := a.(*pvMsg)
-		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
-		ctx := p.ctx.At(requestor)
-		ctx.chargeVM(requestor)
-		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
-			e.HomeAck--
-			p.maybeComplete(ctx, requestor, addr)
-		}
-	}
-	// Memory fetch pipeline.
-	p.memReqFn = func(a any) {
-		m := a.(*pvMsg)
-		ctx := p.ctx.At(p.ctx.Mem.For(m.r.addr))
-		ctx.MemFetch(p.memRespFn, m)
-	}
-	p.memRespFn = func(a any) {
-		m := a.(*pvMsg)
-		mc := p.ctx.Mem.For(m.r.addr)
-		ctx := p.ctx.At(mc)
-		ctx.chargeVM(m.r.requestor)
-		home := ctx.HomeOf(m.r.addr)
-		p.cen.memResp.Touch(int(mc), int(mc))
-		d2 := ctx.SendDataArg(mc, home, p.memFillFn, m)
-		m.r.links += int16(d2.Hops)
-	}
-	p.memFillFn = func(a any) {
-		m := a.(*pvMsg)
-		r := m.r
-		home := p.ctx.HomeOf(r.addr)
-		p.putMsg(home, m)
-		ctx := p.ctx.At(home)
-		ctx.chargeVM(r.requestor)
-		state, dirty := pvOwnerExclusive, false
-		if r.write {
-			state, dirty = pvOwnerModified, true
-		}
-		p.deliver(ctx, r, home, state, dirty, -1, nil)
-	}
-	// flushFn runs at the memory controller tile boxed in the argument.
-	p.flushFn = func(a any) { p.ctx.At(a.(topo.Tile)).MemFlush() }
-}
-
-// NewProviders builds the DiCo-Providers engine on ctx.
-func NewProviders(ctx *Context) *Providers {
-	ctx.bindPower()
-	if ctx.Areas.Count > cache.MaxSimAreas {
-		panic(fmt.Sprintf("providers: %d areas exceed the simulator's limit of %d",
-			ctx.Areas.Count, cache.MaxSimAreas))
-	}
-	n := ctx.NumTiles()
-	p := &Providers{
-		ctx:   ctx,
-		tiles: make([]*tileState, n),
-		free:  make([]*pvMsg, n),
-	}
-	p.bindHandlers()
-	p.cen = pvCensus{
-		l1FwdHome:       ctx.CensusSite("providers", "atL1.fwd-home", "mshr"),
-		l1Class:         ctx.CensusSite("providers", "atL1.set-class", "mshr"),
-		ownerReadClass:  ctx.CensusSite("providers", "ownerReadSupply.set-class", "mshr"),
-		ownerReadFwd:    ctx.CensusSite("providers", "ownerReadSupply.fwd-provider", "mshr"),
-		ownerWriteClass: ctx.CensusSite("providers", "ownerWriteSupply.set-class", "mshr"),
-		ownerWriteAck:   ctx.CensusSite("providers", "ownerWriteSupply.home-ack", "mshr"),
-		invalAcks:       ctx.CensusSite("providers", "startInvalidation.acks", "mshr"),
-		homeFwd:         ctx.CensusSite("providers", "atHome.fwd-owner", "mshr"),
-		homeMemFetch:    ctx.CensusSite("providers", "atHome.mem-fetch", "mshr"),
-		homeSupplyFwd:   ctx.CensusSite("providers", "homeOwnerSupply.fwd-provider", "mshr"),
-		homeSupplyClass: ctx.CensusSite("providers", "homeOwnerSupply.set-class", "mshr"),
-		homeSupplyAcks:  ctx.CensusSite("providers", "homeOwnerSupply.acks", "mshr"),
-		deliver:         ctx.CensusSite("providers", "deliver", "mshr"),
-		memResp:         ctx.CensusSite("providers", "memResp", "mshr"),
-		recallScan:      ctx.CensusSite("providers", "recallOwnership.owner-scan", "l1"),
-	}
-	for i := range p.tiles {
-		p.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift())
-	}
 	return p
 }
 
-// Name implements Engine.
-func (p *Providers) Name() string { return "providers" }
-
-// Stats implements Engine.
-func (p *Providers) Stats() *stats.Set { return &p.ctx.Counters }
-
-// MissProfile implements Engine.
-func (p *Providers) MissProfile() MissProfile { return p.ctx.Profile }
-
-func (p *Providers) areaOf(t topo.Tile) int   { return p.ctx.Areas.Of(t) }
-func (p *Providers) areaIdx(t topo.Tile) int8 { return int8(p.ctx.Areas.IndexInArea(t)) }
-func (p *Providers) tileAt(area int, idx int8) topo.Tile {
-	return p.ctx.Areas.TilesIn(area)[idx]
-}
-
-// supplierKind classifies who supplied the data, for Figure 9b.
-type supplierKind int
-
-const (
-	byOwner supplierKind = iota
-	byProvider
-	byHome
-)
-
-// classify returns the Figure 9b category of a miss at supply time;
-// the supplier rides it to the requestor on the data message.
-func classify(predicted bool, forwards int, kind supplierKind) MissClass {
-	switch {
-	case predicted && forwards == 0 && kind == byOwner:
-		return MissPredOwner
-	case predicted && forwards == 0 && kind == byProvider:
-		return MissPredProvider
-	case predicted:
-		return MissPredFail
-	case kind == byOwner:
-		return MissUnpredOwner
-	case kind == byProvider:
-		return MissUnpredProvider
-	default:
-		return MissUnpredHome
-	}
-}
-
-type pvReq struct {
-	addr      cache.Addr
-	requestor topo.Tile
-	write     bool
-	predicted bool
-	forwards  int
-	// fromOwner records the supplier that forwarded this request to a
-	// provider, so a stale provider pointer can be repaired when the
-	// target turns out not to be a provider (-1 otherwise).
-	fromOwner topo.Tile
-	// Ride-the-message fields (see dirReq): requestor-MSHR updates
-	// accumulated along the miss and applied at delivery.
-	links    int16 // mesh links traversed by the request legs
-	acks     int16 // sharer acks the write must collect
-	provAcks int16 // provider acks the write must collect
-	homeAck  int8  // pending Change_Owner acks the write must collect
-	clsPlus1 int8  // resolved MissClass + 1 (0 = not resolved yet)
-}
-
-// Access implements Engine.
-func (p *Providers) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
-	ctx := p.ctx.At(tile)
-	ctx.chargeVM(tile)
-	t := p.tiles[tile]
-	if _, pending := t.mshr.Lookup(addr); pending {
-		t.stallL1(addr, func() { p.Access(tile, addr, write, onDone) })
-		return
-	}
-	ctx.pw.L1TagRead.Inc()
-	if line := t.l1.Lookup(addr); line != nil {
-		if !write {
-			ctx.pw.L1DataRead.Inc()
-			ctx.Profile.Hits++
-			ctx.observeRetired(tile, addr, false, true, false)
-			ctx.Kernel.After(ctx.Cfg.L1HitLatency, onDone)
-			return
-		}
-		switch line.State {
-		case pvOwnerModified, pvOwnerExclusive:
-			line.State = pvOwnerModified
-			line.Dirty = true
-			ctx.pw.L1DataWrite.Inc()
-			ctx.Profile.Hits++
-			ctx.observeRetired(tile, addr, true, true, false)
-			ctx.Kernel.After(ctx.Cfg.L1HitLatency, onDone)
-			return
-		case pvOwnerShared:
-			p.ownerWriteHit(tile, addr, line, onDone)
-			return
-		}
-		// Shared or provider copy under a write: miss path. (A
-		// provider-requestor invalidates its own sharers once it
-		// receives the ownership — Section IV-A's special case,
-		// handled at fill time.)
-	}
-	e := t.mshr.Allocate(addr, write, uint64(ctx.Kernel.Now()))
-	e.OnComplete = onDone
-	ctx.spanBegin(tile, addr, write)
-	r := pvReq{addr: addr, requestor: tile, write: write, fromOwner: -1}
-	ctx.pw.L1CAccess.Inc()
-	if ptr, ok := t.l1c.Lookup(addr); ok && topo.Tile(ptr) != tile && !ctx.Cfg.NoPrediction {
-		r.predicted = true
-		e.Tag = int(MissPredFail) // upgraded at supply time
-		ctx.spanEvent("predict-supplier", tile)
-		pred := topo.Tile(ptr)
-		m := p.msg(tile, r)
-		m.tile = pred
-		del := ctx.SendCtlArg(tile, pred, p.atL1Fn, m)
-		e.Links += del.Hops
-		return
-	}
-	e.Tag = int(MissUnpredHome)
-	home := ctx.HomeOf(addr)
-	del := ctx.SendCtlArg(tile, home, p.atHomeFn, p.msg(tile, r))
-	e.Links += del.Hops
-}
-
-// ownerWriteHit: the owner writes while holding sharers/providers —
-// invalidate them all from here.
-func (p *Providers) ownerWriteHit(tile topo.Tile, addr cache.Addr, line *cache.Line, onDone func()) {
-	ctx := p.ctx.At(tile)
-	t := p.tiles[tile]
-	localSharers := line.Sharers &^ areaBit(ctx.Areas, tile)
-	nProviders := 0
-	for a := 0; a < ctx.Areas.Count; a++ {
-		if a != p.areaOf(tile) && line.ProPos[a] >= 0 {
-			nProviders++
-		}
-	}
-	if localSharers == 0 && nProviders == 0 {
-		line.State = pvOwnerModified
-		line.Dirty = true
-		ctx.pw.L1DataWrite.Inc()
-		ctx.Profile.Hits++
-		ctx.observeRetired(tile, addr, true, true, false)
-		ctx.Kernel.After(ctx.Cfg.L1HitLatency, onDone)
-		return
-	}
-	e := t.mshr.Allocate(addr, true, uint64(ctx.Kernel.Now()))
-	e.OnComplete = onDone
-	e.Tag = int(MissPredOwner)
-	ctx.spanBegin(tile, addr, true)
-	ctx.spanEvent("owner-write-inv", tile)
-	e.DataReceived = true
-	shAcks, provAcks := p.startInvalidation(ctx, tile, addr, line, tile, localSharers)
-	e.SharerAcks += shAcks
-	e.ProviderAcks += provAcks
-	line.State = pvOwnerModified
-	line.Dirty = true
-	line.Sharers = 0
-	for a := range line.ProPos {
-		line.ProPos[a] = -1
-	}
-	ctx.pw.L1DataWrite.Inc()
-	ctx.pw.L1TagWrite.Inc()
-}
-
-// startInvalidation sends invalidations for an owner's local sharers
-// and provider-invalidations for every provider, returning how many
-// sharer and provider acknowledgements will flow to the requestor
-// (two-counter scheme of Section IV-A). The caller applies the counts
-// locally (ownerWriteHit) or rides them to the requestor with the
-// data (ownerWriteSupply).
-func (p *Providers) startInvalidation(ctx *Context, owner topo.Tile, addr cache.Addr, line *cache.Line,
-	requestor topo.Tile, localSharers uint64) (shAcks, provAcks int) {
-	p.cen.invalAcks.Touch(int(owner), int(owner))
-	ownArea := p.areaOf(owner)
-	// Local sharers (excluding the requestor if it is one of them).
-	if p.areaOf(requestor) == ownArea {
-		localSharers &^= areaBit(ctx.Areas, requestor)
-	}
-	shAcks = popcount(localSharers)
-	for v := localSharers; v != 0; v &= v - 1 {
-		sharer := p.tileAt(ownArea, int8(bits.TrailingZeros64(v)))
-		m := p.msg(owner, pvReq{addr: addr, requestor: requestor})
-		m.tile = sharer
-		ctx.SendCtlArg(owner, sharer, p.invalShFn, m)
-	}
-	// Providers in remote areas.
-	for a := 0; a < ctx.Areas.Count; a++ {
-		if a == ownArea || line.ProPos[a] < 0 {
-			continue
-		}
-		prov := p.tileAt(a, line.ProPos[a])
-		if prov == requestor {
-			// The requestor is itself a provider; it invalidates its
-			// own sharers when the ownership arrives (fill time).
-			continue
-		}
-		provAcks++
-		m := p.msg(owner, pvReq{addr: addr, requestor: requestor})
-		m.tile = prov
-		ctx.SendCtlArg(owner, prov, p.invalPvFn, m)
-	}
-	return shAcks, provAcks
-}
-
-// invalidateSharer drops a plain sharer's copy and acks the requestor.
-func (p *Providers) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	t := p.tiles[tile]
-	ctx.pw.L1TagRead.Inc()
-	if _, ok := t.l1.Invalidate(addr); ok {
-		ctx.pw.L1TagWrite.Inc()
-	}
-	if e, ok := t.mshr.Lookup(addr); ok {
-		e.InvalidatedWhilePending = true
-	}
-	t.l1c.Update(addr, int16(requestor))
-	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(tile, pvReq{addr: addr})
-	m.tile = requestor
-	ctx.SendCtlArg(tile, requestor, p.shAckFn, m)
-}
-
-// invalidateProvider drops a provider and its area's sharers; the
-// provider acks the requestor with its sharer count (incrementing the
-// requestor's sharer-ack counter) and the sharers ack directly.
-func (p *Providers) invalidateProvider(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	t := p.tiles[tile]
-	ctx.pw.L1TagRead.Inc()
-	area := p.areaOf(tile)
-	var sharers uint64
-	wasProvider := false
-	if old, ok := t.l1.Invalidate(addr); ok {
-		ctx.pw.L1TagWrite.Inc()
-		if old.State == pvProvider {
-			sharers = old.Sharers &^ areaBit(ctx.Areas, tile)
-			wasProvider = true
-		}
-	}
-	if !wasProvider {
-		// Providership moved while the invalidation was in flight:
-		// conservatively sweep the whole area so no sharer survives.
-		for _, at := range ctx.Areas.TilesIn(area) {
-			if at != tile {
-				sharers |= areaBit(ctx.Areas, at)
-			}
-		}
-	}
-	if e, ok := t.mshr.Lookup(addr); ok {
-		e.InvalidatedWhilePending = true
-	}
-	if p.areaOf(requestor) == area {
-		sharers &^= areaBit(ctx.Areas, requestor)
-	}
-	count := popcount(sharers)
-	for v := sharers; v != 0; v &= v - 1 {
-		sharer := p.tileAt(area, int8(bits.TrailingZeros64(v)))
-		m := p.msg(tile, pvReq{addr: addr, requestor: requestor})
-		m.tile = sharer
-		ctx.SendCtlArg(tile, sharer, p.invalShFn, m)
-	}
-	t.l1c.Update(addr, int16(requestor))
-	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(tile, pvReq{addr: addr})
-	m.tile = requestor
-	m.count = count
-	ctx.SendCtlArg(tile, requestor, p.pvAckFn, m)
-}
-
-// atL1 dispatches a request arriving at an L1 cache per Table I.
-func (p *Providers) atL1(r pvReq, tile topo.Tile) {
-	ctx := p.ctx.At(tile)
-	ctx.chargeVM(r.requestor)
-	t := p.tiles[tile]
-	if _, pending := t.mshr.Lookup(r.addr); pending {
-		// Pooled-arg stall: a closure here would capture r and force it
-		// to the heap on every atL1 call, not just the stalled ones.
-		m := p.msg(tile, r)
-		m.tile = tile
-		t.stallL1Arg(r.addr, p.atL1Fn, m)
-		return
-	}
-	ctx.pw.L1TagRead.Inc()
-	line := t.l1.Lookup(r.addr)
-	switch {
-	case line != nil && pvIsOwner(line.State):
-		if r.write {
-			p.ownerWriteSupply(ctx, r, tile, line)
-			return
-		}
-		p.ownerReadSupply(ctx, r, tile, line)
-	case line != nil && line.State == pvProvider && !r.write:
-		if p.areaOf(r.requestor) == p.areaOf(tile) {
-			// Provider supplies inside the area: the shortened miss.
-			p.cen.l1Class.Touch(int(tile), int(tile))
-			r.clsPlus1 = int8(classify(r.predicted, r.forwards, byProvider)) + 1
-			line.Sharers |= areaBit(ctx.Areas, r.requestor)
-			ctx.pw.L1TagWrite.Inc()
-			ctx.pw.L1DataRead.Inc()
-			p.deliver(ctx, r, tile, pvShared, false, int16(tile), nil)
-			return
-		}
-		fallthrough
-	default:
-		// Not a supplier for this request: forward to the home. If an
-		// owner sent us this request believing we were a provider, its
-		// pointer is stale — repair it, or reads from this area would
-		// loop owner -> stale provider -> home -> owner forever.
-		if r.fromOwner >= 0 {
-			p.repairStaleProPo(ctx, tile, r.addr, r.fromOwner)
-		}
-		r.fromOwner = -1
-		r.forwards++
-		home := ctx.HomeOf(r.addr)
-		m := p.msg(tile, r)
-		del := ctx.SendCtlArg(tile, home, p.atHomeFn, m)
-		p.cen.l1FwdHome.Touch(int(tile), int(tile))
-		m.r.links += int16(del.Hops)
-	}
-}
-
-// ownerReadSupply implements the owner rows of Table I for reads.
-func (p *Providers) ownerReadSupply(ctx *Context, r pvReq, owner topo.Tile, line *cache.Line) {
+// remoteRead implements the owner rows of Table I for a read from
+// another area: forward to that area's provider, or make the requestor
+// its area's provider.
+func (p *Providers) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
 	reqArea := p.areaOf(r.requestor)
-	if reqArea == p.areaOf(owner) {
-		// Local request: requestor becomes a sharer.
-		p.cen.ownerReadClass.Touch(int(owner), int(owner))
-		r.clsPlus1 = int8(classify(r.predicted, r.forwards, byOwner)) + 1
-		line.Sharers |= areaBit(ctx.Areas, r.requestor)
-		if line.State != pvOwnerShared {
-			line.State = pvOwnerShared
-		}
-		ctx.pw.L1TagWrite.Inc()
-		ctx.pw.L1DataRead.Inc()
-		p.deliver(ctx, r, owner, pvShared, false, int16(owner), nil)
-		return
-	}
 	if line.ProPos[reqArea] >= 0 {
-		// A provider exists in the requestor's area: forward.
-		prov := p.tileAt(reqArea, line.ProPos[reqArea])
 		r.forwards++
-		r.fromOwner = owner
-		m := p.msg(owner, r)
-		m.tile = prov
-		del := ctx.SendCtlArg(owner, prov, p.atL1Fn, m)
-		p.cen.ownerReadFwd.Touch(int(owner), int(owner))
-		m.r.links += int16(del.Hops)
+		r.via = owner
+		p.forwardL1(ctx, owner, p.tileAt(reqArea, int(line.ProPos[reqArea])), r, p.cen.fwdProvider)
 		return
 	}
-	// No provider there: the requestor becomes its area's provider.
-	p.cen.ownerReadClass.Touch(int(owner), int(owner))
-	r.clsPlus1 = int8(classify(r.predicted, r.forwards, byOwner)) + 1
+	p.cen.l1Supply.Touch(int(owner), int(owner))
+	r.clsPlus1 = classify(&r, byOwner)
 	line.ProPos[reqArea] = p.areaIdx(r.requestor)
-	if line.State != pvOwnerShared {
-		line.State = pvOwnerShared
+	line.State = dcOwnerShared
+	ctx.pw.L1TagWrite.Inc()
+	ctx.pw.L1DataRead.Inc()
+	p.deliver(ctx, r, owner, dcProvider, false, int16(owner), nil)
+}
+
+// providerRead: the provider supplies inside its area — the shortened
+// miss — and tracks the requestor as a sharer.
+func (p *Providers) providerRead(ctx *Context, r dcReq, provider topo.Tile, line *cache.Line) {
+	p.cen.l1Supply.Touch(int(provider), int(provider))
+	r.clsPlus1 = classify(&r, byProvider)
+	line.Sharers |= p.areaBit(r.requestor)
+	ctx.pw.L1TagWrite.Inc()
+	ctx.pw.L1DataRead.Inc()
+	p.deliver(ctx, r, provider, dcShared, false, int16(provider), nil)
+}
+
+// forwardHome: if an owner or the home sent this request here
+// believing tile was a provider, its pointer is stale — repair it, or
+// reads from this area would loop owner -> stale provider -> home ->
+// owner forever.
+func (p *Providers) forwardHome(ctx *Context, r dcReq, tile topo.Tile) dcReq {
+	if r.via >= 0 {
+		p.repairStaleProPo(ctx, tile, r.addr, r.via)
 	}
-	ctx.pw.L1TagWrite.Inc()
-	ctx.pw.L1DataRead.Inc()
-	p.deliver(ctx, r, owner, pvProvider, false, int16(owner), nil)
+	r.via = -1
+	return r
 }
 
-// ownerWriteSupply transfers ownership to the writer per Table I.
-func (p *Providers) ownerWriteSupply(ctx *Context, r pvReq, owner topo.Tile, line *cache.Line) {
-	p.cen.ownerWriteClass.Touch(int(owner), int(owner))
-	r.clsPlus1 = int8(classify(r.predicted, r.forwards, byOwner)) + 1
-	// The ack expectations ride to the requestor with the data; an ack
-	// arriving first drives its MSHR counter transiently negative,
-	// which Done() tolerates.
-	p.cen.ownerWriteAck.Touch(int(owner), int(owner))
-	r.homeAck++
-	localSharers := line.Sharers &^ areaBit(ctx.Areas, owner)
-	shAcks, provAcks := p.startInvalidation(ctx, owner, r.addr, line, r.requestor, localSharers)
-	r.acks += int16(shAcks)
-	r.provAcks += int16(provAcks)
-	ctx.pw.L1DataRead.Inc()
-	ctx.pw.L1TagWrite.Inc()
-	p.tiles[owner].l1.Invalidate(r.addr)
-	p.tiles[owner].l1c.Update(r.addr, int16(r.requestor))
-	ctx.pw.L1CUpdate.Inc()
-	p.deliver(ctx, r, owner, pvOwnerModified, true, -1, nil)
-	home := ctx.HomeOf(r.addr)
-	m := p.msg(owner, pvReq{addr: r.addr})
-	m.tile = r.requestor
-	m.stamp = ctx.Kernel.Now()
-	ctx.SendCtlArg(owner, home, p.coFn, m) // Change_Owner
-}
-
-// repairStaleProPo tells the node that forwarded a request (believing
-// the receiver was a provider) to drop its stale pointer.
+// repairStaleProPo tells the supplier that forwarded a request
+// (believing the receiver was a provider) to drop its stale pointer.
 func (p *Providers) repairStaleProPo(ctx *Context, notProvider topo.Tile, addr cache.Addr, supplier topo.Tile) {
 	area := p.areaOf(notProvider)
 	idx := p.areaIdx(notProvider)
 	ctx.SendCtl(notProvider, supplier, func() {
 		sctx := p.ctx.At(supplier)
 		st := p.tiles[supplier]
-		if ol := st.l1.Peek(addr); ol != nil && pvIsOwner(ol.State) && ol.ProPos[area] == idx {
+		if ol := st.l1.Peek(addr); ol != nil && dcIsOwner(ol.State) && ol.ProPos[area] == idx {
 			ol.ProPos[area] = -1
 			sctx.pw.L1TagWrite.Inc()
 			return
@@ -686,678 +113,272 @@ func (p *Providers) repairStaleProPo(ctx *Context, notProvider topo.Tile, addr c
 	})
 }
 
-// atHome dispatches at the home bank per the L2 rows of Table I.
-func (p *Providers) atHome(r pvReq) {
-	home := p.ctx.HomeOf(r.addr)
-	ctx := p.ctx.At(home)
-	ctx.chargeVM(r.requestor)
-	th := p.tiles[home]
-	if th.homeBusy(r.addr) || th.recallMarked(r.addr) {
-		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(home, r))
-		return
+// invalidateProviders sends a provider invalidation to every provider
+// outside skipArea. A requestor that is itself a provider is skipped:
+// it invalidates its own sharers when the ownership arrives (fill
+// time).
+func (p *Providers) invalidateProviders(ctx *Context, from topo.Tile, addr cache.Addr,
+	propos [cache.MaxSimAreas]int8, skipArea int, requestor topo.Tile) int {
+	n := 0
+	for a := 0; a < p.areas.Count; a++ {
+		if a == skipArea || propos[a] < 0 {
+			continue
+		}
+		prov := p.tileAt(a, int(propos[a]))
+		if prov == requestor {
+			continue
+		}
+		n++
+		m := p.msg(from, dcReq{addr: addr, requestor: requestor})
+		m.tile = prov
+		ctx.SendCtlArg(from, prov, p.invalPvFn, m)
 	}
-	ctx.pw.L2TagRead.Inc()
-	ctx.pw.L2CAccess.Inc()
-	if ptr, ok := th.l2c.Lookup(r.addr); ok && th.l2.Peek(r.addr) == nil {
-		ownerTile := topo.Tile(ptr)
-		if ownerTile == r.requestor || r.forwards >= maxForwards {
-			ctx.spanRetry(r.requestor)
-			// The retry keeps the accumulated rides: those hops and ack
-			// expectations really happened.
-			nr := r
-			nr.forwards = 0
-			nr.fromOwner = -1
-			ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(home, nr))
+	return n
+}
+
+// invalidateProvider drops a provider and its area's sharers; the
+// provider acks the requestor with its sharer count (incrementing the
+// requestor's sharer-ack counter) and the sharers ack directly.
+func (p *Providers) invalidateProvider(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
+	area := p.areaOf(tile)
+	sharers := p.dropProvider(ctx, tile, addr)
+	if p.areaOf(requestor) == area {
+		sharers &^= p.areaBit(requestor)
+	}
+	p.invalidateSharers(ctx, tile, addr, requestor, area, sharers)
+	p.tiles[tile].l1c.Update(addr, int16(requestor))
+	ctx.pw.L1CUpdate.Inc()
+	m := p.msg(tile, dcReq{addr: addr})
+	m.tile = requestor
+	m.count = popcount(sharers)
+	ctx.SendCtlArg(tile, requestor, p.pvAckFn, m)
+}
+
+// dropProvider invalidates a provider's copy and returns the sharers
+// of its area it tracked. If providership moved while the invalidation
+// was in flight, it conservatively returns the whole area so no sharer
+// survives.
+func (p *Providers) dropProvider(ctx *Context, tile topo.Tile, addr cache.Addr) uint64 {
+	if old, ok := p.tiles[tile].dropCopy(ctx, addr); ok && old.State == dcProvider {
+		return old.Sharers &^ p.areaBit(tile)
+	}
+	var all uint64
+	for _, at := range p.areas.TilesIn(p.areaOf(tile)) {
+		if at != tile {
+			all |= p.areaBit(at)
+		}
+	}
+	return all
+}
+
+// homeSupply dispatches at the home per the L2 rows of Table I: a read
+// goes to the requestor's area provider if there is one, otherwise the
+// ownership moves to the requestor (event (3) of Section III-A); a
+// write invalidates through the providers and takes the ownership.
+func (p *Providers) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
+	reqArea := p.areaOf(r.requestor)
+	if !r.write && l2line.ProPos[reqArea] >= 0 {
+		if r.forwards >= maxForwards {
+			p.retry(ctx, home, r)
 			return
 		}
 		r.forwards++
-		ctx.spanEvent("home-forward-owner", home)
-		m := p.msg(home, r)
-		m.tile = ownerTile
-		del := ctx.SendCtlArg(home, ownerTile, p.atL1Fn, m)
-		p.cen.homeFwd.Touch(int(home), int(home))
-		m.r.links += int16(del.Hops)
+		r.via = home
+		ctx.spanEvent("home-forward-provider", home)
+		p.forwardL1(ctx, home, p.tileAt(reqArea, int(l2line.ProPos[reqArea])), r, p.cen.fwdProvider)
 		return
 	}
-	if l2line := th.l2.Lookup(r.addr); l2line != nil {
-		// A stale Change_Owner may have re-installed an L2C$ pointer
-		// after the ownership returned home; the L2 line wins.
-		if th.l2c.Invalidate(r.addr) {
-			ctx.pw.L2CUpdate.Inc()
-		}
-		p.homeOwnerSupply(ctx, r, home, l2line)
-		return
-	}
-	// Not on chip: fetch memory; requestor becomes owner (exclusive
-	// for reads, modified for writes). The pooled node rides the whole
-	// request -> latency -> data pipeline (memReqFn/memRespFn/memFillFn).
-	p.updateL2C(ctx, home, r.addr, r.requestor)
-	mc := ctx.Mem.For(r.addr)
-	m := p.msg(home, r)
-	del := ctx.SendCtlArg(home, mc, p.memReqFn, m)
-	p.cen.homeMemFetch.Touch(int(home), int(home))
-	m.r.links += int16(del.Hops)
-}
-
-// homeOwnerSupply handles requests when the home L2 holds ownership.
-func (p *Providers) homeOwnerSupply(ctx *Context, r pvReq, home topo.Tile, l2line *cache.Line) {
-	th := p.tiles[home]
-	reqArea := p.areaOf(r.requestor)
+	p.cen.homeSupply.Touch(int(home), int(home))
+	r.clsPlus1 = classify(&r, byHome)
 	if !r.write {
-		if l2line.ProPos[reqArea] >= 0 {
-			prov := p.tileAt(reqArea, l2line.ProPos[reqArea])
-			if r.forwards >= maxForwards {
-				ctx.spanRetry(r.requestor)
-				nr := r
-				nr.forwards = 0
-				nr.fromOwner = -1
-				ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(home, nr))
-				return
-			}
-			r.forwards++
-			r.fromOwner = home
-			ctx.spanEvent("home-forward-provider", home)
-			m := p.msg(home, r)
-			m.tile = prov
-			del := ctx.SendCtlArg(home, prov, p.atL1Fn, m)
-			p.cen.homeSupplyFwd.Touch(int(home), int(home))
-			m.r.links += int16(del.Hops)
-			return
-		}
-		// No supplier in the requestor's area: ownership moves to the
-		// requestor (event (3) of Section III-A).
-		p.cen.homeSupplyClass.Touch(int(home), int(home))
-		r.clsPlus1 = int8(classify(r.predicted, r.forwards, byHome)) + 1
-		var propos [cache.MaxSimAreas]int8
-		copy(propos[:], l2line.ProPos[:])
-		dirty := l2line.Dirty
-		ctx.pw.L2DataRead.Inc()
-		th.l2.Invalidate(r.addr)
-		ctx.pw.L2TagWrite.Inc()
-		p.updateL2C(ctx, home, r.addr, r.requestor)
-		p.deliver(ctx, r, home, pvOwnerShared, dirty, -1, &propos)
+		propos := l2line.ProPos
+		p.grantFromHome(ctx, r, home, dcOwnerShared, l2line.Dirty, &propos)
 		return
 	}
-	// Write with the L2 as owner: invalidate through the providers,
-	// hand ownership to the writer. The provider-ack expectations ride
-	// to the requestor on the data message.
-	p.cen.homeSupplyClass.Touch(int(home), int(home))
-	r.clsPlus1 = int8(classify(r.predicted, r.forwards, byHome)) + 1
-	p.cen.homeSupplyAcks.Touch(int(home), int(home))
-	for a := 0; a < ctx.Areas.Count; a++ {
-		if l2line.ProPos[a] < 0 {
-			continue
-		}
-		prov := p.tileAt(a, l2line.ProPos[a])
-		if prov == r.requestor {
-			continue // self-provider handled at fill time
-		}
-		r.provAcks++
-		m := p.msg(home, pvReq{addr: r.addr, requestor: r.requestor})
-		m.tile = prov
-		ctx.SendCtlArg(home, prov, p.invalPvFn, m)
-	}
-	ctx.pw.L2DataRead.Inc()
-	th.l2.Invalidate(r.addr)
-	ctx.pw.L2TagWrite.Inc()
-	p.updateL2C(ctx, home, r.addr, r.requestor)
-	p.deliver(ctx, r, home, pvOwnerModified, true, -1, nil)
+	// The provider-ack expectations ride to the requestor on the data.
+	r.provAcks += int16(p.invalidateProviders(ctx, home, r.addr, l2line.ProPos, -1, r.requestor))
+	p.grantFromHome(ctx, r, home, dcOwnerModified, true, nil)
 }
 
-// deliver sends the data and installs it at the requestor; the census
-// touch happens on the requestor's lane in deliverFn.
-func (p *Providers) deliver(ctx *Context, r pvReq, from topo.Tile, state cache.State, dirty bool,
-	supplier int16, propos *[cache.MaxSimAreas]int8) {
-	m := p.msg(from, r)
-	m.state, m.dirty, m.supplier = state, dirty, supplier
-	if propos != nil {
-		m.propos = *propos
-		m.hasPro = true
-	} else {
-		m.hasPro = false
-	}
-	del := ctx.SendDataArg(from, r.requestor, p.deliverFn, m)
-	m.r.links += int16(del.Hops)
-}
-
-// fillL1 installs the block. A provider-requestor that just received
-// ownership invalidates its own area's sharers now (Section IV-A's
-// special case).
-func (p *Providers) fillL1(ctx *Context, r pvReq, state cache.State, dirty bool,
-	supplier int16, propos *[cache.MaxSimAreas]int8) {
-	t := p.tiles[r.requestor]
-	ctx.pw.L1TagWrite.Inc()
-	ctx.pw.L1DataWrite.Inc()
-	var selfSharers uint64
-	if line := t.l1.Peek(r.addr); line != nil {
-		if r.write && line.State == pvProvider {
-			selfSharers = line.Sharers &^ areaBit(ctx.Areas, r.requestor)
-		}
-		line.State = state
-		line.Dirty = line.Dirty || dirty
-		line.Sharers = 0
-		if supplier >= 0 {
-			line.Owner = supplier
-		} else {
-			line.Owner = -1
-		}
-		if propos != nil {
-			copy(line.ProPos[:], propos[:])
-		} else {
-			for a := range line.ProPos {
-				line.ProPos[a] = -1
-			}
-		}
-		t.l1.Touch(line)
-	} else {
-		victim, valid := t.l1.Victim(r.addr)
-		if valid {
-			p.evictL1(ctx, r.requestor, *victim)
-			t.l1.Invalidate(victim.Addr)
-		}
-		nl := victim
-		t.l1.Fill(nl, r.addr, state)
-		nl.Dirty = dirty
-		if supplier >= 0 {
-			nl.Owner = supplier
-		}
-		if propos != nil {
-			copy(nl.ProPos[:], propos[:])
-		}
-		t.l1c.Invalidate(r.addr)
-	}
-	if selfSharers != 0 {
-		// We were this area's provider; invalidate our old flock.
-		if e, ok := t.mshr.Lookup(r.addr); ok {
-			e.SharerAcks += popcount(selfSharers)
-		}
-		area := p.areaOf(r.requestor)
-		for v := selfSharers; v != 0; v &= v - 1 {
-			sharer := p.tileAt(area, int8(bits.TrailingZeros64(v)))
-			m := p.msg(r.requestor, pvReq{addr: r.addr, requestor: r.requestor})
-			m.tile = sharer
-			ctx.SendCtlArg(r.requestor, sharer, p.invalShFn, m)
-		}
-	}
-}
-
-// evictL1 implements Table II.
-func (p *Providers) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
-	t := p.tiles[tile]
+// evictProvider implements the provider rows of Table II: providership
+// moves to a sharer of the area, or the owner learns the area has no
+// provider left (No_Provider).
+func (p *Providers) evictProvider(ctx *Context, tile topo.Tile, victim cache.Line) {
 	area := p.areaOf(tile)
-	switch {
-	case victim.State == pvShared:
-		if victim.Owner >= 0 {
-			t.l1c.Update(victim.Addr, victim.Owner)
-			ctx.pw.L1CUpdate.Inc()
-		}
-	case victim.State == pvProvider:
-		sharers := victim.Sharers &^ areaBit(ctx.Areas, tile)
-		ownerHint := victim.Owner
-		if sharers != 0 {
-			p.transferProvidership(ctx, tile, victim.Addr, area, sharers, sharers, ownerHint)
-		} else {
-			// No_Provider to the owner. The callbacks receive the
-			// context of the lane that finds the owner.
-			p.notifyOwner(ctx, tile, victim.Addr, ownerHint, func(octx *Context, ownerTile topo.Tile, ol *cache.Line) {
-				ol.ProPos[area] = -1
-				octx.pw.L1TagWrite.Inc()
-			}, func(hctx *Context, l2line *cache.Line) {
-				l2line.ProPos[area] = -1
-				hctx.pw.L2TagWrite.Inc()
-			})
-		}
-	default: // owner states
-		localSharers := victim.Sharers &^ areaBit(ctx.Areas, tile)
-		if localSharers != 0 {
-			p.transferOwnership(ctx, tile, victim.Addr, area, localSharers, localSharers, victim.Dirty, victim.ProPos)
-		} else {
-			p.writebackToHome(ctx, tile, victim.Addr, victim.Dirty, victim.ProPos, 0, area)
-		}
+	if sharers := victim.Sharers &^ p.areaBit(tile); sharers != 0 {
+		p.transferProvidership(ctx, tile, victim.Addr, area, sharers, victim.Owner)
+		return
 	}
+	p.setProPo(ctx, tile, victim.Addr, victim.Owner, area, -1)
 }
 
 // transferProvidership offers providership to the area's sharers in
-// turn; the acceptor notifies the owner with Change_Provider. ctx is
-// the lane of from; every hop rebinds to the receiving tile's lane.
-func (p *Providers) transferProvidership(ctx *Context, from topo.Tile, addr cache.Addr, area int,
-	tryList, vector uint64, ownerHint int16) {
-	idx := int8(-1)
-	forEachBit(tryList, func(i int) {
-		if idx < 0 {
-			idx = int8(i)
-		}
-	})
-	if idx < 0 {
-		// Nobody left to take it: the area loses its provider. Any
-		// skipped in-flight readers would be unreachable for later
-		// invalidations, so they are conservatively dropped now.
-		p.invalidateStragglers(ctx, from, addr, area, vector)
-		p.notifyOwner(ctx, from, addr, ownerHint, func(octx *Context, ownerTile topo.Tile, ol *cache.Line) {
-			ol.ProPos[area] = -1
-			octx.pw.L1TagWrite.Inc()
-		}, func(hctx *Context, l2line *cache.Line) {
-			l2line.ProPos[area] = -1
-			hctx.pw.L2TagWrite.Inc()
+// turn; the acceptor hints the others and notifies the owner with
+// Change_Provider. If nobody accepts, the area loses its provider.
+func (p *Providers) transferProvidership(ctx *Context, from topo.Tile, addr cache.Addr, area int, sharers uint64,
+	ownerHint int16) {
+	p.offer(ctx, from, addr, area, sharers, sharers,
+		func(tctx *Context, target topo.Tile, line *cache.Line, others uint64) {
+			line.State = dcProvider
+			line.Sharers = others
+			line.Owner = ownerHint
+			// Providership moves update predictions (Figure 5).
+			p.hintSharers(tctx, target, addr, area, others)
+			tctx.pw.L1TagWrite.Inc()
+			// Change_Provider to the owner (acked; the ack gates further
+			// transfers, modelled by the ordering guard at the home).
+			p.setProPo(tctx, target, addr, ownerHint, area, p.areaIdx(target))
+		},
+		func(lctx *Context, last topo.Tile, vector uint64) {
+			// Skipped in-flight readers would be unreachable for later
+			// invalidations, so they are conservatively dropped now.
+			p.invalidateStragglers(lctx, last, addr, area, vector)
+			p.setProPo(lctx, last, addr, ownerHint, area, -1)
 		})
-		return
-	}
-	target := p.tileAt(area, idx)
-	rest := tryList &^ (uint64(1) << uint(idx))
-	ctx.SendCtl(from, target, func() {
-		tctx := p.ctx.At(target)
-		t := p.tiles[target]
-		if _, pending := t.mshr.Lookup(addr); pending {
-			p.transferProvidership(tctx, target, addr, area, rest, vector, ownerHint)
-			return
-		}
-		tctx.pw.L1TagRead.Inc()
-		line := t.l1.Peek(addr)
-		if line == nil || line.State != pvShared {
-			p.transferProvidership(tctx, target, addr, area, rest, vector&^(uint64(1)<<uint(idx)), ownerHint)
-			return
-		}
-		line.State = pvProvider
-		line.Sharers = vector &^ (uint64(1) << uint(idx))
-		line.Owner = ownerHint
-		// Hint the area's sharers about the new provider (Figure 5:
-		// providership moves update predictions).
-		forEachBit(line.Sharers, func(i int) {
-			sharer := p.tileAt(area, int8(i))
-			tctx.SendCtl(target, sharer, func() {
-				sctx := p.ctx.At(sharer)
-				st := p.tiles[sharer]
-				if l := st.l1.Peek(addr); l != nil && l.State == pvShared {
-					l.Owner = int16(target)
-				} else {
-					st.l1c.Update(addr, int16(target))
-					sctx.pw.L1CUpdate.Inc()
-				}
-			})
-		})
-		tctx.pw.L1TagWrite.Inc()
-		// Change_Provider to the owner (acked; the ack gates further
-		// transfers, modelled by the ordering guard at the home).
-		tIdx := p.areaIdx(target)
-		p.notifyOwner(tctx, target, addr, ownerHint, func(octx *Context, ownerTile topo.Tile, ol *cache.Line) {
-			ol.ProPos[area] = tIdx
-			octx.pw.L1TagWrite.Inc()
-		}, func(hctx *Context, l2line *cache.Line) {
-			l2line.ProPos[area] = tIdx
-			hctx.pw.L2TagWrite.Inc()
-		})
-	})
 }
 
-// notifyOwner routes a coherence-info update (Change_Provider /
-// No_Provider) to the block's owner: first to the hinted L1 owner,
+// setProPo routes a Change_Provider (idx >= 0) or No_Provider (idx =
+// -1) for area to the block's owner: first to the hinted L1 owner,
 // falling back through the home's L2C$, and finally to the home's own
-// L2 entry when the L2 is the owner. The callbacks run on the lane of
-// the tile that holds the owner and receive that lane's context.
-func (p *Providers) notifyOwner(ctx *Context, from topo.Tile, addr cache.Addr, ownerHint int16,
-	onL1Owner func(*Context, topo.Tile, *cache.Line), onL2Owner func(*Context, *cache.Line)) {
+// L2 entry when the L2 is the owner. An owner in motion drops the
+// update; stale ProPos are tolerated (they miss and fall back to the
+// home).
+func (p *Providers) setProPo(ctx *Context, from topo.Tile, addr cache.Addr, ownerHint int16, area int, idx int8) {
 	home := ctx.HomeOf(addr)
-	// viaHome probes the home from at's lane. at is the tile whose lane
-	// runs the caller — a failed hint probe falls back from the probed
-	// tile, not from the original sender.
-	var viaHome func(at topo.Tile, actx *Context)
-	viaHome = func(at topo.Tile, actx *Context) {
+	// atOwner runs on owner's lane and reports whether it held the
+	// ownership.
+	atOwner := func(owner topo.Tile) bool {
+		octx := p.ctx.At(owner)
+		octx.pw.L1TagRead.Inc()
+		ol := p.tiles[owner].l1.Peek(addr)
+		if ol == nil || !dcIsOwner(ol.State) {
+			return false
+		}
+		ol.ProPos[area] = idx
+		octx.pw.L1TagWrite.Inc()
+		octx.SendCtl(owner, from, func() {}) // ack
+		return true
+	}
+	// viaHome probes the home from at's lane: a failed hint probe falls
+	// back from the probed tile, not from the original sender.
+	viaHome := func(at topo.Tile, actx *Context) {
 		actx.SendCtl(at, home, func() {
 			hctx := p.ctx.At(home)
 			th := p.tiles[home]
 			hctx.pw.L2CAccess.Inc()
 			if ptr, ok := th.l2c.Lookup(addr); ok {
-				ownerTile := topo.Tile(ptr)
-				hctx.SendCtl(home, ownerTile, func() {
-					octx := p.ctx.At(ownerTile)
-					ot := p.tiles[ownerTile]
-					octx.pw.L1TagRead.Inc()
-					if ol := ot.l1.Peek(addr); ol != nil && pvIsOwner(ol.State) {
-						onL1Owner(octx, ownerTile, ol)
-						octx.SendCtl(ownerTile, from, func() {}) // ack
-					}
-					// Owner in motion: the update is dropped; stale
-					// ProPos are tolerated (they miss and fall back
-					// to the home).
-				})
+				owner := topo.Tile(ptr)
+				hctx.SendCtl(home, owner, func() { atOwner(owner) })
 				return
 			}
 			if l2line := th.l2.Peek(addr); l2line != nil {
-				onL2Owner(hctx, l2line)
+				l2line.ProPos[area] = idx
+				hctx.pw.L2TagWrite.Inc()
 				hctx.SendCtl(home, from, func() {}) // ack
 			}
 		})
 	}
-	if ownerHint >= 0 {
-		ownerTile := topo.Tile(ownerHint)
-		ctx.SendCtl(from, ownerTile, func() {
-			octx := p.ctx.At(ownerTile)
-			ot := p.tiles[ownerTile]
-			octx.pw.L1TagRead.Inc()
-			if ol := ot.l1.Peek(addr); ol != nil && pvIsOwner(ol.State) {
-				onL1Owner(octx, ownerTile, ol)
-				octx.SendCtl(ownerTile, from, func() {}) // ack
-				return
-			}
-			viaHome(ownerTile, octx)
-		})
+	if ownerHint < 0 {
+		viaHome(from, ctx)
 		return
 	}
-	viaHome(from, ctx)
-}
-
-// transferOwnership moves ownership (sharing code + provider pointers)
-// to a local sharer on replacement. The data rides the offer chain, so
-// when every candidate declines it writes back from wherever the chain
-// ends — each send's source is the tile whose lane is executing.
-func (p *Providers) transferOwnership(ctx *Context, from topo.Tile, addr cache.Addr, area int,
-	tryList, vector uint64, dirty bool, propos [cache.MaxSimAreas]int8) {
-	idx := int8(-1)
-	forEachBit(tryList, func(i int) {
-		if idx < 0 {
-			idx = int8(i)
+	owner := topo.Tile(ownerHint)
+	ctx.SendCtl(from, owner, func() {
+		if !atOwner(owner) {
+			viaHome(owner, p.ctx.At(owner))
 		}
-	})
-	if idx < 0 {
-		p.writebackToHome(ctx, from, addr, dirty, propos, vector, area)
-		return
-	}
-	target := p.tileAt(area, idx)
-	rest := tryList &^ (uint64(1) << uint(idx))
-	ctx.SendCtl(from, target, func() {
-		tctx := p.ctx.At(target)
-		t := p.tiles[target]
-		if _, pending := t.mshr.Lookup(addr); pending {
-			// Skip (never stall behind) a candidate with a miss in
-			// flight; it stays in the vector so the next owner's code
-			// covers its fill.
-			p.transferOwnership(tctx, target, addr, area, rest, vector, dirty, propos)
-			return
-		}
-		tctx.pw.L1TagRead.Inc()
-		line := t.l1.Peek(addr)
-		if line == nil || line.State != pvShared {
-			p.transferOwnership(tctx, target, addr, area, rest, vector&^(uint64(1)<<uint(idx)), dirty, propos)
-			return
-		}
-		line.State = pvOwnerShared
-		line.Dirty = dirty
-		line.Sharers = vector &^ (uint64(1) << uint(idx))
-		copy(line.ProPos[:], propos[:])
-		line.Owner = -1
-		tctx.pw.L1TagWrite.Inc()
-		home := tctx.HomeOf(addr)
-		stamp := tctx.Kernel.Now()
-		tctx.SendCtl(target, home, func() { // Change_Owner
-			hctx := p.ctx.At(home)
-			p.homeOwnerUpdate(hctx, home, addr, target, stamp)
-			hctx.SendCtl(home, target, func() {}) // ack
-		})
-		// Hint the remaining local sharers (Figure 5).
-		forEachBit(vector&^(uint64(1)<<uint(idx)), func(i int) {
-			sharer := p.tileAt(area, int8(i))
-			tctx.SendCtl(target, sharer, func() {
-				sctx := p.ctx.At(sharer)
-				st := p.tiles[sharer]
-				if l := st.l1.Peek(addr); l != nil && l.State == pvShared {
-					l.Owner = int16(target)
-				} else {
-					st.l1c.Update(addr, int16(target))
-					sctx.pw.L1CUpdate.Inc()
-				}
-			})
-		})
-	})
-}
-
-// writebackToHome returns ownership to the home L2 (no sharers remain
-// in the owner's area, so no provider is needed there).
-func (p *Providers) writebackToHome(ctx *Context, tile topo.Tile, addr cache.Addr, dirty bool,
-	propos [cache.MaxSimAreas]int8, leftover uint64, leftoverArea int) {
-	home := ctx.HomeOf(addr)
-	propos[p.areaOf(tile)] = -1
-	// The home L2-owner form keeps no sharer information (Table V), so
-	// any leftover in-flight readers of the evicted owner's area are
-	// conservatively invalidated: their fills drop on arrival and they
-	// re-miss against the home.
-	p.invalidateStragglers(ctx, tile, addr, leftoverArea, leftover)
-	ctx.pw.L1DataRead.Inc()
-	ctx.SendData(tile, home, func() {
-		hctx := p.ctx.At(home)
-		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
-		p.insertL2Owned(hctx, home, addr, dirty, propos, func() {
-			if p.tiles[home].l2c.Invalidate(addr) {
-				hctx.pw.L2CUpdate.Inc()
-			}
-			p.tiles[home].clearRecall(addr)
-			p.tiles[home].wakeHome(hctx.Kernel, addr)
-		})
 	})
 }
 
 // invalidateStragglers fire-and-forget invalidates leftover area
 // copies whose supplier went away before they could be handed over.
 func (p *Providers) invalidateStragglers(ctx *Context, from topo.Tile, addr cache.Addr, area int, vector uint64) {
-	if vector == 0 {
-		return
-	}
-	forEachBit(vector, func(i int) {
-		straggler := p.tileAt(area, int8(i))
-		ctx.SendCtl(from, straggler, func() {
-			sctx := p.ctx.At(straggler)
-			t := p.tiles[straggler]
-			sctx.pw.L1TagRead.Inc()
-			if _, ok := t.l1.Invalidate(addr); ok {
-				sctx.pw.L1TagWrite.Inc()
-			}
-			if e, ok := t.mshr.Lookup(addr); ok {
-				e.InvalidatedWhilePending = true
-			}
-		})
-	})
-}
-
-// homeOwnerUpdate guards the L2C$ against reordered Change_Owner
-// messages, like DiCo.
-func (p *Providers) homeOwnerUpdate(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile, stamp sim.Time) {
-	th := p.tiles[home]
-	if !th.stampIfNewer(addr, stamp) {
-		return
-	}
-	p.updateL2C(ctx, home, addr, owner)
-	th.clearRecall(addr)
-	th.wakeHome(ctx.Kernel, addr)
-}
-
-// updateL2C installs an owner pointer, recalling the displaced entry's
-// ownership when the insertion evicts one (Section IV-A1).
-func (p *Providers) updateL2C(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
-	th := p.tiles[home]
-	evicted, evictedPtr, displaced := th.l2c.Update(addr, int16(owner))
-	ctx.pw.L2CUpdate.Inc()
-	if displaced {
-		p.recallOwnership(ctx, home, evicted, topo.Tile(evictedPtr))
+	for v := vector; v != 0; v &= v - 1 {
+		straggler := p.tileAt(area, bits.TrailingZeros64(v))
+		ctx.SendCtl(from, straggler, func() { p.tiles[straggler].dropCopy(p.ctx.At(straggler), addr) })
 	}
 }
 
-// recallOwnership brings a block's ownership back to the home because
-// its L2C$ entry was evicted; the former owner becomes its area's
-// provider. The evicted pointer names the owner directly, so the
-// recall is a single message — no chip-wide L1 scan. The pointer may
-// be stale (ownership in motion); relinquish's guards handle that: a
-// pending miss stalls the recall behind it, a non-owner drops it and
-// the in-flight Change_Owner clears the marker when it lands.
-func (p *Providers) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
-	p.tiles[home].markRecall(addr)
-	p.cen.recallScan.Touch(int(home), int(home))
-	ctx.SendCtl(home, owner, func() { p.relinquish(home, owner, addr) })
+// writebackForm returns ownership with the provider pointers only: no
+// sharers remain in the owner's area, so it needs no provider there,
+// and since the home L2-owner form keeps no sharer information (Table
+// V), leftover in-flight readers of that area are conservatively
+// invalidated — their fills drop on arrival and they re-miss at the
+// home.
+func (p *Providers) writebackForm(ctx *Context, tile topo.Tile, addr cache.Addr, propos [cache.MaxSimAreas]int8,
+	leftover uint64) l2Form {
+	area := p.areaOf(tile)
+	propos[area] = -1
+	p.invalidateStragglers(ctx, tile, addr, area, leftover)
+	return l2Form{state: l2Present, areaTag: -1, propos: propos}
 }
 
-// relinquish converts an L1 owner into its area's provider, moving
-// ownership (data + provider pointers) to the home L2.
-func (p *Providers) relinquish(home, owner topo.Tile, addr cache.Addr) {
-	ctx := p.ctx.At(owner)
-	t := p.tiles[owner]
-	if _, pending := t.mshr.Lookup(addr); pending {
-		t.stallL1(addr, func() { p.relinquish(home, owner, addr) })
-		return
-	}
-	ctx.pw.L1TagRead.Inc()
-	line := t.l1.Peek(addr)
-	if line == nil || !pvIsOwner(line.State) {
-		// Stale recall: ownership moved on. The Change_Owner that moved
-		// it clears the recall marker at the home.
-		return
-	}
-	area := p.areaOf(owner)
-	var propos [cache.MaxSimAreas]int8
-	copy(propos[:], line.ProPos[:])
-	propos[area] = p.areaIdx(owner)
-	dirty := line.Dirty
-	sharers := line.Sharers
-	line.State = pvProvider
-	line.Dirty = false
-	line.Sharers = sharers // provider keeps tracking its area's sharers
-	line.Owner = -1
-	for a := range line.ProPos {
-		line.ProPos[a] = -1
-	}
-	ctx.pw.L1TagWrite.Inc()
-	ctx.pw.L1DataRead.Inc()
-	ctx.SendData(owner, home, func() {
-		hctx := p.ctx.At(home)
-		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
-		p.insertL2Owned(hctx, home, addr, dirty, propos, func() {
-			if p.tiles[home].l2c.Invalidate(addr) {
-				hctx.pw.L2CUpdate.Inc()
-			}
-			p.tiles[home].clearRecall(addr)
-			p.tiles[home].wakeHome(hctx.Kernel, addr)
-		})
-	})
+// relinquishForm converts a recalled L1 owner into its area's provider
+// (it keeps tracking its area's sharers); the home L2 takes the
+// ownership with the provider pointers, the former owner among them.
+func (p *Providers) relinquishForm(_ *Context, owner topo.Tile, line *cache.Line) l2Form {
+	f := l2Form{state: l2Present, areaTag: -1, propos: line.ProPos}
+	f.propos[p.areaOf(owner)] = p.areaIdx(owner)
+	line.State = dcProvider
+	line.ProPos = noProPos
+	return f
 }
 
-// insertL2Owned installs a block in the home L2 as owner with the
-// given provider pointers, evicting a victim (chip-wide invalidation
-// through its providers) if needed.
-func (p *Providers) insertL2Owned(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool,
-	propos [cache.MaxSimAreas]int8, then func()) {
-	th := p.tiles[home]
-	if line := th.l2.Peek(addr); line != nil {
-		ctx.pw.L2TagWrite.Inc()
-		ctx.pw.L2DataWrite.Inc()
-		line.Dirty = line.Dirty || dirty
-		for a := range propos {
-			if propos[a] >= 0 {
-				line.ProPos[a] = propos[a]
-			}
+// applyL2 merges the returning provider pointers into the home L2 line.
+func (p *Providers) applyL2(line *cache.Line, dirty bool, f l2Form) {
+	line.Dirty = line.Dirty || dirty
+	for a, pp := range f.propos {
+		if pp >= 0 {
+			line.ProPos[a] = pp
 		}
-		th.l2.Touch(line)
-		if then != nil {
-			then()
+	}
+}
+
+// evictL2 invalidates an L2-owned victim through its providers
+// (two-counter scheme, with the home as both owner and requestor),
+// writes dirty data to memory, then calls then. The pending counters
+// live at the home and every mutation of them runs on the home's lane
+// (the ack sends below); provider- and sharer-side work rebinds to the
+// executing tile's lane.
+func (p *Providers) evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
+	th := p.tiles[home]
+	addr := victim.Addr
+	th.setHomeBusy(addr)
+	pendingProv, pendingSharers := 0, 0
+	finish := func() {
+		if victim.Dirty {
+			p.flush(ctx, home, addr)
 		}
-		return
-	}
-	victim, valid := th.l2.Victim(addr)
-	if valid {
-		// Remove the victim from the array immediately (so no
-		// concurrent insertion picks the same way), invalidate its
-		// copies through its providers, then retry the insertion.
-		snapshot := *victim
-		th.l2.Invalidate(snapshot.Addr)
-		ctx.pw.L2TagWrite.Inc()
-		p.evictL2Owned(ctx, home, snapshot, func() {
-			p.insertL2Owned(ctx, home, addr, dirty, propos, then)
-		})
-		return
-	}
-	ctx.pw.L2TagWrite.Inc()
-	ctx.pw.L2DataWrite.Inc()
-	th.l2.Fill(victim, addr, l2Present)
-	victim.Dirty = dirty
-	copy(victim.ProPos[:], propos[:])
-	if then != nil {
+		th.clearHomeBusy(addr)
+		th.wakeHome(ctx.Kernel, addr)
 		then()
 	}
-}
-
-// evictL2Owned invalidates an L2-owned victim block through its
-// providers (two-counter scheme, with the home as both owner and
-// requestor), writes dirty data to memory, then calls then. The
-// pending counters live at the home and every mutation of them runs
-// on the home's lane (the ack sends below); provider- and sharer-side
-// work rebinds to the executing tile's lane.
-func (p *Providers) evictL2Owned(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
-	th := p.tiles[home]
-	victimAddr := victim.Addr
-	th.setHomeBusy(victimAddr)
-	pendingProv := 0
-	pendingSharers := 0
-	var finish func()
 	checkDone := func() {
 		if pendingProv == 0 && pendingSharers == 0 {
 			finish()
 		}
 	}
-	finish = func() {
-		hctx := p.ctx.At(home)
-		if victim.Dirty {
-			mc := hctx.Mem.For(victimAddr)
-			hctx.SendDataArg(home, mc, p.flushFn, mc)
-		}
-		th.clearHomeBusy(victimAddr)
-		th.wakeHome(hctx.Kernel, victimAddr)
-		then()
-	}
-	for a := 0; a < ctx.Areas.Count; a++ {
+	for a := 0; a < p.areas.Count; a++ {
 		if victim.ProPos[a] < 0 {
 			continue
 		}
 		pendingProv++
-		prov := p.tileAt(a, victim.ProPos[a])
-		area := a
+		prov, area := p.tileAt(a, int(victim.ProPos[a])), a
 		ctx.SendCtl(home, prov, func() {
 			pctx := p.ctx.At(prov)
-			t := p.tiles[prov]
-			pctx.pw.L1TagRead.Inc()
-			var sharers uint64
-			wasProvider := false
-			if old, ok := t.l1.Invalidate(victimAddr); ok {
-				pctx.pw.L1TagWrite.Inc()
-				if old.State == pvProvider {
-					sharers = old.Sharers &^ areaBit(pctx.Areas, prov)
-					wasProvider = true
-				}
-			}
-			if !wasProvider {
-				for _, at := range pctx.Areas.TilesIn(area) {
-					if at != prov {
-						sharers |= areaBit(pctx.Areas, at)
-					}
-				}
-			}
-			if e, ok := t.mshr.Lookup(victimAddr); ok {
-				e.InvalidatedWhilePending = true
-			}
-			count := popcount(sharers)
-			forEachBit(sharers, func(i int) {
-				sharer := p.tileAt(area, int8(i))
+			sharers := p.dropProvider(pctx, prov, addr)
+			for v := sharers; v != 0; v &= v - 1 {
+				sharer := p.tileAt(area, bits.TrailingZeros64(v))
 				pctx.SendCtl(prov, sharer, func() {
 					sctx := p.ctx.At(sharer)
-					st := p.tiles[sharer]
-					sctx.pw.L1TagRead.Inc()
-					if _, ok := st.l1.Invalidate(victimAddr); ok {
-						sctx.pw.L1TagWrite.Inc()
-					}
-					if e, ok := st.mshr.Lookup(victimAddr); ok {
-						e.InvalidatedWhilePending = true
-					}
+					p.tiles[sharer].dropCopy(sctx, addr)
 					sctx.SendCtl(sharer, home, func() {
 						pendingSharers--
 						checkDone()
 					})
 				})
-			})
+			}
+			count := popcount(sharers)
 			pctx.SendCtl(prov, home, func() {
 				pendingProv--
 				pendingSharers += count
@@ -1370,131 +391,39 @@ func (p *Providers) evictL2Owned(ctx *Context, home topo.Tile, victim cache.Line
 	}
 }
 
-func (p *Providers) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
-	t := p.tiles[tile]
-	e, ok := t.mshr.Lookup(addr)
-	if !ok || !e.Done() {
-		return
-	}
-	dropped := e.InvalidatedWhilePending && !e.Write
-	if dropped {
-		// The fill raced an invalidation. Dropping the line is the
-		// safe resolution, but it must go through the regular
-		// replacement protocol so any ownership or providership the
-		// fill carried is handed back properly.
-		if line := t.l1.Peek(addr); line != nil {
-			snapshot := *line
-			t.l1.Invalidate(addr)
-			p.evictL1(ctx, tile, snapshot)
-		}
-	}
-	cls := MissClass(e.Tag)
-	ctx.Profile.Count[cls]++
-	ctx.Profile.Links[cls] += uint64(e.Links)
-	ctx.spanEnd(tile, cls, dropped)
-	done := e.OnComplete
-	t.mshr.Release(addr)
-	ctx.observeRetired(tile, addr, e.Write, false, e.InvalidatedWhilePending)
-	t.wakeL1(ctx.Kernel, addr)
-	if done != nil {
-		done()
-	}
-}
-
-// ForEachCopy implements Engine.
-func (p *Providers) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
-	forEachCopy(p.tiles, p.ctx.HomeOf(addr), addr, func(l *cache.Line) (bool, bool) {
-		return pvIsOwner(l.State), l.State == pvOwnerModified || l.State == pvOwnerExclusive
-	}, fn)
-}
-
-// ForEachPending implements Engine.
-func (p *Providers) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
-	forEachPending(p.tiles, fn)
-}
-
-// CheckInvariants implements Engine; call at quiescence. Checks the
-// per-area invariants of DiCo-Providers: at most one owner chip-wide,
-// at most one provider per area, the owner's ProPos point at the real
-// providers, and every plain sharer is covered by its area's supplier.
+// CheckInvariants implements Engine; call at quiescence. Beyond the
+// family-wide checks: ownership exists somewhere for every cached
+// block, each area has at most one provider and none in the owner's
+// area, and the owner's ProPos point at the real providers.
 func (p *Providers) CheckInvariants() {
-	ctx := p.ctx
-	type info struct {
-		owner     topo.Tile
-		providers map[int]topo.Tile
-		holders   map[topo.Tile]cache.State
-	}
-	blocks := make(map[cache.Addr]*info)
-	get := func(a cache.Addr) *info {
-		bi := blocks[a]
-		if bi == nil {
-			bi = &info{owner: -1, providers: map[int]topo.Tile{}, holders: map[topo.Tile]cache.State{}}
-			blocks[a] = bi
+	p.checkBlocks(func(addr cache.Addr, bc *blockCopies, l2line *cache.Line) {
+		if bc.owner < 0 && l2line == nil {
+			panic(fmt.Sprintf("providers: block %#x cached with no owner (holders %v)", addr, bc.holders))
 		}
-		return bi
-	}
-	for i, t := range p.tiles {
-		tile := topo.Tile(i)
-		t.l1.ForEachValid(func(l *cache.Line) {
-			bi := get(l.Addr)
-			bi.holders[tile] = l.State
-			switch {
-			case pvIsOwner(l.State):
-				if bi.owner >= 0 {
-					panic(fmt.Sprintf("providers: block %#x has two owners (%d, %d)", l.Addr, bi.owner, tile))
-				}
-				bi.owner = tile
-			case l.State == pvProvider:
-				area := p.areaOf(tile)
-				if prev, ok := bi.providers[area]; ok {
-					panic(fmt.Sprintf("providers: block %#x has two providers in area %d (%d, %d)",
-						l.Addr, area, prev, tile))
-				}
-				bi.providers[area] = tile
-			}
-		})
-	}
-	addrs := make([]cache.Addr, 0, len(blocks))
-	for a := range blocks {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		bi := blocks[addr]
-		home := ctx.HomeOf(addr)
-		th := p.tiles[home]
-		l2line := th.l2.Peek(addr)
-		// Ownership must exist somewhere if any copy exists.
-		if bi.owner < 0 && l2line == nil {
-			panic(fmt.Sprintf("providers: block %#x cached with no owner (holders %v)", addr, bi.holders))
-		}
-		// Owner's provider pointers must match the real providers.
 		var propos *[cache.MaxSimAreas]int8
 		ownerArea := -1
-		if bi.owner >= 0 {
-			ol := p.tiles[bi.owner].l1.Peek(addr)
-			propos = &ol.ProPos
-			ownerArea = p.areaOf(bi.owner)
-			if ol.State == pvOwnerExclusive || ol.State == pvOwnerModified {
-				if len(bi.holders) > 1 {
-					panic(fmt.Sprintf("providers: block %#x exclusive at %d with %d holders",
-						addr, bi.owner, len(bi.holders)))
-				}
-			}
-			if ptr, ok := th.l2c.Lookup(addr); ok && topo.Tile(ptr) != bi.owner {
-				panic(fmt.Sprintf("providers: block %#x L2C$ %d != owner %d", addr, ptr, bi.owner))
-			}
-		} else if l2line != nil {
+		if bc.owner >= 0 {
+			propos = &p.tiles[bc.owner].l1.Peek(addr).ProPos
+			ownerArea = p.areaOf(bc.owner)
+		} else {
 			propos = &l2line.ProPos
 		}
-		for area, prov := range bi.providers {
-			if area == ownerArea {
-				panic(fmt.Sprintf("providers: block %#x has provider %d in the owner's area", addr, prov))
+		providers := map[int]topo.Tile{}
+		for t, s := range bc.holders {
+			if s != dcProvider {
+				continue
 			}
-			if propos != nil && propos[area] >= 0 && p.tileAt(area, propos[area]) != prov {
-				panic(fmt.Sprintf("providers: block %#x ProPos[%d]=%d but provider is %d",
-					addr, area, propos[area], prov))
+			area := p.areaOf(t)
+			if prev, ok := providers[area]; ok {
+				panic(fmt.Sprintf("providers: block %#x has two providers in area %d (%d, %d)", addr, area, prev, t))
+			}
+			providers[area] = t
+			if area == ownerArea {
+				panic(fmt.Sprintf("providers: block %#x has provider %d in the owner's area", addr, t))
+			}
+			if propos[area] >= 0 && p.tileAt(area, int(propos[area])) != t {
+				panic(fmt.Sprintf("providers: block %#x ProPos[%d]=%d but provider is %d", addr, area, propos[area], t))
 			}
 		}
-	}
+	})
 }

@@ -81,7 +81,7 @@ func TestProvidersNoProvider(t *testing.T) {
 	c.access(provider, addr+128, false)
 	c.drain()
 	ol := eng.tiles[owner].l1.Peek(addr)
-	if ol == nil || !pvIsOwner(ol.State) {
+	if ol == nil || !dcIsOwner(ol.State) {
 		t.Skip("owner line evicted by the same pressure")
 	}
 	if ol.ProPos[area] >= 0 {
@@ -107,7 +107,7 @@ func TestArinForwarderFixup(t *testing.T) {
 	eng := c.eng.(*Arin)
 	area := c.ctx.Areas.Of(provider)
 	l2 := eng.tiles[home].l2.Peek(addr)
-	if l2 == nil || l2.State != l2ArinInter || l2.ProPos[area] != int8(c.ctx.Areas.IndexInArea(provider)) {
+	if l2 == nil || l2.State != l2Inter || l2.ProPos[area] != int8(c.ctx.Areas.IndexInArea(provider)) {
 		t.Fatalf("setup: home entry %+v", l2)
 	}
 	// Evict the provider silently (Arin providers leave silently) and
@@ -140,7 +140,7 @@ func TestArinL2InterEvictionBroadcast(t *testing.T) {
 	c.access(ownerA, addr, false)
 	c.access(readerB, addr, false) // inter-area: lives in home L2
 	eng := c.eng.(*Arin)
-	if l2 := eng.tiles[home].l2.Peek(addr); l2 == nil || l2.State != l2ArinInter {
+	if l2 := eng.tiles[home].l2.Peek(addr); l2 == nil || l2.State != l2Inter {
 		t.Fatal("setup: block not inter-area at home")
 	}
 	before := c.ctx.Net.Stats().Broadcasts

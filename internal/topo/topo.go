@@ -95,6 +95,7 @@ type Areas struct {
 	Grid     Grid
 	Count    int
 	areaOf   []int // tile -> area
+	index    []int // tile -> position within its area's tile list
 	tiles    [][]Tile
 	areaCols int // areas per grid row of areas
 	areaRows int
@@ -136,6 +137,7 @@ func NewAreas(grid Grid, count int) (*Areas, error) {
 		Grid:     grid,
 		Count:    count,
 		areaOf:   make([]int, grid.Tiles()),
+		index:    make([]int, grid.Tiles()),
 		tiles:    make([][]Tile, count),
 		areaCols: grid.Cols / bestW,
 		areaRows: grid.Rows / bestH,
@@ -146,6 +148,7 @@ func NewAreas(grid Grid, count int) (*Areas, error) {
 		x, y := grid.Coord(t)
 		area := (y/bestH)*a.areaCols + x/bestW
 		a.areaOf[t] = area
+		a.index[t] = len(a.tiles[area])
 		a.tiles[area] = append(a.tiles[area], t)
 	}
 	return a, nil
@@ -176,14 +179,7 @@ func (a *Areas) SameArea(x, y Tile) bool { return a.areaOf[x] == a.areaOf[y] }
 
 // IndexInArea returns the position of t within its area's tile list,
 // i.e. the value a ProPo pointer would store.
-func (a *Areas) IndexInArea(t Tile) int {
-	for i, tt := range a.tiles[a.areaOf[t]] {
-		if tt == t {
-			return i
-		}
-	}
-	panic("topo: tile missing from its own area")
-}
+func (a *Areas) IndexInArea(t Tile) int { return a.index[t] }
 
 // Placement maps virtual machines to tiles.
 type Placement struct {
