@@ -71,7 +71,7 @@ type EndToEnd struct {
 	Parallel    bool                  `json:"parallel"`     // -parallel requested (concurrent lookahead windows)
 	Executor    string                `json:"executor"`     // executor the runs actually used: serial | merge | parallel
 	Reps        int                   `json:"reps"`         // timed repetitions per protocol; best wall clock reported
-	Instrument  bool                  `json:"instrumented"` // census + per-VM attribution + sampling armed (-obs)
+	Instrument  bool                  `json:"instrumented"` // per-VM attribution + sampling armed (-obs)
 	Protocols   map[string]ProtoBench `json:"protocols"`
 	RefsPerSec  float64               `json:"total_refs_per_sec"`
 }
@@ -96,7 +96,7 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.15, "with -compare: maximum fractional throughput regression per benchmark")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the end-to-end sweep to this file (analyze with `go tool pprof`)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the sweep) to this file")
-	obsOn := flag.Bool("obs", false, "arm the full observability surface during the end-to-end sweep (touch census, per-VM attribution, epoch sampling) — compare against an unarmed baseline to measure observability overhead")
+	obsOn := flag.Bool("obs", false, "arm the full observability surface during the end-to-end sweep (per-VM attribution, epoch sampling) — compare against an unarmed baseline to measure observability overhead")
 	lanetrace := flag.String("lanetrace", "", "run a kernel-level RunParallel workload, write its per-lane Perfetto trace to this file, and exit (uses -shards, default 4)")
 	httpAddr := flag.String("http", "", "with -lanetrace: serve the per-lane profile on this address (/ heatmap, /metrics) and block for inspection")
 	flag.Parse()
@@ -187,10 +187,9 @@ func main() {
 // shard-affine workload — each lane runs a self-rescheduling event
 // chain that periodically Sends to its neighbor lane — with a
 // sim.LaneProfile attached, then exports the per-window lane tracks as
-// a Perfetto trace and re-validates the written file. The engines
-// still take synchronous cross-tile shortcuts, so this is the
-// kernel-level stand-in for a full-system RunParallel run (the touch
-// census ranks the work left to close that gap).
+// a Perfetto trace and re-validates the written file. It isolates the
+// executor's own window and barrier behaviour from the engines; full
+// systems report the same per-lane profile in Result.LaneProf.
 func laneTrace(path string, shards int, httpAddr string) error {
 	if shards < 2 {
 		shards = 4
@@ -414,11 +413,10 @@ func endToEnd(refs, warmup, reps, shards int, parallel, instrument bool) (EndToE
 	base.Shards = shards
 	base.Parallel = parallel
 	if instrument {
-		// The full PR-9 observability surface, so -compare against an
-		// unarmed baseline of the same mode gates its overhead. Arming it
-		// forces the sequential merge (per-VM banks and sampling are
+		// The full observability surface, so -compare against an unarmed
+		// baseline of the same mode gates its overhead. Arming it forces
+		// the sequential merge (per-VM banks and sampling are
 		// hub-resident), which the recorded Executor field makes visible.
-		base.Census = true
 		base.PerVM = true
 		base.SampleEvery = 2000
 	}

@@ -219,12 +219,6 @@ func report(cfg core.Config, res *core.Result) {
 			fmt.Printf("  %-16s %d\n", name, v)
 		}
 	}
-	if len(res.Census) > 0 {
-		fmt.Println()
-		fmt.Print(telemetry.CensusTable(
-			fmt.Sprintf("touch census: synchronous remote-tile accesses (%s, ranked by messageization cost)", cfg.Protocol),
-			res.Census))
-	}
 	if len(res.PerVM) > 0 {
 		fmt.Println()
 		t := stats.NewTable(fmt.Sprintf("per-VM attribution (%s)", cfg.Protocol),

@@ -25,7 +25,7 @@ import (
 func main() {
 	table := flag.String("table", "all", "analytic table to print: 5, 6, 7 or all")
 	from := flag.String("from", "", "obs manifest (file, or directory containing matrix.json) to regenerate figures from")
-	fig := flag.String("fig", "all", "with -from: figure to regenerate: 7, 8a, 8b, 9a, 9b, hops, census, pervm or all (census/pervm read per-run schema v3 fields and accept partial-matrix manifests)")
+	fig := flag.String("fig", "all", "with -from: figure to regenerate: 7, 8a, 8b, 9a, 9b, hops, pervm or all (pervm reads the per-run schema v3 field and accepts partial-matrix manifests)")
 	validate := flag.String("validate", "", "decode the given manifest, verify every run record round-trips (schema, counters, breakdown), and exit")
 	series := flag.String("series", "", "obs manifest to plot epoch time-series curves from (runs recorded with cmpsim -sample)")
 	validateTrace := flag.String("validate-trace", "", "validate the given Perfetto trace-event JSON (well-formed, monotonic timestamps, balanced async pairs, all spans closed) and exit")
@@ -86,15 +86,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
-		// The per-run schema v3 views need no full matrix: a cmpsim
+		// The per-run schema v3 view needs no full matrix: a cmpsim
 		// single-run manifest renders too.
-		if *fig == "census" {
-			if !showCensus(m) {
-				fmt.Fprintln(os.Stderr, "tables: no run in the manifest carries a touch census (record one with cmpsim -census -json)")
-				os.Exit(1)
-			}
-			return
-		}
 		if *fig == "pervm" {
 			if !showPerVM(m) {
 				fmt.Fprintln(os.Stderr, "tables: no run in the manifest carries per-VM attribution (record one with cmpsim -pervm -json)")
@@ -147,24 +140,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown table %q (want 5, 6, 7 or all)\n", *table)
 		os.Exit(2)
 	}
-}
-
-// showCensus renders every run's ranked touch census. Returns false
-// if no run carries one.
-func showCensus(m *obs.Manifest) bool {
-	shown := false
-	for i := range m.Runs {
-		r := &m.Runs[i]
-		if len(r.Census) == 0 {
-			continue
-		}
-		shown = true
-		fmt.Print(telemetry.CensusTable(
-			fmt.Sprintf("touch census: %s / %s (ranked by messageization cost)", r.Workload, r.Protocol),
-			r.Census))
-		fmt.Println()
-	}
-	return shown
 }
 
 // showPerVM renders every run's per-VM attribution: energy split and

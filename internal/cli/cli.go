@@ -75,8 +75,6 @@ func (f *Flags) Obs() *Flags {
 		"record a time-series sample of all counters every N cycles (0 = off)")
 	fs.IntVar(&cfg.SampleCap, "sample-cap", cfg.SampleCap,
 		"max time-series samples retained per run, drop-oldest (0 = default)")
-	fs.BoolVar(&cfg.Census, "census", cfg.Census,
-		"count every synchronous remote-tile touch per (engine, handler, structure) and report the ranked cross-shard inventory")
 	fs.BoolVar(&cfg.PerVM, "pervm", cfg.PerVM,
 		"attribute power counters, network energy and miss latency to the requesting VM (per-VM banks folded into the globals at measure end)")
 	return f

@@ -123,8 +123,7 @@ func TestCrossCheckSeedFingerprint(t *testing.T) {
 		diffMaps(t, p+" miss_profile", g.Profile, w.Profile)
 	}
 
-	// The shard-aware observability instrumentation (touch census,
-	// per-VM attribution) is observation-only: replayed with both armed,
+	// Per-VM attribution is observation-only: replayed with it armed,
 	// every run must still match the pre-instrumentation golden
 	// bit-exactly (the per-VM banks fold back into the globals at
 	// measure end).
@@ -133,15 +132,13 @@ func TestCrossCheckSeedFingerprint(t *testing.T) {
 		cfg.Protocol = p
 		cfg.RefsPerCore = 400
 		cfg.WarmupRefs = 800
-		cfg.Census = true
 		cfg.PerVM = true
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s instrumented: %v", p, err)
 		}
-		if len(res.Census) == 0 || len(res.PerVM) == 0 {
-			t.Fatalf("%s instrumented: census=%d per-VM=%d records — instrumentation did not arm",
-				p, len(res.Census), len(res.PerVM))
+		if len(res.PerVM) == 0 {
+			t.Fatalf("%s instrumented: no per-VM records — instrumentation did not arm", p)
 		}
 		g, w := fingerprintRun(res), want[p]
 		if g.Cycles != w.Cycles || g.Refs != w.Refs || g.Events != w.Events || g.MemReads != w.MemReads {

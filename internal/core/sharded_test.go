@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // runFingerprint builds and runs cfg and reduces the result to its
@@ -65,16 +63,14 @@ func TestShardedMatchesSerialWithObservers(t *testing.T) {
 	combos := []struct {
 		name                  string
 		check, profile, trace bool
-		sample                bool
-		census, pervm         bool
+		sample, pervm         bool
 	}{
 		{name: "check", check: true},
 		{name: "profile", profile: true},
 		{name: "sample", sample: true},
 		{name: "trace", trace: true},
-		{name: "census", census: true},
 		{name: "pervm", pervm: true},
-		{name: "all", check: true, profile: true, sample: true, trace: true, census: true, pervm: true},
+		{name: "all", check: true, profile: true, sample: true, trace: true, pervm: true},
 	}
 	for _, c := range combos {
 		c := c
@@ -86,7 +82,6 @@ func TestShardedMatchesSerialWithObservers(t *testing.T) {
 				cfg.Check = c.check
 				cfg.Profile = c.profile
 				cfg.Trace = c.trace
-				cfg.Census = c.census
 				cfg.PerVM = c.pervm
 				if c.sample {
 					cfg.SampleEvery = 500
@@ -128,30 +123,11 @@ func TestShardedMatchesSerialWithObservers(t *testing.T) {
 					t.Errorf("telemetry series diverges")
 				}
 			}
-			if c.census {
-				if !reflect.DeepEqual(maskCrossShard(gres.Census), maskCrossShard(wres.Census)) {
-					t.Errorf("touch census diverges (CrossShard masked):\nsharded %+v\nserial  %+v",
-						gres.Census, wres.Census)
-				}
-			}
 			if c.pervm {
 				requireSamePerVM(t, gres.PerVM, wres.PerVM)
 			}
 		})
 	}
-}
-
-// maskCrossShard copies census records with the partition-dependent
-// CrossShard column zeroed: the tile-granular counts, remote subset
-// and estimated message cost are invariant across executors and shard
-// counts; only the shard classification legitimately depends on the
-// recording run's partition.
-func maskCrossShard(recs []telemetry.CensusRecord) []telemetry.CensusRecord {
-	out := append([]telemetry.CensusRecord(nil), recs...)
-	for i := range out {
-		out[i].CrossShard = 0
-	}
-	return out
 }
 
 // requireSamePerVM compares two per-VM attributions field by field
@@ -193,13 +169,11 @@ func requireSamePerVM(t *testing.T, got, want []VMStat) {
 	}
 }
 
-// TestShardedCensusInvariant pins the telemetry invariance claims
+// TestShardedTelemetryInvariant pins the telemetry invariance claims
 // across shard counts 1, 2, 4 and 8 (and the serial executor) for
-// every engine: the touch census is recorded tile-granular and
-// classified only at export, so Count, Remote and EstCycles are
-// identical; the span trace and the epoch series observe only
-// simulation state, so both are deep-equal too.
-func TestShardedCensusInvariant(t *testing.T) {
+// every engine: the span trace and the epoch series observe only
+// simulation state, so both are deep-equal.
+func TestShardedTelemetryInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many full runs")
 	}
@@ -216,16 +190,11 @@ func TestShardedCensusInvariant(t *testing.T) {
 		t.Run(p, func(t *testing.T) {
 			cfg := smallCfg(p, "apache4x16p")
 			cfg.WarmupRefs = 100
-			cfg.Census = true
 			cfg.Trace = true
 			cfg.SampleEvery = 500
 			res, sys, err := run(cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			want := maskCrossShard(res.Census)
-			if len(want) == 0 {
-				t.Fatalf("%s: serial census recorded no touch sites", p)
 			}
 			wantSpans := sys.Tracer.Spans()
 			if len(wantSpans) == 0 {
@@ -240,9 +209,6 @@ func TestShardedCensusInvariant(t *testing.T) {
 				res, sys, err := run(cfg)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", n, err)
-				}
-				if got := maskCrossShard(res.Census); !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d: census diverges from serial (CrossShard masked)", n)
 				}
 				if got := sys.Tracer.Spans(); !reflect.DeepEqual(got, wantSpans) {
 					t.Errorf("shards=%d: span trace diverges from serial (%d spans vs %d)",

@@ -57,8 +57,7 @@ type Config struct {
 	// gate enforces it. Runs that arm hub-resident observability
 	// (Check, Profile, Trace, PerVM, SampleEvery) fall back to the
 	// sequential merge transparently; Result.Executor reports which
-	// executor actually ran. Census is lane-safe (diagonal-only
-	// recording) and stays available.
+	// executor actually ran.
 	Parallel bool
 
 	// Check attaches the shadow-memory coherence checker and the
@@ -94,16 +93,6 @@ type Config struct {
 	SampleEvery sim.Time
 	SampleCap   int
 
-	// Census arms the cross-shard touch census: every place a protocol
-	// handler synchronously reaches into another tile's structures is
-	// recorded as a (engine, handler, src-tile, dst-tile) count and
-	// aggregated into Result.Census — the ranked inventory of the
-	// accesses that must become scheduled messages before RunParallel
-	// can drive full-system runs (ROADMAP item 1). Observation-only:
-	// recording is tile-granular, so the counts are identical for any
-	// shard count and any executor, and every simulation result is
-	// bit-identical with the census on or off.
-	Census bool
 	// PerVM splits the power-event counters, the attributed mesh
 	// traffic and the miss-latency histogram by consolidated VM,
 	// collected into Result.PerVM. The split uses private per-VM
@@ -179,10 +168,6 @@ type Result struct {
 	// Series is non-nil only when Config.SampleEvery was set: the epoch
 	// time series of the run (warmup and measured phases).
 	Series *telemetry.Series
-
-	// Census is non-nil only when Config.Census was set: the ranked
-	// cross-shard touch inventory of the measured phase.
-	Census []telemetry.CensusRecord
 
 	// LaneProf is non-nil only when the run executed on RunParallel:
 	// the per-window lane utilization profile (events per lane per
@@ -420,8 +405,9 @@ func (d *tileDriver) assertShard() {
 // stepWake and issueWake are the event entry points (the targets of
 // stepC/issueC): they dispatch on the tile's lane, so they carry the
 // ownership assert. step/issue themselves stay assert-free because
-// they are also reached inline from done(), which rides hub-lane
-// engine events.
+// they are also reached inline from done(), the retire continuation an
+// engine handler calls on the tile's lane; the engine's own ownership
+// check (proto.Context) covers that path.
 func (d *tileDriver) stepWake() {
 	d.assertShard()
 	d.step()
@@ -487,8 +473,11 @@ func (d *tileDriver) done() {
 	d.step()
 }
 
-// NewSystem builds a chip from cfg.
+// NewSystem validates cfg and builds a chip from it.
 func NewSystem(cfg Config) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	w, err := workload.Named(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -550,12 +539,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if sk != nil {
 		ctx.SetLanes(shardOf, laneKernels)
 	}
-	// Census and per-VM attribution must be armed before the engine is
-	// built: the engines register their touch sites and resolve their
-	// power handles at construction.
-	if cfg.Census {
-		ctx.Census = telemetry.NewCensus(cfg.Tiles)
-	}
+	// Per-VM attribution must be armed before the engine is built: the
+	// engines resolve their power handles at construction.
 	var vmOf []int
 	if cfg.PerVM {
 		vmOf = make([]int, cfg.Tiles)
@@ -618,8 +603,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// RunParallel eligibility: asked for, sharded, and no hub-resident
 	// observability. Check, Profile, Trace, PerVM and the sampler all
 	// run chip-global hooks on the hub lane (shared counters, span
-	// tables, tick chains), so they force the sequential merge; the
-	// census records diagonal-only and stays lane-safe.
+	// tables, tick chains), so they force the sequential merge.
 	s.parallel = cfg.Parallel && sk != nil && !cfg.Check && !cfg.Profile &&
 		!cfg.Trace && !cfg.PerVM && cfg.SampleEvery == 0
 	if s.parallel {
@@ -841,9 +825,6 @@ func (s *System) RunWarmup() error {
 	s.Ctx.Profile = proto.MissProfile{}
 	s.Net.ResetStats()
 	s.Mem.Reads, s.Mem.Writes = 0, 0
-	if s.Ctx.Census != nil {
-		s.Ctx.Census.Reset()
-	}
 	s.Ctx.ResetPerVM()
 	for i := range s.vmHist {
 		s.vmHist[i] = sim.Hist{}
@@ -901,9 +882,6 @@ func (s *System) RunMeasure() (*Result, error) {
 	}
 	res.LaneProf = s.laneProf
 	res.Breakdown = power.Dynamic(res.Counters, res.Net, energies)
-	if s.Ctx.Census != nil {
-		res.Census = s.CensusRecords()
-	}
 	if banks := s.Ctx.PerVMBanks(); banks != nil {
 		res.PerVM = make([]VMStat, len(banks))
 		for v := range banks {
@@ -930,20 +908,6 @@ func (s *System) RunMeasure() (*Result, error) {
 	return res, nil
 }
 
-// CensusRecords exports the armed census as ranked records, classified
-// against this run's shard partition (serial runs have a single band,
-// so their cross-shard column is zero) and priced with the mesh hop
-// latency. Nil when Cfg.Census is off.
-func (s *System) CensusRecords() []telemetry.CensusRecord {
-	if s.Ctx.Census == nil {
-		return nil
-	}
-	grid := s.Net.Grid()
-	return s.Ctx.Census.Records(s.shardOf, func(src, dst int) int {
-		return grid.Hops(topo.Tile(src), topo.Tile(dst))
-	}, int(s.Cfg.Net.HopLatency()))
-}
-
 // Run executes the optional warmup phase followed by the measured
 // phase, and returns the collected result.
 func (s *System) Run() (*Result, error) {
@@ -961,11 +925,8 @@ func (s *System) RefsRetired() uint64 { return s.refsTotal }
 // restore uses it so a forked system's telemetry continues seamlessly.
 func (s *System) SetRefsRetired(n uint64) { s.refsTotal = n }
 
-// Run validates cfg, then builds and runs a system in one call.
+// Run builds and runs a system in one call.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := NewSystem(cfg)
 	if err != nil {
 		return nil, err

@@ -107,21 +107,26 @@ func TestDedupOffRuns(t *testing.T) {
 	}
 }
 
+// TestBadConfigs requires NewSystem to reject bad configurations with
+// an error, including the ones that used to panic deep inside
+// construction (topo.SquareGrid, topo.Partition).
 func TestBadConfigs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Protocol = "mosi"
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("unknown protocol accepted")
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"unknown protocol", func(c *Config) { c.Protocol = "mosi" }},
+		{"unknown workload", func(c *Config) { c.Workload = "quake" }},
+		{"non-dividing area count", func(c *Config) { c.Areas = 3 }},
+		{"zero tiles", func(c *Config) { c.Tiles = 0 }},
+		{"more shards than tiles", func(c *Config) { c.Shards = c.Tiles + 1 }},
 	}
-	cfg = DefaultConfig()
-	cfg.Workload = "quake"
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Areas = 3
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("non-dividing area count accepted")
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Validate checks cfg for the configuration errors that would
 // otherwise surface deep inside system construction (or not at all),
-// and returns actionable messages naming the valid choices. core.Run
+// and returns actionable messages naming the valid choices. NewSystem
 // calls it before building anything; commands can call it early to
 // reject bad flags with a usable message.
 func (c Config) Validate() error {

@@ -354,10 +354,6 @@ func RunSystems(cfgs []core.Config, workers int, onBuild func(i int, s *core.Sys
 				i := next
 				next++
 				mu.Unlock()
-				if err := cfgs[i].Validate(); err != nil {
-					errs[i] = err
-					continue
-				}
 				sys, err := core.NewSystem(cfgs[i])
 				if err != nil {
 					errs[i] = err

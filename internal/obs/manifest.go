@@ -20,12 +20,13 @@ import (
 // structural change to the JSON layout must bump it.
 //
 // v2 added the optional per-run "series" field (epoch time-series
-// samples, see internal/telemetry). v3 added the optional "census"
-// (ranked remote-touch inventory) and "per_vm" (per-VM attribution:
-// counters, energy breakdown, miss-latency histogram and percentiles)
-// run fields. Older manifests are still decodable: every field kept
-// its name and meaning, so a v1/v2 file reads as a v3 manifest with
-// the newer data absent.
+// samples, see internal/telemetry). v3 added the optional "per_vm"
+// run field (per-VM attribution: counters, energy breakdown,
+// miss-latency histogram and percentiles). Older manifests are still
+// decodable: every field kept its name and meaning, so a v1/v2 file
+// reads as a v3 manifest with the newer data absent. v3 files written
+// before the touch census was retired also carry a "census" run field
+// and a census flag in the config; the decoder ignores both.
 const SchemaVersion = 3
 
 // minSchema is the oldest manifest format this build still reads.
@@ -111,9 +112,6 @@ type RunRecord struct {
 	// Series is present only for runs with core.Config.SampleEvery set
 	// (schema v2+).
 	Series *telemetry.Series `json:"series,omitempty"`
-	// Census is present only for runs with core.Config.Census set
-	// (schema v3+): the ranked cross-shard remote-touch inventory.
-	Census []telemetry.CensusRecord `json:"census,omitempty"`
 	// PerVM is present only for runs with core.Config.PerVM set
 	// (schema v3+), one record per consolidated VM.
 	PerVM []VMRecord `json:"per_vm,omitempty"`
@@ -175,7 +173,6 @@ func FromResult(res *core.Result) RunRecord {
 	}
 	r.Breakdown.Link = res.Breakdown.Link
 	r.Breakdown.Routing = res.Breakdown.Routing
-	r.Census = res.Census
 	for i := range res.PerVM {
 		v := &res.PerVM[i]
 		vr := VMRecord{
@@ -275,7 +272,6 @@ func (r *RunRecord) Result() (*core.Result, error) {
 	if res.Breakdown.Link != r.Breakdown.Link || res.Breakdown.Routing != r.Breakdown.Routing {
 		return nil, fmt.Errorf("obs: %s/%s: network breakdown does not match the counters", r.Workload, r.Protocol)
 	}
-	res.Census = r.Census
 	vmSum := map[string]uint64{}
 	for i := range r.PerVM {
 		vr := &r.PerVM[i]

@@ -156,6 +156,28 @@ func TestManifestReadsV1(t *testing.T) {
 	}
 }
 
+// TestManifestReadsCheckedInV3 pins compatibility with a manifest an
+// older build wrote: the checked-in v3 file still carries the retired
+// "census" run and config fields, which must be ignored while every
+// run passes the integrity checks and keeps its per-VM attribution.
+func TestManifestReadsCheckedInV3(t *testing.T) {
+	m, err := ReadFile("testdata/manifest_v3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Schema != 3 || len(m.Runs) == 0 {
+		t.Fatalf("decoded header wrong: schema %d, %d runs", m.Schema, len(m.Runs))
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Runs {
+		if len(m.Runs[i].PerVM) == 0 {
+			t.Errorf("run %d (%s): per-VM attribution lost", i, m.Runs[i].Protocol)
+		}
+	}
+}
+
 // TestManifestSeriesRoundTrip requires the v2 series field to survive
 // the encode/decode round trip exactly.
 func TestManifestSeriesRoundTrip(t *testing.T) {

@@ -31,7 +31,6 @@ func (p *Arin) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Li
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "dissolve at owner %d for %d", owner, r.requestor)
 	}
-	p.cen.l1Supply.Touch(int(owner), int(owner))
 	r.clsPlus1 = classify(&r, byOwner)
 	dirty := line.Dirty
 	line.State = dcProvider
@@ -53,7 +52,6 @@ func (p *Arin) providerRead(ctx *Context, r dcReq, provider topo.Tile, _ *cache.
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "provider %d supplies %d", provider, r.requestor)
 	}
-	p.cen.l1Supply.Touch(int(provider), int(provider))
 	r.clsPlus1 = classify(&r, byProvider)
 	ctx.pw.L1DataRead.Inc()
 	p.deliver(ctx, r, provider, dcProvider, false, int16(provider), nil)
@@ -93,7 +91,6 @@ func (p *Arin) homeInter(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Li
 			ctx.pw.L2TagWrite.Inc()
 		}
 	}
-	p.cen.homeSupply.Touch(int(home), int(home))
 	r.clsPlus1 = classify(&r, byHome)
 	ctx.pw.L2DataRead.Inc()
 	// The reply carries the identity of the area's provider so the
@@ -107,7 +104,7 @@ func (p *Arin) homeInter(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Li
 		l2line.ProPos[reqArea] = p.areaIdx(r.requestor)
 		ctx.pw.L2TagWrite.Inc()
 	}
-	p.tiles[home].l2.Touch(l2line)
+	p.tile(ctx, home).l2.Touch(l2line)
 	p.deliver(ctx, r, home, dcProvider, false, hint, nil)
 }
 
@@ -118,7 +115,6 @@ func (p *Arin) homeOwned(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Li
 		ctx.Trace(r.addr, "home-owned %d serves %d write=%v areatag=%d sharers=%#x",
 			home, r.requestor, r.write, l2line.AreaTag, l2line.Sharers)
 	}
-	p.cen.homeSupply.Touch(int(home), int(home))
 	r.clsPlus1 = classify(&r, byHome)
 	reqArea := p.areaOf(r.requestor)
 	area := int(l2line.AreaTag)
@@ -176,8 +172,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "broadcast inv from home %d for writer %d", home, r.requestor)
 	}
-	th := p.tiles[home]
-	p.cen.homeSupply.Touch(int(home), int(home))
+	th := p.tile(ctx, home)
 	r.clsPlus1 = classify(&r, byHome)
 	th.setHomeBusy(r.addr)
 	th.l2.Invalidate(r.addr)
@@ -196,7 +191,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
 	r.bcast = true
 	deliverInv := func(dst topo.Tile) {
 		dctx := p.ctx.At(dst)
-		t := p.tiles[dst]
+		t := p.tile(dctx, dst)
 		dctx.chargeVM(r.requestor)
 		dctx.pw.L1TagRead.Inc()
 		if _, ok := t.l1.Invalidate(r.addr); ok {
@@ -213,7 +208,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
 		t.setBlocked(r.addr)
 		dctx.SendCtl(dst, r.requestor, func() {
 			rctx := p.ctx.At(r.requestor)
-			if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
+			if e, ok := p.tile(rctx, r.requestor).mshr.Lookup(r.addr); ok {
 				e.SharerAcks--
 				if e.SharerAcks == 0 && e.DataReceived {
 					p.unblockAfterWrite(rctx, r)
@@ -240,12 +235,12 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
 // on the requestor's lane (from the delivery or the last ack).
 func (p *Arin) unblockAfterWrite(ctx *Context, r dcReq) {
 	home := ctx.HomeOf(r.addr)
-	e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr)
+	e, ok := p.tile(ctx, r.requestor).mshr.Lookup(r.addr)
 	if !ok || e.HomeAck <= 0 {
 		return // already unblocked
 	}
 	release := func(dctx *Context, dst topo.Tile) {
-		t := p.tiles[dst]
+		t := p.tile(dctx, dst)
 		if t.blocked(r.addr) {
 			t.clearBlocked(r.addr)
 			t.wakeL1(dctx.Kernel, r.addr)
@@ -258,7 +253,7 @@ func (p *Arin) unblockAfterWrite(ctx *Context, r dcReq) {
 	ctx.spanEvent("bcast-unblock", r.requestor)
 	p.broadcast(ctx, r.requestor, func(dst topo.Tile) { release(p.ctx.At(dst), dst) })
 	if r.requestor == home {
-		th := p.tiles[home]
+		th := p.tile(ctx, home)
 		th.clearHomeBusy(r.addr)
 		th.wakeHome(ctx.Kernel, r.addr)
 	}
@@ -304,7 +299,7 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, the
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "L2 inter eviction at %d", home)
 	}
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)
 	// pending lives at the home; the ack sends below run on the home's
 	// lane, so every mutation is single-lane.
@@ -312,9 +307,10 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, the
 	finish := func() {
 		// Phase three: the home broadcasts the unblock.
 		p.broadcast(ctx, home, func(dst topo.Tile) {
-			if t := p.tiles[dst]; t.blocked(addr) {
+			dctx := p.ctx.At(dst)
+			if t := p.tile(dctx, dst); t.blocked(addr) {
 				t.clearBlocked(addr)
-				t.wakeL1(p.ctx.At(dst).Kernel, addr)
+				t.wakeL1(dctx.Kernel, addr)
 			}
 		})
 		if victim.Dirty {
@@ -329,7 +325,7 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, the
 	th.dropCopy(ctx, addr)
 	p.broadcast(ctx, home, func(dst topo.Tile) {
 		dctx := p.ctx.At(dst)
-		t := p.tiles[dst]
+		t := p.tile(dctx, dst)
 		t.dropCopy(dctx, addr)
 		t.setBlocked(addr)
 		dctx.SendCtl(dst, home, func() {

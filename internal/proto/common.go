@@ -195,13 +195,6 @@ type Context struct {
 	// schedules events, so arming it cannot perturb simulated timing.
 	Spans *telemetry.Tracer
 
-	// Census, when non-nil, is the cross-shard touch census: every
-	// engine registers its synchronous remote-tile access sites at
-	// construction (CensusSite) and counts them on the hot path. Pure
-	// observation — it never schedules events or mutates protocol
-	// state, so an armed census cannot perturb simulated timing.
-	Census *telemetry.Census
-
 	// Per-VM attribution state (EnablePerVM), all nil when off. The
 	// hot-path power sites charge ctx.pw unconditionally; chargeVM
 	// points pw at the requesting VM's bank, so the ~200 existing
@@ -233,6 +226,12 @@ type Context struct {
 	lanes     []*sim.Kernel
 	laneCtx   []*Context // non-nil = armed; shared by root and views
 	laneViews []*Context // cached views, rebuilt only on SetLanes
+
+	// view marks a lane view built by ArmLanes and lane is its lane
+	// index: own checks every per-tile state access of a handler
+	// running on the view against it. The root context never checks.
+	view bool
+	lane int
 
 	// freeMemOp pools the deferred DRAM-access nodes (per context, so
 	// per lane when armed: each list is single-threaded).
@@ -355,9 +354,8 @@ func bindBank(s *stats.Set) PowerHandles {
 // the hot-path handle set (ctx.pw) re-pointed at the requesting VM's
 // bank on every handler entry (chargeVM). Must be called before the
 // engine is constructed, so bindPower still resolves the global
-// handles first. Cold by-name charges (Ev/EvN) stay global — the
-// documented undercount of the per-VM split — and activity before the
-// first chargeVM of a run lands on VM 0.
+// handles first. Activity before the first chargeVM of a run lands on
+// VM 0.
 func (c *Context) EnablePerVM(vmOf []int, numVMs int) {
 	c.vmOf = vmOf
 	c.vmBanks = make([]*stats.Set, numVMs)
@@ -423,15 +421,6 @@ func (c *Context) FoldPerVM() {
 	}
 }
 
-// CensusSite registers a touch site with the armed census, or returns
-// nil (a nil TouchSite's Touch is one pointer test).
-func (c *Context) CensusSite(engine, handler, structure string) *telemetry.TouchSite {
-	if c.Census == nil {
-		return nil
-	}
-	return c.Census.Site(engine, handler, structure)
-}
-
 // SetLanes registers the sharded lane kernels and the tile->lane map.
 // The system calls it once at construction whenever the run is
 // sharded; it only takes effect for a phase when ArmLanes is called.
@@ -443,9 +432,9 @@ func (c *Context) SetLanes(laneOf []int, lanes []*sim.Kernel) {
 }
 
 // ArmLanes switches At to per-lane context views for a RunParallel
-// phase. Views share the chip (Net, Areas, Mem, Cfg, Census) but own
-// their Kernel, Counters, Profile and power handles; tracing, spans,
-// the observer and per-VM attribution stay root-only, which is safe
+// phase. Views share the chip (Net, Areas, Mem, Cfg) but own their
+// Kernel, Counters, Profile and power handles; tracing, spans, the
+// observer and per-VM attribution stay root-only, which is safe
 // because the parallel executor is only eligible when they are off.
 func (c *Context) ArmLanes() {
 	if c.lanes == nil || c.laneCtx != nil {
@@ -460,9 +449,10 @@ func (c *Context) ArmLanes() {
 				Areas:  c.Areas,
 				Mem:    c.Mem,
 				Cfg:    c.Cfg,
-				Census: c.Census,
 				laneOf: c.laneOf,
 				lanes:  c.lanes,
+				view:   true,
+				lane:   i,
 			}
 			v.pw = bindBank(&v.Counters)
 			c.laneViews[i] = v
@@ -519,6 +509,27 @@ func (c *Context) Lane(t topo.Tile) int {
 		return 0
 	}
 	return c.laneOf[t]
+}
+
+// own is the lane-ownership check: it panics when a lane view reaches
+// the state of tile t although another lane owns t. A handler binds its
+// view with At at entry, so a panic here means the handler touched a
+// remote tile synchronously instead of sending it a message. The root
+// context (serial and merge runs) checks nothing.
+func (c *Context) own(t topo.Tile) {
+	if c.view && c.laneOf[t] != c.lane {
+		panic(laneViolation{tile: t, lane: c.lane, owner: c.laneOf[t]})
+	}
+}
+
+// laneViolation is the panic value of a failed ownership check.
+type laneViolation struct {
+	tile        topo.Tile
+	lane, owner int
+}
+
+func (v laneViolation) Error() string {
+	return fmt.Sprintf("proto: handler on lane %d reached tile %d, owned by lane %d", v.lane, v.tile, v.owner)
 }
 
 // memOp is one pooled deferred DRAM access (see MemFetch/MemFlush).
@@ -872,6 +883,14 @@ func newEngineBase(ctx *Context, name string) engineBase {
 // base exposes the shared state to the debug and snapshot helpers.
 func (b *engineBase) base() *engineBase { return b }
 
+// tile returns tile t's state to a handler running on ctx: the one way
+// handlers reach per-tile state, so every access passes the ownership
+// check (Context.own).
+func (b *engineBase) tile(ctx *Context, t topo.Tile) *tileState {
+	ctx.own(t)
+	return b.tiles[t]
+}
+
 // Name implements Engine.
 func (b *engineBase) Name() string { return b.name }
 
@@ -904,7 +923,7 @@ func (b *engineBase) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bo
 // maybeComplete retires the miss on addr at tile once all its
 // conditions (data, acks, gates) are met.
 func (b *engineBase) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
-	t := b.tiles[tile]
+	t := b.tile(ctx, tile)
 	e, ok := t.mshr.Lookup(addr)
 	if !ok || !e.Done() {
 		return

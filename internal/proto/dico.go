@@ -32,7 +32,6 @@ func (p *DiCo) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.L
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "home %d supplies %d write=%v (l2 sharers %#x)", home, r.requestor, r.write, l2line.Sharers)
 	}
-	p.cen.homeSupply.Touch(int(home), int(home))
 	if !r.predicted || r.forwards > 0 {
 		// DiCo counts a mispredicted miss the home serves as unpredicted.
 		r.clsPlus1 = int8(MissUnpredHome) + 1
@@ -53,7 +52,7 @@ func (p *DiCo) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.L
 // writeback arrives, without waiting for an L2 victim's eviction; a
 // recalled ownership waits for the insertion but leaves the L2C$ alone.
 func (p *DiCo) land(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, recalled bool) {
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	if recalled {
 		p.insertL2(ctx, home, addr, dirty, f, func() {
 			th.clearRecall(addr)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -117,19 +116,6 @@ type dicoCore struct {
 	// It is sized by the tile count because a run never has more lanes
 	// than tiles.
 	free []*dcMsg
-
-	cen dcCensus
-}
-
-// dcCensus holds the engine's registered touch sites. Every site
-// records on the executing tile's diagonal (src == dst): requestor-MSHR
-// updates ride the messages, and the recall path reads the displaced
-// pointer instead of scanning every tile's L1. All sites are nil when
-// the census is disarmed.
-type dcCensus struct {
-	l1Fwd, l1Supply, ownerWrite, invalidate *telemetry.TouchSite
-	homeFwd, homeMemFetch, homeSupply       *telemetry.TouchSite
-	fwdProvider, deliver, memResp, recall   *telemetry.TouchSite
 }
 
 // dcReq is one DiCo-family request on its way through the chip.
@@ -179,27 +165,14 @@ func (p *dicoCore) init(ctx *Context, name string, areas *topo.Areas, v dicoVari
 	p.replace = p.evictL1
 	p.v, p.areas = v, areas
 	p.free = make([]*dcMsg, ctx.NumTiles())
-	site := func(handler string) *telemetry.TouchSite { return ctx.CensusSite(name, handler, "mshr") }
-	p.cen = dcCensus{
-		l1Fwd:        site("atL1.fwd-home"),
-		l1Supply:     site("atL1.supply"),
-		ownerWrite:   site("ownerWriteSupply"),
-		invalidate:   site("invalidateCopies"),
-		homeFwd:      site("atHome.fwd-owner"),
-		homeMemFetch: site("atHome.mem-fetch"),
-		homeSupply:   site("homeSupply"),
-		fwdProvider:  site("fwd-provider"),
-		deliver:      site("deliver"),
-		memResp:      site("memResp"),
-		recall:       ctx.CensusSite(name, "recallOwnership", "l1"),
-	}
 	p.bindHandlers()
 }
 
-// msg takes a node from the executing lane's pool; at must be the
-// tile whose lane is running the caller.
-func (p *dicoCore) msg(at topo.Tile, r dcReq) *dcMsg {
-	lane := p.ctx.Lane(at)
+// msg takes a node from the pool of the lane running the caller on
+// ctx; at must be a tile of that lane (Context.own checks it).
+func (p *dicoCore) msg(ctx *Context, at topo.Tile, r dcReq) *dcMsg {
+	ctx.own(at)
+	lane := ctx.Lane(at)
 	m := p.free[lane]
 	if m != nil {
 		p.free[lane] = m.next
@@ -211,8 +184,9 @@ func (p *dicoCore) msg(at topo.Tile, r dcReq) *dcMsg {
 }
 
 // putMsg recycles a node into the executing lane's pool.
-func (p *dicoCore) putMsg(at topo.Tile, m *dcMsg) {
-	lane := p.ctx.Lane(at)
+func (p *dicoCore) putMsg(ctx *Context, at topo.Tile, m *dcMsg) {
+	ctx.own(at)
+	lane := ctx.Lane(at)
 	m.next = p.free[lane]
 	p.free[lane] = m
 }
@@ -222,30 +196,31 @@ func (p *dicoCore) bindHandlers() {
 	p.atHomeFn = func(a any) {
 		m := a.(*dcMsg)
 		r := m.r
-		p.putMsg(p.ctx.HomeOf(r.addr), m)
+		home := p.ctx.HomeOf(r.addr)
+		p.putMsg(p.ctx.At(home), home, m)
 		p.atHome(r)
 	}
 	p.atL1Fn = func(a any) {
 		m := a.(*dcMsg)
 		r, tile := m.r, m.tile
-		p.putMsg(tile, m)
+		p.putMsg(p.ctx.At(tile), tile, m)
 		p.atL1(r, tile)
 	}
 	p.invalFn = func(a any) {
 		m := a.(*dcMsg)
 		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		p.putMsg(tile, m)
 		ctx := p.ctx.At(tile)
+		p.putMsg(ctx, tile, m)
 		ctx.chargeVM(requestor)
 		p.invalidateSharer(ctx, tile, addr, requestor)
 	}
 	p.ackFn = func(a any) {
 		m := a.(*dcMsg)
 		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
 		ctx := p.ctx.At(requestor)
+		p.putMsg(ctx, requestor, m)
 		ctx.chargeVM(requestor)
-		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
+		if e, ok := p.tile(ctx, requestor).mshr.Lookup(addr); ok {
 			e.SharerAcks--
 			p.maybeComplete(ctx, requestor, addr)
 		}
@@ -255,7 +230,6 @@ func (p *dicoCore) bindHandlers() {
 		r := m.r
 		ctx := p.ctx.At(r.requestor)
 		ctx.chargeVM(r.requestor)
-		p.cen.deliver.Touch(int(r.requestor), int(r.requestor))
 		var propos *[cache.MaxSimAreas]int8
 		if m.hasPro {
 			propos = &m.propos
@@ -263,8 +237,8 @@ func (p *dicoCore) bindHandlers() {
 		// fillL1 may draw fresh nodes from the pool (self-sharer
 		// invalidations), so m is recycled only after it returns.
 		p.fillL1(ctx, r, m.state, m.dirty, m.supplier, propos)
-		p.putMsg(r.requestor, m)
-		if e, ok := p.tiles[r.requestor].mshr.Lookup(r.addr); ok {
+		p.putMsg(ctx, r.requestor, m)
+		if e, ok := p.tile(ctx, r.requestor).mshr.Lookup(r.addr); ok {
 			e.DataReceived = true
 			e.Links += int(r.links)
 			e.SharerAcks += int(r.acks)
@@ -295,10 +269,10 @@ func (p *dicoCore) bindHandlers() {
 	p.coAckFn = func(a any) {
 		m := a.(*dcMsg)
 		requestor, addr := m.tile, m.r.addr
-		p.putMsg(requestor, m)
 		ctx := p.ctx.At(requestor)
+		p.putMsg(ctx, requestor, m)
 		ctx.chargeVM(requestor)
-		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
+		if e, ok := p.tile(ctx, requestor).mshr.Lookup(addr); ok {
 			e.HomeAck--
 			p.maybeComplete(ctx, requestor, addr)
 		}
@@ -316,7 +290,6 @@ func (p *dicoCore) bindHandlers() {
 		mc := p.ctx.Mem.For(m.r.addr)
 		ctx := p.ctx.At(mc)
 		ctx.chargeVM(m.r.requestor)
-		p.cen.memResp.Touch(int(mc), int(mc))
 		d2 := ctx.SendDataArg(mc, ctx.HomeOf(m.r.addr), p.memFillFn, m)
 		m.r.links += int16(d2.Hops)
 	}
@@ -324,8 +297,8 @@ func (p *dicoCore) bindHandlers() {
 		m := a.(*dcMsg)
 		r := m.r
 		home := p.ctx.HomeOf(r.addr)
-		p.putMsg(home, m)
 		ctx := p.ctx.At(home)
+		p.putMsg(ctx, home, m)
 		ctx.chargeVM(r.requestor)
 		state, dirty := dcOwnerExclusive, false
 		if r.write {
@@ -374,7 +347,7 @@ func classify(r *dcReq, kind supplierKind) int8 {
 func (p *dicoCore) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
 	ctx := p.ctx.At(tile)
 	ctx.chargeVM(tile)
-	t := p.tiles[tile]
+	t := p.tile(ctx, tile)
 	if _, pending := t.mshr.Lookup(addr); pending || t.blocked(addr) {
 		// A miss in flight, or a DiCo-Arin broadcast freezing the block:
 		// wait for it to finish.
@@ -417,14 +390,14 @@ func (p *dicoCore) Access(tile topo.Tile, addr cache.Addr, write bool, onDone fu
 		e.Tag = int(MissPredFail) // upgraded when the predicted supplier serves it
 		ctx.spanEvent("predict-supplier", tile)
 		pred := topo.Tile(ptr)
-		m := p.msg(tile, r)
+		m := p.msg(ctx, tile, r)
 		m.tile = pred
 		del := ctx.SendCtlArg(tile, pred, p.atL1Fn, m)
 		e.Links += del.Hops
 		return
 	}
 	e.Tag = int(MissUnpredHome)
-	del := ctx.SendCtlArg(tile, ctx.HomeOf(addr), p.atHomeFn, p.msg(tile, r))
+	del := ctx.SendCtlArg(tile, ctx.HomeOf(addr), p.atHomeFn, p.msg(ctx, tile, r))
 	e.Links += del.Hops
 }
 
@@ -440,7 +413,7 @@ func (p *dicoCore) ownerWriteHit(ctx *Context, tile topo.Tile, addr cache.Addr, 
 		p.hit(ctx, tile, addr, true, onDone)
 		return
 	}
-	e := p.tiles[tile].mshr.Allocate(addr, true, uint64(ctx.Kernel.Now()))
+	e := p.tile(ctx, tile).mshr.Allocate(addr, true, uint64(ctx.Kernel.Now()))
 	e.OnComplete = onDone
 	e.Tag = int(MissPredOwner) // resolved locally; counted as a 0-link owner hit
 	ctx.spanBegin(tile, addr, true)
@@ -463,7 +436,6 @@ func (p *dicoCore) ownerWriteHit(ctx *Context, tile topo.Tile, addr cache.Addr, 
 // Section IV-A).
 func (p *dicoCore) invalidateCopies(ctx *Context, owner topo.Tile, addr cache.Addr, line *cache.Line,
 	requestor topo.Tile) (shAcks, provAcks int) {
-	p.cen.invalidate.Touch(int(owner), int(owner))
 	area := p.areaOf(owner)
 	local := line.Sharers &^ p.areaBit(owner)
 	if p.areaOf(requestor) == area {
@@ -479,7 +451,7 @@ func (p *dicoCore) invalidateSharers(ctx *Context, from topo.Tile, addr cache.Ad
 	area int, sharers uint64) {
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := p.tileAt(area, bits.TrailingZeros64(v))
-		m := p.msg(from, dcReq{addr: addr, requestor: requestor})
+		m := p.msg(ctx, from, dcReq{addr: addr, requestor: requestor})
 		m.tile = sharer
 		ctx.SendCtlArg(from, sharer, p.invalFn, m)
 	}
@@ -491,11 +463,11 @@ func (p *dicoCore) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Add
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
 	}
-	t := p.tiles[tile]
+	t := p.tile(ctx, tile)
 	t.dropCopy(ctx, addr)
 	t.l1c.Update(addr, int16(requestor))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(tile, dcReq{addr: addr})
+	m := p.msg(ctx, tile, dcReq{addr: addr})
 	m.tile = requestor
 	ctx.SendCtlArg(tile, requestor, p.ackFn, m)
 }
@@ -505,11 +477,11 @@ func (p *dicoCore) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Add
 func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 	ctx := p.ctx.At(tile)
 	ctx.chargeVM(r.requestor)
-	t := p.tiles[tile]
+	t := p.tile(ctx, tile)
 	if _, pending := t.mshr.Lookup(r.addr); pending || t.blocked(r.addr) {
 		// Pooled-arg stall: a closure here would capture r and force it
 		// to the heap on every atL1 call, not just the stalled ones.
-		m := p.msg(tile, r)
+		m := p.msg(ctx, tile, r)
 		m.tile = tile
 		t.stallL1Arg(r.addr, p.atL1Fn, m)
 		return
@@ -524,7 +496,6 @@ func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 	case line != nil && dcIsOwner(line.State):
 		// Local read: the requestor becomes a sharer; a two-hop miss
 		// when predicted.
-		p.cen.l1Supply.Touch(int(tile), int(tile))
 		r.clsPlus1 = classify(&r, byOwner)
 		if ctx.tracing(r.addr) {
 			ctx.Trace(r.addr, "owner %d supplies read to %d (sharers %#x)", tile, r.requestor, line.Sharers)
@@ -541,19 +512,17 @@ func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 		// forward): back to the home.
 		r = p.v.forwardHome(ctx, r, tile)
 		r.forwards++
-		m := p.msg(tile, r)
+		m := p.msg(ctx, tile, r)
 		del := ctx.SendCtlArg(tile, ctx.HomeOf(r.addr), p.atHomeFn, m)
-		p.cen.l1Fwd.Touch(int(tile), int(tile))
 		m.r.links += int16(del.Hops)
 	}
 }
 
 // forwardL1 sends r on from one tile to the L1 at to.
-func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq, site *telemetry.TouchSite) {
-	m := p.msg(from, r)
+func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq) {
+	m := p.msg(ctx, from, r)
 	m.tile = to
 	del := ctx.SendCtlArg(from, to, p.atL1Fn, m)
-	site.Touch(int(from), int(from))
 	m.r.links += int16(del.Hops)
 }
 
@@ -561,7 +530,6 @@ func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq, site *te
 // invalidates the copies itself, sends the data, and notifies the home
 // with Change_Owner, whose ack gates the transfer.
 func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
-	p.cen.ownerWrite.Touch(int(owner), int(owner))
 	r.clsPlus1 = classify(&r, byOwner)
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "owner %d write-supplies %d", owner, r.requestor)
@@ -575,13 +543,13 @@ func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line
 	r.homeAck++
 	ctx.pw.L1DataRead.Inc()
 	ctx.pw.L1TagWrite.Inc()
-	t := p.tiles[owner]
+	t := p.tile(ctx, owner)
 	t.l1.Invalidate(r.addr)
 	// The former owner's prediction now points at the new owner.
 	t.l1c.Update(r.addr, int16(r.requestor))
 	ctx.pw.L1CUpdate.Inc()
 	p.deliver(ctx, r, owner, dcOwnerModified, true, -1, nil)
-	m := p.msg(owner, dcReq{addr: r.addr})
+	m := p.msg(ctx, owner, dcReq{addr: r.addr})
 	m.tile = r.requestor
 	m.stamp = ctx.Kernel.Now()
 	ctx.SendCtlArg(owner, ctx.HomeOf(r.addr), p.coFn, m) // Change_Owner (+ gating ack)
@@ -594,9 +562,9 @@ func (p *dicoCore) atHome(r dcReq) {
 	home := p.ctx.HomeOf(r.addr)
 	ctx := p.ctx.At(home)
 	ctx.chargeVM(r.requestor)
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	if th.homeBusy(r.addr) || th.recallMarked(r.addr) {
-		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(home, r))
+		th.stallHomeArg(r.addr, p.atHomeFn, p.msg(ctx, home, r))
 		return
 	}
 	ctx.pw.L2TagRead.Inc()
@@ -610,7 +578,7 @@ func (p *dicoCore) atHome(r dcReq) {
 		}
 		r.forwards++
 		ctx.spanEvent("home-forward-owner", home)
-		p.forwardL1(ctx, home, owner, r, p.cen.homeFwd)
+		p.forwardL1(ctx, home, owner, r)
 		return
 	}
 	if l2line := th.l2.Lookup(r.addr); l2line != nil {
@@ -623,9 +591,8 @@ func (p *dicoCore) atHome(r dcReq) {
 		return
 	}
 	p.updateL2C(ctx, home, r.addr, r.requestor)
-	m := p.msg(home, r)
+	m := p.msg(ctx, home, r)
 	del := ctx.SendCtlArg(home, ctx.Mem.For(r.addr), p.memReqFn, m)
-	p.cen.homeMemFetch.Touch(int(home), int(home))
 	m.r.links += int16(del.Hops)
 }
 
@@ -634,7 +601,7 @@ func (p *dicoCore) atHome(r dcReq) {
 func (p *dicoCore) retry(ctx *Context, home topo.Tile, r dcReq) {
 	ctx.spanRetry(r.requestor)
 	r.forwards, r.via = 0, -1
-	ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(home, r))
+	ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(ctx, home, r))
 }
 
 // grantFromHome hands the home L2's ownership to the requestor: the L2
@@ -643,7 +610,7 @@ func (p *dicoCore) retry(ctx *Context, home topo.Tile, r dcReq) {
 func (p *dicoCore) grantFromHome(ctx *Context, r dcReq, home topo.Tile, state cache.State, dirty bool,
 	propos *[cache.MaxSimAreas]int8) {
 	ctx.pw.L2DataRead.Inc()
-	p.tiles[home].l2.Invalidate(r.addr)
+	p.tile(ctx, home).l2.Invalidate(r.addr)
 	ctx.pw.L2TagWrite.Inc()
 	p.updateL2C(ctx, home, r.addr, r.requestor)
 	p.deliver(ctx, r, home, state, dirty, -1, propos)
@@ -654,7 +621,7 @@ func (p *dicoCore) grantFromHome(ctx *Context, r dcReq, home topo.Tile, state ca
 // line's prediction hint; propos, when non-nil, rides to an owner.
 func (p *dicoCore) deliver(ctx *Context, r dcReq, from topo.Tile, state cache.State, dirty bool,
 	supplier int16, propos *[cache.MaxSimAreas]int8) {
-	m := p.msg(from, r)
+	m := p.msg(ctx, from, r)
 	m.state, m.dirty, m.supplier, m.hasPro = state, dirty, supplier, propos != nil
 	if propos != nil {
 		m.propos = *propos
@@ -673,7 +640,7 @@ func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, 
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "fill at %d state=%d dirty=%v", tile, state, dirty)
 	}
-	t := p.tiles[tile]
+	t := p.tile(ctx, tile)
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataWrite.Inc()
 	var selfSharers uint64
@@ -739,7 +706,7 @@ func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
 // keepHint retains a departing copy's supplier hint in the L1C$.
 func (p *dicoCore) keepHint(ctx *Context, tile topo.Tile, victim cache.Line) {
 	if victim.Owner >= 0 {
-		p.tiles[tile].l1c.Update(victim.Addr, victim.Owner)
+		p.tile(ctx, tile).l1c.Update(victim.Addr, victim.Owner)
 		ctx.pw.L1CUpdate.Inc()
 	}
 }
@@ -765,7 +732,7 @@ func (p *dicoCore) offer(ctx *Context, from topo.Tile, addr cache.Addr, area int
 	target := p.tileAt(area, i)
 	ctx.SendCtl(from, target, func() {
 		tctx := p.ctx.At(target)
-		t := p.tiles[target]
+		t := p.tile(tctx, target)
 		rest := tryList &^ (1 << uint(i))
 		if _, pending := t.mshr.Lookup(addr); pending {
 			p.offer(tctx, target, addr, area, rest, vector, accept, none)
@@ -819,7 +786,7 @@ func (p *dicoCore) hintSharers(ctx *Context, supplier topo.Tile, addr cache.Addr
 		sharer := p.tileAt(area, bits.TrailingZeros64(v))
 		ctx.SendCtl(supplier, sharer, func() {
 			sctx := p.ctx.At(sharer)
-			st := p.tiles[sharer]
+			st := p.tile(sctx, sharer)
 			if l := st.l1.Peek(addr); l != nil && l.State == dcShared {
 				l.Owner = int16(supplier)
 			} else {
@@ -861,7 +828,7 @@ func (p *dicoCore) sendHome(ctx *Context, from topo.Tile, addr cache.Addr, dirty
 	home := ctx.HomeOf(addr)
 	ctx.SendData(from, home, func() {
 		hctx := p.ctx.At(home)
-		p.tiles[home].setStamp(addr, hctx.Kernel.Now())
+		p.tile(hctx, home).setStamp(addr, hctx.Kernel.Now())
 		p.v.land(hctx, home, addr, dirty, f, recalled)
 	})
 }
@@ -874,7 +841,7 @@ func (p *dicoCore) land(ctx *Context, home topo.Tile, addr cache.Addr, dirty boo
 // settleHome retires the home's pointer to the old L1 owner, clears any
 // recall mark and wakes the requests stalled on addr.
 func (p *dicoCore) settleHome(ctx *Context, home topo.Tile, addr cache.Addr) {
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	if th.l2c.Invalidate(addr) {
 		ctx.pw.L2CUpdate.Inc()
 	}
@@ -888,7 +855,7 @@ func (p *dicoCore) homeOwnerUpdate(ctx *Context, home topo.Tile, addr cache.Addr
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "home owner update -> %d (stamp %d)", owner, stamp)
 	}
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	if !th.stampIfNewer(addr, stamp) {
 		return // a newer transfer already registered
 	}
@@ -902,7 +869,7 @@ func (p *dicoCore) homeOwnerUpdate(ctx *Context, home topo.Tile, addr cache.Addr
 // was the home's only pointer to its owner, so that ownership is
 // recalled to the home L2.
 func (p *dicoCore) updateL2C(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
-	evicted, evictedPtr, displaced := p.tiles[home].l2c.Update(addr, int16(owner))
+	evicted, evictedPtr, displaced := p.tile(ctx, home).l2c.Update(addr, int16(owner))
 	ctx.pw.L2CUpdate.Inc()
 	if displaced {
 		p.recallOwnership(ctx, home, evicted, topo.Tile(evictedPtr))
@@ -921,15 +888,14 @@ func (p *dicoCore) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "recall issued from home %d to %d", home, owner)
 	}
-	p.tiles[home].markRecall(addr)
-	p.cen.recall.Touch(int(home), int(home))
+	p.tile(ctx, home).markRecall(addr)
 	ctx.SendCtl(home, owner, func() { p.relinquish(home, owner, addr) })
 }
 
 // relinquish moves a recalled ownership from an L1 back to the home L2.
 func (p *dicoCore) relinquish(home, owner topo.Tile, addr cache.Addr) {
 	ctx := p.ctx.At(owner)
-	t := p.tiles[owner]
+	t := p.tile(ctx, owner)
 	if _, pending := t.mshr.Lookup(addr); pending {
 		// The recalled grant has not filled yet: wait for it.
 		t.stallL1(addr, func() { p.relinquish(home, owner, addr) })
@@ -970,7 +936,7 @@ func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "insert L2 at %d form=%d areatag=%d sharers=%#x", home, f.state, f.areaTag, f.sharers)
 	}
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	if line := th.l2.Peek(addr); line != nil {
 		ctx.pw.L2TagWrite.Inc()
 		ctx.pw.L2DataWrite.Inc()
@@ -1008,7 +974,7 @@ func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, victim cache.Lin
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "L2 eviction at %d sharers=%#x", home, sharers)
 	}
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)
 	pending := popcount(sharers)
 	finish := func() {
@@ -1027,7 +993,7 @@ func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, victim cache.Lin
 		sharer := p.tileAt(area, bits.TrailingZeros64(v))
 		ctx.SendCtl(home, sharer, func() {
 			sctx := p.ctx.At(sharer)
-			p.tiles[sharer].dropCopy(sctx, addr)
+			p.tile(sctx, sharer).dropCopy(sctx, addr)
 			sctx.SendCtl(sharer, home, func() {
 				pending--
 				if pending == 0 {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -59,19 +58,6 @@ type Directory struct {
 	// engine-global pool would race under RunParallel). It is sized by
 	// the tile count because a run never has more lanes than tiles.
 	free []*dirMsg
-
-	cen dirCensus
-}
-
-// dirCensus holds the engine's registered touch sites: every place a
-// directory handler synchronously pokes another tile's MSHR — the
-// cross-tile shortcuts that must become scheduled messages before the
-// engines can leave the hub lane (ROADMAP item 1). All sites are nil
-// when the census is disarmed.
-type dirCensus struct {
-	fwdOwner, fwdSharer, sharerAcks, fetchMem *telemetry.TouchSite
-	ownerBounce, ownerClass, sharerRetry      *telemetry.TouchSite
-	deliver, memResp                          *telemetry.TouchSite
 }
 
 // NewDirectory builds the directory engine on ctx.
@@ -82,17 +68,6 @@ func NewDirectory(ctx *Context) *Directory {
 	}
 	d.replace = d.evictL1
 	d.bindHandlers()
-	d.cen = dirCensus{
-		fwdOwner:    ctx.CensusSite("directory", "atHome.fwd-owner", "mshr"),
-		fwdSharer:   ctx.CensusSite("directory", "homeRead.fwd-sharer", "mshr"),
-		sharerAcks:  ctx.CensusSite("directory", "homeWrite.sharer-acks", "mshr"),
-		fetchMem:    ctx.CensusSite("directory", "fetchFromMemory", "mshr"),
-		ownerBounce: ctx.CensusSite("directory", "atOwner.bounce", "mshr"),
-		ownerClass:  ctx.CensusSite("directory", "atOwner.set-class", "mshr"),
-		sharerRetry: ctx.CensusSite("directory", "atSharer.retry", "mshr"),
-		deliver:     ctx.CensusSite("directory", "deliverData", "mshr"),
-		memResp:     ctx.CensusSite("directory", "memResp", "mshr"),
-	}
 	for _, t := range d.tiles {
 		// Directory information lives with every L2 entry (a full-map
 		// vector per line, Table V) plus the NCID directory cache for
@@ -146,10 +121,11 @@ type dirMsg struct {
 	stamp sim.Time // ownership-update stamp
 }
 
-// msg takes a node from the executing lane's pool; at must be the
-// tile whose lane is running the caller.
-func (d *Directory) msg(at topo.Tile, r dirReq) *dirMsg {
-	lane := d.ctx.Lane(at)
+// msg takes a node from the pool of the lane running the caller on
+// ctx; at must be a tile of that lane (Context.own checks it).
+func (d *Directory) msg(ctx *Context, at topo.Tile, r dirReq) *dirMsg {
+	ctx.own(at)
+	lane := ctx.Lane(at)
 	m := d.free[lane]
 	if m != nil {
 		d.free[lane] = m.next
@@ -161,8 +137,9 @@ func (d *Directory) msg(at topo.Tile, r dirReq) *dirMsg {
 }
 
 // putMsg recycles a node into the executing lane's pool.
-func (d *Directory) putMsg(at topo.Tile, m *dirMsg) {
-	lane := d.ctx.Lane(at)
+func (d *Directory) putMsg(ctx *Context, at topo.Tile, m *dirMsg) {
+	ctx.own(at)
+	lane := ctx.Lane(at)
 	m.next = d.free[lane]
 	d.free[lane] = m
 }
@@ -173,19 +150,20 @@ func (d *Directory) bindHandlers() {
 	d.atHomeFn = func(a any) {
 		m := a.(*dirMsg)
 		r := m.r
-		d.putMsg(d.ctx.HomeOf(r.addr), m)
+		home := d.ctx.HomeOf(r.addr)
+		d.putMsg(d.ctx.At(home), home, m)
 		d.atHome(r)
 	}
 	d.atOwnerFn = func(a any) {
 		m := a.(*dirMsg)
 		r, owner := m.r, m.tile
-		d.putMsg(owner, m)
+		d.putMsg(d.ctx.At(owner), owner, m)
 		d.atOwner(r, owner)
 	}
 	d.atSharerFn = func(a any) {
 		m := a.(*dirMsg)
 		r, sharer := m.r, m.tile
-		d.putMsg(sharer, m)
+		d.putMsg(d.ctx.At(sharer), sharer, m)
 		d.atSharerSupply(r, sharer)
 	}
 	// sharerRetryFn runs at the home after a forwarded read found the
@@ -195,8 +173,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		r, sharer, stamp := m.r, m.tile, m.stamp
 		home := d.ctx.HomeOf(r.addr)
-		d.putMsg(home, m)
 		ctx := d.ctx.At(home)
+		d.putMsg(ctx, home, m)
 		ctx.chargeVM(r.requestor)
 		d.homeDirUpdate(ctx, home, r.addr, stamp, func(dl *cache.DirEntry) {
 			dl.Sharers &^= bit(sharer)
@@ -206,12 +184,11 @@ func (d *Directory) bindHandlers() {
 	d.deliverFn = func(a any) {
 		m := a.(*dirMsg)
 		r, state, dirty := m.r, m.state, m.dirty
-		d.putMsg(r.requestor, m)
 		ctx := d.ctx.At(r.requestor)
+		d.putMsg(ctx, r.requestor, m)
 		ctx.chargeVM(r.requestor)
-		d.cen.deliver.Touch(int(r.requestor), int(r.requestor))
 		d.fillL1(ctx, r.requestor, r.addr, state, dirty)
-		if e, ok := d.tiles[r.requestor].mshr.Lookup(r.addr); ok {
+		if e, ok := d.tile(ctx, r.requestor).mshr.Lookup(r.addr); ok {
 			e.DataReceived = true
 			e.Links += int(r.links)
 			e.SharerAcks += int(r.acks)
@@ -224,17 +201,18 @@ func (d *Directory) bindHandlers() {
 	d.invalFn = func(a any) {
 		m := a.(*dirMsg)
 		sharer, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		d.putMsg(sharer, m)
-		d.ctx.At(sharer).chargeVM(requestor)
-		d.invalidateAtL1(sharer, addr, requestor)
+		ctx := d.ctx.At(sharer)
+		d.putMsg(ctx, sharer, m)
+		ctx.chargeVM(requestor)
+		d.invalidateAtL1(ctx, sharer, addr, requestor)
 	}
 	d.ackFn = func(a any) {
 		m := a.(*dirMsg)
 		requestor, addr := m.tile, m.r.addr
-		d.putMsg(requestor, m)
 		ctx := d.ctx.At(requestor)
+		d.putMsg(ctx, requestor, m)
 		ctx.chargeVM(requestor)
-		if e, ok := d.tiles[requestor].mshr.Lookup(addr); ok {
+		if e, ok := d.tile(ctx, requestor).mshr.Lookup(addr); ok {
 			e.SharerAcks--
 			d.maybeComplete(ctx, requestor, addr)
 		}
@@ -245,10 +223,10 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		addr, stamp, newOwner := m.r.addr, m.stamp, m.tile
 		home := d.ctx.HomeOf(addr)
-		d.putMsg(home, m)
 		ctx := d.ctx.At(home)
+		d.putMsg(ctx, home, m)
 		ctx.chargeVM(newOwner)
-		th := d.tiles[home]
+		th := d.tile(ctx, home)
 		if !th.stampIfNewer(addr, stamp) {
 			if ctx.tracing(addr) {
 				ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
@@ -273,10 +251,10 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		addr, stamp, owner, requestor, dirty := m.r.addr, m.stamp, m.tile, m.r.requestor, m.dirty
 		home := d.ctx.HomeOf(addr)
-		d.putMsg(home, m)
 		ctx := d.ctx.At(home)
+		d.putMsg(ctx, home, m)
 		ctx.chargeVM(requestor)
-		th := d.tiles[home]
+		th := d.tile(ctx, home)
 		if !th.stampIfNewer(addr, stamp) {
 			if ctx.tracing(addr) {
 				ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
@@ -304,10 +282,10 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		addr, stamp, tile, dirty := m.r.addr, m.stamp, m.tile, m.dirty
 		home := d.ctx.HomeOf(addr)
-		d.putMsg(home, m)
 		ctx := d.ctx.At(home)
+		d.putMsg(ctx, home, m)
 		ctx.chargeVM(tile)
-		th := d.tiles[home]
+		th := d.tile(ctx, home)
 		if !th.stampIfNewer(addr, stamp) {
 			if ctx.tracing(addr) {
 				ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
@@ -345,7 +323,6 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(mc)
 		ctx.chargeVM(m.r.requestor)
 		home := ctx.HomeOf(m.r.addr)
-		d.cen.memResp.Touch(int(mc), int(mc))
 		d2 := ctx.SendDataArg(mc, home, d.memFillFn, m)
 		m.r.links += int16(d2.Hops)
 	}
@@ -353,8 +330,8 @@ func (d *Directory) bindHandlers() {
 		m := a.(*dirMsg)
 		r := m.r
 		home := d.ctx.HomeOf(r.addr)
-		d.putMsg(home, m)
 		ctx := d.ctx.At(home)
+		d.putMsg(ctx, home, m)
 		ctx.chargeVM(r.requestor)
 		state, dirty := dirExclusive, false
 		if r.write {
@@ -371,7 +348,7 @@ func (d *Directory) bindHandlers() {
 func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
 	ctx := d.ctx.At(tile)
 	ctx.chargeVM(tile)
-	t := d.tiles[tile]
+	t := d.tile(ctx, tile)
 	if _, pending := t.mshr.Lookup(addr); pending {
 		t.stallL1(addr, func() { d.Access(tile, addr, write, onDone) })
 		return
@@ -397,7 +374,7 @@ func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone f
 	e.Tag = int(MissUnpredHome)
 	ctx.spanBegin(tile, addr, write)
 	home := ctx.HomeOf(addr)
-	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(tile, dirReq{addr: addr, requestor: tile, write: write}))
+	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(ctx, tile, dirReq{addr: addr, requestor: tile, write: write}))
 	e.Links += del.Hops
 }
 
@@ -406,9 +383,9 @@ func (d *Directory) atHome(r dirReq) {
 	home := d.ctx.HomeOf(r.addr)
 	ctx := d.ctx.At(home)
 	ctx.chargeVM(r.requestor)
-	th := d.tiles[home]
+	th := d.tile(ctx, home)
 	if th.homeBusy(r.addr) {
-		th.stallHomeArg(r.addr, d.atHomeFn, d.msg(home, r))
+		th.stallHomeArg(r.addr, d.atHomeFn, d.msg(ctx, home, r))
 		return
 	}
 	ctx.pw.L2TagRead.Inc()
@@ -452,20 +429,19 @@ func (d *Directory) atHome(r dirReq) {
 		if owner == r.requestor {
 			// Our own writeback is still in flight; retry shortly.
 			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(home, retryReq(r)))
+			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(ctx, home, retryReq(r)))
 			return
 		}
 		if r.forwards >= maxForwards {
 			// Forwarding keeps bouncing (transfer in flight): back off
 			// and retry from the home.
 			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(home, retryReq(r)))
+			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(ctx, home, retryReq(r)))
 			return
 		}
 		r.forwards++
 		ctx.spanEvent("dir-forward-owner", home)
-		d.cen.fwdOwner.Touch(int(home), int(home))
-		m := d.msg(home, r)
+		m := d.msg(ctx, home, r)
 		m.tile = owner
 		del := ctx.SendCtlArg(home, owner, d.atOwnerFn, m)
 		m.r.links += int16(del.Hops)
@@ -481,7 +457,7 @@ func (d *Directory) atHome(r dirReq) {
 // homeRead serves a read at the home when no exclusive L1 owner exists.
 func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
 	home := ctx.HomeOf(r.addr)
-	th := d.tiles[home]
+	th := d.tile(ctx, home)
 	if th.l2.Lookup(r.addr) != nil {
 		ctx.pw.L2DataRead.Inc()
 		dline.Sharers |= bit(r.requestor)
@@ -501,13 +477,12 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
 		ctx.pw.DirWrite.Inc()
 		if r.forwards >= maxForwards {
 			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(home, retryReq(r)))
+			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(ctx, home, retryReq(r)))
 			return
 		}
 		r.forwards++
 		ctx.spanEvent("dir-forward-sharer", home)
-		d.cen.fwdSharer.Touch(int(home), int(home))
-		m := d.msg(home, r)
+		m := d.msg(ctx, home, r)
 		m.tile = sharer
 		del := ctx.SendCtlArg(home, sharer, d.atSharerFn, m)
 		m.r.links += int16(del.Hops)
@@ -529,13 +504,12 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
 // which is why it is a counter compared against zero.
 func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirEntry) {
 	home := ctx.HomeOf(r.addr)
-	th := d.tiles[home]
+	th := d.tile(ctx, home)
 	sharers := dline.Sharers &^ bit(r.requestor)
-	d.cen.sharerAcks.Touch(int(home), int(home))
 	r.acks += int16(popcount(sharers))
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := topo.Tile(bits.TrailingZeros64(v))
-		m := d.msg(home, dirReq{addr: r.addr, requestor: r.requestor})
+		m := d.msg(ctx, home, dirReq{addr: r.addr, requestor: r.requestor})
 		m.tile = sharer
 		ctx.SendCtlArg(home, sharer, d.invalFn, m)
 	}
@@ -559,7 +533,7 @@ func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirEntry) {
 func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	ctx := d.ctx.At(owner)
 	ctx.chargeVM(r.requestor)
-	to := d.tiles[owner]
+	to := d.tile(ctx, owner)
 	if _, pending := to.mshr.Lookup(r.addr); pending {
 		// Capture a copy: r is mutated below, and capturing the
 		// parameter itself would force it to the heap on every call.
@@ -575,14 +549,12 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 			ctx.Trace(r.addr, "atOwner %d bounce (req=%d, line gone/demoted)", owner, r.requestor)
 		}
 		home := ctx.HomeOf(r.addr)
-		d.cen.ownerBounce.Touch(int(owner), int(owner))
-		m := d.msg(owner, r)
+		m := d.msg(ctx, owner, r)
 		del := ctx.SendCtlArg(owner, home, d.atHomeFn, m)
 		m.r.links += int16(del.Hops)
 		return
 	}
 	home := ctx.HomeOf(r.addr)
-	d.cen.ownerClass.Touch(int(owner), int(owner))
 	r.clsPlus1 = int8(MissUnpredOwner) + 1
 	dirty := line.Dirty
 	stamp := ctx.Kernel.Now()
@@ -595,7 +567,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 		ctx.pw.L1TagWrite.Inc()
 		ctx.pw.L1DataRead.Inc()
 		d.deliverData(ctx, r, owner, dirModified, true)
-		m := d.msg(owner, r)
+		m := d.msg(ctx, owner, r)
 		m.tile = r.requestor
 		m.stamp = stamp
 		ctx.SendCtlArg(owner, home, d.handoverFn, m)
@@ -611,7 +583,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataRead.Inc()
 	d.deliverData(ctx, r, owner, dirShared, false)
-	m := d.msg(owner, r)
+	m := d.msg(ctx, owner, r)
 	m.tile = owner
 	m.stamp = stamp
 	m.dirty = dirty
@@ -622,7 +594,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 	ctx := d.ctx.At(sharer)
 	ctx.chargeVM(r.requestor)
-	ts := d.tiles[sharer]
+	ts := d.tile(ctx, sharer)
 	ctx.pw.L1TagRead.Inc()
 	if line := ts.l1.Lookup(r.addr); line != nil && line.State == dirShared {
 		ctx.pw.L1DataRead.Inc()
@@ -631,8 +603,7 @@ func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 	}
 	// Silent eviction raced us; drop the stale bit and retry at home.
 	home := ctx.HomeOf(r.addr)
-	d.cen.sharerRetry.Touch(int(sharer), int(sharer))
-	m := d.msg(sharer, r)
+	m := d.msg(ctx, sharer, r)
 	m.tile = sharer
 	m.stamp = ctx.Kernel.Now()
 	del := ctx.SendCtlArg(sharer, home, d.sharerRetryFn, m)
@@ -647,7 +618,7 @@ func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 // over a fresh one leaves a permanently wrong owner pointer. Returns
 // whether the update was applied.
 func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr, stamp sim.Time, fn func(*cache.DirEntry)) bool {
-	th := d.tiles[home]
+	th := d.tile(ctx, home)
 	if !th.stampIfNewer(addr, stamp) {
 		if ctx.tracing(addr) {
 			ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
@@ -669,19 +640,18 @@ func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr,
 // stampNow records a home-side synchronous ownership decision so any
 // older in-flight update cannot clobber it later.
 func (d *Directory) stampNow(ctx *Context, home topo.Tile, addr cache.Addr) {
-	d.tiles[home].setStamp(addr, ctx.Kernel.Now())
+	d.tile(ctx, home).setStamp(addr, ctx.Kernel.Now())
 }
 
 // invalidateAtL1 drops the block at a sharer and acknowledges the
 // requestor.
-func (d *Directory) invalidateAtL1(tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	ctx := d.ctx.At(tile)
-	t := d.tiles[tile]
+func (d *Directory) invalidateAtL1(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
+	t := d.tile(ctx, tile)
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
 	}
 	t.dropCopy(ctx, addr)
-	m := d.msg(tile, dirReq{addr: addr})
+	m := d.msg(ctx, tile, dirReq{addr: addr})
 	m.tile = requestor
 	ctx.SendCtlArg(tile, requestor, d.ackFn, m)
 }
@@ -690,8 +660,7 @@ func (d *Directory) invalidateAtL1(tile topo.Tile, addr cache.Addr, requestor to
 // goes straight to the requestor.
 func (d *Directory) fetchFromMemory(ctx *Context, r dirReq, home topo.Tile) {
 	mc := ctx.Mem.For(r.addr)
-	d.cen.fetchMem.Touch(int(home), int(home))
-	m := d.msg(home, r)
+	m := d.msg(ctx, home, r)
 	del := ctx.SendCtlArg(home, mc, d.memReqFn, m)
 	m.r.links += int16(del.Hops)
 }
@@ -700,7 +669,7 @@ func (d *Directory) fetchFromMemory(ctx *Context, r dirReq, home topo.Tile) {
 // on arrival. The request's ride-along bookkeeping travels with it and
 // is applied at the requestor by deliverFn.
 func (d *Directory) deliverData(ctx *Context, r dirReq, from topo.Tile, state cache.State, dirty bool) {
-	m := d.msg(from, r)
+	m := d.msg(ctx, from, r)
 	m.state = state
 	m.dirty = dirty
 	del := ctx.SendDataArg(from, r.requestor, d.deliverFn, m)
@@ -710,7 +679,7 @@ func (d *Directory) deliverData(ctx *Context, r dirReq, from topo.Tile, state ca
 // fillL1 installs the block, running the eviction protocol for the
 // displaced victim if needed.
 func (d *Directory) fillL1(ctx *Context, tile topo.Tile, addr cache.Addr, state cache.State, dirty bool) {
-	t := d.tiles[tile]
+	t := d.tile(ctx, tile)
 	if ctx.tracing(addr) {
 		ctx.Trace(addr, "fill at %d state=%d dirty=%v", tile, state, dirty)
 	}
@@ -747,7 +716,7 @@ func (d *Directory) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
 	dirty := victim.Dirty
 	stamp := ctx.Kernel.Now()
 	ctx.pw.L1DataRead.Inc()
-	m := d.msg(tile, dirReq{addr: victim.Addr})
+	m := d.msg(ctx, tile, dirReq{addr: victim.Addr})
 	m.tile = tile
 	m.stamp = stamp
 	m.dirty = dirty
@@ -759,7 +728,7 @@ func (d *Directory) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
 // the directory cache (NCID), so no chip-wide invalidation happens
 // here.
 func (d *Directory) insertL2Data(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool) {
-	th := d.tiles[home]
+	th := d.tile(ctx, home)
 	ctx.pw.L2TagWrite.Inc()
 	ctx.pw.L2DataWrite.Inc()
 	victim, hit, valid := th.l2.Probe(addr)
@@ -781,7 +750,7 @@ func (d *Directory) insertL2Data(ctx *Context, home topo.Tile, addr cache.Addr, 
 // Evicting a directory entry invalidates every cached copy of its
 // block chip-wide (NCID rule).
 func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr, victim *cache.DirEntry, victimAddr cache.Addr, valid bool, then func(*cache.DirEntry)) {
-	th := d.tiles[home]
+	th := d.tile(ctx, home)
 	if !valid {
 		th.dir.Fill(victim, addr)
 		victim.Owner = -1
@@ -839,7 +808,7 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 			// Runs at the holder: rebind to its lane view before
 			// touching its L1 or charging counters.
 			hctx := d.ctx.At(holder)
-			t := d.tiles[holder]
+			t := d.tile(hctx, holder)
 			hctx.pw.L1TagRead.Inc()
 			if old, ok := t.l1.Invalidate(victimAddr); ok {
 				hctx.pw.L1TagWrite.Inc()

@@ -30,18 +30,18 @@ func NewProviders(ctx *Context) *Providers {
 	p.invalPvFn = func(a any) {
 		m := a.(*dcMsg)
 		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		p.putMsg(tile, m)
 		ctx := p.ctx.At(tile)
+		p.putMsg(ctx, tile, m)
 		ctx.chargeVM(requestor)
 		p.invalidateProvider(ctx, tile, addr, requestor)
 	}
 	p.pvAckFn = func(a any) {
 		m := a.(*dcMsg)
 		requestor, addr, count := m.tile, m.r.addr, m.count
-		p.putMsg(requestor, m)
 		ctx := p.ctx.At(requestor)
+		p.putMsg(ctx, requestor, m)
 		ctx.chargeVM(requestor)
-		if e, ok := p.tiles[requestor].mshr.Lookup(addr); ok {
+		if e, ok := p.tile(ctx, requestor).mshr.Lookup(addr); ok {
 			e.ProviderAcks--
 			e.SharerAcks += count
 			p.maybeComplete(ctx, requestor, addr)
@@ -58,10 +58,9 @@ func (p *Providers) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cac
 	if line.ProPos[reqArea] >= 0 {
 		r.forwards++
 		r.via = owner
-		p.forwardL1(ctx, owner, p.tileAt(reqArea, int(line.ProPos[reqArea])), r, p.cen.fwdProvider)
+		p.forwardL1(ctx, owner, p.tileAt(reqArea, int(line.ProPos[reqArea])), r)
 		return
 	}
-	p.cen.l1Supply.Touch(int(owner), int(owner))
 	r.clsPlus1 = classify(&r, byOwner)
 	line.ProPos[reqArea] = p.areaIdx(r.requestor)
 	line.State = dcOwnerShared
@@ -73,7 +72,6 @@ func (p *Providers) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cac
 // providerRead: the provider supplies inside its area — the shortened
 // miss — and tracks the requestor as a sharer.
 func (p *Providers) providerRead(ctx *Context, r dcReq, provider topo.Tile, line *cache.Line) {
-	p.cen.l1Supply.Touch(int(provider), int(provider))
 	r.clsPlus1 = classify(&r, byProvider)
 	line.Sharers |= p.areaBit(r.requestor)
 	ctx.pw.L1TagWrite.Inc()
@@ -100,7 +98,7 @@ func (p *Providers) repairStaleProPo(ctx *Context, notProvider topo.Tile, addr c
 	idx := p.areaIdx(notProvider)
 	ctx.SendCtl(notProvider, supplier, func() {
 		sctx := p.ctx.At(supplier)
-		st := p.tiles[supplier]
+		st := p.tile(sctx, supplier)
 		if ol := st.l1.Peek(addr); ol != nil && dcIsOwner(ol.State) && ol.ProPos[area] == idx {
 			ol.ProPos[area] = -1
 			sctx.pw.L1TagWrite.Inc()
@@ -129,7 +127,7 @@ func (p *Providers) invalidateProviders(ctx *Context, from topo.Tile, addr cache
 			continue
 		}
 		n++
-		m := p.msg(from, dcReq{addr: addr, requestor: requestor})
+		m := p.msg(ctx, from, dcReq{addr: addr, requestor: requestor})
 		m.tile = prov
 		ctx.SendCtlArg(from, prov, p.invalPvFn, m)
 	}
@@ -146,9 +144,9 @@ func (p *Providers) invalidateProvider(ctx *Context, tile topo.Tile, addr cache.
 		sharers &^= p.areaBit(requestor)
 	}
 	p.invalidateSharers(ctx, tile, addr, requestor, area, sharers)
-	p.tiles[tile].l1c.Update(addr, int16(requestor))
+	p.tile(ctx, tile).l1c.Update(addr, int16(requestor))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(tile, dcReq{addr: addr})
+	m := p.msg(ctx, tile, dcReq{addr: addr})
 	m.tile = requestor
 	m.count = popcount(sharers)
 	ctx.SendCtlArg(tile, requestor, p.pvAckFn, m)
@@ -159,7 +157,7 @@ func (p *Providers) invalidateProvider(ctx *Context, tile topo.Tile, addr cache.
 // was in flight, it conservatively returns the whole area so no sharer
 // survives.
 func (p *Providers) dropProvider(ctx *Context, tile topo.Tile, addr cache.Addr) uint64 {
-	if old, ok := p.tiles[tile].dropCopy(ctx, addr); ok && old.State == dcProvider {
+	if old, ok := p.tile(ctx, tile).dropCopy(ctx, addr); ok && old.State == dcProvider {
 		return old.Sharers &^ p.areaBit(tile)
 	}
 	var all uint64
@@ -185,10 +183,9 @@ func (p *Providers) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *ca
 		r.forwards++
 		r.via = home
 		ctx.spanEvent("home-forward-provider", home)
-		p.forwardL1(ctx, home, p.tileAt(reqArea, int(l2line.ProPos[reqArea])), r, p.cen.fwdProvider)
+		p.forwardL1(ctx, home, p.tileAt(reqArea, int(l2line.ProPos[reqArea])), r)
 		return
 	}
-	p.cen.homeSupply.Touch(int(home), int(home))
 	r.clsPlus1 = classify(&r, byHome)
 	if !r.write {
 		propos := l2line.ProPos
@@ -250,7 +247,7 @@ func (p *Providers) setProPo(ctx *Context, from topo.Tile, addr cache.Addr, owne
 	atOwner := func(owner topo.Tile) bool {
 		octx := p.ctx.At(owner)
 		octx.pw.L1TagRead.Inc()
-		ol := p.tiles[owner].l1.Peek(addr)
+		ol := p.tile(octx, owner).l1.Peek(addr)
 		if ol == nil || !dcIsOwner(ol.State) {
 			return false
 		}
@@ -264,7 +261,7 @@ func (p *Providers) setProPo(ctx *Context, from topo.Tile, addr cache.Addr, owne
 	viaHome := func(at topo.Tile, actx *Context) {
 		actx.SendCtl(at, home, func() {
 			hctx := p.ctx.At(home)
-			th := p.tiles[home]
+			th := p.tile(hctx, home)
 			hctx.pw.L2CAccess.Inc()
 			if ptr, ok := th.l2c.Lookup(addr); ok {
 				owner := topo.Tile(ptr)
@@ -295,7 +292,10 @@ func (p *Providers) setProPo(ctx *Context, from topo.Tile, addr cache.Addr, owne
 func (p *Providers) invalidateStragglers(ctx *Context, from topo.Tile, addr cache.Addr, area int, vector uint64) {
 	for v := vector; v != 0; v &= v - 1 {
 		straggler := p.tileAt(area, bits.TrailingZeros64(v))
-		ctx.SendCtl(from, straggler, func() { p.tiles[straggler].dropCopy(p.ctx.At(straggler), addr) })
+		ctx.SendCtl(from, straggler, func() {
+			sctx := p.ctx.At(straggler)
+			p.tile(sctx, straggler).dropCopy(sctx, addr)
+		})
 	}
 }
 
@@ -341,7 +341,7 @@ func (p *Providers) applyL2(line *cache.Line, dirty bool, f l2Form) {
 // (the ack sends below); provider- and sharer-side work rebinds to the
 // executing tile's lane.
 func (p *Providers) evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
-	th := p.tiles[home]
+	th := p.tile(ctx, home)
 	addr := victim.Addr
 	th.setHomeBusy(addr)
 	pendingProv, pendingSharers := 0, 0
@@ -371,7 +371,7 @@ func (p *Providers) evictL2(ctx *Context, home topo.Tile, victim cache.Line, the
 				sharer := p.tileAt(area, bits.TrailingZeros64(v))
 				pctx.SendCtl(prov, sharer, func() {
 					sctx := p.ctx.At(sharer)
-					p.tiles[sharer].dropCopy(sctx, addr)
+					p.tile(sctx, sharer).dropCopy(sctx, addr)
 					sctx.SendCtl(sharer, home, func() {
 						pendingSharers--
 						checkDone()

@@ -14,9 +14,8 @@
 //     kernel's dispatch order is precisely (time, schedule order), the
 //     merge is provably bit-identical to a serial run — it is the
 //     correctness anchor the crosscheck fingerprint gate verifies, and
-//     the executor the full system runs on today (engine events still
-//     take synchronous cross-tile shortcuts, so they all live on the
-//     hub lane; see DESIGN.md §13).
+//     the executor sharded runs fall back to when hub-resident
+//     observers are armed (see DESIGN.md §13).
 //
 //   - The parallel window executor (RunParallel) runs lanes
 //     concurrently in conservative lookahead windows: all lanes execute
@@ -28,9 +27,9 @@
 //     window's dispatch logs in merged (time, seq) order and assigns
 //     the exact sequence numbers the sequential merge would have,
 //     patching pending events in place. It requires shard-affine
-//     events (a lane's handlers touch only that lane's state), which
-//     the full system does not yet satisfy — it is exercised and
-//     race-proven at the kernel level.
+//     events (a lane's handlers touch only that lane's state); the
+//     coherence engines satisfy this and check it on every per-tile
+//     state access (proto.Context), so full systems run on it.
 package sim
 
 import (
@@ -390,10 +389,9 @@ func (k *Kernel) Send(to int, delay Time, fn func(any), arg any) {
 //
 // It requires shard-affine events: a handler running on lane i may
 // touch only lane-i state and communicate with other lanes via Send.
-// The full coherence system does not yet satisfy that (engine handlers
-// take synchronous cross-tile shortcuts), so core runs use the
-// sequential merge; RunParallel is exercised by kernel-level workloads
-// and the race detector. Profiling must be detached.
+// The coherence engines meet that contract (core's Config.Parallel);
+// the race detector and the engines' ownership check enforce it.
+// Profiling must be detached.
 func (sk *ShardedKernel) RunParallel(limit Time) uint64 {
 	start := sk.EventsRun()
 	var wg sync.WaitGroup

@@ -166,7 +166,7 @@ func runB(a any) {
 
 func newWorkloadB(tiles, steps, shards int, lookahead Time, seed uint64) *workloadB {
 	w := &workloadB{tiles: tiles, steps: steps, seed: seed, lookahead: lookahead,
-		sk:  NewSharded(7 + seed, shards, lookahead),
+		sk:  NewSharded(7+seed, shards, lookahead),
 		acc: make([]uint64, tiles), trace: make([][]traceEnt, tiles)}
 	w.laneOf = func(tile int) int { return tile % shards }
 	for i := 0; i < tiles; i++ {

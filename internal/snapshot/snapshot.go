@@ -68,10 +68,9 @@ func WarmupConfig(cfg core.Config) core.Config {
 	cfg.TraceCap = 0
 	cfg.SampleEvery = 0
 	cfg.SampleCap = 0
-	// Census and per-VM attribution are observation-only and reset at
-	// the warmup/measure boundary, so a plain warmup serves instrumented
-	// forks (the fork's own config arms them at construction).
-	cfg.Census = false
+	// Per-VM attribution is observation-only and reset at the
+	// warmup/measure boundary, so a plain warmup serves attributed forks
+	// (the fork's own config arms it at construction).
 	cfg.PerVM = false
 	// Sharding is an execution strategy, not a model change: any shard
 	// count — and either window executor — produces bit-identical
@@ -165,9 +164,6 @@ func Restore(s *core.System, st *State) error {
 // system stands exactly at the warmup/measure boundary: call
 // RunMeasure on it.
 func Fork(st *State, cfg core.Config) (*core.System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
