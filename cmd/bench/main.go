@@ -69,7 +69,7 @@ type EndToEnd struct {
 	Tiles       int                   `json:"tiles"`
 	Shards      int                   `json:"shards"`       // conservative-PDES shard count (0 = single kernel)
 	Parallel    bool                  `json:"parallel"`     // -parallel requested (concurrent lookahead windows)
-	Executor    string                `json:"executor"`     // executor the runs actually used: serial | merge | parallel
+	Executor    string                `json:"executor"`     // executor the runs actually used: serial | parallel (older files may say merge)
 	Reps        int                   `json:"reps"`         // timed repetitions per protocol; best wall clock reported
 	Instrument  bool                  `json:"instrumented"` // per-VM attribution + sampling armed (-obs)
 	Protocols   map[string]ProtoBench `json:"protocols"`
@@ -284,8 +284,9 @@ func compareBench(path string, fresh *Bench, tolerance float64) error {
 		disarm(fmt.Sprintf("baseline shards %d != current shards %d", base.EndToEnd.Shards, fresh.EndToEnd.Shards))
 	}
 	if be, fe := execMode(&base.EndToEnd), execMode(&fresh.EndToEnd); be != fe {
-		// Same shard count but a different executor (serial/merge vs
-		// parallel windows) also changes only wall clock. The skip is
+		// Same shard count but a different executor (serial vs parallel
+		// windows, e.g. an -obs run that fell back to serial, or a legacy
+		// merge file) also changes only wall clock. The skip is
 		// annotated here and in the summary line, never silent: the CI
 		// gate keeps protecting serial throughput by comparing a serial
 		// baseline against a serial run, while parallel numbers are
@@ -365,7 +366,8 @@ func compareBench(path string, fresh *Bench, tolerance float64) error {
 
 // execMode returns the executor a recorded sweep used, defaulting
 // legacy files (no executor field) from their shard count: sharded
-// runs used the sequential merge, unsharded the single kernel.
+// runs in those files used the since-removed sequential merge,
+// unsharded ones the single kernel.
 func execMode(e *EndToEnd) string {
 	if e.Executor != "" {
 		return e.Executor
@@ -414,9 +416,10 @@ func endToEnd(refs, warmup, reps, shards int, parallel, instrument bool) (EndToE
 	base.Parallel = parallel
 	if instrument {
 		// The full observability surface, so -compare against an unarmed
-		// baseline of the same mode gates its overhead. Arming it forces
-		// the sequential merge (per-VM banks and sampling are
-		// hub-resident), which the recorded Executor field makes visible.
+		// baseline of the same mode gates its overhead. Arming it runs a
+		// -parallel config on the serial kernel (per-VM banks and
+		// sampling are hub-resident), which the recorded Executor field
+		// makes visible.
 		base.PerVM = true
 		base.SampleEvery = 2000
 	}
@@ -468,7 +471,7 @@ func endToEnd(refs, warmup, reps, shards int, parallel, instrument bool) (EndToE
 }
 
 // laneUtil folds a RunParallel lane profile into per-lane utilization
-// rows (nil profile — sequential run — yields nil).
+// rows (nil profile — serial run — yields nil).
 func laneUtil(lp *sim.LaneProfile) []LaneUtil {
 	if lp == nil || lp.Lanes == 0 {
 		return nil

@@ -16,12 +16,13 @@ import (
 // Fingerprint is the deterministic signature of one unchecked replay:
 // the clock at the last reference retirement, the mesh activity
 // counters, the miss profile and the engine's power-event counters
-// (rendered sorted by name, so the struct stays comparable). Two replays of the same stream on any executor must
-// produce the same fingerprint — the differential gate the parallel
-// stress legs use where the shadow checker (hub-resident) cannot
-// follow. The retirement clock is used rather than the drain clock
-// because RunParallel rests at its last window's end, which trails
-// the final event by up to lookahead-1 cycles by construction.
+// (rendered sorted by name, so the struct stays comparable). Two
+// replays of the same stream on either executor must produce the same
+// fingerprint — the differential gate the parallel stress legs use
+// where the shadow checker (hub-resident) cannot follow. The
+// retirement clock is used rather than the drain clock because
+// RunParallel rests at its last window's end, which trails the final
+// event by up to lookahead-1 cycles by construction.
 type Fingerprint struct {
 	LastRetire sim.Time
 	Net        mesh.Stats
@@ -35,32 +36,46 @@ type Fingerprint struct {
 // checked at window granularity instead).
 const replayWindow = 2_000_000
 
-// RunRecordSharded replays one stream on a sharded mini-chip with no
-// shadow checker attached, using either the sequential merge or the
-// concurrent RunParallel window executor, and returns the replay
-// fingerprint. Engine invariants are still checked at quiescence, and
-// livelock/deadlock still fail the run — this is the stress surface
-// for the messageized engine handlers, whose cross-tile work must be
-// shard-affine for the parallel executor to resolve at all.
-func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards int, seed uint64, parallel bool) (fp Fingerprint, err error) {
+// RunRecordSharded replays one stream on a mini-chip with no shadow
+// checker attached and returns the replay fingerprint: on the
+// concurrent RunParallel window executor over shards lanes, or on one
+// serial kernel when shards is 0 (the reference). Engine invariants are
+// still checked at quiescence, and livelock/deadlock still fail the
+// run — this is the stress surface for the messageized engine
+// handlers, whose cross-tile work must be shard-affine for the
+// parallel executor to resolve at all.
+func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards int, seed uint64) (fp Fingerprint, err error) {
 	grid := topo.SquareGrid(tiles)
 	areasv, err := topo.NewAreas(grid, areas)
 	if err != nil {
 		return fp, err
 	}
 	netCfg := mesh.DefaultConfig()
-	sk := sim.NewSharded(seed, shards, netCfg.HopLatency())
-	hub := sk.Hub()
-	net := mesh.New(hub, grid, netCfg)
-	shardOf := topo.Partition(grid, shards)
-	lanes := make([]*sim.Kernel, shards)
-	for i := range lanes {
-		lanes[i] = sk.Shard(i)
+	// The hub lane is seeded exactly like the serial kernel.
+	var sk *sim.ShardedKernel
+	var hub *sim.Kernel
+	if shards > 0 {
+		sk = sim.NewSharded(seed, shards, netCfg.HopLatency())
+		hub = sk.Hub()
+	} else {
+		hub = sim.NewKernel(seed)
 	}
-	net.SetSharding(lanes, shardOf)
+	net := mesh.New(hub, grid, netCfg)
+	shardOf := make([]int, grid.Tiles())
+	lanes := []*sim.Kernel{hub}
+	if sk != nil {
+		shardOf = topo.Partition(grid, shards)
+		lanes = make([]*sim.Kernel, shards)
+		for i := range lanes {
+			lanes[i] = sk.Shard(i)
+		}
+		net.SetSharding(lanes, shardOf)
+	}
 	mem := memctrl.Default(grid, hub.Rand().Fork())
 	ctx := &proto.Context{Kernel: hub, Net: net, Areas: areasv, Mem: mem, Cfg: TinyConfig()}
-	ctx.SetLanes(shardOf, lanes)
+	if sk != nil {
+		ctx.SetLanes(shardOf, lanes)
+	}
 	eng, err := newEngine(protocol, ctx)
 	if err != nil {
 		return fp, err
@@ -114,20 +129,20 @@ func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards
 		}
 		return n
 	}
-	if parallel {
+	// Between windows every lane's clock sits at the group's, so the
+	// hub clock is the executor's clock on both executors.
+	run, pending := hub.Run, hub.Pending
+	if sk != nil {
+		run, pending = sk.RunParallel, sk.Pending
 		ctx.ArmLanes()
 		defer ctx.FoldLanes()
 	}
-	for sk.Pending() > 0 {
+	for pending() > 0 {
 		before := sum()
-		if parallel {
-			sk.RunParallel(sk.Now() + replayWindow)
-		} else {
-			sk.Run(sk.Now() + replayWindow)
-		}
-		if sk.Pending() > 0 && sum() == before {
+		run(hub.Now() + replayWindow)
+		if pending() > 0 && sum() == before {
 			return fp, fmt.Errorf("check: %s stalled at t=%d with %d/%d refs retired, %d events pending\n%s",
-				eng.Name(), sk.Now(), sum(), len(recs), sk.Pending(), proto.FormatStalls(eng))
+				eng.Name(), hub.Now(), sum(), len(recs), pending(), proto.FormatStalls(eng))
 		}
 	}
 	if done := sum(); done != len(recs) {

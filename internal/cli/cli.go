@@ -80,15 +80,15 @@ func (f *Flags) Obs() *Flags {
 	return f
 }
 
-// Shards registers the -shards flag: the conservative-PDES executor
-// selector (DESIGN.md §13). Separate from Sim because sharding never
+// Shards registers the -shards and -parallel flags: the executor
+// selector (DESIGN.md §13). Separate from Sim because the executor never
 // changes results, only how the run executes — tools like bench bind
 // it without the rest of the simulation surface.
 func (f *Flags) Shards() *Flags {
 	f.fs.IntVar(&f.cfg.Shards, "shards", f.cfg.Shards,
-		"partition the mesh into N contiguous tile shards, each on its own kernel lane (0 = single kernel; results are bit-identical)")
+		"with -parallel: partition the mesh into N contiguous tile shards, each on its own kernel lane (0 = the single serial kernel; results are bit-identical)")
 	f.fs.BoolVar(&f.cfg.Parallel, "parallel", f.cfg.Parallel,
-		"run the sharded lanes concurrently in conservative lookahead windows (requires -shards N; results stay bit-identical; falls back to the sequential merge when hub-resident observability is armed)")
+		"run the -shards N lanes concurrently in conservative lookahead windows (set together with -shards; results stay bit-identical; runs on the serial kernel when hub-resident observability is armed)")
 	return f
 }
 

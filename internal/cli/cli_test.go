@@ -23,7 +23,7 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 		"-tiles", "16", "-areas", "4", "-refs", "123", "-warmup", "456",
 		"-seed", "9", "-alt", "-nodedup", "-unicast-broadcast",
 		"-check", "-profile", "-trace-out", "t.json", "-trace-cap", "7",
-		"-sample", "1000", "-sample-cap", "8", "-shards", "3", "-workers", "2")
+		"-sample", "1000", "-sample-cap", "8", "-shards", "3", "-parallel", "-workers", "2")
 	if cfg.Tiles != 16 || cfg.Areas != 4 || cfg.RefsPerCore != 123 || cfg.WarmupRefs != 456 || cfg.Seed != 9 {
 		t.Errorf("sim fields not bound: %+v", cfg)
 	}
@@ -36,8 +36,8 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	if cfg.SampleEvery != 1000 || cfg.SampleCap != 8 {
 		t.Errorf("sampling flags not resolved: %+v", cfg)
 	}
-	if cfg.Shards != 3 {
-		t.Errorf("Shards = %d, want 3", cfg.Shards)
+	if cfg.Shards != 3 || !cfg.Parallel {
+		t.Errorf("Shards/Parallel = %d/%v, want 3/true", cfg.Shards, cfg.Parallel)
 	}
 	if f.WorkersN != 2 {
 		t.Errorf("WorkersN = %d, want 2", f.WorkersN)
@@ -50,11 +50,11 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 func TestDefaultsComeFromConfig(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.WarmupRefs = 40000
-	cfg.Shards = 2
+	cfg.Shards, cfg.Parallel = 2, true
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := New(fs, &cfg).Sim().Obs().Shards()
 	parse(t, f, fs)
-	if cfg.WarmupRefs != 40000 || cfg.Shards != 2 {
+	if cfg.WarmupRefs != 40000 || cfg.Shards != 2 || !cfg.Parallel {
 		t.Errorf("pre-seeded defaults lost: %+v", cfg)
 	}
 	if !cfg.Dedup {
@@ -71,12 +71,12 @@ func TestFinishTouchesOnlyBoundGroups(t *testing.T) {
 	cfg.SampleEvery = 77
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := New(fs, &cfg).Shards()
-	parse(t, f, fs, "-shards", "4")
+	parse(t, f, fs, "-shards", "4", "-parallel")
 	if cfg.Dedup || cfg.SampleEvery != 77 {
 		t.Errorf("unbound groups clobbered: %+v", cfg)
 	}
-	if cfg.Shards != 4 {
-		t.Errorf("Shards = %d, want 4", cfg.Shards)
+	if cfg.Shards != 4 || !cfg.Parallel {
+		t.Errorf("Shards/Parallel = %d/%v, want 4/true", cfg.Shards, cfg.Parallel)
 	}
 }
 

@@ -39,25 +39,20 @@ type Config struct {
 	Proto        proto.Config
 	Net          mesh.Config
 
-	// Shards partitions the mesh into that many contiguous tile bands,
+	// Shards and Parallel select the executor, and are set together or
+	// not at all. Zero/false runs the single serial kernel. Shards = N
+	// with Parallel partitions the mesh into N contiguous tile bands,
 	// each owning its tiles' reference drivers and mesh deliveries on
-	// its own sim.Kernel lane, coordinated by a sim.ShardedKernel
-	// (conservative PDES with the mesh hop latency as lookahead; see
-	// DESIGN.md §13). 0 runs the classic single kernel. Any value
-	// produces bit-identical results — sharding is an execution
-	// strategy, not a model change — which the crosscheck fingerprint
-	// gate enforces.
-	Shards int
-
-	// Parallel runs the phases on the sharded group's parallel window
-	// executor (sim.ShardedKernel.RunParallel) instead of its
-	// sequential merge. Requires Shards > 0. The engines' messageized
-	// handlers are shard-affine, so the executor is bit-identical to
-	// the merge (and thus to a serial run) — the crosscheck fingerprint
-	// gate enforces it. Runs that arm hub-resident observability
-	// (Check, Profile, Trace, PerVM, SampleEvery) fall back to the
-	// sequential merge transparently; Result.Executor reports which
-	// executor actually ran.
+	// its own sim.Kernel lane, and runs the phases on the lanes
+	// concurrently (sim.ShardedKernel.RunParallel: conservative PDES
+	// with the mesh hop latency as lookahead; see DESIGN.md §13). The
+	// engines' messageized handlers are shard-affine, so any shard
+	// count produces results bit-identical to a serial run, which the
+	// crosscheck fingerprint gate enforces. Runs that arm hub-resident
+	// observability (Check, Profile, Trace, PerVM, SampleEvery) fall
+	// back to the serial kernel; Result.Executor reports which executor
+	// actually ran.
+	Shards   int
 	Parallel bool
 
 	// Check attaches the shadow-memory coherence checker and the
@@ -145,10 +140,9 @@ type RunProfile struct {
 type Result struct {
 	Config Config
 	// Executor names the event loop that drove the run: "serial"
-	// (single kernel), "merge" (sharded sequential merge) or
-	// "parallel" (sharded conservative windows). All three produce
-	// bit-identical simulation results; the name matters only for
-	// host-performance comparisons.
+	// (single kernel) or "parallel" (sharded conservative windows).
+	// Both produce bit-identical simulation results; the name matters
+	// only for host-performance comparisons.
 	Executor     string
 	Cycles       sim.Time
 	Refs         uint64
@@ -279,18 +273,6 @@ func newEngine(name string, ctx *proto.Context) (proto.Engine, error) {
 	return nil, fmt.Errorf("core: unknown protocol %q", name)
 }
 
-// runner abstracts the executor driving a run: the single kernel, or
-// the sharded group's deterministic merge. Both dispatch the exact
-// same event order, so everything above this interface is
-// executor-agnostic.
-type runner interface {
-	Run(limit sim.Time) uint64
-	RunUntil(cond func() bool) uint64
-	Pending() int
-	Now() sim.Time
-	EventsRun() uint64
-}
-
 // System is a fully built chip ready to run.
 type System struct {
 	Cfg       Config
@@ -313,23 +295,15 @@ type System struct {
 	Tracer  *telemetry.Tracer
 	Sampler *telemetry.Sampler
 
-	// SK is non-nil only when Cfg.Shards > 0: the sharded executor.
-	// Kernel is then its hub lane (lane 0), which hosts the chip-global
-	// machinery (watchdog, sampler, tracer) and the run's primary
-	// random stream.
+	// SK is non-nil only when the phases execute on RunParallel: the
+	// config asked for it and no hub-resident observability is armed
+	// (see Config.Parallel). Kernel is then its hub lane (lane 0), which
+	// carries the run's primary random stream. Drivers consult SK to
+	// keep phase bookkeeping per-tile — concurrent lanes must not share
+	// counters.
 	SK      *sim.ShardedKernel
-	shardOf []int // tile -> shard (Cfg.Shards > 0 only)
-
-	// run drives the event loop: Kernel when serial, SK when sharded.
-	run runner
-
-	// parallel is true when the phases execute on RunParallel: the
-	// config asked for it, the run is sharded, and no hub-resident
-	// observability is armed (see Config.Parallel). Drivers consult it
-	// to keep phase bookkeeping per-tile — concurrent lanes must not
-	// share counters.
-	parallel bool
-	// laneProf collects per-window lane utilization (parallel only).
+	shardOf []int // tile -> shard (SK != nil only)
+	// laneProf collects per-window lane utilization (SK != nil only).
 	laneProf *sim.LaneProfile
 
 	// prof is non-nil only when Cfg.Profile is set.
@@ -379,26 +353,14 @@ type tileDriver struct {
 	doneC  func() // allocated once; retire the stored access
 }
 
-// assertShard is the driver-level ownership assert of a sharded run:
-// the dispatching lane must be the tile's shard. It guards the two
-// driver events (step and issue). Under the sequential merge the
-// coordinator's ActiveShard names the dispatching lane; inside a
-// RunParallel window events run on the lane they were scheduled on by
-// construction, so the assert degrades to checking the lane kernel is
+// assertShard is the driver-level ownership assert of a sharded run,
+// guarding the two driver events (step and issue). Inside a
+// RunParallel window events run on the lane they were scheduled on —
+// the tile's lane, by construction — so the assert checks that lane is
 // actually mid-window.
 func (d *tileDriver) assertShard() {
-	s := d.s
-	if s.SK == nil {
-		return
-	}
-	got, want := s.SK.ActiveShard(), s.shardOf[d.tile]
-	if got >= 0 && got != want {
-		panic(fmt.Sprintf("core: tile %d driver event dispatched on shard %d, owner is %d",
-			d.tile, got, want))
-	}
-	if got < 0 && !d.k.Deferring() {
-		panic(fmt.Sprintf("core: tile %d driver event dispatched outside merge and parallel window",
-			d.tile))
+	if d.s.SK != nil && !d.k.Deferring() {
+		panic(fmt.Sprintf("core: tile %d driver event dispatched outside a parallel window", d.tile))
 	}
 }
 
@@ -423,7 +385,7 @@ func (d *tileDriver) step() {
 	if s.retired[d.tile] >= s.phaseRefs {
 		// phaseDone is serial-only bookkeeping; parallel phases derive
 		// completion from retired[] between windows.
-		if !s.parallel {
+		if s.SK == nil {
 			s.phaseDone++
 		}
 		return
@@ -462,7 +424,7 @@ func (d *tileDriver) done() {
 	}
 	s.retired[d.tile]++
 	d.lastRetire = d.k.Now()
-	if !s.parallel {
+	if s.SK == nil {
 		// Shared phase counters stay serial-only: under RunParallel
 		// every lane retires concurrently, so the phase totals are
 		// derived from the per-tile state at window boundaries instead.
@@ -482,12 +444,18 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The sharded executor's hub lane is constructed exactly like the
-	// single kernel (same seed, same Fork order below), so every random
-	// stream the model draws is identical in both modes.
+	// RunParallel eligibility: asked for, and no hub-resident
+	// observability. Check, Profile, Trace, PerVM and the sampler all
+	// run chip-global hooks (shared counters, span tables, tick chains),
+	// so they run on the serial kernel. The sharded executor's hub lane
+	// is constructed exactly like the single kernel (same seed, same
+	// Fork order below), so every random stream the model draws is
+	// identical on both executors.
+	parallel := cfg.Parallel && !cfg.Check && !cfg.Profile && !cfg.Trace &&
+		!cfg.PerVM && cfg.SampleEvery == 0
 	var sk *sim.ShardedKernel
 	var kernel *sim.Kernel
-	if cfg.Shards > 0 {
+	if parallel {
 		sk = sim.NewSharded(cfg.Seed, cfg.Shards, cfg.Net.HopLatency())
 		kernel = sk.Hub()
 	} else {
@@ -556,11 +524,7 @@ func NewSystem(cfg Config) (*System, error) {
 	var prof *RunProfile
 	if cfg.Profile {
 		prof = &RunProfile{}
-		if sk != nil {
-			sk.SetProfile(&prof.Kernel)
-		} else {
-			kernel.SetProfile(&prof.Kernel)
-		}
+		kernel.SetProfile(&prof.Kernel)
 	}
 	var sh *check.Shadow
 	var dog *sim.Watchdog
@@ -596,17 +560,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.vmHist = make([]sim.Hist, placement.NumVMs)
 	}
 	if sk != nil {
-		s.run = sk
-	} else {
-		s.run = kernel
-	}
-	// RunParallel eligibility: asked for, sharded, and no hub-resident
-	// observability. Check, Profile, Trace, PerVM and the sampler all
-	// run chip-global hooks on the hub lane (shared counters, span
-	// tables, tick chains), so they force the sequential merge.
-	s.parallel = cfg.Parallel && sk != nil && !cfg.Check && !cfg.Profile &&
-		!cfg.Trace && !cfg.PerVM && cfg.SampleEvery == 0
-	if s.parallel {
 		s.laneProf = &sim.LaneProfile{}
 		sk.SetLaneProfile(s.laneProf)
 	}
@@ -644,14 +597,19 @@ func (s *System) pendingMisses() int {
 // Executor names the event loop driving this system's phases (see
 // Result.Executor).
 func (s *System) Executor() string {
-	switch {
-	case s.parallel:
+	if s.SK != nil {
 		return "parallel"
-	case s.SK != nil:
-		return "merge"
-	default:
-		return "serial"
 	}
+	return "serial"
+}
+
+// eventsRun returns the events dispatched so far by the executor
+// driving the phases.
+func (s *System) eventsRun() uint64 {
+	if s.SK != nil {
+		return s.SK.EventsRun()
+	}
+	return s.Kernel.EventsRun()
 }
 
 // seedPhase resets the per-phase state, builds the drivers on first
@@ -690,7 +648,7 @@ func (s *System) seedPhase(refs int) {
 // reference Gap cycles after the previous one retires. It returns the
 // simulation time of the last retirement.
 func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
-	if s.parallel {
+	if s.SK != nil {
 		return s.runPhaseParallel(refs)
 	}
 	cfg := s.Cfg
@@ -709,10 +667,11 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 	}
 	const watchdogWindow sim.Time = 2_000_000
 	lastProgress := uint64(0)
+	k := s.Kernel
 	for s.phaseDone < cfg.Tiles {
-		deadline := s.run.Now() + watchdogWindow
-		s.run.RunUntil(func() bool {
-			return s.phaseDone == cfg.Tiles || s.run.Now() >= deadline ||
+		deadline := k.Now() + watchdogWindow
+		k.RunUntil(func() bool {
+			return s.phaseDone == cfg.Tiles || k.Now() >= deadline ||
 				(s.Dog != nil && s.Dog.Err() != nil)
 		})
 		if s.Dog != nil && s.Dog.Err() != nil {
@@ -721,9 +680,9 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 		if s.phaseDone == cfg.Tiles {
 			break
 		}
-		if s.run.Pending() == 0 || s.phaseTotal == lastProgress {
+		if k.Pending() == 0 || s.phaseTotal == lastProgress {
 			return 0, 0, fmt.Errorf("core: simulation stalled at t=%d with %d/%d cores done (%d refs retired)",
-				s.run.Now(), s.phaseDone, cfg.Tiles, s.phaseTotal)
+				k.Now(), s.phaseDone, cfg.Tiles, s.phaseTotal)
 		}
 		lastProgress = s.phaseTotal
 	}
@@ -731,7 +690,7 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 		s.Dog.Disarm()
 	}
 	// Drain residual traffic (writebacks, acks) so counters are final.
-	s.run.Run(0)
+	k.Run(0)
 	// Fencepost sample: the phase's final state, so warmup-vs-steady
 	// curves always include the phase boundary.
 	if s.Sampler != nil {
@@ -786,19 +745,20 @@ func (s *System) runPhaseParallel(refs int) (sim.Time, uint64, error) {
 	return lastRetire, total, nil
 }
 
-// timedPhase wraps runPhase with the optional per-phase timers.
+// timedPhase wraps runPhase with the optional per-phase timers
+// (profiled runs are always serial).
 func (s *System) timedPhase(name string, refs int) (sim.Time, uint64, error) {
 	if s.prof == nil {
 		return s.runPhase(refs)
 	}
 	wall := time.Now()
-	cycles0, events0 := s.run.Now(), s.run.EventsRun()
+	cycles0, events0 := s.Kernel.Now(), s.Kernel.EventsRun()
 	lastRetire, totalRefs, err := s.runPhase(refs)
 	s.prof.Phases = append(s.prof.Phases, PhaseStat{
 		Name:   name,
 		WallNS: time.Since(wall).Nanoseconds(),
-		Cycles: s.run.Now() - cycles0,
-		Events: s.run.EventsRun() - events0,
+		Cycles: s.Kernel.Now() - cycles0,
+		Events: s.Kernel.EventsRun() - events0,
 		Refs:   totalRefs,
 	})
 	return lastRetire, totalRefs, err
@@ -836,8 +796,10 @@ func (s *System) RunWarmup() error {
 // or restored) state and returns the collected result.
 func (s *System) RunMeasure() (*Result, error) {
 	cfg := s.Cfg
-	start := s.run.Now()
-	events0 := s.run.EventsRun()
+	// Between phases every lane's clock sits at the group's, so the
+	// hub clock is the executor's clock on both executors.
+	start := s.Kernel.Now()
+	events0 := s.eventsRun()
 	if s.Sampler != nil {
 		s.Sampler.SetPhase("measure")
 	}
@@ -868,7 +830,7 @@ func (s *System) RunMeasure() (*Result, error) {
 		Executor:     s.Executor(),
 		Cycles:       lastRetire,
 		Refs:         totalRefs,
-		Events:       s.run.EventsRun() - events0,
+		Events:       s.eventsRun() - events0,
 		Counters:     s.Engine.Stats(),
 		Net:          s.Net.Stats(),
 		Profile:      s.Engine.MissProfile(),

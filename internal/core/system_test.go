@@ -119,7 +119,9 @@ func TestBadConfigs(t *testing.T) {
 		{"unknown workload", func(c *Config) { c.Workload = "quake" }},
 		{"non-dividing area count", func(c *Config) { c.Areas = 3 }},
 		{"zero tiles", func(c *Config) { c.Tiles = 0 }},
-		{"more shards than tiles", func(c *Config) { c.Shards = c.Tiles + 1 }},
+		{"more shards than tiles", func(c *Config) { c.Shards, c.Parallel = c.Tiles+1, true }},
+		{"shards without parallel", func(c *Config) { c.Shards = 2 }},
+		{"parallel without shards", func(c *Config) { c.Parallel = true }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

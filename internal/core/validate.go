@@ -58,8 +58,9 @@ func (c Config) Validate() error {
 	if c.Shards < 0 || c.Shards > c.Tiles {
 		return fmt.Errorf("core: Shards = %d must be in [0, Tiles=%d] (0 = single kernel)", c.Shards, c.Tiles)
 	}
-	if c.Parallel && c.Shards <= 0 {
-		return fmt.Errorf("core: Parallel requires Shards > 0 (the window executor runs the sharded lanes concurrently)")
+	if (c.Shards > 0) != c.Parallel {
+		return fmt.Errorf("core: Shards = %d with Parallel = %v: set both (the parallel window executor on that many lanes) or neither (the serial kernel)",
+			c.Shards, c.Parallel)
 	}
 	if c.RefsPerCore <= 0 {
 		return fmt.Errorf("core: RefsPerCore = %d must be positive", c.RefsPerCore)

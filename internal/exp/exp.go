@@ -211,12 +211,23 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 		workers = len(groups)
 	}
 
+	// mu serializes the progress and OnSystem hooks and the group
+	// claims. A group's first progress report is made by whoever claims
+	// the group, inside the claim's critical section, so reports follow
+	// claim order — matrix order — even with many workers.
 	var mu sync.Mutex
+	report := func(i int) {
+		if progress != nil {
+			progress(i)
+		}
+	}
+	// runGroup runs one claimed group; its first member has already been
+	// reported.
 	runGroup := func(members []int) {
 		start := func(i int) {
-			if progress != nil {
+			if i != members[0] {
 				mu.Lock()
-				progress(i)
+				report(i)
 				mu.Unlock()
 			}
 		}
@@ -280,6 +291,7 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 
 	if workers <= 1 {
 		for _, g := range groups {
+			report(g[0])
 			runGroup(g)
 		}
 	} else {
@@ -297,10 +309,11 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 						mu.Unlock()
 						return
 					}
-					g := next
+					g := groups[next]
 					next++
+					report(g[0])
 					mu.Unlock()
-					runGroup(groups[g])
+					runGroup(g)
 				}
 			}()
 		}

@@ -169,13 +169,13 @@ func TestOptionsBaseDerivation(t *testing.T) {
 	opt.Base.Dedup = false
 	opt.Base.AltPlacement = true
 	opt.Base.Areas = 16
-	opt.Base.Shards = 2
+	opt.Base.Shards, opt.Base.Parallel = 2, true
 	cfg := opt.config("jbb4x16p", "arin")
 	if cfg.Workload != "jbb4x16p" || cfg.Protocol != "arin" {
 		t.Errorf("cell identity wrong: %s/%s", cfg.Workload, cfg.Protocol)
 	}
 	if cfg.RefsPerCore != 1111 || cfg.WarmupRefs != 2222 || cfg.Seed != 9 ||
-		cfg.Dedup || !cfg.AltPlacement || cfg.Areas != 16 || cfg.Shards != 2 {
+		cfg.Dedup || !cfg.AltPlacement || cfg.Areas != 16 || cfg.Shards != 2 || !cfg.Parallel {
 		t.Errorf("Base not honored: %+v", cfg)
 	}
 

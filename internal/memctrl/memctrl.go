@@ -201,8 +201,8 @@ func (m *Mapper) DedupEnabled() bool { return m.dedup }
 // SetCoWDelay sets the visibility delay of copy-on-write breaks: a
 // break at cycle t resolves readers to the old shared frame until t +
 // delay. Zero (the default) is immediate visibility. The system sets
-// the kernel lookahead here for every executor, so serial, merged and
-// parallel runs share one timing model.
+// the kernel lookahead here for both executors, so serial and parallel
+// runs share one timing model.
 func (m *Mapper) SetCoWDelay(d sim.Time) { m.delay = d }
 
 // SetLanes gives each executor lane a private TLB and the kernel whose
@@ -354,8 +354,8 @@ func (m *Mapper) translateSlow(vm int, vpage uint64, class PageClass, write bool
 // parallel window the clear is deferred to the barrier — stale entries
 // resolve readers to the old shared frame meanwhile, which is exactly
 // the pending-break semantics, and the barrier runs before any lane's
-// clock can reach the visibility time. Outside a window (serial or
-// merged executor, single-threaded) the clear is immediate.
+// clock can reach the visibility time. Outside a window (the serial
+// executor, single-threaded) the clear is immediate.
 func (m *Mapper) shootdown(key pageKey, slot int) {
 	if m.lanes != nil {
 		if k := m.lanes[slot]; k.Deferring() {

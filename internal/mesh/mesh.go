@@ -365,9 +365,8 @@ func (n *Network) send(src, dst topo.Tile, flits int, run func(), argFn func(any
 	}
 	// The clock is read from the sender tile's lane: every Send executes
 	// on the lane owning src (the engines schedule their handlers on the
-	// executing tile's kernel). Under the sequential executors all lane
-	// clocks agree at dispatch, so this equals the old hub read; inside
-	// a parallel window it is the only clock that exists.
+	// executing tile's kernel). On the serial kernel that is the only
+	// kernel; inside a parallel window it is the only clock that exists.
 	k := n.deliverKernel(src)
 	now := k.Now()
 	if src == dst {
@@ -399,7 +398,6 @@ func (n *Network) send(src, dst topo.Tile, flits int, run func(), argFn func(any
 	n.stats.RouterTraversals += uint64(hops + 1)
 	n.stats.TotalHops += uint64(hops)
 	n.stats.TotalLatency += uint64(lat)
-	n.checkLookahead(src, dst, now, now+lat)
 	n.schedule(dst, now+lat, run, argFn, arg)
 	if n.obs != nil {
 		n.obs.Message(src, dst, flits, now, now+lat, hops)
@@ -558,7 +556,6 @@ func (n *Network) Broadcast(src topo.Tile, flits int, deliver func(dst topo.Tile
 		if lat > maxLat {
 			maxLat = lat
 		}
-		n.checkLookahead(src, t, now, at+sim.Time(flits-1))
 		n.deliverKernel(t).AtArg(at+sim.Time(flits-1), deliverTo, t)
 	}
 	routers := n.grid.Tiles() // every router forwards/ejects the message

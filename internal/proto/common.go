@@ -219,9 +219,9 @@ type Context struct {
 	// resolves the executing tile to a per-lane Context view whose
 	// Kernel is the tile's lane and whose Counters/Profile are private
 	// banks, so every handler's downstream increments and schedules are
-	// lane-local with no per-site change. Disarmed (serial and merge
-	// executors), At returns the root context and behavior is
-	// bit-for-bit the pre-lane engine.
+	// lane-local with no per-site change. Disarmed (the serial
+	// executor), At returns the root context and behavior is bit-for-bit
+	// the pre-lane engine.
 	laneOf    []int
 	lanes     []*sim.Kernel
 	laneCtx   []*Context // non-nil = armed; shared by root and views
@@ -515,7 +515,7 @@ func (c *Context) Lane(t topo.Tile) int {
 // the state of tile t although another lane owns t. A handler binds its
 // view with At at entry, so a panic here means the handler touched a
 // remote tile synchronously instead of sending it a message. The root
-// context (serial and merge runs) checks nothing.
+// context (serial runs) checks nothing.
 func (c *Context) own(t topo.Tile) {
 	if c.view && c.laneOf[t] != c.lane {
 		panic(laneViolation{tile: t, lane: c.lane, owner: c.laneOf[t]})

@@ -47,7 +47,7 @@ func TestStress(t *testing.T) {
 	}
 }
 
-// stressGolden pins the sequential-merge fingerprint of every default
+// stressGolden pins the serial-replay fingerprint of every default
 // stress stream on every engine. The stress chip (16 tiles, 2-way
 // coherence caches) reaches paths the full-system crosscheck golden
 // never executes — mispredictions, home-owned supply, L2C$ recalls and
@@ -59,8 +59,8 @@ const stressGolden = "testdata/stress_fingerprints.json"
 // TestStressParallel replays the seeded high-conflict streams on the
 // sharded mini-chip under the concurrent RunParallel executor —
 // shards 1/2/4/8, all four engines — and requires the replay
-// fingerprint to match the sequential merge exactly, and the merge to
-// match the checked-in golden. The shadow
+// fingerprint to match the same replay on one serial kernel exactly,
+// and the serial replay to match the checked-in golden. The shadow
 // checker cannot follow onto the lanes (it is hub-resident), so this
 // leg leans on the differential gate instead: TestStress has already
 // checked these exact streams under the shadow checker, and the
@@ -89,21 +89,21 @@ func TestStressParallel(t *testing.T) {
 		recs := check.ConflictStream(uint64(seed), 16, blocks, 700, writePct)
 		for _, p := range stressProtocols {
 			name := fmt.Sprintf("s%d-b%d-w%d/%s", seed, blocks, writePct, p)
-			want, err := check.RunRecordSharded(p, recs, 16, 4, 4, uint64(seed), false)
+			want, err := check.RunRecordSharded(p, recs, 16, 4, 0, uint64(seed))
 			if err != nil {
-				t.Errorf("%s merge: %v", name, err)
+				t.Errorf("%s serial: %v", name, err)
 				continue
 			}
 			if update {
 				golden[name] = want
 			} else if g, ok := golden[name]; ok && g != want {
-				t.Errorf("%s merge fingerprint diverges from %s:\n got %+v\nwant %+v",
+				t.Errorf("%s serial fingerprint diverges from %s:\n got %+v\nwant %+v",
 					name, stressGolden, want, g)
 			} else if !ok && seed <= 12 {
 				t.Errorf("%s: missing from %s", name, stressGolden)
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
-				got, err := check.RunRecordSharded(p, recs, 16, 4, shards, uint64(seed), true)
+				got, err := check.RunRecordSharded(p, recs, 16, 4, shards, uint64(seed))
 				if err != nil {
 					t.Errorf("%s parallel shards=%d: %v", name, shards, err)
 					continue
@@ -133,8 +133,8 @@ func TestStressParallel(t *testing.T) {
 // FuzzStress lets the fuzzer mutate the raw reference stream. Every
 // byte pair decodes to one reference; all four protocols must run the
 // stream without checker, watchdog, deadlock or invariant errors, and
-// the RunParallel replay must stay fingerprint-identical to the
-// sequential merge on every input.
+// the RunParallel replay must stay fingerprint-identical to the serial
+// replay on every input.
 func FuzzStress(f *testing.F) {
 	f.Add([]byte{0x80, 0x01, 0x01, 0x01, 0x82, 0x41, 0x03, 0x01})
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -161,12 +161,12 @@ func FuzzStress(f *testing.F) {
 			if _, err := check.RunRecord(p, recs, 16, 4, 7, false); err != nil {
 				t.Errorf("%s: %v", p, err)
 			}
-			want, err := check.RunRecordSharded(p, recs, 16, 4, 4, 7, false)
+			want, err := check.RunRecordSharded(p, recs, 16, 4, 0, 7)
 			if err != nil {
-				t.Errorf("%s merge: %v", p, err)
+				t.Errorf("%s serial: %v", p, err)
 				continue
 			}
-			got, err := check.RunRecordSharded(p, recs, 16, 4, 4, 7, true)
+			got, err := check.RunRecordSharded(p, recs, 16, 4, 4, 7)
 			if err != nil {
 				t.Errorf("%s parallel: %v", p, err)
 				continue

@@ -57,8 +57,8 @@ type evKey struct {
 // argFn+arg is the non-capturing fast path (AtArg/AfterArg). tag is
 // the causal context (see Kernel.Tag) captured at scheduling time.
 // seq is the global scheduling-order stamp a sharded run assigns (zero
-// and unused when the kernel runs standalone): the ShardedKernel merge
-// dispatches same-cycle events across shards by ascending seq, which
+// and unused when the kernel runs standalone): the RunParallel barrier
+// orders same-cycle events across shards by ascending seq, which
 // reproduces the standalone kernel's FIFO-within-slot total order.
 type evPayload struct {
 	tag   uint64
@@ -105,12 +105,11 @@ type Kernel struct {
 	tag uint64 // current causal tag (see Tag)
 
 	// shard is non-nil when this kernel is one lane of a ShardedKernel:
-	// the causal tag then lives in the shared cell (one logical tag per
-	// chip, whichever lane an event runs on) and every schedule is
-	// stamped with a global sequence number. shardIdx is this kernel's
-	// lane. wlog is non-nil only while a parallel window is executing on
-	// this lane: schedule and dispatch append to it so the barrier can
-	// reconstruct the exact sequential order (see shard.go).
+	// every schedule is then stamped with a global sequence number.
+	// shardIdx is this kernel's lane. wlog is non-nil only while a
+	// parallel window is executing on this lane: schedule and dispatch
+	// append to it so the barrier can reconstruct the exact serial order
+	// (see shard.go).
 	shard    *ShardedKernel
 	shardIdx int32
 	wlog     *windowLog
@@ -145,17 +144,10 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *Rand { return k.rng }
 
-// EventsRun returns the number of events executed so far. On a lane
-// of a sharded group (outside parallel windows) it reports the
-// group-wide total: observers hanging off a lane — the sampler, the
-// watchdog — mean "the simulation", not one lane, and the group-wide
-// count is what matches a serial run bit for bit.
-func (k *Kernel) EventsRun() uint64 {
-	if k.shard != nil && k.wlog == nil {
-		return k.shard.EventsRun()
-	}
-	return k.events
-}
+// EventsRun returns the number of events executed so far (this lane's
+// share on a lane of a sharded group; ShardedKernel.EventsRun sums
+// them).
+func (k *Kernel) EventsRun() uint64 { return k.events }
 
 // Tag returns the current causal tag: an opaque value that every
 // scheduled event inherits at scheduling time and that is restored
@@ -167,30 +159,18 @@ func (k *Kernel) EventsRun() uint64 {
 // mesh; tag 0 means "untagged". Tagging is always on and costs one
 // 8-byte copy per schedule and dispatch — it never changes event
 // order, so runs are bit-identical whether or not anyone reads tags.
-func (k *Kernel) Tag() uint64 { return k.curTag() }
+// Each lane of a sharded group keeps its own current tag; a tag crosses
+// lanes inside the payload of the event that carries it.
+func (k *Kernel) Tag() uint64 { return k.tag }
 
 // SetTag sets the current causal tag. Events scheduled from now on
 // (until the next dispatch overwrites it) carry this tag.
-func (k *Kernel) SetTag(t uint64) {
-	if k.shard != nil && k.wlog == nil {
-		k.shard.tag = t
-		return
-	}
-	k.tag = t
-}
+func (k *Kernel) SetTag(t uint64) { k.tag = t }
 
-// Pending returns the number of events waiting in the queue — the
-// whole group's queues on a sharded lane (outside parallel windows),
-// for the same reason as EventsRun.
-func (k *Kernel) Pending() int {
-	if k.shard != nil && k.wlog == nil {
-		return k.shard.Pending()
-	}
-	return k.pendingLocal()
-}
-
-// pendingLocal counts only this lane's queued events.
-func (k *Kernel) pendingLocal() int { return k.inWheel + len(k.ofKeys) }
+// Pending returns the number of events waiting in the queue (this
+// lane's queue on a lane of a sharded group; ShardedKernel.Pending
+// sums them).
+func (k *Kernel) Pending() int { return k.inWheel + len(k.ofKeys) }
 
 // newNode pops a node from the free list or grows the arena.
 func (k *Kernel) newNode() int32 {
@@ -266,19 +246,6 @@ func (k *Kernel) scheduleSharded(at Time, val evPayload) {
 		return
 	}
 	k.ofPush(evKey{at: at, seq: val.seq}, val)
-}
-
-// curTag returns the tag scheduled events capture: the shard group's
-// shared cell in a sequential sharded run (one logical tag per chip,
-// whichever lane an event runs on), the kernel's own cell otherwise —
-// including during parallel windows, when lanes run concurrently and
-// the shared cell would be a data race. Causal chains stay lane-local
-// in parallel mode by construction, so the per-lane cell is exact.
-func (k *Kernel) curTag() uint64 {
-	if k.shard != nil && k.wlog == nil {
-		return k.shard.tag
-	}
-	return k.tag
 }
 
 // migrate drains overflow events that have come within the wheel
@@ -387,7 +354,7 @@ func (k *Kernel) checkTime(t Time) {
 // form for dispatch.
 func (k *Kernel) At(t Time, ev Event) {
 	k.checkTime(t)
-	k.schedule(t, evPayload{tag: k.curTag(), arg: ev})
+	k.schedule(t, evPayload{tag: k.tag, arg: ev})
 }
 
 // After schedules ev to run delay cycles from now.
@@ -403,7 +370,7 @@ func (k *Kernel) After(delay Time, ev Event) {
 // exactly as if the call were At(t, func() { fn(arg) }).
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
 	k.checkTime(t)
-	k.schedule(t, evPayload{tag: k.curTag(), argFn: fn, arg: arg})
+	k.schedule(t, evPayload{tag: k.tag, argFn: fn, arg: arg})
 }
 
 // AfterArg schedules fn(arg) to run delay cycles from now.
@@ -422,28 +389,10 @@ func (k *Kernel) nextTime() (Time, bool) {
 	return 0, false
 }
 
-// peekKey returns the (time, seq) key of the earliest pending event
-// without dispatching it; ok is false when the kernel is idle. The
-// wheel head is the global minimum whenever the wheel is non-empty:
-// every overflow event lies at least a full wheel horizon past some
-// earlier clock value, and migration runs on every clock advance, so
-// ofKeys[0].at >= now+wheelSize > any wheel timestamp. The ShardedKernel
-// merge compares lanes' peekKeys to pick the serial-order next event.
-func (k *Kernel) peekKey() (evKey, bool) {
-	if k.inWheel > 0 {
-		s := &k.slots[k.nextSlot()]
-		return evKey{at: s.at, seq: k.nodes[s.head].val.seq}, true
-	}
-	if len(k.ofKeys) > 0 {
-		return k.ofKeys[0], true
-	}
-	return evKey{}, false
-}
-
 // advanceTo jumps the clock forward to t without dispatching anything.
-// The ShardedKernel merge advances every lane to each dispatched
-// timestamp so Now() reads agree chip-wide no matter which lane a
-// handler runs on. Moving the wheel horizon forward pulls newly
+// RunParallel aligns every lane to each window's end with it, so lane
+// Now() reads agree between windows. Moving the wheel horizon forward
+// pulls newly
 // in-range overflow events into their slots, exactly as Run(limit)
 // does on a jump — skipping that was the PR 5 out-of-order bug.
 func (k *Kernel) advanceTo(t Time) {
@@ -471,7 +420,7 @@ func (k *Kernel) Deferring() bool { return k.wlog != nil }
 // the stamps a serial run would have assigned at this call site. The
 // resolver may mutate shared state and inject events with
 // InjectResolved; it must schedule nothing through the normal API.
-// Panics outside a parallel window: sequential executors run the
+// Panics outside a parallel window: the serial kernel runs the
 // operation inline instead (test Deferring first).
 func (k *Kernel) Defer(nseq int, fn func(arg any, seqBase uint64), arg any) {
 	wl := k.wlog
@@ -555,14 +504,7 @@ func (k *Kernel) Step() bool {
 		k.migrate(k.now)
 	}
 	if k.prof != nil {
-		depth := k.inWheel + len(k.ofKeys)
-		if k.shard != nil {
-			// The merge dispatches the same event the serial kernel would,
-			// so the chip-wide pending count matches the serial queue depth
-			// exactly; a per-lane count would not.
-			depth = k.shard.Pending()
-		}
-		k.prof.QueueDepth.Observe(uint64(depth))
+		k.prof.QueueDepth.Observe(uint64(k.inWheel + len(k.ofKeys)))
 	}
 	si := k.nextSlot()
 	s := &k.slots[si]
@@ -580,14 +522,10 @@ func (k *Kernel) Step() bool {
 	nd.next = k.free
 	k.free = n
 	k.now = at
-	if k.shard != nil && k.wlog == nil {
-		k.shard.tag = e.tag
-	} else {
-		k.tag = e.tag
-		if k.wlog != nil {
-			k.wlog.dispatch = append(k.wlog.dispatch,
-				dispatchEnt{at: at, seq: e.seq, schedStart: int32(len(k.wlog.sched))})
-		}
+	k.tag = e.tag
+	if k.wlog != nil {
+		k.wlog.dispatch = append(k.wlog.dispatch,
+			dispatchEnt{at: at, seq: e.seq, schedStart: int32(len(k.wlog.sched))})
 	}
 	k.events++
 	// Advancing the clock moved the wheel horizon forward: pull any
@@ -661,7 +599,7 @@ func (k *Kernel) runWindow(limit Time) {
 // It returns the number of events executed.
 func (k *Kernel) RunUntil(cond func() bool) uint64 {
 	start := k.events
-	for k.pendingLocal() > 0 && !cond() {
+	for k.Pending() > 0 && !cond() {
 		k.Step()
 	}
 	return k.events - start

@@ -3,33 +3,24 @@
 //
 // A ShardedKernel coordinates N ordinary Kernels so that one simulation
 // can be partitioned across them while dispatching events in EXACTLY
-// the order a single serial kernel would. Two executors share the same
-// state and invariants:
+// the order a single serial kernel would. RunParallel runs the lanes
+// concurrently in conservative lookahead windows: all lanes execute
+// [H, H+lookahead) independently, where H is the global minimum
+// next-event time and lookahead is the minimum cross-shard latency
+// (one mesh hop). Cross-shard messages go through Send into per-window
+// outboxes and are exchanged at the barrier.
 //
-//   - The sequential merge (Step/Run/RunUntil) picks, at every step,
-//     the globally earliest (time, seq) event across all lanes,
-//     advances every other lane's clock to that timestamp, and
-//     dispatches it. Because every schedule call is stamped with a
-//     global sequence number (Kernel.scheduleSharded) and the serial
-//     kernel's dispatch order is precisely (time, schedule order), the
-//     merge is provably bit-identical to a serial run — it is the
-//     correctness anchor the crosscheck fingerprint gate verifies, and
-//     the executor sharded runs fall back to when hub-resident
-//     observers are armed (see DESIGN.md §13).
-//
-//   - The parallel window executor (RunParallel) runs lanes
-//     concurrently in conservative lookahead windows: all lanes execute
-//     [H, H+lookahead) independently, where H is the global minimum
-//     next-event time and lookahead is the minimum cross-shard latency
-//     (one mesh hop). Cross-shard messages go through Send into
-//     per-window outboxes and are exchanged at the barrier. Stamps
-//     issued inside a window are provisional; the barrier replays the
-//     window's dispatch logs in merged (time, seq) order and assigns
-//     the exact sequence numbers the sequential merge would have,
-//     patching pending events in place. It requires shard-affine
-//     events (a lane's handlers touch only that lane's state); the
-//     coherence engines satisfy this and check it on every per-tile
-//     state access (proto.Context), so full systems run on it.
+// Every schedule call carries a sequence stamp, and the serial
+// kernel's dispatch order is precisely (time, schedule order). Calls
+// made outside windows (phase seeding) take the next global stamp
+// directly. Stamps issued inside a window are provisional; the barrier
+// replays the window's dispatch logs in merged (time, seq) order and
+// assigns the exact sequence numbers a serial run would have, patching
+// pending events in place. That renumbering is what keeps RunParallel
+// bit-identical to the serial kernel. It requires shard-affine events
+// (a lane's handlers touch only that lane's state); the coherence
+// engines satisfy this and check it on every per-tile state access
+// (proto.Context), so full systems run on it.
 package sim
 
 import (
@@ -114,16 +105,14 @@ type ShardedKernel struct {
 	kernels   []*Kernel
 	lookahead Time
 
-	now    Time
-	seq    uint64 // next global schedule stamp
-	tag    uint64 // shared causal tag cell (see Kernel.Tag)
-	active int32  // lane currently dispatching (sequential merge), -1 idle
+	now Time
+	seq uint64 // next global schedule stamp
 
 	wlogs    []windowLog // per-lane window logs, reused across windows
 	deferRes []deferRes  // barrier scratch: resolved defers in merged order
 
 	// laneProf, when non-nil, records RunParallel's per-window lane
-	// profile (see laneprof.go). Never touched by the sequential merge.
+	// profile (see laneprof.go).
 	laneProf *LaneProfile
 }
 
@@ -145,7 +134,6 @@ func NewSharded(seed uint64, shards int, lookahead Time) *ShardedKernel {
 	sk := &ShardedKernel{
 		kernels:   make([]*Kernel, shards),
 		lookahead: lookahead,
-		active:    -1,
 		wlogs:     make([]windowLog, shards),
 	}
 	for i := range sk.kernels {
@@ -191,16 +179,16 @@ func (sk *ShardedKernel) Hub() *Kernel { return sk.kernels[0] }
 // Lookahead returns the conservative horizon in cycles.
 func (sk *ShardedKernel) Lookahead() Time { return sk.lookahead }
 
-// Now returns the global simulation time: the timestamp of the last
-// dispatched event (every lane's clock is kept at this value between
-// dispatches, so lane Now() reads agree).
+// Now returns the global simulation time: the end of the last window
+// (every lane's clock is aligned to it at each barrier, so lane Now()
+// reads agree between windows).
 func (sk *ShardedKernel) Now() Time { return sk.now }
 
 // Pending returns the number of events waiting across all lanes.
 func (sk *ShardedKernel) Pending() int {
 	n := 0
 	for _, k := range sk.kernels {
-		n += k.pendingLocal()
+		n += k.Pending()
 	}
 	return n
 }
@@ -214,108 +202,13 @@ func (sk *ShardedKernel) EventsRun() uint64 {
 	return n
 }
 
-// ActiveShard returns the lane whose event is currently dispatching
-// under the sequential merge, or -1 between dispatches. Shard-affinity
-// asserts (e.g. a tile driver checking it woke on its own lane) read
-// it.
-func (sk *ShardedKernel) ActiveShard() int { return int(sk.active) }
-
-// SetProfile attaches (or detaches) one dispatch profiler to every
-// lane. Counts aggregate across lanes into the single Profile; under
-// the sequential merge the totals and the queue-depth histogram are
-// bit-identical to a serial run's (Kernel.Step observes the chip-wide
-// depth when sharded). Do not profile RunParallel — concurrent lanes
-// would race on the shared counters.
-func (sk *ShardedKernel) SetProfile(p *Profile) {
-	for _, k := range sk.kernels {
-		k.prof = p
-	}
-}
-
-// peekMin returns the lane holding the globally earliest (time, seq)
-// event and its key.
-func (sk *ShardedKernel) peekMin() (int, evKey, bool) {
-	best := -1
-	var bestKey evKey
-	for i, k := range sk.kernels {
-		key, ok := k.peekKey()
-		if !ok {
-			continue
-		}
-		if best < 0 || key.before(bestKey) {
-			best, bestKey = i, key
-		}
-	}
-	return best, bestKey, best >= 0
-}
-
-// stepLane advances every other lane's clock to the chosen event's
-// timestamp, then dispatches it. Advancing first means any Now() read
-// or schedule call the handler makes against another lane sees the
-// dispatch time, exactly as in a serial run.
-func (sk *ShardedKernel) stepLane(lane int, at Time) {
-	for i, k := range sk.kernels {
-		if i != lane {
-			k.advanceTo(at)
-		}
-	}
-	sk.active = int32(lane)
-	sk.kernels[lane].Step()
-	sk.active = -1
-	sk.now = at
-}
-
-// Step executes the globally earliest pending event under the
-// sequential merge, advancing all lanes' clocks to its timestamp. It
-// reports whether an event was executed.
-func (sk *ShardedKernel) Step() bool {
-	lane, key, ok := sk.peekMin()
-	if !ok {
-		return false
-	}
-	sk.stepLane(lane, key.at)
-	return true
-}
-
-// Run executes events under the sequential merge until the queues drain
-// or the clock passes limit (limit 0 means no limit). It returns the
-// number of events executed.
-func (sk *ShardedKernel) Run(limit Time) uint64 {
-	start := sk.EventsRun()
-	for {
-		lane, key, ok := sk.peekMin()
-		if !ok {
-			break
-		}
-		if limit != 0 && key.at > limit {
-			for _, k := range sk.kernels {
-				k.advanceTo(limit)
-			}
-			sk.now = limit
-			break
-		}
-		sk.stepLane(lane, key.at)
-	}
-	return sk.EventsRun() - start
-}
-
-// RunUntil executes events under the sequential merge while cond
-// returns false and events remain. It returns the number executed.
-func (sk *ShardedKernel) RunUntil(cond func() bool) uint64 {
-	start := sk.EventsRun()
-	for sk.Pending() > 0 && !cond() {
-		sk.Step()
-	}
-	return sk.EventsRun() - start
-}
-
 // State captures the group's merged kernel state for a snapshot. All
 // lanes must be quiescent. The merged view is what a serial run of the
 // same events would have recorded: the global clock, the global stamp
-// counter, the shared tag, the summed dispatch count, and the hub's
-// random stream (non-hub streams are never drawn). A snapshot captured
-// from a sharded run therefore restores into a serial kernel and vice
-// versa.
+// counter, the hub's causal tag, the summed dispatch count, and the
+// hub's random stream (non-hub streams are never drawn). A snapshot
+// captured from a sharded run therefore restores into a serial kernel
+// and vice versa.
 func (sk *ShardedKernel) State() (KernelState, error) {
 	if n := sk.Pending(); n > 0 {
 		return KernelState{}, fmt.Errorf("sim: sharded kernel not quiescent: %d events pending", n)
@@ -323,21 +216,22 @@ func (sk *ShardedKernel) State() (KernelState, error) {
 	return KernelState{
 		Now:    sk.now,
 		Seq:    sk.seq,
-		Tag:    sk.tag,
+		Tag:    sk.Hub().tag,
 		Events: sk.EventsRun(),
 		Rand:   sk.Hub().rng.State(),
 	}, nil
 }
 
-// RestoreState overwrites the group's clocks, counters and the hub
-// random stream with a captured state. All lanes must be empty. The
-// dispatch total lands on the hub so EventsRun sums correctly.
+// RestoreState overwrites the group's clocks, counters, causal tags and
+// the hub random stream with a captured state. All lanes must be empty.
+// The dispatch total lands on the hub so EventsRun sums correctly.
 func (sk *ShardedKernel) RestoreState(st KernelState) error {
 	if n := sk.Pending(); n > 0 {
 		return fmt.Errorf("sim: cannot restore into a sharded kernel with %d pending events", n)
 	}
 	for _, k := range sk.kernels {
 		k.now = st.Now
+		k.tag = st.Tag
 		k.events = 0
 	}
 	hub := sk.Hub()
@@ -345,17 +239,15 @@ func (sk *ShardedKernel) RestoreState(st KernelState) error {
 	hub.rng.SetState(st.Rand)
 	sk.now = st.Now
 	sk.seq = st.Seq
-	sk.tag = st.Tag
 	return nil
 }
 
 // Send schedules fn(arg) delay cycles from now on lane to, from a
-// handler running on lane k. Same-lane sends are plain AfterArg calls.
-// Cross-lane sends must respect the conservative horizon (delay >=
-// lookahead) — under the sequential merge that is merely asserted, but
-// the parallel executor depends on it: the message is captured in the
-// sending lane's outbox and exchanged at the window barrier, and the
-// horizon guarantees it lands strictly after the window that sent it.
+// handler running on lane k inside a RunParallel window. Same-lane
+// sends are plain AfterArg calls. A cross-lane message is captured in
+// the sending lane's outbox and exchanged at the window barrier; it
+// must respect the conservative horizon (delay >= lookahead), which
+// guarantees it lands strictly after the window that sent it.
 func (k *Kernel) Send(to int, delay Time, fn func(any), arg any) {
 	sk := k.shard
 	if sk == nil || int32(to) == k.shardIdx {
@@ -366,32 +258,26 @@ func (k *Kernel) Send(to int, delay Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: cross-shard send %d->%d with delay %d below lookahead %d",
 			k.shardIdx, to, delay, sk.lookahead))
 	}
-	at := k.now + delay
-	val := evPayload{tag: k.curTag(), argFn: fn, arg: arg}
-	if k.wlog != nil {
-		val.seq = sk.stamp(k)
-		k.wlog.out = append(k.wlog.out, outMsg{at: at, to: int32(to), val: val})
-		k.wlog.sched = append(k.wlog.sched,
-			schedEnt{prov: val.seq, kind: schedChannel, idx: int32(len(k.wlog.out) - 1)})
-		return
+	if k.wlog == nil {
+		panic("sim: cross-shard Send outside a parallel window")
 	}
-	// Sequential merge: the target lane's clock equals this lane's, so a
-	// direct stamped schedule is exact.
-	sk.kernels[to].schedule(at, val)
+	val := evPayload{tag: k.tag, argFn: fn, arg: arg, seq: sk.stamp(k)}
+	k.wlog.out = append(k.wlog.out, outMsg{at: k.now + delay, to: int32(to), val: val})
+	k.wlog.sched = append(k.wlog.sched,
+		schedEnt{prov: val.seq, kind: schedChannel, idx: int32(len(k.wlog.out) - 1)})
 }
 
 // RunParallel executes events with lanes running concurrently in
 // conservative lookahead windows, until the queues drain or the clock
 // passes limit (limit 0 means no limit). After every barrier the
-// group's pending events carry exactly the sequence stamps the
-// sequential merge would have assigned, so the two executors are
-// interchangeable at window boundaries.
+// group's pending events carry exactly the sequence stamps a serial
+// kernel would have assigned, so a run split at any limit resumes
+// bit-identically.
 //
 // It requires shard-affine events: a handler running on lane i may
 // touch only lane-i state and communicate with other lanes via Send.
 // The coherence engines meet that contract (core's Config.Parallel);
 // the race detector and the engines' ownership check enforce it.
-// Profiling must be detached.
 func (sk *ShardedKernel) RunParallel(limit Time) uint64 {
 	start := sk.EventsRun()
 	var wg sync.WaitGroup
@@ -476,7 +362,7 @@ func (sk *ShardedKernel) RunParallel(limit Time) uint64 {
 
 // barrier reconciles a finished parallel window: it replays the lanes'
 // dispatch logs in merged (time, seq) order, assigns every schedule
-// call the exact global stamp the sequential merge would have issued,
+// call the exact global stamp a serial run would have issued,
 // patches still-pending events in place, and exchanges the cross-shard
 // outboxes.
 func (sk *ShardedKernel) barrier(winEnd Time) {
@@ -585,8 +471,8 @@ func (sk *ShardedKernel) barrier(winEnd Time) {
 	// all pending stamps are final, so a resolver's InjectResolved
 	// splices correctly — and on this single goroutine, so mutating
 	// shared state (link reservations, the memory random stream) is
-	// race-free and ordered exactly as the sequential merge would have
-	// ordered it. Order against the outbox exchange below is immaterial:
+	// race-free and ordered exactly as a serial run would have ordered
+	// it. Order against the outbox exchange below is immaterial:
 	// both splice explicit final stamps.
 	for i := range sk.deferRes {
 		r := &sk.deferRes[i]

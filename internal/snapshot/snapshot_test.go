@@ -289,11 +289,12 @@ func TestWatchdogRearmsAfterFork(t *testing.T) {
 }
 
 // TestForkAcrossExecutors pins the executor-agnosticism of the
-// snapshot surface: one warmup forks into serial AND sharded measure
-// phases (and a sharded warmup forks into a serial measure), all
+// snapshot surface: one serial warmup forks into a RunParallel measure
+// phase (and a RunParallel warmup forks into a serial measure), all
 // bit-identical to the straight-through serial run. WarmupConfig
-// normalizes Shards away, so the snapshots are interchangeable by
-// construction — this test proves the captured state really is.
+// normalizes Shards and Parallel away, so the snapshots are
+// interchangeable by construction — this test proves the captured
+// state really is.
 func TestForkAcrossExecutors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full protocol runs")
@@ -305,14 +306,9 @@ func TestForkAcrossExecutors(t *testing.T) {
 	}
 	want := fingerprint(straight)
 
-	// Serial warmup -> sharded measure (runFork warms up under the
-	// normalized config, which is serial; the fork config shards).
-	shardedCfg := cfg
-	shardedCfg.Shards = 3
-	diffFingerprints(t, "serial-warmup/sharded-measure", want, fingerprint(runFork(t, shardedCfg)))
-
-	// Serial warmup -> RunParallel measure (the fork config asks for
-	// the concurrent window executor; the snapshot must not care).
+	// Serial warmup -> RunParallel measure (runFork warms up under the
+	// normalized config, which is serial; the fork config asks for the
+	// concurrent window executor; the snapshot must not care).
 	parCfg := cfg
 	parCfg.Shards = 4
 	parCfg.Parallel = true
@@ -322,45 +318,38 @@ func TestForkAcrossExecutors(t *testing.T) {
 	}
 	diffFingerprints(t, "serial-warmup/parallel-measure", want, fingerprint(parRes))
 
-	// Sharded (and RunParallel) warmup -> serial measure: capture from
-	// a warmed-up system on the named executor, round-trip the wire
-	// format, fork into a plain serial measure phase.
-	warmInto := func(label string, warmMut func(*core.Config)) {
-		warmCfg := WarmupConfig(cfg)
-		warmCfg.RefsPerCore = cfg.RefsPerCore
-		warmMut(&warmCfg)
-		ws, err := core.NewSystem(warmCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ws.RunWarmup(); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Capture(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := Bytes(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := Decode(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := Fork(st2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fs.RunMeasure()
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffFingerprints(t, label, want, fingerprint(res))
+	// RunParallel warmup -> serial measure: capture from a warmed-up
+	// system on the parallel executor, round-trip the wire format, fork
+	// into a plain serial measure phase.
+	warmCfg := WarmupConfig(cfg)
+	warmCfg.RefsPerCore = cfg.RefsPerCore
+	warmCfg.Shards, warmCfg.Parallel = 3, true
+	ws, err := core.NewSystem(warmCfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	warmInto("sharded-warmup/serial-measure", func(c *core.Config) { c.Shards = 2 })
-	warmInto("parallel-warmup/serial-measure", func(c *core.Config) {
-		c.Shards = 4
-		c.Parallel = true
-	})
+	if err := ws.RunWarmup(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Capture(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := Bytes(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Fork(st2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fs.RunMeasure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffFingerprints(t, "parallel-warmup/serial-measure", want, fingerprint(res))
 }
