@@ -71,10 +71,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
-		if err := m.Verify(); err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
 		fmt.Printf("%s: ok (%d runs, schema v%d, written by %s@%s)\n",
 			*validate, len(m.Runs), m.Schema, m.Tool, m.Revision)
 		return
@@ -301,10 +297,16 @@ func plotSeries(m *obs.Manifest) bool {
 }
 
 // readManifest loads a manifest from a file, or from matrix.json
-// inside a directory (the layout cmd/experiments -out writes).
+// inside a directory (the layout cmd/experiments -out writes), and
+// verifies that every run record round-trips, so no view renders a
+// malformed manifest.
 func readManifest(path string) (*obs.Manifest, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		path = filepath.Join(path, "matrix.json")
 	}
-	return obs.ReadFile(path)
+	m, err := obs.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return m, m.Verify()
 }

@@ -2,8 +2,8 @@
 // cmd/* tools. Every tool that drives simulations binds the same flag
 // names, defaults and help texts onto its flag set from here, so
 // `-seed`, `-check` or `-shards` mean exactly the same thing in
-// cmpsim, experiments and bench, and a new simulation knob becomes a
-// flag in every tool by touching one file.
+// cmpsim and experiments, and a new simulation knob becomes a flag in
+// every tool by touching one file.
 package cli
 
 import (
@@ -82,8 +82,7 @@ func (f *Flags) Obs() *Flags {
 
 // Shards registers the -shards and -parallel flags: the executor
 // selector (DESIGN.md §13). Separate from Sim because the executor never
-// changes results, only how the run executes — tools like bench bind
-// it without the rest of the simulation surface.
+// changes results, only how the run executes.
 func (f *Flags) Shards() *Flags {
 	f.fs.IntVar(&f.cfg.Shards, "shards", f.cfg.Shards,
 		"with -parallel: partition the mesh into N contiguous tile shards, each on its own kernel lane (0 = the single serial kernel; results are bit-identical)")

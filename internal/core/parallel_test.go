@@ -12,6 +12,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestParallelMatchesSerialAllProtocols is the executor's acceptance
@@ -189,29 +191,38 @@ func TestParallelCrossCheckFingerprint(t *testing.T) {
 	}
 }
 
-// TestParallelLaneProfile checks the parallel executor attaches the
-// per-lane utilization profile: every lane must have recorded events,
-// and the profile must be absent on the serial kernel.
+// TestParallelLaneProfile attaches a lane profile to a parallel
+// system's sharded kernel after warmup, the way the benchmark harness
+// profiles the measured phase: every lane must have recorded events,
+// and the serial configuration must have no sharded kernel to attach to.
 func TestParallelLaneProfile(t *testing.T) {
 	cfg := smallCfg("directory", "apache4x16p")
 	cfg.WarmupRefs = 100
 	cfg.Shards = 4
 	cfg.Parallel = true
-	res, err := Run(cfg)
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LaneProf == nil {
-		t.Fatal("parallel run attached no lane profile")
+	if sys.SK == nil {
+		t.Fatal("parallel config built no sharded kernel")
 	}
-	if got := res.LaneProf.Lanes; got != 4 {
-		t.Fatalf("lane profile covers %d lanes, want 4", got)
+	if err := sys.RunWarmup(); err != nil {
+		t.Fatal(err)
 	}
-	if res.LaneProf.TotalWindows == 0 || len(res.LaneProf.Windows) == 0 {
-		t.Fatalf("lane profile retained no windows (total=%d)", res.LaneProf.TotalWindows)
+	lp := &sim.LaneProfile{}
+	sys.SK.SetLaneProfile(lp)
+	if _, err := sys.RunMeasure(); err != nil {
+		t.Fatal(err)
 	}
-	events := make([]uint64, res.LaneProf.Lanes)
-	for _, w := range res.LaneProf.Windows {
+	if lp.Lanes != 4 {
+		t.Fatalf("lane profile covers %d lanes, want 4", lp.Lanes)
+	}
+	if lp.TotalWindows == 0 || len(lp.Windows) == 0 {
+		t.Fatalf("lane profile retained no windows (total=%d)", lp.TotalWindows)
+	}
+	events := make([]uint64, lp.Lanes)
+	for _, w := range lp.Windows {
 		events[w.Lane] += w.Events
 	}
 	for i, n := range events {
@@ -220,11 +231,11 @@ func TestParallelLaneProfile(t *testing.T) {
 		}
 	}
 	cfg.Shards, cfg.Parallel = 0, false
-	res, err = Run(cfg)
+	sys, err = NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LaneProf != nil {
-		t.Error("serial run attached a lane profile")
+	if sys.SK != nil {
+		t.Error("serial config built a sharded kernel")
 	}
 }

@@ -163,11 +163,6 @@ type Result struct {
 	// time series of the run (warmup and measured phases).
 	Series *telemetry.Series
 
-	// LaneProf is non-nil only when the run executed on RunParallel:
-	// the per-window lane utilization profile (events per lane per
-	// window, outbox depths, barrier waits).
-	LaneProf *sim.LaneProfile
-
 	// PerVM is non-nil only when Config.PerVM was set: one entry per
 	// consolidated VM, in VM order.
 	PerVM []VMStat
@@ -303,8 +298,6 @@ type System struct {
 	// counters.
 	SK      *sim.ShardedKernel
 	shardOf []int // tile -> shard (SK != nil only)
-	// laneProf collects per-window lane utilization (SK != nil only).
-	laneProf *sim.LaneProfile
 
 	// prof is non-nil only when Cfg.Profile is set.
 	prof *RunProfile
@@ -558,10 +551,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.PerVM {
 		s.vmHist = make([]sim.Hist, placement.NumVMs)
-	}
-	if sk != nil {
-		s.laneProf = &sim.LaneProfile{}
-		sk.SetLaneProfile(s.laneProf)
 	}
 	if cfg.Trace {
 		s.Tracer = telemetry.NewTracer(kernel, cfg.Protocol, cfg.Tiles, cfg.TraceCap)
@@ -842,7 +831,6 @@ func (s *System) RunMeasure() (*Result, error) {
 	if s.Sampler != nil {
 		res.Series = s.Sampler.Series()
 	}
-	res.LaneProf = s.laneProf
 	res.Breakdown = power.Dynamic(res.Counters, res.Net, energies)
 	if banks := s.Ctx.PerVMBanks(); banks != nil {
 		res.PerVM = make([]VMStat, len(banks))

@@ -247,6 +247,14 @@ func (r *RunRecord) Result() (*core.Result, error) {
 	for _, c := range r.Counters {
 		res.Counters.Add(c.Name, c.Value)
 	}
+	if s := r.Series; s != nil {
+		for i := range s.Samples {
+			if got := len(s.Samples[i].Counters); got != len(s.CounterNames) {
+				return nil, fmt.Errorf("obs: %s/%s: series sample %d carries %d counters for %d counter names",
+					r.Workload, r.Protocol, i, got, len(s.CounterNames))
+			}
+		}
+	}
 	res.Profile.Hits = r.MissProfile.Hits
 	for _, mc := range r.MissProfile.Classes {
 		idx := -1

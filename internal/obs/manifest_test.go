@@ -231,6 +231,36 @@ func TestManifestIntegrity(t *testing.T) {
 	if err := m.Verify(); err == nil {
 		t.Fatal("Verify accepted a tampered run")
 	}
+
+	// A series sample whose counter vector does not match the counter
+	// names cannot be read back, shorter or longer.
+	cfg := smallConfig("dico")
+	cfg.SampleEvery = 2000
+	res, err = core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resize := range []func([]uint64) []uint64{
+		func(c []uint64) []uint64 { return []uint64{1} },
+		func(c []uint64) []uint64 { return append(append([]uint64(nil), c...), 0) },
+	} {
+		m = New("test")
+		m.Add(res)
+		s := m.Runs[0].Series
+		if s == nil || len(s.Samples) == 0 {
+			t.Fatal("sampled run exported no series")
+		}
+		if _, err := m.Runs[0].Result(); err != nil {
+			t.Fatalf("untampered sampled run: %v", err)
+		}
+		orig := s.Samples[0].Counters // shared with res.Series: restored below
+		s.Samples[0].Counters = resize(orig)
+		if _, err := m.Runs[0].Result(); err == nil || !strings.Contains(err.Error(), "counter names") {
+			t.Errorf("sample with %d counters for %d names: err = %v, want a counter-names mismatch",
+				len(s.Samples[0].Counters), len(s.CounterNames), err)
+		}
+		s.Samples[0].Counters = orig
+	}
 }
 
 // TestMatrixRoundTripFigures runs a small sweep, exports it, decodes

@@ -21,7 +21,7 @@ type LaneWindow struct {
 	// window to the barrier completing — the lane's idle share of the
 	// window (straggler lanes have small waits, fast lanes large ones).
 	// Wall-clock data is nondeterministic by nature, so it lives only
-	// here and in exports, never in simulation results.
+	// here, never in simulation results.
 	WaitNS int64
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/mesh"
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -33,33 +32,14 @@ type runView struct {
 // simulation goroutines), HTTP handlers read the latest one out. It
 // supports several concurrent runs (cmpsim -protocols) keyed by
 // protocol name.
-// laneView is the aggregated per-lane execution profile of one
-// RunParallel workload, published once per run (or per refresh).
-type laneView struct {
-	Lanes        int
-	Lookahead    sim.Time
-	TotalWindows int
-	// Per-lane aggregates over the retained windows.
-	Windows []int
-	Events  []uint64
-	Stalls  []int
-	WaitNS  []int64
-}
-
-// Live is the thread-safe bridge between running simulations and the
-// HTTP endpoint: each sampler pushes its epoch snapshots in (from the
-// simulation goroutines), HTTP handlers read the latest one out. It
-// supports several concurrent runs (cmpsim -protocols) keyed by
-// protocol name.
 type Live struct {
-	mu    sync.Mutex
-	runs  map[string]*runView
-	lanes map[string]*laneView
+	mu   sync.Mutex
+	runs map[string]*runView
 }
 
 // NewLive returns an empty live-state registry.
 func NewLive() *Live {
-	return &Live{runs: map[string]*runView{}, lanes: map[string]*laneView{}}
+	return &Live{runs: map[string]*runView{}}
 }
 
 // Update publishes one run's newest sample. It deep-copies everything
@@ -82,35 +62,6 @@ func (l *Live) Update(protocol, workload string, grid topo.Grid, names []string,
 	v.Sample.LinkFlits = append([]uint64(nil), s.LinkFlits...)
 	v.Sample.PerVMCachePJ = append([]float64(nil), s.PerVMCachePJ...)
 	v.Sample.PerVMNetPJ = append([]float64(nil), s.PerVMNetPJ...)
-}
-
-// UpdateLanes publishes the per-lane aggregate of a RunParallel lane
-// profile under name. Call it between windows is not supported — the
-// profile is read whole, so publish after RunParallel returns (or from
-// the coordinating goroutine only).
-func (l *Live) UpdateLanes(name string, lp *sim.LaneProfile) {
-	v := &laneView{
-		Lanes: lp.Lanes, Lookahead: lp.Lookahead, TotalWindows: lp.TotalWindows,
-		Windows: make([]int, lp.Lanes),
-		Events:  make([]uint64, lp.Lanes),
-		Stalls:  make([]int, lp.Lanes),
-		WaitNS:  make([]int64, lp.Lanes),
-	}
-	for i := range lp.Windows {
-		w := &lp.Windows[i]
-		if w.Lane < 0 || w.Lane >= lp.Lanes {
-			continue
-		}
-		v.Windows[w.Lane]++
-		v.Events[w.Lane] += w.Events
-		if w.Events == 0 {
-			v.Stalls[w.Lane]++
-		}
-		v.WaitNS[w.Lane] += w.WaitNS
-	}
-	l.mu.Lock()
-	l.lanes[name] = v
-	l.mu.Unlock()
 }
 
 // Attach wires a sampler's epoch hook to this registry.
@@ -179,26 +130,6 @@ func (l *Live) metrics(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	if len(l.lanes) > 0 {
-		names := make([]string, 0, len(l.lanes))
-		for n := range l.lanes {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		b.WriteString("# HELP cmpsim_lane_windows_total Lookahead windows a lane participated in (retained rows).\n# TYPE cmpsim_lane_windows_total counter\n")
-		b.WriteString("# HELP cmpsim_lane_events_total Events a lane dispatched inside its windows.\n# TYPE cmpsim_lane_events_total counter\n")
-		b.WriteString("# HELP cmpsim_lane_stalls_total Windows a lane sat out (lookahead stalls).\n# TYPE cmpsim_lane_stalls_total counter\n")
-		b.WriteString("# HELP cmpsim_lane_wait_ns_total Wall-clock nanoseconds a lane spent waiting at window barriers.\n# TYPE cmpsim_lane_wait_ns_total counter\n")
-		for _, n := range names {
-			v := l.lanes[n]
-			for lane := 0; lane < v.Lanes; lane++ {
-				fmt.Fprintf(&b, "cmpsim_lane_windows_total{run=%q,lane=\"%d\"} %d\n", n, lane, v.Windows[lane])
-				fmt.Fprintf(&b, "cmpsim_lane_events_total{run=%q,lane=\"%d\"} %d\n", n, lane, v.Events[lane])
-				fmt.Fprintf(&b, "cmpsim_lane_stalls_total{run=%q,lane=\"%d\"} %d\n", n, lane, v.Stalls[lane])
-				fmt.Fprintf(&b, "cmpsim_lane_wait_ns_total{run=%q,lane=\"%d\"} %d\n", n, lane, v.WaitNS[lane])
-			}
-		}
-	}
 	b.WriteString("# HELP cmpsim_counter_total Simulation event counters (power + protocol events).\n# TYPE cmpsim_counter_total counter\n")
 	for _, p := range l.protocols() {
 		v := l.runs[p]
@@ -240,7 +171,7 @@ table{border-collapse:collapse;margin:8px 0 24px}td{width:42px;height:42px;text-
 h2{margin-bottom:2px}.meta{color:#8a8;font-size:13px}a{color:#9cf}</style></head><body>
 <h1>cmpsim live telemetry</h1>
 <p class="meta"><a href="/metrics">/metrics</a> · <a href="/debug/vars">/debug/vars</a> · <a href="/debug/pprof/">/debug/pprof</a> · mesh cells show flits crossing each tile's outgoing links in the last epoch</p>`)
-	if len(l.runs) == 0 && len(l.lanes) == 0 {
+	if len(l.runs) == 0 {
 		b.WriteString("<p>no samples yet — the first epoch has not completed.</p>")
 	}
 	for _, p := range l.protocols() {
@@ -293,24 +224,6 @@ h2{margin-bottom:2px}.meta{color:#8a8;font-size:13px}a{color:#9cf}</style></head
 				fmt.Fprintf(&b, `<td style="width:auto;padding:0 8px">%.3g</td>`, pj)
 			}
 			b.WriteString("</tr></table>")
-		}
-	}
-	if len(l.lanes) > 0 {
-		laneNames := make([]string, 0, len(l.lanes))
-		for n := range l.lanes {
-			laneNames = append(laneNames, n)
-		}
-		sort.Strings(laneNames)
-		for _, n := range laneNames {
-			v := l.lanes[n]
-			fmt.Fprintf(&b, "<h2>lanes / %s</h2><p class=\"meta\">%d lanes · lookahead %d cycles · %d windows total</p><table>",
-				html.EscapeString(n), v.Lanes, v.Lookahead, v.TotalWindows)
-			b.WriteString(`<tr><td style="width:auto;padding:0 8px">lane</td><td style="width:auto;padding:0 8px">windows</td><td style="width:auto;padding:0 8px">events</td><td style="width:auto;padding:0 8px">stalls</td><td style="width:auto;padding:0 8px">barrier wait</td></tr>`)
-			for lane := 0; lane < v.Lanes; lane++ {
-				fmt.Fprintf(&b, `<tr><td style="width:auto;padding:0 8px">%d</td><td style="width:auto;padding:0 8px">%d</td><td style="width:auto;padding:0 8px">%d</td><td style="width:auto;padding:0 8px">%d</td><td style="width:auto;padding:0 8px">%.2fms</td></tr>`,
-					lane, v.Windows[lane], v.Events[lane], v.Stalls[lane], float64(v.WaitNS[lane])/1e6)
-			}
-			b.WriteString("</table>")
 		}
 	}
 	b.WriteString("</body></html>")

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // traceEvent is one Chrome/Perfetto trace-event record. Timestamps
@@ -46,16 +44,6 @@ type perfettoFile struct {
 // exported — after a completed run there are none, and a partial
 // export must not contain unclosed slices.
 func WritePerfetto(w io.Writer, tracers ...*Tracer) error {
-	return WritePerfettoLanes(w, nil, tracers...)
-}
-
-// WritePerfettoLanes is WritePerfetto plus per-lane execution tracks:
-// when lp is non-nil, every retained RunParallel window becomes one
-// complete ("X") slice per lane on a dedicated "sharded kernel"
-// process, one thread per lane, annotated with the lane's events
-// dispatched, outbox depth and barrier wait. Lane tracks render next
-// to the span tracks, aligned on the same cycle axis.
-func WritePerfettoLanes(w io.Writer, lp *sim.LaneProfile, tracers ...*Tracer) error {
 	f := perfettoFile{
 		DisplayTimeUnit: "ns",
 		OtherData:       map[string]any{"tool": "cmpsim", "unit": "cycles"},
@@ -132,38 +120,6 @@ func WritePerfettoLanes(w io.Writer, lp *sim.LaneProfile, tracers ...*Tracer) er
 		}
 		f.OtherData[t.Protocol+"_spans_dropped"] = t.Dropped()
 	}
-	if lp != nil {
-		pid := len(tracers) + 1
-		meta = append(meta, traceEvent{
-			Name: "process_name", Ph: "M", PID: pid,
-			Args: map[string]any{"name": fmt.Sprintf("sharded kernel (%d lanes)", lp.Lanes)},
-		})
-		for lane := 0; lane < lp.Lanes; lane++ {
-			meta = append(meta, traceEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: lane,
-				Args: map[string]any{"name": fmt.Sprintf("lane %d", lane)},
-			})
-		}
-		for i := range lp.Windows {
-			lw := &lp.Windows[i]
-			dur := uint64(lw.End-lw.Start) + 1
-			name := "window"
-			if lw.Events == 0 {
-				name = "stall" // lookahead stall: the lane only waited
-			}
-			events = append(events, traceEvent{
-				Name: name, Cat: "lane", Ph: "X",
-				TS: uint64(lw.Start), Dur: &dur, PID: pid, TID: lw.Lane,
-				Args: map[string]any{
-					"events":  lw.Events,
-					"outbox":  lw.Out,
-					"wait_ns": lw.WaitNS,
-				},
-			})
-		}
-		f.OtherData["lane_windows_total"] = lp.TotalWindows
-		f.OtherData["lane_lookahead_cycles"] = uint64(lp.Lookahead)
-	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 	f.TraceEvents = append(meta, events...)
 	enc := json.NewEncoder(w)
@@ -172,19 +128,18 @@ func WritePerfettoLanes(w io.Writer, lp *sim.LaneProfile, tracers ...*Tracer) er
 
 // TraceSummary is what ValidatePerfetto learned about a trace file.
 type TraceSummary struct {
-	Events     int
-	Spans      int
-	Hops       int
-	LaneSlices int            // per-lane window slices (cat "lane")
-	ByPID      map[int]string // pid -> process (protocol) name
+	Events int
+	Spans  int
+	Hops   int
+	ByPID  map[int]string // pid -> process (protocol) name
 }
 
 // ValidatePerfetto decodes a trace-event JSON file and verifies the
 // invariants CI enforces on exported traces: well-formed JSON with a
 // non-empty traceEvents array, known phase types, non-decreasing
 // timestamps, every async begin matched by exactly one end of the
-// same (cat, id), and every miss slice closed (a duration and a miss
-// class recorded). It returns a summary of what it saw.
+// same (cat, id), every complete slice carrying a duration, and every
+// miss slice closed (a miss class recorded). It returns a summary of what it saw.
 func ValidatePerfetto(r io.Reader) (TraceSummary, error) {
 	sum := TraceSummary{ByPID: map[int]string{}}
 	var f perfettoFile
@@ -210,19 +165,13 @@ func ValidatePerfetto(r io.Reader) (TraceSummary, error) {
 			}
 			continue
 		case "X":
+			if e.Dur == nil {
+				return sum, fmt.Errorf("telemetry: event %d: slice %q (cat %q) has no duration (not closed)", i, e.Name, e.Cat)
+			}
 			if e.Cat == "miss" {
 				sum.Spans++
-				if e.Dur == nil {
-					return sum, fmt.Errorf("telemetry: event %d: miss slice %q has no duration (span not closed)", i, e.Name)
-				}
 				if cls, ok := e.Args["class"].(string); !ok || cls == "" {
 					return sum, fmt.Errorf("telemetry: event %d: miss slice %q has no class (span not closed)", i, e.Name)
-				}
-			}
-			if e.Cat == "lane" {
-				sum.LaneSlices++
-				if e.Dur == nil {
-					return sum, fmt.Errorf("telemetry: event %d: lane slice %q has no duration", i, e.Name)
 				}
 			}
 		case "b":
@@ -251,8 +200,8 @@ func ValidatePerfetto(r io.Reader) (TraceSummary, error) {
 			return sum, fmt.Errorf("telemetry: async pair %q unbalanced by %d", key, n)
 		}
 	}
-	if sum.Spans == 0 && sum.LaneSlices == 0 {
-		return sum, fmt.Errorf("telemetry: trace contains no miss spans and no lane slices")
+	if sum.Spans == 0 {
+		return sum, fmt.Errorf("telemetry: trace contains no miss spans")
 	}
 	return sum, nil
 }

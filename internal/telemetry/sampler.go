@@ -23,9 +23,9 @@ type Sample struct {
 	QueueDepth  int `json:"queue_depth"`
 	MSHRPending int `json:"mshr_pending"`
 	// Counters holds every stats counter in registration order at
-	// snapshot time. Counters register lazily, so an early sample may
-	// be a strict prefix of Series.CounterNames; missing tail values
-	// are zero.
+	// snapshot time, one value per Series.CounterNames entry: engines
+	// register their counters when they bind handles at construction,
+	// before the first sample (obs manifests reject any other length).
 	Counters []uint64 `json:"counters"`
 	// LinkFlits is the cumulative per-directed-link flit occupancy
 	// (index layout tile*4+direction, see mesh.Network.LinkFlits).
@@ -47,8 +47,8 @@ type Sample struct {
 // to interpret them. It is the manifest-facing (schema v2) form.
 type Series struct {
 	Interval sim.Time `json:"interval"`
-	// CounterNames is the final counter namespace; each sample's
-	// Counters vector aligns to a prefix of it.
+	// CounterNames is the counter namespace; each sample's Counters
+	// vector aligns to it one to one.
 	CounterNames []string `json:"counter_names"`
 	Samples      []Sample `json:"samples"`
 	// Dropped counts samples evicted to keep the ring under its cap.

@@ -276,60 +276,6 @@ func TestPerfettoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPerfettoLaneTracks exports a lane profile (no span tracers at
-// all — the lane-only case bench -lanetrace produces) and requires the
-// validator to accept it, count the lane slices, and name the sharded-
-// kernel process; spans and lanes must also compose in one file.
-func TestPerfettoLaneTracks(t *testing.T) {
-	lp := &sim.LaneProfile{Lanes: 2, Lookahead: 5, TotalWindows: 3, Cap: sim.DefaultLaneWindowCap}
-	for w := 0; w < 3; w++ {
-		for lane := 0; lane < 2; lane++ {
-			ev := uint64(w + lane)
-			lp.Windows = append(lp.Windows, sim.LaneWindow{
-				Lane: lane, Start: sim.Time(w * 5), End: sim.Time(w*5 + 4),
-				Events: ev, Out: lane, WaitNS: int64(100 * w),
-			})
-		}
-	}
-	var buf bytes.Buffer
-	if err := WritePerfettoLanes(&buf, lp); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := ValidatePerfetto(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("lane-only trace failed validation: %v\n%s", err, buf.String())
-	}
-	if sum.LaneSlices != 6 || sum.Spans != 0 {
-		t.Errorf("summary lanes/spans = %d/%d, want 6/0", sum.LaneSlices, sum.Spans)
-	}
-	if sum.ByPID[1] != "sharded kernel (2 lanes)" {
-		t.Errorf("pid 1 = %q, want the sharded-kernel process", sum.ByPID[1])
-	}
-	if !strings.Contains(buf.String(), `"stall"`) {
-		t.Error("zero-event window not exported as a stall slice")
-	}
-
-	// Spans and lane tracks in the same file: distinct PIDs, both counted.
-	k := sim.NewKernel(1)
-	tr := NewTracer(k, "arin", 4, 0)
-	tr.BeginMiss(0, 0x80, false)
-	tr.EndMiss(0, "local", false)
-	buf.Reset()
-	if err := WritePerfettoLanes(&buf, lp, tr); err != nil {
-		t.Fatal(err)
-	}
-	sum, err = ValidatePerfetto(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("combined trace failed validation: %v", err)
-	}
-	if sum.Spans != 1 || sum.LaneSlices != 6 {
-		t.Errorf("combined spans/lanes = %d/%d, want 1/6", sum.Spans, sum.LaneSlices)
-	}
-	if sum.ByPID[1] != "arin" || sum.ByPID[2] != "sharded kernel (2 lanes)" {
-		t.Errorf("pids = %v, want arin then the sharded kernel", sum.ByPID)
-	}
-}
-
 // TestPerfettoValidatorRejects feeds the validator traces violating
 // each invariant and requires a loud failure naming the problem.
 func TestPerfettoValidatorRejects(t *testing.T) {
@@ -351,6 +297,9 @@ func TestPerfettoValidatorRejects(t *testing.T) {
 			{"name":"R miss","cat":"miss","ph":"X","ts":1,"pid":1,"tid":0}]}`, "no duration"},
 		{"classless-miss", `{"traceEvents": [
 			{"name":"R miss","cat":"miss","ph":"X","ts":1,"dur":5,"pid":1,"tid":0,"args":{}}]}`, "no class"},
+		{"open-non-miss-slice", `{"traceEvents": [
+			{"name":"R miss","cat":"miss","ph":"X","ts":1,"dur":5,"pid":1,"tid":0,"args":{"class":"local"}},
+			{"name":"phase","cat":"kernel","ph":"X","ts":2,"pid":2,"tid":0}]}`, "no duration"},
 	}
 	for _, c := range cases {
 		_, err := ValidatePerfetto(strings.NewReader(c.body))
