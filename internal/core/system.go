@@ -311,10 +311,11 @@ type System struct {
 	refsTotal uint64
 
 	// Per-tile reference drivers. Each holds the tile's in-flight
-	// access and three persistent continuation closures, so driving a
-	// reference through issue → retire → next allocates nothing (the
-	// old per-reference closures were ~80% of all simulation-phase
-	// heap objects).
+	// access and one persistent retire closure (the engine's onDone for
+	// misses); its own events are AtArg continuations on the driver, so
+	// driving a reference through issue → retire → next allocates
+	// nothing. An L1 hit costs one kernel event: the issue event both
+	// looks the reference up and retires it.
 	drivers []tileDriver
 
 	// Phase-loop state shared by the drivers (reset by runPhase).
@@ -325,29 +326,27 @@ type System struct {
 }
 
 // tileDriver issues one core's references back to back, Gap cycles
-// apart, reusing itself as the completion continuation. Its events
-// live on k — the tile's shard lane when sharded, the single kernel
-// otherwise — so driver work is owned by the tile's shard.
+// apart. Its events live on k — the tile's shard lane when sharded,
+// the single kernel otherwise — so driver work is owned by the tile's
+// shard.
 type tileDriver struct {
 	s      *System
 	k      *sim.Kernel
 	tile   topo.Tile
 	addr   cache.Addr
 	write  bool
-	issued sim.Time // issue timestamp (profiled runs only)
+	issued sim.Time // issue timestamp of the stored access
 	// lastRetire is this tile's most recent retirement time. Parallel
 	// phases derive the phase-global last-retire as the max over tiles
 	// after the queues drain, because concurrent lanes cannot share
 	// the serial path's phaseLastRetire cell.
 	lastRetire sim.Time
 
-	stepC  func() // allocated once; schedule the next reference
-	issueC func() // allocated once; issue the stored access
-	doneC  func() // allocated once; retire the stored access
+	doneC func() // allocated once; retire the stored miss
 }
 
 // assertShard is the driver-level ownership assert of a sharded run,
-// guarding the two driver events (step and issue). Inside a
+// guarding the two driver events (start and issue). Inside a
 // RunParallel window events run on the lane they were scheduled on —
 // the tile's lane, by construction — so the assert checks that lane is
 // actually mid-window.
@@ -357,23 +356,31 @@ func (d *tileDriver) assertShard() {
 	}
 }
 
-// stepWake and issueWake are the event entry points (the targets of
-// stepC/issueC): they dispatch on the tile's lane, so they carry the
-// ownership assert. step/issue themselves stay assert-free because
-// they are also reached inline from done(), the retire continuation an
-// engine handler calls on the tile's lane; the engine's own ownership
-// check (proto.Context) covers that path.
-func (d *tileDriver) stepWake() {
+// driverStart and driverIssue are the driver's event entry points
+// (AtArg continuations, arg the *tileDriver): they dispatch on the
+// tile's lane, so they carry the ownership assert. next/issue
+// themselves stay assert-free because they are also reached inline
+// from done(), the retire continuation an engine handler calls on the
+// tile's lane; the engine's own ownership check (proto.Context) covers
+// that path.
+func driverStart(a any) {
+	d := a.(*tileDriver)
 	d.assertShard()
-	d.step()
+	if d.next(d.k.Now()) {
+		d.issue()
+	}
 }
 
-func (d *tileDriver) issueWake() {
+func driverIssue(a any) {
+	d := a.(*tileDriver)
 	d.assertShard()
 	d.issue()
 }
 
-func (d *tileDriver) step() {
+// next draws the tile's next reference, to issue Gap cycles after at.
+// It reports whether that issue is due now: the caller then issues it
+// inline; a later one is scheduled.
+func (d *tileDriver) next(at sim.Time) bool {
 	s := d.s
 	if s.retired[d.tile] >= s.phaseRefs {
 		// phaseDone is serial-only bookkeeping; parallel phases derive
@@ -381,32 +388,45 @@ func (d *tileDriver) step() {
 		if s.SK == nil {
 			s.phaseDone++
 		}
-		return
+		return false
 	}
 	acc := s.Gen.Next(d.tile)
 	d.addr, d.write = acc.Addr, acc.Write
-	if acc.Gap > 0 {
-		d.k.After(acc.Gap, d.issueC)
-	} else {
+	if at += acc.Gap; at > d.k.Now() {
+		d.k.AtArg(at, driverIssue, d)
+		return false
+	}
+	return true
+}
+
+// issue issues the stored access. A hit retires inside this event, at
+// L1HitLatency past the lookup; the loop issues its successor when
+// that one is due at once. A miss retires later through doneC.
+func (d *tileDriver) issue() {
+	s := d.s
+	for {
+		d.issued = d.k.Now()
+		if !s.Engine.Issue(d.tile, d.addr, d.write, d.doneC) ||
+			!d.retire(d.issued+s.Cfg.Proto.L1HitLatency) {
+			return
+		}
+	}
+}
+
+func (d *tileDriver) done() {
+	if d.retire(d.k.Now()) {
 		d.issue()
 	}
 }
 
-func (d *tileDriver) issue() {
+// retire retires the stored access at time at (now for a miss, a hit
+// latency past now for a hit) and draws the next one; it reports
+// whether the caller must issue that one inline (see next).
+func (d *tileDriver) retire(at sim.Time) bool {
 	s := d.s
 	if s.prof != nil || s.vmHist != nil {
-		// Profiled variant: time issue-to-retire and histogram
-		// everything slower than an L1 hit. Reading the clock never
-		// schedules, so the event stream is unchanged.
-		d.issued = d.k.Now()
-	}
-	s.Engine.Access(d.tile, d.addr, d.write, d.doneC)
-}
-
-func (d *tileDriver) done() {
-	s := d.s
-	if s.prof != nil || s.vmHist != nil {
-		if lat := d.k.Now() - d.issued; lat > s.Cfg.Proto.L1HitLatency {
+		// Profiled variant: histogram everything slower than an L1 hit.
+		if lat := at - d.issued; lat > s.Cfg.Proto.L1HitLatency {
 			if s.prof != nil {
 				s.prof.MissLatency.Observe(uint64(lat))
 			}
@@ -416,16 +436,20 @@ func (d *tileDriver) done() {
 		}
 	}
 	s.retired[d.tile]++
-	d.lastRetire = d.k.Now()
+	d.lastRetire = at
 	if s.SK == nil {
 		// Shared phase counters stay serial-only: under RunParallel
 		// every lane retires concurrently, so the phase totals are
 		// derived from the per-tile state at window boundaries instead.
 		s.phaseTotal++
 		s.refsTotal++
-		s.phaseLastRetire = d.lastRetire
+		// A hit stamps a retirement in the future, so stamps do not
+		// arrive in time order: keep the max.
+		if at > s.phaseLastRetire {
+			s.phaseLastRetire = at
+		}
 	}
-	d.step()
+	return d.next(at)
 }
 
 // NewSystem validates cfg and builds a chip from it.
@@ -622,14 +646,13 @@ func (s *System) seedPhase(refs int) {
 				d.k = s.SK.Shard(s.shardOf[t])
 			}
 			d.tile = topo.Tile(t)
-			d.stepC = d.stepWake
-			d.issueC = d.issueWake
 			d.doneC = d.done
 		}
 	}
-	for t := 0; t < cfg.Tiles; t++ {
-		s.drivers[t].lastRetire = 0
-		s.drivers[t].k.After(sim.Time(t%7), s.drivers[t].stepC)
+	for t := range s.drivers {
+		d := &s.drivers[t]
+		d.lastRetire = 0
+		d.k.AfterArg(sim.Time(t%7), driverStart, d)
 	}
 }
 
@@ -678,8 +701,11 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 	if s.Dog != nil {
 		s.Dog.Disarm()
 	}
-	// Drain residual traffic (writebacks, acks) so counters are final.
+	// Drain residual traffic (writebacks, acks) so counters are final,
+	// and end the phase no earlier than its last retirement: a hit
+	// retiring at the very end leaves no event behind to reach it.
 	k.Run(0)
+	k.AdvanceTo(s.phaseLastRetire)
 	// Fencepost sample: the phase's final state, so warmup-vs-steady
 	// curves always include the phase boundary.
 	if s.Sampler != nil {
@@ -728,6 +754,7 @@ func (s *System) runPhaseParallel(refs int) (sim.Time, uint64, error) {
 	if total != target {
 		return 0, 0, fmt.Errorf("core: parallel run drained with %d/%d refs retired", total, target)
 	}
+	s.SK.AdvanceTo(lastRetire)
 	s.phaseTotal = total
 	s.phaseLastRetire = lastRetire
 	s.refsTotal += total

@@ -346,24 +346,31 @@ func (d *Directory) bindHandlers() {
 
 // Access implements Engine.
 func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
+	if d.Issue(tile, addr, write, onDone) {
+		d.ctx.At(tile).Kernel.After(d.ctx.Cfg.L1HitLatency, onDone)
+	}
+}
+
+// Issue implements Engine.
+func (d *Directory) Issue(tile topo.Tile, addr cache.Addr, write bool, onDone func()) bool {
 	ctx := d.ctx.At(tile)
 	ctx.chargeVM(tile)
 	t := d.tile(ctx, tile)
 	if _, pending := t.mshr.Lookup(addr); pending {
 		t.stallL1(addr, func() { d.Access(tile, addr, write, onDone) })
-		return
+		return false
 	}
 	ctx.pw.L1TagRead.Inc()
 	if line := t.l1.Lookup(addr); line != nil {
 		if !write {
-			d.hit(ctx, tile, addr, false, onDone)
-			return
+			d.hit(ctx, tile, addr, false)
+			return true
 		}
 		if line.State == dirModified || line.State == dirExclusive {
 			line.State = dirModified
 			line.Dirty = true
-			d.hit(ctx, tile, addr, true, onDone)
-			return
+			d.hit(ctx, tile, addr, true)
+			return true
 		}
 		// Shared copy under a write: ownership upgrade, handled as a
 		// regular write miss (responses always carry data; see
@@ -376,6 +383,7 @@ func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone f
 	home := ctx.HomeOf(addr)
 	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(ctx, tile, dirReq{addr: addr, requestor: tile, write: write}))
 	e.Links += del.Hops
+	return false
 }
 
 // atHome processes a request at the block's home bank.

@@ -127,6 +127,56 @@ func TestCommonHitLatency(t *testing.T) {
 	}
 }
 
+// TestIssueHitContract pins the Issue/Access split on every protocol:
+// on a warm L1 hit Issue accounts the hit, schedules nothing and
+// leaves onDone to the caller, while Access schedules exactly one
+// event that calls onDone at lookup + L1HitLatency. A miss through
+// Issue retires through onDone.
+func TestIssueHitContract(t *testing.T) {
+	for _, e := range allEngines {
+		t.Run(e.name, func(t *testing.T) {
+			c := newTestChip(t, e.mk)
+			const addr cache.Addr = 0x40
+			c.access(3, addr, true) // warm, writable
+			for _, write := range []bool{false, true} {
+				hits, pending := c.eng.MissProfile().Hits, c.kernel.Pending()
+				if !c.eng.Issue(3, addr, write, func() { t.Errorf("write=%v: Issue called onDone on a hit", write) }) {
+					t.Fatalf("write=%v: Issue missed on a warm block", write)
+				}
+				if got := c.kernel.Pending(); got != pending {
+					t.Errorf("write=%v: Issue hit left %d events pending, want %d", write, got, pending)
+				}
+				if got := c.eng.MissProfile().Hits; got != hits+1 {
+					t.Errorf("write=%v: Issue hit counted %d hits, want %d", write, got-hits, 1)
+				}
+
+				start := c.kernel.Now()
+				var doneAt sim.Time
+				calls := 0
+				c.eng.Access(3, addr, write, func() { calls++; doneAt = c.kernel.Now() })
+				if got := c.kernel.Pending(); got != pending+1 {
+					t.Errorf("write=%v: Access hit left %d events pending, want %d", write, got, pending+1)
+				}
+				c.kernel.Run(0)
+				if calls != 1 || doneAt != start+c.ctx.Cfg.L1HitLatency {
+					t.Errorf("write=%v: Access hit called onDone %d times, at %d; want once at %d",
+						write, calls, doneAt, start+c.ctx.Cfg.L1HitLatency)
+				}
+			}
+
+			retired := false
+			if c.eng.Issue(9, 0x5555, false, func() { retired = true }) {
+				t.Fatal("Issue reported a cold block as a hit")
+			}
+			c.kernel.RunUntil(func() bool { return retired })
+			if !retired {
+				t.Fatal("missed Issue never called onDone")
+			}
+			c.drain()
+		})
+	}
+}
+
 // TestCommonMemoryLatency checks a cold miss pays the DRAM latency.
 func TestCommonMemoryLatency(t *testing.T) {
 	for _, e := range allEngines {

@@ -389,13 +389,15 @@ func (k *Kernel) nextTime() (Time, bool) {
 	return 0, false
 }
 
-// advanceTo jumps the clock forward to t without dispatching anything.
-// RunParallel aligns every lane to each window's end with it, so lane
-// Now() reads agree between windows. Moving the wheel horizon forward
-// pulls newly
+// AdvanceTo jumps the clock forward to t without dispatching anything;
+// a t at or before Now is a no-op. RunParallel aligns every lane to
+// each window's end with it, so lane Now() reads agree between windows,
+// and a run phase ends with it at its last retirement, which may lie
+// past the last event (an L1 hit retires L1HitLatency cycles after the
+// event that issued it). Moving the wheel horizon forward pulls newly
 // in-range overflow events into their slots, exactly as Run(limit)
 // does on a jump — skipping that was the PR 5 out-of-order bug.
-func (k *Kernel) advanceTo(t Time) {
+func (k *Kernel) AdvanceTo(t Time) {
 	if t <= k.now {
 		return
 	}
@@ -588,7 +590,7 @@ func (k *Kernel) runWindow(limit Time) {
 	for {
 		t, ok := k.nextTime()
 		if !ok || t > limit {
-			k.advanceTo(limit)
+			k.AdvanceTo(limit)
 			return
 		}
 		k.Step()

@@ -184,6 +184,18 @@ func (sk *ShardedKernel) Lookahead() Time { return sk.lookahead }
 // reads agree between windows).
 func (sk *ShardedKernel) Now() Time { return sk.now }
 
+// AdvanceTo jumps every lane's clock, and the group's, forward to t
+// (Kernel.AdvanceTo). Call it only between windows.
+func (sk *ShardedKernel) AdvanceTo(t Time) {
+	if t <= sk.now {
+		return
+	}
+	for _, k := range sk.kernels {
+		k.AdvanceTo(t)
+	}
+	sk.now = t
+}
+
 // Pending returns the number of events waiting across all lanes.
 func (sk *ShardedKernel) Pending() int {
 	n := 0
@@ -304,7 +316,7 @@ func (sk *ShardedKernel) RunParallel(limit Time) uint64 {
 		}
 		if limit != 0 && h > limit {
 			for _, k := range sk.kernels {
-				k.advanceTo(limit)
+				k.AdvanceTo(limit)
 			}
 			sk.now = limit
 			break
@@ -442,7 +454,7 @@ func (sk *ShardedKernel) barrier(winEnd Time) {
 	// heap invariant survives a pure relabel.
 	for i, k := range sk.kernels {
 		if sk.wlogs[i].nprov == 0 {
-			k.advanceTo(winEnd)
+			k.AdvanceTo(winEnd)
 			continue
 		}
 		for j := range k.nodes {
@@ -464,7 +476,7 @@ func (sk *ShardedKernel) barrier(winEnd Time) {
 				k.ofKeys[j].seq = f
 			}
 		}
-		k.advanceTo(winEnd)
+		k.AdvanceTo(winEnd)
 	}
 	// Execute deferred operations in merged serial order. They run after
 	// the relabel pass — every lane's clock sits at the window end and
