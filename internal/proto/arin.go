@@ -43,7 +43,7 @@ func (p *Arin) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Li
 	f := l2Form{state: l2Inter, areaTag: -1, propos: noProPos}
 	f.propos[p.areaOf(owner)] = p.areaIdx(owner)
 	f.propos[p.areaOf(r.requestor)] = p.areaIdx(r.requestor)
-	p.sendHome(ctx, owner, r.addr, dirty, f, false)
+	p.sendHome(ctx, owner, r.addr, dirty, f)
 }
 
 // providerRead: a provider supplies inside its area; the new copy is a

@@ -32,10 +32,7 @@ func (p *DiCo) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.L
 	if ctx.tracing(r.addr) {
 		ctx.Trace(r.addr, "home %d supplies %d write=%v (l2 sharers %#x)", home, r.requestor, r.write, l2line.Sharers)
 	}
-	if !r.predicted || r.forwards > 0 {
-		// DiCo counts a mispredicted miss the home serves as unpredicted.
-		r.clsPlus1 = int8(MissUnpredHome) + 1
-	}
+	r.clsPlus1 = classify(&r, byHome)
 	if r.write {
 		sharers := l2line.Sharers &^ bit(r.requestor)
 		r.acks += int16(popcount(sharers))
@@ -46,22 +43,6 @@ func (p *DiCo) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.L
 	l2line.Sharers |= bit(r.requestor)
 	ctx.pw.L2DataRead.Inc()
 	p.deliver(ctx, r, home, dcShared, false, -1, nil)
-}
-
-// land installs returning ownership. DiCo settles the home as soon as a
-// writeback arrives, without waiting for an L2 victim's eviction; a
-// recalled ownership waits for the insertion but leaves the L2C$ alone.
-func (p *DiCo) land(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, recalled bool) {
-	th := p.tile(ctx, home)
-	if recalled {
-		p.insertL2(ctx, home, addr, dirty, f, func() {
-			th.clearRecall(addr)
-			th.wakeHome(ctx.Kernel, addr)
-		})
-		return
-	}
-	p.insertL2(ctx, home, addr, dirty, f, nil)
-	p.settleHome(ctx, home, addr)
 }
 
 // applyL2 merges the returning sharing code into the home L2 line.
