@@ -84,8 +84,9 @@ type Sampler struct {
 	tickFn  func()
 	ringOff int
 
-	banks []*stats.Set
-	vmNet func(vm int) (flits, routers uint64)
+	banks   []*stats.Set
+	vmNet   func(vm int) (flits, routers uint64)
+	scratch stats.Set // reconciled counters of a per-VM run (Snapshot)
 }
 
 // NewSampler builds a sampler snapshotting counters, net occupancy
@@ -153,12 +154,13 @@ func (s *Sampler) Snapshot() {
 		// Reconcile per-VM banks into a scratch set so the sample sees
 		// exactly the totals an unattributed run would (the scratch
 		// mirrors the global set's name order; bank names are a subset).
-		scratch := &stats.Set{}
-		scratch.Merge(s.counters)
+		// The scratch is reused: Reset keeps its counters registered.
+		s.scratch.Reset()
+		s.scratch.Merge(s.counters)
 		for _, b := range s.banks {
-			scratch.Merge(b)
+			s.scratch.Merge(b)
 		}
-		counters = scratch
+		counters = &s.scratch
 	}
 	names := counters.Names()
 	smp := Sample{
