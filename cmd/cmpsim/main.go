@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/proto"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -84,7 +85,7 @@ func main() {
 		os.Exit(1)
 	}
 	for i, res := range results {
-		report(cfgs[i], res)
+		report(cfgs[i], res, systems[i].Phases())
 		if len(results) > 1 || i < len(results)-1 {
 			fmt.Println()
 		}
@@ -168,8 +169,9 @@ func writeManifest(path string, results ...*core.Result) {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d runs, schema v%d)\n", path, len(m.Runs), obs.SchemaVersion)
 }
 
-// report prints the full statistics block for one finished run.
-func report(cfg core.Config, res *core.Result) {
+// report prints the full statistics block for one finished run and
+// the host timing of its phases.
+func report(cfg core.Config, res *core.Result, phases []core.PhaseStat) {
 	pr := res.Profile
 	misses := pr.TotalMisses()
 	fmt.Printf("protocol         %s\n", cfg.Protocol)
@@ -196,18 +198,11 @@ func report(cfg core.Config, res *core.Result) {
 			float64(pr.Count[c])/float64(misses)*100,
 			pr.MeanLinks(proto.MissClass(c)))
 	}
-	if p := res.Prof; p != nil {
-		fmt.Println("profile:")
-		fmt.Printf("  kernel events    %d dispatched (%d closure, %d arg), %d scheduled\n",
-			p.Kernel.Dispatched(), p.Kernel.DispatchedClosure, p.Kernel.DispatchedArg, p.Kernel.Scheduled)
-		fmt.Printf("  queue depth      mean %.1f, max %d\n", p.Kernel.QueueDepth.Mean(), p.Kernel.QueueDepth.Max)
-		fmt.Printf("  miss latency     mean %.1f cycles, max %d (%d misses timed)\n",
-			p.MissLatency.Mean(), p.MissLatency.Max, p.MissLatency.Count)
-		for _, ph := range p.Phases {
-			wallMS := float64(ph.WallNS) / 1e6
-			fmt.Printf("  phase %-10s %8d refs, %10d cycles, %10d events, %8.1f ms wall (%.0f refs/s)\n",
-				ph.Name, ph.Refs, ph.Cycles, ph.Events, wallMS, float64(ph.Refs)/(wallMS/1000))
-		}
+	fmt.Println("phases:")
+	for _, ph := range phases {
+		wallMS := float64(ph.WallNS) / 1e6
+		fmt.Printf("  %-10s %8d refs, %10d cycles, %10d events, %8.1f ms wall (%.0f refs/s)\n",
+			ph.Name, ph.Refs, ph.Cycles, ph.Events, wallMS, float64(ph.Refs)/(wallMS/1000))
 	}
 	fmt.Println("power events:")
 	for _, name := range []string{
@@ -220,6 +215,12 @@ func report(cfg core.Config, res *core.Result) {
 		}
 	}
 	if len(res.PerVM) > 0 {
+		var lat sim.Hist
+		for i := range res.PerVM {
+			lat.Merge(&res.PerVM[i].MissLatency)
+		}
+		fmt.Printf("miss latency     mean %.1f cycles, max %d (%d misses timed)\n",
+			lat.Mean(), lat.Max, lat.Count)
 		fmt.Println()
 		t := stats.NewTable(fmt.Sprintf("per-VM attribution (%s)", cfg.Protocol),
 			"vm", "tiles", "refs", "cache pJ", "net pJ", "miss p50", "p99", "p999")

@@ -57,16 +57,14 @@ func (f *Flags) Sim() *Flags {
 	return f
 }
 
-// Obs registers the observation flags: checkers, profilers, tracing
-// and time-series sampling. All are bit-identical observers — they
-// never change simulation results.
+// Obs registers the observation flags: checkers, tracing, time-series
+// sampling and per-VM attribution. All are bit-identical observers —
+// they never change simulation results.
 func (f *Flags) Obs() *Flags {
 	cfg, fs := f.cfg, f.fs
 	f.obsBound = true
 	fs.BoolVar(&cfg.Check, "check", cfg.Check,
 		"attach the shadow-memory coherence checker and stalled-transaction watchdog (fails the run on any violation)")
-	fs.BoolVar(&cfg.Profile, "profile", cfg.Profile,
-		"collect kernel dispatch/queue-depth statistics, miss-latency histograms and phase timers")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"trace every coherence transaction and write Chrome/Perfetto trace-event JSON to this file (open in ui.perfetto.dev)")
 	fs.IntVar(&cfg.TraceCap, "trace-cap", cfg.TraceCap,

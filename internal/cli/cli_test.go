@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -22,7 +23,7 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	parse(t, f, fs,
 		"-tiles", "16", "-areas", "4", "-refs", "123", "-warmup", "456",
 		"-seed", "9", "-alt", "-nodedup", "-unicast-broadcast",
-		"-check", "-profile", "-trace-out", "t.json", "-trace-cap", "7",
+		"-check", "-trace-out", "t.json", "-trace-cap", "7",
 		"-sample", "1000", "-sample-cap", "8", "-shards", "3", "-parallel", "-workers", "2")
 	if cfg.Tiles != 16 || cfg.Areas != 4 || cfg.RefsPerCore != 123 || cfg.WarmupRefs != 456 || cfg.Seed != 9 {
 		t.Errorf("sim fields not bound: %+v", cfg)
@@ -30,7 +31,7 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	if !cfg.AltPlacement || cfg.Dedup || !cfg.Proto.BroadcastUnicast {
 		t.Errorf("placement/dedup/broadcast flags not resolved: %+v", cfg)
 	}
-	if !cfg.Check || !cfg.Profile || !cfg.Trace || cfg.TraceCap != 7 {
+	if !cfg.Check || !cfg.Trace || cfg.TraceCap != 7 {
 		t.Errorf("observer flags not resolved: %+v", cfg)
 	}
 	if cfg.SampleEvery != 1000 || cfg.SampleCap != 8 {
@@ -44,6 +45,13 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	}
 	if f.TraceOut != "t.json" {
 		t.Errorf("TraceOut = %q", f.TraceOut)
+	}
+	// The retired dispatch profiler's flag must not parse.
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	New(fs, &cfg).Sim().Obs()
+	if err := fs.Parse([]string{"-profile"}); err == nil {
+		t.Error("-profile parsed; want an unknown-flag error")
 	}
 }
 

@@ -56,28 +56,27 @@ func TestParallelMatchesSerialAllProtocols(t *testing.T) {
 }
 
 // TestParallelObserverFallback pins the executor-selection contract:
-// hub-resident observers (checker, profiler, tracer, sampling, per-VM
-// banks) run a -parallel config on the serial kernel — annotated, not
-// erroring — while a plain run keeps the parallel executor. A fallback
-// run must deep-equal the same config at Shards: 0 in every Result
-// field (profile, series and per-VM split included).
+// hub-resident observers (checker, tracer, sampling, per-VM banks) run
+// a -parallel config on the serial kernel — annotated, not erroring —
+// while a plain run keeps the parallel executor. A fallback run must
+// deep-equal the same config at Shards: 0 in every Result
+// field (miss profile, series and per-VM split included).
 func TestParallelObserverFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many full runs")
 	}
 	combos := []struct {
-		name                         string
-		check, profile, trace, pervm bool
-		sample                       bool
-		wantExec                     string
+		name                string
+		check, trace, pervm bool
+		sample              bool
+		wantExec            string
 	}{
 		{name: "plain", wantExec: "parallel"},
 		{name: "check", check: true, wantExec: "serial"},
-		{name: "profile", profile: true, wantExec: "serial"},
 		{name: "trace", trace: true, wantExec: "serial"},
 		{name: "sample", sample: true, wantExec: "serial"},
 		{name: "pervm", pervm: true, wantExec: "serial"},
-		{name: "all", check: true, profile: true, trace: true, sample: true, pervm: true, wantExec: "serial"},
+		{name: "all", check: true, trace: true, sample: true, pervm: true, wantExec: "serial"},
 	}
 	for _, c := range combos {
 		c := c
@@ -87,7 +86,6 @@ func TestParallelObserverFallback(t *testing.T) {
 				cfg.WarmupRefs = 100
 				cfg.Shards, cfg.Parallel = shards, shards > 0
 				cfg.Check = c.check
-				cfg.Profile = c.profile
 				cfg.Trace = c.trace
 				cfg.PerVM = c.pervm
 				if c.sample {
@@ -121,21 +119,12 @@ func TestParallelObserverFallback(t *testing.T) {
 }
 
 // requireSameResult deep-compares two results field by field, ignoring
-// only the executor-selection config fields and host wall-clock phase
-// timings.
+// only the executor-selection config fields.
 func requireSameResult(t *testing.T, got, want *Result) {
 	t.Helper()
 	normalize := func(r *Result) Result {
 		n := *r
 		n.Config.Shards, n.Config.Parallel = 0, false
-		if r.Prof != nil {
-			p := *r.Prof
-			p.Phases = append([]PhaseStat(nil), p.Phases...)
-			for i := range p.Phases {
-				p.Phases[i].WallNS = 0
-			}
-			n.Prof = &p
-		}
 		return n
 	}
 	g, w := normalize(got), normalize(want)

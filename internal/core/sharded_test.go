@@ -78,12 +78,11 @@ func TestShardedMatchesSerialWithObservers(t *testing.T) {
 		arm  func(*Config)
 	}{
 		{"check", func(c *Config) { c.Check = true }},
-		{"profile", func(c *Config) { c.Profile = true }},
 		{"sample", func(c *Config) { c.SampleEvery = 500 }},
 		{"trace", func(c *Config) { c.Trace = true }},
 		{"pervm", func(c *Config) { c.PerVM = true }},
 		{"all", func(c *Config) {
-			c.Check, c.Profile, c.Trace, c.PerVM = true, true, true, true
+			c.Check, c.Trace, c.PerVM = true, true, true
 			c.SampleEvery = 500
 		}},
 	}

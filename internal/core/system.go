@@ -49,9 +49,9 @@ type Config struct {
 	// engines' messageized handlers are shard-affine, so any shard
 	// count produces results bit-identical to a serial run, which the
 	// crosscheck fingerprint gate enforces. Runs that arm hub-resident
-	// observability (Check, Profile, Trace, PerVM, SampleEvery) fall
-	// back to the serial kernel; Result.Executor reports which executor
-	// actually ran.
+	// observability (Check, Trace, PerVM, SampleEvery) fall back to the
+	// serial kernel; Result.Executor reports which executor actually
+	// ran.
 	Shards   int
 	Parallel bool
 
@@ -60,13 +60,6 @@ type Config struct {
 	// default: with Check false the kernel event stream is bit-identical
 	// to a build without the checker.
 	Check bool
-	// Profile attaches the observability hooks: kernel dispatch
-	// counts and queue-depth sampling (sim.Profile), a miss-latency
-	// histogram, and per-phase wall-clock/cycle timers, collected into
-	// Result.Prof. Pure observation, off by default: the kernel event
-	// stream and every result counter are bit-identical with Profile
-	// on or off (same discipline as Check).
-	Profile bool
 	// StallBound is the watchdog's max age of an in-flight miss before
 	// the run is declared stalled (0 = 500k cycles). Only used with
 	// Check.
@@ -115,25 +108,14 @@ func DefaultConfig() Config {
 
 // PhaseStat times one run phase (warmup or measure): host wall clock,
 // simulated cycles, kernel events dispatched and references retired.
+// Wall clock is host data, so phase stats live on the System
+// (System.Phases), never on the deterministic Result.
 type PhaseStat struct {
 	Name   string
 	WallNS int64
 	Cycles sim.Time
 	Events uint64
 	Refs   uint64
-}
-
-// RunProfile aggregates the optional observability data of one run
-// (collected only when Config.Profile is set).
-type RunProfile struct {
-	// Kernel holds dispatch counts and the queue-depth histogram for
-	// the whole run (warmup included).
-	Kernel sim.Profile
-	// MissLatency is the issue-to-retire latency histogram (cycles) of
-	// references that missed in the L1.
-	MissLatency sim.Hist
-	// Phases times each executed phase in order.
-	Phases []PhaseStat
 }
 
 // Result carries everything the evaluation figures need from one run.
@@ -155,9 +137,6 @@ type Result struct {
 
 	Energies  power.TileEnergies
 	Breakdown power.DynamicBreakdown
-
-	// Prof is non-nil only when Config.Profile was set.
-	Prof *RunProfile
 
 	// Series is non-nil only when Config.SampleEvery was set: the epoch
 	// time series of the run (warmup and measured phases).
@@ -299,8 +278,8 @@ type System struct {
 	SK      *sim.ShardedKernel
 	shardOf []int // tile -> shard (SK != nil only)
 
-	// prof is non-nil only when Cfg.Profile is set.
-	prof *RunProfile
+	// phases records every phase this system ran, in order.
+	phases []PhaseStat
 
 	// vmOf and vmHist are non-nil only when Cfg.PerVM is set: the
 	// tile-to-VM map and the per-VM miss-latency histograms.
@@ -424,15 +403,10 @@ func (d *tileDriver) done() {
 // whether the caller must issue that one inline (see next).
 func (d *tileDriver) retire(at sim.Time) bool {
 	s := d.s
-	if s.prof != nil || s.vmHist != nil {
-		// Profiled variant: histogram everything slower than an L1 hit.
+	if s.vmHist != nil {
+		// Per-VM variant: histogram everything slower than an L1 hit.
 		if lat := at - d.issued; lat > s.Cfg.Proto.L1HitLatency {
-			if s.prof != nil {
-				s.prof.MissLatency.Observe(uint64(lat))
-			}
-			if s.vmHist != nil {
-				s.vmHist[s.vmOf[d.tile]].Observe(uint64(lat))
-			}
+			s.vmHist[s.vmOf[d.tile]].Observe(uint64(lat))
 		}
 	}
 	s.retired[d.tile]++
@@ -462,14 +436,14 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	// RunParallel eligibility: asked for, and no hub-resident
-	// observability. Check, Profile, Trace, PerVM and the sampler all
-	// run chip-global hooks (shared counters, span tables, tick chains),
-	// so they run on the serial kernel. The sharded executor's hub lane
+	// observability. Check, Trace, PerVM and the sampler all run
+	// chip-global hooks (shared counters, span tables, tick chains), so
+	// they run on the serial kernel. The sharded executor's hub lane
 	// is constructed exactly like the single kernel (same seed, same
 	// Fork order below), so every random stream the model draws is
 	// identical on both executors.
-	parallel := cfg.Parallel && !cfg.Check && !cfg.Profile && !cfg.Trace &&
-		!cfg.PerVM && cfg.SampleEvery == 0
+	parallel := cfg.Parallel && !cfg.Check && !cfg.Trace && !cfg.PerVM &&
+		cfg.SampleEvery == 0
 	var sk *sim.ShardedKernel
 	var kernel *sim.Kernel
 	if parallel {
@@ -538,11 +512,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var prof *RunProfile
-	if cfg.Profile {
-		prof = &RunProfile{}
-		kernel.SetProfile(&prof.Kernel)
-	}
 	var sh *check.Shadow
 	var dog *sim.Watchdog
 	if cfg.Check {
@@ -569,7 +538,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Dog:       dog,
 		SK:        sk,
 		shardOf:   shardOf,
-		prof:      prof,
 		vmOf:      vmOf,
 		retired:   make([]int, cfg.Tiles),
 	}
@@ -761,24 +729,27 @@ func (s *System) runPhaseParallel(refs int) (sim.Time, uint64, error) {
 	return lastRetire, total, nil
 }
 
-// timedPhase wraps runPhase with the optional per-phase timers
-// (profiled runs are always serial).
+// timedPhase runs one phase and records its PhaseStat. Between phases
+// every lane's clock sits at the group's, so the hub clock is the
+// executor's clock on both executors.
 func (s *System) timedPhase(name string, refs int) (sim.Time, uint64, error) {
-	if s.prof == nil {
-		return s.runPhase(refs)
-	}
 	wall := time.Now()
-	cycles0, events0 := s.Kernel.Now(), s.Kernel.EventsRun()
+	cycles0, events0 := s.Kernel.Now(), s.eventsRun()
 	lastRetire, totalRefs, err := s.runPhase(refs)
-	s.prof.Phases = append(s.prof.Phases, PhaseStat{
+	s.phases = append(s.phases, PhaseStat{
 		Name:   name,
 		WallNS: time.Since(wall).Nanoseconds(),
 		Cycles: s.Kernel.Now() - cycles0,
-		Events: s.Kernel.EventsRun() - events0,
+		Events: s.eventsRun() - events0,
 		Refs:   totalRefs,
 	})
 	return lastRetire, totalRefs, err
 }
+
+// Phases returns the stats of every phase this system has run, in
+// order: warmup (when run) and measure. A system restored from a
+// snapshot reports only the phases it ran itself.
+func (s *System) Phases() []PhaseStat { return s.phases }
 
 // RunWarmup executes the optional warmup phase and discards its
 // activity from every counter, leaving the system at the quiescent
@@ -812,10 +783,7 @@ func (s *System) RunWarmup() error {
 // or restored) state and returns the collected result.
 func (s *System) RunMeasure() (*Result, error) {
 	cfg := s.Cfg
-	// Between phases every lane's clock sits at the group's, so the
-	// hub clock is the executor's clock on both executors.
-	start := s.Kernel.Now()
-	events0 := s.eventsRun()
+	start := s.Kernel.Now() // the executor's clock (see timedPhase)
 	if s.Sampler != nil {
 		s.Sampler.SetPhase("measure")
 	}
@@ -846,14 +814,13 @@ func (s *System) RunMeasure() (*Result, error) {
 		Executor:     s.Executor(),
 		Cycles:       lastRetire,
 		Refs:         totalRefs,
-		Events:       s.eventsRun() - events0,
+		Events:       s.phases[len(s.phases)-1].Events,
 		Counters:     s.Engine.Stats(),
 		Net:          s.Net.Stats(),
 		Profile:      s.Engine.MissProfile(),
 		MemReads:     s.Mem.Reads,
 		DedupSavings: s.Mapper.SavedFraction(),
 		Energies:     energies,
-		Prof:         s.prof,
 	}
 	if s.Sampler != nil {
 		res.Series = s.Sampler.Series()

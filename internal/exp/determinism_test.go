@@ -74,43 +74,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestProfilingNonPerturbing runs each protocol with the obs hooks off
-// and on and requires every observable — the measured phase's kernel
-// event count included — to be bit-identical: profiling is pure
-// observation and must not move a single event.
-func TestProfilingNonPerturbing(t *testing.T) {
-	for _, p := range core.ProtocolNames {
-		plain, err := core.Run(detConfig(p))
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		cfg := detConfig(p)
-		cfg.Profile = true
-		profiled, err := core.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s profiled: %v", p, err)
-		}
-		// Mask the config difference; everything else must match.
-		profiled.Config.Profile = false
-		requireSameResult(t, p+" profiled-vs-plain", plain, profiled)
-		if profiled.Prof == nil {
-			t.Fatalf("%s: profiled run carries no profile", p)
-		}
-		if got := profiled.Prof.Kernel.Dispatched(); got == 0 {
-			t.Errorf("%s: kernel profile empty", p)
-		}
-		if len(profiled.Prof.Phases) != 2 {
-			t.Errorf("%s: want warmup+measure phase stats, got %d", p, len(profiled.Prof.Phases))
-		}
-		if profiled.Prof.MissLatency.Count == 0 {
-			t.Errorf("%s: no miss latencies recorded", p)
-		}
-		if plain.Prof != nil {
-			t.Errorf("%s: unprofiled run unexpectedly carries a profile", p)
-		}
-	}
-}
-
 // TestSerialParallelEquivalence runs the same small sweep serially and
 // with the bounded worker pool and requires identical results and
 // byte-identical rendered figures: parallelism must not change a

@@ -107,8 +107,6 @@ type RunRecord struct {
 	DedupSavings float64            `json:"dedup_savings"`
 	Energies     power.TileEnergies `json:"energies"`
 	Breakdown    BreakdownRecord    `json:"breakdown"`
-	// Prof is present only for runs with core.Config.Profile set.
-	Prof *core.RunProfile `json:"run_profile,omitempty"`
 	// Series is present only for runs with core.Config.SampleEvery set
 	// (schema v2+).
 	Series *telemetry.Series `json:"series,omitempty"`
@@ -154,7 +152,6 @@ func FromResult(res *core.Result) RunRecord {
 		MemReads:     res.MemReads,
 		DedupSavings: res.DedupSavings,
 		Energies:     res.Energies,
-		Prof:         res.Prof,
 		Series:       res.Series,
 	}
 	for _, name := range res.Counters.Names() {
@@ -241,7 +238,6 @@ func (r *RunRecord) Result() (*core.Result, error) {
 		MemReads:     r.MemReads,
 		DedupSavings: r.DedupSavings,
 		Energies:     r.Energies,
-		Prof:         r.Prof,
 		Series:       r.Series,
 	}
 	for _, c := range r.Counters {

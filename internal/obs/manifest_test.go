@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,11 +66,7 @@ func requireSameResult(t *testing.T, label string, live, decoded *core.Result) {
 // decoded result to be bit-identical.
 func TestManifestRoundTrip(t *testing.T) {
 	for _, p := range core.ProtocolNames {
-		cfg := smallConfig(p)
-		if p == "directory" {
-			cfg.Profile = true // one profiled run exercises Prof round-trip
-		}
-		live, err := core.Run(cfg)
+		live, err := core.Run(smallConfig(p))
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -90,14 +88,6 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reconstruct: %v", p, err)
 		}
 		requireSameResult(t, p, live, decoded)
-		if cfg.Profile {
-			if decoded.Prof == nil {
-				t.Fatalf("%s: profile lost in round trip", p)
-			}
-			if !reflect.DeepEqual(live.Prof, decoded.Prof) {
-				t.Errorf("%s: run profile differs after round trip", p)
-			}
-		}
 	}
 }
 
@@ -175,6 +165,64 @@ func TestManifestReadsCheckedInV3(t *testing.T) {
 		if len(m.Runs[i].PerVM) == 0 {
 			t.Errorf("run %d (%s): per-VM attribution lost", i, m.Runs[i].Protocol)
 		}
+	}
+}
+
+// TestManifestIgnoresLegacyRunProfile pins compatibility with
+// manifests written by builds that had a kernel dispatch profiler: a
+// run carrying a "run_profile" block (kernel dispatch counts, a
+// miss-latency histogram, phase timers) and "Profile": true in its
+// config must still decode and verify. The fields are injected here so the
+// checked-in fixture stays as an older build wrote it.
+func TestManifestIgnoresLegacyRunProfile(t *testing.T) {
+	data, err := os.ReadFile("testdata/manifest_v3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber() // keep every counter and float exactly as written
+	var raw map[string]any
+	if err := dec.Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	run := raw["runs"].([]any)[0].(map[string]any)
+	run["config"].(map[string]any)["Profile"] = true
+	run["run_profile"] = map[string]any{
+		"Kernel": map[string]any{
+			"DispatchedClosure": 1200, "DispatchedArg": 34000, "Scheduled": 35200,
+			"QueueDepth": map[string]any{"Count": 35200, "Sum": 2000000, "Max": 97, "Buckets": []int{0, 3, 10}},
+		},
+		"MissLatency": map[string]any{"Count": 900, "Sum": 45000, "Max": 310, "Buckets": []int{0, 0, 0, 0, 0, 12}},
+		"Phases": []any{
+			map[string]any{"Name": "warmup", "WallNS": 81000000, "Cycles": 52000, "Events": 70000, "Refs": 51200},
+			map[string]any{"Name": "measure", "WallNS": 40000000, "Cycles": 26000, "Events": 35200, "Refs": 25600},
+		},
+	}
+	legacy, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Decode(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("decode with a legacy run_profile: %v", err)
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatalf("verify with a legacy run_profile: %v", err)
+	}
+	want, err := ReadFile("testdata/manifest_v3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Runs {
+		got, err := m.Runs[i].Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.Runs[i].Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("run %d", i), ref, got)
 	}
 }
 

@@ -124,8 +124,7 @@ type Kernel struct {
 	ofVals []evPayload // overflow payloads, parallel to ofKeys
 
 	rng    *Rand
-	events uint64   // total events executed
-	prof   *Profile // optional dispatch profiler (nil = off)
+	events uint64 // total events executed
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -216,9 +215,6 @@ func (k *Kernel) slotAliasPanic(have, appending Time) {
 
 // schedule routes an event to the wheel or the overflow heap.
 func (k *Kernel) schedule(at Time, val evPayload) {
-	if k.prof != nil {
-		k.prof.Scheduled++
-	}
 	if k.shard != nil {
 		k.scheduleSharded(at, val)
 		return
@@ -505,9 +501,6 @@ func (k *Kernel) Step() bool {
 		k.now = k.ofKeys[0].at
 		k.migrate(k.now)
 	}
-	if k.prof != nil {
-		k.prof.QueueDepth.Observe(uint64(k.inWheel + len(k.ofKeys)))
-	}
 	si := k.nextSlot()
 	s := &k.slots[si]
 	at := s.at
@@ -538,14 +531,8 @@ func (k *Kernel) Step() bool {
 		k.migrate(at)
 	}
 	if e.argFn == nil {
-		if k.prof != nil {
-			k.prof.DispatchedClosure++
-		}
 		e.arg.(Event)()
 	} else {
-		if k.prof != nil {
-			k.prof.DispatchedArg++
-		}
 		e.argFn(e.arg)
 	}
 	return true

@@ -55,10 +55,10 @@ func (lp *LaneProfile) Stalls() int {
 }
 
 // SetLaneProfile attaches (or, with nil, detaches) a per-window lane
-// profiler to the group. Unlike a kernel Profile, a LaneProfile is
-// safe — and only meaningful — under RunParallel: all recording happens
-// between windows on the coordinating goroutine, plus one wall-clock
-// read per lane at window end.
+// profiler to the group. A LaneProfile is safe — and only meaningful —
+// under RunParallel: all recording happens between windows on the
+// coordinating goroutine, plus one wall-clock read per lane at window
+// end.
 func (sk *ShardedKernel) SetLaneProfile(lp *LaneProfile) {
 	sk.laneProf = lp
 	if lp != nil {

@@ -16,6 +16,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -62,7 +63,6 @@ type State struct {
 func WarmupConfig(cfg core.Config) core.Config {
 	cfg.RefsPerCore = 0
 	cfg.Check = false
-	cfg.Profile = false
 	cfg.StallBound = 0
 	cfg.Trace = false
 	cfg.TraceCap = 0
@@ -118,10 +118,21 @@ func Capture(s *core.System) (*State, error) {
 // snapshot's config; measure-phase knobs (RefsPerCore, Check, Trace,
 // sampling) are free to differ — that is the point of forking. All
 // snapshot data is deep-copied in, so one State may be restored into
-// any number of systems.
+// any number of systems. A malformed state (a missing section, an
+// out-of-range cursor) is an error, never a panic.
 func Restore(s *core.System, st *State) error {
 	if got := WarmupConfig(s.Cfg); got != st.Config {
 		return fmt.Errorf("snapshot: config mismatch: snapshot warmed up as %+v, system is %+v", st.Config, got)
+	}
+	switch {
+	case st.Net == nil:
+		return errors.New("snapshot: missing network state")
+	case st.Mapper == nil:
+		return errors.New("snapshot: missing mapper state")
+	case st.Gen == nil:
+		return errors.New("snapshot: missing generator state")
+	case st.Engine == nil:
+		return errors.New("snapshot: missing engine state")
 	}
 	if err := s.RestoreKernelState(st.Kernel); err != nil {
 		return fmt.Errorf("snapshot: %v", err)
@@ -153,7 +164,9 @@ func Restore(s *core.System, st *State) error {
 		}
 	}
 	if st.Sampler != nil && s.Sampler != nil {
-		s.Sampler.RestoreState(st.Sampler)
+		if err := s.Sampler.RestoreState(st.Sampler); err != nil {
+			return fmt.Errorf("snapshot: %v", err)
+		}
 	}
 	return nil
 }

@@ -138,7 +138,6 @@ func TestForkMatchesStraightObserved(t *testing.T) {
 		t.Run(p, func(t *testing.T) {
 			cfg := testConfig(p)
 			cfg.Check = true
-			cfg.Profile = true
 			cfg.Trace = true
 			cfg.SampleEvery = 500
 			straight, err := core.Run(cfg)
@@ -352,4 +351,136 @@ func TestForkAcrossExecutors(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffFingerprints(t, "parallel-warmup/serial-measure", want, fingerprint(res))
+}
+
+// TestForkRejectsMalformedState mutates a captured state the way a
+// truncated or hand-edited snapshot would: each missing section and an
+// out-of-range sampler cursor must make Fork return an error, not
+// panic during the restore or in a later Series call.
+func TestForkRejectsMalformedState(t *testing.T) {
+	cfg := testConfig("dico")
+	cfg.WarmupRefs = 50
+	cfg.RefsPerCore = 50
+	cfg.SampleEvery = 500
+	ws, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.RunWarmup(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Capture(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Sampler == nil {
+		t.Fatal("captured state carries no sampler")
+	}
+	if _, err := Fork(st, cfg); err != nil {
+		t.Fatalf("unmutated state: %v", err)
+	}
+	mutations := []struct {
+		name   string
+		mutate func(*State)
+	}{
+		{"nil-net", func(s *State) { s.Net = nil }},
+		{"nil-mapper", func(s *State) { s.Mapper = nil }},
+		{"nil-gen", func(s *State) { s.Gen = nil }},
+		{"nil-engine", func(s *State) { s.Engine = nil }},
+		{"ring-off-past-samples", func(s *State) {
+			smp := *s.Sampler
+			smp.RingOff = 1 << 20
+			s.Sampler = &smp
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			bad := *st
+			m.mutate(&bad)
+			fs, err := Fork(&bad, cfg)
+			if err == nil {
+				fs.Sampler.Series()
+				t.Fatal("fork of a malformed state succeeded")
+			}
+		})
+	}
+}
+
+// TestPhaseStats pins the always-on phase timing: a straight run
+// reports warmup then measure, the measure stat agrees with the
+// Result on refs and kernel events, both executors report the same
+// simulated phases, and a fork reports only the measure phase it ran
+// itself.
+func TestPhaseStats(t *testing.T) {
+	requireMeasure := func(t *testing.T, ph core.PhaseStat, res *core.Result) {
+		t.Helper()
+		if ph.Name != "measure" || ph.Refs != res.Refs || ph.Events != res.Events {
+			t.Errorf("measure stat %+v, want refs %d events %d", ph, res.Refs, res.Events)
+		}
+		if ph.Cycles == 0 || ph.WallNS <= 0 {
+			t.Errorf("measure stat %+v has no cycles or wall time", ph)
+		}
+	}
+	var serial []core.PhaseStat
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testConfig("directory")
+			cfg.Shards, cfg.Parallel = shards, shards > 0
+			s, err := core.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			phases := s.Phases()
+			if len(phases) != 2 || phases[0].Name != "warmup" {
+				t.Fatalf("phases = %+v, want warmup then measure", phases)
+			}
+			if want := uint64(cfg.WarmupRefs * cfg.Tiles); phases[0].Refs != want {
+				t.Errorf("warmup refs = %d, want %d", phases[0].Refs, want)
+			}
+			requireMeasure(t, phases[1], res)
+			// Both executors retire the same refs with the same events.
+			// Wall clock is host data, and the parallel clock stops at
+			// the end of its last window rather than at its last event.
+			sim := append([]core.PhaseStat(nil), phases...)
+			for i := range sim {
+				sim[i].WallNS, sim[i].Cycles = 0, 0
+			}
+			if shards == 0 {
+				serial = sim
+			} else if !reflect.DeepEqual(sim, serial) {
+				t.Errorf("parallel phases %+v, serial %+v", sim, serial)
+			}
+		})
+	}
+	t.Run("fork", func(t *testing.T) {
+		cfg := testConfig("directory")
+		ws, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.RunWarmup(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Capture(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := Fork(st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fs.RunMeasure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases := fs.Phases()
+		if len(phases) != 1 {
+			t.Fatalf("fork phases = %+v, want measure only", phases)
+		}
+		requireMeasure(t, phases[0], res)
+	})
 }
