@@ -1,15 +1,16 @@
 package memctrl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
 
 // This file provides the snapshot surface of the memory system: the
 // controllers' DRAM-jitter random stream and read/write totals, and the
-// mapper's full page-table, deduplication and TLB state. Map contents
+// mapper's page table, deduplication and copy-on-write state. Tables
 // are exported as slices sorted by key so a captured state serializes
 // deterministically.
 
@@ -61,11 +62,10 @@ type CoWEntry struct {
 	VisibleAt sim.Time
 }
 
-// MapperState is the serializable state of the Mapper. The CoW frame
-// reservations and the TLB contents are omitted: reservations are
-// reconstructed deterministically when the page table is rebuilt at
-// construction, and the TLBs are a pure performance cache with no
-// counters, so a restored mapper simply starts them cold.
+// MapperState is the serializable state of the Mapper. Everything but
+// the CoW entries and CoWBreaks is fixed when the page table is built,
+// so a restore checks it against the freshly built table rather than
+// loading it; the CoW frame reservations are rebuilt the same way.
 type MapperState struct {
 	Dedup    bool
 	NextPhys uint64
@@ -80,17 +80,15 @@ type MapperState struct {
 	CoWBreaks    uint64
 }
 
-func sortPages(s []PageEntry) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].VM != s[j].VM {
-			return s[i].VM < s[j].VM
-		}
-		return s[i].VPage < s[j].VPage
-	})
+func byPair(avm int, ap uint64, bvm int, bp uint64) int {
+	if avm != bvm {
+		return cmp.Compare(avm, bvm)
+	}
+	return cmp.Compare(ap, bp)
 }
 
-// State returns a deep copy of the mapper's page tables, dedup
-// bookkeeping and TLB contents.
+// State exports the page table, its dedup bookkeeping and the
+// copy-on-write breaks, each sorted by key.
 func (m *Mapper) State() *MapperState {
 	st := &MapperState{
 		Dedup:        m.dedup,
@@ -100,71 +98,63 @@ func (m *Mapper) State() *MapperState {
 		DedupRefs:    m.DedupRefs,
 		CoWBreaks:    m.CoWBreaks,
 	}
-	for k, v := range m.private {
-		st.Private = append(st.Private, PageEntry{VM: k.vm, VPage: k.vpage, Phys: v})
-	}
-	for k, v := range m.cowAt {
-		st.CoW = append(st.CoW, CoWEntry{VM: k.vm, VPage: k.vpage, Phys: m.cowRes[k], VisibleAt: v})
-	}
-	for k, v := range m.shared {
-		st.Shared = append(st.Shared, SharedEntry{Content: k, Phys: v})
-	}
-	for k := range m.sharedSeen {
+	for i := range m.pages {
+		e, k := &m.pages[i], m.keys[i]
+		if !e.merged() {
+			st.Private = append(st.Private, PageEntry{VM: k.vm, VPage: k.vpage, Phys: e.shared})
+			continue
+		}
 		st.Seen = append(st.Seen, SeenEntry{VM: k.vm, VPage: k.vpage})
+		if v := e.visible.Load(); v != unbroken {
+			st.CoW = append(st.CoW, CoWEntry{VM: k.vm, VPage: k.vpage, Phys: e.own, VisibleAt: sim.Time(v)})
+		}
 	}
-	sortPages(st.Private)
-	sort.Slice(st.CoW, func(i, j int) bool {
-		if st.CoW[i].VM != st.CoW[j].VM {
-			return st.CoW[i].VM < st.CoW[j].VM
-		}
-		return st.CoW[i].VPage < st.CoW[j].VPage
-	})
-	sort.Slice(st.Shared, func(i, j int) bool { return st.Shared[i].Content < st.Shared[j].Content })
-	sort.Slice(st.Seen, func(i, j int) bool {
-		if st.Seen[i].VM != st.Seen[j].VM {
-			return st.Seen[i].VM < st.Seen[j].VM
-		}
-		return st.Seen[i].VPage < st.Seen[j].VPage
-	})
+	for c, p := range m.content {
+		st.Shared = append(st.Shared, SharedEntry{Content: c, Phys: p})
+	}
+	slices.SortFunc(st.Private, func(a, b PageEntry) int { return byPair(a.VM, a.VPage, b.VM, b.VPage) })
+	slices.SortFunc(st.Seen, func(a, b SeenEntry) int { return byPair(a.VM, a.VPage, b.VM, b.VPage) })
+	slices.SortFunc(st.CoW, func(a, b CoWEntry) int { return byPair(a.VM, a.VPage, b.VM, b.VPage) })
+	slices.SortFunc(st.Shared, func(a, b SharedEntry) int { return cmp.Compare(a.Content, b.Content) })
 	return st
 }
 
-// RestoreState replaces the mapper's page tables, dedup bookkeeping and
-// TLB contents with a captured state. The dedup setting must match the
-// mapper's construction (it is config-derived, not run state).
+// RestoreState applies a captured state's copy-on-write breaks and
+// break count. The rest of the state must equal the page table this
+// mapper was built with (the table is a pure function of the workload
+// and config); a snapshot of a different table is an error.
 func (m *Mapper) RestoreState(st *MapperState) error {
 	if st.Dedup != m.dedup {
 		return fmt.Errorf("memctrl: snapshot dedup=%v, mapper dedup=%v", st.Dedup, m.dedup)
 	}
-	m.nextPhys = st.NextPhys
-	m.private = make(map[pageKey]uint64, len(st.Private))
-	for _, e := range st.Private {
-		m.private[pageKey{e.VM, e.VPage}] = e.Phys
+	built := m.State()
+	if st.NextPhys != built.NextPhys || st.PrivatePages != built.PrivatePages ||
+		st.SharedPages != built.SharedPages || st.DedupRefs != built.DedupRefs ||
+		!slices.Equal(st.Private, built.Private) || !slices.Equal(st.Shared, built.Shared) ||
+		!slices.Equal(st.Seen, built.Seen) {
+		return fmt.Errorf("memctrl: snapshot page table (%d frames, %d private, %d shared) does not match the built one (%d, %d, %d); workload mismatch?",
+			st.NextPhys, len(st.Private), len(st.Shared), built.NextPhys, len(built.Private), len(built.Shared))
 	}
-	m.cowAt = make(map[pageKey]sim.Time, len(st.CoW))
+	index := make(map[pageKey]PageID, len(built.Seen))
+	for i, k := range m.keys {
+		if m.pages[i].merged() {
+			index[k] = PageID(i)
+		}
+	}
 	for _, e := range st.CoW {
-		k := pageKey{e.VM, e.VPage}
-		if res, ok := m.cowRes[k]; !ok || res != e.Phys {
-			return fmt.Errorf("memctrl: snapshot CoW frame %d for (vm %d, page %#x) does not match the reservation (%d); workload mismatch?", e.Phys, e.VM, e.VPage, res)
-		}
-		m.cowAt[k] = e.VisibleAt
-	}
-	m.shared = make(map[uint64]uint64, len(st.Shared))
-	for _, e := range st.Shared {
-		m.shared[e.Content] = e.Phys
-	}
-	m.sharedSeen = make(map[pageKey]bool, len(st.Seen))
-	for _, e := range st.Seen {
-		m.sharedSeen[pageKey{e.VM, e.VPage}] = true
-	}
-	for _, t := range m.tlbs {
-		for i := range t {
-			t[i] = tlbEntry{vm: -1}
+		id, ok := index[pageKey{e.VM, e.VPage}]
+		if !ok || m.pages[id].own != e.Phys {
+			return fmt.Errorf("memctrl: snapshot CoW frame %d for (vm %d, page %#x) does not match a reservation; workload mismatch?", e.Phys, e.VM, e.VPage)
 		}
 	}
-	m.PrivatePages = st.PrivatePages
-	m.SharedPages = st.SharedPages
-	m.DedupRefs = st.DedupRefs
+	for i := range m.pages {
+		if e := &m.pages[i]; e.merged() {
+			e.visible.Store(unbroken)
+		}
+	}
+	for _, e := range st.CoW {
+		m.pages[index[pageKey{e.VM, e.VPage}]].visible.Store(uint64(e.VisibleAt))
+	}
 	m.CoWBreaks = st.CoWBreaks
 	return nil
 }

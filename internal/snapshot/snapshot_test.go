@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memctrl"
+	"repro/internal/workload"
 )
 
 // testConfig is the crosscheck-scale configuration: big enough to
@@ -354,9 +356,10 @@ func TestForkAcrossExecutors(t *testing.T) {
 }
 
 // TestForkRejectsMalformedState mutates a captured state the way a
-// truncated or hand-edited snapshot would: each missing section and an
-// out-of-range sampler cursor must make Fork return an error, not
-// panic during the restore or in a later Series call.
+// truncated or hand-edited snapshot would: each missing section, an
+// out-of-range sampler or generator cursor and a page table other than
+// the one the config builds must make Fork return an error, not panic
+// during the restore, in a later Series call or mid-run.
 func TestForkRejectsMalformedState(t *testing.T) {
 	cfg := testConfig("dico")
 	cfg.WarmupRefs = 50
@@ -392,6 +395,18 @@ func TestForkRejectsMalformedState(t *testing.T) {
 			smp.RingOff = 1 << 20
 			s.Sampler = &smp
 		}},
+		{"gen-class", cursor(func(c *workload.CoreCursor) { c.Class = 3 })},
+		{"gen-negative-class", cursor(func(c *workload.CoreCursor) { c.Class = -1 })},
+		{"gen-page-past-class", cursor(func(c *workload.CoreCursor) { c.Class, c.Page = 2, 1<<20 })},
+		{"gen-block", cursor(func(c *workload.CoreCursor) { c.Block = memctrl.BlocksPerPage })},
+		{"gen-burst", cursor(func(c *workload.CoreCursor) { c.Burst = 1 << 20 })},
+		{"gen-repeat", cursor(func(c *workload.CoreCursor) { c.Repeat = -1 })},
+		{"mapper-page-table", func(s *State) {
+			mp := *s.Mapper
+			mp.Private = append([]memctrl.PageEntry(nil), mp.Private...)
+			mp.Private[len(mp.Private)-1].Phys++
+			s.Mapper = &mp
+		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -403,6 +418,17 @@ func TestForkRejectsMalformedState(t *testing.T) {
 				t.Fatal("fork of a malformed state succeeded")
 			}
 		})
+	}
+}
+
+// cursor returns a mutation of the last core's generator cursor that
+// leaves the captured state itself untouched.
+func cursor(f func(*workload.CoreCursor)) func(*State) {
+	return func(s *State) {
+		gen := *s.Gen
+		gen.Cores = append([]workload.CoreCursor(nil), gen.Cores...)
+		f(&gen.Cores[len(gen.Cores)-1])
+		s.Gen = &gen
 	}
 }
 
