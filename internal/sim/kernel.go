@@ -182,12 +182,15 @@ func (k *Kernel) newNode() int32 {
 }
 
 // wheelAppend links a payload at the tail of the slot for time at,
-// which must lie within [now, now+wheelSize).
-func (k *Kernel) wheelAppend(at Time, val evPayload) {
+// which must lie within [now, now+wheelSize). The payload's fields come
+// separately and are stored one by one: a 40-byte struct passed by
+// value is spilled to the stack and reloaded as vector moves, and that
+// store-to-load forwarding stall dominated the scheduling cost.
+func (k *Kernel) wheelAppend(at Time, tag, seq uint64, argFn func(any), arg any) {
 	n := k.newNode()
 	nd := &k.nodes[n]
 	nd.next = -1
-	nd.val = val
+	nd.val.tag, nd.val.seq, nd.val.argFn, nd.val.arg = tag, seq, argFn, arg
 	s := &k.slots[int(at)&wheelMask]
 	if s.head < 0 {
 		s.at = at
@@ -213,18 +216,19 @@ func (k *Kernel) slotAliasPanic(have, appending Time) {
 	panic(fmt.Sprintf("sim: wheel slot aliasing: slot holds t=%d, appending t=%d (now=%d)", have, appending, k.now))
 }
 
-// schedule routes an event to the wheel or the overflow heap.
-func (k *Kernel) schedule(at Time, val evPayload) {
+// schedule routes an event, carrying the current causal tag, to the
+// wheel or the overflow heap.
+func (k *Kernel) schedule(at Time, argFn func(any), arg any) {
 	if k.shard != nil {
-		k.scheduleSharded(at, val)
+		k.scheduleSharded(at, evPayload{tag: k.tag, argFn: argFn, arg: arg})
 		return
 	}
 	if at < k.now+wheelSize {
-		k.wheelAppend(at, val)
+		k.wheelAppend(at, k.tag, 0, argFn, arg)
 		return
 	}
 	k.seq++
-	k.ofPush(evKey{at: at, seq: k.seq}, val)
+	k.ofPush(evKey{at: at, seq: k.seq}, evPayload{tag: k.tag, argFn: argFn, arg: arg})
 }
 
 // scheduleSharded is schedule for a kernel lane of a ShardedKernel:
@@ -238,7 +242,7 @@ func (k *Kernel) scheduleSharded(at Time, val evPayload) {
 		k.wlog.sched = append(k.wlog.sched, schedEnt{prov: val.seq, kind: schedLocal})
 	}
 	if at < k.now+wheelSize {
-		k.wheelAppend(at, val)
+		k.wheelAppend(at, val.tag, val.seq, val.argFn, val.arg)
 		return
 	}
 	k.ofPush(evKey{at: at, seq: val.seq}, val)
@@ -252,7 +256,7 @@ func (k *Kernel) scheduleSharded(at Time, val evPayload) {
 func (k *Kernel) migrate(limit Time) {
 	for len(k.ofKeys) > 0 && k.ofKeys[0].at < limit+wheelSize {
 		key, val := k.ofPop()
-		k.wheelAppend(key.at, val)
+		k.wheelAppend(key.at, val.tag, val.seq, val.argFn, val.arg)
 	}
 }
 
@@ -350,7 +354,7 @@ func (k *Kernel) checkTime(t Time) {
 // form for dispatch.
 func (k *Kernel) At(t Time, ev Event) {
 	k.checkTime(t)
-	k.schedule(t, evPayload{tag: k.tag, arg: ev})
+	k.schedule(t, nil, ev)
 }
 
 // After schedules ev to run delay cycles from now.
@@ -366,7 +370,7 @@ func (k *Kernel) After(delay Time, ev Event) {
 // exactly as if the call were At(t, func() { fn(arg) }).
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
 	k.checkTime(t)
-	k.schedule(t, evPayload{tag: k.tag, argFn: fn, arg: arg})
+	k.schedule(t, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run delay cycles from now.
@@ -456,7 +460,7 @@ func (k *Kernel) insertArrival(at Time, val evPayload) {
 	}
 	s := &k.slots[int(at)&wheelMask]
 	if s.head < 0 {
-		k.wheelAppend(at, val)
+		k.wheelAppend(at, val.tag, val.seq, val.argFn, val.arg)
 		return
 	}
 	if s.at != at {
@@ -512,16 +516,19 @@ func (k *Kernel) Step() bool {
 		k.occ[si>>6] &^= 1 << (uint(si) & 63)
 	}
 	k.inWheel--
-	e := nd.val
-	nd.val = evPayload{} // do not retain closures/args in the arena
+	// Read and clear the node's fields in place (copying the payload
+	// out whole costs a store-forwarding stall, see wheelAppend); the
+	// clear keeps the arena from retaining closures and args.
+	argFn, arg := nd.val.argFn, nd.val.arg
+	k.tag = nd.val.tag
+	if k.wlog != nil {
+		k.wlog.dispatch = append(k.wlog.dispatch,
+			dispatchEnt{at: at, seq: nd.val.seq, schedStart: int32(len(k.wlog.sched))})
+	}
+	nd.val.argFn, nd.val.arg = nil, nil
 	nd.next = k.free
 	k.free = n
 	k.now = at
-	k.tag = e.tag
-	if k.wlog != nil {
-		k.wlog.dispatch = append(k.wlog.dispatch,
-			dispatchEnt{at: at, seq: e.seq, schedStart: int32(len(k.wlog.sched))})
-	}
 	k.events++
 	// Advancing the clock moved the wheel horizon forward: pull any
 	// overflow events now in range before dispatching, so events the
@@ -530,10 +537,10 @@ func (k *Kernel) Step() bool {
 	if len(k.ofKeys) > 0 && k.ofKeys[0].at < at+wheelSize {
 		k.migrate(at)
 	}
-	if e.argFn == nil {
-		e.arg.(Event)()
+	if argFn == nil {
+		arg.(Event)()
 	} else {
-		e.argFn(e.arg)
+		argFn(arg)
 	}
 	return true
 }
