@@ -67,11 +67,13 @@ func (l *Line) Valid() bool { return l.State != Invalid }
 // in a parallel array touched only on a hit, a fill or a full-set
 // victim scan. The tag stores the block address plus one (the zero
 // value means empty), so freshly allocated arrays need no
-// initialization pass. Only Fill and Invalidate change a way's
-// identity, so the mirror has exactly two writers. Invalid lines get
-// their metadata defaults from ResetMeta at Fill time, never earlier —
-// the big backing arrays of directory-grade structures are faulted in
-// on demand, not up front.
+// initialization pass of their own. Only Fill and Invalidate change a
+// way's identity, so the mirror has exactly two writers. Invalid lines
+// get their metadata defaults from ResetMeta at Fill time, never
+// earlier. The arrays are still not free to build: only the first
+// cache in a process gets fresh, already-zero pages from the OS, and
+// a later one reuses freed heap spans, which the Go runtime clears on
+// allocation.
 type Cache struct {
 	name  string
 	sets  int
@@ -235,8 +237,8 @@ func (c *Cache) touchLine(l *Line) {
 
 // indexOf recovers the backing-array position of a line returned by
 // Lookup/Peek/Victim. Pointer arithmetic instead of a stored index
-// keeps Line free of positional state, which lets New skip touching
-// the (potentially tens of MB) line array entirely.
+// keeps Line free of positional state, which lets New skip its own
+// initialization pass over the (potentially tens of MB) line array.
 func (c *Cache) indexOf(l *Line) int {
 	off := uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(c.lines)))
 	idx := int(off / unsafe.Sizeof(Line{}))
