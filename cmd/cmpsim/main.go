@@ -74,8 +74,11 @@ func main() {
 			}
 		}
 	}
-	results, systems, err := exp.RunSystems(cfgs, *workers, func(i int, s *core.System) {
+	systems := make([]*core.System, len(cfgs))
+	results, _, err := exp.RunConfigs(cfgs, *workers, nil, func(i int) {
 		fmt.Fprintf(os.Stderr, "running %s / %s...\n", cfgs[i].Workload, cfgs[i].Protocol)
+	}, func(i int, s *core.System) {
+		systems[i] = s
 		if live != nil && s.Sampler != nil {
 			live.Attach(s.Sampler, cfgs[i].Protocol, cfgs[i].Workload, s.Net.Grid())
 		}

@@ -33,9 +33,6 @@ type DirCache struct {
 	tags  []Addr
 	ents  []DirEntry
 	stamp uint64
-
-	Accesses uint64
-	Misses   uint64
 }
 
 // NewDirCache returns a directory cache with numSets sets of ways
@@ -130,59 +127,4 @@ func (c *DirCache) indexOf(e *DirEntry) int {
 		panic("cache: foreign directory entry")
 	}
 	return idx
-}
-
-// State returns the directory cache's contents as a generic
-// CacheState, reconstructing the Line form a generic Cache of the same
-// geometry would have held: filled ways carry the tracked address,
-// state 1 and ResetMeta defaults; empty ways are zero Lines (the
-// directory never invalidates entries, so no third shape exists).
-func (c *DirCache) State() *CacheState {
-	st := &CacheState{
-		Sets:     c.sets,
-		Ways:     c.ways,
-		Lines:    make([]Line, len(c.ents)),
-		LRU:      make([]uint64, len(c.ents)),
-		Stamp:    c.stamp,
-		Accesses: c.Accesses,
-		Misses:   c.Misses,
-	}
-	for i := range c.ents {
-		st.LRU[i] = c.ents[i].lru
-		if c.tags[i] == 0 {
-			continue
-		}
-		l := &st.Lines[i]
-		l.Addr = c.tags[i] - 1
-		l.State = 1
-		l.ResetMeta()
-		l.Sharers = c.ents[i].Sharers
-		l.Owner = c.ents[i].Owner
-	}
-	return st
-}
-
-// RestoreState overwrites the directory cache's contents with a
-// captured state of matching geometry.
-func (c *DirCache) RestoreState(st *CacheState) error {
-	if st.Sets != c.sets || st.Ways != c.ways {
-		return fmt.Errorf("cache %s: geometry mismatch: snapshot %dx%d, cache %dx%d",
-			c.name, st.Sets, st.Ways, c.sets, c.ways)
-	}
-	if len(st.Lines) != len(c.ents) || len(st.LRU) != len(c.ents) {
-		return fmt.Errorf("cache %s: snapshot size mismatch", c.name)
-	}
-	for i := range c.ents {
-		l := &st.Lines[i]
-		if l.Valid() {
-			c.tags[i] = l.Addr + 1
-		} else {
-			c.tags[i] = 0
-		}
-		c.ents[i] = DirEntry{lru: st.LRU[i], Sharers: l.Sharers, Owner: l.Owner}
-	}
-	c.stamp = st.Stamp
-	c.Accesses = st.Accesses
-	c.Misses = st.Misses
-	return nil
 }

@@ -15,9 +15,6 @@ type MSHR struct {
 	capacity int
 	active   []*MSHREntry // in-flight, insertion order
 	free     *MSHREntry   // recycled entries, linked through next
-
-	Allocations uint64
-	FullStalls  uint64
 }
 
 // MSHREntry is one in-flight miss.
@@ -92,7 +89,6 @@ func (m *MSHR) Allocate(a Addr, write bool, now uint64) *MSHREntry {
 		e = &MSHREntry{Addr: a, Write: write, IssuedAt: now}
 	}
 	m.active = append(m.active, e)
-	m.Allocations++
 	return e
 }
 

@@ -19,7 +19,6 @@ type PointerCache struct {
 
 	Accesses uint64
 	Hits     uint64
-	Updates  uint64
 }
 
 // NewPointerCache returns a pointer cache with numSets (power of two)
@@ -77,7 +76,6 @@ func (p *PointerCache) Lookup(a Addr) (ptr int16, ok bool) {
 // displaced block's owner, so the homes can send recalls directly
 // instead of scanning every tile's L1.
 func (p *PointerCache) Update(a Addr, ptr int16) (evicted Addr, evictedPtr int16, displaced bool) {
-	p.Updates++
 	base := p.setOf(a) * p.ways
 	freeIdx, victimIdx := -1, base
 	var victimStamp uint64 = ^uint64(0)

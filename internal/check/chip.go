@@ -43,20 +43,6 @@ type Chip struct {
 	Dog    *sim.Watchdog
 }
 
-func newEngine(name string, ctx *proto.Context) (proto.Engine, error) {
-	switch name {
-	case "directory":
-		return proto.NewDirectory(ctx), nil
-	case "dico":
-		return proto.NewDiCo(ctx), nil
-	case "providers":
-		return proto.NewProviders(ctx), nil
-	case "arin":
-		return proto.NewArin(ctx), nil
-	}
-	return nil, fmt.Errorf("check: unknown protocol %q", name)
-}
-
 // NewChip builds a checked chip from cc.
 func NewChip(cc ChipConfig) (*Chip, error) {
 	if cc.Tiles == 0 {
@@ -80,7 +66,7 @@ func NewChip(cc ChipConfig) (*Chip, error) {
 	net := mesh.New(kernel, grid, mesh.DefaultConfig())
 	mem := memctrl.Default(grid, kernel.Rand().Fork())
 	ctx := &proto.Context{Kernel: kernel, Net: net, Areas: areas, Mem: mem, Cfg: cc.Proto}
-	eng, err := newEngine(cc.Protocol, ctx)
+	eng, err := proto.NewEngine(cc.Protocol, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +77,8 @@ func NewChip(cc ChipConfig) (*Chip, error) {
 	return &Chip{Kernel: kernel, Ctx: ctx, Engine: eng, Shadow: sh, Dog: dog}, nil
 }
 
-// finish drains residual traffic, runs the quiescent invariant
+// finish drains residual traffic, checks that no transaction record
+// or MSHR entry outlived the drain, runs the quiescent invariant
 // checker, and folds watchdog + shadow verdicts into one error. The
 // drain is time-bounded: residual writebacks/recalls that fail to
 // settle are a liveness bug, not a reason to spin forever.
@@ -114,6 +101,9 @@ func (c *Chip) finish() (err error) {
 	}
 	if serr := c.Shadow.Err(); serr != nil {
 		return serr
+	}
+	if qerr := proto.CheckQuiescent(c.Engine); qerr != nil {
+		return qerr
 	}
 	c.Engine.CheckInvariants()
 	return nil

@@ -76,7 +76,7 @@ func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards
 	if sk != nil {
 		ctx.SetLanes(shardOf, lanes)
 	}
-	eng, err := newEngine(protocol, ctx)
+	eng, err := proto.NewEngine(protocol, ctx)
 	if err != nil {
 		return fp, err
 	}

@@ -232,21 +232,6 @@ func storageProtocol(name string) (storage.Protocol, error) {
 	return 0, fmt.Errorf("core: unknown protocol %q", name)
 }
 
-// newEngine instantiates the coherence engine.
-func newEngine(name string, ctx *proto.Context) (proto.Engine, error) {
-	switch name {
-	case "directory":
-		return proto.NewDirectory(ctx), nil
-	case "dico":
-		return proto.NewDiCo(ctx), nil
-	case "providers":
-		return proto.NewProviders(ctx), nil
-	case "arin":
-		return proto.NewArin(ctx), nil
-	}
-	return nil, fmt.Errorf("core: unknown protocol %q", name)
-}
-
 // System is a fully built chip ready to run.
 type System struct {
 	Cfg       Config
@@ -508,7 +493,7 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		ctx.EnablePerVM(vmOf, placement.NumVMs)
 	}
-	eng, err := newEngine(cfg.Protocol, ctx)
+	eng, err := proto.NewEngine(cfg.Protocol, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -747,16 +732,13 @@ func (s *System) timedPhase(name string, refs int) (sim.Time, uint64, error) {
 }
 
 // Phases returns the stats of every phase this system has run, in
-// order: warmup (when run) and measure. A system restored from a
-// snapshot reports only the phases it ran itself.
+// order: warmup (when run) and measure.
 func (s *System) Phases() []PhaseStat { return s.phases }
 
 // RunWarmup executes the optional warmup phase and discards its
 // activity from every counter, leaving the system at the quiescent
 // warmup/measure boundary: the kernel queue is drained, no misses are
-// in flight, and all transient protocol state is gone. This is the
-// point where internal/snapshot captures the system so one warmup can
-// fork into many measure phases.
+// in flight, and all transient protocol state is gone.
 func (s *System) RunWarmup() error {
 	cfg := s.Cfg
 	if cfg.WarmupRefs == 0 {
@@ -779,8 +761,8 @@ func (s *System) RunWarmup() error {
 	return nil
 }
 
-// RunMeasure executes the measured phase from the current (post-warmup
-// or restored) state and returns the collected result.
+// RunMeasure executes the measured phase from the current
+// (post-warmup) state and returns the collected result.
 func (s *System) RunMeasure() (*Result, error) {
 	cfg := s.Cfg
 	start := s.Kernel.Now() // the executor's clock (see timedPhase)
@@ -865,10 +847,6 @@ func (s *System) Run() (*Result, error) {
 // (the value the telemetry sampler reads).
 func (s *System) RefsRetired() uint64 { return s.refsTotal }
 
-// SetRefsRetired overwrites the cumulative reference count; snapshot
-// restore uses it so a forked system's telemetry continues seamlessly.
-func (s *System) SetRefsRetired(n uint64) { s.refsTotal = n }
-
 // Run builds and runs a system in one call.
 func Run(cfg Config) (*Result, error) {
 	s, err := NewSystem(cfg)
@@ -880,22 +858,3 @@ func Run(cfg Config) (*Result, error) {
 
 // CheckInvariants re-exports the engine's quiescent checker.
 func (s *System) CheckInvariants() { s.Engine.CheckInvariants() }
-
-// KernelState captures the executor's quiescent scheduler state
-// (clock, sequence, tag, event count, rand), dispatching to whichever
-// executor drives this system. Snapshots taken in one mode restore
-// into the other: the state is executor-agnostic.
-func (s *System) KernelState() (sim.KernelState, error) {
-	if s.SK != nil {
-		return s.SK.State()
-	}
-	return s.Kernel.State()
-}
-
-// RestoreKernelState is the inverse of KernelState.
-func (s *System) RestoreKernelState(st sim.KernelState) error {
-	if s.SK != nil {
-		return s.SK.RestoreState(st)
-	}
-	return s.Kernel.RestoreState(st)
-}

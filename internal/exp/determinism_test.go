@@ -121,18 +121,29 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunConfigsMatchesRun checks the generic pool against individual
-// serial runs.
+// TestRunConfigsMatchesRun checks the worker pool against individual
+// serial runs: progress reports come in slice order and every slot's
+// built system is the one its configuration asked for.
 func TestRunConfigsMatchesRun(t *testing.T) {
 	var cfgs []core.Config
 	for _, p := range core.ProtocolNames {
 		cfgs = append(cfgs, detConfig(p))
 	}
-	pooled, err := RunConfigs(cfgs, 4, nil)
+	var order []int
+	systems := make([]*core.System, len(cfgs))
+	pooled, cs, err := RunConfigs(cfgs, 4, nil,
+		func(i int) { order = append(order, i) },
+		func(i int, s *core.System) { systems[i] = s })
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, want) || cs.Misses != len(cfgs) {
+		t.Errorf("progress order %v, stats %+v; want %v, all misses", order, cs, want)
+	}
 	for i, cfg := range cfgs {
+		if systems[i] == nil || systems[i].Cfg != cfg {
+			t.Errorf("slot %d: built system does not carry config %d", i, i)
+		}
 		solo, err := core.Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/power"
 	"repro/internal/proto"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/topo"
@@ -54,7 +52,7 @@ type Options struct {
 	// (workload, protocol) run owns its kernel, chip and RNG, so the
 	// sweep parallelizes without sharing; results are identical to a
 	// serial sweep for a given seed. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces the serial path.
+	// 1 runs the cells one at a time.
 	Workers int
 
 	// Cache, when non-nil, resolves already-computed cells to disk
@@ -125,7 +123,11 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 	if progress != nil {
 		onStart = func(i int) { progress(jobs[i].wl, jobs[i].protocol) }
 	}
-	results, cs, err := runShared(cfgs, opt.Cache, opt.Workers, onStart, opt.OnSystem)
+	var onSystem func(i int, s *core.System)
+	if opt.OnSystem != nil {
+		onSystem = func(_ int, s *core.System) { opt.OnSystem(s) }
+	}
+	results, cs, err := RunConfigs(cfgs, opt.Workers, opt.Cache, onStart, onSystem)
 	if err != nil {
 		return nil, err
 	}
@@ -139,37 +141,29 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 	return m, nil
 }
 
-// warmupKey groups configurations that provably reach bit-identical
-// state at the warmup/measure boundary: equal snapshot.WarmupConfig
-// normalizations. The JSON encoding of the normalized config is the
-// key.
-func warmupKey(cfg core.Config) string {
-	data, err := json.Marshal(snapshot.WarmupConfig(cfg))
-	if err != nil {
-		panic(err) // flat struct of scalars; cannot fail
-	}
-	return string(data)
-}
-
-// runShared is the execution engine behind Run and RunConfigs: it
-// resolves cache hits, groups the remaining configurations by
-// warmupKey, and runs each group as one warmup phase forked into that
-// group's measure phases (internal/snapshot guarantees the fork is
-// bit-identical to a straight-through run, so sharing is purely a
-// wall-clock optimization). Singleton groups and warmup-free configs
-// take the plain core.Run path. Groups are claimed by a worker pool in
-// first-appearance order; within a group, members run in input order.
-// Freshly computed results are stored back into the cache.
-func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func(i int), onSystem func(s *core.System)) ([]*core.Result, CacheStats, error) {
+// RunConfigs executes arbitrary configurations on one worker pool of
+// workers goroutines (0 means runtime.GOMAXPROCS(0)): configuration
+// i's result lands in slot i, bit-identical to an individual core.Run.
+// Every configuration is validated before anything runs. With a cache,
+// hits resolve to disk reads up front and every fresh result is stored
+// back. progress (optional) is called with the index of each simulated
+// run as a worker claims it, in slice order; onSystem (optional)
+// observes each freshly built system before its run starts (cache hits
+// build none), so callers can attach live hooks or keep the system.
+// Neither hook is ever called concurrently. The first error in slice
+// order wins.
+func RunConfigs(cfgs []core.Config, workers int, cache ResultCache, progress func(i int), onSystem func(i int, s *core.System)) ([]*core.Result, CacheStats, error) {
 	results := make([]*core.Result, len(cfgs))
-	errs := make([]error, len(cfgs))
 	var cs CacheStats
+	fail := func(i int, err error) ([]*core.Result, CacheStats, error) {
+		return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
+	}
 
 	// Validate everything first, then resolve cache hits, so a sweep
 	// with a bad cell fails before any simulation or disk write.
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
-			return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfg.Workload, cfg.Protocol, err)
+			return fail(i, err)
 		}
 	}
 	var pending []int
@@ -177,7 +171,7 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 		if cache != nil {
 			res, ok, err := cache.Load(cfg)
 			if err != nil {
-				return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfg.Workload, cfg.Protocol, err)
+				return fail(i, err)
 			}
 			if ok {
 				results[i] = res
@@ -189,225 +183,65 @@ func runShared(cfgs []core.Config, cache ResultCache, workers int, progress func
 		pending = append(pending, i)
 	}
 
-	// Group the misses by warmup equivalence, preserving first-seen
-	// order so the progress callback stays deterministic.
-	groupOf := map[string]int{}
-	var groups [][]int
-	for _, i := range pending {
-		k := warmupKey(cfgs[i])
-		g, ok := groupOf[k]
-		if !ok {
-			g = len(groups)
-			groupOf[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-
-	// mu serializes the progress and OnSystem hooks and the group
-	// claims. A group's first progress report is made by whoever claims
-	// the group, inside the claim's critical section, so reports follow
-	// claim order — matrix order — even with many workers.
-	var mu sync.Mutex
-	report := func(i int) {
-		if progress != nil {
-			progress(i)
-		}
-	}
-	// runGroup runs one claimed group; its first member has already been
-	// reported.
-	runGroup := func(members []int) {
-		start := func(i int) {
-			if i != members[0] {
-				mu.Lock()
-				report(i)
-				mu.Unlock()
-			}
-		}
-		// built serializes the OnSystem hook across worker goroutines.
-		built := func(s *core.System) {
-			if onSystem != nil {
-				mu.Lock()
-				onSystem(s)
-				mu.Unlock()
-			}
-		}
-		if len(members) == 1 || cfgs[members[0]].WarmupRefs == 0 {
-			for _, i := range members {
-				start(i)
-				s, err := core.NewSystem(cfgs[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				built(s)
-				results[i], errs[i] = s.Run()
-			}
-			return
-		}
-		// One warmup, many measures. The warmup runs under the
-		// normalized config (with a legal RefsPerCore — the measure
-		// length is irrelevant to the warmup phase and overridden by
-		// each fork's own config).
-		warmCfg := snapshot.WarmupConfig(cfgs[members[0]])
-		warmCfg.RefsPerCore = cfgs[members[0]].RefsPerCore
-		fail := func(err error) {
-			for _, i := range members {
-				errs[i] = err
-			}
-		}
-		ws, err := core.NewSystem(warmCfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := ws.RunWarmup(); err != nil {
-			fail(err)
-			return
-		}
-		st, err := snapshot.Capture(ws)
-		if err != nil {
-			fail(err)
-			return
-		}
-		for _, i := range members {
-			start(i)
-			fs, err := snapshot.Fork(st, cfgs[i])
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			built(fs)
-			results[i], errs[i] = fs.RunMeasure()
-		}
-	}
-
-	if workers <= 1 {
-		for _, g := range groups {
-			report(g[0])
-			runGroup(g)
-		}
-	} else {
-		var (
-			next int
-			wg   sync.WaitGroup
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					if next >= len(groups) {
-						mu.Unlock()
-						return
-					}
-					g := groups[next]
-					next++
-					report(g[0])
-					mu.Unlock()
-					runGroup(g)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for _, i := range pending {
-		if errs[i] != nil {
-			return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, errs[i])
-		}
-		if cache != nil {
-			if err := cache.Store(results[i]); err != nil {
-				return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
-			}
-		}
-	}
-	return results, cs, nil
-}
-
-// RunSystems is RunConfigs for callers that also need each run's built
-// System — the telemetry consumers (tracer, sampler, live endpoint)
-// hang off the System, not the Result. onBuild (optional) is called
-// with each system after construction and before its run starts, never
-// concurrently, so callers can attach live hooks without their own
-// synchronization. Systems land in slot i like results do.
-func RunSystems(cfgs []core.Config, workers int, onBuild func(i int, s *core.System)) ([]*core.Result, []*core.System, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	results := make([]*core.Result, len(cfgs))
-	systems := make([]*core.System, len(cfgs))
-	errs := make([]error, len(cfgs))
+	workers = min(workers, len(pending))
+	// mu serializes the claims and both hooks. A run's progress report
+	// is made inside its claim's critical section, so reports follow
+	// slice order even with many workers.
 	var (
 		mu   sync.Mutex
 		next int
 		wg   sync.WaitGroup
 	)
+	errs := make([]error, len(cfgs))
+	run := func(i int) {
+		s, err := core.NewSystem(cfgs[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if onSystem != nil {
+			mu.Lock()
+			onSystem(i, s)
+			mu.Unlock()
+		}
+		results[i], errs[i] = s.Run()
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if next >= len(cfgs) {
+				if next >= len(pending) {
 					mu.Unlock()
 					return
 				}
-				i := next
+				i := pending[next]
 				next++
+				if progress != nil {
+					progress(i)
+				}
 				mu.Unlock()
-				sys, err := core.NewSystem(cfgs[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				systems[i] = sys
-				if onBuild != nil {
-					mu.Lock()
-					onBuild(i, sys)
-					mu.Unlock()
-				}
-				results[i], errs[i] = sys.Run()
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
+
+	for _, i := range pending {
+		if errs[i] != nil {
+			return fail(i, errs[i])
+		}
+		if cache != nil {
+			if err := cache.Store(results[i]); err != nil {
+				return fail(i, err)
+			}
 		}
 	}
-	return results, systems, nil
-}
-
-// RunConfigs executes arbitrary configurations through the same
-// engine as Run: configuration i's result lands in slot i, and
-// configurations whose warmups are provably identical (equal
-// snapshot.WarmupConfig) share one warmup phase via checkpoint/fork —
-// results stay bit-identical to individual core.Run calls. progress
-// (optional) is called with the index of each run as it starts, never
-// concurrently. The first error in slice order wins.
-func RunConfigs(cfgs []core.Config, workers int, progress func(i int)) ([]*core.Result, error) {
-	results, _, err := runShared(cfgs, nil, workers, progress, nil)
-	return results, err
-}
-
-// RunConfigsCached is RunConfigs with a result cache: hits resolve to
-// disk reads, misses are computed (sharing warmups where possible) and
-// stored back.
-func RunConfigsCached(cfgs []core.Config, cache ResultCache, workers int, progress func(i int)) ([]*core.Result, CacheStats, error) {
-	return runShared(cfgs, cache, workers, progress, nil)
+	return results, cs, nil
 }
 
 // Table5 renders the per-tile storage breakdown (Table V).

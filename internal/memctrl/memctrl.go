@@ -134,14 +134,6 @@ type pageEntry struct {
 	visible atomic.Uint64
 }
 
-// merged reports whether the entry is a deduplicated page.
-func (e *pageEntry) merged() bool { return e.own != e.shared }
-
-type pageKey struct {
-	vm    int
-	vpage uint64
-}
-
 // Mapper is the hypervisor page table: it maps (vm, virtual page) to
 // physical pages, merging identical read-only pages across VMs when
 // deduplication is enabled, and breaking the sharing with copy-on-write
@@ -161,7 +153,6 @@ type Mapper struct {
 	dedup    bool
 	nextPhys uint64
 	pages    []pageEntry
-	keys     []pageKey         // (vm, vpage) of each entry, for snapshots
 	content  map[uint64]uint64 // content id (vpage) -> shared frame; Map only
 	cowNext  uint64
 	delay    sim.Time   // read visibility delay of a CoW break
@@ -193,22 +184,20 @@ func (m *Mapper) SetCoWDelay(d sim.Time) { m.delay = d }
 // number of Map calls is allocated once.
 func (m *Mapper) Reserve(n int) {
 	m.pages = slices.Grow(m.pages, n)
-	m.keys = slices.Grow(m.keys, n)
 }
 
 // Pages returns the number of pages mapped so far, which is also the
 // id the next Map call returns.
 func (m *Mapper) Pages() PageID { return PageID(len(m.pages)) }
 
-// Map adds the virtual page vpage of a VM to the page table and returns
+// Map adds one VM's virtual page vpage to the page table and returns
 // its id. A deduplicated page (with deduplication on) shares one frame
 // per content id — its vpage — across VMs and reserves its own
 // copy-on-write frame; every other page gets a fresh frame. Each (vm,
 // vpage) pair is mapped once, before the run: Map is not lane-safe.
-func (m *Mapper) Map(vm int, vpage uint64, class PageClass) PageID {
+func (m *Mapper) Map(vpage uint64, class PageClass) PageID {
 	id := PageID(len(m.pages))
 	m.pages = append(m.pages, pageEntry{})
-	m.keys = append(m.keys, pageKey{vm, vpage})
 	e := &m.pages[id]
 	if class != PageDedup || !m.dedup {
 		e.shared = m.allocPhys()

@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,8 +72,8 @@ func TestLatencyRange(t *testing.T) {
 
 func TestMapperPrivateIsolation(t *testing.T) {
 	m := NewMapper(true)
-	id0 := m.Map(0, 100, PagePrivate)
-	id1 := m.Map(1, 100, PagePrivate)
+	id0 := m.Map(100, PagePrivate)
+	id1 := m.Map(100, PagePrivate)
 	p0 := m.Frame(id0, false, 0)
 	if p0 == m.Frame(id1, false, 0) {
 		t.Error("private pages of different VMs share a frame")
@@ -86,9 +85,9 @@ func TestMapperPrivateIsolation(t *testing.T) {
 
 func TestMapperDedupMerges(t *testing.T) {
 	m := NewMapper(true)
-	p0 := m.Frame(m.Map(0, 7, PageDedup), false, 0)
-	p1 := m.Frame(m.Map(1, 7, PageDedup), false, 0)
-	p2 := m.Frame(m.Map(2, 7, PageDedup), false, 0)
+	p0 := m.Frame(m.Map(7, PageDedup), false, 0)
+	p1 := m.Frame(m.Map(7, PageDedup), false, 0)
+	p2 := m.Frame(m.Map(7, PageDedup), false, 0)
 	if p0 != p1 || p1 != p2 {
 		t.Error("dedup pages not merged across VMs")
 	}
@@ -99,19 +98,19 @@ func TestMapperDedupMerges(t *testing.T) {
 
 func TestMapperDedupOff(t *testing.T) {
 	m := NewMapper(false)
-	p0 := m.Frame(m.Map(0, 7, PageDedup), false, 0)
-	p1 := m.Frame(m.Map(1, 7, PageDedup), false, 0)
+	p0 := m.Frame(m.Map(7, PageDedup), false, 0)
+	p1 := m.Frame(m.Map(7, PageDedup), false, 0)
 	if p0 == p1 {
 		t.Error("dedup off but pages merged")
 	}
-	if m.Frame(m.Map(2, 7, PageDedup), true, 0); m.CoWBreaks != 0 {
+	if m.Frame(m.Map(7, PageDedup), true, 0); m.CoWBreaks != 0 {
 		t.Error("dedup off but a write broke a sharing")
 	}
 }
 
 func TestMapperCopyOnWrite(t *testing.T) {
 	m := NewMapper(true)
-	id0, id1 := m.Map(0, 7, PageDedup), m.Map(1, 7, PageDedup)
+	id0, id1 := m.Map(7, PageDedup), m.Map(7, PageDedup)
 	shared := m.Frame(id0, false, 0)
 	if m.Frame(id1, false, 0) != shared {
 		t.Fatal("precondition: pages merged")
@@ -144,8 +143,8 @@ func TestCoWVisibility(t *testing.T) {
 	const delay = 4
 	m := NewMapper(true)
 	m.SetCoWDelay(delay)
-	id := m.Map(0, 9, PageDedup)
-	other := m.Map(1, 9, PageDedup)
+	id := m.Map(9, PageDedup)
+	other := m.Map(9, PageDedup)
 	shared := m.Frame(id, false, 0)
 
 	own := m.Frame(id, true, 100) // visible at 104
@@ -166,7 +165,7 @@ func TestCoWVisibility(t *testing.T) {
 	// leaves it there.
 	m2 := NewMapper(true)
 	m2.SetCoWDelay(delay)
-	id = m2.Map(0, 9, PageDedup)
+	id = m2.Map(9, PageDedup)
 	m2.Frame(id, true, 100)
 	if got := m2.Frame(id, true, 98); got != own {
 		t.Fatalf("second writer got frame %d, want its copy %d", got, own)
@@ -177,9 +176,6 @@ func TestCoWVisibility(t *testing.T) {
 	}
 	if m2.CoWBreaks != 1 {
 		t.Errorf("CoWBreaks = %d after three writes to one page, want 1", m2.CoWBreaks)
-	}
-	if st := m2.State(); len(st.CoW) != 1 || st.CoW[0].VisibleAt != 102 || st.CoW[0].Phys != own {
-		t.Errorf("exported CoW state %+v, want one break of frame %d visible at 102", st.CoW, own)
 	}
 }
 
@@ -193,8 +189,8 @@ func TestConcurrentCoWBreak(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		m := NewMapper(true)
 		m.SetCoWDelay(delay)
-		id := m.Map(0, 3, PageDedup)
-		m.Map(1, 3, PageDedup)
+		id := m.Map(3, PageDedup)
+		m.Map(3, PageDedup)
 		shared := m.Frame(id, false, 0)
 		frames := make([]uint64, 2)
 		var wg sync.WaitGroup
@@ -227,10 +223,10 @@ func TestMapperSavedFraction(t *testing.T) {
 	// 4 VMs x 100 private pages + 4 VMs sharing 25 dedup pages.
 	for vm := 0; vm < 4; vm++ {
 		for p := uint64(0); p < 100; p++ {
-			m.Map(vm, 1000+uint64(vm)*10000+p, PagePrivate)
+			m.Map(1000+uint64(vm)*10000+p, PagePrivate)
 		}
 		for p := uint64(0); p < 25; p++ {
-			m.Map(vm, p, PageDedup)
+			m.Map(p, PageDedup)
 		}
 	}
 	// Without dedup: 4*125 = 500 pages; with: 400 + 25 = 425.
@@ -248,8 +244,8 @@ func TestSavedFractionBreaksWithoutSharing(t *testing.T) {
 	m := NewMapper(true)
 	var ids []PageID
 	for vm := 0; vm < 4; vm++ {
-		m.Map(vm, 1<<40|uint64(vm), PagePrivate)
-		ids = append(ids, m.Map(vm, uint64(vm), PageDedup))
+		m.Map(1<<40|uint64(vm), PagePrivate)
+		ids = append(ids, m.Map(uint64(vm), PageDedup))
 	}
 	for i, id := range ids[:3] {
 		m.Frame(id, true, sim.Time(i))
@@ -274,57 +270,9 @@ func TestBlockAddrProperty(t *testing.T) {
 
 func TestMapperDistinctContentDistinctFrames(t *testing.T) {
 	m := NewMapper(true)
-	p0 := m.Frame(m.Map(0, 1, PageDedup), false, 0)
-	p1 := m.Frame(m.Map(0, 2, PageDedup), false, 0)
+	p0 := m.Frame(m.Map(1, PageDedup), false, 0)
+	p1 := m.Frame(m.Map(2, PageDedup), false, 0)
 	if p0 == p1 {
 		t.Error("different content ids share a frame")
-	}
-}
-
-// TestMapperStateRoundTrip restores a mapper's breaks into a freshly
-// built twin and rejects a state whose page table differs.
-func TestMapperStateRoundTrip(t *testing.T) {
-	build := func() (*Mapper, []PageID) {
-		m := NewMapper(true)
-		m.SetCoWDelay(3)
-		var ids []PageID
-		for vm := 0; vm < 3; vm++ {
-			ids = append(ids, m.Map(vm, 1<<40|uint64(vm), PagePrivate))
-			for p := uint64(0); p < 4; p++ {
-				ids = append(ids, m.Map(vm, p, PageDedup))
-			}
-		}
-		return m, ids
-	}
-	src, ids := build()
-	src.Frame(ids[2], true, 50)
-	src.Frame(ids[8], true, 60)
-	st := src.State()
-	dst, _ := build()
-	if err := dst.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst.State(), st) {
-		t.Fatalf("restored state %+v, want %+v", dst.State(), st)
-	}
-	for _, now := range []sim.Time{50, 52, 53, 62, 63} {
-		for _, id := range ids {
-			if dst.Frame(id, false, now) != src.Frame(id, false, now) {
-				t.Fatalf("page %d at %d: restored mapper translates differently", id, now)
-			}
-		}
-	}
-
-	bad := *st
-	bad.Private = append([]PageEntry(nil), st.Private...)
-	bad.Private[0].Phys++
-	if err := dst.RestoreState(&bad); err == nil {
-		t.Error("restore accepted a snapshot of a different page table")
-	}
-	bad = *st
-	bad.CoW = append([]CoWEntry(nil), st.CoW...)
-	bad.CoW[0].Phys = 1
-	if err := dst.RestoreState(&bad); err == nil {
-		t.Error("restore accepted a CoW entry off its reserved frame")
 	}
 }

@@ -83,6 +83,22 @@ type Engine interface {
 	ForEachPending(fn func(tile topo.Tile, e *cache.MSHREntry))
 }
 
+// NewEngine builds the engine the protocol name selects: "directory",
+// "dico", "providers" or "arin".
+func NewEngine(name string, ctx *Context) (Engine, error) {
+	switch name {
+	case "directory":
+		return NewDirectory(ctx), nil
+	case "dico":
+		return NewDiCo(ctx), nil
+	case "providers":
+		return NewProviders(ctx), nil
+	case "arin":
+		return NewArin(ctx), nil
+	}
+	return nil, fmt.Errorf("proto: unknown protocol %q", name)
+}
+
 // CopyInfo describes one cached copy of a block for ForEachCopy.
 type CopyInfo struct {
 	Tile      topo.Tile
@@ -478,8 +494,8 @@ func (c *Context) ArmLanes() {
 
 // FoldLanes merges every lane view's counters and miss profile back
 // into the root context and disarms the views. The parallel run loop
-// calls it at each phase boundary, so results, snapshots and
-// crosscheck fingerprints always read the folded root set.
+// calls it at each phase boundary, so results and crosscheck
+// fingerprints always read the folded root set.
 func (c *Context) FoldLanes() {
 	if c.laneCtx == nil {
 		return
@@ -892,7 +908,7 @@ func newEngineBase(ctx *Context, name string) engineBase {
 	return b
 }
 
-// base exposes the shared state to the debug and snapshot helpers.
+// base exposes the shared state to the debug and quiescence helpers.
 func (b *engineBase) base() *engineBase { return b }
 
 // tile returns tile t's state to a handler running on ctx: the one way

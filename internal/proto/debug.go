@@ -11,7 +11,7 @@ import (
 )
 
 // engineInternals exposes the shared per-tile state of an engine to
-// the debug formatters and the snapshot layer. All transient per-block
+// the debug formatters and the quiescence check. All transient per-block
 // state (stall queues, busy/blocked flags, recall marks) lives in each
 // tile's transaction table.
 func engineInternals(e Engine) (tiles []*tileState, ctx *Context) {
@@ -110,6 +110,35 @@ func FormatStalls(e Engine) string {
 
 // DumpStalls prints FormatStalls (debug aid for hangs).
 func DumpStalls(e Engine) { fmt.Print(FormatStalls(e)) }
+
+// CheckQuiescent reports transient coherence state that survived a
+// drained kernel: a live transaction record or an outstanding MSHR
+// entry on any tile. Once the queue is empty every transaction has
+// completed, so such a record is hidden state that the next phase
+// would silently inherit.
+func CheckQuiescent(e Engine) error {
+	tiles, _ := engineInternals(e)
+	if tiles == nil {
+		return fmt.Errorf("proto: unknown engine %T", e)
+	}
+	for i, t := range tiles {
+		if t.tx.count != 0 {
+			var desc string
+			t.tx.forEach(func(r *txRecord) {
+				if desc == "" {
+					desc = fmt.Sprintf("block %#x flags=%#x l1q=%d homeq=%d",
+						r.addr, r.flags, t.pendingL1Len(r.addr), t.pendingHomeLen(r.addr))
+				}
+			})
+			return fmt.Errorf("proto: %s tile %d not quiescent: %d live transaction records (first: %s)",
+				e.Name(), i, t.tx.count, desc)
+		}
+		if n := t.mshr.Outstanding(); n > 0 {
+			return fmt.Errorf("proto: %s tile %d not quiescent: %d misses in flight", e.Name(), i, n)
+		}
+	}
+	return nil
+}
 
 // StallProbe returns a sim.Watchdog probe that reports a stalled
 // transaction: any MSHR entry older than bound cycles. The report

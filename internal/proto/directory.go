@@ -226,23 +226,10 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(newOwner)
-		th := d.tile(ctx, home)
-		if !th.stampIfNewer(addr, stamp) {
-			if ctx.tracing(addr) {
-				ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
-			}
-			th.wakeHome(ctx.Kernel, addr)
-			return
-		}
-		if dl := th.dir.Peek(addr); dl != nil {
+		d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirEntry) {
 			dl.Owner = int16(newOwner)
 			dl.Sharers = bit(newOwner)
-			ctx.pw.DirWrite.Inc()
-			if ctx.tracing(addr) {
-				ctx.Trace(addr, "homeDirUpdate -> owner=%d sharers=%#x (stamp %d)", dl.Owner, dl.Sharers, stamp)
-			}
-		}
-		th.wakeHome(ctx.Kernel, addr)
+		})
 	}
 	// downgradeFn applies the read-downgrade update: the old owner
 	// (m.tile) became a sharer alongside the requestor, and its data
@@ -254,26 +241,15 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(requestor)
-		th := d.tile(ctx, home)
-		if !th.stampIfNewer(addr, stamp) {
-			if ctx.tracing(addr) {
-				ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
-			}
-			th.wakeHome(ctx.Kernel, addr)
+		if !d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirEntry) {
+			dl.Owner = -1
+			dl.Sharers |= bit(owner) | bit(requestor)
+		}) {
 			if dirty {
 				d.flush(ctx, home, addr)
 			}
 			return
 		}
-		if dl := th.dir.Peek(addr); dl != nil {
-			dl.Owner = -1
-			dl.Sharers |= bit(owner) | bit(requestor)
-			ctx.pw.DirWrite.Inc()
-			if ctx.tracing(addr) {
-				ctx.Trace(addr, "homeDirUpdate -> owner=%d sharers=%#x (stamp %d)", dl.Owner, dl.Sharers, stamp)
-			}
-		}
-		th.wakeHome(ctx.Kernel, addr)
 		d.insertL2Data(ctx, home, addr, dirty)
 	}
 	// evictWbFn applies an owned-eviction update: m.tile gave up the
@@ -285,26 +261,15 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(tile)
-		th := d.tile(ctx, home)
-		if !th.stampIfNewer(addr, stamp) {
-			if ctx.tracing(addr) {
-				ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
-			}
-			th.wakeHome(ctx.Kernel, addr)
+		if !d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirEntry) {
+			dl.Owner = -1
+			dl.Sharers &^= bit(tile)
+		}) {
 			if dirty {
 				d.flush(ctx, home, addr)
 			}
 			return
 		}
-		if dl := th.dir.Peek(addr); dl != nil {
-			dl.Owner = -1
-			dl.Sharers &^= bit(tile)
-			ctx.pw.DirWrite.Inc()
-			if ctx.tracing(addr) {
-				ctx.Trace(addr, "homeDirUpdate -> owner=%d sharers=%#x (stamp %d)", dl.Owner, dl.Sharers, stamp)
-			}
-		}
-		th.wakeHome(ctx.Kernel, addr)
 		d.insertL2Data(ctx, home, addr, dirty)
 	}
 	// Memory fetch pipeline: request at the controller, latency wait,
@@ -401,13 +366,8 @@ func (d *Directory) atHome(r dirReq) {
 	// One probe serves both the lookup and, on a miss, the victim
 	// choice for allocDirEntry — same accounting as a Lookup.
 	dline, dirVictimAddr, dirHit, dirValid := th.dir.Probe(r.addr)
-	th.dir.Accesses++
 	if dirHit {
 		th.dir.Touch(dline)
-	} else {
-		th.dir.Misses++
-	}
-	if dirHit {
 		if ctx.tracing(r.addr) {
 			ctx.Trace(r.addr, "atHome req=%d write=%v fwd=%d owner=%d sharers=%#x", r.requestor, r.write, r.forwards, dline.Owner, dline.Sharers)
 		}

@@ -92,6 +92,27 @@ var allEngines = []struct {
 	{"arin", func(ctx *Context) Engine { return NewArin(ctx) }},
 }
 
+// TestNewEngine checks that every protocol name builds its own engine
+// and that an unknown name is an error.
+func TestNewEngine(t *testing.T) {
+	for _, e := range allEngines {
+		c := newTestChip(t, func(ctx *Context) Engine {
+			eng, err := NewEngine(e.name, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		})
+		if got := c.eng.Name(); got != e.name {
+			t.Errorf("NewEngine(%q) built %s", e.name, got)
+		}
+		c.access(3, 0x40, true)
+	}
+	if eng, err := NewEngine("mesi", &Context{}); err == nil {
+		t.Errorf("NewEngine(\"mesi\") = %v, want an error", eng)
+	}
+}
+
 // TestCommonReadAfterWrite checks on every protocol that a reader on a
 // far tile observes a block after a writer elsewhere modified it, with
 // no invariant violations at quiescence.

@@ -288,13 +288,3 @@ func (t *stampTable) grow() {
 		t.stamps[j] = oldStamps[i]
 	}
 }
-
-// forEach visits every recorded stamp (slot order; snapshot capture
-// sorts, so simulation behaviour must never depend on it).
-func (t *stampTable) forEach(fn func(a cache.Addr, s sim.Time)) {
-	for i, a := range t.addrs {
-		if a != stampEmpty {
-			fn(a, t.stamps[i])
-		}
-	}
-}

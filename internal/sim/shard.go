@@ -214,46 +214,6 @@ func (sk *ShardedKernel) EventsRun() uint64 {
 	return n
 }
 
-// State captures the group's merged kernel state for a snapshot. All
-// lanes must be quiescent. The merged view is what a serial run of the
-// same events would have recorded: the global clock, the global stamp
-// counter, the hub's causal tag, the summed dispatch count, and the
-// hub's random stream (non-hub streams are never drawn). A snapshot
-// captured from a sharded run therefore restores into a serial kernel
-// and vice versa.
-func (sk *ShardedKernel) State() (KernelState, error) {
-	if n := sk.Pending(); n > 0 {
-		return KernelState{}, fmt.Errorf("sim: sharded kernel not quiescent: %d events pending", n)
-	}
-	return KernelState{
-		Now:    sk.now,
-		Seq:    sk.seq,
-		Tag:    sk.Hub().tag,
-		Events: sk.EventsRun(),
-		Rand:   sk.Hub().rng.State(),
-	}, nil
-}
-
-// RestoreState overwrites the group's clocks, counters, causal tags and
-// the hub random stream with a captured state. All lanes must be empty.
-// The dispatch total lands on the hub so EventsRun sums correctly.
-func (sk *ShardedKernel) RestoreState(st KernelState) error {
-	if n := sk.Pending(); n > 0 {
-		return fmt.Errorf("sim: cannot restore into a sharded kernel with %d pending events", n)
-	}
-	for _, k := range sk.kernels {
-		k.now = st.Now
-		k.tag = st.Tag
-		k.events = 0
-	}
-	hub := sk.Hub()
-	hub.events = st.Events
-	hub.rng.SetState(st.Rand)
-	sk.now = st.Now
-	sk.seq = st.Seq
-	return nil
-}
-
 // Send schedules fn(arg) delay cycles from now on lane to, from a
 // handler running on lane k inside a RunParallel window. Same-lane
 // sends are plain AfterArg calls. A cross-lane message is captured in

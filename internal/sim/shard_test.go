@@ -261,65 +261,6 @@ func TestShardedRunLimit(t *testing.T) {
 	}
 }
 
-// TestShardedStateRoundTrip checks the merged snapshot surface: a
-// sharded group's state restores into another group (and a serial
-// kernel's state restores into a group), continuing bit-identically.
-func TestShardedStateRoundTrip(t *testing.T) {
-	sk := NewSharded(11, 3, 5)
-	ran := 0
-	for i := 0; i < 3; i++ {
-		sk.Shard(i).After(Time(5*i+3), func() { ran++ })
-	}
-	sk.RunParallel(0)
-	st, err := sk.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The last event fires at 13; RunParallel rests at the end of its
-	// window [13, 17].
-	if st.Events != 3 || st.Now != 17 {
-		t.Fatalf("state = %+v, want Events=3 Now=17", st)
-	}
-
-	sk2 := NewSharded(11, 3, 5)
-	if err := sk2.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := sk2.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2 != st {
-		t.Fatalf("restored state %+v != captured %+v", st2, st)
-	}
-	if sk2.Now() != st.Now || sk2.Shard(2).Now() != st.Now {
-		t.Fatal("restore did not align lane clocks")
-	}
-
-	// Serial -> sharded: the merged surface is the same type, so a
-	// serial warmup snapshot restores into a sharded measure phase.
-	k := NewKernel(11)
-	k.After(9, func() {})
-	k.Run(0)
-	kst, err := k.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk3 := NewSharded(11, 2, 5)
-	if err := sk3.RestoreState(kst); err != nil {
-		t.Fatal(err)
-	}
-	if sk3.Now() != 9 || sk3.EventsRun() != 1 {
-		t.Fatalf("serial->sharded restore: Now=%d Events=%d", sk3.Now(), sk3.EventsRun())
-	}
-
-	// Not quiescent: capture must fail, exactly like the serial kernel.
-	sk3.Shard(1).After(4, func() {})
-	if _, err := sk3.State(); err == nil {
-		t.Fatal("State() on a non-quiescent sharded kernel did not fail")
-	}
-}
-
 // TestShardedStress sweeps seeds and shard counts, cross-checking the
 // parallel executor against the serial kernel on bigger workloads —
 // the seeded stress sweep the race stage runs under -race.

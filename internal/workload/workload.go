@@ -404,16 +404,16 @@ func NewGenerator(w Workload, placement *topo.Placement, mapper *memctrl.Mapper,
 		g.firstID[vm][classPrivate] = mapper.Pages()
 		for th := 0; th < threads; th++ {
 			for pg := 0; pg < p.PrivatePagesPerThread; pg++ {
-				mapper.Map(vm, 1<<57|uint64(th)<<32|uint64(pg), memctrl.PagePrivate)
+				mapper.Map(1<<57|uint64(th)<<32|uint64(pg), memctrl.PagePrivate)
 			}
 		}
 		g.firstID[vm][classVMShared] = mapper.Pages()
 		for pg := 0; pg < p.VMSharedPages; pg++ {
-			mapper.Map(vm, 1<<56|uint64(pg), memctrl.PageVMShared)
+			mapper.Map(1<<56|uint64(pg), memctrl.PageVMShared)
 		}
 		g.firstID[vm][classDedup] = mapper.Pages()
 		for pg := 0; pg < p.DedupPages; pg++ {
-			mapper.Map(vm, p.ContentKey<<20|uint64(pg), memctrl.PageDedup)
+			mapper.Map(p.ContentKey<<20|uint64(pg), memctrl.PageDedup)
 		}
 		if p.PrivatePagesPerThread > 0 {
 			g.zipfPriv[vm] = newZipf(p.PrivatePagesPerThread, p.ZipfS)
