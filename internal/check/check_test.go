@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 var protocols = []string{"directory", "dico", "providers", "arin"}
@@ -15,8 +14,8 @@ var protocols = []string{"directory", "dico", "providers", "arin"}
 // corpus returns the seeded high-conflict streams: many tiles, few
 // blocks, write-heavy. Parameters vary so the corpus covers different
 // contention shapes (single-block hammering through mild spread).
-func corpus() map[string][]trace.Record {
-	streams := make(map[string][]trace.Record)
+func corpus() map[string][]Ref {
+	streams := make(map[string][]Ref)
 	shapes := []struct {
 		blocks, refs, writePct int
 	}{
@@ -42,7 +41,7 @@ func corpus() map[string][]trace.Record {
 
 // refImage computes the shadow image a serial execution must produce,
 // straight from the stream.
-func refImage(recs []trace.Record) map[cache.Addr]Block {
+func refImage(recs []Ref) map[cache.Addr]Block {
 	img := make(map[cache.Addr]Block)
 	for _, r := range recs {
 		if r.Write {
@@ -133,6 +132,29 @@ func TestDecodeStream(t *testing.T) {
 	}
 	if !recs[0].Write || recs[1].Write {
 		t.Errorf("write bits wrong: %+v", recs[:2])
+	}
+}
+
+// TestReplayPreservesOrder pins the replay order every stress and fuzz
+// stream dispatches in: tiles start in order of first appearance and
+// each tile plays its own refs in stream order, however the tiles
+// interleave in the stream.
+func TestReplayPreservesOrder(t *testing.T) {
+	recs := []Ref{
+		{Tile: 3, Addr: 0x1234, Gap: 2},
+		{Tile: 7, Addr: 0xbeef, Write: true},
+		{Tile: 3, Addr: 0x1234, Write: true, Gap: 5},
+		{Tile: 1, Addr: 0x10},
+	}
+	order, perTile := splitTiles(recs, 16)
+	if !reflect.DeepEqual(order, []topo.Tile{3, 7, 1}) {
+		t.Errorf("tile start order %v, want [3 7 1]", order)
+	}
+	if want := []Ref{recs[0], recs[2]}; !reflect.DeepEqual(perTile[3], want) {
+		t.Errorf("tile 3 plays %+v, want %+v", perTile[3], want)
+	}
+	if len(perTile[7]) != 1 || len(perTile[1]) != 1 || perTile[0] != nil {
+		t.Errorf("per-tile streams %d/%d/%d refs, want 1/1/0", len(perTile[7]), len(perTile[1]), len(perTile[0]))
 	}
 }
 

@@ -9,18 +9,19 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // ChipConfig selects one checked mini-chip.
 type ChipConfig struct {
-	Protocol   string
-	Tiles      int
-	Areas      int
-	Seed       uint64
-	Proto      proto.Config
-	StallBound sim.Time // watchdog: max age of an in-flight miss (0 = 200k)
+	Protocol string
+	Tiles    int
+	Areas    int
+	Seed     uint64
+	Proto    proto.Config
 }
+
+// stallBound is the watchdog's max age of an in-flight miss.
+const stallBound sim.Time = 200_000
 
 // TinyConfig returns a deliberately small cache geometry so short
 // stress streams already exercise evictions, recalls and
@@ -51,9 +52,6 @@ func NewChip(cc ChipConfig) (*Chip, error) {
 	if cc.Areas == 0 {
 		cc.Areas = 4
 	}
-	if cc.StallBound == 0 {
-		cc.StallBound = 200_000
-	}
 	if cc.Proto == (proto.Config{}) {
 		cc.Proto = TinyConfig()
 	}
@@ -72,8 +70,8 @@ func NewChip(cc ChipConfig) (*Chip, error) {
 	}
 	sh := NewShadow(eng, kernel)
 	ctx.Observer = sh
-	probe := proto.StallProbe(eng, kernel, cc.StallBound)
-	dog := sim.NewWatchdog(kernel, cc.StallBound/4, probe)
+	probe := proto.StallProbe(eng, kernel, stallBound)
+	dog := sim.NewWatchdog(kernel, stallBound/4, probe)
 	return &Chip{Kernel: kernel, Ctx: ctx, Engine: eng, Shadow: sh, Dog: dog}, nil
 }
 
@@ -113,24 +111,18 @@ func (c *Chip) finish() (err error) {
 // references in order (gaps honored), all tiles concurrently — the
 // racy mode. The watchdog is armed throughout. It returns the first
 // watchdog, shadow-checker, deadlock or invariant error.
-func (c *Chip) RunConcurrent(recs []trace.Record) error {
-	p := trace.NewPlayer(&trace.Trace{Records: recs})
-	var tiles []topo.Tile
-	seen := make(map[topo.Tile]bool)
-	for _, r := range recs {
-		if !seen[r.Tile] {
-			seen[r.Tile] = true
-			tiles = append(tiles, r.Tile)
-		}
-	}
+func (c *Chip) RunConcurrent(recs []Ref) error {
+	tiles, perTile := splitTiles(recs, c.Ctx.NumTiles())
 	done := 0
 	var step func(tile topo.Tile)
 	step = func(tile topo.Tile) {
-		r, ok := p.Next(tile)
-		if !ok {
+		rs := perTile[tile]
+		if len(rs) == 0 {
 			done++
 			return
 		}
+		r := rs[0]
+		perTile[tile] = rs[1:]
 		issue := func() {
 			c.Engine.Access(r.Tile, r.Addr, r.Write, func() { step(tile) })
 		}
@@ -159,7 +151,7 @@ func (c *Chip) RunConcurrent(recs []trace.Record) error {
 // before the next issues — a deterministic serialization shared by
 // every protocol, so final shadow images must match exactly across
 // protocols.
-func (c *Chip) RunSerial(recs []trace.Record) error {
+func (c *Chip) RunSerial(recs []Ref) error {
 	c.Dog.Arm()
 	for i, r := range recs {
 		retired := false
@@ -178,7 +170,7 @@ func (c *Chip) RunSerial(recs []trace.Record) error {
 
 // RunRecord runs one protocol over one stream in the given mode and
 // returns the final shadow image (differential-testing helper).
-func RunRecord(protocol string, recs []trace.Record, tiles, areas int, seed uint64, serial bool) (map[cache.Addr]Block, error) {
+func RunRecord(protocol string, recs []Ref, tiles, areas int, seed uint64, serial bool) (map[cache.Addr]Block, error) {
 	c, err := NewChip(ChipConfig{Protocol: protocol, Tiles: tiles, Areas: areas, Seed: seed})
 	if err != nil {
 		return nil, err

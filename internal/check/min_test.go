@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/trace"
 )
 
 // TestMinimize shrinks a failing stress stream to a minimal reproducer
-// and prints it as a trace.Record literal, ready to paste into a
+// and prints it as a check.Ref literal, ready to paste into a
 // regression test. Scratch tool for bug hunts: run with
 // MINIMIZE=<seed> (and optionally DBG_PROTO=<protocol>) against the
 // unfixed protocol; skipped otherwise. Stream shape per seed matches
@@ -26,7 +25,7 @@ func TestMinimize(t *testing.T) {
 	if p == "" {
 		p = "directory"
 	}
-	fails := func(recs []trace.Record) bool {
+	fails := func(recs []Ref) bool {
 		_, err := RunRecord(p, recs, 16, 4, uint64(seed), false)
 		return err != nil
 	}
@@ -37,11 +36,16 @@ func TestMinimize(t *testing.T) {
 		t.Fatalf("seed %d does not fail on %s; nothing to minimize", seed, p)
 	}
 	// Per-block projection first: a single-block failure is the
-	// simplest possible shape (trace.FilterAddr semantics).
+	// simplest possible shape (issuing tiles and gaps kept).
 	for b := 0; b < blocks; b++ {
-		tr := (&trace.Trace{Records: recs}).FilterAddr(cache.Addr(b))
-		if fails(tr.Records) {
-			recs = tr.Records
+		var only []Ref
+		for _, r := range recs {
+			if r.Addr == cache.Addr(b) {
+				only = append(only, r)
+			}
+		}
+		if fails(only) {
+			recs = only
 			t.Logf("block %#x only: %d records, still fails", b, len(recs))
 			break
 		}
@@ -62,7 +66,7 @@ func TestMinimize(t *testing.T) {
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(recs); i++ {
-			cand := append(append([]trace.Record{}, recs[:i]...), recs[i+1:]...)
+			cand := append(append([]Ref{}, recs[:i]...), recs[i+1:]...)
 			if fails(cand) {
 				recs = cand
 				changed = true

@@ -10,7 +10,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Fingerprint is the deterministic signature of one unchecked replay:
@@ -44,7 +43,7 @@ const replayWindow = 2_000_000
 // run — this is the stress surface for the messageized engine
 // handlers, whose cross-tile work must be shard-affine for the
 // parallel executor to resolve at all.
-func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards int, seed uint64) (fp Fingerprint, err error) {
+func RunRecordSharded(protocol string, recs []Ref, tiles, areas, shards int, seed uint64) (fp Fingerprint, err error) {
 	grid := topo.SquareGrid(tiles)
 	areasv, err := topo.NewAreas(grid, areas)
 	if err != nil {
@@ -84,10 +83,7 @@ func RunRecordSharded(protocol string, recs []trace.Record, tiles, areas, shards
 	// Per-tile streams with single-writer cursors: each tile's step
 	// chain lives entirely on its own lane, so the replay driver itself
 	// is shard-affine.
-	perTile := make([][]trace.Record, grid.Tiles())
-	for _, r := range recs {
-		perTile[r.Tile] = append(perTile[r.Tile], r)
-	}
+	_, perTile := splitTiles(recs, grid.Tiles())
 	cursor := make([]int, grid.Tiles())
 	retired := make([]int, grid.Tiles())
 	lastRetire := make([]sim.Time, grid.Tiles())

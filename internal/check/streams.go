@@ -4,17 +4,40 @@ import (
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
+
+// Ref is one memory reference of one core: the unit of every stress,
+// fuzz and regression stream. A stream is a []Ref; each tile plays its
+// own refs in stream order, Gap cycles after the previous one retires.
+type Ref struct {
+	Tile  topo.Tile
+	Addr  cache.Addr
+	Write bool
+	Gap   sim.Time
+}
+
+// splitTiles splits a stream into per-tile streams, each in stream
+// order, and lists the tiles in order of first appearance — the order
+// RunConcurrent starts them in.
+func splitTiles(recs []Ref, tiles int) (order []topo.Tile, perTile [][]Ref) {
+	perTile = make([][]Ref, tiles)
+	for _, r := range recs {
+		if perTile[r.Tile] == nil {
+			order = append(order, r.Tile)
+		}
+		perTile[r.Tile] = append(perTile[r.Tile], r)
+	}
+	return order, perTile
+}
 
 // ConflictStream generates a small-address-space, high-conflict,
 // high-write-share reference stream: many tiles hammering few blocks,
 // the access pattern most likely to expose transient-race bugs.
-func ConflictStream(seed uint64, tiles, blocks, refs, writePct int) []trace.Record {
+func ConflictStream(seed uint64, tiles, blocks, refs, writePct int) []Ref {
 	r := sim.NewRand(seed)
-	recs := make([]trace.Record, 0, refs)
+	recs := make([]Ref, 0, refs)
 	for i := 0; i < refs; i++ {
-		recs = append(recs, trace.Record{
+		recs = append(recs, Ref{
 			Tile:  topo.Tile(r.Intn(tiles)),
 			Addr:  cache.Addr(r.Intn(blocks)),
 			Write: r.Intn(100) < writePct,
@@ -27,11 +50,11 @@ func ConflictStream(seed uint64, tiles, blocks, refs, writePct int) []trace.Reco
 // DecodeStream maps raw fuzzer bytes onto a reference stream: two
 // bytes per record (tile + write bit, block + gap), so every input is
 // valid and small mutations move single references.
-func DecodeStream(data []byte, tiles, blocks int) []trace.Record {
-	recs := make([]trace.Record, 0, len(data)/2)
+func DecodeStream(data []byte, tiles, blocks int) []Ref {
+	recs := make([]Ref, 0, len(data)/2)
 	for i := 0; i+1 < len(data); i += 2 {
 		b0, b1 := data[i], data[i+1]
-		recs = append(recs, trace.Record{
+		recs = append(recs, Ref{
 			Tile:  topo.Tile(int(b0&0x3f) % tiles),
 			Addr:  cache.Addr(int(b1&0x3f) % blocks),
 			Write: b0&0x80 != 0,

@@ -10,7 +10,6 @@ import (
 	"flag"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Flags binds groups of shared flags onto one flag.FlagSet, writing
@@ -28,7 +27,6 @@ type Flags struct {
 	TraceOut string
 
 	nodedup  bool
-	sample   int64
 	simBound bool
 	obsBound bool
 }
@@ -67,12 +65,8 @@ func (f *Flags) Obs() *Flags {
 		"attach the shadow-memory coherence checker and stalled-transaction watchdog (fails the run on any violation)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"trace every coherence transaction and write Chrome/Perfetto trace-event JSON to this file (open in ui.perfetto.dev)")
-	fs.IntVar(&cfg.TraceCap, "trace-cap", cfg.TraceCap,
-		"max spans retained per run, drop-oldest (0 = default)")
-	fs.Int64Var(&f.sample, "sample", int64(cfg.SampleEvery),
+	fs.Uint64Var((*uint64)(&cfg.SampleEvery), "sample", uint64(cfg.SampleEvery),
 		"record a time-series sample of all counters every N cycles (0 = off)")
-	fs.IntVar(&cfg.SampleCap, "sample-cap", cfg.SampleCap,
-		"max time-series samples retained per run, drop-oldest (0 = default)")
 	fs.BoolVar(&cfg.PerVM, "pervm", cfg.PerVM,
 		"attribute power counters, network energy and miss latency to the requesting VM (per-VM banks folded into the globals at measure end)")
 	return f
@@ -97,18 +91,15 @@ func (f *Flags) Workers() *Flags {
 }
 
 // Finish resolves the inverted and derived flags after fs.Parse:
-// -nodedup into Config.Dedup, -sample into Config.SampleEvery, and a
-// non-empty -trace-out arms Config.Trace. Only groups that were bound
+// -nodedup into Config.Dedup, and a non-empty -trace-out arms
+// Config.Trace. Only groups that were bound
 // are resolved, so unbound config fields stay untouched.
 func (f *Flags) Finish() {
 	if f.simBound {
 		f.cfg.Dedup = !f.nodedup
 	}
-	if f.obsBound {
-		f.cfg.SampleEvery = sim.Time(f.sample)
-		if f.TraceOut != "" {
-			f.cfg.Trace = true
-		}
+	if f.obsBound && f.TraceOut != "" {
+		f.cfg.Trace = true
 	}
 }
 

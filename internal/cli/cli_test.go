@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -23,19 +24,16 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	parse(t, f, fs,
 		"-tiles", "16", "-areas", "4", "-refs", "123", "-warmup", "456",
 		"-seed", "9", "-alt", "-nodedup", "-unicast-broadcast",
-		"-check", "-trace-out", "t.json", "-trace-cap", "7",
-		"-sample", "1000", "-sample-cap", "8", "-shards", "3", "-parallel", "-workers", "2")
+		"-check", "-trace-out", "t.json",
+		"-sample", "1000", "-shards", "3", "-parallel", "-workers", "2")
 	if cfg.Tiles != 16 || cfg.Areas != 4 || cfg.RefsPerCore != 123 || cfg.WarmupRefs != 456 || cfg.Seed != 9 {
 		t.Errorf("sim fields not bound: %+v", cfg)
 	}
 	if !cfg.AltPlacement || cfg.Dedup || !cfg.Proto.BroadcastUnicast {
 		t.Errorf("placement/dedup/broadcast flags not resolved: %+v", cfg)
 	}
-	if !cfg.Check || !cfg.Trace || cfg.TraceCap != 7 {
+	if !cfg.Check || !cfg.Trace || cfg.SampleEvery != 1000 {
 		t.Errorf("observer flags not resolved: %+v", cfg)
-	}
-	if cfg.SampleEvery != 1000 || cfg.SampleCap != 8 {
-		t.Errorf("sampling flags not resolved: %+v", cfg)
 	}
 	if cfg.Shards != 3 || !cfg.Parallel {
 		t.Errorf("Shards/Parallel = %d/%v, want 3/true", cfg.Shards, cfg.Parallel)
@@ -52,6 +50,22 @@ func TestSimFlagsBindAndResolve(t *testing.T) {
 	New(fs, &cfg).Sim().Obs()
 	if err := fs.Parse([]string{"-profile"}); err == nil {
 		t.Error("-profile parsed; want an unknown-flag error")
+	}
+}
+
+// TestNegativeSampleRejected requires a negative -sample to fail the
+// parse with an error naming the flag, leaving sampling off.
+func TestNegativeSampleRejected(t *testing.T) {
+	cfg := core.DefaultConfig()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	New(fs, &cfg).Sim().Obs()
+	err := fs.Parse([]string{"-sample", "-5"})
+	if err == nil || !strings.Contains(err.Error(), "-sample") {
+		t.Fatalf("-sample -5 parsed with error %v; want an error naming -sample", err)
+	}
+	if cfg.SampleEvery != 0 {
+		t.Errorf("SampleEvery = %d after a rejected -sample, want 0", cfg.SampleEvery)
 	}
 }
 

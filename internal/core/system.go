@@ -60,26 +60,20 @@ type Config struct {
 	// default: with Check false the kernel event stream is bit-identical
 	// to a build without the checker.
 	Check bool
-	// StallBound is the watchdog's max age of an in-flight miss before
-	// the run is declared stalled (0 = 500k cycles). Only used with
-	// Check.
-	StallBound sim.Time
 
 	// Trace arms the causal transaction tracer (internal/telemetry):
 	// every L1 miss opens a span that follows the transaction through
 	// the mesh. Observation-only: the event stream is bit-identical with
-	// tracing on or off. TraceCap bounds retained spans
-	// (0 = telemetry.DefaultSpanCap, drop-oldest past the cap).
-	Trace    bool
-	TraceCap int
-	// SampleEvery, when > 0, arms the epoch time-series sampler: every
-	// SampleEvery cycles a snapshot of all counters, link occupancy,
-	// queue depths and the energy split is recorded into Result.Series.
-	// The sampler schedules its own tick events but touches no protocol
-	// state, so results are identical with sampling on or off.
-	// SampleCap bounds retained samples (0 = telemetry.DefaultSampleCap).
+	// tracing on or off. The tracer keeps the newest
+	// telemetry.DefaultSpanCap spans.
+	Trace bool
+	// SampleEvery, when > 0, arms the epoch time-series sampler: about
+	// every SampleEvery cycles a snapshot of all counters, link
+	// occupancy, queue depths and the energy split is recorded into
+	// Result.Series (the newest telemetry.DefaultSampleCap samples).
+	// The phase loop takes the snapshots between kernel windows, so
+	// the event stream is bit-identical with sampling on or off.
 	SampleEvery sim.Time
-	SampleCap   int
 
 	// PerVM splits the power-event counters, the attributed mesh
 	// traffic and the miss-latency histogram by consolidated VM,
@@ -411,6 +405,10 @@ func (d *tileDriver) retire(at sim.Time) bool {
 	return d.next(at)
 }
 
+// stallBound is the Check watchdog's max age of an in-flight miss
+// before the run is declared stalled.
+const stallBound sim.Time = 500_000
+
 // NewSystem validates cfg and builds a chip from it.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -502,11 +500,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Check {
 		sh = check.NewShadow(eng, kernel)
 		ctx.Observer = sh
-		bound := cfg.StallBound
-		if bound == 0 {
-			bound = 500_000
-		}
-		dog = sim.NewWatchdog(kernel, bound/4, proto.StallProbe(eng, kernel, bound))
+		dog = sim.NewWatchdog(kernel, stallBound/4, proto.StallProbe(eng, kernel, stallBound))
 	}
 	s := &System{
 		Cfg:       cfg,
@@ -530,7 +524,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.vmHist = make([]sim.Hist, placement.NumVMs)
 	}
 	if cfg.Trace {
-		s.Tracer = telemetry.NewTracer(kernel, cfg.Protocol, cfg.Tiles, cfg.TraceCap)
+		s.Tracer = telemetry.NewTracer(kernel, cfg.Protocol, cfg.Tiles, 0)
 		ctx.Spans = s.Tracer
 		net.SetObserver(s.Tracer)
 	}
@@ -540,7 +534,7 @@ func NewSystem(cfg Config) (*System, error) {
 			return nil, err
 		}
 		energies := power.Energies(sp, storage.DefaultConfig(cfg.Tiles, cfg.Areas), power.DefaultEnergy())
-		s.Sampler = telemetry.NewSampler(kernel, cfg.SampleEvery, cfg.SampleCap,
+		s.Sampler = telemetry.NewSampler(kernel, cfg.SampleEvery, 0,
 			eng.Stats(), net, energies,
 			func() uint64 { return s.refsTotal }, s.pendingMisses)
 		if cfg.PerVM {
@@ -625,16 +619,18 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 	if s.Dog != nil {
 		s.Dog.Arm()
 	}
-	// The sampler's tick chain stops itself when the queue drains at
-	// phase end; re-arm it for this phase.
-	if s.Sampler != nil {
-		s.Sampler.Start()
-	}
+	// The kernel runs in windows that end at the earlier of the
+	// watchdog deadline and the sampler's next due cycle; samples are
+	// taken between windows, so sampling adds no event.
 	const watchdogWindow sim.Time = 2_000_000
 	lastProgress := uint64(0)
 	k := s.Kernel
+	watchdogAt := k.Now() + watchdogWindow
 	for s.phaseDone < cfg.Tiles {
-		deadline := k.Now() + watchdogWindow
+		deadline := watchdogAt
+		if s.Sampler != nil && s.Sampler.Due() < deadline {
+			deadline = s.Sampler.Due()
+		}
 		k.RunUntil(func() bool {
 			return s.phaseDone == cfg.Tiles || k.Now() >= deadline ||
 				(s.Dog != nil && s.Dog.Err() != nil)
@@ -645,11 +641,18 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 		if s.phaseDone == cfg.Tiles {
 			break
 		}
+		if s.Sampler != nil {
+			s.Sampler.Tick()
+		}
+		if k.Now() < watchdogAt && k.Pending() > 0 {
+			continue
+		}
 		if k.Pending() == 0 || s.phaseTotal == lastProgress {
 			return 0, 0, fmt.Errorf("core: simulation stalled at t=%d with %d/%d cores done (%d refs retired)",
 				k.Now(), s.phaseDone, cfg.Tiles, s.phaseTotal)
 		}
 		lastProgress = s.phaseTotal
+		watchdogAt = k.Now() + watchdogWindow
 	}
 	if s.Dog != nil {
 		s.Dog.Disarm()
@@ -842,10 +845,6 @@ func (s *System) Run() (*Result, error) {
 	}
 	return s.RunMeasure()
 }
-
-// RefsRetired returns the cumulative reference count across phases
-// (the value the telemetry sampler reads).
-func (s *System) RefsRetired() uint64 { return s.refsTotal }
 
 // Run builds and runs a system in one call.
 func Run(cfg Config) (*Result, error) {

@@ -68,15 +68,6 @@ func (c Config) Validate() error {
 	if c.WarmupRefs < 0 {
 		return fmt.Errorf("core: WarmupRefs = %d must not be negative", c.WarmupRefs)
 	}
-	if c.TraceCap < 0 {
-		return fmt.Errorf("core: TraceCap = %d must not be negative (0 = default cap)", c.TraceCap)
-	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("core: SampleEvery = %d must not be negative (0 = sampling off)", c.SampleEvery)
-	}
-	if c.SampleCap < 0 {
-		return fmt.Errorf("core: SampleCap = %d must not be negative (0 = default cap)", c.SampleCap)
-	}
 	return nil
 }
 

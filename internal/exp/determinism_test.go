@@ -154,11 +154,9 @@ func TestRunConfigsMatchesRun(t *testing.T) {
 
 // TestTelemetryNonPerturbing runs each protocol with causal tracing
 // and epoch sampling off and on and requires every observable to be
-// bit-identical. Tracing never schedules an event, so the traced event
-// stream is identical down to the kernel event count; sampling adds
-// its own tick events to the stream but touches no protocol state, so
-// every simulation result still matches exactly (only the event count
-// may differ — it includes the ticks).
+// bit-identical. Neither the tracer nor the sampler schedules an
+// event, so both event streams are identical down to the kernel event
+// count.
 func TestTelemetryNonPerturbing(t *testing.T) {
 	for _, p := range core.ProtocolNames {
 		plain, err := core.Run(detConfig(p))
@@ -184,10 +182,9 @@ func TestTelemetryNonPerturbing(t *testing.T) {
 		if sampled.Series == nil || len(sampled.Series.Samples) == 0 {
 			t.Fatalf("%s: sampling produced no series", p)
 		}
-		// Mask the config difference and the sampler's own tick events;
-		// every simulation observable must match.
+		// Mask the config difference; every simulation observable,
+		// the event count included, must match.
 		sampled.Config.SampleEvery = 0
-		sampled.Events = plain.Events
 		sampled.Series = nil
 		requireSameResult(t, p+" sampled-vs-plain", plain, sampled)
 		if plain.Series != nil {

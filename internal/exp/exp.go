@@ -6,7 +6,6 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -461,12 +460,4 @@ func TheoreticalDistances(tiles, areas int) (indirect, direct, shortened float64
 	}
 	inArea := float64(tot) / float64(n)
 	return 3 * mean, 2 * mean, 2 * inArea
-}
-
-// SortedWorkloads returns the matrix workloads sorted for stable
-// output.
-func (m *Matrix) SortedWorkloads() []string {
-	out := append([]string(nil), m.Workloads...)
-	sort.Strings(out)
-	return out
 }

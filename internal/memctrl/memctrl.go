@@ -170,9 +170,6 @@ func NewMapper(dedup bool) *Mapper {
 	return &Mapper{dedup: dedup, content: make(map[uint64]uint64)}
 }
 
-// DedupEnabled reports whether deduplication is on.
-func (m *Mapper) DedupEnabled() bool { return m.dedup }
-
 // SetCoWDelay sets the visibility delay of copy-on-write breaks: a
 // break at cycle t resolves readers to the old shared frame until t +
 // delay. Zero (the default) is immediate visibility. The system sets

@@ -28,9 +28,7 @@ func NewArin(ctx *Context) *Arin {
 // former owner becomes a provider, the home L2 receives the data (and
 // becomes a provider), and the requestor becomes a provider.
 func (p *Arin) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "dissolve at owner %d for %d", owner, r.requestor)
-	}
+	ctx.spanEvent("dissolve", owner, r.addr)
 	r.clsPlus1 = classify(&r, byOwner)
 	dirty := line.Dirty
 	line.State = dcProvider
@@ -49,9 +47,6 @@ func (p *Arin) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Li
 // providerRead: a provider supplies inside its area; the new copy is a
 // provider too (Section IV-B's optimization).
 func (p *Arin) providerRead(ctx *Context, r dcReq, provider topo.Tile, _ *cache.Line) {
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "provider %d supplies %d", provider, r.requestor)
-	}
 	r.clsPlus1 = classify(&r, byProvider)
 	ctx.pw.L1DataRead.Inc()
 	p.deliver(ctx, r, provider, dcProvider, false, int16(provider), nil)
@@ -70,9 +65,6 @@ func (p *Arin) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.L
 // block is always present in the home L2 (the design decision that
 // removes DiCo-Providers' 5-hop path).
 func (p *Arin) homeInter(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "home-inter %d serves %d write=%v fwd=%d", home, r.requestor, r.write, r.via)
-	}
 	if r.write {
 		p.broadcastInvalidation(ctx, r, home)
 		return
@@ -111,10 +103,6 @@ func (p *Arin) homeInter(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Li
 // homeOwned serves a request when the home L2 owns the block with (at
 // most) one area's sharers tracked precisely.
 func (p *Arin) homeOwned(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "home-owned %d serves %d write=%v areatag=%d sharers=%#x",
-			home, r.requestor, r.write, l2line.AreaTag, l2line.Sharers)
-	}
 	r.clsPlus1 = classify(&r, byHome)
 	reqArea := p.areaOf(r.requestor)
 	area := int(l2line.AreaTag)
@@ -169,9 +157,6 @@ func (p *Arin) broadcast(ctx *Context, src topo.Tile, deliver func(dst topo.Tile
 // invalidation and every L1 blocks the address, (2) every L1 acks the
 // requestor, (3) the requestor broadcasts the unblock.
 func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "broadcast inv from home %d for writer %d", home, r.requestor)
-	}
 	th := p.tile(ctx, home)
 	r.clsPlus1 = classify(&r, byHome)
 	th.setHomeBusy(r.addr)
@@ -225,7 +210,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
 	if e, ok := th.mshr.Lookup(r.addr); ok && home != r.requestor {
 		e.InvalidatedWhilePending = true
 	}
-	ctx.spanEvent("bcast-inv", home)
+	ctx.spanEvent("bcast-inv", home, r.addr)
 	p.broadcast(ctx, home, deliverInv)
 	p.deliver(ctx, r, home, dcOwnerModified, true, -1, nil)
 }
@@ -250,7 +235,7 @@ func (p *Arin) unblockAfterWrite(ctx *Context, r dcReq) {
 			t.wakeHome(dctx.Kernel, r.addr)
 		}
 	}
-	ctx.spanEvent("bcast-unblock", r.requestor)
+	ctx.spanEvent("bcast-unblock", r.requestor, r.addr)
 	p.broadcast(ctx, r.requestor, func(dst topo.Tile) { release(p.ctx.At(dst), dst) })
 	if r.requestor == home {
 		th := p.tile(ctx, home)
@@ -296,9 +281,7 @@ func (p *Arin) evictL2(ctx *Context, home topo.Tile, victim cache.Line, then fun
 // variant), then broadcasts the unblock and calls then.
 func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
 	addr := victim.Addr
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "L2 inter eviction at %d", home)
-	}
+	ctx.spanEvent("l2-evict", home, addr)
 	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)
 	// pending lives at the home; the ack sends below run on the home's

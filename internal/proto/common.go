@@ -233,13 +233,6 @@ type Context struct {
 	vmFlits   []uint64       // per-VM flit x link crossings (unicast sends)
 	vmRouters []uint64       // per-VM router traversals (unicast sends)
 
-	// TraceEnabled arms the debug event log for block TraceAddr.
-	// An explicit flag, not the TraceAddr zero value: block 0 is a
-	// valid address and must be traceable.
-	TraceEnabled bool
-	TraceAddr    cache.Addr
-	TraceOut     func(string)
-
 	// Lane routing (SetLanes / ArmLanes / FoldLanes). When armed, At
 	// resolves the executing tile to a per-lane Context view whose
 	// Kernel is the tile's lane and whose Counters/Profile are private
@@ -261,29 +254,6 @@ type Context struct {
 	// freeMemOp pools the deferred DRAM-access nodes (per context, so
 	// per lane when armed: each list is single-threaded).
 	freeMemOp *memOp
-}
-
-// SetTrace arms tracing for one block address.
-func (c *Context) SetTrace(a cache.Addr, out func(string)) {
-	c.TraceEnabled = true
-	c.TraceAddr = a
-	c.TraceOut = out
-}
-
-// tracing reports whether Trace would log for a. Hot paths guard
-// their Trace calls with it: the variadic args of an unguarded call
-// are boxed into an escaping []any by the caller even when tracing is
-// disabled, which made Trace the dominant allocation site.
-func (c *Context) tracing(a cache.Addr) bool {
-	return c.TraceEnabled && c.TraceOut != nil && a == c.TraceAddr
-}
-
-// Trace logs a protocol event for the traced address.
-func (c *Context) Trace(a cache.Addr, format string, args ...any) {
-	if !c.tracing(a) {
-		return
-	}
-	c.TraceOut(fmt.Sprintf("t=%-8d %s", c.Kernel.Now(), fmt.Sprintf(format, args...)))
 }
 
 // spanBegin opens a tracing span for a miss issued at tile and makes
@@ -308,10 +278,12 @@ func (c *Context) spanRetry(tile topo.Tile) {
 	}
 }
 
-// spanEvent appends a named protocol annotation to the current span.
-func (c *Context) spanEvent(name string, tile topo.Tile) {
+// spanEvent appends a named protocol step on block addr to the current
+// span. The block may differ from the span's own: an eviction, recall
+// or L2 insertion that a miss causes lands in that miss's span.
+func (c *Context) spanEvent(name string, tile topo.Tile, addr cache.Addr) {
 	if c.Spans != nil {
-		c.Spans.Annotate(name, tile)
+		c.Spans.Annotate(name, tile, uint64(addr))
 	}
 }
 
@@ -460,9 +432,9 @@ func (c *Context) SetLanes(laneOf []int, lanes []*sim.Kernel) {
 
 // ArmLanes switches At to per-lane context views for a RunParallel
 // phase. Views share the chip (Net, Areas, Mem, Cfg) but own their
-// Kernel, Counters, Profile and power handles; tracing, spans, the
-// observer and per-VM attribution stay root-only, which is safe
-// because the parallel executor is only eligible when they are off.
+// Kernel, Counters, Profile and power handles; spans, the observer
+// and per-VM attribution stay root-only, which is safe because the
+// parallel executor is only eligible when they are off.
 func (c *Context) ArmLanes() {
 	if c.lanes == nil || c.laneCtx != nil {
 		return
@@ -956,9 +928,6 @@ func (b *engineBase) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr
 		return
 	}
 	dropped := e.InvalidatedWhilePending && !e.Write
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "complete at %d write=%v dropped=%v", tile, e.Write, dropped)
-	}
 	if dropped {
 		// The fill raced an invalidation. Dropping the line is the safe
 		// resolution, but it must go through the regular replacement

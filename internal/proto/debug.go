@@ -65,9 +65,6 @@ func FormatBlockState(e Engine, addr cache.Addr) string {
 	return b.String()
 }
 
-// DumpBlockState prints FormatBlockState (debug aid).
-func DumpBlockState(e Engine, addr cache.Addr) { fmt.Print(FormatBlockState(e, addr)) }
-
 // FormatStalls returns every outstanding MSHR entry and stall queue of
 // the engine (debug aid for hangs).
 func FormatStalls(e Engine) string {
@@ -107,9 +104,6 @@ func FormatStalls(e Engine) string {
 	}
 	return b.String()
 }
-
-// DumpStalls prints FormatStalls (debug aid for hangs).
-func DumpStalls(e Engine) { fmt.Print(FormatStalls(e)) }
 
 // CheckQuiescent reports transient coherence state that survived a
 // drained kernel: a live transaction record or an outstanding MSHR

@@ -29,9 +29,6 @@ func NewDiCo(ctx *Context) *DiCo {
 // joins the L2's sharing code, a write invalidates it and takes the
 // ownership.
 func (p *DiCo) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "home %d supplies %d write=%v (l2 sharers %#x)", home, r.requestor, r.write, l2line.Sharers)
-	}
 	r.clsPlus1 = classify(&r, byHome)
 	if r.write {
 		sharers := l2line.Sharers &^ bit(r.requestor)

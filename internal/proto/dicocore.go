@@ -382,16 +382,13 @@ func (p *dicoCore) Issue(tile topo.Tile, addr cache.Addr, write bool, onDone fun
 	e := t.mshr.Allocate(addr, write, uint64(ctx.Kernel.Now()))
 	e.OnComplete = onDone
 	ctx.spanBegin(tile, addr, write)
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "miss at %d write=%v", tile, write)
-	}
 	r := dcReq{addr: addr, requestor: tile, write: write, via: -1}
 	// Predict the supplier via the L1C$ (Figure 5).
 	ctx.pw.L1CAccess.Inc()
 	if ptr, ok := t.l1c.Lookup(addr); ok && topo.Tile(ptr) != tile && !ctx.Cfg.NoPrediction {
 		r.predicted = true
 		e.Tag = int(MissPredFail) // upgraded when the predicted supplier serves it
-		ctx.spanEvent("predict-supplier", tile)
+		ctx.spanEvent("predict-supplier", tile, addr)
 		pred := topo.Tile(ptr)
 		m := p.msg(ctx, tile, r)
 		m.tile = pred
@@ -423,7 +420,7 @@ func (p *dicoCore) ownerWriteHit(ctx *Context, tile topo.Tile, addr cache.Addr, 
 	e.OnComplete = onDone
 	e.Tag = int(MissPredOwner) // resolved locally; counted as a 0-link owner hit
 	ctx.spanBegin(tile, addr, true)
-	ctx.spanEvent("owner-write-inv", tile)
+	ctx.spanEvent("owner-write-inv", tile, addr)
 	e.DataReceived = true
 	shAcks, provAcks := p.invalidateCopies(ctx, tile, addr, line, tile)
 	e.SharerAcks += shAcks
@@ -467,9 +464,6 @@ func (p *dicoCore) invalidateSharers(ctx *Context, from topo.Tile, addr cache.Ad
 // invalidateSharer drops a sharer's copy, points its prediction at the
 // new owner (Figure 5), and acks the requestor.
 func (p *dicoCore) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
-	}
 	t := p.tile(ctx, tile)
 	t.dropCopy(ctx, addr)
 	t.l1c.Update(addr, int16(requestor))
@@ -504,9 +498,6 @@ func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 		// Local read: the requestor becomes a sharer; a two-hop miss
 		// when predicted.
 		r.clsPlus1 = classify(&r, byOwner)
-		if ctx.tracing(r.addr) {
-			ctx.Trace(r.addr, "owner %d supplies read to %d (sharers %#x)", tile, r.requestor, line.Sharers)
-		}
 		line.Sharers |= p.areaBit(r.requestor)
 		line.State = dcOwnerShared
 		ctx.pw.L1TagWrite.Inc()
@@ -538,9 +529,6 @@ func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq) {
 // with Change_Owner, whose ack gates the transfer.
 func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
 	r.clsPlus1 = classify(&r, byOwner)
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "owner %d write-supplies %d", owner, r.requestor)
-	}
 	// The ack expectations ride to the requestor with the data; an ack
 	// arriving first drives its MSHR counter transiently negative, which
 	// Done() tolerates.
@@ -584,7 +572,7 @@ func (p *dicoCore) atHome(r dcReq) {
 			return
 		}
 		r.forwards++
-		ctx.spanEvent("home-forward-owner", home)
+		ctx.spanEvent("home-forward-owner", home, r.addr)
 		p.forwardL1(ctx, home, owner, r)
 		return
 	}
@@ -644,9 +632,7 @@ func (p *dicoCore) deliver(ctx *Context, r dcReq, from topo.Tile, state cache.St
 func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, supplier int16,
 	propos *[cache.MaxSimAreas]int8) {
 	tile := r.requestor
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "fill at %d state=%d dirty=%v", tile, state, dirty)
-	}
+	ctx.spanEvent("fill", tile, r.addr)
 	t := p.tile(ctx, tile)
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataWrite.Inc()
@@ -693,9 +679,7 @@ func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, 
 // owners transfer ownership to a sharer of their area, or write back to
 // the home when none remains.
 func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
-	if ctx.tracing(victim.Addr) {
-		ctx.Trace(victim.Addr, "evict at %d state=%d sharers=%#x", tile, victim.State, victim.Sharers)
-	}
+	ctx.spanEvent("evict", tile, victim.Addr)
 	switch victim.State {
 	case dcShared:
 		p.keepHint(ctx, tile, victim)
@@ -763,9 +747,7 @@ func (p *dicoCore) transferOwnership(ctx *Context, from topo.Tile, addr cache.Ad
 	area := p.areaOf(from)
 	p.offer(ctx, from, addr, area, sharers, sharers,
 		func(tctx *Context, target topo.Tile, line *cache.Line, others uint64) {
-			if tctx.tracing(addr) {
-				tctx.Trace(addr, "transfer accepted at %d (others %#x)", target, others)
-			}
+			tctx.spanEvent("transfer-accepted", target, addr)
 			line.State = dcOwnerShared
 			line.Dirty = dirty
 			line.Sharers = others
@@ -809,9 +791,6 @@ func (p *dicoCore) hintSharers(ctx *Context, supplier topo.Tile, addr cache.Addr
 // still hold (or soon receive) a copy.
 func (p *dicoCore) writebackToHome(ctx *Context, tile topo.Tile, addr cache.Addr, dirty bool,
 	propos [cache.MaxSimAreas]int8, leftover uint64) {
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "writeback to home from %d leftover=%#x", tile, leftover)
-	}
 	f := p.v.writebackForm(ctx, tile, addr, propos, leftover)
 	ctx.pw.L1DataRead.Inc()
 	p.sendHome(ctx, tile, addr, dirty, f)
@@ -855,9 +834,7 @@ func (p *dicoCore) settleHome(ctx *Context, home topo.Tile, addr cache.Addr) {
 // homeOwnerUpdate installs a new owner pointer in the home's L2C$,
 // guarded against reordered Change_Owner messages.
 func (p *dicoCore) homeOwnerUpdate(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile, stamp sim.Time) {
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "home owner update -> %d (stamp %d)", owner, stamp)
-	}
+	ctx.spanEvent("home-update", home, addr)
 	th := p.tile(ctx, home)
 	if !th.stampIfNewer(addr, stamp) {
 		return // a newer transfer already registered
@@ -888,9 +865,7 @@ func (p *dicoCore) updateL2C(ctx *Context, home topo.Tile, addr cache.Addr, owne
 // behind it, a non-owner drops it and the in-flight Change_Owner clears
 // the mark when it lands.
 func (p *dicoCore) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "recall issued from home %d to %d", home, owner)
-	}
+	ctx.spanEvent("recall", home, addr)
 	p.tile(ctx, home).markRecall(addr)
 	ctx.SendCtl(home, owner, func() { p.relinquish(home, owner, addr) })
 }
@@ -911,9 +886,7 @@ func (p *dicoCore) relinquish(home, owner topo.Tile, addr cache.Addr) {
 		// it clears the recall mark at the home.
 		return
 	}
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "relinquish at %d sharers=%#x", owner, line.Sharers)
-	}
+	ctx.spanEvent("relinquish", owner, addr)
 	dirty := line.Dirty
 	f := p.v.relinquishForm(ctx, owner, line)
 	line.Dirty = false
@@ -936,9 +909,7 @@ func (p *dicoCore) relinquishForm(_ *Context, owner topo.Tile, line *cache.Line)
 // insertL2 installs a block in its home L2 in form f, first evicting an
 // L2 victim (which invalidates the victim's copies), then calls then.
 func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, then func()) {
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "insert L2 at %d form=%d areatag=%d sharers=%#x", home, f.state, f.areaTag, f.sharers)
-	}
+	ctx.spanEvent("l2-insert", home, addr)
 	th := p.tile(ctx, home)
 	if line := th.l2.Peek(addr); line != nil {
 		ctx.pw.L2TagWrite.Inc()
@@ -974,9 +945,7 @@ func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty
 func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, victim cache.Line, area int, sharers uint64,
 	then func()) {
 	addr := victim.Addr
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "L2 eviction at %d sharers=%#x", home, sharers)
-	}
+	ctx.spanEvent("l2-evict", home, addr)
 	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)
 	pending := popcount(sharers)

@@ -368,13 +368,6 @@ func (d *Directory) atHome(r dirReq) {
 	dline, dirVictimAddr, dirHit, dirValid := th.dir.Probe(r.addr)
 	if dirHit {
 		th.dir.Touch(dline)
-		if ctx.tracing(r.addr) {
-			ctx.Trace(r.addr, "atHome req=%d write=%v fwd=%d owner=%d sharers=%#x", r.requestor, r.write, r.forwards, dline.Owner, dline.Sharers)
-		}
-	} else {
-		if ctx.tracing(r.addr) {
-			ctx.Trace(r.addr, "atHome req=%d write=%v fwd=%d untracked", r.requestor, r.write, r.forwards)
-		}
 	}
 	if !dirHit {
 		// Untracked: the block is not cached on chip. Allocate a
@@ -408,7 +401,7 @@ func (d *Directory) atHome(r dirReq) {
 			return
 		}
 		r.forwards++
-		ctx.spanEvent("dir-forward-owner", home)
+		ctx.spanEvent("dir-forward-owner", home, r.addr)
 		m := d.msg(ctx, home, r)
 		m.tile = owner
 		del := ctx.SendCtlArg(home, owner, d.atOwnerFn, m)
@@ -449,7 +442,7 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
 			return
 		}
 		r.forwards++
-		ctx.spanEvent("dir-forward-sharer", home)
+		ctx.spanEvent("dir-forward-sharer", home, r.addr)
 		m := d.msg(ctx, home, r)
 		m.tile = sharer
 		del := ctx.SendCtlArg(home, sharer, d.atSharerFn, m)
@@ -513,9 +506,6 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	line := to.l1.Lookup(r.addr)
 	if line == nil || (line.State != dirModified && line.State != dirExclusive) {
 		// Ownership moved (eviction/writeback in flight); bounce back.
-		if ctx.tracing(r.addr) {
-			ctx.Trace(r.addr, "atOwner %d bounce (req=%d, line gone/demoted)", owner, r.requestor)
-		}
 		home := ctx.HomeOf(r.addr)
 		m := d.msg(ctx, owner, r)
 		del := ctx.SendCtlArg(owner, home, d.atHomeFn, m)
@@ -528,9 +518,6 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	stamp := ctx.Kernel.Now()
 	if r.write {
 		// Hand the block over; tell the home about the new owner.
-		if ctx.tracing(r.addr) {
-			ctx.Trace(r.addr, "atOwner %d hands over to %d", owner, r.requestor)
-		}
 		to.l1.Invalidate(r.addr)
 		ctx.pw.L1TagWrite.Inc()
 		ctx.pw.L1DataRead.Inc()
@@ -543,9 +530,6 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	}
 	// Read: downgrade to shared, supply the requestor, write the block
 	// back so the L2 holds it for future readers.
-	if ctx.tracing(r.addr) {
-		ctx.Trace(r.addr, "atOwner %d downgrades, supplies read to %d", owner, r.requestor)
-	}
 	line.State = dirShared
 	line.Dirty = false
 	ctx.pw.L1TagWrite.Inc()
@@ -588,18 +572,14 @@ func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr, stamp sim.Time, fn func(*cache.DirEntry)) bool {
 	th := d.tile(ctx, home)
 	if !th.stampIfNewer(addr, stamp) {
-		if ctx.tracing(addr) {
-			ctx.Trace(addr, "stale dir update dropped (stamp %d)", stamp)
-		}
+		ctx.spanEvent("stale-update-dropped", home, addr)
 		th.wakeHome(ctx.Kernel, addr)
 		return false
 	}
 	if dl := th.dir.Peek(addr); dl != nil {
 		fn(dl)
 		ctx.pw.DirWrite.Inc()
-		if ctx.tracing(addr) {
-			ctx.Trace(addr, "homeDirUpdate -> owner=%d sharers=%#x (stamp %d)", dl.Owner, dl.Sharers, stamp)
-		}
+		ctx.spanEvent("home-update", home, addr)
 	}
 	th.wakeHome(ctx.Kernel, addr)
 	return true
@@ -615,9 +595,6 @@ func (d *Directory) stampNow(ctx *Context, home topo.Tile, addr cache.Addr) {
 // requestor.
 func (d *Directory) invalidateAtL1(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
 	t := d.tile(ctx, tile)
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "invalidate at %d (ack to %d)", tile, requestor)
-	}
 	t.dropCopy(ctx, addr)
 	m := d.msg(ctx, tile, dirReq{addr: addr})
 	m.tile = requestor
@@ -648,9 +625,7 @@ func (d *Directory) deliverData(ctx *Context, r dirReq, from topo.Tile, state ca
 // displaced victim if needed.
 func (d *Directory) fillL1(ctx *Context, tile topo.Tile, addr cache.Addr, state cache.State, dirty bool) {
 	t := d.tile(ctx, tile)
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "fill at %d state=%d dirty=%v", tile, state, dirty)
-	}
+	ctx.spanEvent("fill", tile, addr)
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataWrite.Inc()
 	victim, hit, valid := t.l1.Probe(addr)
@@ -671,14 +646,9 @@ func (d *Directory) fillL1(ctx *Context, tile topo.Tile, addr cache.Addr, state 
 // evictL1 runs the replacement protocol for a victim line: shared
 // copies leave silently, owned copies write back to the home.
 func (d *Directory) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
+	ctx.spanEvent("evict", tile, victim.Addr)
 	if victim.State == dirShared {
-		if ctx.tracing(victim.Addr) {
-			ctx.Trace(victim.Addr, "silent evict at %d", tile)
-		}
 		return // silent eviction
-	}
-	if ctx.tracing(victim.Addr) {
-		ctx.Trace(victim.Addr, "owned evict at %d state=%d dirty=%v", tile, victim.State, victim.Dirty)
 	}
 	home := ctx.HomeOf(victim.Addr)
 	dirty := victim.Dirty
@@ -734,12 +704,7 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 	if victim.Owner >= 0 {
 		holders |= bit(topo.Tile(victim.Owner))
 	}
-	if ctx.tracing(victimAddr) {
-		ctx.Trace(victimAddr, "dir entry evicted at %d (holders %#x), chip-wide invalidation", home, holders)
-	}
-	if ctx.tracing(addr) {
-		ctx.Trace(addr, "dir entry allocated at %d (evicting %#x)", home, victimAddr)
-	}
+	ctx.spanEvent("dir-evict", home, victimAddr)
 	// The eviction is a fresh ownership decision for the victim block:
 	// stamp it so old-epoch updates in flight cannot touch a future
 	// entry re-allocated for the same address.

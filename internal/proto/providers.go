@@ -182,7 +182,7 @@ func (p *Providers) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *ca
 		}
 		r.forwards++
 		r.via = home
-		ctx.spanEvent("home-forward-provider", home)
+		ctx.spanEvent("home-forward-provider", home, r.addr)
 		p.forwardL1(ctx, home, p.tileAt(reqArea, int(l2line.ProPos[reqArea])), r)
 		return
 	}

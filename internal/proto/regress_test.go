@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/trace"
 )
 
 // seed139Stream reproduces an out-of-order ownership-update livelock
@@ -18,7 +17,7 @@ import (
 // ownerStamp guard the stale handoff clobbered the fresh downgrade,
 // leaving the home forwarding every request to a tile that only holds
 // a shared copy - an unbounded forward/bounce/retry loop.
-var seed139Stream = []trace.Record{
+var seed139Stream = []check.Ref{
 	{Tile: 3, Addr: 0x1, Write: true, Gap: 2},
 	{Tile: 0, Addr: 0x0, Write: true, Gap: 2},
 	{Tile: 7, Addr: 0x1, Write: false, Gap: 2},

@@ -184,3 +184,74 @@ func TestSpanChainGoldens(t *testing.T) {
 		}
 	}
 }
+
+// stepsIn returns the protocol steps named name recorded in the spans
+// of misses on block addr.
+func stepsIn(tr *telemetry.Tracer, addr cache.Addr, name string) []telemetry.Event {
+	var out []telemetry.Event
+	for _, s := range tr.Spans() {
+		if s.Addr != uint64(addr) {
+			continue
+		}
+		for _, ev := range s.Events {
+			if ev.Name == name {
+				out = append(out, ev)
+			}
+		}
+	}
+	return out
+}
+
+// TestSpanAnnotationsNameTheirBlock requires the steps a miss causes
+// on other blocks to land in that miss's span and name the block they
+// acted on: the L1 victim its fill evicts, and the home-side
+// displacement its new owner pointer causes — the directory's entry
+// eviction, or the DiCo family's L2C$ recall and the relinquish it
+// triggers at the old owner.
+func TestSpanAnnotationsNameTheirBlock(t *testing.T) {
+	one := func(t *testing.T, got []telemetry.Event, what string, addr cache.Addr, tile topo.Tile) {
+		t.Helper()
+		if len(got) != 1 || got[0].Addr != uint64(addr) || got[0].Tile != tile {
+			t.Errorf("%s: %+v, want one step at tile %d on block %#x", what, got, tile, addr)
+		}
+	}
+	for _, e := range allEngines {
+		t.Run(e.name, func(t *testing.T) {
+			// A one-set, two-way L1 evicts its LRU block when the
+			// third block fills.
+			cfg := DefaultConfig()
+			cfg.L1Sets, cfg.L1Ways = 1, 2
+			c := newTestChipSized(t, e.mk, 64, 4, cfg)
+			tr := c.attachTracer(e.name)
+			a := []cache.Addr{0x100, 0x101, 0x102}
+			for _, addr := range a {
+				c.access(5, addr, true)
+			}
+			one(t, stepsIn(tr, a[2], "fill"), "fill in the third miss's span", a[2], 5)
+			one(t, stepsIn(tr, a[2], "evict"), "evict in the third miss's span", a[0], 5)
+
+			// Blocks homed at one bank, each written by a new owner,
+			// overflow a one-entry L2C$ or a two-entry directory (one L2
+			// way plus one directory-cache way).
+			cfg = DefaultConfig()
+			cfg.CCSets, cfg.CCWays = 1, 1
+			if e.name == "directory" {
+				cfg.L2Sets, cfg.L2Ways = 1, 1
+			}
+			c = newTestChipSized(t, e.mk, 64, 4, cfg)
+			tr = c.attachTracer(e.name)
+			home := topo.Tile(5)
+			var b []cache.Addr
+			for i := 0; i < 3; i++ {
+				b = append(b, pickBlock(c, home)+cache.Addr(64*i))
+				c.access(topo.Tile(10+i), b[i], true)
+			}
+			if e.name == "directory" {
+				one(t, stepsIn(tr, b[2], "dir-evict"), "dir-evict in the third miss's span", b[0], home)
+				return
+			}
+			one(t, stepsIn(tr, b[1], "recall"), "recall in the second miss's span", b[0], home)
+			one(t, stepsIn(tr, b[1], "relinquish"), "relinquish in the second miss's span", b[0], 10)
+		})
+	}
+}

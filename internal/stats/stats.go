@@ -1,11 +1,9 @@
-// Package stats provides the counters, distributions and table
-// formatting used to collect and report simulation results.
+// Package stats provides the counters and table formatting used to
+// collect and report simulation results.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -93,88 +91,6 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, "%s=%d\n", name, s.byName[name].Value)
 	}
 	return b.String()
-}
-
-// Distribution accumulates scalar samples and reports summary moments.
-type Distribution struct {
-	Name    string
-	N       uint64
-	Sum     float64
-	SumSq   float64
-	Min     float64
-	Max     float64
-	samples []float64 // retained only when KeepSamples is set
-	Keep    bool
-}
-
-// NewDistribution returns an empty distribution. If keep is true,
-// individual samples are retained so percentiles can be computed.
-func NewDistribution(name string, keep bool) *Distribution {
-	return &Distribution{Name: name, Min: math.Inf(1), Max: math.Inf(-1), Keep: keep}
-}
-
-// Observe records one sample.
-func (d *Distribution) Observe(v float64) {
-	d.N++
-	d.Sum += v
-	d.SumSq += v * v
-	if v < d.Min {
-		d.Min = v
-	}
-	if v > d.Max {
-		d.Max = v
-	}
-	if d.Keep {
-		d.samples = append(d.samples, v)
-	}
-}
-
-// Mean returns the sample mean (0 when empty).
-func (d *Distribution) Mean() float64 {
-	if d.N == 0 {
-		return 0
-	}
-	return d.Sum / float64(d.N)
-}
-
-// StdDev returns the population standard deviation (0 when empty).
-func (d *Distribution) StdDev() float64 {
-	if d.N == 0 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.SumSq/float64(d.N) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) from retained
-// samples. It panics if the distribution was created without keep.
-func (d *Distribution) Percentile(p float64) float64 {
-	if !d.Keep {
-		panic("stats: Percentile on distribution without retained samples")
-	}
-	if len(d.samples) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(d.samples))
-	copy(sorted, d.samples)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Table renders aligned text tables for experiment output.

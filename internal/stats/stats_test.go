@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSetBasics(t *testing.T) {
@@ -82,84 +80,6 @@ func TestSetString(t *testing.T) {
 	s.Add("hits", 7)
 	if got := s.String(); !strings.Contains(got, "hits=7") {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestDistributionMoments(t *testing.T) {
-	d := NewDistribution("lat", false)
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		d.Observe(v)
-	}
-	if d.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", d.Mean())
-	}
-	if math.Abs(d.StdDev()-2) > 1e-9 {
-		t.Errorf("StdDev = %v, want 2", d.StdDev())
-	}
-	if d.Min != 2 || d.Max != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", d.Min, d.Max)
-	}
-}
-
-func TestDistributionEmpty(t *testing.T) {
-	d := NewDistribution("e", false)
-	if d.Mean() != 0 || d.StdDev() != 0 {
-		t.Error("empty distribution has nonzero moments")
-	}
-}
-
-func TestDistributionPercentile(t *testing.T) {
-	d := NewDistribution("p", true)
-	for i := 1; i <= 100; i++ {
-		d.Observe(float64(i))
-	}
-	if got := d.Percentile(0); got != 1 {
-		t.Errorf("p0 = %v, want 1", got)
-	}
-	if got := d.Percentile(100); got != 100 {
-		t.Errorf("p100 = %v, want 100", got)
-	}
-	if got := d.Percentile(50); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("p50 = %v, want 50.5", got)
-	}
-}
-
-func TestDistributionPercentilePanicsWithoutKeep(t *testing.T) {
-	d := NewDistribution("x", false)
-	d.Observe(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Percentile without keep did not panic")
-		}
-	}()
-	d.Percentile(50)
-}
-
-func TestDistributionPropertyMeanBounded(t *testing.T) {
-	if err := quick.Check(func(vals []float64) bool {
-		d := NewDistribution("q", false)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			// Scale into a safe range to avoid float overflow in SumSq.
-			v = math.Mod(v, 1e6)
-			d.Observe(v)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if d.N == 0 {
-			return true
-		}
-		m := d.Mean()
-		return m >= lo-1e-9 && m <= hi+1e-9 && d.StdDev() >= 0
-	}, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -103,7 +103,7 @@ func WritePerfetto(w io.Writer, tracers ...*Tracer) error {
 				events = append(events, traceEvent{
 					Name: ev.Name, Cat: "proto", Ph: "i", TS: uint64(ev.At),
 					PID: pid, TID: int(ev.Tile), Scope: "t",
-					Args: map[string]any{"span": s.ID},
+					Args: map[string]any{"span": s.ID, "addr": fmt.Sprintf("%#x", ev.Addr)},
 				})
 			}
 		}

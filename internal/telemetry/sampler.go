@@ -59,11 +59,10 @@ type Series struct {
 // week-long run keeps the newest 64k epochs and drops the oldest.
 const DefaultSampleCap = 1 << 16
 
-// Sampler drives cycle-periodic snapshots through the event kernel.
-// Its tick events carry no protocol state, so an armed sampler leaves
-// simulation results identical (the event *stream* gains tick events;
-// arm only when sampling is wanted). The tick chain stops itself when
-// the queue drains (end of a phase) and is re-armed per phase.
+// Sampler takes cycle-periodic snapshots of a running chip. It never
+// schedules an event: the run loop ends each kernel window at Due and
+// calls Tick between windows, so an armed sampler leaves the event
+// stream, and every simulation result, bit-identical.
 type Sampler struct {
 	Every sim.Time
 
@@ -80,8 +79,7 @@ type Sampler struct {
 	cap     int
 	series  Series
 	phase   string
-	armed   bool
-	tickFn  func()
+	due     sim.Time // cycle the next in-phase sample falls due
 	ringOff int
 
 	banks   []*stats.Set
@@ -99,13 +97,11 @@ func NewSampler(k *sim.Kernel, every sim.Time, cap int, counters *stats.Set,
 	if cap <= 0 {
 		cap = DefaultSampleCap
 	}
-	s := &Sampler{
+	return &Sampler{
 		Every: every, k: k, net: net, counters: counters, energies: energies,
 		refs: refs, pending: pending, cap: cap,
 		series: Series{Interval: every},
 	}
-	s.tickFn = s.tick
-	return s
 }
 
 // SetBanks attaches the per-VM counter banks (and a per-VM network
@@ -119,35 +115,31 @@ func (s *Sampler) SetBanks(banks []*stats.Set, vmNet func(vm int) (flits, router
 	s.banks, s.vmNet = banks, vmNet
 }
 
-// SetPhase labels subsequent samples ("warmup", "measure").
-func (s *Sampler) SetPhase(p string) { s.phase = p }
+// SetPhase labels subsequent samples ("warmup", "measure") and starts
+// the phase's sampling clock: the first sample falls due Every cycles
+// from now.
+func (s *Sampler) SetPhase(p string) {
+	s.phase = p
+	s.due = s.k.Now() + s.Every
+}
 
-// Start arms the tick chain. Idempotent; called at the start of each
-// run phase (the chain stops itself when the phase's queue drains).
-func (s *Sampler) Start() {
-	if s.armed || s.Every == 0 {
+// Due returns the cycle the next sample of the phase falls due at.
+func (s *Sampler) Due() sim.Time { return s.due }
+
+// Tick takes a sample if the clock has reached Due, and moves Due to
+// the first boundary past now (a window that overran several
+// boundaries yields one sample).
+func (s *Sampler) Tick() {
+	now := s.k.Now()
+	if now < s.due {
 		return
 	}
-	s.armed = true
-	// Ticks are bookkeeping, not part of any transaction: clear the
-	// causal tag so the chain never attributes to a span.
-	s.k.SetTag(0)
-	s.k.After(s.Every, s.tickFn)
-}
-
-func (s *Sampler) tick() {
-	s.armed = false
 	s.Snapshot()
-	// Reschedule only while simulation work remains; otherwise the
-	// tick chain would keep an otherwise-drained queue alive forever.
-	if s.k.Pending() > 0 {
-		s.armed = true
-		s.k.After(s.Every, s.tickFn)
-	}
+	s.due += (now-s.due)/s.Every*s.Every + s.Every
 }
 
-// Snapshot records one sample immediately (ticks call it; phase ends
-// may call it for a final fencepost sample).
+// Snapshot records one sample immediately (Tick calls it; phase ends
+// call it for a final fencepost sample).
 func (s *Sampler) Snapshot() {
 	counters := s.counters
 	if len(s.banks) > 0 {

@@ -14,10 +14,10 @@
 // hop-count, indirection and retry distributions the paper's 2-hop vs
 // 3-hop argument is about.
 //
-// Everything here is observation-only: the tracer never schedules an
-// event, so a traced run's event stream is bit-identical to an
-// untraced one. The epoch sampler does schedule its own tick events,
-// but they touch no protocol state, so results are still identical.
+// Everything here is observation-only: neither the tracer nor the
+// epoch sampler schedules an event (the run loop calls the sampler
+// between kernel windows), so a traced or sampled run's event stream
+// is bit-identical to a plain one.
 package telemetry
 
 import (
@@ -42,12 +42,15 @@ type Hop struct {
 	Late bool `json:"late,omitempty"`
 }
 
-// Event is a named protocol-level annotation within a span (ordering
-// point reached, owner supplies, retry, ...).
+// Event is a named protocol step within a span (fill, eviction,
+// recall, retry, ...). Addr names the block the step acted on, which
+// is not always the span's own: an eviction a miss causes lands in
+// that miss's span, so a block's history reads across spans.
 type Event struct {
 	At   sim.Time  `json:"at"`
 	Name string    `json:"name"`
 	Tile topo.Tile `json:"tile"`
+	Addr uint64    `json:"addr"`
 }
 
 // Span is the full causal record of one L1 miss.
@@ -223,14 +226,15 @@ func (t *Tracer) EndMiss(tile topo.Tile, class string, dropped bool) {
 func (t *Tracer) Retry(tile topo.Tile) {
 	if s := t.current(); s != nil {
 		s.Retries++
-		s.Events = append(s.Events, Event{At: t.k.Now(), Name: "retry", Tile: tile})
+		s.Events = append(s.Events, Event{At: t.k.Now(), Name: "retry", Tile: tile, Addr: s.Addr})
 	}
 }
 
-// Annotate appends a named protocol event to the current span.
-func (t *Tracer) Annotate(name string, tile topo.Tile) {
+// Annotate appends a named protocol step on block addr to the current
+// span.
+func (t *Tracer) Annotate(name string, tile topo.Tile, addr uint64) {
 	if s := t.current(); s != nil {
-		s.Events = append(s.Events, Event{At: t.k.Now(), Name: name, Tile: tile})
+		s.Events = append(s.Events, Event{At: t.k.Now(), Name: name, Tile: tile, Addr: addr})
 	}
 }
 

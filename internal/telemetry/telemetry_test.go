@@ -27,7 +27,7 @@ func TestTracerSpanLifecycle(t *testing.T) {
 		t.Fatal("BeginMiss did not set the kernel tag")
 	}
 	tr.Message(3, 5, 1, k.Now(), k.Now()+10, 2)
-	tr.Annotate("dir-forward-owner", 5)
+	tr.Annotate("evict", 3, 0x2000) // the fill's victim: another block
 	tr.Retry(3)
 	tr.Message(5, 3, 5, k.Now()+10, k.Now()+25, 2)
 	if tr.OpenSpans() != 1 {
@@ -50,6 +50,10 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	}
 	if len(s.Hops) != 3 || len(s.Events) != 2 {
 		t.Fatalf("hops/events = %d/%d, want 3/2", len(s.Hops), len(s.Events))
+	}
+	if s.Events[0].Addr != 0x2000 || s.Events[1].Addr != 0x1000 {
+		t.Errorf("event blocks = %#x/%#x, want the victim 0x2000 and the retried 0x1000",
+			s.Events[0].Addr, s.Events[1].Addr)
 	}
 	if s.Hops[0].Late || s.Hops[1].Late || !s.Hops[2].Late {
 		t.Error("only the post-retire hop should be marked Late")
@@ -255,7 +259,7 @@ func TestPerfettoRoundTrip(t *testing.T) {
 	tr := NewTracer(k, "dico", 4, 0)
 	tr.BeginMiss(0, 0x80, true)
 	tr.Message(0, 2, 1, 0, 9, 2)
-	tr.Annotate("predict-supplier", 0)
+	tr.Annotate("predict-supplier", 0, 0x80)
 	tr.Message(2, 0, 5, 9, 22, 2)
 	tr.EndMiss(0, "remote-l1", false)
 	tr.BeginMiss(1, 0x90, false) // left open: must NOT be exported
@@ -326,37 +330,57 @@ func samplerFixture(every sim.Time, cap int) (*sim.Kernel, *Sampler, *stats.Set)
 	return k, s, counters
 }
 
-// TestSamplerTicks requires the tick chain to sample at the configured
-// interval, stop when the queue drains, and re-arm for a second phase.
+// runSampled drains the kernel in windows that end at the sampler's
+// due cycle and ticks between windows: the shape of core's phase loop.
+func runSampled(k *sim.Kernel, s *Sampler) {
+	for k.Pending() > 0 {
+		due := s.Due()
+		k.RunUntil(func() bool { return k.Now() >= due })
+		s.Tick()
+	}
+}
+
+// TestSamplerTicks requires the sampler to snapshot once per interval
+// boundary of each phase, add no kernel event, and leave the clock at
+// the last work event.
 func TestSamplerTicks(t *testing.T) {
 	k, s, counters := samplerFixture(100, 0)
 	counters.Inc("refs")
-	// Phase 1: work until cycle 1000.
+	// Phase 1: work until cycle 995.
+	scheduled := 0
 	for c := sim.Time(1); c <= 1000; c += 7 {
 		k.At(c, func() { counters.Inc("refs") })
+		scheduled++
 	}
 	s.SetPhase("warmup")
-	s.Start()
-	k.Run(0)
+	runSampled(k, s)
 	s.Snapshot() // fencepost
 	n1 := len(s.Series().Samples)
-	if n1 < 10 {
-		t.Fatalf("phase 1 took %d samples, want >= 10", n1)
+	if n1 != 10 {
+		t.Fatalf("phase 1 took %d samples, want 9 boundaries + the fencepost", n1)
 	}
-	if k.Pending() != 0 {
-		t.Fatal("tick chain kept the queue alive after the work drained")
+	if k.EventsRun() != uint64(scheduled) || k.Now() != 995 {
+		t.Fatalf("sampled phase ran %d events to t=%d, want %d to t=995", k.EventsRun(), k.Now(), scheduled)
 	}
-	// Phase 2 re-arms.
-	for c := k.Now() + 1; c <= k.Now()+500; c += 7 {
+	for i, smp := range s.Series().Samples[:n1-1] {
+		if b := sim.Time(100 * (i + 1)); smp.Cycle < b || smp.Cycle >= b+7 {
+			t.Errorf("sample %d at cycle %d, want the first event at or past %d", i, smp.Cycle, b)
+		}
+	}
+	// Phase 2 restarts the clock from the phase start.
+	start := k.Now()
+	for c := start + 1; c <= start+500; c += 7 {
 		k.At(c, func() { counters.Inc("refs") })
 	}
 	s.SetPhase("measure")
-	s.Start()
-	k.Run(0)
+	if s.Due() != start+100 {
+		t.Fatalf("phase 2 first due at %d, want %d", s.Due(), start+100)
+	}
+	runSampled(k, s)
 	s.Snapshot()
 	series := s.Series()
-	if len(series.Samples) <= n1+1 {
-		t.Fatalf("phase 2 added %d samples, want several", len(series.Samples)-n1)
+	if len(series.Samples) != n1+5 {
+		t.Fatalf("phase 2 added %d samples, want 4 boundaries + the fencepost", len(series.Samples)-n1)
 	}
 	if series.Interval != 100 {
 		t.Errorf("interval = %d, want 100", series.Interval)
@@ -398,19 +422,21 @@ func TestSamplerRingCap(t *testing.T) {
 	}
 }
 
-// TestSamplerIdempotentStart requires double Start to arm one chain,
-// not two.
-func TestSamplerIdempotentStart(t *testing.T) {
+// TestSamplerTickIdempotent requires Tick to take one sample per due
+// boundary: a repeated Tick at the same cycle, or a window that
+// overran several boundaries, yields a single sample.
+func TestSamplerTickIdempotent(t *testing.T) {
 	k, s, _ := samplerFixture(50, 0)
+	s.SetPhase("measure")
 	k.At(500, func() {})
-	s.Start()
-	s.Start()
-	k.Run(0)
-	series := s.Series()
-	for i := 1; i < len(series.Samples); i++ {
-		if series.Samples[i].Cycle == series.Samples[i-1].Cycle {
-			t.Fatalf("duplicate sample at cycle %d: double-armed tick chain", series.Samples[i].Cycle)
-		}
+	k.Run(0) // one window across ten boundaries
+	s.Tick()
+	s.Tick()
+	if n := len(s.Series().Samples); n != 1 {
+		t.Fatalf("%d samples after two Ticks at one cycle, want 1", n)
+	}
+	if s.Due() != 550 {
+		t.Errorf("next due %d after a tick at 500, want 550", s.Due())
 	}
 }
 
@@ -424,8 +450,7 @@ func TestLiveEndpoint(t *testing.T) {
 	live.Attach(s, "directory", "apache4x16p", grid)
 	s.SetPhase("measure")
 	k.At(25, func() {})
-	s.Start()
-	k.Run(0)
+	runSampled(k, s)
 	s.Snapshot()
 
 	addr, err := Serve("127.0.0.1:0", live)

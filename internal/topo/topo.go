@@ -174,9 +174,6 @@ func (a *Areas) TilesIn(area int) []Tile { return a.tiles[area] }
 // TilesPerArea returns the number of tiles in each area.
 func (a *Areas) TilesPerArea() int { return a.Grid.Tiles() / a.Count }
 
-// SameArea reports whether two tiles belong to the same area.
-func (a *Areas) SameArea(x, y Tile) bool { return a.areaOf[x] == a.areaOf[y] }
-
 // IndexInArea returns the position of t within its area's tile list,
 // i.e. the value a ProPo pointer would store.
 func (a *Areas) IndexInArea(t Tile) int { return a.index[t] }
