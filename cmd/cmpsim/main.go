@@ -29,27 +29,10 @@ func main() {
 	protocols := flag.String("protocols", "", "comma-separated protocols to run concurrently and compare (overrides -protocol; 'all' = every protocol)")
 	flag.StringVar(&cfg.Workload, "workload", cfg.Workload, "Table IV workload (e.g. apache4x16p, jbb4x16p, mixed-sci)")
 	jsonOut := flag.String("json", "", "write an obs manifest (schema v3) with every run's full configuration and counters to this file")
-	httpAddr := flag.String("http", "", "serve live telemetry (Prometheus /metrics, mesh heatmap, pprof, expvar) on this address; a bare :port binds localhost only")
 	flag.Parse()
 	shared.Finish()
 	workers := &shared.WorkersN
 	traceOut := &shared.TraceOut
-
-	var live *telemetry.Live
-	if *httpAddr != "" {
-		// The endpoint refreshes from the epoch sampler; arm a default
-		// sampling interval if the user didn't pick one.
-		if cfg.SampleEvery == 0 {
-			cfg.SampleEvery = 5000
-		}
-		live = telemetry.NewLive()
-		addr, err := telemetry.Serve(*httpAddr, live)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cmpsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry endpoint: http://%s/ (heatmap, /metrics, /debug/pprof, /debug/vars)\n", addr)
-	}
 
 	// Validate up front so a typoed flag fails with the valid choices
 	// before any simulation starts.
@@ -77,12 +60,7 @@ func main() {
 	systems := make([]*core.System, len(cfgs))
 	results, _, err := exp.RunConfigs(cfgs, *workers, nil, func(i int) {
 		fmt.Fprintf(os.Stderr, "running %s / %s...\n", cfgs[i].Workload, cfgs[i].Protocol)
-	}, func(i int, s *core.System) {
-		systems[i] = s
-		if live != nil && s.Sampler != nil {
-			live.Attach(s.Sampler, cfgs[i].Protocol, cfgs[i].Workload, s.Net.Grid())
-		}
-	})
+	}, func(i int, s *core.System) { systems[i] = s })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cmpsim:", err)
 		os.Exit(1)

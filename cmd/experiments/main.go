@@ -12,10 +12,8 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -27,7 +25,6 @@ func main() {
 	out := flag.String("out", "", "write the sweep as an obs manifest (schema v3) to <dir>/matrix.json; cmd/tables -from regenerates every figure from it without re-simulating")
 	cacheDir := flag.String("cache", "", "content-addressed run cache directory: completed runs are stored and repeated sweeps resolve unchanged cells from disk (invalidated by any config or git-revision change)")
 	resume := flag.Bool("resume", false, "shorthand for -cache .expcache: make the sweep incremental and resumable")
-	httpAddr := flag.String("http", "", "serve live telemetry for the sweep (Prometheus /metrics, mesh heatmap, pprof, expvar) on this address; a bare :port binds localhost only")
 	flag.Parse()
 	shared.Finish()
 
@@ -70,28 +67,6 @@ func main() {
 			os.Exit(1)
 		}
 		opt.Cache = cache
-	}
-	if *httpAddr != "" {
-		// The endpoint refreshes from the epoch sampler; arm a default
-		// sampling interval if the user didn't pick one. Cached cells
-		// build no system and stay invisible to the endpoint.
-		if opt.Base.SampleEvery == 0 {
-			opt.Base.SampleEvery = 5000
-		}
-		live := telemetry.NewLive()
-		addr, err := telemetry.Serve(*httpAddr, live)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry endpoint: http://%s/ (heatmap, /metrics, /debug/pprof, /debug/vars)\n", addr)
-		opt.OnSystem = func(s *core.System) {
-			if s.Sampler != nil {
-				// Concurrent cells share one workload/protocol keyspace:
-				// key by both so parallel runs don't overwrite each other.
-				live.Attach(s.Sampler, s.Cfg.Workload+"/"+s.Cfg.Protocol, s.Cfg.Workload, s.Net.Grid())
-			}
-		}
 	}
 	m, err := exp.Run(opt, func(wl, p string) {
 		fmt.Fprintf(os.Stderr, "running %s / %s...\n", wl, p)

@@ -26,7 +26,7 @@ func main() {
 	table := flag.String("table", "all", "analytic table to print: 5, 6, 7 or all")
 	from := flag.String("from", "", "obs manifest (file, or directory containing matrix.json) to regenerate figures from")
 	fig := flag.String("fig", "all", "with -from: figure to regenerate: 7, 8a, 8b, 9a, 9b, hops, pervm or all (pervm reads the per-run schema v3 field and accepts partial-matrix manifests)")
-	validate := flag.String("validate", "", "decode the given manifest, verify every run record round-trips (schema, counters, breakdown), and exit")
+	validate := flag.String("validate", "", "decode the given manifest, verify every run record round-trips (schema, valid config, counters, breakdown), and exit")
 	series := flag.String("series", "", "obs manifest to plot epoch time-series curves from (runs recorded with cmpsim -sample)")
 	validateTrace := flag.String("validate-trace", "", "validate the given Perfetto trace-event JSON (well-formed, monotonic timestamps, balanced async pairs, all spans closed) and exit")
 	flag.Parse()

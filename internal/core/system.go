@@ -68,8 +68,8 @@ type Config struct {
 	// telemetry.DefaultSpanCap spans.
 	Trace bool
 	// SampleEvery, when > 0, arms the epoch time-series sampler: about
-	// every SampleEvery cycles a snapshot of all counters, link
-	// occupancy, queue depths and the energy split is recorded into
+	// every SampleEvery cycles a snapshot of all counters, queue
+	// depths and the energy split is recorded into
 	// Result.Series (the newest telemetry.DefaultSampleCap samples).
 	// The phase loop takes the snapshots between kernel windows, so
 	// the event stream is bit-identical with sampling on or off.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -50,6 +51,11 @@ func (c Config) Validate() error {
 	grid := topo.SquareGrid(c.Tiles)
 	if _, err := topo.NewAreas(grid, c.Areas); err != nil {
 		return fmt.Errorf("core: Areas = %d cannot tile the %dx%d mesh: %w", c.Areas, grid.Cols, grid.Rows, err)
+	}
+	// The area-aware engines keep one provider pointer per area in a
+	// fixed-size array; the directory and DiCo ignore Areas.
+	if (c.Protocol == "providers" || c.Protocol == "arin") && c.Areas > cache.MaxSimAreas {
+		return fmt.Errorf("core: Areas = %d exceeds the limit of %d areas that protocol %s simulates", c.Areas, cache.MaxSimAreas, c.Protocol)
 	}
 	if _, err := topo.NewAreas(grid, len(w.VMs)); err != nil {
 		return fmt.Errorf("core: workload %q runs %d VMs, which cannot be placed on %d tiles: %w",

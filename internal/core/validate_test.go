@@ -30,6 +30,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			[]string{"RefsPerCore"}},
 		{"negative warmup", func(c *Config) { c.WarmupRefs = -1 },
 			[]string{"WarmupRefs"}},
+		{"providers over the area limit", func(c *Config) { c.Protocol, c.Areas = "providers", 16 },
+			[]string{"16", "providers", "limit of 8"}},
+		{"arin over the area limit", func(c *Config) { c.Protocol, c.Areas = "arin", 64 },
+			[]string{"64", "arin", "limit of 8"}},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -60,6 +64,14 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg.Tiles, cfg.Areas = 16, 4
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("16-tile config rejected: %v", err)
+	}
+	// The directory and DiCo ignore Areas, so any tiling passes.
+	for _, p := range []string{"directory", "dico"} {
+		cfg := DefaultConfig()
+		cfg.Protocol, cfg.Areas = p, 64
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s with 64 areas rejected: %v", p, err)
+		}
 	}
 }
 

@@ -60,13 +60,6 @@ type Options struct {
 	// either way: a hit decodes through the same integrity-checked
 	// path as a saved manifest.
 	Cache ResultCache
-
-	// OnSystem, when non-nil, observes every freshly built system
-	// before its measure phase starts (cache hits build no system and
-	// get no call). Calls are serialized, so live telemetry hooks
-	// (sampler attachment) need no synchronization of their own. The
-	// system's own Cfg identifies the cell.
-	OnSystem func(s *core.System)
 }
 
 // DefaultOptions runs every Table IV workload at a laptop-scale budget.
@@ -122,11 +115,7 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 	if progress != nil {
 		onStart = func(i int) { progress(jobs[i].wl, jobs[i].protocol) }
 	}
-	var onSystem func(i int, s *core.System)
-	if opt.OnSystem != nil {
-		onSystem = func(_ int, s *core.System) { opt.OnSystem(s) }
-	}
-	results, cs, err := RunConfigs(cfgs, opt.Workers, opt.Cache, onStart, onSystem)
+	results, cs, err := RunConfigs(cfgs, opt.Workers, opt.Cache, onStart, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +137,7 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 // back. progress (optional) is called with the index of each simulated
 // run as a worker claims it, in slice order; onSystem (optional)
 // observes each freshly built system before its run starts (cache hits
-// build none), so callers can attach live hooks or keep the system.
+// build none), so callers can keep the system.
 // Neither hook is ever called concurrently. The first error in slice
 // order wins.
 func RunConfigs(cfgs []core.Config, workers int, cache ResultCache, progress func(i int), onSystem func(i int, s *core.System)) ([]*core.Result, CacheStats, error) {

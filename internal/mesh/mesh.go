@@ -89,10 +89,9 @@ type Network struct {
 	grid   topo.Grid
 	cfg    Config
 
-	linkFree  []sim.Time // [tile*numDirections + dir] next free cycle
-	linkFlits []uint64   // [tile*numDirections + dir] flits carried, ever
-	stats     Stats
-	obs       Observer // nil = no tap
+	linkFree []sim.Time // [tile*numDirections + dir] next free cycle
+	stats    Stats
+	obs      Observer // nil = no tap
 
 	// Sharded delivery (SetSharding): each tile's arrivals are scheduled
 	// on its shard's kernel lane, and cross-shard deliveries are checked
@@ -146,12 +145,11 @@ type bcastOp struct {
 // New returns a network over grid driven by kernel.
 func New(kernel *sim.Kernel, grid topo.Grid, cfg Config) *Network {
 	return &Network{
-		kernel:    kernel,
-		grid:      grid,
-		cfg:       cfg,
-		linkFree:  make([]sim.Time, grid.Tiles()*int(numDirections)),
-		linkFlits: make([]uint64, grid.Tiles()*int(numDirections)),
-		arrival:   make([]sim.Time, grid.Tiles()),
+		kernel:   kernel,
+		grid:     grid,
+		cfg:      cfg,
+		linkFree: make([]sim.Time, grid.Tiles()*int(numDirections)),
+		arrival:  make([]sim.Time, grid.Tiles()),
 	}
 }
 
@@ -242,39 +240,6 @@ func (n *Network) checkLookahead(src, dst topo.Tile, now, at sim.Time) {
 	}
 }
 
-// LinkFlits copies the per-directed-link flit counters into dst
-// (allocating when dst is too small) and returns it. Index layout is
-// int(tile)*4 + int(dir); use DirectionName for labels. The counters
-// are monotonic over the whole run (never reset), so epoch deltas
-// give per-link occupancy.
-func (n *Network) LinkFlits(dst []uint64) []uint64 {
-	if cap(dst) < len(n.linkFlits) {
-		dst = make([]uint64, len(n.linkFlits))
-	}
-	dst = dst[:len(n.linkFlits)]
-	copy(dst, n.linkFlits)
-	return dst
-}
-
-// NumLinkSlots returns the length of the per-link counter vector
-// (tiles x 4 directions; edge slots exist but never carry flits).
-func (n *Network) NumLinkSlots() int { return len(n.linkFlits) }
-
-// DirectionName returns the lowercase name of a link direction.
-func DirectionName(d Direction) string {
-	switch d {
-	case East:
-		return "east"
-	case West:
-		return "west"
-	case North:
-		return "north"
-	case South:
-		return "south"
-	}
-	return "?"
-}
-
 // Stats returns a copy of the accumulated counters, with any per-lane
 // same-tile banks folded in. The banks hold plain sums, so the merged
 // value is identical to what a serial run accumulates in one struct.
@@ -321,7 +286,6 @@ func (n *Network) hopLatency() sim.Time { return n.cfg.HopLatency() }
 // starting no earlier than at; it returns the actual start time.
 func (n *Network) reserveLink(tile topo.Tile, dir Direction, at sim.Time, flits int) sim.Time {
 	idx := int(tile)*int(numDirections) + int(dir)
-	n.linkFlits[idx] += uint64(flits)
 	start := at
 	if n.cfg.Contention && n.linkFree[idx] > start {
 		n.stats.QueueingCycles += uint64(n.linkFree[idx] - start)

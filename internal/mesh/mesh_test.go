@@ -350,49 +350,6 @@ func TestObserverBroadcast(t *testing.T) {
 	}
 }
 
-// TestLinkFlits requires the per-directed-link counters to account for
-// every flit the unicast path carried, on exactly the XY-route links.
-func TestLinkFlits(t *testing.T) {
-	_, n := newNet(false)
-	g := n.Grid()
-	const flits = 5
-	d := n.Send(g.At(0, 0), g.At(2, 1), flits, func() {}) // 2 east, 1 south
-	var total uint64
-	lf := n.LinkFlits(nil)
-	if len(lf) != n.NumLinkSlots() {
-		t.Fatalf("LinkFlits returned %d slots, want %d", len(lf), n.NumLinkSlots())
-	}
-	used := 0
-	for _, v := range lf {
-		total += v
-		if v > 0 {
-			used++
-		}
-	}
-	if total != uint64(d.Hops*flits) {
-		t.Errorf("link flits total %d, want hops*flits = %d", total, d.Hops*flits)
-	}
-	if used != d.Hops {
-		t.Errorf("%d directed links carried flits, want %d", used, d.Hops)
-	}
-	// Reusing the destination slice must not allocate a fresh one.
-	lf2 := n.LinkFlits(lf)
-	if &lf2[0] != &lf[0] {
-		t.Error("LinkFlits reallocated a sufficiently large destination slice")
-	}
-}
-
-// TestDirectionName requires stable lowercase labels for the link
-// direction axis of the exported per-link counters.
-func TestDirectionName(t *testing.T) {
-	want := map[Direction]string{East: "east", West: "west", North: "north", South: "south"}
-	for d, name := range want {
-		if got := DirectionName(d); got != name {
-			t.Errorf("DirectionName(%d) = %q, want %q", d, got, name)
-		}
-	}
-}
-
 // TestSendNoAllocs gates the unicast hot path: Send plus the kernel
 // dispatch of its delivery must not allocate once the kernel's node
 // arena and the path scratch buffer have warmed up.

@@ -226,8 +226,22 @@ func FromMatrix(tool string, mx *exp.Matrix) *Manifest {
 // exactly; the dynamic-energy breakdown is recomputed from them
 // through the same power.Dynamic path a live run uses and verified
 // against the serialized breakdown, so decoded figures are
-// bit-identical to live ones — or the decode fails loudly.
+// bit-identical to live ones — or the decode fails loudly. The config
+// must pass core.Config.Validate and name the run's own workload and
+// protocol, and the run must have retired references over a nonzero
+// number of cycles.
 func (r *RunRecord) Result() (*core.Result, error) {
+	if err := r.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("obs: %s/%s: %w", r.Workload, r.Protocol, err)
+	}
+	if r.Workload != r.Config.Workload || r.Protocol != r.Config.Protocol {
+		return nil, fmt.Errorf("obs: %s/%s: run is labelled differently from its config (%s/%s)",
+			r.Workload, r.Protocol, r.Config.Workload, r.Config.Protocol)
+	}
+	if r.Refs == 0 || r.Cycles == 0 {
+		return nil, fmt.Errorf("obs: %s/%s: run retired %d refs in %d cycles; a finished run has both nonzero",
+			r.Workload, r.Protocol, r.Refs, r.Cycles)
+	}
 	res := &core.Result{
 		Config:       r.Config,
 		Cycles:       r.Cycles,
@@ -352,9 +366,9 @@ func (m *Manifest) Matrix() (*exp.Matrix, error) {
 }
 
 // Verify decodes every run record back into a result, exercising all
-// integrity checks (counter/breakdown consistency, known miss
-// classes). It is the cheap "is this manifest usable" gate CI runs on
-// exported files.
+// integrity checks (valid configs, counter/breakdown consistency,
+// known miss classes). It is the cheap "is this manifest usable" gate
+// CI runs on exported files.
 func (m *Manifest) Verify() error {
 	if m.Schema < minSchema || m.Schema > SchemaVersion {
 		return fmt.Errorf("obs: manifest schema v%d not supported (this build reads v%d..v%d)", m.Schema, minSchema, SchemaVersion)

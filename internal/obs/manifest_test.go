@@ -311,6 +311,40 @@ func TestManifestIntegrity(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsInvalidRuns requires Verify to refuse a run whose
+// config could never have been simulated, whose label disagrees with
+// its config, or which retired nothing: each is a one-field edit of an
+// honest export that the counter checks alone would accept.
+func TestManifestRejectsInvalidRuns(t *testing.T) {
+	res, err := core.Run(smallConfig("providers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*RunRecord)
+		want   string
+	}{
+		{"zero tiles", func(r *RunRecord) { r.Config.Tiles = 0 }, "Tiles = 0"},
+		{"areas over the limit", func(r *RunRecord) { r.Config.Areas = 64 }, "Areas = 64"},
+		{"unknown protocol", func(r *RunRecord) { r.Config.Protocol = "bogus" }, `unknown protocol "bogus"`},
+		{"protocol differs from config", func(r *RunRecord) { r.Protocol = "arin" }, "labelled differently"},
+		{"nothing retired", func(r *RunRecord) { r.Refs, r.Cycles = 0, 0 }, "retired 0 refs in 0 cycles"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New("test")
+			m.Add(res)
+			if err := m.Verify(); err != nil {
+				t.Fatalf("untampered run: %v", err)
+			}
+			tc.mutate(&m.Runs[0])
+			if err := m.Verify(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Verify error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestMatrixRoundTripFigures runs a small sweep, exports it, decodes
 // it, and requires every rendered figure to match the live matrix byte
 // for byte — the zero-re-simulation guarantee cmd/tables -from relies

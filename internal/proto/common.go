@@ -707,13 +707,8 @@ func (t *tileState) wakeL1(k *sim.Kernel, a cache.Addr) {
 	t.tx.maybeRelease(r)
 }
 
-// stallHome queues fn at the home bank until the block's home state
-// changes.
-func (t *tileState) stallHome(a cache.Addr, fn func()) {
-	t.stallHomeArg(a, runClosure, fn)
-}
-
-// stallHomeArg is stallHome in the non-capturing form.
+// stallHomeArg queues fn(arg) at the home bank until the block's home
+// state changes.
 func (t *tileState) stallHomeArg(a cache.Addr, fn func(any), arg any) {
 	r := t.tx.ensure(a)
 	w := t.tx.getWaiter(fn, arg)

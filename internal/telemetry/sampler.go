@@ -27,9 +27,6 @@ type Sample struct {
 	// register their counters when they bind handles at construction,
 	// before the first sample (obs manifests reject any other length).
 	Counters []uint64 `json:"counters"`
-	// LinkFlits is the cumulative per-directed-link flit occupancy
-	// (index layout tile*4+direction, see mesh.Network.LinkFlits).
-	LinkFlits []uint64 `json:"link_flits"`
 	// Energy split recomputed from the counters at snapshot time, in
 	// pJ: the paper's cache-vs-network decomposition as a time series.
 	EnergyCachePJ   float64 `json:"energy_cache_pj"`
@@ -72,9 +69,6 @@ type Sampler struct {
 	energies power.TileEnergies
 	refs     func() uint64
 	pending  func() int
-	// OnSample, when set, observes every accepted sample (the live
-	// HTTP endpoint's refresh hook).
-	OnSample func(*Sample)
 
 	cap     int
 	series  Series
@@ -87,11 +81,11 @@ type Sampler struct {
 	scratch stats.Set // reconciled counters of a per-VM run (Snapshot)
 }
 
-// NewSampler builds a sampler snapshotting counters, net occupancy
-// and queue depths every `every` cycles, keeping at most cap samples
-// (0 = DefaultSampleCap). refs and pending provide the retirement
-// total and the chip-wide MSHR depth; energies parameterize the
-// energy split.
+// NewSampler builds a sampler snapshotting counters, queue depths
+// and the energy split every `every` cycles, keeping at most cap
+// samples (0 = DefaultSampleCap). refs and pending provide the
+// retirement total and the chip-wide MSHR depth; net and energies
+// feed the energy split.
 func NewSampler(k *sim.Kernel, every sim.Time, cap int, counters *stats.Set,
 	net *mesh.Network, energies power.TileEnergies, refs func() uint64, pending func() int) *Sampler {
 	if cap <= 0 {
@@ -163,7 +157,6 @@ func (s *Sampler) Snapshot() {
 		QueueDepth:  s.k.Pending(),
 		MSHRPending: s.pending(),
 		Counters:    make([]uint64, len(names)),
-		LinkFlits:   s.net.LinkFlits(nil),
 	}
 	for i, n := range names {
 		smp.Counters[i] = counters.Value(n)
@@ -196,9 +189,6 @@ func (s *Sampler) Snapshot() {
 			s.series.Samples = append(s.series.Samples[:0], s.series.Samples[s.ringOff:]...)
 			s.ringOff = 0
 		}
-	}
-	if s.OnSample != nil {
-		s.OnSample(&s.series.Samples[len(s.series.Samples)-1])
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package telemetry is the simulator's production-grade observability
-// layer: causal coherence-transaction tracing, epoch time-series
-// sampling, and a live HTTP telemetry endpoint.
+// layer: causal coherence-transaction tracing and epoch time-series
+// sampling.
 //
 // Tracing is distributed-tracing for the on-chip world: every L1 miss
 // opens a span, and the span's ID rides the event kernel's causal tag

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -437,72 +435,5 @@ func TestSamplerTickIdempotent(t *testing.T) {
 	}
 	if s.Due() != 550 {
 		t.Errorf("next due %d after a tick at 500, want 550", s.Due())
-	}
-}
-
-// TestLiveEndpoint boots the HTTP endpoint on an ephemeral port and
-// checks the Prometheus, heatmap and expvar surfaces.
-func TestLiveEndpoint(t *testing.T) {
-	k, s, counters := samplerFixture(10, 0)
-	counters.Add("l1.tag.read", 42)
-	live := NewLive()
-	grid := topo.NewGrid(2, 2)
-	live.Attach(s, "directory", "apache4x16p", grid)
-	s.SetPhase("measure")
-	k.At(25, func() {})
-	runSampled(k, s)
-	s.Snapshot()
-
-	addr, err := Serve("127.0.0.1:0", live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	metrics := get("/metrics")
-	for _, needle := range []string{
-		`cmpsim_cycle{protocol="directory"}`,
-		`cmpsim_counter_total{protocol="directory",counter="l1.tag.read"} 42`,
-		"cmpsim_energy_pj",
-		"cmpsim_link_flits_total",
-	} {
-		if !strings.Contains(metrics, needle) {
-			t.Errorf("/metrics missing %q:\n%s", needle, metrics)
-		}
-	}
-	heat := get("/")
-	for _, needle := range []string{"directory", "apache4x16p", "cmpsim live telemetry", "<table>"} {
-		if !strings.Contains(strings.ToLower(heat), strings.ToLower(needle)) {
-			t.Errorf("heatmap missing %q", needle)
-		}
-	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, "cmpsim") {
-		t.Error("/debug/vars missing the cmpsim expvar")
-	}
-}
-
-// TestServeBindsLocalhost requires a bare ":port" to resolve to a
-// loopback listener, since the endpoint exposes pprof.
-func TestServeBindsLocalhost(t *testing.T) {
-	addr, err := Serve(":0", NewLive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(addr, "127.0.0.1:") {
-		t.Errorf("bare :0 bound %s, want 127.0.0.1:*", addr)
 	}
 }
