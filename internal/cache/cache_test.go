@@ -1,14 +1,16 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
-// fillBlock installs a block through the Victim/Fill pair, as the
+// fillBlock installs a block through the Probe/Fill pair, as the
 // protocol engines do.
 func fillBlock(c *Cache, a Addr, s State) {
-	v, _ := c.Victim(a)
+	v, _, _ := c.Probe(a)
 	c.Fill(v, a, s)
 }
 
@@ -17,17 +19,14 @@ func TestCacheLookupMissThenHit(t *testing.T) {
 	if c.Lookup(0x100) != nil {
 		t.Fatal("hit in empty cache")
 	}
-	v, valid := c.Victim(0x100)
-	if v == nil || valid {
+	v, hit, valid := c.Probe(0x100)
+	if v == nil || hit || valid {
 		t.Fatal("no invalid victim in empty cache")
 	}
 	c.Fill(v, 0x100, State(1))
 	l := c.Lookup(0x100)
-	if l == nil || l.Addr != 0x100 || l.State != State(1) {
+	if l == nil || c.AddrOf(l) != 0x100 || l.State != State(1) {
 		t.Fatal("fill then lookup failed")
-	}
-	if c.Accesses != 2 || c.Misses != 1 {
-		t.Errorf("accesses/misses = %d/%d, want 2/1", c.Accesses, c.Misses)
 	}
 }
 
@@ -37,9 +36,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	fillBlock(c, a, 1)
 	fillBlock(c, b, 1)
 	c.Lookup(a) // a is now MRU
-	v, _ := c.Victim(d)
-	if v.Addr != b {
-		t.Errorf("victim = %#x, want %#x (LRU)", v.Addr, b)
+	v, _, valid := c.Probe(d)
+	if !valid || c.AddrOf(v) != b {
+		t.Errorf("victim = %#x (valid %v), want %#x (LRU)", c.AddrOf(v), valid, b)
 	}
 	c.Fill(v, d, 1)
 	if c.Peek(b) != nil {
@@ -67,7 +66,7 @@ func TestCacheInvalidate(t *testing.T) {
 	c := New("l1", 2, 2)
 	fillBlock(c, 5, 2)
 	old, ok := c.Invalidate(5)
-	if !ok || old.Addr != 5 || old.State != 2 {
+	if !ok || old.State != 2 {
 		t.Fatal("invalidate did not return prior contents")
 	}
 	if c.Peek(5) != nil {
@@ -76,34 +75,66 @@ func TestCacheInvalidate(t *testing.T) {
 	if _, ok := c.Invalidate(5); ok {
 		t.Fatal("double invalidate reported success")
 	}
+	fillBlock(c, 7, 3)
+	old, a := c.InvalidateLine(c.Peek(7))
+	if a != 7 || old.State != 3 || c.Peek(7) != nil {
+		t.Fatalf("InvalidateLine = %+v, %#x; want state 3 at 0x7, gone", old, a)
+	}
 }
 
 func TestCacheMetaReset(t *testing.T) {
 	c := New("l1", 2, 1)
-	v, _ := c.Victim(1)
+	v, _, _ := c.Probe(1)
 	c.Fill(v, 1, 1)
 	v.Sharers = 0xff
 	v.Owner = 3
 	v.ProPos[0] = 2
 	v.Dirty = true
 	c.Invalidate(1)
-	v2, _ := c.Victim(1)
+	v2, _, _ := c.Probe(1)
 	c.Fill(v2, 1, 1)
-	if v2.Sharers != 0 || v2.Owner != -1 || v2.ProPos[0] != -1 || v2.Dirty {
+	if v2.Sharers != 0 || v2.Owner != -1 || v2.ProPos[0] != -1 || v2.AreaTag != -1 || v2.Dirty {
 		t.Error("Fill did not reset metadata")
+	}
+	b := NewBare("l1", 2, 1)
+	w, _, _ := b.Probe(1)
+	b.Fill(w, 1, 2)
+	w.Dirty = true
+	b.Invalidate(1)
+	w, _, _ = b.Probe(1)
+	b.Fill(w, 1, 1)
+	if *w != (BareLine{State: 1}) {
+		t.Errorf("bare Fill left %+v", *w)
+	}
+}
+
+// TestWayPayloadSizes pins the per-way payload of each engine: the
+// DiCo family's Line (no address: the tag mirror holds it) and the
+// directory's state-and-dirty BareLine.
+func TestWayPayloadSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Errorf("sizeof(Line) = %d, want 24", got)
+	}
+	if got := unsafe.Sizeof(BareLine{}); got > 2 {
+		t.Errorf("sizeof(BareLine) = %d, want <= 2", got)
 	}
 }
 
 func TestCacheCountValidAndForEach(t *testing.T) {
 	c := New("l2", 8, 2)
 	for i := Addr(0); i < 5; i++ {
-		fillBlock(c, i, 1)
+		fillBlock(c, i, State(i+1))
 	}
 	if got := c.CountValid(); got != 5 {
 		t.Errorf("CountValid = %d, want 5", got)
 	}
 	seen := 0
-	c.ForEachValid(func(l *Line) { seen++ })
+	c.ForEachValid(func(a Addr, l *Line) {
+		seen++
+		if l.State != State(a+1) {
+			t.Errorf("ForEachValid: block %#x carries state %d, want %d", a, l.State, a+1)
+		}
+	})
 	if seen != 5 {
 		t.Errorf("ForEachValid visited %d, want 5", seen)
 	}
@@ -120,7 +151,7 @@ func TestCachePropertyNoDuplicates(t *testing.T) {
 		}
 		// No address may appear twice.
 		seen := make(map[Addr]int)
-		c.ForEachValid(func(l *Line) { seen[l.Addr]++ })
+		c.ForEachValid(func(a Addr, _ *Line) { seen[a]++ })
 		for _, n := range seen {
 			if n > 1 {
 				return false
@@ -129,6 +160,68 @@ func TestCachePropertyNoDuplicates(t *testing.T) {
 		return c.CountValid() <= c.Capacity()
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPayloadsPickSameVictims drives a DiCo-family array, a directory
+// (BareLine) array and, where the sequence has no invalidations, a
+// DirCache of the same geometry through one seeded random history of
+// probes, touches, fills and invalidations: every step must hit or
+// miss alike and pick the same way holding the same victim block.
+// Replacement depends only on tags and LRU stamps, never on the
+// payload.
+func TestPayloadsPickSameVictims(t *testing.T) {
+	const sets, ways, span = 8, 4, 96
+	for _, withInval := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(7))
+		full, bare, dir := New("l", sets, ways), NewBare("b", sets, ways), NewDirCache("d", sets, ways)
+		for _, c := range []interface{ SetIndexShift(uint) }{full, bare, dir} {
+			c.SetIndexShift(1)
+		}
+		for step := 0; step < 20000; step++ {
+			a := Addr(rng.Intn(span))
+			if withInval && rng.Intn(4) == 0 {
+				_, okF := full.Invalidate(a)
+				_, okB := bare.Invalidate(a)
+				if okF != okB {
+					t.Fatalf("inval=%v step %d: Invalidate(%#x) = %v/%v", withInval, step, a, okF, okB)
+				}
+				continue
+			}
+			lf, hitF, validF := full.Probe(a)
+			lb, hitB, validB := bare.Probe(a)
+			iF, iB := full.indexOf(lf), bare.indexOf(lb)
+			if hitF != hitB || validF != validB || iF != iB {
+				t.Fatalf("inval=%v step %d: Probe(%#x) full=(way %d hit %v valid %v) bare=(way %d hit %v valid %v)",
+					withInval, step, a, iF, hitF, validF, iB, hitB, validB)
+			}
+			var victimF, victimB Addr
+			if !hitF && validF {
+				victimF, victimB = full.AddrOf(lf), bare.AddrOf(lb)
+				if victimF != victimB {
+					t.Fatalf("inval=%v step %d: victim %#x vs %#x", withInval, step, victimF, victimB)
+				}
+			}
+			if !withInval {
+				e, victimD, hitD, validD := dir.Probe(a)
+				if iD := dir.indexOf(e); hitD != hitF || validD != validF || iD != iF || victimD != victimF {
+					t.Fatalf("step %d: Probe(%#x) dir=(way %d victim %#x hit %v valid %v) array=(way %d victim %#x hit %v valid %v)",
+						step, a, iD, victimD, hitD, validD, iF, victimF, hitF, validF)
+				}
+				if hitD {
+					dir.Touch(e)
+				} else {
+					dir.Fill(e, a)
+				}
+			}
+			if hitF {
+				full.Touch(lf)
+				bare.Touch(lb)
+			} else {
+				full.Fill(lf, a, 1)
+				bare.Fill(lb, a, 1)
+			}
+		}
 	}
 }
 
@@ -163,8 +256,8 @@ func TestPointerCacheBasics(t *testing.T) {
 	if ptr, _ := p.Lookup(9); ptr != 7 {
 		t.Errorf("overwrite failed: %d", ptr)
 	}
-	if p.HitRate() <= 0 {
-		t.Error("hit rate not tracked")
+	if ptr, ok := p.Peek(9); !ok || ptr != 7 {
+		t.Errorf("peek = %d,%v want 7,true", ptr, ok)
 	}
 }
 
@@ -179,6 +272,20 @@ func TestPointerCacheEviction(t *testing.T) {
 	}
 	if _, ok := p.Lookup(2); ok {
 		t.Error("evicted entry still present")
+	}
+}
+
+// TestPointerCachePeekKeepsLRU: unlike Lookup, Peek must not make the
+// entry most recently used, so the next insertion still displaces it.
+func TestPointerCachePeekKeepsLRU(t *testing.T) {
+	p := NewPointerCache("l2c", 1, 2)
+	p.Update(1, 10)
+	p.Update(2, 20)
+	if _, ok := p.Peek(1); !ok {
+		t.Fatal("peek missed a present entry")
+	}
+	if ev, _, disp := p.Update(3, 30); !disp || ev != 1 {
+		t.Errorf("evicted %d (displaced %v), want 1: Peek refreshed LRU", ev, disp)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 // interleaved. The flat directory touches sharers or owner on nearly
 // every probe that touches the LRU stamp, so keeping the three in one
 // 24-byte record means a home-side directory operation dirties a
-// single cache line of metadata where the generic Cache — whose Line
-// carries DiCo provider state the directory never uses — spreads the
-// same traffic over three arrays.
+// single cache line of metadata where an Array, whose LRU stamps live
+// apart from its payloads, spreads the same traffic over three arrays.
 type DirEntry struct {
 	lru     uint64
 	Sharers uint64
@@ -21,10 +20,10 @@ type DirEntry struct {
 
 // DirCache is the NCID directory cache: a set-associative array with
 // true-LRU replacement, bit-identical in lookup, victim choice and
-// accounting to a generic Cache of the same geometry, but storing only
+// accounting to an Array of the same geometry, but storing only
 // the directory's working fields. The block identity lives in the
 // compact tag mirror (address plus one; zero means empty), exactly as
-// in Cache, so probes scan 8 bytes per way.
+// in Array, so probes scan 8 bytes per way.
 type DirCache struct {
 	name  string
 	sets  int
@@ -54,7 +53,7 @@ func NewDirCache(name string, numSets, ways int) *DirCache {
 }
 
 // SetIndexShift makes the set index use address bits above the given
-// shift (see Cache.SetIndexShift).
+// shift (see Array.SetIndexShift).
 func (c *DirCache) SetIndexShift(shift uint) { c.shift = shift }
 
 func (c *DirCache) setOf(a Addr) int { return int((uint64(a) >> c.shift) & uint64(c.sets-1)) }
@@ -76,7 +75,7 @@ func (c *DirCache) Peek(a Addr) *DirEntry {
 // caller decides on accounting). On a miss e is the way a fill should
 // use — the first empty way (valid=false) or the LRU way (valid=true,
 // with victimAddr the block it still tracks). The choice is
-// bit-identical to Cache.Probe on the same geometry and history.
+// bit-identical to Array.Probe on the same geometry and history.
 func (c *DirCache) Probe(a Addr) (e *DirEntry, victimAddr Addr, hit, valid bool) {
 	base := c.setOf(a) * c.ways
 	empty := -1

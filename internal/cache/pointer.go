@@ -1,5 +1,7 @@
 package cache
 
+import "fmt"
+
 // PointerCache implements the L1 Coherence Cache (L1C$) and L2
 // Coherence Cache (L2C$) of Direct Coherence protocols: a small
 // set-associative array mapping block addresses to a GenPo (a tile
@@ -7,7 +9,6 @@ package cache
 // supplier; in the L2C$ it is the *precise* identity of the L1 cache
 // holding ownership.
 type PointerCache struct {
-	name  string
 	sets  int
 	ways  int
 	shift uint
@@ -16,23 +17,19 @@ type PointerCache struct {
 	valid []bool
 	lru   []uint64
 	stamp uint64
-
-	Accesses uint64
-	Hits     uint64
 }
 
 // NewPointerCache returns a pointer cache with numSets (power of two)
 // sets of ways ways.
 func NewPointerCache(name string, numSets, ways int) *PointerCache {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic("cache: pointer cache sets not a power of two")
+		panic(fmt.Sprintf("cache %s: numSets %d not a power of two", name, numSets))
 	}
 	if ways <= 0 {
-		panic("cache: pointer cache ways must be positive")
+		panic(fmt.Sprintf("cache %s: ways must be positive", name))
 	}
 	n := numSets * ways
 	return &PointerCache{
-		name:  name,
 		sets:  numSets,
 		ways:  ways,
 		addrs: make([]Addr, n),
@@ -42,32 +39,41 @@ func NewPointerCache(name string, numSets, ways int) *PointerCache {
 	}
 }
 
-// Name returns the structure's configured name.
-func (p *PointerCache) Name() string { return p.name }
-
-// Capacity returns the number of entries.
-func (p *PointerCache) Capacity() int { return p.sets * p.ways }
-
 func (p *PointerCache) setOf(a Addr) int { return int((uint64(a) >> p.shift) & uint64(p.sets-1)) }
 
 // SetIndexShift makes the set index skip the low shift bits (the bank
-// selector) of the address; see Cache.SetIndexShift.
+// selector) of the address; see Array.SetIndexShift.
 func (p *PointerCache) SetIndexShift(shift uint) { p.shift = shift }
 
-// Lookup returns the pointer stored for a, if any.
+// Lookup returns the pointer stored for a, if any, refreshing the
+// entry's LRU position on a hit.
 func (p *PointerCache) Lookup(a Addr) (ptr int16, ok bool) {
-	p.Accesses++
-	base := p.setOf(a) * p.ways
-	for w := 0; w < p.ways; w++ {
-		i := base + w
-		if p.valid[i] && p.addrs[i] == a {
-			p.stamp++
-			p.lru[i] = p.stamp
-			p.Hits++
-			return p.ptrs[i], true
-		}
+	if i := p.find(a); i >= 0 {
+		p.stamp++
+		p.lru[i] = p.stamp
+		return p.ptrs[i], true
 	}
 	return 0, false
+}
+
+// Peek is Lookup without the LRU update: reading it leaves later
+// victim choices unchanged, so debug dumps and invariant checks use it.
+func (p *PointerCache) Peek(a Addr) (ptr int16, ok bool) {
+	if i := p.find(a); i >= 0 {
+		return p.ptrs[i], true
+	}
+	return 0, false
+}
+
+// find returns the index of a's entry, or -1.
+func (p *PointerCache) find(a Addr) int {
+	base := p.setOf(a) * p.ways
+	for w := 0; w < p.ways; w++ {
+		if i := base + w; p.valid[i] && p.addrs[i] == a {
+			return i
+		}
+	}
+	return -1
 }
 
 // Update stores ptr for a, inserting (and possibly evicting LRU) if a
@@ -113,13 +119,9 @@ func (p *PointerCache) Update(a Addr, ptr int16) (evicted Addr, evictedPtr int16
 
 // Invalidate removes a's entry, reporting whether it existed.
 func (p *PointerCache) Invalidate(a Addr) bool {
-	base := p.setOf(a) * p.ways
-	for w := 0; w < p.ways; w++ {
-		i := base + w
-		if p.valid[i] && p.addrs[i] == a {
-			p.valid[i] = false
-			return true
-		}
+	if i := p.find(a); i >= 0 {
+		p.valid[i] = false
+		return true
 	}
 	return false
 }
@@ -133,12 +135,4 @@ func (p *PointerCache) CountValid() int {
 		}
 	}
 	return n
-}
-
-// HitRate returns Hits/Accesses (0 when never accessed).
-func (p *PointerCache) HitRate() float64 {
-	if p.Accesses == 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(p.Accesses)
 }

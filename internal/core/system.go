@@ -536,7 +536,7 @@ func NewSystem(cfg Config) (*System, error) {
 		energies := power.Energies(sp, storage.DefaultConfig(cfg.Tiles, cfg.Areas), power.DefaultEnergy())
 		s.Sampler = telemetry.NewSampler(kernel, cfg.SampleEvery, 0,
 			eng.Stats(), net, energies,
-			func() uint64 { return s.refsTotal }, s.pendingMisses)
+			func() uint64 { return s.refsTotal })
 		if cfg.PerVM {
 			// Mid-run counter reads must fold the per-VM banks back in to
 			// stay bit-identical to an unattributed run.
@@ -544,14 +544,6 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
-}
-
-// pendingMisses counts the chip-wide outstanding MSHR entries (the
-// sampler's queue-depth signal).
-func (s *System) pendingMisses() int {
-	n := 0
-	s.Engine.ForEachPending(func(topo.Tile, *cache.MSHREntry) { n++ })
-	return n
 }
 
 // Executor names the event loop driving this system's phases (see

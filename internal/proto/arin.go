@@ -264,23 +264,22 @@ func (p *Arin) applyL2(line *cache.Line, dirty bool, f l2Form) {
 // evictL2 invalidates an owner-form victim's tracked sharers (a single
 // area: cheap unicasts) or, for an inter-area victim, every copy on the
 // chip by broadcast.
-func (p *Arin) evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
+func (p *Arin) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
 	if victim.State == l2Inter {
-		p.evictL2Inter(ctx, home, victim, then)
+		p.evictL2Inter(ctx, home, addr, victim, then)
 		return
 	}
 	sharers := victim.Sharers
 	if victim.AreaTag < 0 {
 		sharers = 0
 	}
-	p.evictL2Sharers(ctx, home, victim, int(victim.AreaTag), sharers, then)
+	p.evictL2Sharers(ctx, home, addr, victim, int(victim.AreaTag), sharers, then)
 }
 
 // evictL2Inter invalidates every copy of an inter-area victim block via
 // broadcast, acks collected at the home (Section IV-B1's replacement
 // variant), then broadcasts the unblock and calls then.
-func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
-	addr := victim.Addr
+func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
 	ctx.spanEvent("l2-evict", home, addr)
 	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)

@@ -626,14 +626,16 @@ func (c *Context) SendDataArg(src, dst topo.Tile, fn func(any), arg any) mesh.De
 	return d
 }
 
-// tileState is the per-tile storage all protocols share (each uses the
-// subset it needs).
-type tileState struct {
-	l1   *cache.Cache
-	l2   *cache.Cache
+// tileState is one tile's storage. The L1 and L2 arrays carry the
+// engine's line payload P (cache.BareLine for the flat directory,
+// cache.Line for the DiCo family); the rest is built only for the
+// engines that read it.
+type tileState[P any] struct {
+	l1   *cache.Array[P]
+	l2   *cache.Array[P]
 	dir  *cache.DirCache     // directory cache (flat directory only)
-	l1c  *cache.PointerCache // supplier predictions
-	l2c  *cache.PointerCache // precise owner pointers
+	l1c  *cache.PointerCache // supplier predictions (DiCo family only)
+	l2c  *cache.PointerCache // precise owner pointers (DiCo family only)
 	mshr *cache.MSHR
 
 	// tx holds all transient per-block state of this tile — the
@@ -648,16 +650,14 @@ type tileState struct {
 	stamps stampTable
 }
 
-func newTileState(cfg Config, bankShift uint) *tileState {
-	l2 := cache.New("l2", cfg.L2Sets, cfg.L2Ways)
-	l2.SetIndexShift(bankShift)
-	l2c := cache.NewPointerCache("l2c", cfg.CCSets, cfg.CCWays)
-	l2c.SetIndexShift(bankShift)
-	return &tileState{
-		l1:  cache.New("l1", cfg.L1Sets, cfg.L1Ways),
-		l2:  l2,
-		l1c: cache.NewPointerCache("l1c", cfg.CCSets, cfg.CCWays),
-		l2c: l2c,
+// newTileState builds a tile's arrays through newArray; the L2 skips
+// the bank-select bits of the address. A DiCo-family tile (dico) also
+// gets its L1C$ and L2C$; the directory adds its DirCache itself.
+func newTileState[P any](cfg Config, bankShift uint, dico bool,
+	newArray func(name string, sets, ways int) *cache.Array[P]) *tileState[P] {
+	t := &tileState[P]{
+		l1: newArray("l1", cfg.L1Sets, cfg.L1Ways),
+		l2: newArray("l2", cfg.L2Sets, cfg.L2Ways),
 		// Unlimited capacity is safe because the blocking in-order core
 		// model keeps at most a handful of misses in flight per tile;
 		// MSHR lookups are linear scans, so a future core model with
@@ -667,18 +667,25 @@ func newTileState(cfg Config, bankShift uint) *tileState {
 		tx:     newTxTable(),
 		stamps: newStampTable(),
 	}
+	t.l2.SetIndexShift(bankShift)
+	if dico {
+		t.l1c = cache.NewPointerCache("l1c", cfg.CCSets, cfg.CCWays)
+		t.l2c = cache.NewPointerCache("l2c", cfg.CCSets, cfg.CCWays)
+		t.l2c.SetIndexShift(bankShift)
+	}
+	return t
 }
 
 // stallL1 queues fn to re-run when the L1's outstanding transaction on
 // a completes.
-func (t *tileState) stallL1(a cache.Addr, fn func()) {
+func (t *tileState[P]) stallL1(a cache.Addr, fn func()) {
 	t.stallL1Arg(a, runClosure, fn)
 }
 
 // stallL1Arg is stallL1 in the kernel's non-capturing form: fn(arg)
 // runs at wake. Hot callers pass a pooled argument node and a
 // long-lived handler so the stall allocates nothing.
-func (t *tileState) stallL1Arg(a cache.Addr, fn func(any), arg any) {
+func (t *tileState[P]) stallL1Arg(a cache.Addr, fn func(any), arg any) {
 	r := t.tx.ensure(a)
 	w := t.tx.getWaiter(fn, arg)
 	if r.l1Tail == nil {
@@ -691,7 +698,7 @@ func (t *tileState) stallL1Arg(a cache.Addr, fn func(any), arg any) {
 
 // wakeL1 reschedules everything stalled on a at this L1, in stall
 // (FIFO) order.
-func (t *tileState) wakeL1(k *sim.Kernel, a cache.Addr) {
+func (t *tileState[P]) wakeL1(k *sim.Kernel, a cache.Addr) {
 	r := t.tx.get(a)
 	if r == nil || r.l1Head == nil {
 		return
@@ -709,7 +716,7 @@ func (t *tileState) wakeL1(k *sim.Kernel, a cache.Addr) {
 
 // stallHomeArg queues fn(arg) at the home bank until the block's home
 // state changes.
-func (t *tileState) stallHomeArg(a cache.Addr, fn func(any), arg any) {
+func (t *tileState[P]) stallHomeArg(a cache.Addr, fn func(any), arg any) {
 	r := t.tx.ensure(a)
 	w := t.tx.getWaiter(fn, arg)
 	if r.homeTail == nil {
@@ -722,7 +729,7 @@ func (t *tileState) stallHomeArg(a cache.Addr, fn func(any), arg any) {
 
 // wakeHome reschedules requests stalled at this home bank on a, in
 // stall (FIFO) order.
-func (t *tileState) wakeHome(k *sim.Kernel, a cache.Addr) {
+func (t *tileState[P]) wakeHome(k *sim.Kernel, a cache.Addr) {
 	r := t.tx.get(a)
 	if r == nil || r.homeHead == nil {
 		return
@@ -740,14 +747,14 @@ func (t *tileState) wakeHome(k *sim.Kernel, a cache.Addr) {
 
 // homeBusy reports whether a home-serialized operation (chip-wide
 // invalidation, broadcast, recall) is in progress on a at this bank.
-func (t *tileState) homeBusy(a cache.Addr) bool {
+func (t *tileState[P]) homeBusy(a cache.Addr) bool {
 	r := t.tx.get(a)
 	return r != nil && r.flags&txHomeBusy != 0
 }
 
-func (t *tileState) setHomeBusy(a cache.Addr) { t.tx.ensure(a).flags |= txHomeBusy }
+func (t *tileState[P]) setHomeBusy(a cache.Addr) { t.tx.ensure(a).flags |= txHomeBusy }
 
-func (t *tileState) clearHomeBusy(a cache.Addr) {
+func (t *tileState[P]) clearHomeBusy(a cache.Addr) {
 	if r := t.tx.get(a); r != nil {
 		r.flags &^= txHomeBusy
 		t.tx.maybeRelease(r)
@@ -756,14 +763,14 @@ func (t *tileState) clearHomeBusy(a cache.Addr) {
 
 // blocked reports whether a is frozen at this L1 by DiCo-Arin's
 // three-phase broadcast.
-func (t *tileState) blocked(a cache.Addr) bool {
+func (t *tileState[P]) blocked(a cache.Addr) bool {
 	r := t.tx.get(a)
 	return r != nil && r.flags&txBlocked != 0
 }
 
-func (t *tileState) setBlocked(a cache.Addr) { t.tx.ensure(a).flags |= txBlocked }
+func (t *tileState[P]) setBlocked(a cache.Addr) { t.tx.ensure(a).flags |= txBlocked }
 
-func (t *tileState) clearBlocked(a cache.Addr) {
+func (t *tileState[P]) clearBlocked(a cache.Addr) {
 	if r := t.tx.get(a); r != nil {
 		r.flags &^= txBlocked
 		t.tx.maybeRelease(r)
@@ -772,14 +779,14 @@ func (t *tileState) clearBlocked(a cache.Addr) {
 
 // recallMarked reports whether an ownership recall is in flight for a
 // at this home bank.
-func (t *tileState) recallMarked(a cache.Addr) bool {
+func (t *tileState[P]) recallMarked(a cache.Addr) bool {
 	r := t.tx.get(a)
 	return r != nil && r.flags&txRecall != 0
 }
 
-func (t *tileState) markRecall(a cache.Addr) { t.tx.ensure(a).flags |= txRecall }
+func (t *tileState[P]) markRecall(a cache.Addr) { t.tx.ensure(a).flags |= txRecall }
 
-func (t *tileState) clearRecall(a cache.Addr) {
+func (t *tileState[P]) clearRecall(a cache.Addr) {
 	if r := t.tx.get(a); r != nil {
 		r.flags &^= txRecall
 		t.tx.maybeRelease(r)
@@ -790,7 +797,7 @@ func (t *tileState) clearRecall(a cache.Addr) {
 // whether it is current: it returns false — leaving the stored stamp
 // alone — when a strictly newer update was already applied, the guard
 // the homes use to drop stale in-flight ownership updates.
-func (t *tileState) stampIfNewer(a cache.Addr, s sim.Time) bool {
+func (t *tileState[P]) stampIfNewer(a cache.Addr, s sim.Time) bool {
 	if old, ok := t.stamps.get(a); ok && old > s {
 		return false
 	}
@@ -799,12 +806,12 @@ func (t *tileState) stampIfNewer(a cache.Addr, s sim.Time) bool {
 }
 
 // setStamp unconditionally records an ownership-update stamp for a.
-func (t *tileState) setStamp(a cache.Addr, s sim.Time) {
+func (t *tileState[P]) setStamp(a cache.Addr, s sim.Time) {
 	t.stamps.set(a, s)
 }
 
 // pendingL1Len / pendingHomeLen report queue depths for debug dumps.
-func (t *tileState) pendingL1Len(a cache.Addr) int {
+func (t *tileState[P]) pendingL1Len(a cache.Addr) int {
 	r := t.tx.get(a)
 	if r == nil {
 		return 0
@@ -816,7 +823,7 @@ func (t *tileState) pendingL1Len(a cache.Addr) int {
 	return n
 }
 
-func (t *tileState) pendingHomeLen(a cache.Addr) int {
+func (t *tileState[P]) pendingHomeLen(a cache.Addr) int {
 	r := t.tx.get(a)
 	if r == nil {
 		return 0
@@ -857,46 +864,46 @@ func popcount(v uint64) int { return bits.OnesCount64(v) }
 
 // engineBase is the state and Engine plumbing all four protocols
 // share: the chip context, the per-tile storage, and the retire path.
-type engineBase struct {
+// P is the engine's L1/L2 line payload.
+type engineBase[P any] struct {
 	ctx   *Context
-	tiles []*tileState
+	tiles []*tileState[P]
 	name  string
-	// replace runs the protocol's L1 replacement for a victim line; the
-	// retire path uses it to drop a fill that raced an invalidation.
-	replace func(ctx *Context, tile topo.Tile, victim cache.Line)
+	// replace runs the protocol's L1 replacement for a victim line that
+	// held addr; the retire path uses it to drop a fill that raced an
+	// invalidation.
+	replace func(ctx *Context, tile topo.Tile, addr cache.Addr, victim P)
 }
 
-func newEngineBase(ctx *Context, name string) engineBase {
+func newEngineBase[P any](ctx *Context, name string, dico bool,
+	newArray func(name string, sets, ways int) *cache.Array[P]) engineBase[P] {
 	ctx.bindPower()
-	b := engineBase{ctx: ctx, tiles: make([]*tileState, ctx.NumTiles()), name: name}
+	b := engineBase[P]{ctx: ctx, tiles: make([]*tileState[P], ctx.NumTiles()), name: name}
 	for i := range b.tiles {
-		b.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift())
+		b.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift(), dico, newArray)
 	}
 	return b
 }
 
-// base exposes the shared state to the debug and quiescence helpers.
-func (b *engineBase) base() *engineBase { return b }
-
 // tile returns tile t's state to a handler running on ctx: the one way
 // handlers reach per-tile state, so every access passes the ownership
 // check (Context.own).
-func (b *engineBase) tile(ctx *Context, t topo.Tile) *tileState {
+func (b *engineBase[P]) tile(ctx *Context, t topo.Tile) *tileState[P] {
 	ctx.own(t)
 	return b.tiles[t]
 }
 
 // Name implements Engine.
-func (b *engineBase) Name() string { return b.name }
+func (b *engineBase[P]) Name() string { return b.name }
 
 // Stats implements Engine.
-func (b *engineBase) Stats() *stats.Set { return &b.ctx.Counters }
+func (b *engineBase[P]) Stats() *stats.Set { return &b.ctx.Counters }
 
 // MissProfile implements Engine.
-func (b *engineBase) MissProfile() MissProfile { return b.ctx.Profile }
+func (b *engineBase[P]) MissProfile() MissProfile { return b.ctx.Profile }
 
 // ForEachPending implements Engine.
-func (b *engineBase) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
+func (b *engineBase[P]) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
 	for i, t := range b.tiles {
 		tile := topo.Tile(i)
 		t.mshr.ForEach(func(e *cache.MSHREntry) { fn(tile, e) })
@@ -904,7 +911,7 @@ func (b *engineBase) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
 }
 
 // hit accounts an L1 hit at lookup time; the caller of Issue retires it.
-func (b *engineBase) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bool) {
+func (b *engineBase[P]) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bool) {
 	if write {
 		ctx.pw.L1DataWrite.Inc()
 	} else {
@@ -916,7 +923,7 @@ func (b *engineBase) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bo
 
 // maybeComplete retires the miss on addr at tile once all its
 // conditions (data, acks, gates) are met.
-func (b *engineBase) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
+func (b *engineBase[P]) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
 	t := b.tile(ctx, tile)
 	e, ok := t.mshr.Lookup(addr)
 	if !ok || !e.Done() {
@@ -929,7 +936,8 @@ func (b *engineBase) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr
 		// protocol so any ownership or providership the fill carried is
 		// handed back properly.
 		if line := t.l1.Peek(addr); line != nil {
-			b.replace(ctx, tile, t.l1.InvalidateLine(line))
+			old, _ := t.l1.InvalidateLine(line)
+			b.replace(ctx, tile, addr, old)
 		}
 	}
 	cls := MissClass(e.Tag)
@@ -947,7 +955,7 @@ func (b *engineBase) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr
 
 // flush writes a dirty block from the executing tile back to its memory
 // controller; the controller only draws the write latency.
-func (b *engineBase) flush(ctx *Context, from topo.Tile, addr cache.Addr) {
+func (b *engineBase[P]) flush(ctx *Context, from topo.Tile, addr cache.Addr) {
 	mc := ctx.Mem.For(addr)
 	ctx.SendDataArg(from, mc, memFlushAt, b.ctx.At(mc))
 }
@@ -956,7 +964,7 @@ func memFlushAt(a any) { a.(*Context).MemFlush() }
 
 // dropCopy invalidates the tile's L1 copy of addr, marks a miss in
 // flight on it as racing the invalidation, and returns the dropped line.
-func (t *tileState) dropCopy(ctx *Context, addr cache.Addr) (cache.Line, bool) {
+func (t *tileState[P]) dropCopy(ctx *Context, addr cache.Addr) (P, bool) {
 	ctx.pw.L1TagRead.Inc()
 	old, ok := t.l1.Invalidate(addr)
 	if ok {
@@ -968,19 +976,22 @@ func (t *tileState) dropCopy(ctx *Context, addr cache.Addr) (cache.Line, bool) {
 	return old, ok
 }
 
-// forEachCopy visits every valid copy of addr using Peek (no access
-// accounting), classifying each L1 line through the engine-specific
-// classify callback; shared by the engines' ForEachCopy.
-func forEachCopy(tiles []*tileState, home topo.Tile, addr cache.Addr,
-	classify func(l *cache.Line) (owner, exclusive bool), fn func(CopyInfo)) {
-	for i, t := range tiles {
+// forEachCopy visits every valid copy of addr using Peek (no LRU
+// update); describe fills an L1 line's owner, exclusivity, dirty bit
+// and state (for the home's L2 line only the last two are kept).
+// Shared by the engines' ForEachCopy.
+func (b *engineBase[P]) forEachCopy(addr cache.Addr, describe func(l *P) CopyInfo, fn func(CopyInfo)) {
+	for i, t := range b.tiles {
 		if l := t.l1.Peek(addr); l != nil {
-			owner, excl := classify(l)
-			_, pending := t.mshr.Lookup(addr)
-			fn(CopyInfo{Tile: topo.Tile(i), Owner: owner, Exclusive: excl, Pending: pending, Dirty: l.Dirty, State: l.State})
+			ci := describe(l)
+			_, ci.Pending = t.mshr.Lookup(addr)
+			ci.Tile = topo.Tile(i)
+			fn(ci)
 		}
 	}
-	if l := tiles[home].l2.Peek(addr); l != nil {
-		fn(CopyInfo{Tile: home, L2: true, Dirty: l.Dirty, State: l.State})
+	home := b.ctx.HomeOf(addr)
+	if l := b.tiles[home].l2.Peek(addr); l != nil {
+		ci := describe(l)
+		fn(CopyInfo{Tile: home, L2: true, Dirty: ci.Dirty, State: ci.State})
 	}
 }

@@ -10,32 +10,35 @@ import (
 	"repro/internal/topo"
 )
 
-// engineInternals exposes the shared per-tile state of an engine to
-// the debug formatters and the quiescence check. All transient per-block
-// state (stall queues, busy/blocked flags, recall marks) lives in each
-// tile's transaction table.
-func engineInternals(e Engine) (tiles []*tileState, ctx *Context) {
-	if eng, ok := e.(interface{ base() *engineBase }); ok {
-		b := eng.base()
-		return b.tiles, b.ctx
-	}
-	return nil, nil
+// debugger is the view of an engine's per-tile state that the debug
+// formatters and the quiescence check read; engineBase provides it for
+// every line payload. All transient per-block state (stall queues,
+// busy/blocked flags, recall marks) lives in each tile's transaction
+// table.
+type debugger interface {
+	formatBlock(addr cache.Addr) string
+	formatStalls() string
+	quiescent() error
 }
 
 // FormatBlockState returns the global state of one block: every L1
 // copy, the home L2 line and pointer caches, and the per-tile stall
-// state (debug aid).
+// state (debug aid). It reads the arrays without touching their
+// replacement state, so a dump leaves the run unchanged.
 func FormatBlockState(e Engine, addr cache.Addr) string {
-	tiles, ctx := engineInternals(e)
-	if tiles == nil {
-		return fmt.Sprintf("block %#x: unknown engine %T", addr, e)
+	if d, ok := e.(debugger); ok {
+		return d.formatBlock(addr)
 	}
-	home := ctx.HomeOf(addr)
+	return fmt.Sprintf("block %#x: unknown engine %T", addr, e)
+}
+
+func (eb *engineBase[P]) formatBlock(addr cache.Addr) string {
+	home := eb.ctx.HomeOf(addr)
 	var b strings.Builder
 	fmt.Fprintf(&b, "block %#x home=%d\n", addr, home)
-	for i, t := range tiles {
+	for i, t := range eb.tiles {
 		if l := t.l1.Peek(addr); l != nil {
-			fmt.Fprintf(&b, "  L1[%d]: state=%d dirty=%v sharers=%#x owner=%d\n", i, l.State, l.Dirty, l.Sharers, l.Owner)
+			fmt.Fprintf(&b, "  L1[%d]: %+v\n", i, *l)
 		}
 		if me, ok := t.mshr.Lookup(addr); ok {
 			fmt.Fprintf(&b, "  MSHR[%d]: %+v\n", i, *me)
@@ -44,7 +47,7 @@ func FormatBlockState(e Engine, addr cache.Addr) string {
 			fmt.Fprintf(&b, "  tile %d: pendingL1=%d blocked=%v\n", i, t.pendingL1Len(addr), t.blocked(addr))
 		}
 	}
-	th := tiles[home]
+	th := eb.tiles[home]
 	if th.dir != nil {
 		if dl := th.dir.Peek(addr); dl != nil {
 			fmt.Fprintf(&b, "  dir[%d]: owner=%d sharers=%#x\n", home, dl.Owner, dl.Sharers)
@@ -53,12 +56,14 @@ func FormatBlockState(e Engine, addr cache.Addr) string {
 		}
 	}
 	if l := th.l2.Peek(addr); l != nil {
-		fmt.Fprintf(&b, "  L2[%d]: state=%d dirty=%v sharers=%#x areatag=%d propos=%v\n", home, l.State, l.Dirty, l.Sharers, l.AreaTag, l.ProPos)
+		fmt.Fprintf(&b, "  L2[%d]: %+v\n", home, *l)
 	} else {
 		fmt.Fprintf(&b, "  L2[%d]: no line\n", home)
 	}
-	if ptr, ok := th.l2c.Lookup(addr); ok {
-		fmt.Fprintf(&b, "  L2C$[%d] -> %d\n", home, ptr)
+	if th.l2c != nil {
+		if ptr, ok := th.l2c.Peek(addr); ok {
+			fmt.Fprintf(&b, "  L2C$[%d] -> %d\n", home, ptr)
+		}
 	}
 	fmt.Fprintf(&b, "  homeBusy=%v pendingHome=%d recall=%v\n",
 		th.homeBusy(addr), th.pendingHomeLen(addr), th.recallMarked(addr))
@@ -68,12 +73,15 @@ func FormatBlockState(e Engine, addr cache.Addr) string {
 // FormatStalls returns every outstanding MSHR entry and stall queue of
 // the engine (debug aid for hangs).
 func FormatStalls(e Engine) string {
-	tiles, _ := engineInternals(e)
-	if tiles == nil {
-		return fmt.Sprintf("unknown engine %T", e)
+	if d, ok := e.(debugger); ok {
+		return d.formatStalls()
 	}
+	return fmt.Sprintf("unknown engine %T", e)
+}
+
+func (eb *engineBase[P]) formatStalls() string {
 	var b strings.Builder
-	for i, t := range tiles {
+	for i, t := range eb.tiles {
 		if n := t.mshr.Outstanding(); n > 0 {
 			fmt.Fprintf(&b, "tile %d: %d outstanding\n", i, n)
 			entries := make([]*cache.MSHREntry, 0, n)
@@ -111,11 +119,14 @@ func FormatStalls(e Engine) string {
 // completed, so such a record is hidden state that the next phase
 // would silently inherit.
 func CheckQuiescent(e Engine) error {
-	tiles, _ := engineInternals(e)
-	if tiles == nil {
-		return fmt.Errorf("proto: unknown engine %T", e)
+	if d, ok := e.(debugger); ok {
+		return d.quiescent()
 	}
-	for i, t := range tiles {
+	return fmt.Errorf("proto: unknown engine %T", e)
+}
+
+func (eb *engineBase[P]) quiescent() error {
+	for i, t := range eb.tiles {
 		if t.tx.count != 0 {
 			var desc string
 			t.tx.forEach(func(r *txRecord) {
@@ -125,10 +136,10 @@ func CheckQuiescent(e Engine) error {
 				}
 			})
 			return fmt.Errorf("proto: %s tile %d not quiescent: %d live transaction records (first: %s)",
-				e.Name(), i, t.tx.count, desc)
+				eb.name, i, t.tx.count, desc)
 		}
 		if n := t.mshr.Outstanding(); n > 0 {
-			return fmt.Errorf("proto: %s tile %d not quiescent: %d misses in flight", e.Name(), i, n)
+			return fmt.Errorf("proto: %s tile %d not quiescent: %d misses in flight", eb.name, i, n)
 		}
 	}
 	return nil

@@ -50,8 +50,8 @@ func (p *DiCo) applyL2(line *cache.Line, dirty bool, f l2Form) {
 
 // evictL2 invalidates every sharer of an L2-owned victim (the same
 // mechanism as a write, with the L2 as both owner and requestor).
-func (p *DiCo) evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
-	p.evictL2Sharers(ctx, home, victim, 0, victim.Sharers, then)
+func (p *DiCo) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
+	p.evictL2Sharers(ctx, home, addr, victim, 0, victim.Sharers, then)
 }
 
 // CheckInvariants implements Engine; call at quiescence. Beyond the

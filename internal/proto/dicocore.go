@@ -59,7 +59,7 @@ type dicoVariant interface {
 	invalidateProviders(ctx *Context, from topo.Tile, addr cache.Addr,
 		propos [cache.MaxSimAreas]int8, skipArea int, requestor topo.Tile) int
 	// evictProvider runs the replacement of a provider copy (Table II).
-	evictProvider(ctx *Context, tile topo.Tile, victim cache.Line)
+	evictProvider(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line)
 	// writebackForm is the home L2 form an evicted owner returns with
 	// when no sharer of its area takes the ownership (Table II).
 	writebackForm(ctx *Context, tile topo.Tile, addr cache.Addr,
@@ -72,7 +72,7 @@ type dicoVariant interface {
 	// applyL2 writes form f into the home L2 line taking the ownership.
 	applyL2(line *cache.Line, dirty bool, f l2Form)
 	// evictL2 invalidates every copy of an L2 victim, then calls then.
-	evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func())
+	evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func())
 	// unblockAfterWrite ends a broadcast write once its data and every
 	// ack have arrived (DiCo-Arin's phase three).
 	unblockAfterWrite(ctx *Context, r dcReq)
@@ -91,7 +91,7 @@ type l2Form struct {
 // dicoCore is the shared engine; DiCo, Providers and Arin embed it and
 // install themselves as its variant.
 type dicoCore struct {
-	engineBase
+	engineBase[cache.Line]
 	v     dicoVariant
 	areas *topo.Areas // DiCo: one area spanning the chip
 
@@ -158,7 +158,7 @@ func (p *dicoCore) init(ctx *Context, name string, areas *topo.Areas, v dicoVari
 	if areas.Count > cache.MaxSimAreas {
 		panic(fmt.Sprintf("%s: %d areas exceed the simulator's limit of %d", name, areas.Count, cache.MaxSimAreas))
 	}
-	p.engineBase = newEngineBase(ctx, name)
+	p.engineBase = newEngineBase(ctx, name, true, cache.New)
 	p.replace = p.evictL1
 	p.v, p.areas = v, areas
 	p.free = make([]*dcMsg, ctx.NumTiles())
@@ -479,6 +479,13 @@ func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 	ctx := p.ctx.At(tile)
 	ctx.chargeVM(r.requestor)
 	t := p.tile(ctx, tile)
+	if r.requestor == tile {
+		// A stale provider pointer sent the request to its own
+		// requestor, whose pending miss would stall it forever: back to
+		// the home, repairing the pointer on the way.
+		p.bounceHome(ctx, r, tile)
+		return
+	}
 	if _, pending := t.mshr.Lookup(r.addr); pending || t.blocked(r.addr) {
 		// Pooled-arg stall: a closure here would capture r and force it
 		// to the heap on every atL1 call, not just the stalled ones.
@@ -508,12 +515,18 @@ func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 	default:
 		// Not a supplier for this request (misprediction or stale
 		// forward): back to the home.
-		r = p.v.forwardHome(ctx, r, tile)
-		r.forwards++
-		m := p.msg(ctx, tile, r)
-		del := ctx.SendCtlArg(tile, ctx.HomeOf(r.addr), p.atHomeFn, m)
-		m.r.links += int16(del.Hops)
+		p.bounceHome(ctx, r, tile)
 	}
+}
+
+// bounceHome sends a request the L1 at tile cannot serve back to the
+// home.
+func (p *dicoCore) bounceHome(ctx *Context, r dcReq, tile topo.Tile) {
+	r = p.v.forwardHome(ctx, r, tile)
+	r.forwards++
+	m := p.msg(ctx, tile, r)
+	del := ctx.SendCtlArg(tile, ctx.HomeOf(r.addr), p.atHomeFn, m)
+	m.r.links += int16(del.Hops)
 }
 
 // forwardL1 sends r on from one tile to the L1 at to.
@@ -637,8 +650,8 @@ func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, 
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataWrite.Inc()
 	var selfSharers uint64
-	line := t.l1.Peek(r.addr)
-	if line != nil {
+	line, hit, valid := t.l1.Probe(r.addr)
+	if hit {
 		if r.write && line.State == dcProvider {
 			selfSharers = line.Sharers &^ p.areaBit(tile)
 		}
@@ -648,12 +661,9 @@ func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, 
 		line.ProPos = noProPos
 		t.l1.Touch(line)
 	} else {
-		victim, valid := t.l1.Victim(r.addr)
 		if valid {
-			p.evictL1(ctx, tile, *victim)
-			t.l1.Invalidate(victim.Addr)
+			p.evictL1(ctx, tile, t.l1.AddrOf(line), *line)
 		}
-		line = victim
 		t.l1.Fill(line, r.addr, state)
 		line.Dirty = dirty
 		// The block is cached: its dedicated L1C$ entry is redundant.
@@ -678,26 +688,26 @@ func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, 
 // keeping the supplier hint in the L1C$; providers are the variant's;
 // owners transfer ownership to a sharer of their area, or write back to
 // the home when none remains.
-func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
-	ctx.spanEvent("evict", tile, victim.Addr)
+func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line) {
+	ctx.spanEvent("evict", tile, addr)
 	switch victim.State {
 	case dcShared:
-		p.keepHint(ctx, tile, victim)
+		p.keepHint(ctx, tile, addr, victim)
 	case dcProvider:
-		p.v.evictProvider(ctx, tile, victim)
+		p.v.evictProvider(ctx, tile, addr, victim)
 	default:
 		if local := victim.Sharers &^ p.areaBit(tile); local != 0 {
-			p.transferOwnership(ctx, tile, victim.Addr, local, victim.Dirty, victim.ProPos)
+			p.transferOwnership(ctx, tile, addr, local, victim.Dirty, victim.ProPos)
 		} else {
-			p.writebackToHome(ctx, tile, victim.Addr, victim.Dirty, victim.ProPos, 0)
+			p.writebackToHome(ctx, tile, addr, victim.Dirty, victim.ProPos, 0)
 		}
 	}
 }
 
 // keepHint retains a departing copy's supplier hint in the L1C$.
-func (p *dicoCore) keepHint(ctx *Context, tile topo.Tile, victim cache.Line) {
+func (p *dicoCore) keepHint(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line) {
 	if victim.Owner >= 0 {
-		p.tile(ctx, tile).l1c.Update(victim.Addr, victim.Owner)
+		p.tile(ctx, tile).l1c.Update(addr, victim.Owner)
 		ctx.pw.L1CUpdate.Inc()
 	}
 }
@@ -911,26 +921,27 @@ func (p *dicoCore) relinquishForm(_ *Context, owner topo.Tile, line *cache.Line)
 func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, then func()) {
 	ctx.spanEvent("l2-insert", home, addr)
 	th := p.tile(ctx, home)
-	if line := th.l2.Peek(addr); line != nil {
+	line, hit, valid := th.l2.Probe(addr)
+	switch {
+	case hit:
 		ctx.pw.L2TagWrite.Inc()
 		ctx.pw.L2DataWrite.Inc()
 		th.l2.Touch(line)
 		p.v.applyL2(line, dirty, f)
-	} else if victim, valid := th.l2.Victim(addr); valid {
+	case valid:
 		// Remove the victim from the array immediately (so no concurrent
 		// insertion picks the same way), invalidate its copies, then
 		// retry the insertion.
-		snapshot := *victim
-		th.l2.Invalidate(snapshot.Addr)
+		snapshot, victimAddr := th.l2.InvalidateLine(line)
 		ctx.pw.L2TagWrite.Inc()
 		retry := f
-		p.v.evictL2(ctx, home, snapshot, func() { p.insertL2(ctx, home, addr, dirty, retry, then) })
+		p.v.evictL2(ctx, home, victimAddr, snapshot, func() { p.insertL2(ctx, home, addr, dirty, retry, then) })
 		return
-	} else {
+	default:
 		ctx.pw.L2TagWrite.Inc()
 		ctx.pw.L2DataWrite.Inc()
-		th.l2.Fill(victim, addr, f.state)
-		p.v.applyL2(victim, dirty, f)
+		th.l2.Fill(line, addr, f.state)
+		p.v.applyL2(line, dirty, f)
 	}
 	if then != nil {
 		then()
@@ -942,9 +953,8 @@ func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty
 // at the home, writes dirty data back to memory, then calls then. The
 // pending counter is touched only on the home's lane (every ack lands
 // there).
-func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, victim cache.Line, area int, sharers uint64,
-	then func()) {
-	addr := victim.Addr
+func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, area int,
+	sharers uint64, then func()) {
 	ctx.spanEvent("l2-evict", home, addr)
 	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)
@@ -1004,8 +1014,8 @@ func (p *dicoCore) invalidateProviders(*Context, topo.Tile, cache.Addr, [cache.M
 
 // evictProvider lets a DiCo-Arin provider leave silently like a sharer:
 // the home's pointer to it is refreshed lazily by the forwarder fixup.
-func (p *dicoCore) evictProvider(ctx *Context, tile topo.Tile, victim cache.Line) {
-	p.keepHint(ctx, tile, victim)
+func (p *dicoCore) evictProvider(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line) {
+	p.keepHint(ctx, tile, addr, victim)
 }
 
 // unblockAfterWrite: only DiCo-Arin issues broadcast writes.
@@ -1013,8 +1023,8 @@ func (p *dicoCore) unblockAfterWrite(*Context, dcReq) {}
 
 // ForEachCopy implements Engine.
 func (p *dicoCore) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
-	forEachCopy(p.tiles, p.ctx.HomeOf(addr), addr, func(l *cache.Line) (bool, bool) {
-		return dcIsOwner(l.State), l.State >= dcOwnerExclusive
+	p.forEachCopy(addr, func(l *cache.Line) CopyInfo {
+		return CopyInfo{Owner: dcIsOwner(l.State), Exclusive: l.State >= dcOwnerExclusive, Dirty: l.Dirty, State: l.State}
 	}, fn)
 }
 
@@ -1032,16 +1042,16 @@ func (p *dicoCore) checkBlocks(check func(addr cache.Addr, bc *blockCopies, l2li
 	blocks := make(map[cache.Addr]*blockCopies)
 	for i, t := range p.tiles {
 		tile := topo.Tile(i)
-		t.l1.ForEachValid(func(l *cache.Line) {
-			bc := blocks[l.Addr]
+		t.l1.ForEachValid(func(a cache.Addr, l *cache.Line) {
+			bc := blocks[a]
 			if bc == nil {
 				bc = &blockCopies{owner: -1, holders: map[topo.Tile]cache.State{}}
-				blocks[l.Addr] = bc
+				blocks[a] = bc
 			}
 			bc.holders[tile] = l.State
 			if dcIsOwner(l.State) {
 				if bc.owner >= 0 {
-					panic(fmt.Sprintf("%s: block %#x has two owners (%d, %d)", p.name, l.Addr, bc.owner, tile))
+					panic(fmt.Sprintf("%s: block %#x has two owners (%d, %d)", p.name, a, bc.owner, tile))
 				}
 				bc.owner = tile
 			}
@@ -1059,7 +1069,7 @@ func (p *dicoCore) checkBlocks(check func(addr cache.Addr, bc *blockCopies, l2li
 			if s := bc.holders[bc.owner]; s >= dcOwnerExclusive && len(bc.holders) > 1 {
 				panic(fmt.Sprintf("%s: block %#x exclusive at %d with %d holders", p.name, addr, bc.owner, len(bc.holders)))
 			}
-			if ptr, ok := th.l2c.Lookup(addr); ok && topo.Tile(ptr) != bc.owner {
+			if ptr, ok := th.l2c.Peek(addr); ok && topo.Tile(ptr) != bc.owner {
 				panic(fmt.Sprintf("%s: block %#x L2C$ points to %d, owner is %d", p.name, addr, ptr, bc.owner))
 			}
 		}

@@ -24,7 +24,7 @@ const l2Present cache.State = 1
 // (the NCID approach): it can outlive the L2 data block, and only the
 // eviction of a directory entry forces chip-wide invalidation.
 type Directory struct {
-	engineBase
+	engineBase[cache.BareLine]
 
 	// The timestamp of the newest ownership decision applied to a
 	// home's directory entry lives in the home tile's transaction
@@ -63,7 +63,7 @@ type Directory struct {
 // NewDirectory builds the directory engine on ctx.
 func NewDirectory(ctx *Context) *Directory {
 	d := &Directory{
-		engineBase: newEngineBase(ctx, "directory"),
+		engineBase: newEngineBase(ctx, "directory", false, cache.NewBare),
 		free:       make([]*dirMsg, ctx.NumTiles()),
 	}
 	d.replace = d.evictL1
@@ -636,8 +636,7 @@ func (d *Directory) fillL1(ctx *Context, tile topo.Tile, addr cache.Addr, state 
 		return
 	}
 	if valid {
-		d.evictL1(ctx, tile, *victim)
-		t.l1.InvalidateLine(victim)
+		d.evictL1(ctx, tile, t.l1.AddrOf(victim), *victim)
 	}
 	t.l1.Fill(victim, addr, state)
 	victim.Dirty = dirty
@@ -645,16 +644,16 @@ func (d *Directory) fillL1(ctx *Context, tile topo.Tile, addr cache.Addr, state 
 
 // evictL1 runs the replacement protocol for a victim line: shared
 // copies leave silently, owned copies write back to the home.
-func (d *Directory) evictL1(ctx *Context, tile topo.Tile, victim cache.Line) {
-	ctx.spanEvent("evict", tile, victim.Addr)
+func (d *Directory) evictL1(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.BareLine) {
+	ctx.spanEvent("evict", tile, addr)
 	if victim.State == dirShared {
 		return // silent eviction
 	}
-	home := ctx.HomeOf(victim.Addr)
+	home := ctx.HomeOf(addr)
 	dirty := victim.Dirty
 	stamp := ctx.Kernel.Now()
 	ctx.pw.L1DataRead.Inc()
-	m := d.msg(ctx, tile, dirReq{addr: victim.Addr})
+	m := d.msg(ctx, tile, dirReq{addr: addr})
 	m.tile = tile
 	m.stamp = stamp
 	m.dirty = dirty
@@ -676,7 +675,7 @@ func (d *Directory) insertL2Data(ctx *Context, home topo.Tile, addr cache.Addr, 
 		return
 	}
 	if valid && victim.Dirty {
-		d.flush(ctx, home, victim.Addr)
+		d.flush(ctx, home, th.l2.AddrOf(victim))
 	}
 	th.l2.Fill(victim, addr, l2Present)
 	victim.Dirty = dirty
@@ -773,9 +772,9 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 
 // ForEachCopy implements Engine.
 func (d *Directory) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
-	forEachCopy(d.tiles, d.ctx.HomeOf(addr), addr, func(l *cache.Line) (bool, bool) {
+	d.forEachCopy(addr, func(l *cache.BareLine) CopyInfo {
 		excl := l.State == dirModified || l.State == dirExclusive
-		return excl, excl
+		return CopyInfo{Owner: excl, Exclusive: excl, Dirty: l.Dirty, State: l.State}
 	}, fn)
 }
 
@@ -791,11 +790,11 @@ func (d *Directory) CheckInvariants() {
 	blocks := make(map[cache.Addr]*holderInfo)
 	for i, t := range d.tiles {
 		tile := topo.Tile(i)
-		t.l1.ForEachValid(func(l *cache.Line) {
-			hi := blocks[l.Addr]
+		t.l1.ForEachValid(func(a cache.Addr, l *cache.BareLine) {
+			hi := blocks[a]
 			if hi == nil {
 				hi = &holderInfo{}
-				blocks[l.Addr] = hi
+				blocks[a] = hi
 			}
 			hi.holders |= bit(tile)
 			if l.State == dirModified || l.State == dirExclusive {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -29,15 +30,17 @@ func TestLaneOwnershipEnforced(t *testing.T) {
 					other = topo.Tile(i)
 				}
 			}
-			b := c.eng.(interface{ base() *engineBase }).base()
-			var take func(ctx *Context, at topo.Tile)
+			var state, take func(ctx *Context, at topo.Tile)
 			switch eng := c.eng.(type) {
 			case *Directory:
+				state = func(ctx *Context, at topo.Tile) { eng.tile(ctx, at) }
 				take = func(ctx *Context, at topo.Tile) { eng.putMsg(ctx, at, eng.msg(ctx, at, dirReq{})) }
 			case interface {
+				tile(*Context, topo.Tile) *tileState[cache.Line]
 				msg(*Context, topo.Tile, dcReq) *dcMsg
 				putMsg(*Context, topo.Tile, *dcMsg)
 			}:
+				state = func(ctx *Context, at topo.Tile) { eng.tile(ctx, at) }
 				take = func(ctx *Context, at topo.Tile) { eng.putMsg(ctx, at, eng.msg(ctx, at, dcReq{})) }
 			default:
 				t.Fatalf("no message pool on %T", c.eng)
@@ -45,16 +48,16 @@ func TestLaneOwnershipEnforced(t *testing.T) {
 
 			// Disarmed, every handler runs on the root context, which
 			// reaches the whole chip.
-			b.tile(c.ctx, other)
+			state(c.ctx, other)
 			take(c.ctx, other)
 
 			c.ctx.ArmLanes()
 			defer c.ctx.FoldLanes()
 			v := c.ctx.At(own)
-			b.tile(v, own)
+			state(v, own)
 			take(v, own)
 			want := []string{fmt.Sprintf("tile %d,", other), "lane 0", "lane 1"}
-			requireOwnershipPanic(t, "state accessor", want, func() { b.tile(v, other) })
+			requireOwnershipPanic(t, "state accessor", want, func() { state(v, other) })
 			requireOwnershipPanic(t, "message pool", want, func() { take(v, other) })
 		})
 	}

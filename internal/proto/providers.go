@@ -200,13 +200,13 @@ func (p *Providers) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *ca
 // evictProvider implements the provider rows of Table II: providership
 // moves to a sharer of the area, or the owner learns the area has no
 // provider left (No_Provider).
-func (p *Providers) evictProvider(ctx *Context, tile topo.Tile, victim cache.Line) {
+func (p *Providers) evictProvider(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line) {
 	area := p.areaOf(tile)
 	if sharers := victim.Sharers &^ p.areaBit(tile); sharers != 0 {
-		p.transferProvidership(ctx, tile, victim.Addr, area, sharers, victim.Owner)
+		p.transferProvidership(ctx, tile, addr, area, sharers, victim.Owner)
 		return
 	}
-	p.setProPo(ctx, tile, victim.Addr, victim.Owner, area, -1)
+	p.setProPo(ctx, tile, addr, victim.Owner, area, -1)
 }
 
 // transferProvidership offers providership to the area's sharers in
@@ -340,9 +340,8 @@ func (p *Providers) applyL2(line *cache.Line, dirty bool, f l2Form) {
 // live at the home and every mutation of them runs on the home's lane
 // (the ack sends below); provider- and sharer-side work rebinds to the
 // executing tile's lane.
-func (p *Providers) evictL2(ctx *Context, home topo.Tile, victim cache.Line, then func()) {
+func (p *Providers) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
 	th := p.tile(ctx, home)
-	addr := victim.Addr
 	th.setHomeBusy(addr)
 	pendingProv, pendingSharers := 0, 0
 	finish := func() {

@@ -89,6 +89,27 @@ func TestProvidersNoProvider(t *testing.T) {
 	}
 }
 
+// TestProvidersStalePointerToRequestor: a stale provider pointer may
+// name the very tile now missing on the block (its providership ended
+// and the No_Provider update was dropped while the ownership moved).
+// The owner then forwards that tile's read to the tile itself, where
+// the request must go back to the home, repairing the pointer, instead
+// of stalling behind its own miss forever.
+func TestProvidersStalePointerToRequestor(t *testing.T) {
+	c := newTestChip(t, func(ctx *Context) Engine { return NewProviders(ctx) })
+	g := c.ctx.Net.Grid()
+	addr := pickBlock(c, g.At(0, 0))
+	owner := g.At(1, 1)  // area 0
+	reader := g.At(6, 6) // area 3
+	c.access(owner, addr, true)
+	eng := c.eng.(*Providers)
+	eng.tiles[owner].l1.Peek(addr).ProPos[eng.areaOf(reader)] = eng.areaIdx(reader)
+	c.access(reader, addr, false)
+	if l := eng.tiles[reader].l1.Peek(addr); l == nil || l.State != dcProvider {
+		t.Errorf("reader's copy = %+v, want its area's provider", l)
+	}
+}
+
 // TestArinForwarderFixup: Section IV-B — when a stale provider
 // forwards a request to the home, the home replaces the stale ProPo
 // with the requestor.

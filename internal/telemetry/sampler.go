@@ -13,15 +13,10 @@ import (
 type Sample struct {
 	Cycle sim.Time `json:"cycle"`
 	Phase string   `json:"phase"` // "warmup" or "measure"
-	// Events and Refs are the kernel dispatch and retirement totals at
-	// the snapshot.
-	Events uint64 `json:"events"`
-	Refs   uint64 `json:"refs"`
-	// QueueDepth is the kernel's pending-event count; MSHRPending the
-	// chip-wide outstanding-miss count — the two live queue-depth
-	// signals.
-	QueueDepth  int `json:"queue_depth"`
-	MSHRPending int `json:"mshr_pending"`
+	// Refs is the retirement total at the snapshot.
+	Refs uint64 `json:"refs"`
+	// QueueDepth is the kernel's pending-event count.
+	QueueDepth int `json:"queue_depth"`
 	// Counters holds every stats counter in registration order at
 	// snapshot time, one value per Series.CounterNames entry: engines
 	// register their counters when they bind handles at construction,
@@ -68,7 +63,6 @@ type Sampler struct {
 	counters *stats.Set
 	energies power.TileEnergies
 	refs     func() uint64
-	pending  func() int
 
 	cap     int
 	series  Series
@@ -81,19 +75,18 @@ type Sampler struct {
 	scratch stats.Set // reconciled counters of a per-VM run (Snapshot)
 }
 
-// NewSampler builds a sampler snapshotting counters, queue depths
+// NewSampler builds a sampler snapshotting counters, the queue depth
 // and the energy split every `every` cycles, keeping at most cap
-// samples (0 = DefaultSampleCap). refs and pending provide the
-// retirement total and the chip-wide MSHR depth; net and energies
-// feed the energy split.
+// samples (0 = DefaultSampleCap). refs provides the retirement total;
+// net and energies feed the energy split.
 func NewSampler(k *sim.Kernel, every sim.Time, cap int, counters *stats.Set,
-	net *mesh.Network, energies power.TileEnergies, refs func() uint64, pending func() int) *Sampler {
+	net *mesh.Network, energies power.TileEnergies, refs func() uint64) *Sampler {
 	if cap <= 0 {
 		cap = DefaultSampleCap
 	}
 	return &Sampler{
 		Every: every, k: k, net: net, counters: counters, energies: energies,
-		refs: refs, pending: pending, cap: cap,
+		refs: refs, cap: cap,
 		series: Series{Interval: every},
 	}
 }
@@ -150,13 +143,11 @@ func (s *Sampler) Snapshot() {
 	}
 	names := counters.Names()
 	smp := Sample{
-		Cycle:       s.k.Now(),
-		Phase:       s.phase,
-		Events:      s.k.EventsRun(),
-		Refs:        s.refs(),
-		QueueDepth:  s.k.Pending(),
-		MSHRPending: s.pending(),
-		Counters:    make([]uint64, len(names)),
+		Cycle:      s.k.Now(),
+		Phase:      s.phase,
+		Refs:       s.refs(),
+		QueueDepth: s.k.Pending(),
+		Counters:   make([]uint64, len(names)),
 	}
 	for i, n := range names {
 		smp.Counters[i] = counters.Value(n)

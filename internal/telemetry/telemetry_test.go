@@ -324,7 +324,7 @@ func samplerFixture(every sim.Time, cap int) (*sim.Kernel, *Sampler, *stats.Set)
 	counters := &stats.Set{}
 	energies := power.Energies(storage.Directory, storage.DefaultConfig(4, 1), power.DefaultEnergy())
 	s := NewSampler(k, every, cap, counters, net, energies,
-		func() uint64 { return k.EventsRun() }, k.Pending)
+		func() uint64 { return k.EventsRun() })
 	return k, s, counters
 }
 
@@ -399,8 +399,8 @@ func TestSamplerTicks(t *testing.T) {
 		t.Error("no sample labeled measure")
 	}
 	last := series.Samples[len(series.Samples)-1]
-	if last.Counters[0] == 0 || last.Events == 0 {
-		t.Errorf("final sample empty: counters[0]=%d events=%d", last.Counters[0], last.Events)
+	if last.Counters[0] == 0 || last.Refs == 0 {
+		t.Errorf("final sample empty: counters[0]=%d refs=%d", last.Counters[0], last.Refs)
 	}
 }
 
