@@ -1,7 +1,7 @@
-// Package cache provides the storage structures of a tile:
-// set-associative arrays generic over their way payload (L1, L2, and
-// the NCID-style directory cache), MSHRs, and the pointer caches (L1C$,
-// L2C$) that Direct Coherence protocols add.
+// Package cache provides the storage structures of a tile: one
+// set-associative array generic over its way payload, which backs the
+// L1, the L2, the NCID-style directory cache and the pointer caches
+// (L1C$, L2C$) that Direct Coherence protocols add, plus the MSHRs.
 package cache
 
 import (
@@ -9,8 +9,8 @@ import (
 	"unsafe"
 )
 
-// Addr is a block-aligned physical address: the 40-bit physical address
-// of the paper shifted right by 6 (64-byte blocks).
+// Addr is a block address: a physical byte address shifted right by 6
+// (64-byte blocks). Every block address is below MaxAddr.
 type Addr uint64
 
 // State is a protocol-defined line state. Zero is always Invalid.
@@ -31,8 +31,8 @@ const Invalid State = 0
 //   - AreaTag: for DiCo-Arin's home entries, the area the sharer vector
 //     refers to (-1 when the block is shared between areas).
 //
-// The block address is not stored: it lives in the array's tag
-// mirror, which hands it out where a caller needs it (AddrOf,
+// The block address is not stored: it lives in the array's way
+// word, which hands it out where a caller needs it (AddrOf,
 // InvalidateLine, ForEachValid). Wide fields first packs the struct
 // into 24 bytes.
 type Line struct {
@@ -46,10 +46,18 @@ type Line struct {
 
 // BareLine is the way payload of an engine that keeps its coherence
 // metadata out of the L1 and L2 — the flat directory, whose sharers
-// and owner live in its DirCache: the line state and the dirty bit.
+// and owner live in its directory cache: the line state and the dirty
+// bit.
 type BareLine struct {
 	State State
 	Dirty bool
+}
+
+// DirLine is the way payload of the flat directory's directory cache:
+// the tracked block's sharer vector and owner pointer (-1 none).
+type DirLine struct {
+	Sharers uint64
+	Owner   int16
 }
 
 // MaxSimAreas bounds the number of areas the cycle simulator supports
@@ -58,27 +66,43 @@ type BareLine struct {
 const MaxSimAreas = 8
 
 // Array is a set-associative array of P-payload ways with true-LRU
-// replacement. The (valid, address) pair of every way lives in a
-// compact tag array, so a probe reads 8 bytes per way — an 8-way set
-// is one cache line of tag traffic — and the payload carries only the
-// fields its engine reads; the LRU stamps live in a parallel array
-// touched only on a hit, a fill or a full-set victim scan. The tag
-// stores the block address plus one (the zero value means empty), so
-// freshly allocated arrays need no initialization pass of their own.
-// Only Fill, Invalidate and InvalidateLine change a way's identity, so
-// the mirror has exactly three writers. An invalid way gets its
-// payload from the array's reset function at Fill time; the hot paths
-// never call through the type parameter.
+// replacement. Each way's identity and recency share one 8-byte way
+// word: the low addrBits bits hold the block address plus one (zero
+// means empty, so a freshly allocated array needs no initialization
+// pass of its own) and the high stampBits bits its LRU stamp. A probe
+// reads 8 bytes per way, so an 8-way set's tags and stamps are one
+// cache line, and the payload carries only the fields its engine
+// reads. Only Fill, Invalidate and InvalidateLine change a way's
+// identity. An invalid way gets its payload from the array's reset
+// function at Fill time; the hot paths never call through the type
+// parameter.
+//
+// The stamp counter is per array. When it reaches stampMax the array
+// renormalizes: every set's stamps become that set's recency ranks
+// 1..ways and the counter restarts at ways. Victims are only compared
+// within a set, so renormalizing never changes a victim choice.
 type Array[P any] struct {
 	sets  int
 	ways  int
 	shift uint
 	lines []P
-	tags  []Addr
-	lru   []uint64
+	words []uint64 // stamp<<addrBits | block+1; 0 = empty
 	stamp uint64
 	reset func(l *P, s State) // writes a fresh payload in state s
 }
+
+// MaxAddr bounds block addresses: every block the simulator names is
+// below it, and Fill rejects one at or past it. Regular frames stay
+// far below the mapper's copy-on-write frames (memctrl.cowFrameBase,
+// page 2^30), which put block addresses near 2^36.
+const MaxAddr Addr = 1 << 40
+
+const (
+	addrBits  = 41 // block+1 <= MaxAddr
+	addrMask  = 1<<addrBits - 1
+	stampBits = 64 - addrBits
+	stampMax  = 1<<stampBits - 1
+)
 
 // Cache is the DiCo family's array, and the one the benchmark probes
 // drive.
@@ -97,8 +121,7 @@ func newArray[P any](name string, numSets, ways int, reset func(l *P, s State)) 
 		sets:  numSets,
 		ways:  ways,
 		lines: make([]P, numSets*ways),
-		tags:  make([]Addr, numSets*ways),
-		lru:   make([]uint64, numSets*ways),
+		words: make([]uint64, numSets*ways),
 		reset: reset,
 	}
 }
@@ -113,16 +136,29 @@ func NewBare(name string, numSets, ways int) *Array[BareLine] {
 	return newArray(name, numSets, ways, resetBare)
 }
 
+// NewDir returns an array of DirLine ways, with New's geometry rules.
+// A directory line has no state: Fill ignores its state argument and
+// installs an empty sharer vector and no owner.
+func NewDir(name string, numSets, ways int) *Array[DirLine] {
+	return newArray(name, numSets, ways, resetDir)
+}
+
 func resetLine(l *Line, s State) {
 	*l = Line{ProPos: [MaxSimAreas]int8{-1, -1, -1, -1, -1, -1, -1, -1}, Owner: -1, State: s, AreaTag: -1}
 }
 
 func resetBare(l *BareLine, s State) { *l = BareLine{State: s} }
 
+func resetDir(l *DirLine, _ State) { *l = DirLine{Owner: -1} }
+
 // Capacity returns the number of ways.
 func (c *Array[P]) Capacity() int { return c.sets * c.ways }
 
-func (c *Array[P]) setOf(a Addr) int { return int((uint64(a) >> c.shift) & uint64(c.sets-1)) }
+// set returns the index of a's set's first way and the set's words.
+func (c *Array[P]) set(a Addr) (base int, words []uint64) {
+	base = int((uint64(a)>>c.shift)&uint64(c.sets-1)) * c.ways
+	return base, c.words[base : base+c.ways : base+c.ways]
+}
 
 // SetIndexShift makes the set index use address bits above the given
 // shift. Structures private to one home bank must skip the bank-select
@@ -132,11 +168,12 @@ func (c *Array[P]) SetIndexShift(shift uint) { c.shift = shift }
 
 // Lookup returns the line holding a, or nil, refreshing LRU on a hit.
 func (c *Array[P]) Lookup(a Addr) *P {
-	base := c.setOf(a) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == a+1 {
-			c.stamp++
-			c.lru[base+w] = c.stamp
+	base, set := c.set(a)
+	tag := uint64(a) + 1
+	for w, t := range set {
+		if t&addrMask == tag {
+			// next may renormalize, which rewrites only stamp bits.
+			set[w] = tag | c.next()
 			return &c.lines[base+w]
 		}
 	}
@@ -146,9 +183,10 @@ func (c *Array[P]) Lookup(a Addr) *P {
 // Peek is Lookup without the LRU update; for invariant checks and
 // statistics.
 func (c *Array[P]) Peek(a Addr) *P {
-	base := c.setOf(a) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == a+1 {
+	base, set := c.set(a)
+	tag := uint64(a) + 1
+	for w, t := range set {
+		if t&addrMask == tag {
 			return &c.lines[base+w]
 		}
 	}
@@ -159,54 +197,96 @@ func (c *Array[P]) Peek(a Addr) *P {
 // means a is present and l is its line (untouched: the caller decides
 // on LRU). On a miss l is the way a fill should use — the first empty
 // way (valid=false) or the LRU way (valid=true, still holding its old
-// block, whose address AddrOf returns). The validity comes from the tag
+// block, whose address AddrOf returns). The validity comes from the word
 // scan, so callers of an empty way never read the (possibly
 // never-touched) payload itself.
 func (c *Array[P]) Probe(a Addr) (l *P, hit, valid bool) {
-	base := c.setOf(a) * c.ways
+	base, set := c.set(a)
+	tag := uint64(a) + 1
 	empty := -1
-	for w := 0; w < c.ways; w++ {
-		t := c.tags[base+w]
-		if t == a+1 {
+	for w, t := range set {
+		if t&addrMask == tag {
 			return &c.lines[base+w], true, true
 		}
 		if t == 0 && empty < 0 {
-			empty = base + w
+			empty = w
 		}
 	}
 	if empty >= 0 {
-		return &c.lines[empty], false, false
+		return &c.lines[base+empty], false, false
 	}
-	victimIdx := base
-	victimStamp := c.lru[base]
-	for w := 1; w < c.ways; w++ {
-		if s := c.lru[base+w]; s < victimStamp {
-			victimStamp = s
-			victimIdx = base + w
+	// Every way is valid and the stamps within a set are distinct, so
+	// the smallest word holds the smallest stamp.
+	victim := 0
+	for w := 1; w < len(set); w++ {
+		if set[w] < set[victim] {
+			victim = w
 		}
 	}
-	return &c.lines[victimIdx], false, true
+	return &c.lines[base+victim], false, true
 }
 
 // Fill installs block a into line l (previously obtained from Probe)
 // in state s, resetting the payload and refreshing LRU.
 func (c *Array[P]) Fill(l *P, a Addr, s State) {
+	if a >= MaxAddr {
+		addrOutOfRange(a)
+	}
 	c.reset(l, s)
 	idx := c.indexOf(l)
-	c.tags[idx] = a + 1
-	c.stamp++
-	c.lru[idx] = c.stamp
+	c.words[idx] = c.next() | (uint64(a) + 1)
 }
 
 // Touch refreshes the LRU position of l.
 func (c *Array[P]) Touch(l *P) {
 	idx := c.indexOf(l)
-	c.stamp++
-	c.lru[idx] = c.stamp
+	s := c.next() // may renormalize, which rewrites only stamp bits
+	c.words[idx] = c.words[idx]&addrMask | s
 }
 
-// AddrOf returns the block a valid line holds, read from its tag.
-func (c *Array[P]) AddrOf(l *P) Addr { return c.tags[c.indexOf(l)] - 1 }
+// next returns a fresh stamp, shifted into place, renormalizing first
+// when the counter is at its limit.
+func (c *Array[P]) next() uint64 {
+	if c.stamp >= stampMax {
+		c.renormalize()
+	}
+	c.stamp++
+	return c.stamp << addrBits
+}
+
+// renormalize rewrites every set's stamps as the set's recency ranks
+// 1..ways (oldest lowest) and restarts the counter at ways, above
+// every rank. A set's ranks are all computed before any is written:
+// ranking a way against a neighbour already rewritten would compare a
+// stamp with a rank.
+func (c *Array[P]) renormalize() {
+	ranks := make([]uint64, c.ways)
+	for base := 0; base < len(c.words); base += c.ways {
+		set := c.words[base : base+c.ways]
+		for i, w := range set {
+			ranks[i] = 1
+			for _, o := range set {
+				if o != 0 && o>>addrBits < w>>addrBits {
+					ranks[i]++
+				}
+			}
+		}
+		for i, w := range set {
+			if w != 0 {
+				set[i] = w&addrMask | ranks[i]<<addrBits
+			}
+		}
+	}
+	c.stamp = uint64(c.ways)
+}
+
+// addrOutOfRange reports a block address the way word cannot hold.
+func addrOutOfRange(a Addr) {
+	panic(fmt.Sprintf("cache: block address %#x at or past cache.MaxAddr", uint64(a)))
+}
+
+// AddrOf returns the block a valid line holds, read from its way word.
+func (c *Array[P]) AddrOf(l *P) Addr { return Addr(c.words[c.indexOf(l)]&addrMask) - 1 }
 
 // indexOf recovers the backing-array position of a line returned by
 // Lookup/Peek/Probe. Pointer arithmetic instead of a stored index
@@ -225,13 +305,14 @@ func (c *Array[P]) indexOf(l *P) int {
 // Invalidate removes block a if present, returning the prior line
 // contents and whether it was present.
 func (c *Array[P]) Invalidate(a Addr) (old P, ok bool) {
-	base := c.setOf(a) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == a+1 {
+	base, set := c.set(a)
+	tag := uint64(a) + 1
+	for w, t := range set {
+		if t&addrMask == tag {
 			l := &c.lines[base+w]
 			old = *l
 			c.reset(l, Invalid)
-			c.tags[base+w] = 0
+			set[w] = 0
 			return old, true
 		}
 	}
@@ -244,17 +325,17 @@ func (c *Array[P]) Invalidate(a Addr) (old P, ok bool) {
 // probe.
 func (c *Array[P]) InvalidateLine(l *P) (old P, a Addr) {
 	idx := c.indexOf(l)
-	old, a = *l, c.tags[idx]-1
+	old, a = *l, Addr(c.words[idx]&addrMask)-1
 	c.reset(l, Invalid)
-	c.tags[idx] = 0
+	c.words[idx] = 0
 	return old, a
 }
 
 // CountValid returns the number of valid lines (for occupancy stats).
 func (c *Array[P]) CountValid() int {
 	n := 0
-	for i := range c.tags {
-		if c.tags[i] != 0 {
+	for _, w := range c.words {
+		if w != 0 {
 			n++
 		}
 	}
@@ -264,9 +345,9 @@ func (c *Array[P]) CountValid() int {
 // ForEachValid calls fn for every valid line with its block. fn must
 // not insert or invalidate lines.
 func (c *Array[P]) ForEachValid(fn func(a Addr, l *P)) {
-	for i, t := range c.tags {
-		if t != 0 {
-			fn(t-1, &c.lines[i])
+	for i, w := range c.words {
+		if w != 0 {
+			fn(Addr(w&addrMask)-1, &c.lines[i])
 		}
 	}
 }

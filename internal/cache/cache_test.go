@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -108,16 +109,45 @@ func TestCacheMetaReset(t *testing.T) {
 	}
 }
 
-// TestWayPayloadSizes pins the per-way payload of each engine: the
-// DiCo family's Line (no address: the tag mirror holds it) and the
-// directory's state-and-dirty BareLine.
+// TestWayPayloadSizes pins the bytes of each way: one 8-byte word
+// for the block and its LRU stamp, plus the payload — the DiCo
+// family's Line (no address: the way word holds it), the directory's
+// state-and-dirty BareLine and its directory cache's DirLine.
 func TestWayPayloadSizes(t *testing.T) {
+	var c Cache
+	if got := unsafe.Sizeof(c.words[0]); got != 8 || addrBits+stampBits != 64 {
+		t.Errorf("way word = %d bytes of %d+%d bits, want 8 bytes of 64", got, addrBits, stampBits)
+	}
+	if uint64(MaxAddr) > addrMask {
+		t.Errorf("MaxAddr %#x: the largest block plus one does not fit %d bits", uint64(MaxAddr), addrBits)
+	}
 	if got := unsafe.Sizeof(Line{}); got != 24 {
 		t.Errorf("sizeof(Line) = %d, want 24", got)
 	}
 	if got := unsafe.Sizeof(BareLine{}); got > 2 {
 		t.Errorf("sizeof(BareLine) = %d, want <= 2", got)
 	}
+	if got := unsafe.Sizeof(DirLine{}); got > 16 {
+		t.Errorf("sizeof(DirLine) = %d, want <= 16", got)
+	}
+}
+
+// TestFillRejectsAddrPastMax: the largest block below MaxAddr round-
+// trips through the way word; a block at MaxAddr would not fit it and
+// panics by name.
+func TestFillRejectsAddrPastMax(t *testing.T) {
+	c := New("l1", 2, 2)
+	fillBlock(c, MaxAddr-1, 1)
+	if l := c.Peek(MaxAddr - 1); l == nil || c.AddrOf(l) != MaxAddr-1 {
+		t.Fatal("largest block did not round-trip")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "cache.MaxAddr") {
+			t.Errorf("Fill(MaxAddr) panicked with %q, want the MaxAddr panic", msg)
+		}
+	}()
+	fillBlock(c, MaxAddr, 1)
 }
 
 func TestCacheCountValidAndForEach(t *testing.T) {
@@ -163,64 +193,73 @@ func TestCachePropertyNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestPayloadsPickSameVictims drives a DiCo-family array, a directory
-// (BareLine) array and, where the sequence has no invalidations, a
-// DirCache of the same geometry through one seeded random history of
+// probeWay is Probe reporting the chosen way's index and, for a valid
+// victim, its block, so arrays of different payloads compare.
+func (c *Array[P]) probeWay(a Addr) (way int, victim Addr, hit, valid bool) {
+	l, hit, valid := c.Probe(a)
+	if valid && !hit {
+		victim = c.AddrOf(l)
+	}
+	return c.indexOf(l), victim, hit, valid
+}
+
+// refill completes probeWay as the engines do: touch on a hit, fill
+// otherwise.
+func (c *Array[P]) refill(a Addr, way int, hit bool) {
+	if hit {
+		c.Touch(&c.lines[way])
+	} else {
+		c.Fill(&c.lines[way], a, 1)
+	}
+}
+
+func (c *Array[P]) invalidate(a Addr) bool { _, ok := c.Invalidate(a); return ok }
+
+// wayArray is an Array of any payload, seen through the helpers above.
+type wayArray interface {
+	SetIndexShift(uint)
+	probeWay(Addr) (int, Addr, bool, bool)
+	refill(Addr, int, bool)
+	invalidate(Addr) bool
+}
+
+// TestPayloadsPickSameVictims drives the four payload instantiations —
+// the DiCo family's Line, the directory's BareLine and DirLine, and
+// the pointer caches' int16 — through one seeded random history of
 // probes, touches, fills and invalidations: every step must hit or
 // miss alike and pick the same way holding the same victim block.
-// Replacement depends only on tags and LRU stamps, never on the
-// payload.
+// Replacement depends only on the way words, never on the payload.
 func TestPayloadsPickSameVictims(t *testing.T) {
 	const sets, ways, span = 8, 4, 96
-	for _, withInval := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(7))
-		full, bare, dir := New("l", sets, ways), NewBare("b", sets, ways), NewDirCache("d", sets, ways)
-		for _, c := range []interface{ SetIndexShift(uint) }{full, bare, dir} {
-			c.SetIndexShift(1)
-		}
-		for step := 0; step < 20000; step++ {
-			a := Addr(rng.Intn(span))
-			if withInval && rng.Intn(4) == 0 {
-				_, okF := full.Invalidate(a)
-				_, okB := bare.Invalidate(a)
-				if okF != okB {
-					t.Fatalf("inval=%v step %d: Invalidate(%#x) = %v/%v", withInval, step, a, okF, okB)
+	rng := rand.New(rand.NewSource(7))
+	arrays := []wayArray{New("l", sets, ways), NewBare("b", sets, ways), NewDir("d", sets, ways),
+		&NewPointerCache("p", sets, ways).arr}
+	for _, c := range arrays {
+		c.SetIndexShift(1)
+	}
+	for step := 0; step < 20000; step++ {
+		a := Addr(rng.Intn(span))
+		inval := rng.Intn(4) == 0
+		var way0 int
+		var victim0 Addr
+		var hit0, valid0 bool
+		for i, c := range arrays {
+			if inval {
+				if ok := c.invalidate(a); i == 0 {
+					hit0 = ok
+				} else if ok != hit0 {
+					t.Fatalf("step %d: Invalidate(%#x) = %v on array %d, %v on array 0", step, a, ok, i, hit0)
 				}
 				continue
 			}
-			lf, hitF, validF := full.Probe(a)
-			lb, hitB, validB := bare.Probe(a)
-			iF, iB := full.indexOf(lf), bare.indexOf(lb)
-			if hitF != hitB || validF != validB || iF != iB {
-				t.Fatalf("inval=%v step %d: Probe(%#x) full=(way %d hit %v valid %v) bare=(way %d hit %v valid %v)",
-					withInval, step, a, iF, hitF, validF, iB, hitB, validB)
+			way, victim, hit, valid := c.probeWay(a)
+			if i == 0 {
+				way0, victim0, hit0, valid0 = way, victim, hit, valid
+			} else if way != way0 || victim != victim0 || hit != hit0 || valid != valid0 {
+				t.Fatalf("step %d: Probe(%#x) array %d = (way %d victim %#x hit %v valid %v), array 0 = (way %d victim %#x hit %v valid %v)",
+					step, a, i, way, victim, hit, valid, way0, victim0, hit0, valid0)
 			}
-			var victimF, victimB Addr
-			if !hitF && validF {
-				victimF, victimB = full.AddrOf(lf), bare.AddrOf(lb)
-				if victimF != victimB {
-					t.Fatalf("inval=%v step %d: victim %#x vs %#x", withInval, step, victimF, victimB)
-				}
-			}
-			if !withInval {
-				e, victimD, hitD, validD := dir.Probe(a)
-				if iD := dir.indexOf(e); hitD != hitF || validD != validF || iD != iF || victimD != victimF {
-					t.Fatalf("step %d: Probe(%#x) dir=(way %d victim %#x hit %v valid %v) array=(way %d victim %#x hit %v valid %v)",
-						step, a, iD, victimD, hitD, validD, iF, victimF, hitF, validF)
-				}
-				if hitD {
-					dir.Touch(e)
-				} else {
-					dir.Fill(e, a)
-				}
-			}
-			if hitF {
-				full.Touch(lf)
-				bare.Touch(lb)
-			} else {
-				full.Fill(lf, a, 1)
-				bare.Fill(lb, a, 1)
-			}
+			c.refill(a, way, hit)
 		}
 	}
 }

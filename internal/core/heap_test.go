@@ -1,0 +1,36 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestSystemHeapBound pins the live heap each engine's chip holds once
+// built: jbb4x16p at the benchmark's 8000 + 8000 references per core,
+// measured as the heap growth across NewSystem with a GC on either side
+// and the system still reachable. Almost all of it is cache ways (a
+// 64-tile chip has 1,179,648 L1 and L2 ways plus the directory or
+// pointer caches), so a way that grows by a few bytes shows here.
+func TestSystemHeapBound(t *testing.T) {
+	const boundMB = 44 // measured: 41.9 (directory) and 42.2 MB (DiCo family)
+	for _, p := range ProtocolNames {
+		cfg := smallCfg(p, "jbb4x16p")
+		cfg.WarmupRefs, cfg.RefsPerCore = 8000, 8000
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(s)
+		mb := float64(ms.HeapAlloc-before) / 1e6
+		t.Logf("%s: %.1f MB live after NewSystem", p, mb)
+		if mb > boundMB {
+			t.Errorf("%s: %.1f MB live after NewSystem, bound %d MB", p, mb, boundMB)
+		}
+	}
+}

@@ -115,7 +115,8 @@ type PageID uint32
 // of drawing from the shared allocator — the frame number is then
 // independent of break order, which is what lets concurrent lanes break
 // pages without serializing on an allocation counter. Regular frames
-// stay far below this base, and block addresses stay under 2^40.
+// stay far below this base, and every block address, CoW frames
+// included, stays below cache.MaxAddr.
 const cowFrameBase = 1 << 30
 
 // unbroken is the visibility time of a deduplicated page nobody has

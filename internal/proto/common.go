@@ -251,6 +251,10 @@ type Context struct {
 	view bool
 	lane int
 
+	// homeMask is NumTiles-1 for a power-of-two tile count, set by
+	// bindHome when an engine is built; zero makes HomeOf divide.
+	homeMask uint64
+
 	// freeMemOp pools the deferred DRAM-access nodes (per context, so
 	// per lane when armed: each list is single-threaded).
 	freeMemOp *memOp
@@ -308,9 +312,27 @@ func (c *Context) BankShift() uint {
 }
 
 // HomeOf returns the home L2 bank of a block (address-interleaved
-// across all banks, as in the paper).
+// across all banks, as in the paper). A power-of-two tile count masks
+// the address (homeMask, bound with the engine); any other count, or a
+// context no engine has bound yet, takes the modulus.
 func (c *Context) HomeOf(a cache.Addr) topo.Tile {
+	if c.homeMask != 0 {
+		return topo.Tile(uint64(a) & c.homeMask)
+	}
+	return c.homeOfMod(a)
+}
+
+//go:noinline
+func (c *Context) homeOfMod(a cache.Addr) topo.Tile {
 	return topo.Tile(uint64(a) % uint64(c.NumTiles()))
+}
+
+// bindHome caches HomeOf's mask when the tile count is a power of two.
+// On a single tile the mask is zero and HomeOf's modulus gives tile 0.
+func (c *Context) bindHome() {
+	if n := uint64(c.NumTiles()); n&(n-1) == 0 {
+		c.homeMask = n - 1
+	}
 }
 
 // bindPower resolves the power-event counter handles. Registering
@@ -443,15 +465,16 @@ func (c *Context) ArmLanes() {
 		c.laneViews = make([]*Context, len(c.lanes))
 		for i, k := range c.lanes {
 			v := &Context{
-				Kernel: k,
-				Net:    c.Net,
-				Areas:  c.Areas,
-				Mem:    c.Mem,
-				Cfg:    c.Cfg,
-				laneOf: c.laneOf,
-				lanes:  c.lanes,
-				view:   true,
-				lane:   i,
+				Kernel:   k,
+				Net:      c.Net,
+				Areas:    c.Areas,
+				Mem:      c.Mem,
+				Cfg:      c.Cfg,
+				laneOf:   c.laneOf,
+				lanes:    c.lanes,
+				view:     true,
+				lane:     i,
+				homeMask: c.homeMask,
 			}
 			v.pwRoot = bindBank(&v.Counters)
 			v.pw = &v.pwRoot
@@ -633,9 +656,9 @@ func (c *Context) SendDataArg(src, dst topo.Tile, fn func(any), arg any) mesh.De
 type tileState[P any] struct {
 	l1   *cache.Array[P]
 	l2   *cache.Array[P]
-	dir  *cache.DirCache     // directory cache (flat directory only)
-	l1c  *cache.PointerCache // supplier predictions (DiCo family only)
-	l2c  *cache.PointerCache // precise owner pointers (DiCo family only)
+	dir  *cache.Array[cache.DirLine] // directory cache (flat directory only)
+	l1c  *cache.PointerCache         // supplier predictions (DiCo family only)
+	l2c  *cache.PointerCache         // precise owner pointers (DiCo family only)
 	mshr *cache.MSHR
 
 	// tx holds all transient per-block state of this tile — the
@@ -652,7 +675,7 @@ type tileState[P any] struct {
 
 // newTileState builds a tile's arrays through newArray; the L2 skips
 // the bank-select bits of the address. A DiCo-family tile (dico) also
-// gets its L1C$ and L2C$; the directory adds its DirCache itself.
+// gets its L1C$ and L2C$; the directory adds its directory cache itself.
 func newTileState[P any](cfg Config, bankShift uint, dico bool,
 	newArray func(name string, sets, ways int) *cache.Array[P]) *tileState[P] {
 	t := &tileState[P]{
@@ -878,6 +901,7 @@ type engineBase[P any] struct {
 func newEngineBase[P any](ctx *Context, name string, dico bool,
 	newArray func(name string, sets, ways int) *cache.Array[P]) engineBase[P] {
 	ctx.bindPower()
+	ctx.bindHome()
 	b := engineBase[P]{ctx: ctx, tiles: make([]*tileState[P], ctx.NumTiles()), name: name}
 	for i := range b.tiles {
 		b.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift(), dico, newArray)

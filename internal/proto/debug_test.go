@@ -39,8 +39,8 @@ func TestFormatBlockStateKeepsL2CReplacement(t *testing.T) {
 }
 
 // TestTilesBuildOnlyWhatTheirEngineReads: the directory's tiles carry a
-// DirCache and no pointer caches; every DiCo-family tile has its L1C$
-// and L2C$ and no DirCache. The block dump works on either layout.
+// directory cache and no pointer caches; every DiCo-family tile has its
+// L1C$ and L2C$ and no directory cache. The block dump works on either layout.
 func TestTilesBuildOnlyWhatTheirEngineReads(t *testing.T) {
 	for _, e := range allEngines {
 		c := newTestChip(t, e.mk)
@@ -49,7 +49,7 @@ func TestTilesBuildOnlyWhatTheirEngineReads(t *testing.T) {
 			t.Errorf("%s: dump misses the writer's copy:\n%s", e.name, got)
 		}
 		var dir, l1c, l2c, n int
-		count := func(d *cache.DirCache, p1, p2 *cache.PointerCache) {
+		count := func(d *cache.Array[cache.DirLine], p1, p2 *cache.PointerCache) {
 			n++
 			if d != nil {
 				dir++
@@ -67,7 +67,7 @@ func TestTilesBuildOnlyWhatTheirEngineReads(t *testing.T) {
 				count(ts.dir, ts.l1c, ts.l2c)
 			}
 			if dir != n || l1c != 0 || l2c != 0 {
-				t.Errorf("directory: %d tiles, %d DirCaches, %d L1C$, %d L2C$; want %d, 0, 0", n, dir, l1c, l2c, n)
+				t.Errorf("directory: %d tiles, %d dir caches, %d L1C$, %d L2C$; want %d, 0, 0", n, dir, l1c, l2c, n)
 			}
 			continue
 		case *DiCo:
@@ -84,7 +84,7 @@ func TestTilesBuildOnlyWhatTheirEngineReads(t *testing.T) {
 			}
 		}
 		if n != c.ctx.NumTiles() || dir != 0 || l1c != n || l2c != n {
-			t.Errorf("%s: %d tiles, %d DirCaches, %d L1C$, %d L2C$; want %d, 0, %d, %d",
+			t.Errorf("%s: %d tiles, %d dir caches, %d L1C$, %d L2C$; want %d, 0, %d, %d",
 				e.name, n, dir, l1c, l2c, c.ctx.NumTiles(), n, n)
 		}
 	}

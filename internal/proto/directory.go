@@ -79,7 +79,7 @@ func NewDirectory(ctx *Context) *Directory {
 		if extra < 1 {
 			extra = 1
 		}
-		t.dir = cache.NewDirCache("dir", ctx.Cfg.L2Sets, ctx.Cfg.L2Ways+extra)
+		t.dir = cache.NewDir("dir", ctx.Cfg.L2Sets, ctx.Cfg.L2Ways+extra)
 		t.dir.SetIndexShift(ctx.BankShift())
 	}
 	return d
@@ -176,7 +176,7 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(r.requestor)
-		d.homeDirUpdate(ctx, home, r.addr, stamp, func(dl *cache.DirEntry) {
+		d.homeDirUpdate(ctx, home, r.addr, stamp, func(dl *cache.DirLine) {
 			dl.Sharers &^= bit(sharer)
 		})
 		d.atHome(r)
@@ -226,7 +226,7 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(newOwner)
-		d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirEntry) {
+		d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirLine) {
 			dl.Owner = int16(newOwner)
 			dl.Sharers = bit(newOwner)
 		})
@@ -241,7 +241,7 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(requestor)
-		if !d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirEntry) {
+		if !d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirLine) {
 			dl.Owner = -1
 			dl.Sharers |= bit(owner) | bit(requestor)
 		}) {
@@ -261,7 +261,7 @@ func (d *Directory) bindHandlers() {
 		ctx := d.ctx.At(home)
 		d.putMsg(ctx, home, m)
 		ctx.chargeVM(tile)
-		if !d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirEntry) {
+		if !d.homeDirUpdate(ctx, home, addr, stamp, func(dl *cache.DirLine) {
 			dl.Owner = -1
 			dl.Sharers &^= bit(tile)
 		}) {
@@ -365,7 +365,7 @@ func (d *Directory) atHome(r dirReq) {
 	ctx.pw.DirRead.Inc()
 	// One probe serves both the lookup and, on a miss, the victim
 	// choice for allocDirEntry — same accounting as a Lookup.
-	dline, dirVictimAddr, dirHit, dirValid := th.dir.Probe(r.addr)
+	dline, dirHit, dirValid := th.dir.Probe(r.addr)
 	if dirHit {
 		th.dir.Touch(dline)
 	}
@@ -376,7 +376,7 @@ func (d *Directory) atHome(r dirReq) {
 		// branch: capturing the parameter itself would force r to the
 		// heap on every atHome call, including the hot tracked paths.
 		req := r
-		d.allocDirEntry(ctx, home, r.addr, dline, dirVictimAddr, dirValid, func(nl *cache.DirEntry) {
+		d.allocDirEntry(ctx, home, r.addr, dline, dirValid, func(nl *cache.DirLine) {
 			nl.Owner = int16(req.requestor)
 			nl.Sharers = bit(req.requestor)
 			d.stampNow(ctx, home, req.addr)
@@ -416,7 +416,7 @@ func (d *Directory) atHome(r dirReq) {
 }
 
 // homeRead serves a read at the home when no exclusive L1 owner exists.
-func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
+func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirLine) {
 	home := ctx.HomeOf(r.addr)
 	th := d.tile(ctx, home)
 	if th.l2.Lookup(r.addr) != nil {
@@ -463,7 +463,7 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirEntry) {
 // instead of being written into its MSHR from here, so the entry's
 // SharerAcks may go transiently negative when acks overtake the data —
 // which is why it is a counter compared against zero.
-func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirEntry) {
+func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirLine) {
 	home := ctx.HomeOf(r.addr)
 	th := d.tile(ctx, home)
 	sharers := dline.Sharers &^ bit(r.requestor)
@@ -569,7 +569,7 @@ func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 // different tiles are unordered, and applying a stale ownership update
 // over a fresh one leaves a permanently wrong owner pointer. Returns
 // whether the update was applied.
-func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr, stamp sim.Time, fn func(*cache.DirEntry)) bool {
+func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr, stamp sim.Time, fn func(*cache.DirLine)) bool {
 	th := d.tile(ctx, home)
 	if !th.stampIfNewer(addr, stamp) {
 		ctx.spanEvent("stale-update-dropped", home, addr)
@@ -686,12 +686,10 @@ func (d *Directory) insertL2Data(ctx *Context, home topo.Tile, addr cache.Addr, 
 // holds a tracked block), evicting that entry first if necessary.
 // Evicting a directory entry invalidates every cached copy of its
 // block chip-wide (NCID rule).
-func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr, victim *cache.DirEntry, victimAddr cache.Addr, valid bool, then func(*cache.DirEntry)) {
+func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr, victim *cache.DirLine, valid bool, then func(*cache.DirLine)) {
 	th := d.tile(ctx, home)
 	if !valid {
-		th.dir.Fill(victim, addr)
-		victim.Owner = -1
-		victim.Sharers = 0
+		th.dir.Fill(victim, addr, cache.Invalid)
 		then(victim)
 		return
 	}
@@ -699,6 +697,7 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 	// block synchronously so a concurrent allocation cannot pick the
 	// same victim. Requests for either address stall on homeBusy until
 	// the victim's copies are gone.
+	victimAddr := th.dir.AddrOf(victim)
 	holders := victim.Sharers
 	if victim.Owner >= 0 {
 		holders |= bit(topo.Tile(victim.Owner))
@@ -708,9 +707,7 @@ func (d *Directory) allocDirEntry(ctx *Context, home topo.Tile, addr cache.Addr,
 	// stamp it so old-epoch updates in flight cannot touch a future
 	// entry re-allocated for the same address.
 	d.stampNow(ctx, home, victimAddr)
-	th.dir.Fill(victim, addr)
-	victim.Owner = -1
-	victim.Sharers = 0
+	th.dir.Fill(victim, addr, cache.Invalid)
 	ctx.pw.DirWrite.Inc()
 	th.setHomeBusy(victimAddr)
 	th.setHomeBusy(addr)
