@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 )
 
@@ -66,69 +67,89 @@ type DirLine struct {
 const MaxSimAreas = 8
 
 // Array is a set-associative array of P-payload ways with true-LRU
-// replacement. Each way's identity and recency share one 8-byte way
-// word: the low addrBits bits hold the block address plus one (zero
-// means empty, so a freshly allocated array needs no initialization
-// pass of its own) and the high stampBits bits its LRU stamp. A probe
-// reads 8 bytes per way, so an 8-way set's tags and stamps are one
-// cache line, and the payload carries only the fields its engine
-// reads. Only Fill, Invalidate and InvalidateLine change a way's
-// identity. An invalid way gets its payload from the array's reset
-// function at Fill time; the hot paths never call through the type
-// parameter.
+// replacement. Each way's identity and recency share one 4-byte word:
+// its tag (the block address without its set-index bits, plus one; 0
+// means empty, so a fresh array needs no initialization pass) above
+// its recency rank within the set in the low rankBits bits (ways-1 =
+// most recent). The payload carries only the fields its engine reads;
+// an invalid way gets its payload from reset at Fill time, so the hot
+// paths never call through the type parameter.
 //
-// The stamp counter is per array. When it reaches stampMax the array
-// renormalizes: every set's stamps become that set's recency ranks
-// 1..ways and the counter restarts at ways. Victims are only compared
-// within a set, so renormalizing never changes a victim choice.
+// Promoting a way moves every rank above its own down one, so ranks
+// order a set's ways by last use, invalid ways (which keep their rank)
+// included. A fresh set is all rank 0 and each first use takes the top
+// rank, so once every way is valid the set holds each rank once and
+// the least recent way is the one at rank 0.
 type Array[P any] struct {
-	sets  int
-	ways  int
-	shift uint
-	lines []P
-	words []uint64 // stamp<<addrBits | block+1; 0 = empty
-	stamp uint64
-	reset func(l *P, s State) // writes a fresh payload in state s
+	ways     int
+	setMask  uint64   // sets-1
+	lowMask  uint64   // 1<<shift - 1: the address bits below the index
+	shift    uint8    // the set index starts at this address bit
+	setBits  uint8    // log2(sets)
+	rankBits uint8    // bits.Len(ways-1)
+	rankMask uint32   // 1<<rankBits - 1
+	top      uint32   // ways-1: the most recent way's rank
+	wayRecip uint64   // ceil(2^32/ways): idx/ways is idx*wayRecip>>32
+	bound    Addr     // the first block whose tag does not fit
+	words    []uint32 // tag<<rankBits | rank; tag 0 = empty
+	lines    []P
+	reset    func(l *P, s State) // writes a fresh payload in state s
 }
 
 // MaxAddr bounds block addresses: every block the simulator names is
-// below it, and Fill rejects one at or past it. Regular frames stay
-// far below the mapper's copy-on-write frames (memctrl.cowFrameBase,
-// page 2^30), which put block addresses near 2^36.
-const MaxAddr Addr = 1 << 40
-
-const (
-	addrBits  = 41 // block+1 <= MaxAddr
-	addrMask  = 1<<addrBits - 1
-	stampBits = 64 - addrBits
-	stampMax  = 1<<stampBits - 1
-)
+// below it. The mapper's copy-on-write frames start at page 2^30
+// (memctrl.cowFrameBase), far above every regular frame, so every
+// block is below 2^37. Fill rejects a block at or past its array's own
+// bound (Geometry), which every Table III geometry puts above MaxAddr.
+const MaxAddr Addr = 1 << 37
 
 // Cache is the DiCo family's array, and the one the benchmark probes
 // drive.
 type Cache = Array[Line]
 
+// Geometry checks that an array of numSets (a power of two) sets of
+// ways ways can be built and returns its block-address bound: a tag
+// has 32-bits.Len(ways-1) bits, one value of which marks an empty way,
+// and the log2(numSets) index bits are implied by position. ways <= 64
+// keeps a block's lookup key within 64 bits, and sets*ways*ways <=
+// 2^32 keeps idx*wayRecip>>32 equal to idx/ways.
+func Geometry(numSets, ways int) (bound Addr, err error) {
+	switch {
+	case numSets <= 0 || numSets&(numSets-1) != 0:
+		return 0, fmt.Errorf("numSets %d not a power of two", numSets)
+	case ways <= 0 || ways > 64:
+		return 0, fmt.Errorf("ways %d not in [1, 64]", ways)
+	case uint64(numSets)*uint64(ways)*uint64(ways) > 1<<32:
+		return 0, fmt.Errorf("%d sets of %d ways is too large", numSets, ways)
+	}
+	return 1 << (31 - bits.Len(uint(ways-1)) + bits.TrailingZeros(uint(numSets))), nil
+}
+
 // newArray returns an array with numSets sets of ways ways whose Fill
 // and Invalidate write payloads through reset.
 func newArray[P any](name string, numSets, ways int, reset func(l *P, s State)) *Array[P] {
-	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: numSets %d not a power of two", name, numSets))
+	bound, err := Geometry(numSets, ways)
+	if err != nil {
+		panic(fmt.Sprintf("cache %s: %v", name, err))
 	}
-	if ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive", name))
-	}
+	rankBits := uint(bits.Len(uint(ways - 1)))
 	return &Array[P]{
-		sets:  numSets,
-		ways:  ways,
-		lines: make([]P, numSets*ways),
-		words: make([]uint64, numSets*ways),
-		reset: reset,
+		ways:     ways,
+		setMask:  uint64(numSets - 1),
+		setBits:  uint8(bits.TrailingZeros(uint(numSets))),
+		rankBits: uint8(rankBits),
+		rankMask: 1<<rankBits - 1,
+		top:      uint32(ways - 1),
+		wayRecip: (1<<32 + uint64(ways) - 1) / uint64(ways),
+		bound:    bound,
+		words:    make([]uint32, numSets*ways),
+		lines:    make([]P, numSets*ways),
+		reset:    reset,
 	}
 }
 
-// New returns a DiCo-family array with numSets sets of ways ways.
-// numSets must be a power of two so the index can be masked from the
-// address.
+// New returns a DiCo-family array with numSets sets of ways ways, a
+// geometry Geometry accepts.
 func New(name string, numSets, ways int) *Cache { return newArray(name, numSets, ways, resetLine) }
 
 // NewBare returns an array of BareLine ways, with New's geometry rules.
@@ -151,29 +172,40 @@ func resetBare(l *BareLine, s State) { *l = BareLine{State: s} }
 
 func resetDir(l *DirLine, _ State) { *l = DirLine{Owner: -1} }
 
-// Capacity returns the number of ways.
-func (c *Array[P]) Capacity() int { return c.sets * c.ways }
-
 // set returns the index of a's set's first way and the set's words.
-func (c *Array[P]) set(a Addr) (base int, words []uint64) {
-	base = int((uint64(a)>>c.shift)&uint64(c.sets-1)) * c.ways
+func (c *Array[P]) set(a Addr) (base int, words []uint32) {
+	base = int(uint64(a)>>(c.shift&63)&c.setMask) * c.ways
 	return base, c.words[base : base+c.ways : base+c.ways]
+}
+
+// key returns a's way word at rank 0. It is 64 bits wide, so a block
+// past the bound matches no way.
+func (c *Array[P]) key(a Addr) uint64 {
+	x := uint64(a)
+	return (x&c.lowMask | x>>(c.setBits&63)&^c.lowMask + 1) << (c.rankBits & 63)
 }
 
 // SetIndexShift makes the set index use address bits above the given
 // shift. Structures private to one home bank must skip the bank-select
 // bits: those are constant within the bank, and indexing with them
-// would leave all but 1/2^shift of the sets unused.
-func (c *Array[P]) SetIndexShift(shift uint) { c.shift = shift }
+// would leave all but 1/2^shift of the sets unused. Call it before the
+// first Fill.
+func (c *Array[P]) SetIndexShift(shift uint) {
+	if shift > 31-uint(c.rankBits) { // the bits below the index must fit the tag
+		panic(fmt.Sprintf("cache: set-index shift %d too large for %d ways", shift, c.ways))
+	}
+	c.shift, c.lowMask = uint8(shift), 1<<shift-1
+}
 
 // Lookup returns the line holding a, or nil, refreshing LRU on a hit.
 func (c *Array[P]) Lookup(a Addr) *P {
 	base, set := c.set(a)
-	tag := uint64(a) + 1
+	key, m := c.key(a), uint64(c.rankMask)
 	for w, t := range set {
-		if t&addrMask == tag {
-			// next may renormalize, which rewrites only stamp bits.
-			set[w] = tag | c.next()
+		if r := uint64(t) - key; r <= m { // a's way: r is its rank
+			if r != uint64(c.top) {
+				c.promote(set, w)
+			}
 			return &c.lines[base+w]
 		}
 	}
@@ -184,9 +216,9 @@ func (c *Array[P]) Lookup(a Addr) *P {
 // statistics.
 func (c *Array[P]) Peek(a Addr) *P {
 	base, set := c.set(a)
-	tag := uint64(a) + 1
+	key, m := c.key(a), uint64(c.rankMask)
 	for w, t := range set {
-		if t&addrMask == tag {
+		if uint64(t)-key <= m {
 			return &c.lines[base+w]
 		}
 	}
@@ -202,24 +234,22 @@ func (c *Array[P]) Peek(a Addr) *P {
 // never-touched) payload itself.
 func (c *Array[P]) Probe(a Addr) (l *P, hit, valid bool) {
 	base, set := c.set(a)
-	tag := uint64(a) + 1
+	key, m := c.key(a), c.rankMask
 	empty := -1
 	for w, t := range set {
-		if t&addrMask == tag {
+		if uint64(t)-key <= uint64(m) {
 			return &c.lines[base+w], true, true
 		}
-		if t == 0 && empty < 0 {
+		if t <= m && empty < 0 {
 			empty = w
 		}
 	}
 	if empty >= 0 {
 		return &c.lines[base+empty], false, false
 	}
-	// Every way is valid and the stamps within a set are distinct, so
-	// the smallest word holds the smallest stamp.
-	victim := 0
-	for w := 1; w < len(set); w++ {
-		if set[w] < set[victim] {
+	victim := 0 // every way is valid, so exactly one has rank 0
+	for w, t := range set {
+		if t&m == 0 {
 			victim = w
 		}
 	}
@@ -229,64 +259,52 @@ func (c *Array[P]) Probe(a Addr) (l *P, hit, valid bool) {
 // Fill installs block a into line l (previously obtained from Probe)
 // in state s, resetting the payload and refreshing LRU.
 func (c *Array[P]) Fill(l *P, a Addr, s State) {
-	if a >= MaxAddr {
-		addrOutOfRange(a)
+	if a >= c.bound {
+		panic(fmt.Sprintf("cache: block address %#x at or past the array's bound %#x", uint64(a), uint64(c.bound)))
 	}
+	base, set := c.set(a)
+	w := c.indexOf(l) - base // l must be in a's set
 	c.reset(l, s)
-	idx := c.indexOf(l)
-	c.words[idx] = c.next() | (uint64(a) + 1)
+	r := set[w] & c.rankMask
+	set[w] = uint32(c.key(a)) | r
+	if r != c.top {
+		c.promote(set, w)
+	}
 }
 
 // Touch refreshes the LRU position of l.
 func (c *Array[P]) Touch(l *P) {
 	idx := c.indexOf(l)
-	s := c.next() // may renormalize, which rewrites only stamp bits
-	c.words[idx] = c.words[idx]&addrMask | s
-}
-
-// next returns a fresh stamp, shifted into place, renormalizing first
-// when the counter is at its limit.
-func (c *Array[P]) next() uint64 {
-	if c.stamp >= stampMax {
-		c.renormalize()
+	base := int(uint64(idx)*c.wayRecip>>32) * c.ways
+	set := c.words[base : base+c.ways : base+c.ways]
+	if w := idx - base; set[w]&c.rankMask != c.top {
+		c.promote(set, w)
 	}
-	c.stamp++
-	return c.stamp << addrBits
 }
 
-// renormalize rewrites every set's stamps as the set's recency ranks
-// 1..ways (oldest lowest) and restarts the counter at ways, above
-// every rank. A set's ranks are all computed before any is written:
-// ranking a way against a neighbour already rewritten would compare a
-// stamp with a rank.
-func (c *Array[P]) renormalize() {
-	ranks := make([]uint64, c.ways)
-	for base := 0; base < len(c.words); base += c.ways {
-		set := c.words[base : base+c.ways]
-		for i, w := range set {
-			ranks[i] = 1
-			for _, o := range set {
-				if o != 0 && o>>addrBits < w>>addrBits {
-					ranks[i]++
-				}
-			}
-		}
-		for i, w := range set {
-			if w != 0 {
-				set[i] = w&addrMask | ranks[i]<<addrBits
-			}
-		}
+// promote gives way w the top rank of its set and moves every way
+// ranked above it down one. Branch-free: with ranks below 2^31, r-rank
+// wraps to its top bit exactly when rank > r.
+func (c *Array[P]) promote(set []uint32, w int) {
+	m := c.rankMask
+	t := set[w]
+	r := t & m
+	for i, u := range set {
+		set[i] = u - (r-u&m)>>31
 	}
-	c.stamp = uint64(c.ways)
-}
-
-// addrOutOfRange reports a block address the way word cannot hold.
-func addrOutOfRange(a Addr) {
-	panic(fmt.Sprintf("cache: block address %#x at or past cache.MaxAddr", uint64(a)))
+	set[w] = t - r + c.top
 }
 
 // AddrOf returns the block a valid line holds, read from its way word.
-func (c *Array[P]) AddrOf(l *P) Addr { return Addr(c.words[c.indexOf(l)]&addrMask) - 1 }
+func (c *Array[P]) AddrOf(l *P) Addr { return c.addrAt(c.indexOf(l)) }
+
+// addrAt returns the block valid way idx holds: its tag minus one with
+// the set index put back.
+func (c *Array[P]) addrAt(idx int) Addr {
+	x := uint64(c.words[idx]>>(c.rankBits&31)) - 1
+	set := uint64(idx) * c.wayRecip >> 32
+	return Addr(x&c.lowMask | set<<(c.shift&63) | x&^c.lowMask<<(c.setBits&63))
+}
 
 // indexOf recovers the backing-array position of a line returned by
 // Lookup/Peek/Probe. Pointer arithmetic instead of a stored index
@@ -305,16 +323,9 @@ func (c *Array[P]) indexOf(l *P) int {
 // Invalidate removes block a if present, returning the prior line
 // contents and whether it was present.
 func (c *Array[P]) Invalidate(a Addr) (old P, ok bool) {
-	base, set := c.set(a)
-	tag := uint64(a) + 1
-	for w, t := range set {
-		if t&addrMask == tag {
-			l := &c.lines[base+w]
-			old = *l
-			c.reset(l, Invalid)
-			set[w] = 0
-			return old, true
-		}
+	if l := c.Peek(a); l != nil {
+		old, _ = c.InvalidateLine(l)
+		return old, true
 	}
 	return old, false
 }
@@ -325,29 +336,18 @@ func (c *Array[P]) Invalidate(a Addr) (old P, ok bool) {
 // probe.
 func (c *Array[P]) InvalidateLine(l *P) (old P, a Addr) {
 	idx := c.indexOf(l)
-	old, a = *l, Addr(c.words[idx]&addrMask)-1
+	old, a = *l, c.addrAt(idx)
 	c.reset(l, Invalid)
-	c.words[idx] = 0
+	c.words[idx] &= c.rankMask // the rank stays
 	return old, a
-}
-
-// CountValid returns the number of valid lines (for occupancy stats).
-func (c *Array[P]) CountValid() int {
-	n := 0
-	for _, w := range c.words {
-		if w != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // ForEachValid calls fn for every valid line with its block. fn must
 // not insert or invalidate lines.
 func (c *Array[P]) ForEachValid(fn func(a Addr, l *P)) {
 	for i, w := range c.words {
-		if w != 0 {
-			fn(Addr(w&addrMask)-1, &c.lines[i])
+		if w > c.rankMask {
+			fn(c.addrAt(i), &c.lines[i])
 		}
 	}
 }

@@ -8,6 +8,13 @@ import (
 	"unsafe"
 )
 
+// countValid returns the number of valid ways.
+func (c *Array[P]) countValid() int {
+	n := 0
+	c.ForEachValid(func(Addr, *P) { n++ })
+	return n
+}
+
 // fillBlock installs a block through the Probe/Fill pair, as the
 // protocol engines do.
 func fillBlock(c *Cache, a Addr, s State) {
@@ -109,17 +116,20 @@ func TestCacheMetaReset(t *testing.T) {
 	}
 }
 
-// TestWayPayloadSizes pins the bytes of each way: one 8-byte word
-// for the block and its LRU stamp, plus the payload — the DiCo
-// family's Line (no address: the way word holds it), the directory's
-// state-and-dirty BareLine and its directory cache's DirLine.
+// TestWayPayloadSizes pins the bytes of each way: one 4-byte word for
+// the tag and the LRU rank, plus the payload — the DiCo family's Line
+// (no address: the way word holds it), the directory's state-and-dirty
+// BareLine and its directory cache's DirLine. Every Table III array
+// (L1, L2, the 9-way directory cache, L1C$/L2C$) holds MaxAddr.
 func TestWayPayloadSizes(t *testing.T) {
 	var c Cache
-	if got := unsafe.Sizeof(c.words[0]); got != 8 || addrBits+stampBits != 64 {
-		t.Errorf("way word = %d bytes of %d+%d bits, want 8 bytes of 64", got, addrBits, stampBits)
+	if got := unsafe.Sizeof(c.words[0]); got != 4 {
+		t.Errorf("way word = %d bytes, want 4", got)
 	}
-	if uint64(MaxAddr) > addrMask {
-		t.Errorf("MaxAddr %#x: the largest block plus one does not fit %d bits", uint64(MaxAddr), addrBits)
+	for _, g := range []struct{ sets, ways int }{{512, 4}, {2048, 8}, {2048, 9}} {
+		if b, _ := Geometry(g.sets, g.ways); b < MaxAddr {
+			t.Errorf("%d sets x %d ways: bound %#x below MaxAddr %#x", g.sets, g.ways, uint64(b), uint64(MaxAddr))
+		}
 	}
 	if got := unsafe.Sizeof(Line{}); got != 24 {
 		t.Errorf("sizeof(Line) = %d, want 24", got)
@@ -132,22 +142,30 @@ func TestWayPayloadSizes(t *testing.T) {
 	}
 }
 
-// TestFillRejectsAddrPastMax: the largest block below MaxAddr round-
-// trips through the way word; a block at MaxAddr would not fit it and
-// panics by name.
+// TestFillRejectsAddrPastMax: the largest block below an array's bound
+// round-trips through the way word, MaxAddr-1 does so in the Table III
+// L1, and a block at the bound would not fit and panics by name.
 func TestFillRejectsAddrPastMax(t *testing.T) {
-	c := New("l1", 2, 2)
-	fillBlock(c, MaxAddr-1, 1)
-	if l := c.Peek(MaxAddr - 1); l == nil || c.AddrOf(l) != MaxAddr-1 {
-		t.Fatal("largest block did not round-trip")
-	}
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "cache.MaxAddr") {
-			t.Errorf("Fill(MaxAddr) panicked with %q, want the MaxAddr panic", msg)
+	for _, c := range []*Cache{New("l1", 512, 4), New("tiny", 2, 2)} {
+		for _, a := range []Addr{MaxAddr - 1, c.bound - 1} {
+			if a >= c.bound {
+				continue
+			}
+			fillBlock(c, a, 1)
+			if l := c.Peek(a); l == nil || c.AddrOf(l) != a {
+				t.Fatalf("block %#x did not round-trip", uint64(a))
+			}
 		}
-	}()
-	fillBlock(c, MaxAddr, 1)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "bound") {
+					t.Errorf("Fill(%#x) panicked with %q, want the bound panic", uint64(c.bound), msg)
+				}
+			}()
+			fillBlock(c, c.bound, 1)
+		}()
+	}
 }
 
 func TestCacheCountValidAndForEach(t *testing.T) {
@@ -155,7 +173,7 @@ func TestCacheCountValidAndForEach(t *testing.T) {
 	for i := Addr(0); i < 5; i++ {
 		fillBlock(c, i, State(i+1))
 	}
-	if got := c.CountValid(); got != 5 {
+	if got := c.countValid(); got != 5 {
 		t.Errorf("CountValid = %d, want 5", got)
 	}
 	seen := 0
@@ -187,7 +205,7 @@ func TestCachePropertyNoDuplicates(t *testing.T) {
 				return false
 			}
 		}
-		return c.CountValid() <= c.Capacity()
+		return c.countValid() <= len(c.words)
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}

@@ -67,4 +67,4 @@ func (p *PointerCache) Invalidate(a Addr) bool {
 }
 
 // CountValid returns the number of valid entries.
-func (p *PointerCache) CountValid() int { return p.arr.CountValid() }
+func (p *PointerCache) CountValid() (n int) { p.arr.ForEachValid(func(Addr, *int16) { n++ }); return n }

@@ -3,12 +3,12 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// refArray is the reference model for Array: the block and the LRU
-// stamp of every way in separate arrays, with unbounded 64-bit stamps
-// that never renormalize.
+// refArray is the reference model for Array: the full block and an
+// unbounded 64-bit LRU stamp of every way in separate arrays.
 type refArray[P comparable] struct {
 	ways  int
 	sets  int
@@ -72,80 +72,88 @@ func (r *refArray[P]) invalidate(i int) {
 }
 
 // matches reports the first difference between an array and its
-// reference: a way's block or payload, or the recency order of two
-// valid ways of one set.
+// reference: a way's validity, block (read back through AddrOf) or
+// payload, the recency order of two valid ways of one set, or a Fill
+// at the array's bound that does not panic.
 func (r *refArray[P]) matches(c *Array[P]) error {
-	if c.stamp > stampMax {
-		return fmt.Errorf("stamp counter %d past its limit", c.stamp)
-	}
 	for i, w := range c.words {
-		if Addr(w&addrMask) != r.tags[i] || (w == 0) != (r.tags[i] == 0) {
+		if valid := w > c.rankMask; valid != (r.tags[i] != 0) {
 			return fmt.Errorf("way %d: word %#x, reference block+1 %#x", i, w, r.tags[i])
+		} else if valid && c.AddrOf(&c.lines[i]) != r.tags[i]-1 {
+			return fmt.Errorf("way %d: AddrOf %#x, reference %#x", i, c.AddrOf(&c.lines[i]), r.tags[i]-1)
 		}
 		if c.lines[i] != r.lines[i] {
 			return fmt.Errorf("way %d: payload %+v, reference %+v", i, c.lines[i], r.lines[i])
 		}
 	}
+	m := c.rankMask
 	for base := 0; base < len(c.words); base += c.ways {
 		for i := base; i < base+c.ways; i++ {
 			for j := base; j < base+c.ways; j++ {
 				if r.tags[i] == 0 || r.tags[j] == 0 {
 					continue
 				}
-				if c.words[i]>>addrBits < c.words[j]>>addrBits != (r.lru[i] < r.lru[j]) {
-					return fmt.Errorf("ways %d and %d: stamps %d, %d; reference %d, %d", i, j,
-						c.words[i]>>addrBits, c.words[j]>>addrBits, r.lru[i], r.lru[j])
+				if c.words[i]&m < c.words[j]&m != (r.lru[i] < r.lru[j]) {
+					return fmt.Errorf("ways %d and %d: ranks %d, %d; reference stamps %d, %d", i, j,
+						c.words[i]&m, c.words[j]&m, r.lru[i], r.lru[j])
 				}
 			}
 		}
 	}
+	if msg := fillPanic(c, c.bound); !strings.Contains(msg, "bound") {
+		return fmt.Errorf("Fill at the bound %#x: panic %q", uint64(c.bound), msg)
+	}
 	return nil
 }
 
-// Geometry of the differential histories: few sets and ways, so
-// conflicts and evictions come every few operations, and a set index
-// that skips bit 0, as the banked L2 does.
-const (
-	histSets, histWays = 4, 4
-	histShift          = 1
-)
+// fillPanic returns what Fill(a) into a's probed way panics with.
+func fillPanic[P any](c *Array[P], a Addr) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	l, _, _ := c.Probe(a)
+	c.Fill(l, a, 1)
+	return ""
+}
 
-// histAddr decodes a history byte into one of 48 blocks, half of them
-// just below MaxAddr so the top bits of the way word's block field are
-// exercised.
-func histAddr(b byte) Addr {
-	a := Addr(b % 24)
+// histGeom is one array geometry of the differential histories: few
+// sets and ways, so conflicts and evictions come every few operations.
+// The first skips address bit 0 in its set index, as the banked L2
+// does; the second has the directory cache's non-power-of-two way
+// count; the third skips a 64-tile chip's six bank bits.
+type histGeom struct {
+	sets, ways int
+	shift      uint
+}
+
+var histGeoms = []histGeom{{4, 4, 1}, {2, 9, 1}, {4, 2, 6}}
+
+// histAddr decodes a history byte into one of 48 blocks of an array:
+// 24 near zero, with bits both below and above the set-index field,
+// and 24 just below the array's bound, so the top tag bits are
+// exercised too.
+func histAddr(b byte, shift uint, bound Addr) Addr {
+	v := Addr(b % 24)
+	a := v%3 | v/3<<shift
 	if b&0x80 != 0 {
-		return MaxAddr - 1 - a
+		return (bound - 1) ^ a
 	}
 	return a
 }
 
-// stampJump moves an array's counter forward to within k of its limit,
-// so the next few stamps renormalize on their own. Moving the counter
-// forward keeps every stamp already written below every later one.
-func stampJump[P any](c *Array[P], k byte) {
-	if j := stampMax - uint64(k%8); j > c.stamp {
-		c.stamp = j
-	}
-}
-
 // checkArray runs the history encoded in ops (two bytes per step: an
-// operation and its argument) on a fresh array and on the reference,
-// comparing every result and, after every step, the whole state.
-// Steps 6 and 7 renormalize the array or bring its counter to the
-// limit; the reference has nothing to do for either.
-func checkArray[P comparable](tb testing.TB, name string, ops []byte,
+// operation and its argument) on a fresh array of geometry g and on the
+// reference, comparing every result and, after every step, the whole
+// state.
+func checkArray[P comparable](tb testing.TB, name string, g histGeom, ops []byte,
 	build func(string, int, int) *Array[P], reset func(*P, State), mutate func(*P, byte)) {
-	c := build(name, histSets, histWays)
-	c.SetIndexShift(histShift)
-	r := newRef(histSets, histWays, histShift, reset)
+	c := build(name, g.sets, g.ways)
+	c.SetIndexShift(g.shift)
+	r := newRef(g.sets, g.ways, g.shift, reset)
 	for s := 0; s+1 < len(ops); s += 2 {
-		op, arg := ops[s]%8, ops[s+1]
-		a := histAddr(arg)
+		op, arg := ops[s]%6, ops[s+1]
+		a := histAddr(arg, g.shift, c.bound)
 		fail := func(format string, args ...any) {
 			tb.Helper()
-			tb.Fatalf("%s step %d (op %d, block %#x): %s", name, s/2, op, a, fmt.Sprintf(format, args...))
+			tb.Fatalf("%s %+v step %d (op %d, block %#x): %s", name, g, s/2, op, a, fmt.Sprintf(format, args...))
 		}
 		switch op {
 		case 0, 1: // Lookup, Peek
@@ -204,10 +212,6 @@ func checkArray[P comparable](tb testing.TB, name string, ops []byte,
 				fail("InvalidateLine = %+v at %#x, want %+v", old, got, want)
 			}
 			r.invalidate(i)
-		case 6:
-			c.renormalize()
-		case 7:
-			stampJump(c, arg)
 		}
 		if err := r.matches(c); err != nil {
 			fail("%v", err)
@@ -218,16 +222,16 @@ func checkArray[P comparable](tb testing.TB, name string, ops []byte,
 // checkPointerCache runs the history in ops through the PointerCache
 // API and through the reference, whose Update is a single scan for the
 // block, the first empty way and the least recently used valid way.
-func checkPointerCache(tb testing.TB, ops []byte) {
-	p := NewPointerCache("ptr", histSets, histWays)
-	p.SetIndexShift(histShift)
-	r := newRef(histSets, histWays, histShift, resetPtr)
+func checkPointerCache(tb testing.TB, g histGeom, ops []byte) {
+	p := NewPointerCache("ptr", g.sets, g.ways)
+	p.SetIndexShift(g.shift)
+	r := newRef(g.sets, g.ways, g.shift, resetPtr)
 	for s := 0; s+1 < len(ops); s += 2 {
-		op, arg := ops[s]%6, ops[s+1]
-		a := histAddr(arg)
+		op, arg := ops[s]%4, ops[s+1]
+		a := histAddr(arg, g.shift, p.arr.bound)
 		fail := func(format string, args ...any) {
 			tb.Helper()
-			tb.Fatalf("pointer step %d (op %d, block %#x): %s", s/2, op, a, fmt.Sprintf(format, args...))
+			tb.Fatalf("pointer %+v step %d (op %d, block %#x): %s", g, s/2, op, a, fmt.Sprintf(format, args...))
 		}
 		i := r.find(a)
 		switch op {
@@ -271,10 +275,6 @@ func checkPointerCache(tb testing.TB, ops []byte) {
 			if i >= 0 {
 				r.invalidate(i)
 			}
-		case 4:
-			p.arr.renormalize()
-		case 5:
-			stampJump(&p.arr, arg)
 		}
 		if got, want := p.CountValid(), r.countValid(); got != want {
 			fail("CountValid = %d, reference %d", got, want)
@@ -295,49 +295,47 @@ func (r *refArray[P]) countValid() int {
 	return n
 }
 
-// checkAllPayloads runs one history on every payload instantiation.
+// checkAllPayloads runs one history on every payload instantiation in
+// every history geometry.
 func checkAllPayloads(tb testing.TB, ops []byte) {
-	checkArray(tb, "line", ops, New, resetLine, func(l *Line, b byte) {
-		l.Sharers |= 1 << (b % 64)
-		l.Owner = int16(b)
-		l.ProPos[b%MaxSimAreas] = int8(b % 16)
-		l.Dirty = b&1 != 0
-	})
-	checkArray(tb, "bare", ops, NewBare, resetBare, func(l *BareLine, b byte) { l.Dirty = b&1 != 0 })
-	checkArray(tb, "dir", ops, NewDir, resetDir, func(l *DirLine, b byte) {
-		l.Sharers |= 1 << (b % 64)
-		l.Owner = int16(b % 64)
-	})
-	checkArray(tb, "int16", ops, func(name string, sets, ways int) *Array[int16] {
-		return newArray(name, sets, ways, resetPtr)
-	}, resetPtr, func(p *int16, b byte) { *p = int16(b) })
-	checkPointerCache(tb, ops)
+	for _, g := range histGeoms {
+		checkArray(tb, "line", g, ops, New, resetLine, func(l *Line, b byte) {
+			l.Sharers |= 1 << (b % 64)
+			l.Owner = int16(b)
+			l.ProPos[b%MaxSimAreas] = int8(b % 16)
+			l.Dirty = b&1 != 0
+		})
+		checkArray(tb, "bare", g, ops, NewBare, resetBare, func(l *BareLine, b byte) { l.Dirty = b&1 != 0 })
+		checkArray(tb, "dir", g, ops, NewDir, resetDir, func(l *DirLine, b byte) {
+			l.Sharers |= 1 << (b % 64)
+			l.Owner = int16(b % 64)
+		})
+		checkArray(tb, "int16", g, ops, func(name string, sets, ways int) *Array[int16] {
+			return newArray(name, sets, ways, resetPtr)
+		}, resetPtr, func(p *int16, b byte) { *p = int16(b) })
+		checkPointerCache(tb, g, ops)
+	}
 }
 
 // TestArrayMatchesReference is the differential test of the packed way
-// word: seeded random histories, renormalizations at random points
-// included, on every payload instantiation against the reference
-// model with unbounded stamps.
+// word: seeded random histories on every payload instantiation and
+// history geometry against the reference model with full blocks and
+// unbounded stamps.
 func TestArrayMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 6000)
 		for i := range ops {
 			ops[i] = byte(rng.Intn(256))
-			// Keep renormalizations and counter jumps to about one
-			// step in 30, so stamps grow between them.
-			if i%2 == 0 && ops[i]%8 >= 6 && rng.Intn(8) != 0 {
-				ops[i] = byte(rng.Intn(6))
-			}
 		}
 		checkAllPayloads(t, ops)
 	}
 }
 
-// FuzzArrayMatchesReference explores histories and renormalization
-// points beyond the seeded ones (go test -fuzz FuzzArrayMatchesReference).
+// FuzzArrayMatchesReference explores histories beyond the seeded ones
+// (go test -fuzz FuzzArrayMatchesReference).
 func FuzzArrayMatchesReference(f *testing.F) {
-	f.Add([]byte{2, 0, 2, 2, 2, 4, 2, 6, 2, 8, 6, 0, 2, 10, 0, 2, 2, 12})
-	f.Add([]byte{7, 0, 2, 0x80, 2, 0x82, 3, 0x84, 2, 0x86, 2, 0x88, 4, 0x82, 6, 0, 2, 0x8a})
+	f.Add([]byte{2, 0, 2, 2, 2, 4, 2, 6, 2, 8, 4, 0, 2, 10, 0, 2, 2, 12})
+	f.Add([]byte{3, 0, 2, 0x80, 2, 0x82, 3, 0x84, 2, 0x86, 2, 0x88, 4, 0x82, 5, 0x84, 2, 0x8a})
 	f.Fuzz(func(t *testing.T, ops []byte) { checkAllPayloads(t, ops) })
 }

@@ -68,6 +68,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Shards = %d with Parallel = %v: set both (the parallel window executor on that many lanes) or neither (the serial kernel)",
 			c.Shards, c.Parallel)
 	}
+	if err := c.Proto.CheckArrays(); err != nil {
+		return fmt.Errorf("core: Proto: %w", err)
+	}
 	if c.RefsPerCore <= 0 {
 		return fmt.Errorf("core: RefsPerCore = %d must be positive", c.RefsPerCore)
 	}

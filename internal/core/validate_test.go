@@ -34,6 +34,12 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			[]string{"16", "providers", "limit of 8"}},
 		{"arin over the area limit", func(c *Config) { c.Protocol, c.Areas = "arin", 64 },
 			[]string{"64", "arin", "limit of 8"}},
+		{"L1 short of the address bound", func(c *Config) { c.Proto.L1Sets = 64 },
+			[]string{"L1", "64 sets of 4 ways", "MaxAddr"}},
+		{"coherence cache short of the address bound", func(c *Config) { c.Proto.CCWays = 64 },
+			[]string{"coherence cache", "512 sets of 64 ways", "MaxAddr"}},
+		{"L2 sets not a power of two", func(c *Config) { c.Proto.L2Sets = 1000 },
+			[]string{"L2", "1000", "power of two"}},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

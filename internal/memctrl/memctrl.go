@@ -115,8 +115,9 @@ type PageID uint32
 // of drawing from the shared allocator — the frame number is then
 // independent of break order, which is what lets concurrent lanes break
 // pages without serializing on an allocation counter. Regular frames
-// stay far below this base, and every block address, CoW frames
-// included, stays below cache.MaxAddr.
+// stay far below this base. With BlocksPerPage = 2^6, every block
+// address, CoW frames included, is below 2^37 = cache.MaxAddr while
+// fewer than 2^30 CoW frames are reserved.
 const cowFrameBase = 1 << 30
 
 // unbroken is the visibility time of a deduplicated page nobody has

@@ -175,6 +175,40 @@ func DefaultConfig() Config {
 	}
 }
 
+// DirWays returns the ways per set of the directory engine's directory
+// cache. Directory information lives with every L2 entry (a full-map
+// vector per line, Table V) plus the NCID directory cache for blocks
+// that are in L1s but not in the L2, so the combined structure has
+// L2Entries + CCEntries entries per bank: one array with at least one
+// extra way per L2 set.
+func (c Config) DirWays() int { return c.L2Ways + max(c.CCWays*c.CCSets/c.L2Sets, 1) }
+
+// CheckArrays reports the first cache array of c that cannot be built,
+// or whose way word cannot hold every block below cache.MaxAddr.
+func (c Config) CheckArrays() error {
+	check := func(name string, sets, ways int) error {
+		bound, err := cache.Geometry(sets, ways)
+		if err == nil && bound < cache.MaxAddr {
+			err = fmt.Errorf("%d sets of %d ways hold blocks below %#x only, short of cache.MaxAddr %#x",
+				sets, ways, uint64(bound), uint64(cache.MaxAddr))
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	}
+	if err := check("L1", c.L1Sets, c.L1Ways); err != nil {
+		return err
+	}
+	if err := check("L2", c.L2Sets, c.L2Ways); err != nil {
+		return err
+	}
+	if err := check("coherence cache", c.CCSets, c.CCWays); err != nil {
+		return err
+	}
+	return check("directory cache", c.L2Sets, c.DirWays())
+}
+
 // PowerHandles holds pre-resolved counter handles for the power-event
 // namespace of internal/power — the engines' hottest increment sites.
 // bindPower resolves each handle exactly once per Context, so an event

@@ -69,17 +69,7 @@ func NewDirectory(ctx *Context) *Directory {
 	d.replace = d.evictL1
 	d.bindHandlers()
 	for _, t := range d.tiles {
-		// Directory information lives with every L2 entry (a full-map
-		// vector per line, Table V) plus the NCID directory cache for
-		// blocks that are in L1s but not in the L2. The combined
-		// tracking structure therefore has L2Entries + CCEntries
-		// entries per bank — modelled here as one array with an extra
-		// way per L2 set.
-		extra := ctx.Cfg.CCWays * ctx.Cfg.CCSets / ctx.Cfg.L2Sets
-		if extra < 1 {
-			extra = 1
-		}
-		t.dir = cache.NewDir("dir", ctx.Cfg.L2Sets, ctx.Cfg.L2Ways+extra)
+		t.dir = cache.NewDir("dir", ctx.Cfg.L2Sets, ctx.Cfg.DirWays())
 		t.dir.SetIndexShift(ctx.BankShift())
 	}
 	return d

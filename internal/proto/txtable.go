@@ -197,8 +197,8 @@ func (t *txTable) putWaiter(w *waiter) {
 }
 
 // stampEmpty marks an unused stamp-table slot. Block addresses are
-// below cache.MaxAddr, so the all-ones value can never collide with a
-// real block.
+// below cache.MaxAddr (2^37), so the all-ones value can never collide
+// with a real block.
 const stampEmpty = ^cache.Addr(0)
 
 // stampTable records the last ownership-update stamp the home has

@@ -388,6 +388,20 @@ func NewGenerator(w Workload, placement *topo.Placement, mapper *memctrl.Mapper,
 		pages += len(placement.TilesOf(vm))*p.PrivatePagesPerThread + p.VMSharedPages + p.DedupPages
 	}
 	mapper.Reserve(pages)
+	// VMs that run one profile draw from identical read-only tables:
+	// build each (pages, s) table once.
+	type zipfKey struct {
+		n int
+		s float64
+	}
+	zipfs := map[zipfKey]*zipf{}
+	zipfOf := func(n int, s float64) *zipf {
+		k := zipfKey{n, s}
+		if zipfs[k] == nil {
+			zipfs[k] = newZipf(n, s)
+		}
+		return zipfs[k]
+	}
 	for vm := 0; vm < placement.NumVMs; vm++ {
 		for i, tile := range placement.TilesOf(vm) {
 			g.threadIdx[tile] = i
@@ -416,10 +430,10 @@ func NewGenerator(w Workload, placement *topo.Placement, mapper *memctrl.Mapper,
 			mapper.Map(p.ContentKey<<20|uint64(pg), memctrl.PageDedup)
 		}
 		if p.PrivatePagesPerThread > 0 {
-			g.zipfPriv[vm] = newZipf(p.PrivatePagesPerThread, p.ZipfS)
+			g.zipfPriv[vm] = zipfOf(p.PrivatePagesPerThread, p.ZipfS)
 		}
 		if p.VMSharedPages > 0 {
-			g.zipfVM[vm] = newZipf(p.VMSharedPages, p.ZipfS)
+			g.zipfVM[vm] = zipfOf(p.VMSharedPages, p.ZipfS)
 		}
 		if p.DedupPages > 0 {
 			// Windows are shared by groups of threads: cores of the
@@ -432,12 +446,12 @@ func NewGenerator(w Workload, placement *topo.Placement, mapper *memctrl.Mapper,
 				win = 1
 			}
 			g.winSize[vm] = win
-			g.zipfWin[vm] = newZipf(win, p.ZipfS)
+			g.zipfWin[vm] = zipfOf(win, p.ZipfS)
 			hot := p.HotDedupPages
 			if hot < 1 {
 				hot = 1
 			}
-			g.zipfHot[vm] = newZipf(hot, p.ZipfS)
+			g.zipfHot[vm] = zipfOf(hot, p.ZipfS)
 		}
 	}
 	return g
