@@ -93,6 +93,12 @@ type Network struct {
 	stats    Stats
 	obs      Observer // nil = no tap
 
+	// maxLat is the longest cross-tile unicast latency scheduled so
+	// far, starting at one hop (see MaxLatency). Written only by the
+	// serial send path and by resolveSend at the window barrier, so
+	// lanes may read it during a parallel window.
+	maxLat sim.Time
+
 	// Sharded delivery (SetSharding): each tile's arrivals are scheduled
 	// on its shard's kernel lane, and cross-shard deliveries are checked
 	// against the conservative lookahead. nil = all deliveries on kernel.
@@ -150,6 +156,7 @@ func New(kernel *sim.Kernel, grid topo.Grid, cfg Config) *Network {
 		cfg:      cfg,
 		linkFree: make([]sim.Time, grid.Tiles()*int(numDirections)),
 		arrival:  make([]sim.Time, grid.Tiles()),
+		maxLat:   cfg.HopLatency(),
 	}
 }
 
@@ -195,6 +202,16 @@ func (n *Network) SetSharding(deliver []*sim.Kernel, shardOf []int) {
 // full hop (link + switch + router), so a shard never receives work
 // less than Lookahead cycles in the future from another shard.
 func (n *Network) Lookahead() sim.Time { return n.hopLatency() }
+
+// MaxLatency returns the longest unicast latency the mesh has scheduled
+// so far, never less than one hop: every message in flight at time t
+// was sent at or after t - MaxLatency(). The bound covers the parallel
+// executor too. A cross-tile send inside a window is recorded at the
+// window's barrier, but a window spans fewer than HopLatency cycles, so
+// until then its sender's clock already lies within one hop of any
+// lane's clock. Same-tile sends (switch and router only) are shorter
+// than a hop and are not recorded.
+func (n *Network) MaxLatency() sim.Time { return n.maxLat }
 
 // BoundaryLinks counts the directed mesh links whose endpoints lie in
 // different shards under the tile->shard map — the communication
@@ -362,6 +379,7 @@ func (n *Network) send(src, dst topo.Tile, flits int, run func(), argFn func(any
 	n.stats.RouterTraversals += uint64(hops + 1)
 	n.stats.TotalHops += uint64(hops)
 	n.stats.TotalLatency += uint64(lat)
+	n.maxLat = max(n.maxLat, lat)
 	n.schedule(dst, now+lat, run, argFn, arg)
 	if n.obs != nil {
 		n.obs.Message(src, dst, flits, now, now+lat, hops)
@@ -449,6 +467,7 @@ func resolveSend(a any, seqBase uint64) {
 	n.stats.RouterTraversals += uint64(hops + 1)
 	n.stats.TotalHops += uint64(hops)
 	n.stats.TotalLatency += uint64(lat)
+	n.maxLat = max(n.maxLat, lat)
 	n.checkLookahead(op.src, op.dst, op.sendAt, op.sendAt+lat)
 	dk := n.deliverKernel(op.dst)
 	if op.argFn != nil {

@@ -367,3 +367,108 @@ func TestSendNoAllocs(t *testing.T) {
 		t.Errorf("Send+deliver allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestMaxLatencyCoversContention sends bursts of data messages through
+// shared links, so later messages queue behind earlier ones, and
+// requires MaxLatency to be at least every latency the mesh reported
+// and every latency a delivery observed, and never below one hop.
+func TestMaxLatencyCoversContention(t *testing.T) {
+	k, n := newNet(true)
+	g := n.Grid()
+	if got := n.MaxLatency(); got != n.Config().HopLatency() {
+		t.Fatalf("fresh mesh MaxLatency = %d, want one hop (%d)", got, n.Config().HopLatency())
+	}
+	n.Send(g.At(3, 3), g.At(3, 3), 5, func() {}) // same tile: no link, no record
+	if got := n.MaxLatency(); got != n.Config().HopLatency() {
+		t.Fatalf("MaxLatency = %d after a same-tile send, want one hop (%d)", got, n.Config().HopLatency())
+	}
+	var worst sim.Time
+	for i := 0; i < 40; i++ {
+		src, dst := g.At(i%3, 0), g.At(7, i%8)
+		sent := k.Now()
+		d := n.Send(src, dst, 5, func() {
+			if lat := k.Now() - sent; lat > n.MaxLatency() {
+				t.Errorf("delivery %d->%d took %d cycles, MaxLatency %d", src, dst, lat, n.MaxLatency())
+			}
+		})
+		worst = max(worst, d.Latency)
+		if n.MaxLatency() < d.Latency {
+			t.Fatalf("send %d: latency %d above MaxLatency %d", i, d.Latency, n.MaxLatency())
+		}
+	}
+	k.Run(0)
+	if n.Stats().QueueingCycles == 0 {
+		t.Fatal("no link contention: the burst never queued")
+	}
+	if n.MaxLatency() != worst {
+		t.Errorf("MaxLatency = %d, want the longest latency sent (%d)", n.MaxLatency(), worst)
+	}
+}
+
+// TestMaxLatencyParallelDeferredSends runs contended cross-tile sends
+// from every tile on a 4-lane RunParallel executor, where each send is
+// deferred to its window's barrier, and requires MaxLatency, read by
+// the receiving lane at delivery, to cover the delivery's latency, and
+// to match a serial run of the same sends at the end.
+func TestMaxLatencyParallelDeferredSends(t *testing.T) {
+	run := func(shards int) sim.Time {
+		cfg := DefaultConfig()
+		cfg.Contention = true
+		grid := topo.NewGrid(8, 8)
+		var lanes []*sim.Kernel
+		var shardOf []int
+		var n *Network
+		var drive func(limit sim.Time)
+		if shards == 0 {
+			k := sim.NewKernel(1)
+			n = New(k, grid, cfg)
+			shardOf = make([]int, grid.Tiles())
+			lanes = []*sim.Kernel{k}
+			drive = func(limit sim.Time) { k.Run(limit) }
+		} else {
+			sk := sim.NewSharded(1, shards, cfg.HopLatency())
+			n = New(sk.Hub(), grid, cfg)
+			shardOf = topo.Partition(grid, shards)
+			for i := 0; i < shards; i++ {
+				lanes = append(lanes, sk.Shard(i))
+			}
+			n.SetSharding(lanes, shardOf)
+			drive = func(limit sim.Time) { sk.RunParallel(limit) }
+		}
+		for tile := 0; tile < grid.Tiles(); tile++ {
+			src := topo.Tile(tile)
+			k := lanes[shardOf[src]]
+			for i := 0; i < 6; i++ {
+				dst := topo.Tile((tile*13 + i*7 + 1) % grid.Tiles())
+				if dst == src {
+					continue
+				}
+				dk := lanes[shardOf[dst]]
+				k.At(sim.Time(i*2), func() {
+					sent := k.Now()
+					n.Send(src, dst, 5, func() {
+						if lat := dk.Now() - sent; lat > n.MaxLatency() {
+							t.Errorf("shards=%d: delivery %d->%d took %d cycles, MaxLatency %d",
+								shards, src, dst, lat, n.MaxLatency())
+						}
+					})
+				})
+			}
+		}
+		drive(10_000)
+		if n.Stats().QueueingCycles == 0 {
+			t.Fatalf("shards=%d: no link contention", shards)
+		}
+		if n.MaxLatency() < cfg.HopLatency() {
+			t.Fatalf("shards=%d: MaxLatency %d below one hop", shards, n.MaxLatency())
+		}
+		return n.MaxLatency()
+	}
+	serial := run(0)
+	if serial <= DefaultConfig().HopLatency() {
+		t.Fatalf("serial MaxLatency %d never rose above one hop", serial)
+	}
+	if got := run(4); got != serial {
+		t.Errorf("parallel MaxLatency %d, serial %d", got, serial)
+	}
+}

@@ -702,8 +702,9 @@ type tileState[P any] struct {
 	tx txTable
 
 	// stamps is the per-block ownership-update stamp store (the
-	// stale-update guard). Stamps persist for the whole run, so they
-	// live in a flat open-addressed table instead of pinning txRecords.
+	// stale-update guard). A stamp outlives its transaction by up to
+	// one mesh latency horizon, so stamps live in their own flat table
+	// (purged against that horizon) instead of pinning txRecords.
 	stamps stampTable
 }
 
@@ -853,18 +854,27 @@ func (t *tileState[P]) clearRecall(a cache.Addr) {
 // stampIfNewer records an ownership-update stamp for a and reports
 // whether it is current: it returns false — leaving the stored stamp
 // alone — when a strictly newer update was already applied, the guard
-// the homes use to drop stale in-flight ownership updates.
-func (t *tileState[P]) stampIfNewer(a cache.Addr, s sim.Time) bool {
-	if old, ok := t.stamps.get(a); ok && old > s {
-		return false
+// the homes use to drop stale in-flight ownership updates. ctx is the
+// home's context; a home-side decision stamps ctx.Kernel.Now(), which
+// no stored stamp exceeds. The floor is computed only when the table
+// rebuilds (see stampTable).
+func (t *tileState[P]) stampIfNewer(ctx *Context, a cache.Addr, s sim.Time) bool {
+	applied, full := t.stamps.update(a, s)
+	if full {
+		t.stamps.rebuild(stampFloor(ctx))
 	}
-	t.stamps.set(a, s)
-	return true
+	return applied
 }
 
-// setStamp unconditionally records an ownership-update stamp for a.
-func (t *tileState[P]) setStamp(a cache.Addr, s sim.Time) {
-	t.stamps.set(a, s)
+// stampFloor is the oldest stamp an ownership update still in flight
+// at ctx's clock can carry: updates are checked on arrival, and none
+// has been in flight longer than the mesh's longest latency so far.
+func stampFloor(ctx *Context) sim.Time {
+	now, horizon := ctx.Kernel.Now(), ctx.Net.MaxLatency()
+	if now < horizon {
+		return 0
+	}
+	return now - horizon
 }
 
 // pendingL1Len / pendingHomeLen report queue depths for debug dumps.

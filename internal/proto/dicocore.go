@@ -825,7 +825,7 @@ func (p *dicoCore) sendHome(ctx *Context, from topo.Tile, addr cache.Addr, dirty
 	home := ctx.HomeOf(addr)
 	ctx.SendData(from, home, func() {
 		hctx := p.ctx.At(home)
-		p.tile(hctx, home).setStamp(addr, hctx.Kernel.Now())
+		p.tile(hctx, home).stampIfNewer(hctx, addr, hctx.Kernel.Now())
 		p.insertL2(hctx, home, addr, dirty, f, func() { p.settleHome(hctx, home, addr) })
 	})
 }
@@ -846,7 +846,7 @@ func (p *dicoCore) settleHome(ctx *Context, home topo.Tile, addr cache.Addr) {
 func (p *dicoCore) homeOwnerUpdate(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile, stamp sim.Time) {
 	ctx.spanEvent("home-update", home, addr)
 	th := p.tile(ctx, home)
-	if !th.stampIfNewer(addr, stamp) {
+	if !th.stampIfNewer(ctx, addr, stamp) {
 		return // a newer transfer already registered
 	}
 	p.updateL2C(ctx, home, addr, owner)

@@ -27,11 +27,11 @@ type Directory struct {
 	engineBase[cache.BareLine]
 
 	// The timestamp of the newest ownership decision applied to a
-	// home's directory entry lives in the home tile's transaction
-	// table (tileState.setStamp/stampIfNewer). Ownership updates
-	// travel the mesh from different source tiles and can arrive out of
-	// order; an update whose decision predates the applied one must be
-	// dropped or it resurrects a stale owner pointer and every request
+	// home's directory entry lives in the home tile's stamp table
+	// (tileState.stampIfNewer). Ownership updates travel the mesh from
+	// different source tiles and can arrive out of order; an update
+	// whose decision predates the applied one must be dropped or it
+	// resurrects a stale owner pointer and every request
 	// forwards/bounces forever (found by the stress fuzzer, seed 139).
 
 	// Long-lived adapters for the kernel/mesh argument fast path:
@@ -561,7 +561,7 @@ func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
 // whether the update was applied.
 func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr, stamp sim.Time, fn func(*cache.DirLine)) bool {
 	th := d.tile(ctx, home)
-	if !th.stampIfNewer(addr, stamp) {
+	if !th.stampIfNewer(ctx, addr, stamp) {
 		ctx.spanEvent("stale-update-dropped", home, addr)
 		th.wakeHome(ctx.Kernel, addr)
 		return false
@@ -578,7 +578,7 @@ func (d *Directory) homeDirUpdate(ctx *Context, home topo.Tile, addr cache.Addr,
 // stampNow records a home-side synchronous ownership decision so any
 // older in-flight update cannot clobber it later.
 func (d *Directory) stampNow(ctx *Context, home topo.Tile, addr cache.Addr) {
-	d.tile(ctx, home).setStamp(addr, ctx.Kernel.Now())
+	d.tile(ctx, home).stampIfNewer(ctx, addr, ctx.Kernel.Now())
 }
 
 // invalidateAtL1 drops the block at a sharer and acknowledges the

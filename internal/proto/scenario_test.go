@@ -7,9 +7,11 @@ import (
 	"repro/internal/topo"
 )
 
-// TestDiCoL2CRecall forces L2C$ displacement: with a tiny L2C$, taking
-// ownership of many blocks homed at one bank recalls earlier owners'
-// blocks to the home L2, and the system stays coherent and reachable.
+// TestDiCoL2CRecall forces L2C$ displacement: with a 2-entry L2C$,
+// taking ownership of six blocks homed at one bank displaces the
+// pointers of the first four, and each displacement recalls that
+// block's ownership to the home L2. The L2C$ keeps the two newest
+// owners, and the system stays coherent and reachable.
 func TestDiCoL2CRecall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CCSets, cfg.CCWays = 1, 2 // 2-entry L2C$ per bank
@@ -23,15 +25,21 @@ func TestDiCoL2CRecall(t *testing.T) {
 	for i, a := range addrs {
 		c.access(topo.Tile(10+i), a, true) // writers become L1 owners
 	}
+	th := c.eng.(*DiCo).tiles[home]
+	for i, a := range addrs[:4] {
+		if th.l2.Peek(a) == nil {
+			t.Errorf("block %d (%#x): pointer displaced from the L2C$ but the block is not in home %d's L2", i, a, home)
+		}
+	}
+	for i, a := range addrs[4:] {
+		owner := topo.Tile(14 + i)
+		if ptr, ok := th.l2c.Peek(a); !ok || topo.Tile(ptr) != owner {
+			t.Errorf("block %d (%#x): L2C$ holds (%d, %v), want owner %d", 4+i, a, ptr, ok, owner)
+		}
+	}
 	// Every block must still be readable by a third party.
 	for i, a := range addrs {
 		c.access(topo.Tile(30+i), a, false)
-	}
-	// The L2C$ can hold at most 2 pointers; the rest must have been
-	// recalled into the home's L2.
-	eng := c.eng.(*DiCo)
-	if got := eng.tiles[home].l2c.CountValid(); got > 2 {
-		t.Errorf("L2C$ holds %d entries, capacity 2", got)
 	}
 }
 

@@ -89,9 +89,8 @@ func TestStressParallel(t *testing.T) {
 		recs := check.ConflictStream(uint64(seed), 16, blocks, 700, writePct)
 		for _, p := range stressProtocols {
 			name := fmt.Sprintf("s%d-b%d-w%d/%s", seed, blocks, writePct, p)
-			want, err := check.RunRecordSharded(p, recs, 16, 4, 0, uint64(seed))
-			if err != nil {
-				t.Errorf("%s serial: %v", name, err)
+			want, replayed := matchParallel(t, name, p, recs, uint64(seed), 1, 2, 4, 8)
+			if !replayed {
 				continue
 			}
 			if update {
@@ -101,17 +100,6 @@ func TestStressParallel(t *testing.T) {
 					name, stressGolden, want, g)
 			} else if !ok && seed <= 12 {
 				t.Errorf("%s: missing from %s", name, stressGolden)
-			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				got, err := check.RunRecordSharded(p, recs, 16, 4, shards, uint64(seed))
-				if err != nil {
-					t.Errorf("%s parallel shards=%d: %v", name, shards, err)
-					continue
-				}
-				if got != want {
-					t.Errorf("%s parallel shards=%d fingerprint diverges:\n got %+v\nwant %+v",
-						name, shards, got, want)
-				}
 			}
 		}
 	}
@@ -128,6 +116,51 @@ func TestStressParallel(t *testing.T) {
 		}
 		t.Logf("wrote %s", stressGolden)
 	}
+}
+
+// TestStressParallelWide runs high-conflict streams over 256 or 512
+// blocks, 16 to 32 per home bank, where the default streams touch at
+// most 3. That is enough distinct blocks for the homes' stamp tables
+// to reach their load limit and purge entries below the latency
+// horizon, on lane goroutines as well as on the serial kernel. Each
+// stream runs under the shadow checker, and its RunParallel replays on
+// 2, 4 and 8 lanes must match the serial replay's fingerprint.
+func TestStressParallelWide(t *testing.T) {
+	for seed := 1; seed <= 4; seed++ {
+		blocks := []int{256, 512}[seed%2]
+		writePct := []int{40, 60, 75}[seed%3]
+		recs := check.ConflictStream(uint64(seed), 16, blocks, 1500, writePct)
+		for _, p := range stressProtocols {
+			name := fmt.Sprintf("s%d-b%d-w%d/%s", seed, blocks, writePct, p)
+			if _, err := check.RunRecord(p, recs, 16, 4, uint64(seed), false); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			matchParallel(t, name, p, recs, uint64(seed), 2, 4, 8)
+		}
+	}
+}
+
+// matchParallel replays recs on the 16-tile stress chip on one serial
+// kernel, then under RunParallel on each lane count in shards, and
+// reports every replay that fails or whose fingerprint differs from the
+// serial one. It returns the serial fingerprint and whether the serial
+// replay succeeded.
+func matchParallel(t *testing.T, name, protocol string, recs []check.Ref, seed uint64, shards ...int) (check.Fingerprint, bool) {
+	t.Helper()
+	want, err := check.RunRecordSharded(protocol, recs, 16, 4, 0, seed)
+	if err != nil {
+		t.Errorf("%s serial: %v", name, err)
+		return want, false
+	}
+	for _, n := range shards {
+		got, err := check.RunRecordSharded(protocol, recs, 16, 4, n, seed)
+		if err != nil {
+			t.Errorf("%s parallel shards=%d: %v", name, n, err)
+		} else if got != want {
+			t.Errorf("%s parallel shards=%d fingerprint diverges:\n got %+v\nwant %+v", name, n, got, want)
+		}
+	}
+	return want, true
 }
 
 // FuzzStress lets the fuzzer mutate the raw reference stream. Every
@@ -161,19 +194,7 @@ func FuzzStress(f *testing.F) {
 			if _, err := check.RunRecord(p, recs, 16, 4, 7, false); err != nil {
 				t.Errorf("%s: %v", p, err)
 			}
-			want, err := check.RunRecordSharded(p, recs, 16, 4, 0, 7)
-			if err != nil {
-				t.Errorf("%s serial: %v", p, err)
-				continue
-			}
-			got, err := check.RunRecordSharded(p, recs, 16, 4, 4, 7)
-			if err != nil {
-				t.Errorf("%s parallel: %v", p, err)
-				continue
-			}
-			if got != want {
-				t.Errorf("%s parallel fingerprint diverges:\n got %+v\nwant %+v", p, got, want)
-			}
+			matchParallel(t, p, p, recs, 7, 4)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/sim"
 )
@@ -38,9 +40,10 @@ const (
 // txRecord is the transient coherence state one tile tracks for one
 // block: serialization flags and the FIFO waiter lists of stalled L1
 // requests and stalled home requests. Ownership stamps live in the
-// separate stampTable: they persist for the whole run, and keeping
-// them here used to pin records forever, growing the bucket chains
-// that the hot homeBusy/wake probes walk on every message.
+// separate stampTable: an entry outlives the transaction that wrote it
+// by up to one mesh latency horizon, and keeping stamps here used to
+// pin records forever, growing the bucket chains that the hot
+// homeBusy/wake probes walk on every message.
 type txRecord struct {
 	addr  cache.Addr
 	next  *txRecord // bucket chain / free-list link
@@ -61,7 +64,7 @@ func (r *txRecord) idle() bool {
 // txTable is an address-indexed table of txRecords with chained
 // buckets, a multiplicative hash, and free lists for records and
 // waiters. It grows (rehashes) when the load factor passes 4 so
-// lookups stay O(1) even though stamped records persist.
+// lookups stay O(1) however many transactions are in flight.
 type txTable struct {
 	buckets  []*txRecord
 	shift    uint // 64 - log2(len(buckets))
@@ -201,90 +204,111 @@ func (t *txTable) putWaiter(w *waiter) {
 // with a real block.
 const stampEmpty = ^cache.Addr(0)
 
-// stampTable records the last ownership-update stamp the home has
-// applied per block — the stale-update guard. Entries are written for
-// the lifetime of the run and never deleted (exactly like the
-// ownerStamp maps it descends from), so the table is open-addressed
-// with linear probing over two flat arrays: no per-entry allocation,
-// no pointer chasing, and a probe of an absent block costs one load in
-// the common case. Grown at 50% load so probe chains stay short.
-type stampTable struct {
-	addrs  []cache.Addr
-	stamps []sim.Time
-	count  int
-	shift  uint // 64 - log2(len(addrs))
+// stampSlot is one stamp-table entry: a block and the stamp of the
+// newest ownership update its home has applied.
+type stampSlot struct {
+	addr  cache.Addr
+	stamp sim.Time
 }
 
-const stampInitialSlots = 256
+// stampTable records the last ownership-update stamp the home has
+// applied per block — the stale-update guard. It is open-addressed with
+// linear probing over one flat array: no per-entry allocation, and a
+// probe of an absent block costs one load in the common case.
+//
+// Entries expire. Every stamped update is one mesh unicast, stamped
+// with its send time and checked on arrival, so when no update in
+// flight is older than floor (now minus the mesh's longest latency so
+// far) an entry stamped below floor can never reject one: it behaves
+// exactly like no entry. At its load limit (half full) the table
+// rebuilds: it drops every entry below the caller's floor, keeps the
+// rest with their stamps, and doubles only if it is still more than a
+// quarter full. Its size is therefore set by the blocks updated within
+// one latency horizon, not by run length. purged keeps the highest
+// floor a rebuild used; an update stamped below it breaks the premise
+// and panics (update).
+type stampTable struct {
+	slots  []stampSlot
+	count  int
+	shift  uint // 64 - log2(len(slots))
+	purged sim.Time
+	keep   []stampSlot // rebuild scratch
+}
+
+const stampInitialSlots = 16
 
 func newStampTable() stampTable {
-	t := stampTable{
-		addrs:  make([]cache.Addr, stampInitialSlots),
-		stamps: make([]sim.Time, stampInitialSlots),
-		shift:  64 - log2(stampInitialSlots),
-	}
-	for i := range t.addrs {
-		t.addrs[i] = stampEmpty
-	}
+	t := stampTable{}
+	t.reset(stampInitialSlots)
 	return t
+}
+
+// reset empties the table at n slots, reusing the array when it
+// already has that size.
+func (t *stampTable) reset(n int) {
+	if len(t.slots) != n {
+		t.slots = make([]stampSlot, n)
+		t.shift = 64 - log2(n)
+	}
+	for i := range t.slots {
+		t.slots[i] = stampSlot{addr: stampEmpty}
+	}
+	t.count = 0
 }
 
 func (t *stampTable) slotOf(a cache.Addr) int {
 	return int((uint64(a) * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// get returns the stamp recorded for a, if any.
-func (t *stampTable) get(a cache.Addr) (sim.Time, bool) {
-	mask := len(t.addrs) - 1
+// update applies stamp s to a in one probe: it returns applied = false,
+// leaving the entry alone, when a's stored stamp is newer than s, and
+// otherwise stores s. full reports that the insert reached the load
+// limit; the caller then rebuilds with a fresh floor.
+func (t *stampTable) update(a cache.Addr, s sim.Time) (applied, full bool) {
+	if s < t.purged {
+		panic(fmt.Sprintf("proto: ownership update for block %#x stamped %d, below stamp floor %d the home already purged at",
+			uint64(a), s, t.purged))
+	}
+	mask := len(t.slots) - 1
 	for i := t.slotOf(a); ; i = (i + 1) & mask {
-		switch t.addrs[i] {
+		e := &t.slots[i]
+		switch e.addr {
 		case a:
-			return t.stamps[i], true
+			if e.stamp > s {
+				return false, false
+			}
+			e.stamp = s
+			return true, false
 		case stampEmpty:
-			return 0, false
+			*e = stampSlot{addr: a, stamp: s}
+			t.count++
+			return true, 2*t.count > len(t.slots)
 		}
 	}
 }
 
-// set records the stamp for a, inserting the entry if absent.
-func (t *stampTable) set(a cache.Addr, s sim.Time) {
-	mask := len(t.addrs) - 1
-	i := t.slotOf(a)
-	for t.addrs[i] != a && t.addrs[i] != stampEmpty {
-		i = (i + 1) & mask
-	}
-	if t.addrs[i] == stampEmpty {
-		t.addrs[i] = a
-		t.stamps[i] = s
-		t.count++
-		if 2*t.count > len(t.addrs) {
-			t.grow()
+// rebuild drops every entry stamped below floor and rehashes the rest,
+// doubling the table if they still fill more than a quarter of it.
+func (t *stampTable) rebuild(floor sim.Time) {
+	t.purged = max(t.purged, floor)
+	t.keep = t.keep[:0]
+	for _, e := range t.slots {
+		if e.addr != stampEmpty && e.stamp >= floor {
+			t.keep = append(t.keep, e)
 		}
-		return
 	}
-	t.stamps[i] = s
-}
-
-// grow doubles the arrays and rehashes every live entry.
-func (t *stampTable) grow() {
-	oldAddrs, oldStamps := t.addrs, t.stamps
-	n := 2 * len(oldAddrs)
-	t.addrs = make([]cache.Addr, n)
-	t.stamps = make([]sim.Time, n)
-	t.shift--
-	for i := range t.addrs {
-		t.addrs[i] = stampEmpty
+	n := len(t.slots)
+	if 4*len(t.keep) > n {
+		n *= 2
 	}
+	t.reset(n)
 	mask := n - 1
-	for i, a := range oldAddrs {
-		if a == stampEmpty {
-			continue
+	for _, e := range t.keep {
+		i := t.slotOf(e.addr)
+		for t.slots[i].addr != stampEmpty {
+			i = (i + 1) & mask
 		}
-		j := t.slotOf(a)
-		for t.addrs[j] != stampEmpty {
-			j = (j + 1) & mask
-		}
-		t.addrs[j] = a
-		t.stamps[j] = oldStamps[i]
+		t.slots[i] = e
 	}
+	t.count = len(t.keep)
 }

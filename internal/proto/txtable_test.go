@@ -1,9 +1,12 @@
 package proto
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/sim"
 )
 
 // TestTxTableGrow fills a transaction table past several load-factor
@@ -59,4 +62,98 @@ func TestTxTableGrow(t *testing.T) {
 	if r := tab.ensure(addr(0)); r != recs[n-1] {
 		t.Error("ensure after release allocated instead of reusing the pooled record")
 	}
+}
+
+// get returns the stamp t holds for a, if any.
+func (t *stampTable) get(a cache.Addr) (sim.Time, bool) {
+	mask := len(t.slots) - 1
+	for i := t.slotOf(a); ; i = (i + 1) & mask {
+		switch t.slots[i].addr {
+		case a:
+			return t.slots[i].stamp, true
+		case stampEmpty:
+			return 0, false
+		}
+	}
+}
+
+// TestStampTableBoundedByFloor stamps far more distinct blocks than the
+// table has slots, rebuilding at every load limit with a floor one
+// latency horizon behind the clock, as stampIfNewer does. The table
+// must stay bounded by the blocks stamped within the horizon, every
+// entry at or above the floor must survive each rebuild with its stamp
+// and every entry below it must go, a stale update must still lose to
+// a live entry, and an update stamped below a purged floor must panic.
+func TestStampTableBoundedByFloor(t *testing.T) {
+	const horizon, blocks = 40, 20000
+	tab := newStampTable()
+	ref := map[cache.Addr]sim.Time{} // every stamp applied, pruned at each rebuild
+	addr := func(i int) cache.Addr { return cache.Addr(i*7919 + 3) }
+	rebuilds, maxSlots := 0, 0
+	apply := func(a cache.Addr, s, now sim.Time) bool {
+		applied, full := tab.update(a, s)
+		if applied {
+			ref[a] = s
+		}
+		if !full {
+			return applied
+		}
+		floor := now - horizon
+		tab.rebuild(floor)
+		rebuilds++
+		maxSlots = max(maxSlots, len(tab.slots))
+		for b, st := range ref {
+			got, ok := tab.get(b)
+			switch {
+			case st >= floor && (!ok || got != st):
+				t.Fatalf("rebuild at floor %d lost block %#x: got (%d, %v), want stamp %d", floor, b, got, ok, st)
+			case st < floor && ok:
+				t.Fatalf("rebuild at floor %d kept block %#x stamped %d", floor, b, st)
+			case st < floor:
+				delete(ref, b)
+			}
+		}
+		if tab.count != len(ref) {
+			t.Fatalf("count %d after rebuild, %d live blocks", tab.count, len(ref))
+		}
+		return applied
+	}
+	for i := 0; i < blocks; i++ {
+		now := sim.Time(horizon + i)
+		if !apply(addr(i), now, now) {
+			t.Fatalf("fresh stamp for block %d not applied", i)
+		}
+		if i >= 8 && i%5 == 0 {
+			// A reordered update still in flight: sent before block
+			// i-8's current stamp, so it must be dropped.
+			if apply(addr(i-8), now-9, now) {
+				t.Fatalf("stale update for block %d applied over stamp %d", i-8, now-8)
+			}
+			if got, _ := tab.get(addr(i - 8)); got != now-8 {
+				t.Fatalf("stale update for block %d moved its stamp to %d", i-8, got)
+			}
+		}
+	}
+	// A table of at most maxSlots slots reaches its load limit within
+	// maxSlots/2 new blocks, so it rebuilt at least this often.
+	if rebuilds < blocks/maxSlots {
+		t.Fatalf("only %d rebuilds over %d blocks at up to %d slots", rebuilds, blocks, maxSlots)
+	}
+	// Blocks stamped within one horizon: at most horizon+1 survive a
+	// rebuild, and the table doubles only past a quarter full.
+	if limit := 4 * 2 * (horizon + 1); maxSlots > limit {
+		t.Errorf("table reached %d slots for a %d-cycle horizon, limit %d", maxSlots, horizon, limit)
+	}
+
+	floor := tab.purged
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{fmt.Sprintf("%#x", uint64(addr(7))), fmt.Sprint(floor - 1), fmt.Sprint(floor)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("update below the purged floor: panic %q does not name %s", msg, want)
+			}
+		}
+	}()
+	tab.update(addr(7), floor-1)
+	t.Error("an update stamped below the purged floor did not panic")
 }
