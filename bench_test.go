@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -16,9 +17,12 @@ import (
 	"repro/internal/storage"
 )
 
+// paperChip is Table III's tile on the paper's 64-tile, 4-area chip.
+func paperChip() storage.Config { return proto.DefaultConfig().Storage(64, 4) }
+
 // BenchmarkTable5StorageOverhead regenerates Table V.
 func BenchmarkTable5StorageOverhead(b *testing.B) {
-	cfg := storage.DefaultConfig(64, 4)
+	cfg := paperChip()
 	for i := 0; i < b.N; i++ {
 		for _, p := range storage.All {
 			_ = storage.Overhead(p, cfg)
@@ -31,8 +35,8 @@ func BenchmarkTable5StorageOverhead(b *testing.B) {
 
 // BenchmarkTable6Leakage regenerates Table VI.
 func BenchmarkTable6Leakage(b *testing.B) {
-	m := power.DefaultLeakage()
-	cfg := storage.DefaultConfig(64, 4)
+	cfg := paperChip()
+	m := power.DefaultLeakage(cfg)
 	for i := 0; i < b.N; i++ {
 		for _, p := range storage.All {
 			m.TileLeakage(p, cfg)
@@ -48,7 +52,7 @@ func BenchmarkTable6Leakage(b *testing.B) {
 func BenchmarkTable7Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cores := range []int{64, 128, 256, 512, 1024} {
-			storage.OverheadSweep(cores)
+			storage.OverheadSweep(paperChip(), cores)
 		}
 	}
 }
@@ -260,4 +264,26 @@ func BenchmarkAblationNoPrediction(b *testing.B) {
 	}
 	b.ReportMetric(float64(nopred.Net.FlitLinkCrossing)/float64(pred.Net.FlitLinkCrossing), "nopred_vs_pred_links")
 	b.ReportMetric(pred.Performance()/nopred.Performance(), "pred_speedup")
+}
+
+// BenchmarkAblationCoherenceCacheSize sweeps the L1C$/L2C$ sets for
+// DiCo-Providers on apache. Each run is priced from the geometry it
+// simulates, so a larger L1C$ costs more per access. It reports total
+// dynamic power against the directory at Table III's geometry, and the
+// share of misses whose owner or provider the L1C$ predicted.
+func BenchmarkAblationCoherenceCacheSize(b *testing.B) {
+	dir := runOne(b, func(c *core.Config) { c.Protocol = "directory" })
+	for _, sets := range []int{256, 512, 1024} {
+		var res *core.Result
+		for i := 0; i < b.N; i++ {
+			res = runOne(b, func(c *core.Config) {
+				c.Protocol = "providers"
+				c.Proto.CCSets = sets
+			})
+		}
+		pred := res.Profile.Count[proto.MissPredOwner] + res.Profile.Count[proto.MissPredProvider]
+		name := "cc" + strconv.Itoa(sets)
+		b.ReportMetric(res.PowerPerCycle()/dir.PowerPerCycle(), name+"_power_vs_dir")
+		b.ReportMetric(float64(pred)/float64(res.Profile.TotalMisses())*100, name+"_predicted_%")
+	}
 }

@@ -58,7 +58,7 @@ func main() {
 		}
 	}
 	systems := make([]*core.System, len(cfgs))
-	results, _, err := exp.RunConfigs(cfgs, *workers, nil, func(i int) {
+	results, err := exp.RunConfigs(cfgs, *workers, func(i int) {
 		fmt.Fprintf(os.Stderr, "running %s / %s...\n", cfgs[i].Workload, cfgs[i].Protocol)
 	}, func(i int, s *core.System) { systems[i] = s })
 	if err != nil {

@@ -23,8 +23,6 @@ func main() {
 	quick := flag.Bool("quick", false, "fast pass (fewer references per core; explicit -refs/-warmup win)")
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: all)")
 	out := flag.String("out", "", "write the sweep as an obs manifest (schema v3) to <dir>/matrix.json; cmd/tables -from regenerates every figure from it without re-simulating")
-	cacheDir := flag.String("cache", "", "content-addressed run cache directory: completed runs are stored and repeated sweeps resolve unchanged cells from disk (invalidated by any config or git-revision change)")
-	resume := flag.Bool("resume", false, "shorthand for -cache .expcache: make the sweep incremental and resumable")
 	flag.Parse()
 	shared.Finish()
 
@@ -57,26 +55,12 @@ func main() {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}
 	opt.Workers = shared.WorkersN
-	if *resume && *cacheDir == "" {
-		*cacheDir = ".expcache"
-	}
-	if *cacheDir != "" {
-		cache, err := obs.OpenRunCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		opt.Cache = cache
-	}
 	m, err := exp.Run(opt, func(wl, p string) {
 		fmt.Fprintf(os.Stderr, "running %s / %s...\n", wl, p)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	}
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%s)\n", m.Cache.Hits, m.Cache.Misses, *cacheDir)
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {

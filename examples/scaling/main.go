@@ -9,16 +9,19 @@ import (
 	"fmt"
 
 	"repro/internal/power"
+	"repro/internal/proto"
 	"repro/internal/storage"
 )
 
 func main() {
 	fmt.Println("Coherence storage overhead (share of data storage) and tag leakage per tile")
 	fmt.Println()
-	leak := power.DefaultLeakage()
+	tile := proto.DefaultConfig() // Table III's tile
+	paper := tile.Storage(64, 4)
+	leak := power.DefaultLeakage(paper)
 	for _, cores := range []int{64, 256, 1024} {
 		fmt.Printf("--- %d cores ---\n", cores)
-		sweep, areas := storage.OverheadSweep(cores)
+		sweep, areas := storage.OverheadSweep(paper, cores)
 		fmt.Printf("%-16s", "areas:")
 		for _, a := range areas {
 			fmt.Printf("%9d", a)
@@ -37,7 +40,7 @@ func main() {
 			if cores%4 != 0 {
 				continue
 			}
-			_, tag := leak.TileLeakage(p, storage.DefaultConfig(cores, 4))
+			_, tag := leak.TileLeakage(p, tile.Storage(cores, 4))
 			if tag < bestMW {
 				bestMW, best = tag, p
 			}

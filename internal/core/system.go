@@ -268,6 +268,9 @@ type System struct {
 	retired   []int
 	refsTotal uint64
 
+	// energies prices every event of the run (Result.Energies).
+	energies power.TileEnergies
+
 	// Per-tile reference drivers. Each holds the tile's in-flight
 	// access and one persistent retire closure (the engine's onDone for
 	// misses); its own events are AtArg continuations on the driver, so
@@ -495,6 +498,10 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	sp, err := storageProtocol(cfg.Protocol)
+	if err != nil {
+		return nil, err
+	}
 	var sh *check.Shadow
 	var dog *sim.Watchdog
 	if cfg.Check {
@@ -519,6 +526,8 @@ func NewSystem(cfg Config) (*System, error) {
 		shardOf:   shardOf,
 		vmOf:      vmOf,
 		retired:   make([]int, cfg.Tiles),
+		// The chip is priced once, from the geometry it simulates.
+		energies: power.Energies(sp, cfg.Proto.Storage(cfg.Tiles, cfg.Areas), power.DefaultEnergy()),
 	}
 	if cfg.PerVM {
 		s.vmHist = make([]sim.Hist, placement.NumVMs)
@@ -529,13 +538,8 @@ func NewSystem(cfg Config) (*System, error) {
 		net.SetObserver(s.Tracer)
 	}
 	if cfg.SampleEvery > 0 {
-		sp, err := storageProtocol(cfg.Protocol)
-		if err != nil {
-			return nil, err
-		}
-		energies := power.Energies(sp, storage.DefaultConfig(cfg.Tiles, cfg.Areas), power.DefaultEnergy())
 		s.Sampler = telemetry.NewSampler(kernel, cfg.SampleEvery, 0,
-			eng.Stats(), net, energies,
+			eng.Stats(), net, s.energies,
 			func() uint64 { return s.refsTotal })
 		if cfg.PerVM {
 			// Mid-run counter reads must fold the per-VM banks back in to
@@ -776,16 +780,11 @@ func (s *System) RunMeasure() (*Result, error) {
 		s.Engine.CheckInvariants()
 	}
 
-	sp, err := storageProtocol(cfg.Protocol)
-	if err != nil {
-		return nil, err
-	}
 	// Fold the per-VM banks into the global counters before anything
 	// reads them: Result.Counters and the energy breakdown below then
 	// hold exactly the off-mode values. The banks keep the split.
 	s.Ctx.FoldPerVM()
 
-	energies := power.Energies(sp, storage.DefaultConfig(cfg.Tiles, cfg.Areas), power.DefaultEnergy())
 	res := &Result{
 		Config:       cfg,
 		Executor:     s.Executor(),
@@ -797,12 +796,12 @@ func (s *System) RunMeasure() (*Result, error) {
 		Profile:      s.Engine.MissProfile(),
 		MemReads:     s.Mem.Reads,
 		DedupSavings: s.Mapper.SavedFraction(),
-		Energies:     energies,
+		Energies:     s.energies,
 	}
 	if s.Sampler != nil {
 		res.Series = s.Sampler.Series()
 	}
-	res.Breakdown = power.Dynamic(res.Counters, res.Net, energies)
+	res.Breakdown = power.Dynamic(res.Counters, res.Net, s.energies)
 	if banks := s.Ctx.PerVMBanks(); banks != nil {
 		res.PerVM = make([]VMStat, len(banks))
 		for v := range banks {
@@ -814,7 +813,7 @@ func (s *System) RunMeasure() (*Result, error) {
 			// Price the VM's bank plus its attributed mesh traffic with
 			// the same model that prices the global breakdown.
 			vs.Breakdown = power.Dynamic(banks[v],
-				mesh.Stats{FlitLinkCrossing: flits, RouterTraversals: routers}, energies)
+				mesh.Stats{FlitLinkCrossing: flits, RouterTraversals: routers}, s.energies)
 			vs.MissLatency = s.vmHist[v]
 			vs.P50 = vs.MissLatency.Percentile(0.50)
 			vs.P99 = vs.MissLatency.Percentile(0.99)

@@ -18,22 +18,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ResultCache stores finished runs keyed by their full configuration.
-// obs.RunCache implements it (the interface lives here because obs
-// imports exp for the manifest converters). Load returns (nil, false,
-// nil) on a miss.
-type ResultCache interface {
-	Load(cfg core.Config) (*core.Result, bool, error)
-	Store(res *core.Result) error
-}
-
-// CacheStats counts how a sweep's runs were satisfied. Without a
-// cache every run is a miss.
-type CacheStats struct {
-	Hits   int
-	Misses int
-}
-
 // Options parameterize a full evaluation sweep. Base carries the
 // shared simulation configuration; the sweep only varies Workload and
 // Protocol across it.
@@ -53,13 +37,6 @@ type Options struct {
 	// serial sweep for a given seed. 0 means runtime.GOMAXPROCS(0);
 	// 1 runs the cells one at a time.
 	Workers int
-
-	// Cache, when non-nil, resolves already-computed cells to disk
-	// reads and stores every freshly computed one, making repeated
-	// sweeps incremental (see obs.RunCache). Results are bit-identical
-	// either way: a hit decodes through the same integrity-checked
-	// path as a saved manifest.
-	Cache ResultCache
 }
 
 // DefaultOptions runs every Table IV workload at a laptop-scale budget.
@@ -90,17 +67,13 @@ func (opt Options) config(wl, protocol string) core.Config {
 type Matrix struct {
 	Workloads []string
 	Results   map[string]map[string]*core.Result // workload -> protocol
-	// Cache reports how the sweep's runs were satisfied when
-	// Options.Cache was set (all misses otherwise).
-	Cache CacheStats
 }
 
 // Run executes the full sweep, fanning the (workload, protocol) matrix
 // out over opt.Workers goroutines. progress (optional) is called
-// before each run, in matrix order, never concurrently; cache hits are
-// resolved up front and get no progress call. Result assembly is
-// deterministic: each run writes only its own matrix cell, and on
-// error the first failure in matrix order is reported.
+// before each run, in matrix order, never concurrently. Result
+// assembly is deterministic: each run writes only its own matrix cell,
+// and on error the first failure in matrix order is reported.
 func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error) {
 	type job struct{ wl, protocol string }
 	jobs := make([]job, 0, len(opt.Workloads)*len(core.ProtocolNames))
@@ -115,11 +88,11 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 	if progress != nil {
 		onStart = func(i int) { progress(jobs[i].wl, jobs[i].protocol) }
 	}
-	results, cs, err := RunConfigs(cfgs, opt.Workers, opt.Cache, onStart, nil)
+	results, err := RunConfigs(cfgs, opt.Workers, onStart, nil)
 	if err != nil {
 		return nil, err
 	}
-	m := &Matrix{Workloads: opt.Workloads, Results: map[string]map[string]*core.Result{}, Cache: cs}
+	m := &Matrix{Workloads: opt.Workloads, Results: map[string]map[string]*core.Result{}}
 	for i, j := range jobs {
 		if m.Results[j.wl] == nil {
 			m.Results[j.wl] = map[string]*core.Result{}
@@ -132,49 +105,30 @@ func Run(opt Options, progress func(workload, protocol string)) (*Matrix, error)
 // RunConfigs executes arbitrary configurations on one worker pool of
 // workers goroutines (0 means runtime.GOMAXPROCS(0)): configuration
 // i's result lands in slot i, bit-identical to an individual core.Run.
-// Every configuration is validated before anything runs. With a cache,
-// hits resolve to disk reads up front and every fresh result is stored
-// back. progress (optional) is called with the index of each simulated
-// run as a worker claims it, in slice order; onSystem (optional)
-// observes each freshly built system before its run starts (cache hits
-// build none), so callers can keep the system.
+// Every configuration is validated before anything runs. progress
+// (optional) is called with the index of each run as a worker claims
+// it, in slice order; onSystem (optional) observes each built system
+// before its run starts, so callers can keep the system.
 // Neither hook is ever called concurrently. The first error in slice
 // order wins.
-func RunConfigs(cfgs []core.Config, workers int, cache ResultCache, progress func(i int), onSystem func(i int, s *core.System)) ([]*core.Result, CacheStats, error) {
+func RunConfigs(cfgs []core.Config, workers int, progress func(i int), onSystem func(i int, s *core.System)) ([]*core.Result, error) {
 	results := make([]*core.Result, len(cfgs))
-	var cs CacheStats
-	fail := func(i int, err error) ([]*core.Result, CacheStats, error) {
-		return nil, cs, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
+	fail := func(i int, err error) ([]*core.Result, error) {
+		return nil, fmt.Errorf("config %d (%s/%s): %w", i, cfgs[i].Workload, cfgs[i].Protocol, err)
 	}
 
-	// Validate everything first, then resolve cache hits, so a sweep
-	// with a bad cell fails before any simulation or disk write.
+	// Validate everything first, so a sweep with a bad cell fails
+	// before any simulation.
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return fail(i, err)
 		}
 	}
-	var pending []int
-	for i, cfg := range cfgs {
-		if cache != nil {
-			res, ok, err := cache.Load(cfg)
-			if err != nil {
-				return fail(i, err)
-			}
-			if ok {
-				results[i] = res
-				cs.Hits++
-				continue
-			}
-		}
-		cs.Misses++
-		pending = append(pending, i)
-	}
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(pending))
+	workers = min(workers, len(cfgs))
 	// mu serializes the claims and both hooks. A run's progress report
 	// is made inside its claim's critical section, so reports follow
 	// slice order even with many workers.
@@ -203,11 +157,11 @@ func RunConfigs(cfgs []core.Config, workers int, cache ResultCache, progress fun
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if next >= len(pending) {
+				if next >= len(cfgs) {
 					mu.Unlock()
 					return
 				}
-				i := pending[next]
+				i := next
 				next++
 				if progress != nil {
 					progress(i)
@@ -219,22 +173,21 @@ func RunConfigs(cfgs []core.Config, workers int, cache ResultCache, progress fun
 	}
 	wg.Wait()
 
-	for _, i := range pending {
-		if errs[i] != nil {
-			return fail(i, errs[i])
-		}
-		if cache != nil {
-			if err := cache.Store(results[i]); err != nil {
-				return fail(i, err)
-			}
+	for i, err := range errs {
+		if err != nil {
+			return fail(i, err)
 		}
 	}
-	return results, cs, nil
+	return results, nil
 }
+
+// paperChip returns the analytic model's geometry of the paper's
+// evaluated chip: Table III's tile on 64 tiles in 4 areas.
+func paperChip() storage.Config { return proto.DefaultConfig().Storage(64, 4) }
 
 // Table5 renders the per-tile storage breakdown (Table V).
 func Table5() *stats.Table {
-	cfg := storage.DefaultConfig(64, 4)
+	cfg := paperChip()
 	t := stats.NewTable("Table V: per-tile coherence storage (64 tiles, 4 areas)",
 		"protocol", "structure", "entry bits", "entries", "KB", "overhead")
 	for _, s := range storage.DataStructures(cfg) {
@@ -257,8 +210,8 @@ func Table5() *stats.Table {
 
 // Table6 renders the per-tile leakage power (Table VI).
 func Table6() *stats.Table {
-	cfg := storage.DefaultConfig(64, 4)
-	m := power.DefaultLeakage()
+	cfg := paperChip()
+	m := power.DefaultLeakage(cfg)
 	dirTotal, dirTag := m.TileLeakage(storage.Directory, cfg)
 	t := stats.NewTable("Table VI: leakage power of the caches per tile",
 		"protocol", "total mW", "vs directory", "tag mW", "vs directory")
@@ -277,7 +230,7 @@ func Table6() *stats.Table {
 func Table7() []*stats.Table {
 	var tables []*stats.Table
 	for _, cores := range []int{64, 128, 256, 512, 1024} {
-		sweep, areas := storage.OverheadSweep(cores)
+		sweep, areas := storage.OverheadSweep(paperChip(), cores)
 		headers := []string{"protocol"}
 		for _, a := range areas {
 			headers = append(headers, fmt.Sprintf("%d areas", a))

@@ -45,13 +45,13 @@ type LeakageModel struct {
 	DataNanoWattPerBit float64
 }
 
-// DefaultLeakage returns the model fit to Table VI's directory row:
-// 37 mW of tag leakage over the directory's 1,556,480 tag-array bits
-// and 202 mW (= 239-37) over the 9,437,184 data-array bits of a tile.
-func DefaultLeakage() LeakageModel {
-	dirCfg := storage.DefaultConfig(64, 4)
-	tagBits := float64(storage.TagArrayBits(storage.Directory, dirCfg))
-	dataBits := float64(storage.DataArrayBits(dirCfg))
+// DefaultLeakage returns the model fit to Table VI's directory row on
+// paper, the paper's chip: 37 mW of tag leakage over the directory's
+// 1,556,480 tag-array bits and 202 mW (= 239-37) over the 9,437,184
+// data-array bits of a tile.
+func DefaultLeakage(paper storage.Config) LeakageModel {
+	tagBits := float64(storage.TagArrayBits(storage.Directory, paper))
+	dataBits := float64(storage.DataArrayBits(paper))
 	return LeakageModel{
 		TagNanoWattPerBit:  37.0 * 1e6 / tagBits, // mW -> nW
 		DataNanoWattPerBit: 202.0 * 1e6 / dataBits,
@@ -95,15 +95,6 @@ func (m EnergyModel) AccessEnergy(arrayKB float64, bitsAccessed int) float64 {
 	return m.PJPerBit * float64(bitsAccessed) * math.Pow(arrayKB, m.SizeExponent)
 }
 
-// Associativities of the lookup structures (not specified by the
-// paper; fixed here for all protocols so comparisons are fair).
-const (
-	l1Ways    = 4
-	l2Ways    = 8
-	ccWays    = 4 // L1C$, L2C$, directory cache
-	blockBits = 512
-)
-
 // TileEnergies holds the per-event energies (pJ) of one tile under a
 // given protocol. Tag energies depend on the protocol because the
 // coherence information lives in the tag arrays.
@@ -119,8 +110,9 @@ type TileEnergies struct {
 }
 
 // Energies computes the event energy table for protocol p on geometry
-// c. Network energies follow [22]: Router == L1 block read, Flit ==
-// Router / 4.
+// c. A lookup compares every way of the set; the directory cache is
+// priced with c.CCWays ways. Network energies follow [22]: Router ==
+// L1 block read, Flit == Router / 4.
 func Energies(p storage.Protocol, c storage.Config, m EnergyModel) TileEnergies {
 	coh := make(map[string]storage.Structure)
 	for _, s := range storage.CoherenceStructures(p, c) {
@@ -143,8 +135,8 @@ func Energies(p storage.Protocol, c storage.Config, m EnergyModel) TileEnergies 
 	l2TagEntry := c.L2TagBits + l2CohBits
 	l1TagKB := float64(l1TagEntry*c.L1Entries) / 8 / 1024
 	l2TagKB := float64(l2TagEntry*c.L2Entries) / 8 / 1024
-	l1DataKB := float64(blockBits*c.L1Entries) / 8 / 1024
-	l2DataKB := float64(blockBits*c.L2Entries) / 8 / 1024
+	l1DataKB := float64(c.BlockBits*c.L1Entries) / 8 / 1024
+	l2DataKB := float64(c.BlockBits*c.L2Entries) / 8 / 1024
 
 	e := TileEnergies{
 		// A tag lookup matches every way of the set against the
@@ -153,28 +145,28 @@ func Energies(p storage.Protocol, c storage.Config, m EnergyModel) TileEnergies 
 		// rewrites one full entry. The array size (and hence bitline
 		// length) still includes the coherence information, which is
 		// how the wider DiCo-family tags cost more per access.
-		L1TagRead:   m.AccessEnergy(l1TagKB, l1Ways*(c.L1TagBits+2)+l1CohBits),
+		L1TagRead:   m.AccessEnergy(l1TagKB, c.L1Ways*(c.L1TagBits+2)+l1CohBits),
 		L1TagWrite:  m.AccessEnergy(l1TagKB, l1TagEntry),
-		L1DataRead:  m.AccessEnergy(l1DataKB, blockBits),
-		L1DataWrite: m.AccessEnergy(l1DataKB, blockBits),
-		L2TagRead:   m.AccessEnergy(l2TagKB, l2Ways*(c.L2TagBits+2)+l2CohBits),
+		L1DataRead:  m.AccessEnergy(l1DataKB, c.BlockBits),
+		L1DataWrite: m.AccessEnergy(l1DataKB, c.BlockBits),
+		L2TagRead:   m.AccessEnergy(l2TagKB, c.L2Ways*(c.L2TagBits+2)+l2CohBits),
 		L2TagWrite:  m.AccessEnergy(l2TagKB, l2TagEntry),
-		L2DataRead:  m.AccessEnergy(l2DataKB, blockBits),
-		L2DataWrite: m.AccessEnergy(l2DataKB, blockBits),
+		L2DataRead:  m.AccessEnergy(l2DataKB, c.BlockBits),
+		L2DataWrite: m.AccessEnergy(l2DataKB, c.BlockBits),
 	}
 	if s, ok := coh["Dir. cache"]; ok {
 		kb := s.KB()
-		e.DirRead = m.AccessEnergy(kb, ccWays*s.EntryBits)
+		e.DirRead = m.AccessEnergy(kb, c.CCWays*s.EntryBits)
 		e.DirWrite = m.AccessEnergy(kb, s.EntryBits)
 	}
 	if s, ok := coh["L1C$"]; ok {
 		kb := s.KB()
-		e.L1CAccess = m.AccessEnergy(kb, ccWays*s.EntryBits)
+		e.L1CAccess = m.AccessEnergy(kb, c.CCWays*s.EntryBits)
 		e.L1CUpdate = m.AccessEnergy(kb, s.EntryBits)
 	}
 	if s, ok := coh["L2C$"]; ok {
 		kb := s.KB()
-		e.L2CAccess = m.AccessEnergy(kb, ccWays*s.EntryBits)
+		e.L2CAccess = m.AccessEnergy(kb, c.CCWays*s.EntryBits)
 		e.L2CUpdate = m.AccessEnergy(kb, s.EntryBits)
 	}
 	// Barrow-Williams: routing == L1 block read; flit == routing / 4.

@@ -1,21 +1,24 @@
-package power
+package power_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/power"
+	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
-func cfg() storage.Config { return storage.DefaultConfig(64, 4) }
+// cfg is Table III's tile on the paper's evaluated chip.
+func cfg() storage.Config { return proto.DefaultConfig().Storage(64, 4) }
 
 // TestTableVILeakage checks the fitted leakage model against every row
 // of Table VI. The paper's CACTI numbers are mildly sub-linear for the
 // smallest arrays, so DiCo-Arin is allowed ~1.5 mW of slack.
 func TestTableVILeakage(t *testing.T) {
-	m := DefaultLeakage()
+	m := power.DefaultLeakage(cfg())
 	cases := []struct {
 		p          storage.Protocol
 		total, tag float64
@@ -40,7 +43,7 @@ func TestTableVILeakage(t *testing.T) {
 // TestTableVIDeltas checks the percentage columns: DiCo +1%/+5%,
 // Providers -7%/-45%, Arin -8%/-54% versus the directory.
 func TestTableVIDeltas(t *testing.T) {
-	m := DefaultLeakage()
+	m := power.DefaultLeakage(cfg())
 	dTotal, dTag := m.TileLeakage(storage.Directory, cfg())
 	check := func(p storage.Protocol, wantTotal, wantTag, tol float64) {
 		total, tag := m.TileLeakage(p, cfg())
@@ -59,7 +62,7 @@ func TestTableVIDeltas(t *testing.T) {
 }
 
 func TestAccessEnergyMonotonic(t *testing.T) {
-	m := DefaultEnergy()
+	m := power.DefaultEnergy()
 	if m.AccessEnergy(128, 512) <= m.AccessEnergy(16, 512) {
 		t.Error("bigger array not more expensive")
 	}
@@ -74,11 +77,11 @@ func TestAccessEnergyMonotonic(t *testing.T) {
 // TestEnergiesProtocolOrdering verifies the qualitative energy
 // relations the paper relies on.
 func TestEnergiesProtocolOrdering(t *testing.T) {
-	m := DefaultEnergy()
-	dir := Energies(storage.Directory, cfg(), m)
-	dico := Energies(storage.DiCo, cfg(), m)
-	prov := Energies(storage.DiCoProviders, cfg(), m)
-	arin := Energies(storage.DiCoArin, cfg(), m)
+	m := power.DefaultEnergy()
+	dir := power.Energies(storage.Directory, cfg(), m)
+	dico := power.Energies(storage.DiCo, cfg(), m)
+	prov := power.Energies(storage.DiCoProviders, cfg(), m)
+	arin := power.Energies(storage.DiCoArin, cfg(), m)
 
 	// "tag accesses are more power consuming in DiCo-based protocols
 	// than in the flat directory" (L1 tags carry the sharing vector).
@@ -116,21 +119,21 @@ func TestEnergiesProtocolOrdering(t *testing.T) {
 }
 
 func TestDynamicBreakdown(t *testing.T) {
-	m := DefaultEnergy()
-	e := Energies(storage.DiCo, cfg(), m)
+	m := power.DefaultEnergy()
+	e := power.Energies(storage.DiCo, cfg(), m)
 	var s stats.Set
-	s.Add(EvL1TagRead, 100)
-	s.Add(EvL1DataRead, 50)
-	s.Add(EvL2DataRead, 10)
-	s.Add(EvL1CAccess, 5)
+	s.Add(power.EvL1TagRead, 100)
+	s.Add(power.EvL1DataRead, 50)
+	s.Add(power.EvL2DataRead, 10)
+	s.Add(power.EvL1CAccess, 5)
 	net := mesh.Stats{FlitLinkCrossing: 1000, RouterTraversals: 200}
-	d := Dynamic(&s, net, e)
+	d := power.Dynamic(&s, net, e)
 
 	wantL1Tag := 100 * e.L1TagRead
-	if math.Abs(d.Cache[ClassL1Tag]-wantL1Tag) > 1e-9 {
-		t.Errorf("L1 tag energy = %v, want %v", d.Cache[ClassL1Tag], wantL1Tag)
+	if math.Abs(d.Cache[power.ClassL1Tag]-wantL1Tag) > 1e-9 {
+		t.Errorf("L1 tag energy = %v, want %v", d.Cache[power.ClassL1Tag], wantL1Tag)
 	}
-	if d.Cache[ClassDir] != 0 {
+	if d.Cache[power.ClassDir] != 0 {
 		t.Error("DiCo charged directory-cache energy")
 	}
 	if d.Link != 1000*e.Flit || d.Routing != 200*e.Router {
@@ -149,14 +152,14 @@ func TestDynamicBreakdown(t *testing.T) {
 
 func TestDynamicEmpty(t *testing.T) {
 	var s stats.Set
-	d := Dynamic(&s, mesh.Stats{}, Energies(storage.Directory, cfg(), DefaultEnergy()))
+	d := power.Dynamic(&s, mesh.Stats{}, power.Energies(storage.Directory, cfg(), power.DefaultEnergy()))
 	if d.Total() != 0 {
 		t.Error("empty counts produced energy")
 	}
 }
 
 func BenchmarkTable6Leakage(b *testing.B) {
-	m := DefaultLeakage()
+	m := power.DefaultLeakage(cfg())
 	c := cfg()
 	for i := 0; i < b.N; i++ {
 		for _, p := range storage.All {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
@@ -182,6 +183,47 @@ func DefaultConfig() Config {
 // L2Entries + CCEntries entries per bank: one array with at least one
 // extra way per L2 set.
 func (c Config) DirWays() int { return c.L2Ways + max(c.CCWays*c.CCSets/c.L2Sets, 1) }
+
+// The analytic model's tag widths follow from the paper's 40-bit
+// physical address and 64-byte blocks. A home-indexed array (L2, L2C$,
+// directory cache) also drops the home-interleave bits, fixed at the
+// paper's 64 tiles so Table VII's widths stay constant across core
+// counts. Table V's L1C$ and L2C$ widths (23 and 17 bits at 512 sets)
+// are ccTagGap bits narrower than this rule gives; every geometry keeps
+// that gap.
+const (
+	physAddrBits    = 40
+	blockOffsetBits = 6
+	homeBits        = 6
+	ccTagGap        = 2
+)
+
+// Storage derives the analytic model's per-tile geometry (Tables V–VII
+// and the power model) from c on a chip of tiles tiles in areas areas:
+// entries are sets × ways, and the directory cache holds the
+// DirWays() − L2Ways ways per L2 set that carry no L2 line.
+func (c Config) Storage(tiles, areas int) storage.Config {
+	tag := func(sets, less int) int {
+		return max(physAddrBits-blockOffsetBits-bits.TrailingZeros(uint(sets))-less, 0)
+	}
+	return storage.Config{
+		Tiles:      tiles,
+		Areas:      areas,
+		L1Entries:  c.L1Sets * c.L1Ways,
+		L2Entries:  c.L2Sets * c.L2Ways,
+		CCEntries:  c.CCSets * c.CCWays,
+		DirEntries: c.L2Sets * (c.DirWays() - c.L2Ways),
+		L1Ways:     c.L1Ways,
+		L2Ways:     c.L2Ways,
+		CCWays:     c.CCWays,
+		BlockBits:  8 << blockOffsetBits,
+		L1TagBits:  tag(c.L1Sets, 0),
+		L2TagBits:  tag(c.L2Sets, homeBits),
+		DirTagBits: tag(c.L2Sets, homeBits),
+		L1CTagBits: tag(c.CCSets, ccTagGap),
+		L2CTagBits: tag(c.CCSets, homeBits+ccTagGap),
+	}
+}
 
 // CheckArrays reports the first cache array of c that cannot be built,
 // or whose way word cannot hold every block below cache.MaxAddr.

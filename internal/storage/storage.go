@@ -39,55 +39,28 @@ func (p Protocol) String() string {
 // All lists the protocols in the paper's presentation order.
 var All = []Protocol{Directory, DiCo, DiCoProviders, DiCoArin}
 
-// Config holds the per-tile geometry of Section V-B. The tag widths are
-// fixed by the 40-bit physical address and the cache geometries of
-// Table III and are held constant across core counts, as the paper
-// does for Table VII.
+// Config holds the per-tile geometry of Section V-B. proto.Config.Storage
+// derives it from the simulated tile, so the tables and the energy model
+// price the arrays a run builds.
 type Config struct {
 	Tiles int // ntc
 	Areas int // na
 
-	L1Entries  int // 128 KB, 4-way, 64 B blocks -> 2048
-	L2Entries  int // 1 MB bank, 8-way, 64 B blocks -> 16384
+	L1Entries  int
+	L2Entries  int
 	CCEntries  int // L1C$ / L2C$ entries
 	DirEntries int // NCID directory-cache entries (directory protocol)
 
-	BlockBits  int // 64 bytes
+	// Ways per set: what a tag lookup compares (internal/power). The
+	// directory cache is priced with CCWays.
+	L1Ways, L2Ways, CCWays int
+
+	BlockBits  int
 	L1TagBits  int
 	L2TagBits  int
 	DirTagBits int
 	L1CTagBits int
 	L2CTagBits int
-}
-
-// DefaultConfig returns the paper's Table III / Section V-B geometry
-// for a chip with tiles tiles divided into areas areas.
-func DefaultConfig(tiles, areas int) Config {
-	return Config{
-		Tiles:      tiles,
-		Areas:      areas,
-		L1Entries:  2048,
-		L2Entries:  16384,
-		CCEntries:  2048,
-		DirEntries: 2048,
-		BlockBits:  64 * 8,
-		L1TagBits:  25,
-		L2TagBits:  17,
-		DirTagBits: 17,
-		L1CTagBits: 23,
-		L2CTagBits: 17,
-	}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Tiles <= 0 {
-		return fmt.Errorf("storage: non-positive tile count %d", c.Tiles)
-	}
-	if c.Areas <= 0 || c.Tiles%c.Areas != 0 {
-		return fmt.Errorf("storage: %d areas do not divide %d tiles", c.Areas, c.Tiles)
-	}
-	return nil
 }
 
 // TilesPerArea returns nta.
@@ -223,11 +196,12 @@ func DataArrayBits(c Config) int {
 	return c.BlockBits * (c.L1Entries + c.L2Entries)
 }
 
-// OverheadSweep computes Table VII: for each core count, the overhead
-// of every protocol at each area count (powers of two from 2 to the
-// core count). Returned as overhead[protocol][areaIndex], with the
-// area counts in the second return value.
-func OverheadSweep(tiles int) (map[Protocol][]float64, []int) {
+// OverheadSweep computes Table VII: for each protocol, the overhead of
+// base's per-tile geometry on a chip of tiles tiles at each area count
+// (powers of two from 2 to tiles). Returned as
+// overhead[protocol][areaIndex], with the area counts in the second
+// return value.
+func OverheadSweep(base Config, tiles int) (map[Protocol][]float64, []int) {
 	var areaCounts []int
 	for a := 2; a <= tiles; a *= 2 {
 		areaCounts = append(areaCounts, a)
@@ -236,7 +210,9 @@ func OverheadSweep(tiles int) (map[Protocol][]float64, []int) {
 	for _, p := range All {
 		row := make([]float64, len(areaCounts))
 		for i, a := range areaCounts {
-			row[i] = Overhead(p, DefaultConfig(tiles, a))
+			c := base
+			c.Tiles, c.Areas = tiles, a
+			row[i] = Overhead(p, c)
 		}
 		out[p] = row
 	}

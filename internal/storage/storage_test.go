@@ -1,11 +1,18 @@
-package storage
+package storage_test
 
 import (
 	"math"
 	"testing"
+
+	"repro/internal/proto"
+	"repro/internal/storage"
 )
 
-func cfg64x4() Config { return DefaultConfig(64, 4) }
+// tile is Table III's tile; cfg64x4 puts it on the paper's evaluated
+// chip.
+var tile = proto.DefaultConfig()
+
+func cfg64x4() storage.Config { return tile.Storage(64, 4) }
 
 func TestPointerSizes(t *testing.T) {
 	c := cfg64x4()
@@ -23,15 +30,15 @@ func TestPointerSizes(t *testing.T) {
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4, 64: 6, 1024: 10}
 	for n, want := range cases {
-		if got := ceilLog2(n); got != want {
-			t.Errorf("ceilLog2(%d) = %d, want %d", n, got, want)
+		if got := (storage.Config{Tiles: n}).GenPoBits(); got != want {
+			t.Errorf("GenPo on %d tiles = %d bits, want %d", n, got, want)
 		}
 	}
 }
 
 // TestTableVDataSizes checks the Data rows of Table V.
 func TestTableVDataSizes(t *testing.T) {
-	ds := DataStructures(cfg64x4())
+	ds := storage.DataStructures(cfg64x4())
 	if kb := ds[0].KB(); kb != 134.25 {
 		t.Errorf("L1 cache = %v KB, want 134.25", kb)
 	}
@@ -43,24 +50,24 @@ func TestTableVDataSizes(t *testing.T) {
 // TestTableVStructureSizes checks every coherence row of Table V.
 func TestTableVStructureSizes(t *testing.T) {
 	c := cfg64x4()
-	want := map[Protocol]map[string]float64{
-		Directory: {
+	want := map[storage.Protocol]map[string]float64{
+		storage.Directory: {
 			"L2 dir. inf.": 128,
 			"Dir. cache":   21.75,
 		},
-		DiCo: {
+		storage.DiCo: {
 			"L1 dir. inf.": 16,
 			"L2 dir. inf.": 128,
 			"L1C$":         7.5,
 			"L2C$":         6,
 		},
-		DiCoProviders: {
+		storage.DiCoProviders: {
 			"L1 dir. inf.": 7.75, // 2 bytes + 3 ProPos + 3 valid bits
 			"L2 dir. inf.": 40,   // 4 ProPos + 4 valid bits
 			"L1C$":         7.5,
 			"L2C$":         6,
 		},
-		DiCoArin: {
+		storage.DiCoArin: {
 			"L1 dir. inf.": 4,  // nta = 16 bits
 			"L2 dir. inf.": 36, // max(16+2, 4x4) = 18 bits
 			"L1C$":         7.5,
@@ -68,7 +75,7 @@ func TestTableVStructureSizes(t *testing.T) {
 		},
 	}
 	for p, rows := range want {
-		got := CoherenceStructures(p, c)
+		got := storage.CoherenceStructures(p, c)
 		byName := make(map[string]float64)
 		for _, s := range got {
 			byName[s.Name] = s.KB()
@@ -87,14 +94,14 @@ func TestTableVStructureSizes(t *testing.T) {
 // TestTableVOverheads checks the Overhead column of Table V.
 func TestTableVOverheads(t *testing.T) {
 	c := cfg64x4()
-	want := map[Protocol]float64{
-		Directory:     0.1256,
-		DiCo:          0.1321,
-		DiCoProviders: 0.0514,
-		DiCoArin:      0.0449,
+	want := map[storage.Protocol]float64{
+		storage.Directory:     0.1256,
+		storage.DiCo:          0.1321,
+		storage.DiCoProviders: 0.0514,
+		storage.DiCoArin:      0.0449,
 	}
 	for p, w := range want {
-		got := Overhead(p, c)
+		got := storage.Overhead(p, c)
 		if math.Abs(got-w) > 0.0005 {
 			t.Errorf("%v overhead = %.4f, want %.4f", p, got, w)
 		}
@@ -106,31 +113,31 @@ func TestTableVOverheads(t *testing.T) {
 // and its (undocumented) valid-bit conventions at extreme area counts.
 func TestTableVIIAgainstPaper(t *testing.T) {
 	type row struct {
-		p     Protocol
+		p     storage.Protocol
 		cores int
 		// overhead percent per area count 2,4,8,...,cores
 		want []float64
 		tol  float64
 	}
 	rows := []row{
-		{Directory, 64, []float64{12.6, 12.6, 12.6, 12.6, 12.6, 12.6}, 0.2},
-		{DiCo, 64, []float64{13.2, 13.2, 13.2, 13.2, 13.2, 13.2}, 0.2},
-		{DiCoProviders, 64, []float64{4, 5.1, 7.2, 10, 12.6, 12}, 1.3},
-		{DiCoArin, 64, []float64{7.3, 4.5, 5.3, 6.6, 6.5, 2.3}, 0.8},
-		{Directory, 128, []float64{24.7, 24.7, 24.7, 24.7, 24.7, 24.7, 24.7}, 0.2},
-		{DiCo, 128, []float64{25.3, 25.3, 25.3, 25.3, 25.3, 25.3, 25.3}, 0.2},
-		{DiCoProviders, 128, []float64{5, 6.2, 8.8, 13, 18.7, 24, 22.7}, 2.8},
-		{DiCoArin, 128, []float64{13.4, 7.5, 6.8, 9.3, 12, 11.9, 2.5}, 1.5},
-		{Directory, 256, []float64{48.9, 48.9, 48.9, 48.9, 48.9, 48.9, 48.9, 48.9}, 0.2},
-		{DiCoProviders, 256, []float64{6.7, 7.6, 10.6, 16.2, 24.8, 36.2, 47, 44.3}, 5.5},
-		{DiCoArin, 256, []float64{25.5, 13.5, 8.5, 12.2, 17.4, 22.7, 22.7, 2.6}, 3},
-		{Directory, 512, []float64{97.5, 97.5, 97.5, 97.5, 97.5, 97.5, 97.5, 97.5, 97.5}, 0.5},
-		{DiCoArin, 512, []float64{49.8, 25.7, 13.7, 15.2, 23, 33.6, 44.3, 44.3, 2.8}, 6},
-		{Directory, 1024, []float64{195, 195, 195, 195, 195, 195, 195, 195, 195}, 1.5},
-		{DiCoProviders, 1024, []float64{15.5, 13.1, 15.7, 23.3, 37.5, 60.8, 95.8, 141.7, 184.9}, 12},
+		{storage.Directory, 64, []float64{12.6, 12.6, 12.6, 12.6, 12.6, 12.6}, 0.2},
+		{storage.DiCo, 64, []float64{13.2, 13.2, 13.2, 13.2, 13.2, 13.2}, 0.2},
+		{storage.DiCoProviders, 64, []float64{4, 5.1, 7.2, 10, 12.6, 12}, 1.3},
+		{storage.DiCoArin, 64, []float64{7.3, 4.5, 5.3, 6.6, 6.5, 2.3}, 0.8},
+		{storage.Directory, 128, []float64{24.7, 24.7, 24.7, 24.7, 24.7, 24.7, 24.7}, 0.2},
+		{storage.DiCo, 128, []float64{25.3, 25.3, 25.3, 25.3, 25.3, 25.3, 25.3}, 0.2},
+		{storage.DiCoProviders, 128, []float64{5, 6.2, 8.8, 13, 18.7, 24, 22.7}, 2.8},
+		{storage.DiCoArin, 128, []float64{13.4, 7.5, 6.8, 9.3, 12, 11.9, 2.5}, 1.5},
+		{storage.Directory, 256, []float64{48.9, 48.9, 48.9, 48.9, 48.9, 48.9, 48.9, 48.9}, 0.2},
+		{storage.DiCoProviders, 256, []float64{6.7, 7.6, 10.6, 16.2, 24.8, 36.2, 47, 44.3}, 5.5},
+		{storage.DiCoArin, 256, []float64{25.5, 13.5, 8.5, 12.2, 17.4, 22.7, 22.7, 2.6}, 3},
+		{storage.Directory, 512, []float64{97.5, 97.5, 97.5, 97.5, 97.5, 97.5, 97.5, 97.5, 97.5}, 0.5},
+		{storage.DiCoArin, 512, []float64{49.8, 25.7, 13.7, 15.2, 23, 33.6, 44.3, 44.3, 2.8}, 6},
+		{storage.Directory, 1024, []float64{195, 195, 195, 195, 195, 195, 195, 195, 195}, 1.5},
+		{storage.DiCoProviders, 1024, []float64{15.5, 13.1, 15.7, 23.3, 37.5, 60.8, 95.8, 141.7, 184.9}, 12},
 	}
 	for _, r := range rows {
-		sweep, areas := OverheadSweep(r.cores)
+		sweep, areas := storage.OverheadSweep(cfg64x4(), r.cores)
 		got := sweep[r.p]
 		// The paper's table truncates the 1024-core row after 512
 		// areas; compare only the published columns.
@@ -152,17 +159,17 @@ func TestTableVIIAgainstPaper(t *testing.T) {
 func TestExactPaperColumns4Areas(t *testing.T) {
 	cases := []struct {
 		cores int
-		p     Protocol
+		p     storage.Protocol
 		want  float64
 	}{
-		{64, DiCoProviders, 5.1}, {64, DiCoArin, 4.5},
-		{128, DiCoProviders, 6.2}, {128, DiCoArin, 7.5},
-		{256, DiCoProviders, 7.6}, {256, DiCoArin, 13.5},
-		{512, DiCoProviders, 9.7}, {512, DiCoArin, 25.7},
-		{1024, DiCoProviders, 13.1}, {1024, DiCoArin, 50},
+		{64, storage.DiCoProviders, 5.1}, {64, storage.DiCoArin, 4.5},
+		{128, storage.DiCoProviders, 6.2}, {128, storage.DiCoArin, 7.5},
+		{256, storage.DiCoProviders, 7.6}, {256, storage.DiCoArin, 13.5},
+		{512, storage.DiCoProviders, 9.7}, {512, storage.DiCoArin, 25.7},
+		{1024, storage.DiCoProviders, 13.1}, {1024, storage.DiCoArin, 50},
 	}
 	for _, cse := range cases {
-		got := Overhead(cse.p, DefaultConfig(cse.cores, 4)) * 100
+		got := storage.Overhead(cse.p, tile.Storage(cse.cores, 4)) * 100
 		if math.Abs(got-cse.want) > 0.35 {
 			t.Errorf("%v@%d/4 = %.2f%%, paper %.1f%%", cse.p, cse.cores, got, cse.want)
 		}
@@ -173,9 +180,9 @@ func TestExactPaperColumns4Areas(t *testing.T) {
 func TestScalingClaims(t *testing.T) {
 	c := cfg64x4()
 	// "59-64% reduction in directory information in cache" vs directory.
-	dir := float64(CoherenceBits(Directory, c))
-	prov := 1 - float64(CoherenceBits(DiCoProviders, c))/dir
-	arin := 1 - float64(CoherenceBits(DiCoArin, c))/dir
+	dir := float64(storage.CoherenceBits(storage.Directory, c))
+	prov := 1 - float64(storage.CoherenceBits(storage.DiCoProviders, c))/dir
+	arin := 1 - float64(storage.CoherenceBits(storage.DiCoArin, c))/dir
 	if prov < 0.55 || prov > 0.63 {
 		t.Errorf("Providers reduction = %.2f, want ~0.59", prov)
 	}
@@ -183,42 +190,28 @@ func TestScalingClaims(t *testing.T) {
 		t.Errorf("Arin reduction = %.2f, want ~0.64", arin)
 	}
 	// DiCo needs even more coherence info than the directory.
-	if CoherenceBits(DiCo, c) <= CoherenceBits(Directory, c) {
+	if storage.CoherenceBits(storage.DiCo, c) <= storage.CoherenceBits(storage.Directory, c) {
 		t.Error("DiCo should need more coherence storage than the directory")
 	}
 	// Directory/DiCo overheads are independent of the area count.
 	for _, a := range []int{2, 8, 32} {
-		if Overhead(Directory, DefaultConfig(64, a)) != Overhead(Directory, c) {
+		if storage.Overhead(storage.Directory, tile.Storage(64, a)) != storage.Overhead(storage.Directory, c) {
 			t.Error("directory overhead depends on areas")
 		}
 	}
 	// Providers overhead grows with area count (more ProPos); Arin has
 	// a minimum at intermediate area counts.
-	p4 := Overhead(DiCoProviders, DefaultConfig(64, 4))
-	p16 := Overhead(DiCoProviders, DefaultConfig(64, 16))
+	p4 := storage.Overhead(storage.DiCoProviders, tile.Storage(64, 4))
+	p16 := storage.Overhead(storage.DiCoProviders, tile.Storage(64, 16))
 	if p16 <= p4 {
 		t.Error("Providers overhead should grow with areas")
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := cfg64x4().Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	bad := DefaultConfig(64, 3)
-	if err := bad.Validate(); err == nil {
-		t.Error("3 areas on 64 tiles accepted")
-	}
-	bad2 := DefaultConfig(0, 1)
-	if err := bad2.Validate(); err == nil {
-		t.Error("0 tiles accepted")
-	}
-}
-
 func TestProtocolString(t *testing.T) {
-	names := map[Protocol]string{
-		Directory: "Directory", DiCo: "DiCo",
-		DiCoProviders: "DiCo-Providers", DiCoArin: "DiCo-Arin",
+	names := map[storage.Protocol]string{
+		storage.Directory: "Directory", storage.DiCo: "DiCo",
+		storage.DiCoProviders: "DiCo-Providers", storage.DiCoArin: "DiCo-Arin",
 	}
 	for p, want := range names {
 		if p.String() != want {
@@ -230,7 +223,7 @@ func TestProtocolString(t *testing.T) {
 func BenchmarkTable7Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cores := range []int{64, 128, 256, 512, 1024} {
-			OverheadSweep(cores)
+			storage.OverheadSweep(cfg64x4(), cores)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/topo"
 )
 
@@ -322,7 +321,8 @@ func samplerFixture(every sim.Time, cap int) (*sim.Kernel, *Sampler, *stats.Set)
 	grid := topo.NewGrid(2, 2)
 	net := mesh.New(k, grid, mesh.DefaultConfig())
 	counters := &stats.Set{}
-	energies := power.Energies(storage.Directory, storage.DefaultConfig(4, 1), power.DefaultEnergy())
+	// No test here reads the energy columns, so any prices do.
+	energies := power.TileEnergies{Router: 4, Flit: 1}
 	s := NewSampler(k, every, cap, counters, net, energies,
 		func() uint64 { return k.EventsRun() })
 	return k, s, counters
