@@ -27,7 +27,7 @@ func NewArin(ctx *Context) *Arin {
 // remote area reaches the L1 owner; the ownership disappears, the
 // former owner becomes a provider, the home L2 receives the data (and
 // becomes a provider), and the requestor becomes a provider.
-func (p *Arin) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
+func (p *Arin) remoteRead(ctx *Context, r request, owner topo.Tile, line *cache.Line) {
 	ctx.spanEvent("dissolve", owner, r.addr)
 	r.clsPlus1 = classify(&r, byOwner)
 	dirty := line.Dirty
@@ -46,14 +46,14 @@ func (p *Arin) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Li
 
 // providerRead: a provider supplies inside its area; the new copy is a
 // provider too (Section IV-B's optimization).
-func (p *Arin) providerRead(ctx *Context, r dcReq, provider topo.Tile, _ *cache.Line) {
+func (p *Arin) providerRead(ctx *Context, r request, provider topo.Tile, _ *cache.Line) {
 	r.clsPlus1 = classify(&r, byProvider)
 	ctx.pw.L1DataRead.Inc()
 	p.deliver(ctx, r, provider, dcProvider, false, int16(provider), nil)
 }
 
 // homeSupply dispatches on the home L2 line's form.
-func (p *Arin) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
+func (p *Arin) homeSupply(ctx *Context, r request, home topo.Tile, l2line *cache.Line) {
 	if l2line.State == l2Inter {
 		p.homeInter(ctx, r, home, l2line)
 		return
@@ -64,7 +64,7 @@ func (p *Arin) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.L
 // homeInter serves a request for a block shared between areas: the
 // block is always present in the home L2 (the design decision that
 // removes DiCo-Providers' 5-hop path).
-func (p *Arin) homeInter(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
+func (p *Arin) homeInter(ctx *Context, r request, home topo.Tile, l2line *cache.Line) {
 	if r.write {
 		p.broadcastInvalidation(ctx, r, home)
 		return
@@ -102,7 +102,7 @@ func (p *Arin) homeInter(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Li
 
 // homeOwned serves a request when the home L2 owns the block with (at
 // most) one area's sharers tracked precisely.
-func (p *Arin) homeOwned(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
+func (p *Arin) homeOwned(ctx *Context, r request, home topo.Tile, l2line *cache.Line) {
 	r.clsPlus1 = classify(&r, byHome)
 	reqArea := p.areaOf(r.requestor)
 	area := int(l2line.AreaTag)
@@ -156,7 +156,7 @@ func (p *Arin) broadcast(ctx *Context, src topo.Tile, deliver func(dst topo.Tile
 // for a write to an inter-area block: (1) the home broadcasts the
 // invalidation and every L1 blocks the address, (2) every L1 acks the
 // requestor, (3) the requestor broadcasts the unblock.
-func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
+func (p *Arin) broadcastInvalidation(ctx *Context, r request, home topo.Tile) {
 	th := p.tile(ctx, home)
 	r.clsPlus1 = classify(&r, byHome)
 	th.setHomeBusy(r.addr)
@@ -218,7 +218,7 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r dcReq, home topo.Tile) {
 // unblockAfterWrite is phase three: the requestor broadcasts the
 // unblock, every L1 resumes, and the home releases the block. It runs
 // on the requestor's lane (from the delivery or the last ack).
-func (p *Arin) unblockAfterWrite(ctx *Context, r dcReq) {
+func (p *Arin) unblockAfterWrite(ctx *Context, r request) {
 	home := ctx.HomeOf(r.addr)
 	e, ok := p.tile(ctx, r.requestor).mshr.Lookup(r.addr)
 	if !ok || e.HomeAck <= 0 {
@@ -264,22 +264,22 @@ func (p *Arin) applyL2(line *cache.Line, dirty bool, f l2Form) {
 // evictL2 invalidates an owner-form victim's tracked sharers (a single
 // area: cheap unicasts) or, for an inter-area victim, every copy on the
 // chip by broadcast.
-func (p *Arin) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
+func (p *Arin) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message) {
 	if victim.State == l2Inter {
-		p.evictL2Inter(ctx, home, addr, victim, then)
+		p.evictL2Inter(ctx, home, addr, victim.Dirty, ins)
 		return
 	}
 	sharers := victim.Sharers
 	if victim.AreaTag < 0 {
 		sharers = 0
 	}
-	p.evictL2Sharers(ctx, home, addr, victim, int(victim.AreaTag), sharers, then)
+	p.evictL2Sharers(ctx, home, addr, victim, int(victim.AreaTag), sharers, ins)
 }
 
 // evictL2Inter invalidates every copy of an inter-area victim block via
 // broadcast, acks collected at the home (Section IV-B1's replacement
-// variant), then broadcasts the unblock and calls then.
-func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
+// variant), then broadcasts the unblock before l2Evicted.
+func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, ins *message) {
 	ctx.spanEvent("l2-evict", home, addr)
 	th := p.tile(ctx, home)
 	th.setHomeBusy(addr)
@@ -295,12 +295,7 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, addr cache.Addr, victi
 				t.wakeL1(dctx.Kernel, addr)
 			}
 		})
-		if victim.Dirty {
-			p.flush(ctx, home, addr)
-		}
-		th.clearHomeBusy(addr)
-		th.wakeHome(ctx.Kernel, addr)
-		then()
+		p.l2Evicted(ctx, home, addr, dirty, ins)
 	}
 	// The broadcast excludes the source tile: invalidate the home tile's
 	// own L1 copy inline (its ack is not counted).

@@ -4,10 +4,11 @@
 // the paper's two contributions, DiCo-Providers and DiCo-Arin.
 //
 // All four are message-passing engines over the mesh: every tile has
-// an L1 controller and an L2 bank controller, messages are closures
-// scheduled through mesh.Network with real per-hop latency and
-// contention, and every structure access increments the power event
-// counters of internal/power.
+// an L1 controller and an L2 bank controller, messages are pooled nodes
+// (closures on the cold paths) scheduled through mesh.Network with real
+// per-hop latency and contention, and every structure access increments
+// the power event counters of internal/power. All four share one
+// message chassis (engine.go).
 //
 // Transaction races are handled with the same discipline real
 // implementations use, reduced to its essentials: MSHR-pending blocks
@@ -971,107 +972,6 @@ func forEachBit(v uint64, fn func(i int)) {
 // popcount returns the number of set bits.
 func popcount(v uint64) int { return bits.OnesCount64(v) }
 
-// engineBase is the state and Engine plumbing all four protocols
-// share: the chip context, the per-tile storage, and the retire path.
-// P is the engine's L1/L2 line payload.
-type engineBase[P any] struct {
-	ctx   *Context
-	tiles []*tileState[P]
-	name  string
-	// replace runs the protocol's L1 replacement for a victim line that
-	// held addr; the retire path uses it to drop a fill that raced an
-	// invalidation.
-	replace func(ctx *Context, tile topo.Tile, addr cache.Addr, victim P)
-}
-
-func newEngineBase[P any](ctx *Context, name string, dico bool,
-	newArray func(name string, sets, ways int) *cache.Array[P]) engineBase[P] {
-	ctx.bindPower()
-	ctx.bindHome()
-	b := engineBase[P]{ctx: ctx, tiles: make([]*tileState[P], ctx.NumTiles()), name: name}
-	for i := range b.tiles {
-		b.tiles[i] = newTileState(ctx.Cfg, ctx.BankShift(), dico, newArray)
-	}
-	return b
-}
-
-// tile returns tile t's state to a handler running on ctx: the one way
-// handlers reach per-tile state, so every access passes the ownership
-// check (Context.own).
-func (b *engineBase[P]) tile(ctx *Context, t topo.Tile) *tileState[P] {
-	ctx.own(t)
-	return b.tiles[t]
-}
-
-// Name implements Engine.
-func (b *engineBase[P]) Name() string { return b.name }
-
-// Stats implements Engine.
-func (b *engineBase[P]) Stats() *stats.Set { return &b.ctx.Counters }
-
-// MissProfile implements Engine.
-func (b *engineBase[P]) MissProfile() MissProfile { return b.ctx.Profile }
-
-// ForEachPending implements Engine.
-func (b *engineBase[P]) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
-	for i, t := range b.tiles {
-		tile := topo.Tile(i)
-		t.mshr.ForEach(func(e *cache.MSHREntry) { fn(tile, e) })
-	}
-}
-
-// hit accounts an L1 hit at lookup time; the caller of Issue retires it.
-func (b *engineBase[P]) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bool) {
-	if write {
-		ctx.pw.L1DataWrite.Inc()
-	} else {
-		ctx.pw.L1DataRead.Inc()
-	}
-	ctx.Profile.Hits++
-	ctx.observeRetired(tile, addr, write, true, false)
-}
-
-// maybeComplete retires the miss on addr at tile once all its
-// conditions (data, acks, gates) are met.
-func (b *engineBase[P]) maybeComplete(ctx *Context, tile topo.Tile, addr cache.Addr) {
-	t := b.tile(ctx, tile)
-	e, ok := t.mshr.Lookup(addr)
-	if !ok || !e.Done() {
-		return
-	}
-	dropped := e.InvalidatedWhilePending && !e.Write
-	if dropped {
-		// The fill raced an invalidation. Dropping the line is the safe
-		// resolution, but it must go through the regular replacement
-		// protocol so any ownership or providership the fill carried is
-		// handed back properly.
-		if line := t.l1.Peek(addr); line != nil {
-			old, _ := t.l1.InvalidateLine(line)
-			b.replace(ctx, tile, addr, old)
-		}
-	}
-	cls := MissClass(e.Tag)
-	ctx.Profile.Count[cls]++
-	ctx.Profile.Links[cls] += uint64(e.Links)
-	ctx.spanEnd(tile, cls, dropped)
-	done := e.OnComplete
-	t.mshr.Release(addr)
-	ctx.observeRetired(tile, addr, e.Write, false, e.InvalidatedWhilePending)
-	t.wakeL1(ctx.Kernel, addr)
-	if done != nil {
-		done()
-	}
-}
-
-// flush writes a dirty block from the executing tile back to its memory
-// controller; the controller only draws the write latency.
-func (b *engineBase[P]) flush(ctx *Context, from topo.Tile, addr cache.Addr) {
-	mc := ctx.Mem.For(addr)
-	ctx.SendDataArg(from, mc, memFlushAt, b.ctx.At(mc))
-}
-
-func memFlushAt(a any) { a.(*Context).MemFlush() }
-
 // dropCopy invalidates the tile's L1 copy of addr, marks a miss in
 // flight on it as racing the invalidation, and returns the dropped line.
 func (t *tileState[P]) dropCopy(ctx *Context, addr cache.Addr) (P, bool) {
@@ -1084,24 +984,4 @@ func (t *tileState[P]) dropCopy(ctx *Context, addr cache.Addr) (P, bool) {
 		e.InvalidatedWhilePending = true
 	}
 	return old, ok
-}
-
-// forEachCopy visits every valid copy of addr using Peek (no LRU
-// update); describe fills an L1 line's owner, exclusivity, dirty bit
-// and state (for the home's L2 line only the last two are kept).
-// Shared by the engines' ForEachCopy.
-func (b *engineBase[P]) forEachCopy(addr cache.Addr, describe func(l *P) CopyInfo, fn func(CopyInfo)) {
-	for i, t := range b.tiles {
-		if l := t.l1.Peek(addr); l != nil {
-			ci := describe(l)
-			_, ci.Pending = t.mshr.Lookup(addr)
-			ci.Tile = topo.Tile(i)
-			fn(ci)
-		}
-	}
-	home := b.ctx.HomeOf(addr)
-	if l := b.tiles[home].l2.Peek(addr); l != nil {
-		ci := describe(l)
-		fn(CopyInfo{Tile: home, L2: true, Dirty: ci.Dirty, State: ci.State})
-	}
 }

@@ -28,7 +28,7 @@ func NewDiCo(ctx *Context) *DiCo {
 // homeSupply serves a request when the home L2 owns the block: a read
 // joins the L2's sharing code, a write invalidates it and takes the
 // ownership.
-func (p *DiCo) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
+func (p *DiCo) homeSupply(ctx *Context, r request, home topo.Tile, l2line *cache.Line) {
 	r.clsPlus1 = classify(&r, byHome)
 	if r.write {
 		sharers := l2line.Sharers &^ bit(r.requestor)
@@ -50,8 +50,8 @@ func (p *DiCo) applyL2(line *cache.Line, dirty bool, f l2Form) {
 
 // evictL2 invalidates every sharer of an L2-owned victim (the same
 // mechanism as a write, with the L2 as both owner and requestor).
-func (p *DiCo) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
-	p.evictL2Sharers(ctx, home, addr, victim, 0, victim.Sharers, then)
+func (p *DiCo) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message) {
+	p.evictL2Sharers(ctx, home, addr, victim, 0, victim.Sharers, ins)
 }
 
 // CheckInvariants implements Engine; call at quiescence. Beyond the

@@ -45,15 +45,18 @@ var noProPos = [cache.MaxSimAreas]int8{-1, -1, -1, -1, -1, -1, -1, -1}
 // protocol differs from the core; DESIGN.md §3 maps each one to the
 // rows of the paper's Tables I and II. homeSupply, applyL2, evictL2 and
 // CheckInvariants have no shared default; the rest default to the
-// dicoCore methods of the same name.
+// dicoCore (or engineBase) methods of the same name. The variant is
+// also the chassis' protocol, so DiCo-Arin's unblockAfterWrite reaches
+// the shared delivery handler.
 type dicoVariant interface {
+	protocol[cache.Line]
 	// remoteRead serves a read that reached the L1 owner from another area.
-	remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line)
+	remoteRead(ctx *Context, r request, owner topo.Tile, line *cache.Line)
 	// providerRead serves a read that reached a provider of its own area.
-	providerRead(ctx *Context, r dcReq, provider topo.Tile, line *cache.Line)
+	providerRead(ctx *Context, r request, provider topo.Tile, line *cache.Line)
 	// forwardHome prepares a request the L1 at tile cannot serve for its
 	// trip back to the home.
-	forwardHome(ctx *Context, r dcReq, tile topo.Tile) dcReq
+	forwardHome(ctx *Context, r request, tile topo.Tile) request
 	// invalidateProviders invalidates every provider in propos outside
 	// skipArea on behalf of requestor and returns the acks to expect.
 	invalidateProviders(ctx *Context, from topo.Tile, addr cache.Addr,
@@ -68,14 +71,12 @@ type dicoVariant interface {
 	// form the home L2 takes the ownership in (Section IV-A1).
 	relinquishForm(ctx *Context, owner topo.Tile, line *cache.Line) l2Form
 	// homeSupply serves a request at the home when the L2 holds the block.
-	homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line)
+	homeSupply(ctx *Context, r request, home topo.Tile, l2line *cache.Line)
 	// applyL2 writes form f into the home L2 line taking the ownership.
 	applyL2(line *cache.Line, dirty bool, f l2Form)
-	// evictL2 invalidates every copy of an L2 victim, then calls then.
-	evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func())
-	// unblockAfterWrite ends a broadcast write once its data and every
-	// ack have arrived (DiCo-Arin's phase three).
-	unblockAfterWrite(ctx *Context, r dcReq)
+	// evictL2 invalidates every copy of an L2 victim, then resumes the
+	// insertion ins with l2Evicted.
+	evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message)
 	CheckInvariants()
 }
 
@@ -95,61 +96,12 @@ type dicoCore struct {
 	v     dicoVariant
 	areas *topo.Areas // DiCo: one area spanning the chip
 
-	// Long-lived adapters for the kernel/mesh argument fast path:
-	// protocol hops travel as (fn, *dcMsg) pairs instead of per-message
-	// closures (see dirMsg for the pattern).
-	atHomeFn  func(any)
-	atL1Fn    func(any)
-	invalFn   func(any)
-	ackFn     func(any)
-	deliverFn func(any)
-	coFn      func(any)
-	coAckFn   func(any)
-	memReqFn  func(any)
-	memRespFn func(any)
-	memFillFn func(any)
-
-	// free holds one message pool per executor lane (see Context.Lane).
-	// It is sized by the tile count because a run never has more lanes
-	// than tiles.
-	free []*dcMsg
-}
-
-// dcReq is one DiCo-family request on its way through the chip.
-type dcReq struct {
-	addr      cache.Addr
-	requestor topo.Tile
-	write     bool
-	predicted bool
-	bcast     bool // the data completes a DiCo-Arin broadcast write
-	forwards  int
-	// via is the tile that sent this request on toward a supplier it
-	// believed in (-1 if none): DiCo-Providers repairs the stale provider
-	// pointer of the owner or home that forwarded it; DiCo-Arin refreshes
-	// the home's pointer to the L1 that bounced it.
-	via topo.Tile
-	// Ride-the-message fields (see dirReq): requestor-MSHR updates
-	// accumulated along the miss and applied at delivery.
-	links    int16 // mesh links traversed by the request legs
-	acks     int16 // sharer (or broadcast) acks the write must collect
-	provAcks int16 // provider acks the write must collect
-	homeAck  int8  // pending Change_Owner acks / unblock gate
-	clsPlus1 int8  // resolved MissClass + 1 (0 = not resolved yet)
-}
-
-// dcMsg is the pooled argument node for the non-capturing message path
-// (see dirMsg).
-type dcMsg struct {
-	next     *dcMsg
-	r        dcReq
-	tile     topo.Tile   // hop-specific second tile
-	state    cache.State // delivery fill state
-	dirty    bool
-	hasPro   bool  // propos is meaningful
-	supplier int16 // delivery prediction hint
-	count    int   // sharer acks folded into a provider ack
-	stamp    sim.Time
-	propos   [cache.MaxSimAreas]int8
+	// DiCo-family adapters for the kernel/mesh argument fast path (the
+	// shared ones live in engineBase).
+	atL1Fn   func(any)
+	coFn     func(any)
+	coAckFn  func(any)
+	homeWbFn func(any)
 }
 
 // init builds the core on ctx for the named protocol and binds it to
@@ -158,104 +110,13 @@ func (p *dicoCore) init(ctx *Context, name string, areas *topo.Areas, v dicoVari
 	if areas.Count > cache.MaxSimAreas {
 		panic(fmt.Sprintf("%s: %d areas exceed the simulator's limit of %d", name, areas.Count, cache.MaxSimAreas))
 	}
-	p.engineBase = newEngineBase(ctx, name, true, cache.New)
-	p.replace = p.evictL1
+	p.engineBase.init(ctx, name, true, cache.New, v)
 	p.v, p.areas = v, areas
-	p.free = make([]*dcMsg, ctx.NumTiles())
-	p.bindHandlers()
-}
-
-// msg takes a node from the pool of the lane running the caller on
-// ctx; at must be a tile of that lane (Context.own checks it).
-func (p *dicoCore) msg(ctx *Context, at topo.Tile, r dcReq) *dcMsg {
-	ctx.own(at)
-	lane := ctx.Lane(at)
-	m := p.free[lane]
-	if m != nil {
-		p.free[lane] = m.next
-	} else {
-		m = &dcMsg{}
-	}
-	m.r = r
-	return m
-}
-
-// putMsg recycles a node into the executing lane's pool.
-func (p *dicoCore) putMsg(ctx *Context, at topo.Tile, m *dcMsg) {
-	ctx.own(at)
-	lane := ctx.Lane(at)
-	m.next = p.free[lane]
-	p.free[lane] = m
-}
-
-// bindHandlers builds the long-lived adapter funcs once.
-func (p *dicoCore) bindHandlers() {
-	p.atHomeFn = func(a any) {
-		m := a.(*dcMsg)
-		r := m.r
-		home := p.ctx.HomeOf(r.addr)
-		p.putMsg(p.ctx.At(home), home, m)
-		p.atHome(r)
-	}
-	p.atL1Fn = func(a any) {
-		m := a.(*dcMsg)
-		r, tile := m.r, m.tile
-		p.putMsg(p.ctx.At(tile), tile, m)
-		p.atL1(r, tile)
-	}
-	p.invalFn = func(a any) {
-		m := a.(*dcMsg)
-		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		ctx := p.ctx.At(tile)
-		p.putMsg(ctx, tile, m)
-		ctx.chargeVM(requestor)
-		p.invalidateSharer(ctx, tile, addr, requestor)
-	}
-	p.ackFn = func(a any) {
-		m := a.(*dcMsg)
-		requestor, addr := m.tile, m.r.addr
-		ctx := p.ctx.At(requestor)
-		p.putMsg(ctx, requestor, m)
-		ctx.chargeVM(requestor)
-		if e, ok := p.tile(ctx, requestor).mshr.Lookup(addr); ok {
-			e.SharerAcks--
-			p.maybeComplete(ctx, requestor, addr)
-		}
-	}
-	p.deliverFn = func(a any) {
-		m := a.(*dcMsg)
-		r := m.r
-		ctx := p.ctx.At(r.requestor)
-		ctx.chargeVM(r.requestor)
-		var propos *[cache.MaxSimAreas]int8
-		if m.hasPro {
-			propos = &m.propos
-		}
-		// fillL1 may draw fresh nodes from the pool (self-sharer
-		// invalidations), so m is recycled only after it returns.
-		p.fillL1(ctx, r, m.state, m.dirty, m.supplier, propos)
-		p.putMsg(ctx, r.requestor, m)
-		if e, ok := p.tile(ctx, r.requestor).mshr.Lookup(r.addr); ok {
-			e.DataReceived = true
-			e.Links += int(r.links)
-			e.SharerAcks += int(r.acks)
-			e.ProviderAcks += int(r.provAcks)
-			e.HomeAck += int(r.homeAck)
-			if r.clsPlus1 != 0 {
-				e.Tag = int(r.clsPlus1 - 1)
-			}
-			if r.bcast && e.SharerAcks == 0 {
-				// Every broadcast ack beat the data here: run phase
-				// three (the unblock) now.
-				p.v.unblockAfterWrite(ctx, r)
-			}
-		}
-		p.maybeComplete(ctx, r.requestor, r.addr)
-	}
+	p.atL1Fn = func(a any) { p.atL1(p.recv(a)) }
 	// coFn lands a Change_Owner at the home; the node travels on to
 	// carry the gating ack back to the new owner.
 	p.coFn = func(a any) {
-		m := a.(*dcMsg)
+		m := a.(*message)
 		addr, newOwner, stamp := m.r.addr, m.tile, m.stamp
 		home := p.ctx.HomeOf(addr)
 		ctx := p.ctx.At(home)
@@ -263,8 +124,16 @@ func (p *dicoCore) bindHandlers() {
 		p.homeOwnerUpdate(ctx, home, addr, newOwner, stamp)
 		ctx.SendCtlArg(home, newOwner, p.coAckFn, m)
 	}
+	// homeWbFn lands ownership and data returning home (sendHome).
+	p.homeWbFn = func(a any) {
+		m := a.(*message)
+		home := p.ctx.HomeOf(m.r.addr)
+		ctx := p.ctx.At(home)
+		p.tile(ctx, home).stampIfNewer(ctx, m.r.addr, ctx.Kernel.Now())
+		p.insertL2(ctx, home, m)
+	}
 	p.coAckFn = func(a any) {
-		m := a.(*dcMsg)
+		m := a.(*message)
 		requestor, addr := m.tile, m.r.addr
 		ctx := p.ctx.At(requestor)
 		p.putMsg(ctx, requestor, m)
@@ -274,35 +143,16 @@ func (p *dicoCore) bindHandlers() {
 			p.maybeComplete(ctx, requestor, addr)
 		}
 	}
-	// Memory fetch pipeline: the pooled node rides request -> latency ->
-	// data through the home, which keeps no L2 copy (the new L1 owner
-	// holds the block and its coherence information).
-	p.memReqFn = func(a any) {
-		m := a.(*dcMsg)
-		ctx := p.ctx.At(p.ctx.Mem.For(m.r.addr))
-		ctx.MemFetch(p.memRespFn, m)
+}
+
+// memFill delivers memory data from the home, which keeps no L2 copy:
+// the new L1 owner holds the block and its coherence information.
+func (p *dicoCore) memFill(ctx *Context, r request, home topo.Tile) {
+	state, dirty := dcOwnerExclusive, false
+	if r.write {
+		state, dirty = dcOwnerModified, true
 	}
-	p.memRespFn = func(a any) {
-		m := a.(*dcMsg)
-		mc := p.ctx.Mem.For(m.r.addr)
-		ctx := p.ctx.At(mc)
-		ctx.chargeVM(m.r.requestor)
-		d2 := ctx.SendDataArg(mc, ctx.HomeOf(m.r.addr), p.memFillFn, m)
-		m.r.links += int16(d2.Hops)
-	}
-	p.memFillFn = func(a any) {
-		m := a.(*dcMsg)
-		r := m.r
-		home := p.ctx.HomeOf(r.addr)
-		ctx := p.ctx.At(home)
-		p.putMsg(ctx, home, m)
-		ctx.chargeVM(r.requestor)
-		state, dirty := dcOwnerExclusive, false
-		if r.write {
-			state, dirty = dcOwnerModified, true
-		}
-		p.deliver(ctx, r, home, state, dirty, -1, nil)
-	}
+	p.deliver(ctx, r, home, state, dirty, -1, nil)
 }
 
 func (p *dicoCore) areaOf(t topo.Tile) int       { return p.areas.Of(t) }
@@ -321,7 +171,7 @@ const (
 
 // classify returns the Figure 9b category of a miss at supply time;
 // the supplier rides it to the requestor on the data message.
-func classify(r *dcReq, kind supplierKind) int8 {
+func classify(r *request, kind supplierKind) int8 {
 	var c MissClass
 	switch {
 	case r.predicted && r.forwards == 0 && kind == byOwner:
@@ -338,13 +188,6 @@ func classify(r *dcReq, kind supplierKind) int8 {
 		c = MissUnpredHome
 	}
 	return int8(c) + 1
-}
-
-// Access implements Engine.
-func (p *dicoCore) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
-	if p.Issue(tile, addr, write, onDone) {
-		p.ctx.At(tile).Kernel.After(p.ctx.Cfg.L1HitLatency, onDone)
-	}
 }
 
 // Issue implements Engine.
@@ -382,7 +225,7 @@ func (p *dicoCore) Issue(tile topo.Tile, addr cache.Addr, write bool, onDone fun
 	e := t.mshr.Allocate(addr, write, uint64(ctx.Kernel.Now()))
 	e.OnComplete = onDone
 	ctx.spanBegin(tile, addr, write)
-	r := dcReq{addr: addr, requestor: tile, write: write, via: -1}
+	r := request{addr: addr, requestor: tile, write: write, via: -1}
 	// Predict the supplier via the L1C$ (Figure 5).
 	ctx.pw.L1CAccess.Inc()
 	if ptr, ok := t.l1c.Lookup(addr); ok && topo.Tile(ptr) != tile && !ctx.Cfg.NoPrediction {
@@ -455,27 +298,23 @@ func (p *dicoCore) invalidateSharers(ctx *Context, from topo.Tile, addr cache.Ad
 	area int, sharers uint64) {
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := p.tileAt(area, bits.TrailingZeros64(v))
-		m := p.msg(ctx, from, dcReq{addr: addr, requestor: requestor})
+		m := p.msg(ctx, from, request{addr: addr, requestor: requestor})
 		m.tile = sharer
 		ctx.SendCtlArg(from, sharer, p.invalFn, m)
 	}
 }
 
-// invalidateSharer drops a sharer's copy, points its prediction at the
-// new owner (Figure 5), and acks the requestor.
+// invalidateSharer drops a sharer's copy, acks the requestor, and
+// points the sharer's prediction at the new owner (Figure 5).
 func (p *dicoCore) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	t := p.tile(ctx, tile)
-	t.dropCopy(ctx, addr)
-	t.l1c.Update(addr, int16(requestor))
+	p.engineBase.invalidateSharer(ctx, tile, addr, requestor)
+	p.tile(ctx, tile).l1c.Update(addr, int16(requestor))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(ctx, tile, dcReq{addr: addr})
-	m.tile = requestor
-	ctx.SendCtlArg(tile, requestor, p.ackFn, m)
 }
 
 // atL1 dispatches a request arriving at an L1 (by prediction or
 // forwarded) per the L1 rows of Table I.
-func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
+func (p *dicoCore) atL1(r request, tile topo.Tile) {
 	ctx := p.ctx.At(tile)
 	ctx.chargeVM(r.requestor)
 	t := p.tile(ctx, tile)
@@ -521,7 +360,7 @@ func (p *dicoCore) atL1(r dcReq, tile topo.Tile) {
 
 // bounceHome sends a request the L1 at tile cannot serve back to the
 // home.
-func (p *dicoCore) bounceHome(ctx *Context, r dcReq, tile topo.Tile) {
+func (p *dicoCore) bounceHome(ctx *Context, r request, tile topo.Tile) {
 	r = p.v.forwardHome(ctx, r, tile)
 	r.forwards++
 	m := p.msg(ctx, tile, r)
@@ -530,7 +369,7 @@ func (p *dicoCore) bounceHome(ctx *Context, r dcReq, tile topo.Tile) {
 }
 
 // forwardL1 sends r on from one tile to the L1 at to.
-func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq) {
+func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r request) {
 	m := p.msg(ctx, from, r)
 	m.tile = to
 	del := ctx.SendCtlArg(from, to, p.atL1Fn, m)
@@ -540,7 +379,7 @@ func (p *dicoCore) forwardL1(ctx *Context, from, to topo.Tile, r dcReq) {
 // ownerWriteSupply transfers ownership to a writer (Table I): the owner
 // invalidates the copies itself, sends the data, and notifies the home
 // with Change_Owner, whose ack gates the transfer.
-func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
+func (p *dicoCore) ownerWriteSupply(ctx *Context, r request, owner topo.Tile, line *cache.Line) {
 	r.clsPlus1 = classify(&r, byOwner)
 	// The ack expectations ride to the requestor with the data; an ack
 	// arriving first drives its MSHR counter transiently negative, which
@@ -557,7 +396,7 @@ func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line
 	t.l1c.Update(r.addr, int16(r.requestor))
 	ctx.pw.L1CUpdate.Inc()
 	p.deliver(ctx, r, owner, dcOwnerModified, true, -1, nil)
-	m := p.msg(ctx, owner, dcReq{addr: r.addr})
+	m := p.msg(ctx, owner, request{addr: r.addr})
 	m.tile = r.requestor
 	m.stamp = ctx.Kernel.Now()
 	ctx.SendCtlArg(owner, ctx.HomeOf(r.addr), p.coFn, m) // Change_Owner (+ gating ack)
@@ -566,7 +405,7 @@ func (p *dicoCore) ownerWriteSupply(ctx *Context, r dcReq, owner topo.Tile, line
 // atHome handles a request at the home bank: consult the L2C$ for the
 // precise owner, else let the variant serve from the L2, else fetch
 // memory (the requestor becomes the owner).
-func (p *dicoCore) atHome(r dcReq) {
+func (p *dicoCore) atHome(r request) {
 	home := p.ctx.HomeOf(r.addr)
 	ctx := p.ctx.At(home)
 	ctx.chargeVM(r.requestor)
@@ -599,23 +438,13 @@ func (p *dicoCore) atHome(r dcReq) {
 		return
 	}
 	p.updateL2C(ctx, home, r.addr, r.requestor)
-	m := p.msg(ctx, home, r)
-	del := ctx.SendCtlArg(home, ctx.Mem.For(r.addr), p.memReqFn, m)
-	m.r.links += int16(del.Hops)
-}
-
-// retry backs r off and restarts it at the home. The retry keeps the
-// accumulated rides: those hops and ack expectations really happened.
-func (p *dicoCore) retry(ctx *Context, home topo.Tile, r dcReq) {
-	ctx.spanRetry(r.requestor)
-	r.forwards, r.via = 0, -1
-	ctx.Kernel.AfterArg(retryBackoff, p.atHomeFn, p.msg(ctx, home, r))
+	p.fetchFromMemory(ctx, r, home)
 }
 
 // grantFromHome hands the home L2's ownership to the requestor: the L2
 // copy leaves, the L2C$ points at the new owner, and the data carries
 // state (and provider pointers, when propos is non-nil).
-func (p *dicoCore) grantFromHome(ctx *Context, r dcReq, home topo.Tile, state cache.State, dirty bool,
+func (p *dicoCore) grantFromHome(ctx *Context, r request, home topo.Tile, state cache.State, dirty bool,
 	propos *[cache.MaxSimAreas]int8) {
 	ctx.pw.L2DataRead.Inc()
 	p.tile(ctx, home).l2.Invalidate(r.addr)
@@ -624,26 +453,12 @@ func (p *dicoCore) grantFromHome(ctx *Context, r dcReq, home topo.Tile, state ca
 	p.deliver(ctx, r, home, state, dirty, -1, propos)
 }
 
-// deliver sends the block to the requestor, carrying the miss's
-// accumulated MSHR updates in r. supplier (when >= 0) is kept as the
-// line's prediction hint; propos, when non-nil, rides to an owner.
-func (p *dicoCore) deliver(ctx *Context, r dcReq, from topo.Tile, state cache.State, dirty bool,
-	supplier int16, propos *[cache.MaxSimAreas]int8) {
-	m := p.msg(ctx, from, r)
-	m.state, m.dirty, m.supplier, m.hasPro = state, dirty, supplier, propos != nil
-	if propos != nil {
-		m.propos = *propos
-	}
-	del := ctx.SendDataArg(from, r.requestor, p.deliverFn, m)
-	m.r.links += int16(del.Hops)
-}
-
 // fillL1 installs the block at the requestor, running the Table II
 // replacement for a displaced victim. A provider-requestor that just
 // received ownership invalidates its own area's sharers now (Section
 // IV-A's special case; only DiCo-Providers' providers track sharers).
-func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, supplier int16,
-	propos *[cache.MaxSimAreas]int8) {
+func (p *dicoCore) fillL1(ctx *Context, m *message) {
+	r, state, dirty := m.r, m.state, m.dirty
 	tile := r.requestor
 	ctx.spanEvent("fill", tile, r.addr)
 	t := p.tile(ctx, tile)
@@ -670,11 +485,11 @@ func (p *dicoCore) fillL1(ctx *Context, r dcReq, state cache.State, dirty bool, 
 		t.l1c.Invalidate(r.addr)
 	}
 	line.State = state
-	if supplier >= 0 {
-		line.Owner = supplier
+	if m.supplier >= 0 {
+		line.Owner = m.supplier
 	}
-	if propos != nil {
-		line.ProPos = *propos
+	if m.hasPro {
+		line.ProPos = m.propos
 	}
 	if selfSharers != 0 {
 		if e, ok := t.mshr.Lookup(r.addr); ok {
@@ -820,14 +635,11 @@ func (p *dicoCore) writebackForm(_ *Context, tile topo.Tile, _ cache.Addr, _ [ca
 // sendHome ships ownership and data of addr from the executing tile to
 // the home, which stamps the return — so a Change_Owner sent earlier
 // but arriving later cannot resurrect a stale pointer — and lands it:
-// the L2 installs the ownership, then the home settles.
+// the L2 installs the ownership in form f, then the home settles.
 func (p *dicoCore) sendHome(ctx *Context, from topo.Tile, addr cache.Addr, dirty bool, f l2Form) {
-	home := ctx.HomeOf(addr)
-	ctx.SendData(from, home, func() {
-		hctx := p.ctx.At(home)
-		p.tile(hctx, home).stampIfNewer(hctx, addr, hctx.Kernel.Now())
-		p.insertL2(hctx, home, addr, dirty, f, func() { p.settleHome(hctx, home, addr) })
-	})
+	m := p.msg(ctx, from, request{addr: addr})
+	m.dirty, m.form = dirty, f
+	ctx.SendDataArg(from, ctx.HomeOf(addr), p.homeWbFn, m)
 }
 
 // settleHome retires the home's pointer to the old L1 owner, clears any
@@ -916,9 +728,12 @@ func (p *dicoCore) relinquishForm(_ *Context, owner topo.Tile, line *cache.Line)
 	return f
 }
 
-// insertL2 installs a block in its home L2 in form f, first evicting an
-// L2 victim (which invalidates the victim's copies), then calls then.
-func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, f l2Form, then func()) {
+// insertL2 installs the block a returning ownership ins carries
+// (r.addr, dirty, form) in its home L2, first evicting an L2 victim
+// (which invalidates the victim's copies and resumes here), then
+// settles the home and recycles ins.
+func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, ins *message) {
+	addr := ins.r.addr
 	ctx.spanEvent("l2-insert", home, addr)
 	th := p.tile(ctx, home)
 	line, hit, valid := th.l2.Probe(addr)
@@ -927,50 +742,51 @@ func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, addr cache.Addr, dirty
 		ctx.pw.L2TagWrite.Inc()
 		ctx.pw.L2DataWrite.Inc()
 		th.l2.Touch(line)
-		p.v.applyL2(line, dirty, f)
+		p.v.applyL2(line, ins.dirty, ins.form)
 	case valid:
 		// Remove the victim from the array immediately (so no concurrent
 		// insertion picks the same way), invalidate its copies, then
 		// retry the insertion.
 		snapshot, victimAddr := th.l2.InvalidateLine(line)
 		ctx.pw.L2TagWrite.Inc()
-		retry := f
-		p.v.evictL2(ctx, home, victimAddr, snapshot, func() { p.insertL2(ctx, home, addr, dirty, retry, then) })
+		p.v.evictL2(ctx, home, victimAddr, snapshot, ins)
 		return
 	default:
 		ctx.pw.L2TagWrite.Inc()
 		ctx.pw.L2DataWrite.Inc()
-		th.l2.Fill(line, addr, f.state)
-		p.v.applyL2(line, dirty, f)
+		th.l2.Fill(line, addr, ins.form.state)
+		p.v.applyL2(line, ins.dirty, ins.form)
 	}
-	if then != nil {
-		then()
+	p.putMsg(ctx, home, ins)
+	p.settleHome(ctx, home, addr)
+}
+
+// l2Evicted ends the eviction of L2 victim addr once its copies are
+// gone: dirty data goes to memory, the home releases the block, and the
+// insertion ins that displaced it resumes.
+func (p *dicoCore) l2Evicted(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, ins *message) {
+	if dirty {
+		p.flush(ctx, home, addr)
 	}
+	th := p.tile(ctx, home)
+	th.clearHomeBusy(addr)
+	th.wakeHome(ctx.Kernel, addr)
+	p.insertL2(ctx, home, ins)
 }
 
 // evictL2Sharers evicts an owner-form L2 victim whose copies are the
-// area-local sharers of area: it invalidates them, collects their acks
-// at the home, writes dirty data back to memory, then calls then. The
-// pending counter is touched only on the home's lane (every ack lands
-// there).
+// area-local sharers of area: it invalidates them and collects their
+// acks at the home before l2Evicted. The pending counter is touched
+// only on the home's lane (every ack lands there).
 func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, area int,
-	sharers uint64, then func()) {
+	sharers uint64, ins *message) {
 	ctx.spanEvent("l2-evict", home, addr)
-	th := p.tile(ctx, home)
-	th.setHomeBusy(addr)
-	pending := popcount(sharers)
-	finish := func() {
-		if victim.Dirty {
-			p.flush(ctx, home, addr)
-		}
-		th.clearHomeBusy(addr)
-		th.wakeHome(ctx.Kernel, addr)
-		then()
-	}
-	if pending == 0 {
-		finish()
+	if sharers == 0 {
+		p.l2Evicted(ctx, home, addr, victim.Dirty, ins)
 		return
 	}
+	p.tile(ctx, home).setHomeBusy(addr)
+	dirty, pending := victim.Dirty, popcount(sharers)
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := p.tileAt(area, bits.TrailingZeros64(v))
 		ctx.SendCtl(home, sharer, func() {
@@ -979,7 +795,7 @@ func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, addr cache.Addr,
 			sctx.SendCtl(sharer, home, func() {
 				pending--
 				if pending == 0 {
-					finish()
+					p.l2Evicted(ctx, home, addr, dirty, ins)
 				}
 			})
 		})
@@ -991,18 +807,18 @@ func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, addr cache.Addr,
 
 // remoteRead has no DiCo behaviour: DiCo's single area makes every
 // requestor local.
-func (p *dicoCore) remoteRead(*Context, dcReq, topo.Tile, *cache.Line) {
+func (p *dicoCore) remoteRead(*Context, request, topo.Tile, *cache.Line) {
 	panic(p.name + ": read from a remote area")
 }
 
 // providerRead has no DiCo behaviour: no DiCo copy is a provider.
-func (p *dicoCore) providerRead(*Context, dcReq, topo.Tile, *cache.Line) {
+func (p *dicoCore) providerRead(*Context, request, topo.Tile, *cache.Line) {
 	panic(p.name + ": read served by a provider")
 }
 
 // forwardHome records the bouncing L1 (DiCo-Arin's stale-provider
 // fixup reads it at the home; DiCo ignores it).
-func (p *dicoCore) forwardHome(_ *Context, r dcReq, tile topo.Tile) dcReq {
+func (p *dicoCore) forwardHome(_ *Context, r request, tile topo.Tile) request {
 	r.via = tile
 	return r
 }
@@ -1017,9 +833,6 @@ func (p *dicoCore) invalidateProviders(*Context, topo.Tile, cache.Addr, [cache.M
 func (p *dicoCore) evictProvider(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line) {
 	p.keepHint(ctx, tile, addr, victim)
 }
-
-// unblockAfterWrite: only DiCo-Arin issues broadcast writes.
-func (p *dicoCore) unblockAfterWrite(*Context, dcReq) {}
 
 // ForEachCopy implements Engine.
 func (p *dicoCore) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {

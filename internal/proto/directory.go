@@ -34,39 +34,20 @@ type Directory struct {
 	// resurrects a stale owner pointer and every request
 	// forwards/bounces forever (found by the stress fuzzer, seed 139).
 
-	// Long-lived adapters for the kernel/mesh argument fast path:
-	// protocol hops travel as (fn, *dirMsg) pairs instead of
-	// per-message closures. Each adapter unpacks its pooled node,
-	// recycles it, and calls the value-typed handler.
-	atHomeFn      func(any)
+	// Directory-only adapters for the kernel/mesh argument fast path
+	// (the shared ones live in engineBase).
 	atOwnerFn     func(any)
 	atSharerFn    func(any)
 	sharerRetryFn func(any)
-	deliverFn     func(any)
-	invalFn       func(any)
-	ackFn         func(any)
 	handoverFn    func(any)
 	downgradeFn   func(any)
 	evictWbFn     func(any)
-	memReqFn      func(any)
-	memRespFn     func(any)
-	memFillFn     func(any)
-
-	// free holds one message pool per executor lane (see Context.Lane):
-	// senders take nodes from their lane's list and delivery handlers
-	// recycle into theirs, so no list is ever touched by two lanes (an
-	// engine-global pool would race under RunParallel). It is sized by
-	// the tile count because a run never has more lanes than tiles.
-	free []*dirMsg
 }
 
 // NewDirectory builds the directory engine on ctx.
 func NewDirectory(ctx *Context) *Directory {
-	d := &Directory{
-		engineBase: newEngineBase(ctx, "directory", false, cache.NewBare),
-		free:       make([]*dirMsg, ctx.NumTiles()),
-	}
-	d.replace = d.evictL1
+	d := &Directory{}
+	d.init(ctx, "directory", false, cache.NewBare, d)
 	d.bindHandlers()
 	for _, t := range d.tiles {
 		t.dir = cache.NewDir("dir", ctx.Cfg.L2Sets, ctx.Cfg.DirWays())
@@ -75,92 +56,16 @@ func NewDirectory(ctx *Context) *Directory {
 	return d
 }
 
-type dirReq struct {
-	addr      cache.Addr
-	requestor topo.Tile
-	write     bool
-	forwards  int
-
-	// Ride-along MSHR bookkeeping: instead of the home/owner/sharer
-	// synchronously poking the requestor's MSHR as the transaction
-	// hops the chip, each leg accumulates its contribution here and
-	// the delivery handler applies it on the requestor's own lane.
-	links    int16 // mesh links traversed by the request legs
-	acks     int16 // sharer acks the write must collect
-	clsPlus1 int8  // resolved MissClass + 1 (0 = not resolved yet)
-}
-
-// retryReq rebuilds a request for a NACK-and-retry round: the forward
-// budget resets, the ride-along bookkeeping accumulated so far stays
-// (those hops really happened and must reach the requestor's MSHR).
-func retryReq(r dirReq) dirReq {
-	r.forwards = 0
-	return r
-}
-
-// dirMsg is the pooled argument node for the non-capturing message
-// path. A *dirMsg boxes into any without allocating, so the hot
-// request/forward/deliver/update hops cost no heap traffic; handlers
-// unpack the fields they need, recycle the node, then act.
-type dirMsg struct {
-	next  *dirMsg
-	r     dirReq
-	tile  topo.Tile   // hop-specific second tile (owner/sharer/requestor)
-	state cache.State // deliverData fill state
-	dirty bool
-	stamp sim.Time // ownership-update stamp
-}
-
-// msg takes a node from the pool of the lane running the caller on
-// ctx; at must be a tile of that lane (Context.own checks it).
-func (d *Directory) msg(ctx *Context, at topo.Tile, r dirReq) *dirMsg {
-	ctx.own(at)
-	lane := ctx.Lane(at)
-	m := d.free[lane]
-	if m != nil {
-		d.free[lane] = m.next
-	} else {
-		m = &dirMsg{}
-	}
-	m.r = r
-	return m
-}
-
-// putMsg recycles a node into the executing lane's pool.
-func (d *Directory) putMsg(ctx *Context, at topo.Tile, m *dirMsg) {
-	ctx.own(at)
-	lane := ctx.Lane(at)
-	m.next = d.free[lane]
-	d.free[lane] = m
-}
-
-// bindHandlers builds the long-lived adapter funcs once; every
-// per-message send reuses them with a pooled *dirMsg argument.
+// bindHandlers builds the directory's own adapter funcs once; every
+// per-message send reuses them with a pooled *message argument.
 func (d *Directory) bindHandlers() {
-	d.atHomeFn = func(a any) {
-		m := a.(*dirMsg)
-		r := m.r
-		home := d.ctx.HomeOf(r.addr)
-		d.putMsg(d.ctx.At(home), home, m)
-		d.atHome(r)
-	}
-	d.atOwnerFn = func(a any) {
-		m := a.(*dirMsg)
-		r, owner := m.r, m.tile
-		d.putMsg(d.ctx.At(owner), owner, m)
-		d.atOwner(r, owner)
-	}
-	d.atSharerFn = func(a any) {
-		m := a.(*dirMsg)
-		r, sharer := m.r, m.tile
-		d.putMsg(d.ctx.At(sharer), sharer, m)
-		d.atSharerSupply(r, sharer)
-	}
+	d.atOwnerFn = func(a any) { d.atOwner(d.recv(a)) }
+	d.atSharerFn = func(a any) { d.atSharerSupply(d.recv(a)) }
 	// sharerRetryFn runs at the home after a forwarded read found the
 	// sharer's copy silently evicted: drop the stale sharer bit and
 	// restart the request.
 	d.sharerRetryFn = func(a any) {
-		m := a.(*dirMsg)
+		m := a.(*message)
 		r, sharer, stamp := m.r, m.tile, m.stamp
 		home := d.ctx.HomeOf(r.addr)
 		ctx := d.ctx.At(home)
@@ -171,46 +76,10 @@ func (d *Directory) bindHandlers() {
 		})
 		d.atHome(r)
 	}
-	d.deliverFn = func(a any) {
-		m := a.(*dirMsg)
-		r, state, dirty := m.r, m.state, m.dirty
-		ctx := d.ctx.At(r.requestor)
-		d.putMsg(ctx, r.requestor, m)
-		ctx.chargeVM(r.requestor)
-		d.fillL1(ctx, r.requestor, r.addr, state, dirty)
-		if e, ok := d.tile(ctx, r.requestor).mshr.Lookup(r.addr); ok {
-			e.DataReceived = true
-			e.Links += int(r.links)
-			e.SharerAcks += int(r.acks)
-			if r.clsPlus1 != 0 {
-				e.Tag = int(r.clsPlus1 - 1)
-			}
-		}
-		d.maybeComplete(ctx, r.requestor, r.addr)
-	}
-	d.invalFn = func(a any) {
-		m := a.(*dirMsg)
-		sharer, addr, requestor := m.tile, m.r.addr, m.r.requestor
-		ctx := d.ctx.At(sharer)
-		d.putMsg(ctx, sharer, m)
-		ctx.chargeVM(requestor)
-		d.invalidateAtL1(ctx, sharer, addr, requestor)
-	}
-	d.ackFn = func(a any) {
-		m := a.(*dirMsg)
-		requestor, addr := m.tile, m.r.addr
-		ctx := d.ctx.At(requestor)
-		d.putMsg(ctx, requestor, m)
-		ctx.chargeVM(requestor)
-		if e, ok := d.tile(ctx, requestor).mshr.Lookup(addr); ok {
-			e.SharerAcks--
-			d.maybeComplete(ctx, requestor, addr)
-		}
-	}
 	// handoverFn applies the write-handover directory update at the
 	// home: the forwarded write made m.tile the new exclusive owner.
 	d.handoverFn = func(a any) {
-		m := a.(*dirMsg)
+		m := a.(*message)
 		addr, stamp, newOwner := m.r.addr, m.stamp, m.tile
 		home := d.ctx.HomeOf(addr)
 		ctx := d.ctx.At(home)
@@ -225,7 +94,7 @@ func (d *Directory) bindHandlers() {
 	// (m.tile) became a sharer alongside the requestor, and its data
 	// writeback lands in the home L2 (or memory if superseded).
 	d.downgradeFn = func(a any) {
-		m := a.(*dirMsg)
+		m := a.(*message)
 		addr, stamp, owner, requestor, dirty := m.r.addr, m.stamp, m.tile, m.r.requestor, m.dirty
 		home := d.ctx.HomeOf(addr)
 		ctx := d.ctx.At(home)
@@ -245,7 +114,7 @@ func (d *Directory) bindHandlers() {
 	// evictWbFn applies an owned-eviction update: m.tile gave up the
 	// block entirely.
 	d.evictWbFn = func(a any) {
-		m := a.(*dirMsg)
+		m := a.(*message)
 		addr, stamp, tile, dirty := m.r.addr, m.stamp, m.tile, m.dirty
 		home := d.ctx.HomeOf(addr)
 		ctx := d.ctx.At(home)
@@ -262,48 +131,18 @@ func (d *Directory) bindHandlers() {
 		}
 		d.insertL2Data(ctx, home, addr, dirty)
 	}
-	// Memory fetch pipeline: request at the controller, latency wait,
-	// data hop back through the home, fill + deliver.
-	d.memReqFn = func(a any) {
-		m := a.(*dirMsg)
-		ctx := d.ctx.At(d.ctx.Mem.For(m.r.addr))
-		ctx.MemFetch(d.memRespFn, m)
-	}
-	d.memRespFn = func(a any) {
-		m := a.(*dirMsg)
-		// Memory data flows through the home: the directory keeps a
-		// copy of read data in the shared L2 (deduplicated data is
-		// stored once for all VMs), then forwards it on.
-		mc := d.ctx.Mem.For(m.r.addr)
-		ctx := d.ctx.At(mc)
-		ctx.chargeVM(m.r.requestor)
-		home := ctx.HomeOf(m.r.addr)
-		d2 := ctx.SendDataArg(mc, home, d.memFillFn, m)
-		m.r.links += int16(d2.Hops)
-	}
-	d.memFillFn = func(a any) {
-		m := a.(*dirMsg)
-		r := m.r
-		home := d.ctx.HomeOf(r.addr)
-		ctx := d.ctx.At(home)
-		d.putMsg(ctx, home, m)
-		ctx.chargeVM(r.requestor)
-		state, dirty := dirExclusive, false
-		if r.write {
-			state, dirty = dirModified, true
-		}
-		if !r.write {
-			d.insertL2Data(ctx, home, r.addr, false)
-		}
-		d.deliverData(ctx, r, home, state, dirty)
-	}
 }
 
-// Access implements Engine.
-func (d *Directory) Access(tile topo.Tile, addr cache.Addr, write bool, onDone func()) {
-	if d.Issue(tile, addr, write, onDone) {
-		d.ctx.At(tile).Kernel.After(d.ctx.Cfg.L1HitLatency, onDone)
+// memFill lands memory data at the home: the directory keeps a copy of
+// read data in the shared L2 (deduplicated data is stored once for all
+// VMs), then forwards it on.
+func (d *Directory) memFill(ctx *Context, r request, home topo.Tile) {
+	if r.write {
+		d.deliver(ctx, r, home, dirModified, true, -1, nil)
+		return
 	}
+	d.insertL2Data(ctx, home, r.addr, false)
+	d.deliver(ctx, r, home, dirExclusive, false, -1, nil)
 }
 
 // Issue implements Engine.
@@ -336,13 +175,13 @@ func (d *Directory) Issue(tile topo.Tile, addr cache.Addr, write bool, onDone fu
 	e.Tag = int(MissUnpredHome)
 	ctx.spanBegin(tile, addr, write)
 	home := ctx.HomeOf(addr)
-	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(ctx, tile, dirReq{addr: addr, requestor: tile, write: write}))
+	del := ctx.SendCtlArg(tile, home, d.atHomeFn, d.msg(ctx, tile, request{addr: addr, requestor: tile, write: write}))
 	e.Links += del.Hops
 	return false
 }
 
 // atHome processes a request at the block's home bank.
-func (d *Directory) atHome(r dirReq) {
+func (d *Directory) atHome(r request) {
 	home := d.ctx.HomeOf(r.addr)
 	ctx := d.ctx.At(home)
 	ctx.chargeVM(r.requestor)
@@ -377,17 +216,10 @@ func (d *Directory) atHome(r dirReq) {
 	}
 	if dline.Owner >= 0 {
 		owner := topo.Tile(dline.Owner)
-		if owner == r.requestor {
-			// Our own writeback is still in flight; retry shortly.
-			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(ctx, home, retryReq(r)))
-			return
-		}
-		if r.forwards >= maxForwards {
-			// Forwarding keeps bouncing (transfer in flight): back off
-			// and retry from the home.
-			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(ctx, home, retryReq(r)))
+		if owner == r.requestor || r.forwards >= maxForwards {
+			// Our own writeback is still in flight, or forwarding keeps
+			// bouncing (transfer in flight): back off and retry.
+			d.retry(ctx, home, r)
 			return
 		}
 		r.forwards++
@@ -406,14 +238,14 @@ func (d *Directory) atHome(r dirReq) {
 }
 
 // homeRead serves a read at the home when no exclusive L1 owner exists.
-func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirLine) {
+func (d *Directory) homeRead(ctx *Context, r request, dline *cache.DirLine) {
 	home := ctx.HomeOf(r.addr)
 	th := d.tile(ctx, home)
 	if th.l2.Lookup(r.addr) != nil {
 		ctx.pw.L2DataRead.Inc()
 		dline.Sharers |= bit(r.requestor)
 		ctx.pw.DirWrite.Inc()
-		d.deliverData(ctx, r, home, dirShared, false)
+		d.deliver(ctx, r, home, dirShared, false, -1, nil)
 		return
 	}
 	if others := dline.Sharers &^ bit(r.requestor); others != 0 {
@@ -427,8 +259,7 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirLine) {
 		dline.Sharers |= bit(r.requestor)
 		ctx.pw.DirWrite.Inc()
 		if r.forwards >= maxForwards {
-			ctx.spanRetry(r.requestor)
-			ctx.Kernel.AfterArg(retryBackoff, d.atHomeFn, d.msg(ctx, home, retryReq(r)))
+			d.retry(ctx, home, r)
 			return
 		}
 		r.forwards++
@@ -453,14 +284,14 @@ func (d *Directory) homeRead(ctx *Context, r dirReq, dline *cache.DirLine) {
 // instead of being written into its MSHR from here, so the entry's
 // SharerAcks may go transiently negative when acks overtake the data —
 // which is why it is a counter compared against zero.
-func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirLine) {
+func (d *Directory) homeWrite(ctx *Context, r request, dline *cache.DirLine) {
 	home := ctx.HomeOf(r.addr)
 	th := d.tile(ctx, home)
 	sharers := dline.Sharers &^ bit(r.requestor)
 	r.acks += int16(popcount(sharers))
 	for v := sharers; v != 0; v &= v - 1 {
 		sharer := topo.Tile(bits.TrailingZeros64(v))
-		m := d.msg(ctx, home, dirReq{addr: r.addr, requestor: r.requestor})
+		m := d.msg(ctx, home, request{addr: r.addr, requestor: r.requestor})
 		m.tile = sharer
 		ctx.SendCtlArg(home, sharer, d.invalFn, m)
 	}
@@ -473,7 +304,7 @@ func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirLine) {
 		// The L2 copy is stale once the new owner writes.
 		th.l2.InvalidateLine(l2line)
 		ctx.pw.L2TagWrite.Inc()
-		d.deliverData(ctx, r, home, dirModified, true)
+		d.deliver(ctx, r, home, dirModified, true, -1, nil)
 		return
 	}
 	d.fetchFromMemory(ctx, r, home)
@@ -481,7 +312,7 @@ func (d *Directory) homeWrite(ctx *Context, r dirReq, dline *cache.DirLine) {
 
 // atOwner handles a forwarded request at the (supposed) exclusive L1
 // owner.
-func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
+func (d *Directory) atOwner(r request, owner topo.Tile) {
 	ctx := d.ctx.At(owner)
 	ctx.chargeVM(r.requestor)
 	to := d.tile(ctx, owner)
@@ -511,7 +342,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 		to.l1.Invalidate(r.addr)
 		ctx.pw.L1TagWrite.Inc()
 		ctx.pw.L1DataRead.Inc()
-		d.deliverData(ctx, r, owner, dirModified, true)
+		d.deliver(ctx, r, owner, dirModified, true, -1, nil)
 		m := d.msg(ctx, owner, r)
 		m.tile = r.requestor
 		m.stamp = stamp
@@ -524,7 +355,7 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 	line.Dirty = false
 	ctx.pw.L1TagWrite.Inc()
 	ctx.pw.L1DataRead.Inc()
-	d.deliverData(ctx, r, owner, dirShared, false)
+	d.deliver(ctx, r, owner, dirShared, false, -1, nil)
 	m := d.msg(ctx, owner, r)
 	m.tile = owner
 	m.stamp = stamp
@@ -533,14 +364,14 @@ func (d *Directory) atOwner(r dirReq, owner topo.Tile) {
 }
 
 // atSharerSupply handles a read forwarded to a clean sharer.
-func (d *Directory) atSharerSupply(r dirReq, sharer topo.Tile) {
+func (d *Directory) atSharerSupply(r request, sharer topo.Tile) {
 	ctx := d.ctx.At(sharer)
 	ctx.chargeVM(r.requestor)
 	ts := d.tile(ctx, sharer)
 	ctx.pw.L1TagRead.Inc()
 	if line := ts.l1.Lookup(r.addr); line != nil && line.State == dirShared {
 		ctx.pw.L1DataRead.Inc()
-		d.deliverData(ctx, r, sharer, dirShared, false)
+		d.deliver(ctx, r, sharer, dirShared, false, -1, nil)
 		return
 	}
 	// Silent eviction raced us; drop the stale bit and retry at home.
@@ -581,39 +412,10 @@ func (d *Directory) stampNow(ctx *Context, home topo.Tile, addr cache.Addr) {
 	d.tile(ctx, home).stampIfNewer(ctx, addr, ctx.Kernel.Now())
 }
 
-// invalidateAtL1 drops the block at a sharer and acknowledges the
-// requestor.
-func (d *Directory) invalidateAtL1(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
-	t := d.tile(ctx, tile)
-	t.dropCopy(ctx, addr)
-	m := d.msg(ctx, tile, dirReq{addr: addr})
-	m.tile = requestor
-	ctx.SendCtlArg(tile, requestor, d.ackFn, m)
-}
-
-// fetchFromMemory asks the memory controller for the block; the data
-// goes straight to the requestor.
-func (d *Directory) fetchFromMemory(ctx *Context, r dirReq, home topo.Tile) {
-	mc := ctx.Mem.For(r.addr)
-	m := d.msg(ctx, home, r)
-	del := ctx.SendCtlArg(home, mc, d.memReqFn, m)
-	m.r.links += int16(del.Hops)
-}
-
-// deliverData sends the block to the requestor and completes the miss
-// on arrival. The request's ride-along bookkeeping travels with it and
-// is applied at the requestor by deliverFn.
-func (d *Directory) deliverData(ctx *Context, r dirReq, from topo.Tile, state cache.State, dirty bool) {
-	m := d.msg(ctx, from, r)
-	m.state = state
-	m.dirty = dirty
-	del := ctx.SendDataArg(from, r.requestor, d.deliverFn, m)
-	m.r.links += int16(del.Hops)
-}
-
-// fillL1 installs the block, running the eviction protocol for the
-// displaced victim if needed.
-func (d *Directory) fillL1(ctx *Context, tile topo.Tile, addr cache.Addr, state cache.State, dirty bool) {
+// fillL1 installs a delivered block, running the eviction protocol for
+// the displaced victim if needed.
+func (d *Directory) fillL1(ctx *Context, m *message) {
+	tile, addr, state, dirty := m.r.requestor, m.r.addr, m.state, m.dirty
 	t := d.tile(ctx, tile)
 	ctx.spanEvent("fill", tile, addr)
 	ctx.pw.L1TagWrite.Inc()
@@ -643,7 +445,7 @@ func (d *Directory) evictL1(ctx *Context, tile topo.Tile, addr cache.Addr, victi
 	dirty := victim.Dirty
 	stamp := ctx.Kernel.Now()
 	ctx.pw.L1DataRead.Inc()
-	m := d.msg(ctx, tile, dirReq{addr: addr})
+	m := d.msg(ctx, tile, request{addr: addr})
 	m.tile = tile
 	m.stamp = stamp
 	m.dirty = dirty

@@ -30,21 +30,25 @@ func TestLaneOwnershipEnforced(t *testing.T) {
 					other = topo.Tile(i)
 				}
 			}
-			var state, take func(ctx *Context, at topo.Tile)
+			var state func(ctx *Context, at topo.Tile)
 			switch eng := c.eng.(type) {
 			case *Directory:
 				state = func(ctx *Context, at topo.Tile) { eng.tile(ctx, at) }
-				take = func(ctx *Context, at topo.Tile) { eng.putMsg(ctx, at, eng.msg(ctx, at, dirReq{})) }
 			case interface {
 				tile(*Context, topo.Tile) *tileState[cache.Line]
-				msg(*Context, topo.Tile, dcReq) *dcMsg
-				putMsg(*Context, topo.Tile, *dcMsg)
 			}:
 				state = func(ctx *Context, at topo.Tile) { eng.tile(ctx, at) }
-				take = func(ctx *Context, at topo.Tile) { eng.putMsg(ctx, at, eng.msg(ctx, at, dcReq{})) }
 			default:
+				t.Fatalf("no tile state on %T", c.eng)
+			}
+			pool, ok := c.eng.(interface {
+				msg(*Context, topo.Tile, request) *message
+				putMsg(*Context, topo.Tile, *message)
+			})
+			if !ok {
 				t.Fatalf("no message pool on %T", c.eng)
 			}
+			take := func(ctx *Context, at topo.Tile) { pool.putMsg(ctx, at, pool.msg(ctx, at, request{})) }
 
 			// Disarmed, every handler runs on the root context, which
 			// reaches the whole chip.

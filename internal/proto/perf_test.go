@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -10,46 +11,110 @@ import (
 	"repro/internal/topo"
 )
 
-// pingPong returns a closed-over round trip that alternates an
-// exclusive write to one block between two distant tiles: every
-// iteration is a full coherence miss (invalidate the old owner, move
-// the data) with no DRAM involvement after the first touch. All
-// closures are built once so the loop itself measures only the
-// protocol hot path.
-func pingPong(eng Engine, kernel *sim.Kernel, fail func(string)) func() {
-	const addr cache.Addr = 0x5100
-	tiles := [2]topo.Tile{4, 59}
+// ref is one reference of a miss-path round.
+type ref struct {
+	tile  topo.Tile
+	addr  cache.Addr
+	write bool
+}
+
+// cycle returns a closure that runs the next of rounds on each call,
+// each reference to completion before the next issues. All closures
+// are built once so the loop itself measures only the protocol hot
+// path.
+func cycle(eng Engine, kernel *sim.Kernel, fail func(string), rounds ...[]ref) func() {
 	turn := 0
 	completed := false
 	done := func() { completed = true }
 	cond := func() bool { return completed }
 	return func() {
-		completed = false
-		eng.Access(tiles[turn&1], addr, true, done)
-		turn++
-		kernel.RunUntil(cond)
-		if !completed {
-			fail("miss round trip never completed")
+		for _, r := range rounds[turn%len(rounds)] {
+			completed = false
+			eng.Access(r.tile, r.addr, r.write, done)
+			kernel.RunUntil(cond)
+			if !completed {
+				fail(fmt.Sprintf("miss (tile %d, addr %#x, write %v) never completed", r.tile, r.addr, r.write))
+			}
 		}
+		turn++
 	}
+}
+
+// pingPong alternates an exclusive write to one block between two
+// distant tiles: every round is a full coherence miss (invalidate the
+// old owner, move the data) with no DRAM involvement after the first
+// touch.
+func pingPong(eng Engine, kernel *sim.Kernel, fail func(string)) func() {
+	const addr cache.Addr = 0x5100
+	return cycle(eng, kernel, fail, []ref{{4, addr, true}}, []ref{{59, addr, true}})
+}
+
+// readShare alternates the writer of one block between two tiles of
+// one area, and after each write two more tiles of that area read it:
+// every round invalidates two sharers (their acks ride the write's
+// data) and serves two cache-to-cache read misses.
+func readShare(eng Engine, kernel *sim.Kernel, fail func(string)) func() {
+	const addr cache.Addr = 0x5100
+	g := topo.SquareGrid(64)
+	w0, w1, r0, r1 := g.At(0, 0), g.At(3, 3), g.At(1, 2), g.At(2, 0)
+	return cycle(eng, kernel, fail,
+		[]ref{{w0, addr, true}, {r0, addr, false}, {r1, addr, false}},
+		[]ref{{w1, addr, true}, {r0, addr, false}, {r1, addr, false}})
+}
+
+// memRefetch has one tile read three blocks of one home in turn on a
+// chip with one-line L1s and L2 banks: each read displaces the previous
+// block from the L1 and the one before from the L2, so every round
+// fetches its block from memory again.
+func memRefetch(c *testChip, fail func(string)) func() {
+	home := topo.Tile(9)
+	base := pickBlock(c, home)
+	var rounds [][]ref
+	for i := 0; i < 3; i++ {
+		rounds = append(rounds, []ref{{20, base + cache.Addr(64*i), false}})
+	}
+	return cycle(c.eng, c.kernel, fail, rounds...)
+}
+
+// memRefetchConfig is memRefetch's chip: one-line L1s and L2 banks, and
+// coherence caches large enough that no directory entry or owner
+// pointer of the three blocks is ever displaced.
+func memRefetchConfig() Config {
+	cfg := DefaultConfig()
+	cfg.L1Sets, cfg.L1Ways = 1, 1
+	cfg.L2Sets, cfg.L2Ways = 1, 1
+	cfg.CCSets, cfg.CCWays = 1, 4
+	return cfg
 }
 
 // TestMissPathNoAllocs gates the steady-state miss path of every
 // protocol engine: once the transaction tables, MSHRs, message pools
-// and the kernel's node arena have warmed up, a full
-// miss-invalidate-transfer round trip must not allocate.
+// and the kernel's node arena have warmed up, an owner transfer, a
+// round of read sharing with its invalidations, and a memory refetch
+// through conflict evictions must not allocate.
 func TestMissPathNoAllocs(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.name, func(t *testing.T) {
+			fail := func(m string) { t.Fatal(m) }
 			c := newTestChip(t, e.mk)
-			trip := pingPong(c.eng, c.kernel, func(m string) { t.Fatal(m) })
-			for i := 0; i < 64; i++ {
-				trip()
-			}
-			if avg := testing.AllocsPerRun(200, trip); avg != 0 {
-				t.Errorf("miss round trip allocates %.2f/op, want 0", avg)
+			mc := newTestChipSized(t, e.mk, 64, 4, memRefetchConfig())
+			for _, leg := range []struct {
+				name string
+				trip func()
+			}{
+				{"ping-pong", pingPong(c.eng, c.kernel, fail)},
+				{"read-share", readShare(c.eng, c.kernel, fail)},
+				{"mem-refetch", memRefetch(mc, fail)},
+			} {
+				for i := 0; i < 64; i++ {
+					leg.trip()
+				}
+				if avg := testing.AllocsPerRun(200, leg.trip); avg != 0 {
+					t.Errorf("%s round allocates %.2f/op, want 0", leg.name, avg)
+				}
 			}
 			c.drain()
+			mc.drain()
 		})
 	}
 }

@@ -28,15 +28,13 @@ func NewProviders(ctx *Context) *Providers {
 	p := &Providers{}
 	p.init(ctx, "providers", ctx.Areas, p)
 	p.invalPvFn = func(a any) {
-		m := a.(*dcMsg)
-		tile, addr, requestor := m.tile, m.r.addr, m.r.requestor
+		r, tile := p.recv(a)
 		ctx := p.ctx.At(tile)
-		p.putMsg(ctx, tile, m)
-		ctx.chargeVM(requestor)
-		p.invalidateProvider(ctx, tile, addr, requestor)
+		ctx.chargeVM(r.requestor)
+		p.invalidateProvider(ctx, tile, r.addr, r.requestor)
 	}
 	p.pvAckFn = func(a any) {
-		m := a.(*dcMsg)
+		m := a.(*message)
 		requestor, addr, count := m.tile, m.r.addr, m.count
 		ctx := p.ctx.At(requestor)
 		p.putMsg(ctx, requestor, m)
@@ -53,7 +51,7 @@ func NewProviders(ctx *Context) *Providers {
 // remoteRead implements the owner rows of Table I for a read from
 // another area: forward to that area's provider, or make the requestor
 // its area's provider.
-func (p *Providers) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cache.Line) {
+func (p *Providers) remoteRead(ctx *Context, r request, owner topo.Tile, line *cache.Line) {
 	reqArea := p.areaOf(r.requestor)
 	if line.ProPos[reqArea] >= 0 {
 		r.forwards++
@@ -71,7 +69,7 @@ func (p *Providers) remoteRead(ctx *Context, r dcReq, owner topo.Tile, line *cac
 
 // providerRead: the provider supplies inside its area — the shortened
 // miss — and tracks the requestor as a sharer.
-func (p *Providers) providerRead(ctx *Context, r dcReq, provider topo.Tile, line *cache.Line) {
+func (p *Providers) providerRead(ctx *Context, r request, provider topo.Tile, line *cache.Line) {
 	r.clsPlus1 = classify(&r, byProvider)
 	line.Sharers |= p.areaBit(r.requestor)
 	ctx.pw.L1TagWrite.Inc()
@@ -83,7 +81,7 @@ func (p *Providers) providerRead(ctx *Context, r dcReq, provider topo.Tile, line
 // believing tile was a provider, its pointer is stale — repair it, or
 // reads from this area would loop owner -> stale provider -> home ->
 // owner forever.
-func (p *Providers) forwardHome(ctx *Context, r dcReq, tile topo.Tile) dcReq {
+func (p *Providers) forwardHome(ctx *Context, r request, tile topo.Tile) request {
 	if r.via >= 0 {
 		p.repairStaleProPo(ctx, tile, r.addr, r.via)
 	}
@@ -127,7 +125,7 @@ func (p *Providers) invalidateProviders(ctx *Context, from topo.Tile, addr cache
 			continue
 		}
 		n++
-		m := p.msg(ctx, from, dcReq{addr: addr, requestor: requestor})
+		m := p.msg(ctx, from, request{addr: addr, requestor: requestor})
 		m.tile = prov
 		ctx.SendCtlArg(from, prov, p.invalPvFn, m)
 	}
@@ -146,7 +144,7 @@ func (p *Providers) invalidateProvider(ctx *Context, tile topo.Tile, addr cache.
 	p.invalidateSharers(ctx, tile, addr, requestor, area, sharers)
 	p.tile(ctx, tile).l1c.Update(addr, int16(requestor))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(ctx, tile, dcReq{addr: addr})
+	m := p.msg(ctx, tile, request{addr: addr})
 	m.tile = requestor
 	m.count = popcount(sharers)
 	ctx.SendCtlArg(tile, requestor, p.pvAckFn, m)
@@ -173,7 +171,7 @@ func (p *Providers) dropProvider(ctx *Context, tile topo.Tile, addr cache.Addr) 
 // goes to the requestor's area provider if there is one, otherwise the
 // ownership moves to the requestor (event (3) of Section III-A); a
 // write invalidates through the providers and takes the ownership.
-func (p *Providers) homeSupply(ctx *Context, r dcReq, home topo.Tile, l2line *cache.Line) {
+func (p *Providers) homeSupply(ctx *Context, r request, home topo.Tile, l2line *cache.Line) {
 	reqArea := p.areaOf(r.requestor)
 	if !r.write && l2line.ProPos[reqArea] >= 0 {
 		if r.forwards >= maxForwards {
@@ -335,26 +333,20 @@ func (p *Providers) applyL2(line *cache.Line, dirty bool, f l2Form) {
 }
 
 // evictL2 invalidates an L2-owned victim through its providers
-// (two-counter scheme, with the home as both owner and requestor),
-// writes dirty data to memory, then calls then. The pending counters
-// live at the home and every mutation of them runs on the home's lane
-// (the ack sends below); provider- and sharer-side work rebinds to the
-// executing tile's lane.
-func (p *Providers) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, then func()) {
-	th := p.tile(ctx, home)
-	th.setHomeBusy(addr)
-	pendingProv, pendingSharers := 0, 0
-	finish := func() {
-		if victim.Dirty {
-			p.flush(ctx, home, addr)
-		}
-		th.clearHomeBusy(addr)
-		th.wakeHome(ctx.Kernel, addr)
-		then()
+// (two-counter scheme, with the home as both owner and requestor)
+// before l2Evicted. The pending counters live at the home and every
+// mutation of them runs on the home's lane (the ack sends below);
+// provider- and sharer-side work rebinds to the executing tile's lane.
+func (p *Providers) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message) {
+	if victim.ProPos == noProPos {
+		p.l2Evicted(ctx, home, addr, victim.Dirty, ins)
+		return
 	}
+	p.tile(ctx, home).setHomeBusy(addr)
+	dirty, pendingProv, pendingSharers := victim.Dirty, 0, 0
 	checkDone := func() {
 		if pendingProv == 0 && pendingSharers == 0 {
-			finish()
+			p.l2Evicted(ctx, home, addr, dirty, ins)
 		}
 	}
 	for a := 0; a < p.areas.Count; a++ {
@@ -384,9 +376,6 @@ func (p *Providers) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victi
 				checkDone()
 			})
 		})
-	}
-	if pendingProv == 0 {
-		finish()
 	}
 }
 
