@@ -133,6 +133,16 @@ func TestDecodeStream(t *testing.T) {
 	if !recs[0].Write || recs[1].Write {
 		t.Errorf("write bits wrong: %+v", recs[:2])
 	}
+	// Bit 0x40 of the first byte selects the wide shape.
+	wide := DecodeStream([]byte{0xcf, 0x42, 0x35, 0x07, 0x70, 0x01}, 16, 8)
+	want := []Ref{
+		{Tile: 15, Addr: 4*WideStride + 2, Write: true, Gap: 1},
+		{Tile: 5, Addr: 3*WideStride + 7},
+		{Tile: 0, Addr: 7*WideStride + 1},
+	}
+	if !reflect.DeepEqual(wide, want) {
+		t.Errorf("wide stream decodes to %+v, want %+v", wide, want)
+	}
 }
 
 // TestReplayPreservesOrder pins the replay order every stress and fuzz

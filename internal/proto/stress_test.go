@@ -167,20 +167,15 @@ func matchParallel(t *testing.T, name, protocol string, recs []check.Ref, seed u
 // byte pair decodes to one reference; all four protocols must run the
 // stream without checker, watchdog, deadlock or invariant errors, and
 // the RunParallel replay must stay fingerprint-identical to the serial
-// replay on every input.
+// replay on every input. Wide seeds (check.DecodeStream) reach L2,
+// L2C$ and directory-cache evictions and stamp-table purges.
 func FuzzStress(f *testing.F) {
 	f.Add([]byte{0x80, 0x01, 0x01, 0x01, 0x82, 0x41, 0x03, 0x01})
 	for seed := uint64(1); seed <= 4; seed++ {
-		recs := check.ConflictStream(seed, 16, 4, 64, 60)
-		data := make([]byte, 0, 2*len(recs))
-		for _, r := range recs {
-			b0 := byte(r.Tile) & 0x3f
-			if r.Write {
-				b0 |= 0x80
-			}
-			data = append(data, b0, byte(r.Addr)&0x3f|byte(r.Gap)<<6)
-		}
-		f.Add(data)
+		f.Add(encodeStream(check.ConflictStream(seed, 16, 4, 64, 60), false))
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		f.Add(encodeStream(check.ConflictStream(seed, 16, 8*48, 256, 60), true))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {
@@ -197,4 +192,26 @@ func FuzzStress(f *testing.F) {
 			matchParallel(t, p, p, recs, 7, 4)
 		}
 	})
+}
+
+// encodeStream is check.DecodeStream's inverse for the fuzz seeds on 16
+// tiles and 48 blocks: a wide stream's block b lands in range b/48 of
+// eight, its first record in the upper four (the wide flag).
+func encodeStream(recs []check.Ref, wide bool) []byte {
+	data := make([]byte, 0, 2*len(recs))
+	for i, r := range recs {
+		b0 := byte(r.Tile)
+		if wide {
+			k := byte(r.Addr / 48)
+			if i == 0 {
+				k |= 4
+			}
+			b0 |= k << 4
+		}
+		if r.Write {
+			b0 |= 0x80
+		}
+		data = append(data, b0, byte(r.Addr%48)|byte(r.Gap)<<6)
+	}
+	return data
 }
