@@ -213,27 +213,6 @@ func (n *Network) Lookahead() sim.Time { return n.hopLatency() }
 // than a hop and are not recorded.
 func (n *Network) MaxLatency() sim.Time { return n.maxLat }
 
-// BoundaryLinks counts the directed mesh links whose endpoints lie in
-// different shards under the tile->shard map — the communication
-// surface a partition exposes (fewer boundary links means less
-// cross-shard traffic to synchronize).
-func BoundaryLinks(grid topo.Grid, shardOf []int) int {
-	if len(shardOf) != grid.Tiles() {
-		panic("mesh: shard map does not cover the grid")
-	}
-	cross := 0
-	for t := 0; t < grid.Tiles(); t++ {
-		x, y := grid.Coord(topo.Tile(t))
-		if x+1 < grid.Cols && shardOf[t] != shardOf[grid.At(x+1, y)] {
-			cross += 2 // east + west
-		}
-		if y+1 < grid.Rows && shardOf[t] != shardOf[grid.At(x, y+1)] {
-			cross += 2 // south + north
-		}
-	}
-	return cross
-}
-
 // deliverKernel returns the kernel that dispatches arrivals at dst.
 func (n *Network) deliverKernel(dst topo.Tile) *sim.Kernel {
 	if n.deliver == nil {
