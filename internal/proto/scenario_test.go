@@ -241,3 +241,37 @@ func TestCrossVMDedupSharing(t *testing.T) {
 		})
 	}
 }
+
+// TestDirectoryReservedWay: a miss must not evict the directory way
+// that an allocation has reserved while its victim's copies are still
+// being invalidated. Each home here has one 2-way directory set. C's
+// miss evicts A's entry and reserves the way for C; B's hit then makes
+// that way the set's LRU, so D's miss probes it as its victim. Were D
+// to take the way, its allocation would find no holders, finish at
+// once and clear C's home-busy flag, and A's round would then write C's
+// owner into the entry that now tracks D.
+func TestDirectoryReservedWay(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L2Sets, cfg.L2Ways = 1, 1
+	cfg.CCSets, cfg.CCWays = 1, 1 // dir = 1 set x (1+1) ways
+	c := newTestChipSized(t, func(ctx *Context) Engine { return NewDirectory(ctx) }, 64, 4, cfg)
+	g := c.ctx.Net.Grid()
+	home := g.At(3, 3)
+	blk := func(k int) cache.Addr { return pickBlock(c, home) + cache.Addr(k*64*64) }
+	c.access(g.At(7, 7), blk(0), false)
+	c.access(g.At(7, 0), blk(1), false)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("directory invariants broken: %v", r)
+		}
+	}()
+	c.parallelAccess([]struct {
+		tile  topo.Tile
+		addr  cache.Addr
+		write bool
+	}{
+		{g.At(3, 4), blk(2), false},
+		{g.At(2, 4), blk(1), false},
+		{g.At(1, 4), blk(3), false},
+	})
+}
