@@ -263,31 +263,36 @@ func (p *Arin) applyL2(line *cache.Line, dirty bool, f l2Form) {
 
 // evictL2 invalidates an owner-form victim's tracked sharers (a single
 // area: cheap unicasts) or, for an inter-area victim, every copy on the
-// chip by broadcast.
+// chip by broadcast (Section IV-B1's replacement variant): every other
+// L1 blocks the address and acks the home's round, whose roundDone
+// broadcasts the unblock.
 func (p *Arin) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message) {
-	if victim.State == l2Inter {
-		p.evictL2Inter(ctx, home, addr, victim.Dirty, ins)
+	if victim.State != l2Inter {
+		sharers := victim.Sharers
+		if victim.AreaTag < 0 {
+			sharers = 0
+		}
+		p.evictL2Sharers(ctx, home, addr, victim, int(victim.AreaTag), sharers, ins)
 		return
 	}
-	sharers := victim.Sharers
-	if victim.AreaTag < 0 {
-		sharers = 0
-	}
-	p.evictL2Sharers(ctx, home, addr, victim, int(victim.AreaTag), sharers, ins)
+	ctx.spanEvent("l2-evict", home, addr)
+	p.openRound(ctx, home, addr, round{acks: int16(ctx.NumTiles() - 1), dirty: victim.Dirty, bcast: true, resume: ins})
+	// The broadcast excludes the source tile: invalidate the home tile's
+	// own L1 copy inline (its ack is not counted).
+	p.tile(ctx, home).dropCopy(ctx, addr)
+	p.broadcast(ctx, home, func(dst topo.Tile) {
+		dctx := p.ctx.At(dst)
+		p.tile(dctx, dst).setBlocked(addr)
+		m := p.msg(dctx, dst, request{addr: addr, acks: -1})
+		m.tile = dst
+		p.roundInvFn(m)
+	})
 }
 
-// evictL2Inter invalidates every copy of an inter-area victim block via
-// broadcast, acks collected at the home (Section IV-B1's replacement
-// variant), then broadcasts the unblock before l2Evicted.
-func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, ins *message) {
-	ctx.spanEvent("l2-evict", home, addr)
-	th := p.tile(ctx, home)
-	th.setHomeBusy(addr)
-	// pending lives at the home; the ack sends below run on the home's
-	// lane, so every mutation is single-lane.
-	pending := ctx.NumTiles() - 1
-	finish := func() {
-		// Phase three: the home broadcasts the unblock.
+// roundDone ends an L2 victim's eviction round; a broadcast round first
+// broadcasts the unblock (phase three).
+func (p *Arin) roundDone(ctx *Context, home topo.Tile, addr cache.Addr, rd round) {
+	if rd.bcast {
 		p.broadcast(ctx, home, func(dst topo.Tile) {
 			dctx := p.ctx.At(dst)
 			if t := p.tile(dctx, dst); t.blocked(addr) {
@@ -295,23 +300,8 @@ func (p *Arin) evictL2Inter(ctx *Context, home topo.Tile, addr cache.Addr, dirty
 				t.wakeL1(dctx.Kernel, addr)
 			}
 		})
-		p.l2Evicted(ctx, home, addr, dirty, ins)
 	}
-	// The broadcast excludes the source tile: invalidate the home tile's
-	// own L1 copy inline (its ack is not counted).
-	th.dropCopy(ctx, addr)
-	p.broadcast(ctx, home, func(dst topo.Tile) {
-		dctx := p.ctx.At(dst)
-		t := p.tile(dctx, dst)
-		t.dropCopy(dctx, addr)
-		t.setBlocked(addr)
-		dctx.SendCtl(dst, home, func() {
-			pending--
-			if pending == 0 {
-				finish()
-			}
-		})
-	})
+	p.dicoCore.roundDone(ctx, home, addr, rd)
 }
 
 // CheckInvariants implements Engine; call at quiescence. Beyond the

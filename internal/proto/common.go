@@ -959,16 +959,6 @@ const retryBackoff sim.Time = 48
 // bit returns a bit mask for tile t within a full-map vector.
 func bit(t topo.Tile) uint64 { return 1 << uint(t) }
 
-// forEachBit calls fn for every set bit index of v, in ascending
-// order (the order matters for deterministic replay).
-func forEachBit(v uint64, fn func(i int)) {
-	for v != 0 {
-		i := bits.TrailingZeros64(v)
-		fn(i)
-		v &^= 1 << uint(i)
-	}
-}
-
 // popcount returns the number of set bits.
 func popcount(v uint64) int { return bits.OnesCount64(v) }
 

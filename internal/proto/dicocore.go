@@ -74,8 +74,8 @@ type dicoVariant interface {
 	homeSupply(ctx *Context, r request, home topo.Tile, l2line *cache.Line)
 	// applyL2 writes form f into the home L2 line taking the ownership.
 	applyL2(line *cache.Line, dirty bool, f l2Form)
-	// evictL2 invalidates every copy of an L2 victim, then resumes the
-	// insertion ins with l2Evicted.
+	// evictL2 invalidates every copy of an L2 victim in an eviction
+	// round, whose roundDone resumes the insertion ins.
 	evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message)
 	CheckInvariants()
 }
@@ -102,6 +102,7 @@ type dicoCore struct {
 	coFn     func(any)
 	coAckFn  func(any)
 	homeWbFn func(any)
+	recallFn func(any) // an L2C$ recall at the owner m.tile (relinquish)
 }
 
 // init builds the core on ctx for the named protocol and binds it to
@@ -113,6 +114,7 @@ func (p *dicoCore) init(ctx *Context, name string, areas *topo.Areas, v dicoVari
 	p.engineBase.init(ctx, name, true, cache.New, v)
 	p.v, p.areas = v, areas
 	p.atL1Fn = func(a any) { p.atL1(p.recv(a)) }
+	p.recallFn = func(a any) { p.relinquish(a.(*message)) }
 	// coFn lands a Change_Owner at the home; the node travels on to
 	// carry the gating ack back to the new owner.
 	p.coFn = func(a any) {
@@ -689,18 +691,23 @@ func (p *dicoCore) updateL2C(ctx *Context, home topo.Tile, addr cache.Addr, owne
 func (p *dicoCore) recallOwnership(ctx *Context, home topo.Tile, addr cache.Addr, owner topo.Tile) {
 	ctx.spanEvent("recall", home, addr)
 	p.tile(ctx, home).markRecall(addr)
-	ctx.SendCtl(home, owner, func() { p.relinquish(home, owner, addr) })
+	m := p.msg(ctx, home, request{addr: addr})
+	m.tile = owner
+	ctx.SendCtlArg(home, owner, p.recallFn, m)
 }
 
-// relinquish moves a recalled ownership from an L1 back to the home L2.
-func (p *dicoCore) relinquish(home, owner topo.Tile, addr cache.Addr) {
+// relinquish moves a recalled ownership from the L1 at m.tile back to
+// the home L2.
+func (p *dicoCore) relinquish(m *message) {
+	owner, addr := m.tile, m.r.addr
 	ctx := p.ctx.At(owner)
 	t := p.tile(ctx, owner)
 	if _, pending := t.mshr.Lookup(addr); pending {
 		// The recalled grant has not filled yet: wait for it.
-		t.stallL1(addr, func() { p.relinquish(home, owner, addr) })
+		t.stallL1Arg(addr, p.recallFn, m)
 		return
 	}
+	p.putMsg(ctx, owner, m)
 	ctx.pw.L1TagRead.Inc()
 	line := t.l1.Peek(addr)
 	if line == nil || !dcIsOwner(line.State) {
@@ -761,44 +768,33 @@ func (p *dicoCore) insertL2(ctx *Context, home topo.Tile, ins *message) {
 	p.settleHome(ctx, home, addr)
 }
 
-// l2Evicted ends the eviction of L2 victim addr once its copies are
+// roundDone ends the eviction of L2 victim addr once its copies are
 // gone: dirty data goes to memory, the home releases the block, and the
-// insertion ins that displaced it resumes.
-func (p *dicoCore) l2Evicted(ctx *Context, home topo.Tile, addr cache.Addr, dirty bool, ins *message) {
-	if dirty {
+// insertion that displaced it resumes.
+func (p *dicoCore) roundDone(ctx *Context, home topo.Tile, addr cache.Addr, rd round) {
+	if rd.dirty {
 		p.flush(ctx, home, addr)
 	}
 	th := p.tile(ctx, home)
 	th.clearHomeBusy(addr)
 	th.wakeHome(ctx.Kernel, addr)
-	p.insertL2(ctx, home, ins)
+	p.insertL2(ctx, home, rd.resume)
 }
 
 // evictL2Sharers evicts an owner-form L2 victim whose copies are the
-// area-local sharers of area: it invalidates them and collects their
-// acks at the home before l2Evicted. The pending counter is touched
-// only on the home's lane (every ack lands there).
+// area-local sharers of area in an eviction round.
 func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, area int,
 	sharers uint64, ins *message) {
 	ctx.spanEvent("l2-evict", home, addr)
-	if sharers == 0 {
-		p.l2Evicted(ctx, home, addr, victim.Dirty, ins)
-		return
-	}
-	p.tile(ctx, home).setHomeBusy(addr)
-	dirty, pending := victim.Dirty, popcount(sharers)
+	p.openRound(ctx, home, addr, round{acks: int16(popcount(sharers)), dirty: victim.Dirty, resume: ins})
+	p.roundInvalArea(ctx, home, addr, area, sharers)
+}
+
+// roundInvalArea sends the round invalidation of addr from the
+// executing tile to every tile of the area-local vector sharers.
+func (p *dicoCore) roundInvalArea(ctx *Context, from topo.Tile, addr cache.Addr, area int, sharers uint64) {
 	for v := sharers; v != 0; v &= v - 1 {
-		sharer := p.tileAt(area, bits.TrailingZeros64(v))
-		ctx.SendCtl(home, sharer, func() {
-			sctx := p.ctx.At(sharer)
-			p.tile(sctx, sharer).dropCopy(sctx, addr)
-			sctx.SendCtl(sharer, home, func() {
-				pending--
-				if pending == 0 {
-					p.l2Evicted(ctx, home, addr, dirty, ins)
-				}
-			})
-		})
+		p.roundInval(ctx, from, p.tileAt(area, bits.TrailingZeros64(v)), addr)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // This file is the message chassis all four engines run on: one request
 // type, one pooled message node and the handlers every protocol shares
 // (the home request, the sharer ack, delivery with its ride-along MSHR
-// counts, the memory fetch legs and the retry). The paper compares its
-// protocols on identical tiles; only the coherence actions of Tables
-// I–II differ, and those are what each engine adds through protocol.
+// counts, the memory fetch legs, the retry and the eviction round). The
+// paper compares its protocols on identical tiles; only the coherence
+// actions of Tables I–II differ, and those are what each engine adds.
 
 // request is one coherence request on its way through the chip. The
 // flat directory reads only addr, requestor, write, forwards and the
@@ -35,8 +35,8 @@ type request struct {
 	// the chip, each leg accumulates its contribution here and the
 	// delivery handler applies it on the requestor's own lane.
 	links    int16 // mesh links traversed by the request legs
-	acks     int16 // sharer (or broadcast) acks the write must collect
-	provAcks int16 // provider acks the write must collect
+	acks     int16 // sharer (or broadcast) acks the write must collect; -1 on an ack
+	provAcks int16 // provider acks, likewise (a provider ack adds its sharers' to acks)
 	homeAck  int8  // pending Change_Owner acks / unblock gate
 	clsPlus1 int8  // resolved MissClass + 1 (0 = not resolved yet)
 }
@@ -54,7 +54,6 @@ type message struct {
 	dirty    bool
 	hasPro   bool  // propos is meaningful
 	supplier int16 // delivery prediction hint (-1: none)
-	count    int   // sharer acks folded into a provider ack
 	stamp    sim.Time
 	propos   [cache.MaxSimAreas]int8
 	form     l2Form // ownership returning to the home L2 (sendHome)
@@ -62,9 +61,9 @@ type message struct {
 
 // protocol is what an engine adds to the chassis: its issue path, its
 // home request handler, its fill of a delivery at the requestor, the
-// landing of memory data at the home, and its L1 replacement.
-// engineBase supplies defaults for invalidateSharer and
-// unblockAfterWrite.
+// landing of memory data at the home, its L1 replacement, and the end
+// of its eviction rounds. engineBase supplies defaults for
+// invalidateSharer, unblockAfterWrite and dropForRound.
 type protocol[P any] interface {
 	Issue(tile topo.Tile, addr cache.Addr, write bool, onDone func()) bool
 	atHome(r request)
@@ -81,6 +80,21 @@ type protocol[P any] interface {
 	// unblockAfterWrite ends a broadcast write once its data and every
 	// ack have arrived (DiCo-Arin's phase three).
 	unblockAfterWrite(ctx *Context, r request)
+	// dropForRound drops a holder's copy for an eviction round and
+	// reports whether the ack carries its data; roundDone ends the round.
+	dropForRound(ctx *Context, tile topo.Tile, addr cache.Addr) bool
+	roundDone(ctx *Context, home topo.Tile, addr cache.Addr, rd round)
+}
+
+// round is the eviction round of a victim block, kept in the home's
+// txRecord for it: an L2 or directory-entry eviction invalidates the
+// block's copies as a write would, with the home as requestor (Table
+// II). The block stays home-busy until roundDone.
+type round struct {
+	acks, provAcks int16 // sharer (or broadcast) and provider acks still due
+	dirty          bool  // the victim's dirty bit
+	bcast          bool  // DiCo-Arin: the copies were invalidated by broadcast
+	resume         *message
 }
 
 // engineBase is the state and Engine plumbing all four protocols
@@ -103,6 +117,9 @@ type engineBase[P any] struct {
 	memReqFn  func(any)
 	memRespFn func(any)
 	memFillFn func(any)
+	// The eviction round's holder and home legs (openRound).
+	roundInvFn func(any)
+	roundAckFn func(any)
 
 	// free holds one message pool per executor lane (see Context.Lane):
 	// senders take nodes from their lane's list and delivery handlers
@@ -177,12 +194,13 @@ func (b *engineBase[P]) bindHandlers() {
 	}
 	b.ackFn = func(a any) {
 		m := a.(*message)
-		requestor, addr := m.tile, m.r.addr
+		requestor, addr, acks, provAcks := m.tile, m.r.addr, m.r.acks, m.r.provAcks
 		ctx := b.ctx.At(requestor)
 		b.putMsg(ctx, requestor, m)
 		ctx.chargeVM(requestor)
 		if e, ok := b.tile(ctx, requestor).mshr.Lookup(addr); ok {
-			e.SharerAcks--
+			e.SharerAcks += int(acks)
+			e.ProviderAcks += int(provAcks)
 			b.maybeComplete(ctx, requestor, addr)
 		}
 	}
@@ -236,6 +254,35 @@ func (b *engineBase[P]) bindHandlers() {
 		ctx.chargeVM(r.requestor)
 		b.proto.memFill(ctx, r, home)
 	}
+	// The eviction round: a holder drops its copy and acks the home,
+	// with the data when the engine says so; the home flushes that data,
+	// counts the ack, and ends the round when none is due.
+	b.roundInvFn = func(a any) {
+		m := a.(*message)
+		addr, holder := m.r.addr, m.tile
+		ctx := b.ctx.At(holder)
+		if m.dirty = b.proto.dropForRound(ctx, holder, addr); m.dirty {
+			ctx.SendDataArg(holder, ctx.HomeOf(addr), b.roundAckFn, m)
+		} else {
+			ctx.SendCtlArg(holder, ctx.HomeOf(addr), b.roundAckFn, m)
+		}
+	}
+	b.roundAckFn = func(a any) {
+		m := a.(*message)
+		addr, acks, provAcks, dirty := m.r.addr, m.r.acks, m.r.provAcks, m.dirty
+		home := b.ctx.HomeOf(addr)
+		ctx := b.ctx.At(home)
+		b.putMsg(ctx, home, m)
+		if dirty {
+			b.flush(ctx, home, addr)
+		}
+		rd := &b.tile(ctx, home).tx.get(addr).round
+		rd.acks += acks
+		rd.provAcks += provAcks
+		if rd.acks == 0 && rd.provAcks == 0 {
+			b.proto.roundDone(ctx, home, addr, *rd)
+		}
+	}
 }
 
 // Access implements Engine.
@@ -280,13 +327,40 @@ func (b *engineBase[P]) deliver(ctx *Context, r request, from topo.Tile, state c
 // it as racing the invalidation, and acks the requestor.
 func (b *engineBase[P]) invalidateSharer(ctx *Context, tile topo.Tile, addr cache.Addr, requestor topo.Tile) {
 	b.tile(ctx, tile).dropCopy(ctx, addr)
-	m := b.msg(ctx, tile, request{addr: addr})
+	m := b.msg(ctx, tile, request{addr: addr, acks: -1})
 	m.tile = requestor
 	ctx.SendCtlArg(tile, requestor, b.ackFn, m)
 }
 
 // unblockAfterWrite: only DiCo-Arin issues broadcast writes.
 func (b *engineBase[P]) unblockAfterWrite(*Context, request) {}
+
+// openRound starts the eviction round rd of victim addr at home, whose
+// acks the caller's round invalidations then collect; a round with no
+// ack due ends at once.
+func (b *engineBase[P]) openRound(ctx *Context, home topo.Tile, addr cache.Addr, rd round) {
+	if rd.acks == 0 && rd.provAcks == 0 {
+		b.proto.roundDone(ctx, home, addr, rd)
+		return
+	}
+	rec := b.tile(ctx, home).tx.ensure(addr)
+	rec.flags |= txHomeBusy
+	rec.round = rd
+}
+
+// roundInval sends holder the round invalidation of addr from the
+// executing tile; the holder acks the block's home.
+func (b *engineBase[P]) roundInval(ctx *Context, from, holder topo.Tile, addr cache.Addr) {
+	m := b.msg(ctx, from, request{addr: addr, acks: -1})
+	m.tile = holder
+	ctx.SendCtlArg(from, holder, b.roundInvFn, m)
+}
+
+// dropForRound: a DiCo-family round ack never carries data.
+func (b *engineBase[P]) dropForRound(ctx *Context, tile topo.Tile, addr cache.Addr) bool {
+	b.tile(ctx, tile).dropCopy(ctx, addr)
+	return false
+}
 
 // tile returns tile t's state to a handler running on ctx: the one way
 // handlers reach per-tile state, so every access passes the ownership

@@ -87,17 +87,50 @@ func memRefetchConfig() Config {
 	return cfg
 }
 
+// evictRound has two tiles of one area read three blocks of one home in
+// turn on a chip with one-line L2 banks and one-entry coherence caches
+// (evictRoundConfig), so every round's first miss evicts a block that
+// both tiles hold. In the directory the miss is untracked and evicts
+// the LRU of the home's two directory entries, two blocks back. In the
+// DiCo family it displaces the previous block's L2C$ pointer; the
+// recall lands that block in the L2 in the owner form, which evicts
+// the block before it: DiCo and DiCo-Arin invalidate its tracked
+// sharers, DiCo-Providers its provider, which invalidates its sharer.
+func evictRound(c *testChip, fail func(string)) func() {
+	g := c.ctx.Net.Grid()
+	home := g.At(4, 4)
+	base := pickBlock(c, home)
+	t0, t1 := g.At(5, 5), g.At(6, 7)
+	var rounds [][]ref
+	for i := 0; i < 3; i++ {
+		a := base + cache.Addr(64*i)
+		rounds = append(rounds, []ref{{t0, a, false}, {t1, a, false}})
+	}
+	return cycle(c.eng, c.kernel, fail, rounds...)
+}
+
+// evictRoundConfig is evictRound's chip: one-line L2 banks, one-entry
+// L1C$s and L2C$s, and so two-way directory sets.
+func evictRoundConfig() Config {
+	cfg := DefaultConfig()
+	cfg.L2Sets, cfg.L2Ways = 1, 1
+	cfg.CCSets, cfg.CCWays = 1, 1
+	return cfg
+}
+
 // TestMissPathNoAllocs gates the steady-state miss path of every
 // protocol engine: once the transaction tables, MSHRs, message pools
 // and the kernel's node arena have warmed up, an owner transfer, a
-// round of read sharing with its invalidations, and a memory refetch
-// through conflict evictions must not allocate.
+// round of read sharing with its invalidations, a memory refetch
+// through conflict evictions, and an eviction that invalidates a
+// block's copies must not allocate.
 func TestMissPathNoAllocs(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.name, func(t *testing.T) {
 			fail := func(m string) { t.Fatal(m) }
 			c := newTestChip(t, e.mk)
 			mc := newTestChipSized(t, e.mk, 64, 4, memRefetchConfig())
+			ec := newTestChipSized(t, e.mk, 64, 4, evictRoundConfig())
 			for _, leg := range []struct {
 				name string
 				trip func()
@@ -105,6 +138,7 @@ func TestMissPathNoAllocs(t *testing.T) {
 				{"ping-pong", pingPong(c.eng, c.kernel, fail)},
 				{"read-share", readShare(c.eng, c.kernel, fail)},
 				{"mem-refetch", memRefetch(mc, fail)},
+				{"evict", evictRound(ec, fail)},
 			} {
 				for i := 0; i < 64; i++ {
 					leg.trip()
@@ -115,6 +149,7 @@ func TestMissPathNoAllocs(t *testing.T) {
 			}
 			c.drain()
 			mc.drain()
+			ec.drain()
 		})
 	}
 }

@@ -20,7 +20,7 @@ type Providers struct {
 	dicoCore
 
 	invalPvFn func(any) // provider invalidation at m.tile
-	pvAckFn   func(any) // provider ack folding m.count sharer acks
+	roundPvFn func(any) // provider leg of an L2 eviction round at m.tile
 }
 
 // NewProviders builds the DiCo-Providers engine on ctx.
@@ -33,17 +33,16 @@ func NewProviders(ctx *Context) *Providers {
 		ctx.chargeVM(r.requestor)
 		p.invalidateProvider(ctx, tile, r.addr, r.requestor)
 	}
-	p.pvAckFn = func(a any) {
+	// The provider drops its copy, sends round invalidations to the
+	// sharers it tracked, and acks the home with their count.
+	p.roundPvFn = func(a any) {
 		m := a.(*message)
-		requestor, addr, count := m.tile, m.r.addr, m.count
-		ctx := p.ctx.At(requestor)
-		p.putMsg(ctx, requestor, m)
-		ctx.chargeVM(requestor)
-		if e, ok := p.tile(ctx, requestor).mshr.Lookup(addr); ok {
-			e.ProviderAcks--
-			e.SharerAcks += count
-			p.maybeComplete(ctx, requestor, addr)
-		}
+		addr, prov := m.r.addr, m.tile
+		ctx := p.ctx.At(prov)
+		sharers := p.dropProvider(ctx, prov, addr)
+		p.roundInvalArea(ctx, prov, addr, p.areaOf(prov), sharers)
+		m.r.acks, m.r.provAcks, m.dirty = int16(popcount(sharers)), -1, false
+		ctx.SendCtlArg(prov, ctx.HomeOf(addr), p.roundAckFn, m)
 	}
 	return p
 }
@@ -144,10 +143,9 @@ func (p *Providers) invalidateProvider(ctx *Context, tile topo.Tile, addr cache.
 	p.invalidateSharers(ctx, tile, addr, requestor, area, sharers)
 	p.tile(ctx, tile).l1c.Update(addr, int16(requestor))
 	ctx.pw.L1CUpdate.Inc()
-	m := p.msg(ctx, tile, request{addr: addr})
+	m := p.msg(ctx, tile, request{addr: addr, acks: int16(popcount(sharers)), provAcks: -1})
 	m.tile = requestor
-	m.count = popcount(sharers)
-	ctx.SendCtlArg(tile, requestor, p.pvAckFn, m)
+	ctx.SendCtlArg(tile, requestor, p.ackFn, m)
 }
 
 // dropProvider invalidates a provider's copy and returns the sharers
@@ -332,50 +330,23 @@ func (p *Providers) applyL2(line *cache.Line, dirty bool, f l2Form) {
 	}
 }
 
-// evictL2 invalidates an L2-owned victim through its providers
-// (two-counter scheme, with the home as both owner and requestor)
-// before l2Evicted. The pending counters live at the home and every
-// mutation of them runs on the home's lane (the ack sends below);
-// provider- and sharer-side work rebinds to the executing tile's lane.
+// evictL2 invalidates an L2-owned victim through its providers in an
+// eviction round: the two-counter scheme, with the home as both owner
+// and requestor (roundPvFn is the provider's leg).
 func (p *Providers) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message) {
-	if victim.ProPos == noProPos {
-		p.l2Evicted(ctx, home, addr, victim.Dirty, ins)
-		return
-	}
-	p.tile(ctx, home).setHomeBusy(addr)
-	dirty, pendingProv, pendingSharers := victim.Dirty, 0, 0
-	checkDone := func() {
-		if pendingProv == 0 && pendingSharers == 0 {
-			p.l2Evicted(ctx, home, addr, dirty, ins)
+	rd := round{dirty: victim.Dirty, resume: ins}
+	for _, pp := range victim.ProPos {
+		if pp >= 0 {
+			rd.provAcks++
 		}
 	}
+	p.openRound(ctx, home, addr, rd)
 	for a := 0; a < p.areas.Count; a++ {
-		if victim.ProPos[a] < 0 {
-			continue
+		if victim.ProPos[a] >= 0 {
+			m := p.msg(ctx, home, request{addr: addr})
+			m.tile = p.tileAt(a, int(victim.ProPos[a]))
+			ctx.SendCtlArg(home, m.tile, p.roundPvFn, m)
 		}
-		pendingProv++
-		prov, area := p.tileAt(a, int(victim.ProPos[a])), a
-		ctx.SendCtl(home, prov, func() {
-			pctx := p.ctx.At(prov)
-			sharers := p.dropProvider(pctx, prov, addr)
-			for v := sharers; v != 0; v &= v - 1 {
-				sharer := p.tileAt(area, bits.TrailingZeros64(v))
-				pctx.SendCtl(prov, sharer, func() {
-					sctx := p.ctx.At(sharer)
-					p.tile(sctx, sharer).dropCopy(sctx, addr)
-					sctx.SendCtl(sharer, home, func() {
-						pendingSharers--
-						checkDone()
-					})
-				})
-			}
-			count := popcount(sharers)
-			pctx.SendCtl(prov, home, func() {
-				pendingProv--
-				pendingSharers += count
-				checkDone()
-			})
-		})
 	}
 }
 

@@ -48,6 +48,7 @@ type txRecord struct {
 	addr  cache.Addr
 	next  *txRecord // bucket chain / free-list link
 	flags uint8
+	round round // the block's eviction round, at its home
 
 	l1Head, l1Tail     *waiter
 	homeHead, homeTail *waiter
