@@ -14,8 +14,8 @@
 // scans the occupancy bitmap from the current cycle (64 slots per
 // word). FIFO order within a slot preserves the (time, sequence) total
 // order because a slot holds at most one distinct timestamp at a time.
-// The rare long-delay events (telemetry sampling, the watchdog) go to a
-// 4-ary min-heap and migrate into the wheel as the clock approaches
+// The rare long-delay events (the watchdog's probes) go to a 4-ary
+// min-heap and migrate into the wheel as the clock approaches
 // them — migrated events always precede, in scheduling order, any event
 // later pushed directly for the same cycle, so ordering is preserved
 // exactly. The node arena free list makes steady-state scheduling and
