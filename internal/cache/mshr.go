@@ -112,12 +112,9 @@ func (m *MSHR) Release(a Addr) {
 // Outstanding returns the number of in-flight misses.
 func (m *MSHR) Outstanding() int { return len(m.active) }
 
-// ForEach visits every in-flight entry in allocation order.
-func (m *MSHR) ForEach(fn func(*MSHREntry)) {
-	for _, e := range m.active {
-		fn(e)
-	}
-}
+// Entries returns the in-flight entries in allocation order; the slice
+// is the MSHR's own and valid only until the next Allocate or Release.
+func (m *MSHR) Entries() []*MSHREntry { return m.active }
 
 // Done reports whether the entry's completion conditions are all met:
 // data arrived and no acknowledgement of any kind is pending.

@@ -113,35 +113,14 @@ func (c *Chip) finish() (err error) {
 // watchdog, shadow-checker, deadlock or invariant error.
 func (c *Chip) RunConcurrent(recs []Ref) error {
 	tiles, perTile := splitTiles(recs, c.Ctx.NumTiles())
-	done := 0
-	var step func(tile topo.Tile)
-	step = func(tile topo.Tile) {
-		rs := perTile[tile]
-		if len(rs) == 0 {
-			done++
-			return
-		}
-		r := rs[0]
-		perTile[tile] = rs[1:]
-		issue := func() {
-			c.Engine.Access(r.Tile, r.Addr, r.Write, func() { step(tile) })
-		}
-		if r.Gap > 0 {
-			c.Kernel.After(r.Gap, issue)
-		} else {
-			issue()
-		}
-	}
-	for _, t := range tiles {
-		tile := t
-		c.Kernel.After(sim.Time(int(t)%7), func() { step(tile) })
-	}
+	ps := play(c.Engine, tiles, perTile, func(topo.Tile) *sim.Kernel { return c.Kernel })
+	done := func() bool { return retiredRefs(ps) == len(recs) || c.Dog.Err() != nil }
 	c.Dog.Arm()
-	for done < len(tiles) && c.Dog.Err() == nil {
-		c.Kernel.RunUntil(func() bool { return done == len(tiles) || c.Dog.Err() != nil })
-		if done < len(tiles) && c.Dog.Err() == nil && c.Kernel.Pending() == 0 {
-			return fmt.Errorf("check: %s deadlocked at t=%d with %d/%d tiles done\n%s",
-				c.Engine.Name(), c.Kernel.Now(), done, len(tiles), proto.FormatStalls(c.Engine))
+	for !done() {
+		c.Kernel.RunUntil(done)
+		if !done() && c.Kernel.Pending() == 0 {
+			return fmt.Errorf("check: %s deadlocked at t=%d with %d/%d refs retired\n%s",
+				c.Engine.Name(), c.Kernel.Now(), retiredRefs(ps), len(recs), proto.FormatStalls(c.Engine))
 		}
 	}
 	return c.finish()

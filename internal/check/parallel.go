@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,51 +81,11 @@ func RunRecordSharded(protocol string, recs []Ref, tiles, areas, shards int, see
 		return fp, err
 	}
 
-	// Per-tile streams with single-writer cursors: each tile's step
-	// chain lives entirely on its own lane, so the replay driver itself
-	// is shard-affine.
-	_, perTile := splitTiles(recs, grid.Tiles())
-	cursor := make([]int, grid.Tiles())
-	retired := make([]int, grid.Tiles())
-	lastRetire := make([]sim.Time, grid.Tiles())
-	var step func(tile topo.Tile)
-	step = func(tile topo.Tile) {
-		rs := perTile[tile]
-		i := cursor[tile]
-		if i >= len(rs) {
-			return
-		}
-		cursor[tile]++
-		r := rs[i]
-		k := lanes[shardOf[tile]]
-		issue := func() {
-			eng.Access(r.Tile, r.Addr, r.Write, func() {
-				retired[tile]++
-				lastRetire[tile] = k.Now()
-				step(tile)
-			})
-		}
-		if r.Gap > 0 {
-			k.After(r.Gap, issue)
-		} else {
-			issue()
-		}
-	}
-	for t := 0; t < grid.Tiles(); t++ {
-		if len(perTile[t]) == 0 {
-			continue
-		}
-		tile := topo.Tile(t)
-		lanes[shardOf[t]].After(sim.Time(t%7), func() { step(tile) })
-	}
-
-	sum := func() int {
-		n := 0
-		for _, r := range retired {
-			n += r
-		}
-		return n
-	}
+	// One player per tile, started in tile order on its tile's lane: the
+	// replay driver itself is shard-affine.
+	order, perTile := splitTiles(recs, grid.Tiles())
+	slices.Sort(order)
+	ps := play(eng, order, perTile, func(t topo.Tile) *sim.Kernel { return lanes[shardOf[t]] })
 	// Between windows every lane's clock sits at the group's, so the
 	// hub clock is the executor's clock on both executors.
 	run, pending := hub.Run, hub.Pending
@@ -134,14 +95,14 @@ func RunRecordSharded(protocol string, recs []Ref, tiles, areas, shards int, see
 		defer ctx.FoldLanes()
 	}
 	for pending() > 0 {
-		before := sum()
+		before := retiredRefs(ps)
 		run(hub.Now() + replayWindow)
-		if pending() > 0 && sum() == before {
+		if pending() > 0 && retiredRefs(ps) == before {
 			return fp, fmt.Errorf("check: %s stalled at t=%d with %d/%d refs retired, %d events pending\n%s",
-				eng.Name(), hub.Now(), sum(), len(recs), pending(), proto.FormatStalls(eng))
+				eng.Name(), hub.Now(), retiredRefs(ps), len(recs), pending(), proto.FormatStalls(eng))
 		}
 	}
-	if done := sum(); done != len(recs) {
+	if done := retiredRefs(ps); done != len(recs) {
 		return fp, fmt.Errorf("check: %s retired %d of %d refs with no events pending (deadlock)\n%s",
 			eng.Name(), done, len(recs), proto.FormatStalls(eng))
 	}
@@ -154,10 +115,8 @@ func RunRecordSharded(protocol string, recs []Ref, tiles, areas, shards int, see
 	}()
 	eng.CheckInvariants()
 	last := sim.Time(0)
-	for _, t := range lastRetire {
-		if t > last {
-			last = t
-		}
+	for _, p := range ps {
+		last = max(last, p.last)
 	}
 	ctx.FoldLanes()
 	names := eng.Stats().Names()

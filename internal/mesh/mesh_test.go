@@ -9,6 +9,21 @@ import (
 	"repro/internal/topo"
 )
 
+// nopArg is a delivery handler that does nothing; call runs a func()
+// argument, so a test can observe its delivery.
+func nopArg(any) {}
+func call(a any) { a.(func())() }
+
+// tileArgs returns Broadcast arguments that hand each destination its
+// own tile.
+func tileArgs(n *Network) []any {
+	args := make([]any, n.Grid().Tiles())
+	for t := range args {
+		args[t] = topo.Tile(t)
+	}
+	return args
+}
+
 func newNet(contention bool) (*sim.Kernel, *Network) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
@@ -20,7 +35,7 @@ func TestSendLatencyUncontended(t *testing.T) {
 	k, n := newNet(false)
 	g := n.Grid()
 	delivered := false
-	d := n.Send(g.At(0, 0), g.At(3, 0), 1, func() { delivered = true })
+	d := n.SendArg(g.At(0, 0), g.At(3, 0), 1, call, func() { delivered = true })
 	// 3 hops x (2+2+1) + 0 serialization = 15 cycles.
 	if d.Latency != 15 {
 		t.Errorf("latency = %d, want 15", d.Latency)
@@ -37,7 +52,7 @@ func TestSendLatencyUncontended(t *testing.T) {
 func TestSendDataSerialization(t *testing.T) {
 	_, n := newNet(false)
 	g := n.Grid()
-	d := n.Send(g.At(0, 0), g.At(1, 0), 5, func() {})
+	d := n.SendArg(g.At(0, 0), g.At(1, 0), 5, nopArg, nil)
 	// 1 hop x 5 + (5-1) tail = 9 cycles.
 	if d.Latency != 9 {
 		t.Errorf("latency = %d, want 9", d.Latency)
@@ -47,7 +62,7 @@ func TestSendDataSerialization(t *testing.T) {
 func TestSendSameTile(t *testing.T) {
 	k, n := newNet(true)
 	g := n.Grid()
-	d := n.Send(g.At(2, 2), g.At(2, 2), 1, func() {})
+	d := n.SendArg(g.At(2, 2), g.At(2, 2), 1, nopArg, nil)
 	if d.Hops != 0 || d.Routers != 1 {
 		t.Errorf("same-tile hops/routers = %d/%d, want 0/1", d.Hops, d.Routers)
 	}
@@ -65,7 +80,7 @@ func TestXYRoutingHops(t *testing.T) {
 	g := n.Grid()
 	if err := quick.Check(func(a, b uint8) bool {
 		src, dst := topo.Tile(int(a)%64), topo.Tile(int(b)%64)
-		d := n.Send(src, dst, 1, func() {})
+		d := n.SendArg(src, dst, 1, nopArg, nil)
 		return d.Hops == g.Hops(src, dst)
 	}, nil); err != nil {
 		t.Error(err)
@@ -76,8 +91,8 @@ func TestContentionSerializesLink(t *testing.T) {
 	k, n := newNet(true)
 	g := n.Grid()
 	var first, second sim.Time
-	n.Send(g.At(0, 0), g.At(1, 0), 5, func() { first = k.Now() })
-	n.Send(g.At(0, 0), g.At(1, 0), 5, func() { second = k.Now() })
+	n.SendArg(g.At(0, 0), g.At(1, 0), 5, call, func() { first = k.Now() })
+	n.SendArg(g.At(0, 0), g.At(1, 0), 5, call, func() { second = k.Now() })
 	k.Run(0)
 	if second <= first {
 		t.Errorf("contended messages not serialized: first=%d second=%d", first, second)
@@ -92,7 +107,7 @@ func TestNoContentionIgnoresOccupancy(t *testing.T) {
 	g := n.Grid()
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
-		n.Send(g.At(0, 0), g.At(1, 0), 5, func() { times = append(times, k.Now()) })
+		n.SendArg(g.At(0, 0), g.At(1, 0), 5, call, func() { times = append(times, k.Now()) })
 	}
 	k.Run(0)
 	if times[0] != times[1] || times[1] != times[2] {
@@ -104,8 +119,8 @@ func TestDifferentLinksNoInterference(t *testing.T) {
 	k, n := newNet(true)
 	g := n.Grid()
 	var aAt, bAt sim.Time
-	n.Send(g.At(0, 0), g.At(1, 0), 5, func() { aAt = k.Now() })
-	n.Send(g.At(0, 1), g.At(1, 1), 5, func() { bAt = k.Now() })
+	n.SendArg(g.At(0, 0), g.At(1, 0), 5, call, func() { aAt = k.Now() })
+	n.SendArg(g.At(0, 1), g.At(1, 1), 5, call, func() { bAt = k.Now() })
 	k.Run(0)
 	if aAt != bAt {
 		t.Errorf("disjoint paths interfered: %d vs %d", aAt, bAt)
@@ -115,8 +130,8 @@ func TestDifferentLinksNoInterference(t *testing.T) {
 func TestStatsAccumulation(t *testing.T) {
 	k, n := newNet(false)
 	g := n.Grid()
-	n.Send(g.At(0, 0), g.At(2, 0), 5, func() {}) // 2 hops, 10 flit-links
-	n.Send(g.At(0, 0), g.At(0, 1), 1, func() {}) // 1 hop, 1 flit-link
+	n.SendArg(g.At(0, 0), g.At(2, 0), 5, nopArg, nil) // 2 hops, 10 flit-links
+	n.SendArg(g.At(0, 0), g.At(0, 1), 1, nopArg, nil) // 1 hop, 1 flit-link
 	k.Run(0)
 	s := n.Stats()
 	if s.Messages != 2 {
@@ -138,7 +153,7 @@ func TestBroadcastReachesAll(t *testing.T) {
 	g := n.Grid()
 	got := make(map[topo.Tile]bool)
 	src := g.At(3, 4)
-	bd := n.Broadcast(src, 1, func(dst topo.Tile) { got[dst] = true })
+	bd := n.Broadcast(src, 1, func(a any) { got[a.(topo.Tile)] = true }, tileArgs(n))
 	k.Run(0)
 	if len(got) != 63 {
 		t.Fatalf("broadcast reached %d tiles, want 63", len(got))
@@ -158,10 +173,10 @@ func TestBroadcastReachesAll(t *testing.T) {
 func TestBroadcastCheaperThanUnicasts(t *testing.T) {
 	k, n := newNet(false)
 	g := n.Grid()
-	tree := n.Broadcast(g.At(0, 0), 1, func(topo.Tile) {})
+	tree := n.Broadcast(g.At(0, 0), 1, nopArg, tileArgs(n))
 	k.Run(0)
 	k2, n2 := newNet(false)
-	uni := n2.UnicastBroadcast(g.At(0, 0), 1, func(topo.Tile) {})
+	uni := n2.UnicastBroadcast(g.At(0, 0), 1, nopArg, tileArgs(n2))
 	k2.Run(0)
 	if tree.Links >= uni.Links {
 		t.Errorf("tree broadcast (%d links) not cheaper than unicasts (%d links)",
@@ -175,7 +190,7 @@ func TestBroadcastFromEveryCorner(t *testing.T) {
 		k := sim.NewKernel(1)
 		n := New(k, g, DefaultConfig())
 		count := 0
-		n.Broadcast(src, 5, func(topo.Tile) { count++ })
+		n.Broadcast(src, 5, func(any) { count++ }, tileArgs(n))
 		k.Run(0)
 		if count != 63 {
 			t.Errorf("broadcast from %d reached %d, want 63", src, count)
@@ -198,9 +213,9 @@ func TestMeanDistance8x8(t *testing.T) {
 func TestSendPanicsOnBadArgs(t *testing.T) {
 	_, n := newNet(false)
 	for _, fn := range []func(){
-		func() { n.Send(-1, 0, 1, func() {}) },
-		func() { n.Send(0, 200, 1, func() {}) },
-		func() { n.Send(0, 1, 0, func() {}) },
+		func() { n.SendArg(-1, 0, 1, nopArg, nil) },
+		func() { n.SendArg(0, 200, 1, nopArg, nil) },
+		func() { n.SendArg(0, 1, 0, nopArg, nil) },
 	} {
 		func() {
 			defer func() {
@@ -216,10 +231,9 @@ func TestSendPanicsOnBadArgs(t *testing.T) {
 func BenchmarkSend(b *testing.B) {
 	k, n := newNet(true)
 	g := n.Grid()
-	nop := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Send(topo.Tile(i%64), g.At(7, 7), 5, nop)
+		n.SendArg(topo.Tile(i%64), g.At(7, 7), 5, nopArg, nil)
 		if k.Pending() > 4096 {
 			k.Run(0)
 		}
@@ -229,10 +243,10 @@ func BenchmarkSend(b *testing.B) {
 
 func BenchmarkBroadcastTree(b *testing.B) {
 	k, n := newNet(true)
-	nop := func(topo.Tile) {}
+	args := tileArgs(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Broadcast(topo.Tile(i%64), 1, nop)
+		n.Broadcast(topo.Tile(i%64), 1, nopArg, args)
 		if k.Pending() > 4096 {
 			k.Run(0)
 		}
@@ -243,7 +257,7 @@ func BenchmarkBroadcastTree(b *testing.B) {
 func TestUnicastBroadcastReachesAll(t *testing.T) {
 	k, n := newNet(false)
 	count := 0
-	n.UnicastBroadcast(5, 1, func(dst topo.Tile) { count++ })
+	n.UnicastBroadcast(5, 1, func(any) { count++ }, tileArgs(n))
 	k.Run(0)
 	if count != 63 {
 		t.Errorf("unicast broadcast reached %d tiles, want 63", count)
@@ -252,7 +266,7 @@ func TestUnicastBroadcastReachesAll(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	k, n := newNet(false)
-	n.Send(0, 5, 5, func() {})
+	n.SendArg(0, 5, 5, nopArg, nil)
 	k.Run(0)
 	if n.Stats().Messages == 0 {
 		t.Fatal("no traffic before reset")
@@ -271,7 +285,7 @@ func TestBroadcastDeterministicOrder(t *testing.T) {
 		k := sim.NewKernel(3)
 		n := New(k, topo.NewGrid(8, 8), DefaultConfig())
 		var order []topo.Tile
-		n.Broadcast(9, 1, func(dst topo.Tile) { order = append(order, dst) })
+		n.Broadcast(9, 1, func(a any) { order = append(order, a.(topo.Tile)) }, tileArgs(n))
 		k.Run(0)
 		return order
 	}
@@ -309,8 +323,8 @@ func TestObserverTap(t *testing.T) {
 	tap := &tapObs{}
 	n.SetObserver(tap)
 
-	d := n.Send(g.At(0, 0), g.At(3, 0), 1, func() {})
-	n.Send(g.At(2, 2), g.At(2, 2), 5, func() {}) // same-tile: 0 hops
+	d := n.SendArg(g.At(0, 0), g.At(3, 0), 1, nopArg, nil)
+	n.SendArg(g.At(2, 2), g.At(2, 2), 5, nopArg, nil) // same-tile: 0 hops
 	k.Run(0)
 	want := []string{
 		fmt.Sprintf("0->3 f1 0..%d h3", d.Latency),
@@ -326,7 +340,7 @@ func TestObserverTap(t *testing.T) {
 	}
 
 	n.SetObserver(nil)
-	n.Send(g.At(0, 0), g.At(1, 0), 1, func() {})
+	n.SendArg(g.At(0, 0), g.At(1, 0), 1, nopArg, nil)
 	if len(tap.msgs) != len(want) {
 		t.Error("detached observer still saw traffic")
 	}
@@ -338,7 +352,7 @@ func TestObserverBroadcast(t *testing.T) {
 	g := n.Grid()
 	tap := &tapObs{}
 	n.SetObserver(tap)
-	n.Broadcast(g.At(1, 1), 1, func(topo.Tile) {})
+	n.Broadcast(g.At(1, 1), 1, nopArg, tileArgs(n))
 	k.Run(0)
 	if tap.bcast != 1 {
 		t.Errorf("observer saw %d broadcasts, want 1", tap.bcast)
@@ -350,14 +364,13 @@ func TestObserverBroadcast(t *testing.T) {
 	}
 }
 
-// TestSendNoAllocs gates the unicast hot path: Send plus the kernel
+// TestSendNoAllocs gates the unicast hot path: SendArg plus the kernel
 // dispatch of its delivery must not allocate once the kernel's node
 // arena and the path scratch buffer have warmed up.
 func TestSendNoAllocs(t *testing.T) {
 	k, n := newNet(true)
-	nop := func() {}
 	cycle := func() {
-		n.Send(3, 60, 5, nop)
+		n.SendArg(3, 60, 5, nopArg, nil)
 		k.Run(0)
 	}
 	for i := 0; i < 32; i++ {
@@ -378,7 +391,7 @@ func TestMaxLatencyCoversContention(t *testing.T) {
 	if got := n.MaxLatency(); got != n.Config().HopLatency() {
 		t.Fatalf("fresh mesh MaxLatency = %d, want one hop (%d)", got, n.Config().HopLatency())
 	}
-	n.Send(g.At(3, 3), g.At(3, 3), 5, func() {}) // same tile: no link, no record
+	n.SendArg(g.At(3, 3), g.At(3, 3), 5, nopArg, nil) // same tile: no link, no record
 	if got := n.MaxLatency(); got != n.Config().HopLatency() {
 		t.Fatalf("MaxLatency = %d after a same-tile send, want one hop (%d)", got, n.Config().HopLatency())
 	}
@@ -386,7 +399,7 @@ func TestMaxLatencyCoversContention(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		src, dst := g.At(i%3, 0), g.At(7, i%8)
 		sent := k.Now()
-		d := n.Send(src, dst, 5, func() {
+		d := n.SendArg(src, dst, 5, call, func() {
 			if lat := k.Now() - sent; lat > n.MaxLatency() {
 				t.Errorf("delivery %d->%d took %d cycles, MaxLatency %d", src, dst, lat, n.MaxLatency())
 			}
@@ -446,7 +459,7 @@ func TestMaxLatencyParallelDeferredSends(t *testing.T) {
 				dk := lanes[shardOf[dst]]
 				k.At(sim.Time(i*2), func() {
 					sent := k.Now()
-					n.Send(src, dst, 5, func() {
+					n.SendArg(src, dst, 5, call, func() {
 						if lat := dk.Now() - sent; lat > n.MaxLatency() {
 							t.Errorf("shards=%d: delivery %d->%d took %d cycles, MaxLatency %d",
 								shards, src, dst, lat, n.MaxLatency())

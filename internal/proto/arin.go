@@ -14,12 +14,36 @@ import (
 // provider. Writes to inter-area blocks use the paper's three-phase
 // broadcast invalidation (block, ack, unblock). The home L2 owner form
 // tracks the sharers of at most one area (AreaTag).
-type Arin struct{ dicoCore }
+type Arin struct {
+	dicoCore
+
+	// The broadcasts' legs at their destination m.tile: a write's
+	// invalidation (phase one) and its ack at the requestor (phase two),
+	// an inter-area L2 eviction's invalidation, and the unblock.
+	bcastInvFn, bcastAckFn, bcastRoundFn, unblockFn func(any)
+}
 
 // NewArin builds the DiCo-Arin engine on ctx.
 func NewArin(ctx *Context) *Arin {
 	p := &Arin{}
 	p.init(ctx, "arin", ctx.Areas, p)
+	p.bcastInvFn = func(a any) { p.invalidateBroadcast(a.(*message)) }
+	p.bcastAckFn = func(a any) {
+		r, requestor := p.recv(a)
+		ctx := p.ctx.At(requestor)
+		if e, ok := p.tile(ctx, requestor).mshr.Lookup(r.addr); ok {
+			e.SharerAcks--
+			if e.SharerAcks == 0 && e.DataReceived {
+				p.unblockAfterWrite(ctx, r)
+			}
+		}
+	}
+	p.bcastRoundFn = func(a any) {
+		m := a.(*message)
+		p.tile(p.ctx.At(m.tile), m.tile).setBlocked(m.r.addr)
+		p.roundInvFn(m)
+	}
+	p.unblockFn = func(a any) { p.release(p.recv(a)) }
 	return p
 }
 
@@ -141,14 +165,25 @@ func (p *Arin) homeOwned(ctx *Context, r request, home topo.Tile, l2line *cache.
 	}
 }
 
-// broadcast sends a control message from src to every other tile, by
-// hardware broadcast or — in the ablation — by unicasts.
-func (p *Arin) broadcast(ctx *Context, src topo.Tile, deliver func(dst topo.Tile)) {
+// broadcast sends r from src to every other tile dst, as a pooled
+// message (m.tile = dst) for handler fn there, by hardware broadcast or
+// — in the ablation — by unicasts.
+func (p *Arin) broadcast(ctx *Context, src topo.Tile, fn func(any), r request) {
+	if ctx.bcast == nil {
+		ctx.bcast = make([]any, ctx.NumTiles())
+	}
+	for t := range ctx.bcast {
+		if dst := topo.Tile(t); dst != src {
+			m := p.msg(ctx, src, r)
+			m.tile = dst
+			ctx.bcast[t] = m
+		}
+	}
 	flits := ctx.Net.Config().ControlFlits
 	if ctx.Cfg.BroadcastUnicast {
-		ctx.Net.UnicastBroadcast(src, flits, deliver)
+		ctx.Net.UnicastBroadcast(src, flits, fn, ctx.bcast)
 	} else {
-		ctx.Net.Broadcast(src, flits, deliver)
+		ctx.Net.Broadcast(src, flits, fn, ctx.bcast)
 	}
 }
 
@@ -174,33 +209,6 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r request, home topo.Tile) {
 	r.acks += int16(expected)
 	r.homeAck++ // released when the unblock phase finishes
 	r.bcast = true
-	deliverInv := func(dst topo.Tile) {
-		dctx := p.ctx.At(dst)
-		t := p.tile(dctx, dst)
-		dctx.chargeVM(r.requestor)
-		dctx.pw.L1TagRead.Inc()
-		if _, ok := t.l1.Invalidate(r.addr); ok {
-			dctx.pw.L1TagWrite.Inc()
-		}
-		if e, ok := t.mshr.Lookup(r.addr); ok && dst != r.requestor {
-			e.InvalidatedWhilePending = true
-		}
-		t.l1c.Update(r.addr, int16(r.requestor))
-		dctx.pw.L1CUpdate.Inc()
-		if dst == r.requestor {
-			return
-		}
-		t.setBlocked(r.addr)
-		dctx.SendCtl(dst, r.requestor, func() {
-			rctx := p.ctx.At(r.requestor)
-			if e, ok := p.tile(rctx, r.requestor).mshr.Lookup(r.addr); ok {
-				e.SharerAcks--
-				if e.SharerAcks == 0 && e.DataReceived {
-					p.unblockAfterWrite(rctx, r)
-				}
-			}
-		})
-	}
 	// The mesh broadcast excludes the source tile: invalidate the home
 	// tile's own L1 copy inline (it is not among the counted acks).
 	ctx.pw.L1TagRead.Inc()
@@ -211,8 +219,34 @@ func (p *Arin) broadcastInvalidation(ctx *Context, r request, home topo.Tile) {
 		e.InvalidatedWhilePending = true
 	}
 	ctx.spanEvent("bcast-inv", home, r.addr)
-	p.broadcast(ctx, home, deliverInv)
+	p.broadcast(ctx, home, p.bcastInvFn, request{addr: r.addr, requestor: r.requestor})
 	p.deliver(ctx, r, home, dcOwnerModified, true, -1, nil)
+}
+
+// invalidateBroadcast is phase one at the destination m.tile: the copy
+// goes, the prediction points at the writer, and every tile but the
+// writer blocks the address and acks the writer with m.
+func (p *Arin) invalidateBroadcast(m *message) {
+	dst, r := m.tile, m.r
+	ctx := p.ctx.At(dst)
+	t := p.tile(ctx, dst)
+	ctx.chargeVM(r.requestor)
+	ctx.pw.L1TagRead.Inc()
+	if _, ok := t.l1.Invalidate(r.addr); ok {
+		ctx.pw.L1TagWrite.Inc()
+	}
+	if e, ok := t.mshr.Lookup(r.addr); ok && dst != r.requestor {
+		e.InvalidatedWhilePending = true
+	}
+	t.l1c.Update(r.addr, int16(r.requestor))
+	ctx.pw.L1CUpdate.Inc()
+	if dst == r.requestor {
+		p.putMsg(ctx, dst, m)
+		return
+	}
+	t.setBlocked(r.addr)
+	m.tile = r.requestor
+	ctx.SendCtlArg(dst, r.requestor, p.bcastAckFn, m)
 }
 
 // unblockAfterWrite is phase three: the requestor broadcasts the
@@ -224,19 +258,8 @@ func (p *Arin) unblockAfterWrite(ctx *Context, r request) {
 	if !ok || e.HomeAck <= 0 {
 		return // already unblocked
 	}
-	release := func(dctx *Context, dst topo.Tile) {
-		t := p.tile(dctx, dst)
-		if t.blocked(r.addr) {
-			t.clearBlocked(r.addr)
-			t.wakeL1(dctx.Kernel, r.addr)
-		}
-		if dst == home {
-			t.clearHomeBusy(r.addr)
-			t.wakeHome(dctx.Kernel, r.addr)
-		}
-	}
 	ctx.spanEvent("bcast-unblock", r.requestor, r.addr)
-	p.broadcast(ctx, r.requestor, func(dst topo.Tile) { release(p.ctx.At(dst), dst) })
+	p.broadcast(ctx, r.requestor, p.unblockFn, request{addr: r.addr})
 	if r.requestor == home {
 		th := p.tile(ctx, home)
 		th.clearHomeBusy(r.addr)
@@ -244,6 +267,21 @@ func (p *Arin) unblockAfterWrite(ctx *Context, r request) {
 	}
 	e.HomeAck--
 	p.maybeComplete(ctx, r.requestor, r.addr)
+}
+
+// release runs an unblock at dst: the block thaws there, and the home
+// releases it.
+func (p *Arin) release(r request, dst topo.Tile) {
+	ctx := p.ctx.At(dst)
+	t := p.tile(ctx, dst)
+	if t.blocked(r.addr) {
+		t.clearBlocked(r.addr)
+		t.wakeL1(ctx.Kernel, r.addr)
+	}
+	if dst == ctx.HomeOf(r.addr) {
+		t.clearHomeBusy(r.addr)
+		t.wakeHome(ctx.Kernel, r.addr)
+	}
 }
 
 // applyL2 writes the returning form into the home L2 line: the owner
@@ -280,54 +318,41 @@ func (p *Arin) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cac
 	// The broadcast excludes the source tile: invalidate the home tile's
 	// own L1 copy inline (its ack is not counted).
 	p.tile(ctx, home).dropCopy(ctx, addr)
-	p.broadcast(ctx, home, func(dst topo.Tile) {
-		dctx := p.ctx.At(dst)
-		p.tile(dctx, dst).setBlocked(addr)
-		m := p.msg(dctx, dst, request{addr: addr, acks: -1})
-		m.tile = dst
-		p.roundInvFn(m)
-	})
+	p.broadcast(ctx, home, p.bcastRoundFn, request{addr: addr, acks: -1})
 }
 
 // roundDone ends an L2 victim's eviction round; a broadcast round first
-// broadcasts the unblock (phase three).
+// broadcasts the unblock (phase three; the home is the source, so no
+// destination releases it).
 func (p *Arin) roundDone(ctx *Context, home topo.Tile, addr cache.Addr, rd round) {
 	if rd.bcast {
-		p.broadcast(ctx, home, func(dst topo.Tile) {
-			dctx := p.ctx.At(dst)
-			if t := p.tile(dctx, dst); t.blocked(addr) {
-				t.clearBlocked(addr)
-				t.wakeL1(dctx.Kernel, addr)
-			}
-		})
+		p.broadcast(ctx, home, p.unblockFn, request{addr: addr})
 	}
 	p.dicoCore.roundDone(ctx, home, addr, rd)
 }
 
-// CheckInvariants implements Engine; call at quiescence. Beyond the
+// checkBlock is the variant half of CheckInvariants. Beyond the
 // family-wide checks: an owned block's shared copies in the owner's
 // area are covered by its sharing code; a block with no L1 owner is
 // present in the home L2; provider copies exist only for blocks whose
 // home entry is inter-area.
-func (p *Arin) CheckInvariants() {
-	p.checkBlocks(func(addr cache.Addr, bc *blockCopies, l2line *cache.Line) {
-		if bc.owner >= 0 {
-			ol := p.tiles[bc.owner].l1.Peek(addr)
-			area := p.areaOf(bc.owner)
-			for t, s := range bc.holders {
-				if s == dcShared && p.areaOf(t) == area && ol.Sharers&p.areaBit(t) == 0 {
-					panic(fmt.Sprintf("arin: block %#x sharer %d not in owner %d's code", addr, t, bc.owner))
-				}
-			}
-			return
-		}
-		if l2line == nil {
-			panic(fmt.Sprintf("arin: block %#x cached (%v) with no owner and no L2 copy", addr, bc.holders))
-		}
-		for _, s := range bc.holders {
-			if s == dcProvider && l2line.State != l2Inter {
-				panic(fmt.Sprintf("arin: block %#x has providers but home entry is owner-form", addr))
+func (p *Arin) checkBlock(addr cache.Addr, bc *blockCopies, l2line *cache.Line) {
+	if bc.owner >= 0 {
+		ol := p.tiles[bc.owner].l1.Peek(addr)
+		area := p.areaOf(bc.owner)
+		for t, s := range bc.holders {
+			if s == dcShared && p.areaOf(t) == area && ol.Sharers&p.areaBit(t) == 0 {
+				panic(fmt.Sprintf("arin: block %#x sharer %d not in owner %d's code", addr, t, bc.owner))
 			}
 		}
-	})
+		return
+	}
+	if l2line == nil {
+		panic(fmt.Sprintf("arin: block %#x cached (%v) with no owner and no L2 copy", addr, bc.holders))
+	}
+	for _, s := range bc.holders {
+		if s == dcProvider && l2line.State != l2Inter {
+			panic(fmt.Sprintf("arin: block %#x has providers but home entry is owner-form", addr))
+		}
+	}
 }

@@ -5,8 +5,8 @@
 //
 // All four are message-passing engines over the mesh: every tile has
 // an L1 controller and an L2 bank controller, messages are pooled nodes
-// (closures on the cold paths) scheduled through mesh.Network with real
-// per-hop latency and contention, and every structure access increments
+// with bound handlers, scheduled through mesh.Network with real per-hop
+// latency and contention, and every structure access increments
 // the power event counters of internal/power. All four share one
 // message chassis (engine.go).
 //
@@ -204,9 +204,6 @@ const (
 // entries are sets × ways, and the directory cache holds the
 // DirWays() − L2Ways ways per L2 set that carry no L2 line.
 func (c Config) Storage(tiles, areas int) storage.Config {
-	tag := func(sets, less int) int {
-		return max(physAddrBits-blockOffsetBits-bits.TrailingZeros(uint(sets))-less, 0)
-	}
 	return storage.Config{
 		Tiles:      tiles,
 		Areas:      areas,
@@ -218,38 +215,46 @@ func (c Config) Storage(tiles, areas int) storage.Config {
 		L2Ways:     c.L2Ways,
 		CCWays:     c.CCWays,
 		BlockBits:  8 << blockOffsetBits,
-		L1TagBits:  tag(c.L1Sets, 0),
-		L2TagBits:  tag(c.L2Sets, homeBits),
-		DirTagBits: tag(c.L2Sets, homeBits),
-		L1CTagBits: tag(c.CCSets, ccTagGap),
-		L2CTagBits: tag(c.CCSets, homeBits+ccTagGap),
+		L1TagBits:  tagBits(c.L1Sets, 0),
+		L2TagBits:  tagBits(c.L2Sets, homeBits),
+		DirTagBits: tagBits(c.L2Sets, homeBits),
+		L1CTagBits: tagBits(c.CCSets, ccTagGap),
+		L2CTagBits: tagBits(c.CCSets, homeBits+ccTagGap),
 	}
+}
+
+// tagBits is the tag width of an array of sets sets that also drops
+// less address bits.
+func tagBits(sets, less int) int {
+	return max(physAddrBits-blockOffsetBits-bits.TrailingZeros(uint(sets))-less, 0)
 }
 
 // CheckArrays reports the first cache array of c that cannot be built,
 // or whose way word cannot hold every block below cache.MaxAddr.
 func (c Config) CheckArrays() error {
-	check := func(name string, sets, ways int) error {
-		bound, err := cache.Geometry(sets, ways)
-		if err == nil && bound < cache.MaxAddr {
-			err = fmt.Errorf("%d sets of %d ways hold blocks below %#x only, short of cache.MaxAddr %#x",
-				sets, ways, uint64(bound), uint64(cache.MaxAddr))
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return nil
-	}
-	if err := check("L1", c.L1Sets, c.L1Ways); err != nil {
+	if err := checkArray("L1", c.L1Sets, c.L1Ways); err != nil {
 		return err
 	}
-	if err := check("L2", c.L2Sets, c.L2Ways); err != nil {
+	if err := checkArray("L2", c.L2Sets, c.L2Ways); err != nil {
 		return err
 	}
-	if err := check("coherence cache", c.CCSets, c.CCWays); err != nil {
+	if err := checkArray("coherence cache", c.CCSets, c.CCWays); err != nil {
 		return err
 	}
-	return check("directory cache", c.L2Sets, c.DirWays())
+	return checkArray("directory cache", c.L2Sets, c.DirWays())
+}
+
+// checkArray is CheckArrays for one array.
+func checkArray(name string, sets, ways int) error {
+	bound, err := cache.Geometry(sets, ways)
+	if err == nil && bound < cache.MaxAddr {
+		err = fmt.Errorf("%d sets of %d ways hold blocks below %#x only, short of cache.MaxAddr %#x",
+			sets, ways, uint64(bound), uint64(cache.MaxAddr))
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return nil
 }
 
 // PowerHandles holds pre-resolved counter handles for the power-event
@@ -332,9 +337,11 @@ type Context struct {
 	// bindHome when an engine is built; zero makes HomeOf divide.
 	homeMask uint64
 
-	// freeMemOp pools the deferred DRAM-access nodes (per context, so
-	// per lane when armed: each list is single-threaded).
+	// freeMemOp pools the deferred DRAM-access nodes and bcast holds
+	// DiCo-Arin's per-destination broadcast arguments (per context, so
+	// per lane when armed: each is single-threaded).
 	freeMemOp *memOp
+	bcast     []any
 }
 
 // spanBegin opens a tracing span for a miss issued at tile and makes
@@ -692,34 +699,17 @@ func resolveMemFlush(a any, _ uint64) {
 	a.(*Context).Mem.WriteLatency()
 }
 
-// SendCtl sends a 1-flit control message and runs fn on delivery,
-// returning the delivery metadata.
-func (c *Context) SendCtl(src, dst topo.Tile, fn func()) mesh.Delivery {
-	d := c.Net.Send(src, dst, c.Net.Config().ControlFlits, fn)
-	c.vmSend(d, c.Net.Config().ControlFlits)
-	return d
-}
-
-// SendData sends a 5-flit data message and runs fn on delivery.
-func (c *Context) SendData(src, dst topo.Tile, fn func()) mesh.Delivery {
-	d := c.Net.Send(src, dst, c.Net.Config().DataFlits, fn)
-	c.vmSend(d, c.Net.Config().DataFlits)
-	return d
-}
-
 // SendCtlArg sends a 1-flit control message through the kernel's
-// non-capturing fast path: fn(arg) runs on delivery. The engines use
-// it with a long-lived handler adapter for their hottest sender — the
-// per-miss request to the home — so no closure is built per message.
+// non-capturing form: fn(arg) runs on delivery, returning the delivery
+// metadata. The engines pass a handler bound once and a pooled
+// *message, so no closure is built per message.
 func (c *Context) SendCtlArg(src, dst topo.Tile, fn func(any), arg any) mesh.Delivery {
 	d := c.Net.SendArg(src, dst, c.Net.Config().ControlFlits, fn, arg)
 	c.vmSend(d, c.Net.Config().ControlFlits)
 	return d
 }
 
-// SendDataArg sends a 5-flit data message through the non-capturing
-// fast path: fn(arg) runs on delivery. With a pooled argument node the
-// send allocates nothing.
+// SendDataArg sends a 5-flit data message likewise.
 func (c *Context) SendDataArg(src, dst topo.Tile, fn func(any), arg any) mesh.Delivery {
 	d := c.Net.SendArg(src, dst, c.Net.Config().DataFlits, fn, arg)
 	c.vmSend(d, c.Net.Config().DataFlits)
@@ -777,16 +767,9 @@ func newTileState[P any](cfg Config, bankShift uint, dico bool,
 	return t
 }
 
-// stallL1 queues fn to re-run when the L1's outstanding transaction on
-// a completes.
-func (t *tileState[P]) stallL1(a cache.Addr, fn func()) {
-	t.stallL1Arg(a, runClosure, fn)
-}
-
-// stallL1Arg is stallL1 in the kernel's non-capturing form: fn(arg)
-// runs at wake. Hot callers pass a pooled argument node and a
-// long-lived handler so the stall allocates nothing.
-func (t *tileState[P]) stallL1Arg(a cache.Addr, fn func(any), arg any) {
+// stallL1 queues fn(arg), a bound handler and its pooled *message, to
+// run when the L1's outstanding transaction on a completes.
+func (t *tileState[P]) stallL1(a cache.Addr, fn func(any), arg any) {
 	r := t.tx.ensure(a)
 	w := t.tx.getWaiter(fn, arg)
 	if r.l1Tail == nil {
@@ -920,29 +903,18 @@ func stampFloor(ctx *Context) sim.Time {
 	return now - horizon
 }
 
-// pendingL1Len / pendingHomeLen report queue depths for debug dumps.
-func (t *tileState[P]) pendingL1Len(a cache.Addr) int {
-	r := t.tx.get(a)
-	if r == nil {
-		return 0
+// queueLens reports the depths of a's stalled L1 and home queues, for
+// debug dumps.
+func (t *tileState[P]) queueLens(a cache.Addr) (l1, home int) {
+	if r := t.tx.get(a); r != nil {
+		for w := r.l1Head; w != nil; w = w.next {
+			l1++
+		}
+		for w := r.homeHead; w != nil; w = w.next {
+			home++
+		}
 	}
-	n := 0
-	for w := r.l1Head; w != nil; w = w.next {
-		n++
-	}
-	return n
-}
-
-func (t *tileState[P]) pendingHomeLen(a cache.Addr) int {
-	r := t.tx.get(a)
-	if r == nil {
-		return 0
-	}
-	n := 0
-	for w := r.homeHead; w != nil; w = w.next {
-		n++
-	}
-	return n
+	return l1, home
 }
 
 // maxForwards bounds request forwarding before the request backs off

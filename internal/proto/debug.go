@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cache"
@@ -43,8 +42,8 @@ func (eb *engineBase[P]) formatBlock(addr cache.Addr) string {
 		if me, ok := t.mshr.Lookup(addr); ok {
 			fmt.Fprintf(&b, "  MSHR[%d]: %+v\n", i, *me)
 		}
-		if t.pendingL1Len(addr) > 0 || t.blocked(addr) {
-			fmt.Fprintf(&b, "  tile %d: pendingL1=%d blocked=%v\n", i, t.pendingL1Len(addr), t.blocked(addr))
+		if l1, _ := t.queueLens(addr); l1 > 0 || t.blocked(addr) {
+			fmt.Fprintf(&b, "  tile %d: pendingL1=%d blocked=%v\n", i, l1, t.blocked(addr))
 		}
 	}
 	th := eb.tiles[home]
@@ -65,8 +64,8 @@ func (eb *engineBase[P]) formatBlock(addr cache.Addr) string {
 			fmt.Fprintf(&b, "  L2C$[%d] -> %d\n", home, ptr)
 		}
 	}
-	fmt.Fprintf(&b, "  homeBusy=%v pendingHome=%d recall=%v\n",
-		th.homeBusy(addr), th.pendingHomeLen(addr), th.recallMarked(addr))
+	_, homeq := th.queueLens(addr)
+	fmt.Fprintf(&b, "  homeBusy=%v pendingHome=%d recall=%v\n", th.homeBusy(addr), homeq, th.recallMarked(addr))
 	return b.String()
 }
 
@@ -84,19 +83,17 @@ func (eb *engineBase[P]) formatStalls() string {
 	for i, t := range eb.tiles {
 		if n := t.mshr.Outstanding(); n > 0 {
 			fmt.Fprintf(&b, "tile %d: %d outstanding\n", i, n)
-			entries := make([]*cache.MSHREntry, 0, n)
-			t.mshr.ForEach(func(me *cache.MSHREntry) { entries = append(entries, me) })
-			sort.Slice(entries, func(a, c int) bool { return entries[a].Addr < entries[c].Addr })
-			for _, me := range entries {
+			for _, me := range t.mshr.Entries() {
 				fmt.Fprintf(&b, "  MSHR %#x: %+v\n", me.Addr, *me)
 			}
 		}
-		t.tx.forEach(func(r *txRecord) {
-			if n := t.pendingL1Len(r.addr); n > 0 {
-				fmt.Fprintf(&b, "tile %d pendingL1[%#x]: %d (blocked=%v)\n", i, r.addr, n, r.flags&txBlocked != 0)
+		for _, r := range t.tx.records() {
+			l1, home := t.queueLens(r.addr)
+			if l1 > 0 {
+				fmt.Fprintf(&b, "tile %d pendingL1[%#x]: %d (blocked=%v)\n", i, r.addr, l1, r.flags&txBlocked != 0)
 			}
-			if n := t.pendingHomeLen(r.addr); n > 0 {
-				fmt.Fprintf(&b, "tile %d pendingHome[%#x]: %d (busy=%v recall=%v)\n", i, r.addr, n,
+			if home > 0 {
+				fmt.Fprintf(&b, "tile %d pendingHome[%#x]: %d (busy=%v recall=%v)\n", i, r.addr, home,
 					r.flags&txHomeBusy != 0, r.flags&txRecall != 0)
 			}
 			if r.flags&txHomeBusy != 0 {
@@ -108,7 +105,7 @@ func (eb *engineBase[P]) formatStalls() string {
 			if r.flags&txRecall != 0 {
 				fmt.Fprintf(&b, "tile %d recall[%#x]\n", i, r.addr)
 			}
-		})
+		}
 	}
 	return b.String()
 }
@@ -128,15 +125,10 @@ func CheckQuiescent(e Engine) error {
 func (eb *engineBase[P]) quiescent() error {
 	for i, t := range eb.tiles {
 		if t.tx.count != 0 {
-			var desc string
-			t.tx.forEach(func(r *txRecord) {
-				if desc == "" {
-					desc = fmt.Sprintf("block %#x flags=%#x l1q=%d homeq=%d",
-						r.addr, r.flags, t.pendingL1Len(r.addr), t.pendingHomeLen(r.addr))
-				}
-			})
-			return fmt.Errorf("proto: %s tile %d not quiescent: %d live transaction records (first: %s)",
-				eb.name, i, t.tx.count, desc)
+			r := t.tx.records()[0]
+			l1, home := t.queueLens(r.addr)
+			return fmt.Errorf("proto: %s tile %d not quiescent: %d live transaction records (first: block %#x flags=%#x l1q=%d homeq=%d)",
+				eb.name, i, t.tx.count, r.addr, r.flags, l1, home)
 		}
 		if n := t.mshr.Outstanding(); n > 0 {
 			return fmt.Errorf("proto: %s tile %d not quiescent: %d misses in flight", eb.name, i, n)

@@ -54,30 +54,28 @@ func (p *DiCo) evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cac
 	p.evictL2Sharers(ctx, home, addr, victim, 0, victim.Sharers, ins)
 }
 
-// CheckInvariants implements Engine; call at quiescence. Beyond the
+// checkBlock is the variant half of CheckInvariants. Beyond the
 // family-wide checks: with no L1 owner the home L2 must own the block
 // and its sharing code cover every copy; an L1 owner's sharing code
 // covers every other copy.
-func (p *DiCo) CheckInvariants() {
-	p.checkBlocks(func(addr cache.Addr, bc *blockCopies, l2line *cache.Line) {
-		var sharers uint64
-		for t := range bc.holders {
-			if t != bc.owner {
-				sharers |= bit(t)
-			}
+func (p *DiCo) checkBlock(addr cache.Addr, bc *blockCopies, l2line *cache.Line) {
+	var sharers uint64
+	for t := range bc.holders {
+		if t != bc.owner {
+			sharers |= bit(t)
 		}
-		if bc.owner >= 0 {
-			if ol := p.tiles[bc.owner].l1.Peek(addr); ol.Sharers&sharers != sharers {
-				panic(fmt.Sprintf("dico: block %#x owner %d sharing code %#x misses sharers %#x",
-					addr, bc.owner, ol.Sharers, sharers))
-			}
-			return
+	}
+	if bc.owner >= 0 {
+		if ol := p.tiles[bc.owner].l1.Peek(addr); ol.Sharers&sharers != sharers {
+			panic(fmt.Sprintf("dico: block %#x owner %d sharing code %#x misses sharers %#x",
+				addr, bc.owner, ol.Sharers, sharers))
 		}
-		if l2line == nil {
-			panic(fmt.Sprintf("dico: block %#x has sharers %#x but no owner anywhere", addr, sharers))
-		}
-		if l2line.Sharers&sharers != sharers {
-			panic(fmt.Sprintf("dico: block %#x L2 sharers %#x miss holders %#x", addr, l2line.Sharers, sharers))
-		}
-	})
+		return
+	}
+	if l2line == nil {
+		panic(fmt.Sprintf("dico: block %#x has sharers %#x but no owner anywhere", addr, sharers))
+	}
+	if l2line.Sharers&sharers != sharers {
+		panic(fmt.Sprintf("dico: block %#x L2 sharers %#x miss holders %#x", addr, l2line.Sharers, sharers))
+	}
 }

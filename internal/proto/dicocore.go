@@ -3,7 +3,7 @@ package proto
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
@@ -44,7 +44,7 @@ var noProPos = [cache.MaxSimAreas]int8{-1, -1, -1, -1, -1, -1, -1, -1}
 // dicoVariant is the set of guarded actions in which a DiCo-family
 // protocol differs from the core; DESIGN.md §3 maps each one to the
 // rows of the paper's Tables I and II. homeSupply, applyL2, evictL2 and
-// CheckInvariants have no shared default; the rest default to the
+// checkBlock have no shared default; the rest default to the
 // dicoCore (or engineBase) methods of the same name. The variant is
 // also the chassis' protocol, so DiCo-Arin's unblockAfterWrite reaches
 // the shared delivery handler.
@@ -77,7 +77,12 @@ type dicoVariant interface {
 	// evictL2 invalidates every copy of an L2 victim in an eviction
 	// round, whose roundDone resumes the insertion ins.
 	evictL2(ctx *Context, home topo.Tile, addr cache.Addr, victim cache.Line, ins *message)
-	CheckInvariants()
+	// endOffer ends the offer chain m at tile: line is the accepting
+	// sharer's copy, nil when nobody accepted (see offer).
+	endOffer(ctx *Context, tile topo.Tile, line *cache.Line, m *message)
+	// checkBlock panics on a cached block that breaks the variant's
+	// invariants at quiescence (CheckInvariants).
+	checkBlock(addr cache.Addr, bc *blockCopies, l2line *cache.Line)
 }
 
 // l2Form is the coherence information an ownership transfer installs
@@ -103,6 +108,9 @@ type dicoCore struct {
 	coAckFn  func(any)
 	homeWbFn func(any)
 	recallFn func(any) // an L2C$ recall at the owner m.tile (relinquish)
+	offerFn  func(any) // an offer chain at its candidate m.tile (offerAt)
+	xferFn   func(any) // an eviction transfer's Change_Owner at the home
+	hintFn   func(any) // a supplier hint at m.tile from r.requestor
 }
 
 // init builds the core on ctx for the named protocol and binds it to
@@ -115,6 +123,16 @@ func (p *dicoCore) init(ctx *Context, name string, areas *topo.Areas, v dicoVari
 	p.v, p.areas = v, areas
 	p.atL1Fn = func(a any) { p.atL1(p.recv(a)) }
 	p.recallFn = func(a any) { p.relinquish(a.(*message)) }
+	p.offerFn = func(a any) { p.offerAt(a.(*message)) }
+	p.hintFn = func(a any) { p.hint(p.recv(a)) }
+	// xferFn returns the node to the new owner as the gating ack.
+	p.xferFn = func(a any) {
+		m := a.(*message)
+		home := p.ctx.HomeOf(m.r.addr)
+		ctx := p.ctx.At(home)
+		p.homeOwnerUpdate(ctx, home, m.r.addr, m.tile, m.stamp)
+		ctx.SendCtlArg(home, m.tile, p.sinkFn, m)
+	}
 	// coFn lands a Change_Owner at the home; the node travels on to
 	// carry the gating ack back to the new owner.
 	p.coFn = func(a any) {
@@ -200,7 +218,7 @@ func (p *dicoCore) Issue(tile topo.Tile, addr cache.Addr, write bool, onDone fun
 	if _, pending := t.mshr.Lookup(addr); pending || t.blocked(addr) {
 		// A miss in flight, or a DiCo-Arin broadcast freezing the block:
 		// wait for it to finish.
-		t.stallL1(addr, func() { p.Access(tile, addr, write, onDone) })
+		p.stallAccess(ctx, tile, addr, write, onDone)
 		return false
 	}
 	ctx.pw.L1TagRead.Inc()
@@ -298,11 +316,16 @@ func (p *dicoCore) invalidateCopies(ctx *Context, owner topo.Tile, addr cache.Ad
 // area-local vector sharers; each acks requestor.
 func (p *dicoCore) invalidateSharers(ctx *Context, from topo.Tile, addr cache.Addr, requestor topo.Tile,
 	area int, sharers uint64) {
-	for v := sharers; v != 0; v &= v - 1 {
-		sharer := p.tileAt(area, bits.TrailingZeros64(v))
-		m := p.msg(ctx, from, request{addr: addr, requestor: requestor})
-		m.tile = sharer
-		ctx.SendCtlArg(from, sharer, p.invalFn, m)
+	p.sendArea(ctx, from, area, sharers, p.invalFn, request{addr: addr, requestor: requestor})
+}
+
+// sendArea sends r from the executing tile to every tile m.tile of the
+// area-local vector tiles of area, for handler fn there.
+func (p *dicoCore) sendArea(ctx *Context, from topo.Tile, area int, tiles uint64, fn func(any), r request) {
+	for v := tiles; v != 0; v &= v - 1 {
+		m := p.msg(ctx, from, r)
+		m.tile = p.tileAt(area, bits.TrailingZeros64(v))
+		ctx.SendCtlArg(from, m.tile, fn, m)
 	}
 }
 
@@ -332,7 +355,7 @@ func (p *dicoCore) atL1(r request, tile topo.Tile) {
 		// to the heap on every atL1 call, not just the stalled ones.
 		m := p.msg(ctx, tile, r)
 		m.tile = tile
-		t.stallL1Arg(r.addr, p.atL1Fn, m)
+		t.stallL1(r.addr, p.atL1Fn, m)
 		return
 	}
 	ctx.pw.L1TagRead.Inc()
@@ -503,8 +526,9 @@ func (p *dicoCore) fillL1(ctx *Context, m *message) {
 
 // evictL1 is the Table II replacement: shared copies leave silently,
 // keeping the supplier hint in the L1C$; providers are the variant's;
-// owners transfer ownership to a sharer of their area, or write back to
-// the home when none remains.
+// owners offer the ownership (sharing code and provider pointers) to
+// the sharers of their area, or write back to the home when none
+// remains.
 func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, addr cache.Addr, victim cache.Line) {
 	ctx.spanEvent("evict", tile, addr)
 	switch victim.State {
@@ -514,7 +538,9 @@ func (p *dicoCore) evictL1(ctx *Context, tile topo.Tile, addr cache.Addr, victim
 		p.v.evictProvider(ctx, tile, addr, victim)
 	default:
 		if local := victim.Sharers &^ p.areaBit(tile); local != 0 {
-			p.transferOwnership(ctx, tile, addr, local, victim.Dirty, victim.ProPos)
+			m := p.msg(ctx, tile, request{addr: addr})
+			m.kind, m.list, m.vector, m.dirty, m.propos = offerOwnership, local, local, victim.Dirty, victim.ProPos
+			p.offer(ctx, tile, m)
 		} else {
 			p.writebackToHome(ctx, tile, addr, victim.Dirty, victim.ProPos, 0)
 		}
@@ -529,87 +555,90 @@ func (p *dicoCore) keepHint(ctx *Context, tile topo.Tile, addr cache.Addr, victi
 	}
 }
 
-// offer walks an offer chain through the candidates of tryList (an
-// area-local vector of area): the first that still holds a shared copy
-// runs accept with vector minus itself. A candidate with a miss in
-// flight is skipped — stalling behind the miss can deadlock, since the
-// miss may itself be waiting for this block to settle — but stays in
-// vector, so the acceptor's sharing code covers its fill (a superset is
-// always safe); a candidate without a shared copy leaves the vector.
-// When nobody accepts, none runs at the last tile probed: whatever the
-// offer carries rides the chain, so every send's source is the tile
-// whose lane is executing.
-func (p *dicoCore) offer(ctx *Context, from topo.Tile, addr cache.Addr, area int, tryList, vector uint64,
-	accept func(ctx *Context, target topo.Tile, line *cache.Line, others uint64),
-	none func(ctx *Context, last topo.Tile, vector uint64)) {
-	if tryList == 0 {
-		none(ctx, from, vector)
+// offerKind is what an offer chain hands to the sharer that accepts.
+type offerKind uint8
+
+const (
+	offerOwnership    offerKind = iota // an evicted owner's (evictL1)
+	offerProvidership                  // an evicted provider's (DiCo-Providers)
+)
+
+// offer sends the offer chain m on from the executing tile to the first
+// candidate left in m.list, an area-local vector of from's area; the
+// first that still holds a shared copy accepts with m.vector minus
+// itself (offerAt). A candidate with a miss in flight is skipped —
+// stalling behind the miss can deadlock, since the miss may itself be
+// waiting for this block to settle — but stays in m.vector, so the
+// acceptor's sharing code covers its fill (a superset is always safe);
+// a candidate without a shared copy leaves the vector. When nobody
+// accepts, the chain ends at the last tile probed: whatever the offer
+// carries rides the chain, so every send's source is the tile whose
+// lane is executing.
+func (p *dicoCore) offer(ctx *Context, from topo.Tile, m *message) {
+	if m.list == 0 {
+		p.v.endOffer(ctx, from, nil, m)
 		return
 	}
-	i := bits.TrailingZeros64(tryList)
-	target := p.tileAt(area, i)
-	ctx.SendCtl(from, target, func() {
-		tctx := p.ctx.At(target)
-		t := p.tile(tctx, target)
-		rest := tryList &^ (1 << uint(i))
-		if _, pending := t.mshr.Lookup(addr); pending {
-			p.offer(tctx, target, addr, area, rest, vector, accept, none)
-			return
-		}
-		tctx.pw.L1TagRead.Inc()
-		if line := t.l1.Peek(addr); line != nil && line.State == dcShared {
-			accept(tctx, target, line, vector&^(1<<uint(i)))
-			return
-		}
-		p.offer(tctx, target, addr, area, rest, vector&^(1<<uint(i)), accept, none)
-	})
+	m.tile = p.tileAt(p.areaOf(from), bits.TrailingZeros64(m.list))
+	ctx.SendCtlArg(from, m.tile, p.offerFn, m)
 }
 
-// transferOwnership offers an evicted owner's ownership (sharing code
-// and provider pointers) to the sharers of its area (Table II); the
-// acceptor sends Change_Owner to the home and hints the others. If
-// nobody accepts, the data falls back to the home from the chain's end.
-func (p *dicoCore) transferOwnership(ctx *Context, from topo.Tile, addr cache.Addr, sharers uint64, dirty bool,
-	propos [cache.MaxSimAreas]int8) {
-	area := p.areaOf(from)
-	p.offer(ctx, from, addr, area, sharers, sharers,
-		func(tctx *Context, target topo.Tile, line *cache.Line, others uint64) {
-			tctx.spanEvent("transfer-accepted", target, addr)
-			line.State = dcOwnerShared
-			line.Dirty = dirty
-			line.Sharers = others
-			line.ProPos = propos
-			line.Owner = -1
-			tctx.pw.L1TagWrite.Inc()
-			home := tctx.HomeOf(addr)
-			stamp := tctx.Kernel.Now()
-			tctx.SendCtl(target, home, func() { // Change_Owner
-				hctx := p.ctx.At(home)
-				p.homeOwnerUpdate(hctx, home, addr, target, stamp)
-				hctx.SendCtl(home, target, func() {}) // ack (gating message)
-			})
-			p.hintSharers(tctx, target, addr, area, others)
-		},
-		func(lctx *Context, last topo.Tile, vector uint64) {
-			p.writebackToHome(lctx, last, addr, dirty, propos, vector)
-		})
+// offerAt runs the offer chain m at its candidate m.tile.
+func (p *dicoCore) offerAt(m *message) {
+	target, addr := m.tile, m.r.addr
+	ctx := p.ctx.At(target)
+	t := p.tile(ctx, target)
+	self := p.areaBit(target)
+	m.list &^= self
+	if _, pending := t.mshr.Lookup(addr); !pending {
+		ctx.pw.L1TagRead.Inc()
+		m.vector &^= self
+		if line := t.l1.Peek(addr); line != nil && line.State == dcShared {
+			p.v.endOffer(ctx, target, line, m)
+			return
+		}
+	}
+	p.offer(ctx, target, m)
+}
+
+// endOffer ends an ownership offer: the acceptor sends Change_Owner to
+// the home (xferFn) and hints the others. If nobody accepts, the data
+// falls back to the home from the chain's end.
+func (p *dicoCore) endOffer(ctx *Context, tile topo.Tile, line *cache.Line, m *message) {
+	addr, others := m.r.addr, m.vector
+	if line == nil {
+		p.writebackToHome(ctx, tile, addr, m.dirty, m.propos, others)
+		p.putMsg(ctx, tile, m)
+		return
+	}
+	ctx.spanEvent("transfer-accepted", tile, addr)
+	line.State = dcOwnerShared
+	line.Dirty = m.dirty
+	line.Sharers = others
+	line.ProPos = m.propos
+	line.Owner = -1
+	ctx.pw.L1TagWrite.Inc()
+	m.tile, m.stamp = tile, ctx.Kernel.Now()
+	ctx.SendCtlArg(tile, ctx.HomeOf(addr), p.xferFn, m) // Change_Owner
+	p.hintSharers(ctx, tile, addr, p.areaOf(tile), others)
 }
 
 // hintSharers tells every tile of the area-local vector sharers that
-// supplier now supplies addr, updating their predictions (Figure 5).
+// supplier now supplies addr (hint).
 func (p *dicoCore) hintSharers(ctx *Context, supplier topo.Tile, addr cache.Addr, area int, sharers uint64) {
-	for v := sharers; v != 0; v &= v - 1 {
-		sharer := p.tileAt(area, bits.TrailingZeros64(v))
-		ctx.SendCtl(supplier, sharer, func() {
-			sctx := p.ctx.At(sharer)
-			st := p.tile(sctx, sharer)
-			if l := st.l1.Peek(addr); l != nil && l.State == dcShared {
-				l.Owner = int16(supplier)
-			} else {
-				st.l1c.Update(addr, int16(supplier))
-				sctx.pw.L1CUpdate.Inc()
-			}
-		})
+	p.sendArea(ctx, supplier, area, sharers, p.hintFn, request{addr: addr, requestor: supplier})
+}
+
+// hint points a sharer's prediction at the supplier r.requestor
+// (Figure 5).
+func (p *dicoCore) hint(r request, sharer topo.Tile) {
+	ctx := p.ctx.At(sharer)
+	st := p.tile(ctx, sharer)
+	if l := st.l1.Peek(r.addr); l != nil && l.State == dcShared {
+		l.Owner = int16(r.requestor)
+	} else {
+		st.l1c.Update(r.addr, int16(r.requestor))
+		ctx.pw.L1CUpdate.Inc()
 	}
 }
 
@@ -704,7 +733,7 @@ func (p *dicoCore) relinquish(m *message) {
 	t := p.tile(ctx, owner)
 	if _, pending := t.mshr.Lookup(addr); pending {
 		// The recalled grant has not filled yet: wait for it.
-		t.stallL1Arg(addr, p.recallFn, m)
+		t.stallL1(addr, p.recallFn, m)
 		return
 	}
 	p.putMsg(ctx, owner, m)
@@ -793,9 +822,7 @@ func (p *dicoCore) evictL2Sharers(ctx *Context, home topo.Tile, addr cache.Addr,
 // roundInvalArea sends the round invalidation of addr from the
 // executing tile to every tile of the area-local vector sharers.
 func (p *dicoCore) roundInvalArea(ctx *Context, from topo.Tile, addr cache.Addr, area int, sharers uint64) {
-	for v := sharers; v != 0; v &= v - 1 {
-		p.roundInval(ctx, from, p.tileAt(area, bits.TrailingZeros64(v)), addr)
-	}
+	p.sendArea(ctx, from, area, sharers, p.roundInvFn, request{addr: addr, acks: -1})
 }
 
 // The remaining defaults are the hooks DiCo never reaches or shares
@@ -832,9 +859,11 @@ func (p *dicoCore) evictProvider(ctx *Context, tile topo.Tile, addr cache.Addr, 
 
 // ForEachCopy implements Engine.
 func (p *dicoCore) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
-	p.forEachCopy(addr, func(l *cache.Line) CopyInfo {
-		return CopyInfo{Owner: dcIsOwner(l.State), Exclusive: l.State >= dcOwnerExclusive, Dirty: l.Dirty, State: l.State}
-	}, fn)
+	p.forEachCopy(addr, describeLine, fn)
+}
+
+func describeLine(l *cache.Line) CopyInfo {
+	return CopyInfo{Owner: dcIsOwner(l.State), Exclusive: l.State >= dcOwnerExclusive, Dirty: l.Dirty, State: l.State}
 }
 
 // blockCopies is one block's L1 copies, for the invariant checkers.
@@ -843,11 +872,12 @@ type blockCopies struct {
 	holders map[topo.Tile]cache.State
 }
 
-// checkBlocks runs the family-wide invariants at quiescence — at most
-// one owner chip-wide, an exclusive owner holds the only copy, and the
-// home L2C$ points at the actual L1 owner — then calls check for every
-// cached block in address order.
-func (p *dicoCore) checkBlocks(check func(addr cache.Addr, bc *blockCopies, l2line *cache.Line)) {
+// CheckInvariants implements Engine; call at quiescence. It runs the
+// family-wide invariants — at most one owner chip-wide, an exclusive
+// owner holds the only copy, and the home L2C$ points at the actual L1
+// owner — then the variant's checkBlock for every cached block in
+// address order.
+func (p *dicoCore) CheckInvariants() {
 	blocks := make(map[cache.Addr]*blockCopies)
 	for i, t := range p.tiles {
 		tile := topo.Tile(i)
@@ -870,7 +900,7 @@ func (p *dicoCore) checkBlocks(check func(addr cache.Addr, bc *blockCopies, l2li
 	for a := range blocks {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, addr := range addrs {
 		bc := blocks[addr]
 		th := p.tiles[p.ctx.HomeOf(addr)]
@@ -882,6 +912,6 @@ func (p *dicoCore) checkBlocks(check func(addr cache.Addr, bc *blockCopies, l2li
 				panic(fmt.Sprintf("%s: block %#x L2C$ points to %d, owner is %d", p.name, addr, ptr, bc.owner))
 			}
 		}
-		check(addr, bc, th.l2.Peek(addr))
+		p.v.checkBlock(addr, bc, th.l2.Peek(addr))
 	}
 }

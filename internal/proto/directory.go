@@ -151,7 +151,7 @@ func (d *Directory) Issue(tile topo.Tile, addr cache.Addr, write bool, onDone fu
 	ctx.chargeVM(tile)
 	t := d.tile(ctx, tile)
 	if _, pending := t.mshr.Lookup(addr); pending {
-		t.stallL1(addr, func() { d.Access(tile, addr, write, onDone) })
+		d.stallAccess(ctx, tile, addr, write, onDone)
 		return false
 	}
 	ctx.pw.L1TagRead.Inc()
@@ -316,10 +316,9 @@ func (d *Directory) atOwner(r request, owner topo.Tile) {
 	ctx.chargeVM(r.requestor)
 	to := d.tile(ctx, owner)
 	if _, pending := to.mshr.Lookup(r.addr); pending {
-		// Capture a copy: r is mutated below, and capturing the
-		// parameter itself would force it to the heap on every call.
-		req := r
-		to.stallL1(r.addr, func() { d.atOwner(req, owner) })
+		m := d.msg(ctx, owner, r)
+		m.tile = owner
+		to.stallL1(r.addr, d.atOwnerFn, m)
 		return
 	}
 	ctx.pw.L1TagRead.Inc()
@@ -536,10 +535,12 @@ func (d *Directory) roundDone(ctx *Context, home topo.Tile, victim cache.Addr, r
 
 // ForEachCopy implements Engine.
 func (d *Directory) ForEachCopy(addr cache.Addr, fn func(CopyInfo)) {
-	d.forEachCopy(addr, func(l *cache.BareLine) CopyInfo {
-		excl := l.State == dirModified || l.State == dirExclusive
-		return CopyInfo{Owner: excl, Exclusive: excl, Dirty: l.Dirty, State: l.State}
-	}, fn)
+	d.forEachCopy(addr, describeBare, fn)
+}
+
+func describeBare(l *cache.BareLine) CopyInfo {
+	excl := l.State == dirModified || l.State == dirExclusive
+	return CopyInfo{Owner: excl, Exclusive: excl, Dirty: l.Dirty, State: l.State}
 }
 
 // CheckInvariants implements Engine. Call only at quiescence (no

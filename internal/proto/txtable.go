@@ -17,18 +17,13 @@ import (
 // slices. Records and waiters recycle through free lists; steady-state
 // operation allocates nothing.
 
-// waiter is one stalled continuation. fn/arg use the kernel's
-// non-capturing form so waking a waiter is a zero-allocation
-// AfterArg; plain func() continuations are adapted through
-// runClosure (a func value boxes into any without allocating).
+// waiter is one stalled continuation: a bound handler and its pooled
+// *message, so waking a waiter is a zero-allocation AfterArg.
 type waiter struct {
 	fn   func(any)
 	arg  any
 	next *waiter
 }
-
-// runClosure adapts a plain func() continuation to the AtArg shape.
-func runClosure(a any) { a.(func())() }
 
 // Per-block transient flags.
 const (
@@ -167,14 +162,16 @@ func (t *txTable) grow() {
 	}
 }
 
-// forEach visits every live record (table order; debug dumps only —
+// records lists every live record (table order; debug dumps only —
 // simulation behaviour must never depend on it).
-func (t *txTable) forEach(fn func(*txRecord)) {
+func (t *txTable) records() []*txRecord {
+	var rs []*txRecord
 	for _, r := range t.buckets {
 		for ; r != nil; r = r.next {
-			fn(r)
+			rs = append(rs, r)
 		}
 	}
+	return rs
 }
 
 // getWaiter pops a pooled waiter node.

@@ -378,6 +378,21 @@ func (k *Kernel) AfterArg(delay Time, fn func(any), arg any) {
 	k.AtArg(k.now+delay, fn, arg)
 }
 
+// ForEachPending calls fn for every pending event, the wheel's then the
+// overflow heap's, in no particular order. argFn is nil for an event
+// scheduled in the closure form (At/After), whose Event is then arg. fn
+// must not schedule or dispatch events.
+func (k *Kernel) ForEachPending(fn func(at Time, argFn func(any), arg any)) {
+	for i := range k.slots {
+		for n := k.slots[i].head; n >= 0; n = k.nodes[n].next {
+			fn(k.slots[i].at, k.nodes[n].val.argFn, k.nodes[n].val.arg)
+		}
+	}
+	for i, key := range k.ofKeys {
+		fn(key.at, k.ofVals[i].argFn, k.ofVals[i].arg)
+	}
+}
+
 // nextTime returns the timestamp of the earliest pending event.
 func (k *Kernel) nextTime() (Time, bool) {
 	if k.inWheel > 0 {

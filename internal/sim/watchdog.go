@@ -34,7 +34,7 @@ func (w *Watchdog) Arm() {
 	w.armed = true
 	if !w.ticking {
 		w.ticking = true
-		w.k.After(w.interval, w.tick)
+		w.k.AfterArg(w.interval, watchdogTick, w)
 	}
 }
 
@@ -43,6 +43,8 @@ func (w *Watchdog) Disarm() { w.armed = false }
 
 // Err returns the first probe failure, or nil.
 func (w *Watchdog) Err() error { return w.err }
+
+func watchdogTick(a any) { a.(*Watchdog).tick() }
 
 func (w *Watchdog) tick() {
 	w.ticking = false
@@ -59,6 +61,6 @@ func (w *Watchdog) tick() {
 	// Reschedule only while other work is pending, so Run(0) drains.
 	if w.k.Pending() > 0 {
 		w.ticking = true
-		w.k.After(w.interval, w.tick)
+		w.k.AfterArg(w.interval, watchdogTick, w)
 	}
 }
