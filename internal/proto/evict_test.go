@@ -117,3 +117,57 @@ func TestDirectoryEvictionRacesPendingRead(t *testing.T) {
 		t.Fatalf("a's entry is evicted but L1s %v still hold it", l1)
 	}
 }
+
+// delayedRef is one reference a test issues at a chosen cycle.
+type delayedRef struct {
+	c   *check.Chip
+	ref check.Ref
+}
+
+func issueDelayed(a any) {
+	d := a.(*delayedRef)
+	d.c.Engine.Access(d.ref.Tile, d.ref.Addr, d.ref.Write, func() {})
+}
+
+// TestProvidersStragglerDropsInFlightFill drives DiCo-Providers' straggler
+// invalidation under the shadow checker, the stall watchdog and
+// CheckInvariants, on one-line L1s. Owner O's sharing code holds S1,
+// whose copy left silently, and S2, whose read O has just served: S2's
+// data is in flight when O's fill of y evicts x. The offer goes to S1
+// first, which declines, and then to S2 on a route that overtakes the
+// data, so S2 is skipped as pending and the ownership returns home with
+// S2 left over. The home L2 form keeps no sharer, so the straggler
+// invalidation must make S2 drop its fill: otherwise S2 keeps a copy
+// that W's later write never invalidates, and S2's read after it hits
+// stale data.
+func TestProvidersStragglerDropsInFlightFill(t *testing.T) {
+	cfg := proto.DefaultConfig()
+	cfg.L1Sets, cfg.L1Ways = 1, 1 // each tile caches one block
+	c, err := check.NewChip(check.ChipConfig{Protocol: "providers", Tiles: 64, Areas: 4, Seed: 7, Proto: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := c.Ctx.Net.Grid()
+	o, s1, s2, z, w := g.At(0, 0), g.At(0, 3), g.At(3, 3), g.At(5, 0), g.At(6, 6)
+	x := cache.Addr(g.At(7, 7)) + 64*5 // home far from O and S2
+	y := cache.Addr(o) + 64*3          // homed at O, so O's read of y is quick
+	v := cache.Addr(g.At(6, 0)) + 64*9
+	// O owns x with S1 in its code but no copy at S1; y sits in O's L2.
+	if err := c.RunSerial([]check.Ref{{Tile: o, Addr: x, Write: true}, {Tile: s1, Addr: x}, {Tile: s1, Addr: v + 64},
+		{Tile: z, Addr: y}, {Tile: z, Addr: v}}); err != nil {
+		t.Fatal(err)
+	}
+	// O serves S2's read 110 cycles in; O's fill of y lands within the
+	// 4 cycles by which the offer via S1 beats S2's data.
+	c.Engine.Access(s2, x, false, func() {})
+	c.Kernel.AfterArg(105, issueDelayed, &delayedRef{c, check.Ref{Tile: o, Addr: y}})
+	if err := c.RunSerial(nil); err != nil {
+		t.Fatal(err)
+	}
+	if l1, l2 := holdersOf(c, x); len(l1) != 0 || !l2 {
+		t.Fatalf("after the race: x held by L1s %v (want none; S2's fill drops), in the home L2: %v (want it)", l1, l2)
+	}
+	if err := c.RunSerial([]check.Ref{{Tile: w, Addr: x, Write: true}, {Tile: s2, Addr: x}}); err != nil {
+		t.Fatal(err)
+	}
+}

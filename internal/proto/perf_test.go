@@ -118,12 +118,86 @@ func evictRoundConfig() Config {
 	return cfg
 }
 
+// oneLineL1Config is a chip whose L1s hold one line, so a tile's every
+// new block evicts its last one.
+func oneLineL1Config() Config {
+	cfg := DefaultConfig()
+	cfg.L1Sets, cfg.L1Ways = 1, 1
+	return cfg
+}
+
+// ownerHandover has an owner and two sharers of its area take turns on
+// two blocks with one-line L1s: the owner's write of one block evicts
+// the other while both sharers hold it, so its ownership is offered
+// and taken by the first sharer (Change_Owner to the home, its ack,
+// and a hint to the second); each sharer's read then evicts the old
+// block in turn, handing its ownership on or writing it back.
+func ownerHandover(c *testChip, fail func(string)) func() {
+	g := c.ctx.Net.Grid()
+	o, s1, s2 := g.At(0, 0), g.At(1, 0), g.At(0, 1)
+	const x, y cache.Addr = 0x5100, 0x5200
+	return cycle(c.eng, c.kernel, fail,
+		[]ref{{o, x, true}, {s1, x, false}, {s2, x, false}},
+		[]ref{{o, y, true}, {s1, y, false}, {s2, y, false}})
+}
+
+// providerHandover has an owner O in one area and a provider P and its
+// sharer S in another take turns on two blocks with one-line L1s. O's
+// write of the next block writes the last one back home with P's
+// pointer; P's read then evicts it, so providership is offered to S,
+// which takes it and sends Change_Provider to O's stale hint, then on
+// through the home to the home's L2 line. S's read of the next block
+// evicts it again: No_Provider through the home.
+func providerHandover(c *testChip, fail func(string)) func() {
+	g := c.ctx.Net.Grid()
+	o, p, s := g.At(0, 0), g.At(7, 0), g.At(6, 1)
+	const x, y cache.Addr = 0x5100, 0x5200
+	return cycle(c.eng, c.kernel, fail,
+		[]ref{{o, x, true}, {p, x, false}}, []ref{{s, x, false}},
+		[]ref{{o, y, true}, {p, y, false}}, []ref{{s, y, false}})
+}
+
+// bcastWrite has a reader in the writer's area and one in another area
+// share a block, which in DiCo-Arin turns it inter-area; the write then
+// invalidates by broadcast, collects every tile's ack and broadcasts
+// the unblock.
+func bcastWrite(eng Engine, kernel *sim.Kernel, fail func(string)) func() {
+	g := topo.SquareGrid(64)
+	const addr cache.Addr = 0x5100
+	return cycle(eng, kernel, fail, []ref{{g.At(1, 1), addr, false}, {g.At(6, 6), addr, false}, {g.At(0, 0), addr, true}})
+}
+
+// stallBehindMiss issues a write and, before it completes, a read of the
+// same block at the same tile: the read stalls behind the miss and
+// retires as a hit once it wakes. Two tiles take turns, so every write
+// misses.
+func stallBehindMiss(eng Engine, kernel *sim.Kernel, fail func(string)) func() {
+	const addr cache.Addr = 0x5100
+	tiles := [2]topo.Tile{4, 59}
+	turn, left := 0, 0
+	done := func() { left-- }
+	cond := func() bool { return left == 0 }
+	return func() {
+		tile := tiles[turn%2]
+		turn++
+		left = 2
+		eng.Access(tile, addr, true, done)
+		eng.Access(tile, addr, false, done)
+		kernel.RunUntil(cond)
+		if left != 0 {
+			fail(fmt.Sprintf("tile %d: %d accesses never completed", tile, left))
+		}
+	}
+}
+
 // TestMissPathNoAllocs gates the steady-state miss path of every
 // protocol engine: once the transaction tables, MSHRs, message pools
 // and the kernel's node arena have warmed up, an owner transfer, a
 // round of read sharing with its invalidations, a memory refetch
-// through conflict evictions, and an eviction that invalidates a
-// block's copies must not allocate.
+// through conflict evictions, an eviction that invalidates a block's
+// copies, an owner's and a provider's handover to a sharer, a
+// broadcast write and an access stalled behind a miss must not
+// allocate.
 func TestMissPathNoAllocs(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.name, func(t *testing.T) {
@@ -131,6 +205,8 @@ func TestMissPathNoAllocs(t *testing.T) {
 			c := newTestChip(t, e.mk)
 			mc := newTestChipSized(t, e.mk, 64, 4, memRefetchConfig())
 			ec := newTestChipSized(t, e.mk, 64, 4, evictRoundConfig())
+			oc := newTestChipSized(t, e.mk, 64, 4, oneLineL1Config())
+			pc := newTestChipSized(t, e.mk, 64, 4, oneLineL1Config())
 			for _, leg := range []struct {
 				name string
 				trip func()
@@ -139,6 +215,10 @@ func TestMissPathNoAllocs(t *testing.T) {
 				{"read-share", readShare(c.eng, c.kernel, fail)},
 				{"mem-refetch", memRefetch(mc, fail)},
 				{"evict", evictRound(ec, fail)},
+				{"owner-handover", ownerHandover(oc, fail)},
+				{"provider-handover", providerHandover(pc, fail)},
+				{"bcast-write", bcastWrite(c.eng, c.kernel, fail)},
+				{"stall", stallBehindMiss(c.eng, c.kernel, fail)},
 			} {
 				for i := 0; i < 64; i++ {
 					leg.trip()
@@ -147,10 +227,72 @@ func TestMissPathNoAllocs(t *testing.T) {
 					t.Errorf("%s round allocates %.2f/op, want 0", leg.name, avg)
 				}
 			}
-			c.drain()
-			mc.drain()
-			ec.drain()
+			for _, tc := range []*testChip{c, mc, ec, oc, pc} {
+				tc.drain()
+			}
 		})
+	}
+}
+
+// TestMissPathLegsTakeTheirPaths checks, on a fresh chip, that the
+// allocation gate's handover, broadcast and stall legs run the
+// protocol actions they are named for.
+func TestMissPathLegsTakeTheirPaths(t *testing.T) {
+	fail := func(m string) { t.Fatal(m) }
+	steps := func(c *testChip, trip func(), n int) map[string]int {
+		tr := c.attachTracer(c.eng.Name())
+		for i := 0; i < n; i++ {
+			trip()
+		}
+		c.ctx.Spans = nil
+		c.ctx.Net.SetObserver(nil)
+		seen := map[string]int{}
+		for _, s := range tr.Spans() {
+			for _, ev := range s.Events {
+				seen[ev.Name]++
+			}
+		}
+		return seen
+	}
+	for _, e := range allEngines[1:] {
+		oc := newTestChipSized(t, e.mk, 64, 4, oneLineL1Config())
+		if got := steps(oc, ownerHandover(oc, fail), 4)["transfer-accepted"]; got == 0 {
+			t.Errorf("%s owner-handover: no ownership transfer accepted", e.name)
+		}
+	}
+	arin := newTestChip(t, allEngines[3].mk)
+	if got := steps(arin, bcastWrite(arin.eng, arin.kernel, fail), 2); got["bcast-inv"] != 2 || got["bcast-unblock"] != 2 {
+		t.Errorf("arin bcast-write: steps %v, want a broadcast invalidation and unblock per round", got)
+	}
+	// Providers: after O's write of y and P's read, S provides x, and the
+	// home L2 line of x names S as its area's provider.
+	pc := newTestChipSized(t, allEngines[2].mk, 64, 4, oneLineL1Config())
+	trip := providerHandover(pc, fail)
+	for i := 0; i < 3; i++ {
+		trip()
+	}
+	pc.drain()
+	g := pc.ctx.Net.Grid()
+	pv := pc.eng.(*Providers)
+	s, x := g.At(6, 1), cache.Addr(0x5100)
+	if l := pv.tiles[s].l1.Peek(x); l == nil || l.State != dcProvider {
+		t.Errorf("providers provider-handover: S holds x as %+v, want the provider", l)
+	}
+	home := pc.ctx.HomeOf(x)
+	if l2 := pv.tiles[home].l2.Peek(x); l2 == nil || l2.ProPos[pv.areaOf(s)] != pv.areaIdx(s) {
+		t.Errorf("providers provider-handover: home L2 line of x %+v does not name S", l2)
+	}
+	// An access issued behind a miss in flight stalls at its L1.
+	for _, e := range allEngines {
+		c := newTestChip(t, e.mk)
+		c.eng.Access(4, 0x5100, true, func() {})
+		c.eng.Access(4, 0x5100, false, func() {})
+		waiters := 0
+		c.eng.(interface{ forEachWaiter(func(int, *waiter)) }).forEachWaiter(func(int, *waiter) { waiters++ })
+		if waiters != 1 {
+			t.Errorf("%s stall: %d L1 waiters, want 1", e.name, waiters)
+		}
+		c.drain()
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -438,5 +439,40 @@ func TestKernelTagInterleaving(t *testing.T) {
 		if seen[tag] != 4 {
 			t.Errorf("tree %d dispatched %d events, want 4", tag, seen[tag])
 		}
+	}
+}
+
+// TestKernelForEachPending walks a queue holding wheel and overflow
+// events in both forms: every pending event is visited once with its
+// time and form, the walk changes nothing, and a dispatched event is no
+// longer visited.
+func TestKernelForEachPending(t *testing.T) {
+	k := NewKernel(1)
+	nop := func(any) {}
+	k.AtArg(3, nop, 1)
+	k.AtArg(3, nop, 2)
+	k.At(7, func() {})
+	k.AtArg(wheelSize+40, nop, 3) // overflow heap
+	walk := func() map[Time][]any {
+		got := map[Time][]any{}
+		k.ForEachPending(func(at Time, fn func(any), arg any) {
+			if fn == nil {
+				arg = "closure"
+			}
+			got[at] = append(got[at], arg)
+		})
+		return got
+	}
+	want := map[Time][]any{3: {1, 2}, 7: {"closure"}, wheelSize + 40: {3}}
+	if got := walk(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending = %v, want %v", got, want)
+	}
+	if k.Pending() != 4 {
+		t.Fatalf("walk changed the queue: %d pending", k.Pending())
+	}
+	k.Step()
+	want[3] = []any{2}
+	if got := walk(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after one step pending = %v, want %v", got, want)
 	}
 }
