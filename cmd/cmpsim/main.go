@@ -163,7 +163,7 @@ func report(cfg core.Config, res *core.Result, phases []core.PhaseStat) {
 	fmt.Printf("memory fetches   %d (%.1f%% of misses)\n", res.MemReads, res.L2MissRatio()*100)
 	fmt.Printf("dedup savings    %.1f%%\n", res.DedupSavings*100)
 	if cfg.Check {
-		fmt.Printf("coherence check  passed (shadow memory + watchdog)\n")
+		fmt.Printf("coherence check  passed (shadow memory + invariants)\n")
 	}
 	fmt.Printf("dynamic power    %.4g pJ/cycle (cache %.4g, network %.4g)\n",
 		res.PowerPerCycle(), res.CachePowerPerCycle(), res.NetworkPowerPerCycle())

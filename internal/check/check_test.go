@@ -66,7 +66,7 @@ func verOnly(img map[cache.Addr]Block) map[cache.Addr]uint64 {
 }
 
 // TestStressConcurrent runs the seeded corpus on all four protocols
-// with the shadow checker and watchdog armed, and differentially
+// with the shadow checker and the stall rule, and differentially
 // compares per-block retired-store counts across protocols.
 func TestStressConcurrent(t *testing.T) {
 	for name, recs := range corpus() {

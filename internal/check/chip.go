@@ -20,8 +20,8 @@ type ChipConfig struct {
 	Proto    proto.Config
 }
 
-// stallBound is the watchdog's max age of an in-flight miss.
-const stallBound sim.Time = 200_000
+// stallWindow is how often a checked run applies the stall rule.
+const stallWindow = proto.StallBound / 4
 
 // TinyConfig returns a deliberately small cache geometry so short
 // stress streams already exercise evictions, recalls and
@@ -34,14 +34,13 @@ func TinyConfig() proto.Config {
 	return cfg
 }
 
-// Chip is a fully built engine with the shadow checker attached and a
-// stalled-transaction watchdog ready to arm.
+// Chip is a fully built engine with the shadow checker attached. Its
+// runs apply the stall rule (proto.Stalled) between kernel windows.
 type Chip struct {
 	Kernel *sim.Kernel
 	Ctx    *proto.Context
 	Engine proto.Engine
 	Shadow *Shadow
-	Dog    *sim.Watchdog
 }
 
 // NewChip builds a checked chip from cc.
@@ -70,18 +69,32 @@ func NewChip(cc ChipConfig) (*Chip, error) {
 	}
 	sh := NewShadow(eng, kernel)
 	ctx.Observer = sh
-	probe := proto.StallProbe(eng, kernel, stallBound)
-	dog := sim.NewWatchdog(kernel, stallBound/4, probe)
-	return &Chip{Kernel: kernel, Ctx: ctx, Engine: eng, Shadow: sh, Dog: dog}, nil
+	return &Chip{Kernel: kernel, Ctx: ctx, Engine: eng, Shadow: sh}, nil
+}
+
+// runUntil runs the kernel until done holds, in windows of stallWindow
+// cycles with the stall rule applied between them. It reports whether
+// done holds; false with a nil error means the queue drained first.
+func (c *Chip) runUntil(done func() bool) (bool, error) {
+	for !done() {
+		if c.Kernel.Pending() == 0 {
+			return false, nil
+		}
+		end := c.Kernel.Now() + stallWindow
+		c.Kernel.RunUntil(func() bool { return done() || c.Kernel.Now() >= end })
+		if err := proto.Stalled(c.Engine, c.Kernel.Now()); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // finish drains residual traffic, checks that no transaction record
 // or MSHR entry outlived the drain, runs the quiescent invariant
-// checker, and folds watchdog + shadow verdicts into one error. The
-// drain is time-bounded: residual writebacks/recalls that fail to
-// settle are a liveness bug, not a reason to spin forever.
+// checker, and folds the stall rule's and the shadow's verdicts into
+// one error. The drain is time-bounded: residual writebacks/recalls
+// that fail to settle are a liveness bug, not a reason to spin forever.
 func (c *Chip) finish() (err error) {
-	c.Dog.Disarm()
 	c.Kernel.Run(c.Kernel.Now() + 2_000_000)
 	defer func() {
 		if err == nil {
@@ -90,8 +103,8 @@ func (c *Chip) finish() (err error) {
 			}
 		}
 	}()
-	if werr := c.Dog.Err(); werr != nil {
-		return werr
+	if serr := proto.Stalled(c.Engine, c.Kernel.Now()); serr != nil {
+		return serr
 	}
 	if c.Kernel.Pending() > 0 {
 		return fmt.Errorf("check: %s residual traffic never settled (livelock), %d events pending at t=%d\n%s",
@@ -109,19 +122,18 @@ func (c *Chip) finish() (err error) {
 
 // RunConcurrent drives the stream with every tile issuing its own
 // references in order (gaps honored), all tiles concurrently — the
-// racy mode. The watchdog is armed throughout. It returns the first
-// watchdog, shadow-checker, deadlock or invariant error.
+// racy mode. It returns the first stall, shadow-checker, deadlock or
+// invariant error.
 func (c *Chip) RunConcurrent(recs []Ref) error {
 	tiles, perTile := splitTiles(recs, c.Ctx.NumTiles())
 	ps := play(c.Engine, tiles, perTile, func(topo.Tile) *sim.Kernel { return c.Kernel })
-	done := func() bool { return retiredRefs(ps) == len(recs) || c.Dog.Err() != nil }
-	c.Dog.Arm()
-	for !done() {
-		c.Kernel.RunUntil(done)
-		if !done() && c.Kernel.Pending() == 0 {
-			return fmt.Errorf("check: %s deadlocked at t=%d with %d/%d refs retired\n%s",
-				c.Engine.Name(), c.Kernel.Now(), retiredRefs(ps), len(recs), proto.FormatStalls(c.Engine))
-		}
+	done, err := c.runUntil(func() bool { return retiredRefs(ps) == len(recs) })
+	if err != nil {
+		return err
+	}
+	if !done {
+		return fmt.Errorf("check: %s deadlocked at t=%d with %d/%d refs retired\n%s",
+			c.Engine.Name(), c.Kernel.Now(), retiredRefs(ps), len(recs), proto.FormatStalls(c.Engine))
 	}
 	return c.finish()
 }
@@ -131,15 +143,14 @@ func (c *Chip) RunConcurrent(recs []Ref) error {
 // every protocol, so final shadow images must match exactly across
 // protocols.
 func (c *Chip) RunSerial(recs []Ref) error {
-	c.Dog.Arm()
 	for i, r := range recs {
 		retired := false
 		c.Engine.Access(r.Tile, r.Addr, r.Write, func() { retired = true })
-		c.Kernel.RunUntil(func() bool { return retired || c.Dog.Err() != nil })
-		if c.Dog.Err() != nil {
-			break
+		done, err := c.runUntil(func() bool { return retired })
+		if err != nil {
+			return err
 		}
-		if !retired {
+		if !done {
 			return fmt.Errorf("check: %s deadlocked on record %d (tile %d %v %#x)\n%s",
 				c.Engine.Name(), i, r.Tile, r.Write, r.Addr, proto.FormatStalls(c.Engine))
 		}

@@ -30,17 +30,11 @@ type Fingerprint struct {
 	Counters   string
 }
 
-// replayWindow bounds one executor chunk between progress checks; a
-// chunk with pending events but no retirements is a stall (the
-// watchdog cannot arm on the parallel executor, so progress is
-// checked at window granularity instead).
-const replayWindow = 2_000_000
-
 // RunRecordSharded replays one stream on a mini-chip with no shadow
 // checker attached and returns the replay fingerprint: on the
 // concurrent RunParallel window executor over shards lanes, or on one
 // serial kernel when shards is 0 (the reference). Engine invariants are
-// still checked at quiescence, and livelock/deadlock still fail the
+// still checked at quiescence, and a stalled miss or a deadlock fails the
 // run — this is the stress surface for the messageized engine
 // handlers, whose cross-tile work must be shard-affine for the
 // parallel executor to resolve at all.
@@ -95,11 +89,9 @@ func RunRecordSharded(protocol string, recs []Ref, tiles, areas, shards int, see
 		defer ctx.FoldLanes()
 	}
 	for pending() > 0 {
-		before := retiredRefs(ps)
-		run(hub.Now() + replayWindow)
-		if pending() > 0 && retiredRefs(ps) == before {
-			return fp, fmt.Errorf("check: %s stalled at t=%d with %d/%d refs retired, %d events pending\n%s",
-				eng.Name(), hub.Now(), retiredRefs(ps), len(recs), pending(), proto.FormatStalls(eng))
+		run(hub.Now() + stallWindow)
+		if err := proto.Stalled(eng, hub.Now()); err != nil {
+			return fp, err
 		}
 	}
 	if done := retiredRefs(ps); done != len(recs) {

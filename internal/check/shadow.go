@@ -1,8 +1,9 @@
 // Package check provides runtime correctness tooling for the four
 // coherence engines: a shadow-memory SWMR/data-value checker that
 // verifies every retired reference against a per-block version
-// counter, a stalled-transaction watchdog wiring, and a high-conflict
-// stress/differential harness for hunting transient-race bugs.
+// counter, the checked chip whose runs apply the stall rule, and a
+// high-conflict stress/differential harness for hunting transient-race
+// bugs.
 package check
 
 import (

@@ -62,7 +62,7 @@ func (f *Flags) Obs() *Flags {
 	cfg, fs := f.cfg, f.fs
 	f.obsBound = true
 	fs.BoolVar(&cfg.Check, "check", cfg.Check,
-		"attach the shadow-memory coherence checker and stalled-transaction watchdog (fails the run on any violation)")
+		"attach the shadow-memory coherence checker and check the engine invariants after the run (fails the run on any violation; every run fails on a stalled transaction)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"trace every coherence transaction and write Chrome/Perfetto trace-event JSON to this file (open in ui.perfetto.dev)")
 	fs.Uint64Var((*uint64)(&cfg.SampleEvery), "sample", uint64(cfg.SampleEvery),

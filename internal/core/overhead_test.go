@@ -86,9 +86,9 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 			if res[1].PerVM == nil || res[1].Series == nil {
 				b.Fatalf("%s: armed run carries no per-VM stats or series", p)
 			}
-			// Sampler ticks and the interleaving's slice events are
-			// kernel events, so the event count is the one field the
-			// fingerprints may differ in.
+			// The interleaving's slice events are the only extra kernel
+			// events (the observers add none), so the event count is the
+			// one field the fingerprints may differ in.
 			fp0, fp1 := fingerprintRun(res[0]), fingerprintRun(res[1])
 			fp0.Events, fp1.Events = 0, 0
 			if !reflect.DeepEqual(fp0, fp1) {
@@ -134,8 +134,8 @@ func interleave(sys [2]*System, slice sim.Time) (wall [2]time.Duration, res [2]*
 			s, k := sys[i], sys[i].Kernel
 			<-baton[i]
 			start := time.Now()
-			var handover func()
-			handover = func() {
+			var handover func(any)
+			handover = func(any) {
 				wall[i] += time.Since(start)
 				if !finished[1-i] {
 					baton[1-i] <- struct{}{}
@@ -143,16 +143,15 @@ func interleave(sys [2]*System, slice sim.Time) (wall [2]time.Duration, res [2]*
 				}
 				start = time.Now()
 				// Re-arm only while the phase has references to issue:
-				// a chain kept alive by other bookkeeping (the sampler
-				// stops when it sees an empty queue) would never drain.
+				// a chain that outlived the phase would never drain.
 				if s.phaseDone < s.Cfg.Tiles {
-					k.After(slice, handover)
+					k.AfterArg(slice, handover, nil)
 				}
 			}
-			k.After(slice, handover)
+			k.AfterArg(slice, handover, nil)
 			errs[i] = s.RunWarmup()
 			if errs[i] == nil {
-				k.After(slice, handover)
+				k.AfterArg(slice, handover, nil)
 				res[i], errs[i] = s.RunMeasure()
 			}
 			wall[i] += time.Since(start)

@@ -57,8 +57,7 @@ func TestShardedMatchesSerialAllProtocols(t *testing.T) {
 // must equal the unobserved run of the same config on RunParallel. An
 // observer that perturbed the simulation, or a parallel path that
 // drifted from the serial order, would break the equality. The event
-// count is left out: the checker and the sampler schedule kernel events
-// of their own.
+// count is compared too: no observer schedules a kernel event.
 func TestShardedMatchesSerialWithObservers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many full runs")
@@ -95,7 +94,6 @@ func TestShardedMatchesSerialWithObservers(t *testing.T) {
 			if gres.Executor != "serial" {
 				t.Fatalf("observed executor = %q, want serial", gres.Executor)
 			}
-			got.Events = want.Events
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("observed serial fingerprint diverges from the parallel run")
 				diffMaps(t, "counter", got.Counters, want.Counters)

@@ -55,10 +55,11 @@ type Config struct {
 	Shards   int
 	Parallel bool
 
-	// Check attaches the shadow-memory coherence checker and the
-	// stalled-transaction watchdog (internal/check) to the run. Off by
-	// default: with Check false the kernel event stream is bit-identical
-	// to a build without the checker.
+	// Check attaches the shadow-memory coherence checker
+	// (internal/check) to the run and checks the engine's invariants at
+	// the end of the measured phase. The checker only observes: the
+	// event stream is bit-identical with Check on or off. The stall rule
+	// (proto.Stalled) runs on every run, checked or not.
 	Check bool
 
 	// Trace arms the causal transaction tracer (internal/telemetry):
@@ -239,9 +240,8 @@ type System struct {
 	Engine    proto.Engine
 	Ctx       *proto.Context
 
-	// Shadow and Dog are non-nil only when Cfg.Check is set.
+	// Shadow is non-nil only when Cfg.Check is set.
 	Shadow *check.Shadow
-	Dog    *sim.Watchdog
 
 	// Tracer is non-nil only when Cfg.Trace is set; Sampler only when
 	// Cfg.SampleEvery > 0.
@@ -408,10 +408,6 @@ func (d *tileDriver) retire(at sim.Time) bool {
 	return d.next(at)
 }
 
-// stallBound is the Check watchdog's max age of an in-flight miss
-// before the run is declared stalled.
-const stallBound sim.Time = 500_000
-
 // NewSystem validates cfg and builds a chip from it.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -423,11 +419,11 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	// RunParallel eligibility: asked for, and no hub-resident
 	// observability. Check, Trace, PerVM and the sampler all run
-	// chip-global hooks (shared counters, span tables, tick chains), so
-	// they run on the serial kernel. The sharded executor's hub lane
-	// is constructed exactly like the single kernel (same seed, same
-	// Fork order below), so every random stream the model draws is
-	// identical on both executors.
+	// chip-global hooks (the shadow checker, span tables, shared
+	// counters), so they run on the serial kernel. The sharded
+	// executor's hub lane is constructed exactly like the single kernel
+	// (same seed, same Fork order below), so every random stream the
+	// model draws is identical on both executors.
 	parallel := cfg.Parallel && !cfg.Check && !cfg.Trace && !cfg.PerVM &&
 		cfg.SampleEvery == 0
 	var sk *sim.ShardedKernel
@@ -503,11 +499,9 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	var sh *check.Shadow
-	var dog *sim.Watchdog
 	if cfg.Check {
 		sh = check.NewShadow(eng, kernel)
 		ctx.Observer = sh
-		dog = sim.NewWatchdog(kernel, stallBound/4, proto.StallProbe(eng, kernel, stallBound))
 	}
 	s := &System{
 		Cfg:       cfg,
@@ -521,7 +515,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Engine:    eng,
 		Ctx:       ctx,
 		Shadow:    sh,
-		Dog:       dog,
 		SK:        sk,
 		shardOf:   shardOf,
 		vmOf:      vmOf,
@@ -599,59 +592,41 @@ func (s *System) seedPhase(refs int) {
 	}
 }
 
+// stallWindow is how often a phase applies the stall rule.
+const stallWindow = proto.StallBound / 4
+
 // runPhase drives every core through refs references, starting each
 // reference Gap cycles after the previous one retires. It returns the
-// simulation time of the last retirement.
+// simulation time of the last retirement. A miss in flight for
+// proto.StallBound cycles fails the phase, and so does a queue that
+// drains before every core is done.
 func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 	if s.SK != nil {
 		return s.runPhaseParallel(refs)
 	}
 	cfg := s.Cfg
 	s.seedPhase(refs)
-	// Watchdog: if no reference retires for a long stretch, the
-	// protocol has livelocked — fail loudly instead of spinning. With
-	// Check set, the per-transaction watchdog additionally pinpoints the
-	// stalled block and dumps its global state.
-	if s.Dog != nil {
-		s.Dog.Arm()
-	}
-	// The kernel runs in windows that end at the earlier of the
-	// watchdog deadline and the sampler's next due cycle; samples are
-	// taken between windows, so sampling adds no event.
-	const watchdogWindow sim.Time = 2_000_000
-	lastProgress := uint64(0)
+	// The kernel runs in windows that end at the earlier of the next
+	// stall check and the sampler's next due cycle. Between windows the
+	// phase applies the stall rule and takes samples; both only read,
+	// so neither adds an event.
 	k := s.Kernel
-	watchdogAt := k.Now() + watchdogWindow
 	for s.phaseDone < cfg.Tiles {
-		deadline := watchdogAt
+		if k.Pending() == 0 {
+			return 0, 0, fmt.Errorf("core: deadlock at t=%d: no event pending with %d/%d cores done (%d refs retired)\n%s",
+				k.Now(), s.phaseDone, cfg.Tiles, s.phaseTotal, proto.FormatStalls(s.Engine))
+		}
+		deadline := k.Now() + stallWindow
 		if s.Sampler != nil && s.Sampler.Due() < deadline {
 			deadline = s.Sampler.Due()
 		}
-		k.RunUntil(func() bool {
-			return s.phaseDone == cfg.Tiles || k.Now() >= deadline ||
-				(s.Dog != nil && s.Dog.Err() != nil)
-		})
-		if s.Dog != nil && s.Dog.Err() != nil {
-			return 0, 0, s.Dog.Err()
+		k.RunUntil(func() bool { return s.phaseDone == cfg.Tiles || k.Now() >= deadline })
+		if err := proto.Stalled(s.Engine, k.Now()); err != nil {
+			return 0, 0, err
 		}
-		if s.phaseDone == cfg.Tiles {
-			break
-		}
-		if s.Sampler != nil {
+		if s.Sampler != nil && s.phaseDone < cfg.Tiles {
 			s.Sampler.Tick()
 		}
-		if k.Now() < watchdogAt && k.Pending() > 0 {
-			continue
-		}
-		if k.Pending() == 0 || s.phaseTotal == lastProgress {
-			return 0, 0, fmt.Errorf("core: simulation stalled at t=%d with %d/%d cores done (%d refs retired)",
-				k.Now(), s.phaseDone, cfg.Tiles, s.phaseTotal)
-		}
-		lastProgress = s.phaseTotal
-		watchdogAt = k.Now() + watchdogWindow
-	}
-	if s.Dog != nil {
-		s.Dog.Disarm()
 	}
 	// Drain residual traffic (writebacks, acks) so counters are final,
 	// and end the phase no earlier than its last retirement: a hit
@@ -667,33 +642,22 @@ func (s *System) runPhase(refs int) (sim.Time, uint64, error) {
 }
 
 // runPhaseParallel is runPhase on the conservative window executor.
-// The phase loop runs RunParallel in watchdog-window chunks and reads
-// only per-tile state between chunks (retired counts, per-driver
-// retire times): the lanes retire concurrently, so there is no shared
-// phase counter to consult. Lane counter views are armed for the
-// duration and folded back before anything reads the root set.
+// The phase loop runs RunParallel in stall-check chunks and reads only
+// per-tile state between chunks (the stall rule, retired counts,
+// per-driver retire times): the lanes retire concurrently, so there is
+// no shared phase counter to consult. Lane counter views are armed for
+// the duration and folded back before anything reads the root set.
 func (s *System) runPhaseParallel(refs int) (sim.Time, uint64, error) {
 	cfg := s.Cfg
 	s.seedPhase(refs)
 	s.Ctx.ArmLanes()
 	defer s.Ctx.FoldLanes()
-	const watchdogWindow sim.Time = 2_000_000
-	lastProgress := uint64(0)
 	target := uint64(refs) * uint64(cfg.Tiles)
-	for {
-		s.SK.RunParallel(s.SK.Now() + watchdogWindow)
-		if s.SK.Pending() == 0 {
-			break
+	for s.SK.Pending() > 0 {
+		s.SK.RunParallel(s.SK.Now() + stallWindow)
+		if err := proto.Stalled(s.Engine, s.SK.Now()); err != nil {
+			return 0, 0, err
 		}
-		total := uint64(0)
-		for t := range s.retired {
-			total += uint64(s.retired[t])
-		}
-		if total == lastProgress {
-			return 0, 0, fmt.Errorf("core: parallel run stalled at t=%d with %d/%d refs retired",
-				s.SK.Now(), total, target)
-		}
-		lastProgress = total
 	}
 	var lastRetire sim.Time
 	total := uint64(0)
@@ -704,7 +668,8 @@ func (s *System) runPhaseParallel(refs int) (sim.Time, uint64, error) {
 		total += uint64(s.retired[t])
 	}
 	if total != target {
-		return 0, 0, fmt.Errorf("core: parallel run drained with %d/%d refs retired", total, target)
+		return 0, 0, fmt.Errorf("core: deadlock at t=%d: no event pending with %d/%d refs retired\n%s",
+			s.SK.Now(), total, target, proto.FormatStalls(s.Engine))
 	}
 	s.SK.AdvanceTo(lastRetire)
 	s.phaseTotal = total

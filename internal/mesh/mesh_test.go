@@ -457,7 +457,7 @@ func TestMaxLatencyParallelDeferredSends(t *testing.T) {
 					continue
 				}
 				dk := lanes[shardOf[dst]]
-				k.At(sim.Time(i*2), func() {
+				k.AtArg(sim.Time(i*2), call, func() {
 					sent := k.Now()
 					n.SendArg(src, dst, 5, call, func() {
 						if lat := dk.Now() - sent; lat > n.MaxLatency() {

@@ -10,16 +10,15 @@ import (
 )
 
 // TestNoClosuresOutsideBinders fails on a func literal in the package's
-// non-test code outside the functions that bind the handlers once and
-// StallProbe's watchdog probe. It is the syntactic form of `go build
-// -gcflags=-m`'s escape report: any other literal would be a closure
-// built per call, which is what no pending event may carry. The two
+// non-test code outside the functions that bind the handlers once. It
+// is the syntactic form of `go build -gcflags=-m`'s escape report: any
+// other literal would be a closure built per call, which is what no pending event may carry. The two
 // CheckInvariants visitors of cache.Array.ForEachValid also stay: they
 // run synchronously at quiescence and never outlive the call.
 func TestNoClosuresOutsideBinders(t *testing.T) {
 	allowed := map[string]bool{
 		"engineBase.bindHandlers": true, "dicoCore.init": true, "NewProviders": true,
-		"Directory.bindHandlers": true, "NewArin": true, "StallProbe": true,
+		"Directory.bindHandlers": true, "NewArin": true,
 		"dicoCore.CheckInvariants": true, "Directory.CheckInvariants": true,
 	}
 	files, err := filepath.Glob("*.go")

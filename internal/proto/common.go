@@ -81,8 +81,6 @@ type Engine interface {
 	// the home L2 bank) without touching access counters. Runtime
 	// checkers use it to verify the SWMR invariant mid-simulation.
 	ForEachCopy(addr cache.Addr, fn func(CopyInfo))
-	// ForEachPending visits every outstanding MSHR entry on the chip.
-	ForEachPending(fn func(tile topo.Tile, e *cache.MSHREntry))
 }
 
 // NewEngine builds the engine the protocol name selects: "directory",

@@ -10,14 +10,15 @@ import (
 )
 
 // debugger is the view of an engine's per-tile state that the debug
-// formatters and the quiescence check read; engineBase provides it for
-// every line payload. All transient per-block state (stall queues,
-// busy/blocked flags, recall marks) lives in each tile's transaction
-// table.
+// formatters, the quiescence check and the stall rule read; engineBase
+// provides it for every line payload. All transient per-block state
+// (stall queues, busy/blocked flags, recall marks) lives in each
+// tile's transaction table.
 type debugger interface {
 	formatBlock(addr cache.Addr) string
 	formatStalls() string
 	quiescent() error
+	oldestMiss() (topo.Tile, *cache.MSHREntry)
 }
 
 // FormatBlockState returns the global state of one block: every L1
@@ -137,33 +138,37 @@ func (eb *engineBase[P]) quiescent() error {
 	return nil
 }
 
-// StallProbe returns a sim.Watchdog probe that reports a stalled
-// transaction: any MSHR entry older than bound cycles. The report
-// names the oldest such entry and dumps the offending block's global
-// state. Home-queued requests are covered transitively — every
-// request stalled at a home belongs to some requestor's MSHR entry.
-func StallProbe(e Engine, k *sim.Kernel, bound sim.Time) func() string {
-	return func() string {
-		now := uint64(k.Now())
-		var worst *cache.MSHREntry
-		var worstTile topo.Tile
-		e.ForEachPending(func(tile topo.Tile, me *cache.MSHREntry) {
-			if now-me.IssuedAt < uint64(bound) {
-				return
-			}
-			// Deterministic choice under map iteration: oldest first,
-			// ties by (tile, addr).
-			if worst == nil || me.IssuedAt < worst.IssuedAt ||
-				(me.IssuedAt == worst.IssuedAt &&
-					(tile < worstTile || (tile == worstTile && me.Addr < worst.Addr))) {
-				worst, worstTile = me, tile
-			}
-		})
-		if worst == nil {
-			return ""
-		}
-		return fmt.Sprintf("%s: transaction stalled: tile %d block %#x pending since t=%d (now %d, bound %d)\n%s",
-			e.Name(), worstTile, worst.Addr, worst.IssuedAt, now, bound,
-			FormatBlockState(e, worst.Addr))
+// StallBound is the longest a miss may stay in flight. The loops that
+// drive a kernel apply Stalled between windows of StallBound/4 cycles.
+const StallBound sim.Time = 500_000
+
+// Stalled is the stall rule: a miss in flight for StallBound cycles or
+// more at now is a stalled transaction. The error names the oldest
+// miss (ties by tile, then block) and dumps its block's global state.
+// Home-queued requests are covered transitively: every request stalled
+// at a home belongs to some requestor's miss. Stalled only reads, so
+// applying it leaves the run unchanged.
+func Stalled(e Engine, now sim.Time) error {
+	d, ok := e.(debugger)
+	if !ok {
+		return fmt.Errorf("proto: unknown engine %T", e)
 	}
+	tile, me := d.oldestMiss()
+	if me == nil || now-sim.Time(me.IssuedAt) < StallBound {
+		return nil
+	}
+	return fmt.Errorf("%s: transaction stalled: tile %d block %#x pending since t=%d (now %d, bound %d)\n%s",
+		e.Name(), tile, me.Addr, me.IssuedAt, now, StallBound, FormatBlockState(e, me.Addr))
+}
+
+func (eb *engineBase[P]) oldestMiss() (tile topo.Tile, oldest *cache.MSHREntry) {
+	for i, t := range eb.tiles {
+		for _, me := range t.mshr.Entries() {
+			if oldest == nil || me.IssuedAt < oldest.IssuedAt ||
+				(me.IssuedAt == oldest.IssuedAt && topo.Tile(i) == tile && me.Addr < oldest.Addr) {
+				tile, oldest = topo.Tile(i), me
+			}
+		}
+	}
+	return tile, oldest
 }

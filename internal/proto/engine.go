@@ -413,15 +413,6 @@ func (b *engineBase[P]) Stats() *stats.Set { return &b.ctx.Counters }
 // MissProfile implements Engine.
 func (b *engineBase[P]) MissProfile() MissProfile { return b.ctx.Profile }
 
-// ForEachPending implements Engine.
-func (b *engineBase[P]) ForEachPending(fn func(topo.Tile, *cache.MSHREntry)) {
-	for i, t := range b.tiles {
-		for _, e := range t.mshr.Entries() {
-			fn(topo.Tile(i), e)
-		}
-	}
-}
-
 // hit accounts an L1 hit at lookup time; the caller of Issue retires it.
 func (b *engineBase[P]) hit(ctx *Context, tile topo.Tile, addr cache.Addr, write bool) {
 	if write {

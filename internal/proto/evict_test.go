@@ -24,7 +24,7 @@ func holdersOf(c *check.Chip, addr cache.Addr) (l1 []topo.Tile, l2 bool) {
 
 // TestProvidersL2EvictionThroughProvider drives DiCo-Providers' L2
 // eviction through a provider that tracks a sharer, under the shadow
-// checker, the stall watchdog and CheckInvariants. O owns block x, P
+// checker, the stall rule and CheckInvariants. O owns block x, P
 // (another area) becomes its area's provider and S (P's area) reads x
 // through P. O's eviction returns the ownership to the home L2 with P's
 // provider pointer; a second block z of the same one-line L2 bank then
@@ -76,7 +76,7 @@ func TestProvidersL2EvictionThroughProvider(t *testing.T) {
 
 // TestDirectoryEvictionRacesPendingRead drives a directory-entry
 // eviction whose holder has a read miss in flight on the victim, under
-// the shadow checker, the stall watchdog and CheckInvariants. Each home
+// the shadow checker, the stall rule and CheckInvariants. Each home
 // has one 2-way directory set and one L2 line. X and Y share block a,
 // and b's fill evicts a's L2 data, so a's entry survives with sharers
 // only. R's read of a is then forwarded to the far sharer Y, and the
@@ -130,7 +130,7 @@ func issueDelayed(a any) {
 }
 
 // TestProvidersStragglerDropsInFlightFill drives DiCo-Providers' straggler
-// invalidation under the shadow checker, the stall watchdog and
+// invalidation under the shadow checker, the stall rule and
 // CheckInvariants, on one-line L1s. Owner O's sharing code holds S1,
 // whose copy left silently, and S2, whose read O has just served: S2's
 // data is in flight when O's fill of y evicts x. The offer goes to S1

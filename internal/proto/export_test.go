@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -13,24 +14,19 @@ import (
 // harness.
 
 // PendingNotData walks k's pending events and every L1 and home waiter
-// of e, and describes each one that is not data. An event must use the
-// argument form; unless foreign claims its argument (a driver other
-// than the engine scheduled it), it and every waiter must run one of
-// e's bound handlers with a *message. It also counts the engine events
-// and waiters it checked.
+// of e, and describes each one that is not data. Unless foreign claims
+// an event's argument (a driver other than the engine scheduled it),
+// the event and every waiter must run one of e's bound handlers with a
+// *message. It also counts the engine events and waiters it checked.
 func PendingNotData(e Engine, k *sim.Kernel, foreign func(arg any) bool) (bad []string, events, waiters int) {
 	bound := boundHandlers(e)
 	check := func(where string, fn func(any), arg any) {
-		if fn == nil {
-			bad = append(bad, fmt.Sprintf("%s: closure %s", where, funcName(arg)))
-			return
-		}
 		if _, ok := arg.(*message); !ok || !bound[reflect.ValueOf(fn).Pointer()] {
 			bad = append(bad, fmt.Sprintf("%s: %s(%s) is not a bound handler with a *message", where, funcName(fn), funcName(arg)))
 		}
 	}
 	k.ForEachPending(func(at sim.Time, fn func(any), arg any) {
-		if fn != nil && foreign(arg) {
+		if foreign(arg) {
 			return
 		}
 		events++
@@ -81,4 +77,21 @@ func funcName(v any) string {
 		return runtime.FuncForPC(rv.Pointer()).Name()
 	}
 	return fmt.Sprintf("%T", v)
+}
+
+// LoseMemoryResponse makes e drop the next memory response it
+// receives, as a lost message would: the miss it answers never
+// completes. It is the seam of the stall rule's test.
+func LoseMemoryResponse(e Engine) {
+	e.(interface{ loseMemoryResponse() }).loseMemoryResponse()
+}
+
+func (b *engineBase[P]) loseMemoryResponse() {
+	deliver := b.memRespFn
+	var lost atomic.Bool
+	b.memRespFn = func(a any) {
+		if lost.Swap(true) {
+			deliver(a)
+		}
+	}
 }

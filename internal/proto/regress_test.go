@@ -124,7 +124,7 @@ var seed139Stream = []check.Ref{
 }
 
 // TestRegressionSeed139 runs the minimized livelock stream under the
-// checker with the watchdog armed: it must now retire every reference.
+// checker and the stall rule: it must now retire every reference.
 func TestRegressionSeed139(t *testing.T) {
 	if _, err := check.RunRecord("directory", seed139Stream, 16, 4, 139, false); err != nil {
 		t.Fatalf("directory: %v", err)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDirectorySharerForward drives the directory's NCID sharer
-// forward under the shadow checker, the stall watchdog and
+// forward under the shadow checker, the stall rule and
 // CheckInvariants: two tiles read a block, a second block homed at the
 // same one-line L2 bank evicts its data while the directory entry
 // survives, and a third reader's miss is forwarded to a clean L1

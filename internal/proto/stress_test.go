@@ -1,6 +1,6 @@
 // Racy-workload stress fuzzing of the four coherence engines: high-
-// conflict streams run under the shadow-memory checker with the
-// stalled-transaction watchdog armed (external test package so it can
+// conflict streams run under the shadow-memory checker and the stall
+// rule (external test package so it can
 // use the internal/check harness without an import cycle).
 package proto_test
 
@@ -29,8 +29,8 @@ func stressSeeds() int {
 }
 
 // TestStress sweeps seeded high-conflict streams over all four
-// protocols concurrently, with the checker attached and the watchdog
-// armed. Stream shape varies with the seed so the sweep covers
+// protocols concurrently, with the checker attached and the stall rule
+// applied. Stream shape varies with the seed so the sweep covers
 // single-block hammering through eviction-heavy working sets.
 func TestStress(t *testing.T) {
 	seeds := stressSeeds()
@@ -165,7 +165,7 @@ func matchParallel(t *testing.T, name, protocol string, recs []check.Ref, seed u
 
 // FuzzStress lets the fuzzer mutate the raw reference stream. Every
 // byte pair decodes to one reference; all four protocols must run the
-// stream without checker, watchdog, deadlock or invariant errors, and
+// stream without checker, stall, deadlock or invariant errors, and
 // the RunParallel replay must stay fingerprint-identical to the serial
 // replay on every input. Wide seeds (check.DecodeStream) reach L2,
 // L2C$ and directory-cache evictions and stamp-table purges.

@@ -7,29 +7,11 @@ import "testing"
 // with short, irregular delays, pushed and popped continuously. Run
 // with -benchmem; the steady-state paths must report 0 allocs/op.
 
-// BenchmarkSchedule measures steady-state push+pop throughput: the
-// queue is held at a constant depth and every iteration schedules one
-// event and executes one.
-func BenchmarkSchedule(b *testing.B) {
-	k := NewKernel(1)
-	nop := func() {}
-	const depth = 4096
-	for i := 0; i < depth; i++ {
-		k.After(Time(i%97), nop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.After(Time(i%97), nop)
-		k.Step()
-	}
-}
-
 // BenchmarkStep measures pure pop/dispatch throughput over a deep
 // queue, refilled in untimed sections.
 func BenchmarkStep(b *testing.B) {
 	k := NewKernel(1)
-	nop := func() {}
+	nop := func(any) {}
 	const chunk = 8192
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,7 +22,7 @@ func BenchmarkStep(b *testing.B) {
 			n = b.N - done
 		}
 		for i := 0; i < n; i++ {
-			k.After(Time(i%211), nop)
+			k.AfterArg(Time(i%211), nop, nil)
 		}
 		b.StartTimer()
 		for i := 0; i < n; i++ {
@@ -50,11 +32,11 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleArg measures the AtArg fast path: a long-lived
-// non-capturing function plus a small integer argument, the form the
-// mesh broadcast and unicast senders use. Small ints box without
-// allocating, so this path is fully allocation-free even at the call
-// site.
+// BenchmarkScheduleArg measures steady-state push+pop throughput: the
+// queue is held at a constant depth and every iteration schedules one
+// event and executes one. The handler is long-lived and non-capturing
+// and its small integer argument boxes without allocating, so the path
+// is allocation-free even at the call site.
 func BenchmarkScheduleArg(b *testing.B) {
 	k := NewKernel(1)
 	sink := 0
@@ -76,23 +58,23 @@ func BenchmarkScheduleArg(b *testing.B) {
 // (short hop latencies plus occasional long retry backoffs).
 func BenchmarkMixedAtAfter(b *testing.B) {
 	k := NewKernel(1)
-	nop := func() {}
+	nop := func(any) {}
 	const depth = 2048
 	for i := 0; i < depth; i++ {
-		k.After(Time(i%61), nop)
+		k.AfterArg(Time(i%61), nop, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		switch i & 3 {
 		case 0:
-			k.After(5, nop)
+			k.AfterArg(5, nop, nil)
 		case 1:
-			k.At(k.Now()+Time(i%131), nop)
+			k.AtArg(k.Now()+Time(i%131), nop, nil)
 		case 2:
-			k.After(48, nop) // retry backoff
+			k.AfterArg(48, nop, nil) // retry backoff
 		default:
-			k.After(0, nop) // same-cycle event
+			k.AfterArg(0, nop, nil) // same-cycle event
 		}
 		k.Step()
 	}

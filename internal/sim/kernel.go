@@ -14,11 +14,13 @@
 // scans the occupancy bitmap from the current cycle (64 slots per
 // word). FIFO order within a slot preserves the (time, sequence) total
 // order because a slot holds at most one distinct timestamp at a time.
-// The rare long-delay events (the watchdog's probes) go to a 4-ary
-// min-heap and migrate into the wheel as the clock approaches
-// them — migrated events always precede, in scheduling order, any event
-// later pushed directly for the same cycle, so ordering is preserved
-// exactly. The node arena free list makes steady-state scheduling and
+// An event 1024 cycles or more ahead goes to a 4-ary min-heap instead
+// and migrates into the wheel as the clock approaches it — migrated
+// events always precede, in scheduling order, any event later pushed
+// directly for the same cycle, so ordering is preserved exactly. No
+// model delay reaches that far (the full apache, jbb and sci runs push
+// nothing to it); the heap stays as the safety path for any delay that
+// does. The node arena free list makes steady-state scheduling and
 // dispatch allocation-free.
 package sim
 
@@ -29,9 +31,6 @@ import (
 
 // Time is the simulation clock, in processor cycles.
 type Time uint64
-
-// Event is a unit of scheduled work.
-type Event func()
 
 // wheelSize is the horizon of the timing wheel in cycles (power of
 // two). Events scheduled less than wheelSize cycles ahead go to the
@@ -52,10 +51,8 @@ type evKey struct {
 	seq uint64
 }
 
-// evPayload is the dispatch half of a pending event. argFn nil means
-// the closure form (At/After) and arg holds the Event; otherwise
-// argFn+arg is the non-capturing fast path (AtArg/AfterArg). tag is
-// the causal context (see Kernel.Tag) captured at scheduling time.
+// evPayload is the dispatch half of a pending event: argFn(arg) runs
+// it (AtArg/AfterArg). tag is the causal context (see Kernel.Tag) captured at scheduling time.
 // seq is the global scheduling-order stamp a sharded run assigns (zero
 // and unused when the kernel runs standalone): the RunParallel barrier
 // orders same-cycle events across shards by ascending seq, which
@@ -300,7 +297,7 @@ func (k *Kernel) ofPush(key evKey, val evPayload) {
 
 // ofPop removes and returns the minimum overflow entry, sifting the
 // former tail entry down into place. The vacated tail slot is zeroed so
-// the heap's spare capacity does not retain closures or boxed
+// the heap's spare capacity does not retain handlers or boxed
 // arguments.
 func (k *Kernel) ofPop() (evKey, evPayload) {
 	hk, hv := k.ofKeys, k.ofVals
@@ -348,26 +345,11 @@ func (k *Kernel) checkTime(t Time) {
 	}
 }
 
-// At schedules ev to run at absolute time t. Scheduling in the past
-// (t < Now) panics. The closure rides in the arg slot (a func value
-// boxes into an interface without allocating); argFn nil marks the
-// form for dispatch.
-func (k *Kernel) At(t Time, ev Event) {
-	k.checkTime(t)
-	k.schedule(t, nil, ev)
-}
-
-// After schedules ev to run delay cycles from now.
-func (k *Kernel) After(delay Time, ev Event) {
-	k.At(k.now+delay, ev)
-}
-
-// AtArg schedules fn(arg) to run at absolute time t. It is the
-// allocation-free alternative to At for hot senders: fn can be a
-// long-lived non-capturing function, so no closure is created per
-// event, and small integer args (e.g. tile ids) box without
-// allocating. Ordering relative to At events follows scheduling order,
-// exactly as if the call were At(t, func() { fn(arg) }).
+// AtArg schedules fn(arg) to run at absolute time t; scheduling in the
+// past (t < Now) panics. fn is meant to be a long-lived handler bound
+// once, so no closure is created per event, and a pointer or small
+// integer arg boxes without allocating. Events at one time run in
+// scheduling order.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
 	k.checkTime(t)
 	k.schedule(t, fn, arg)
@@ -379,9 +361,8 @@ func (k *Kernel) AfterArg(delay Time, fn func(any), arg any) {
 }
 
 // ForEachPending calls fn for every pending event, the wheel's then the
-// overflow heap's, in no particular order. argFn is nil for an event
-// scheduled in the closure form (At/After), whose Event is then arg. fn
-// must not schedule or dispatch events.
+// overflow heap's, in no particular order. fn must not schedule or
+// dispatch events.
 func (k *Kernel) ForEachPending(fn func(at Time, argFn func(any), arg any)) {
 	for i := range k.slots {
 		for n := k.slots[i].head; n >= 0; n = k.nodes[n].next {
@@ -533,7 +514,7 @@ func (k *Kernel) Step() bool {
 	k.inWheel--
 	// Read and clear the node's fields in place (copying the payload
 	// out whole costs a store-forwarding stall, see wheelAppend); the
-	// clear keeps the arena from retaining closures and args.
+	// clear keeps the arena from retaining handlers and args.
 	argFn, arg := nd.val.argFn, nd.val.arg
 	k.tag = nd.val.tag
 	if k.wlog != nil {
@@ -552,11 +533,7 @@ func (k *Kernel) Step() bool {
 	if len(k.ofKeys) > 0 && k.ofKeys[0].at < at+wheelSize {
 		k.migrate(at)
 	}
-	if argFn == nil {
-		arg.(Event)()
-	} else {
-		argFn(arg)
-	}
+	argFn(arg)
 	return true
 }
 

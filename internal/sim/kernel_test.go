@@ -6,12 +6,16 @@ import (
 	"testing/quick"
 )
 
+// call runs the func() it is scheduled with: the tests' events are
+// closures, passed through the argument form.
+func call(a any) { a.(func())() }
+
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel(1)
 	var got []int
-	k.At(10, func() { got = append(got, 1) })
-	k.At(5, func() { got = append(got, 0) })
-	k.At(10, func() { got = append(got, 2) }) // same time: FIFO by schedule order
+	k.AtArg(10, call, func() { got = append(got, 1) })
+	k.AtArg(5, call, func() { got = append(got, 0) })
+	k.AtArg(10, call, func() { got = append(got, 2) }) // same time: FIFO by schedule order
 	k.Run(0)
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -30,7 +34,7 @@ func TestKernelSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < n; i++ {
 		i := i
-		k.At(42, func() { got = append(got, i) })
+		k.AtArg(42, call, func() { got = append(got, i) })
 	}
 	k.Run(0)
 	for i := 0; i < n; i++ {
@@ -43,14 +47,14 @@ func TestKernelSameCycleFIFO(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel(1)
 	count := 0
-	var ev Event
-	ev = func() {
+	var ev func(any)
+	ev = func(any) {
 		count++
 		if count < 10 {
-			k.After(3, ev)
+			k.AfterArg(3, ev, nil)
 		}
 	}
-	k.After(0, ev)
+	k.AfterArg(0, ev, nil)
 	k.Run(0)
 	if count != 10 {
 		t.Errorf("count = %d, want 10", count)
@@ -64,7 +68,7 @@ func TestKernelRunLimit(t *testing.T) {
 	k := NewKernel(1)
 	ran := 0
 	for i := Time(1); i <= 100; i++ {
-		k.At(i*10, func() { ran++ })
+		k.AtArg(i*10, call, func() { ran++ })
 	}
 	n := k.Run(500)
 	if n != 50 || ran != 50 {
@@ -91,13 +95,13 @@ func TestKernelRunLimitThenSchedule(t *testing.T) {
 	k := NewKernel(1)
 	var got []Time
 	record := func() { got = append(got, k.Now()) }
-	k.At(1500, record) // beyond the wheel horizon: goes to overflow
-	k.At(10, record)
+	k.AtArg(1500, call, record) // beyond the wheel horizon: goes to overflow
+	k.AtArg(10, call, record)
 	k.Run(1000) // jumps the clock to 1000; 1500 is now within the horizon
 	if k.Now() != 1000 {
 		t.Fatalf("Now = %d, want 1000", k.Now())
 	}
-	k.At(1800, record) // scheduled after the jump, must fire after 1500
+	k.AtArg(1800, call, record) // scheduled after the jump, must fire after 1500
 	k.Run(0)
 	want := []Time{10, 1500, 1800}
 	if len(got) != len(want) {
@@ -117,7 +121,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel(1)
 	hits := 0
 	for i := Time(1); i <= 20; i++ {
-		k.At(i, func() { hits++ })
+		k.AtArg(i, call, func() { hits++ })
 	}
 	k.RunUntil(func() bool { return hits >= 7 })
 	if hits != 7 {
@@ -129,10 +133,10 @@ func TestKernelAtArgOrdering(t *testing.T) {
 	k := NewKernel(1)
 	var got []int
 	record := func(a any) { got = append(got, a.(int)) }
-	// At and AtArg events interleave in scheduling order at the same
-	// cycle, and AtArg respects timestamps like At.
+	// Events with different handlers interleave in scheduling order at
+	// the same cycle, and run in timestamp order across cycles.
 	k.AtArg(10, record, 1)
-	k.At(10, func() { got = append(got, 2) })
+	k.AtArg(10, call, func() { got = append(got, 2) })
 	k.AtArg(10, record, 3)
 	k.AtArg(5, record, 0)
 	k.AfterArg(20, record, 4)
@@ -150,7 +154,7 @@ func TestKernelAtArgOrdering(t *testing.T) {
 
 func TestKernelAtArgPastPanics(t *testing.T) {
 	k := NewKernel(1)
-	k.At(100, func() {})
+	k.AtArg(100, call, func() {})
 	k.Run(0)
 	defer func() {
 		if recover() == nil {
@@ -175,7 +179,7 @@ func TestKernelDeepQueueOrdering(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		at := Time(r.Intn(500))
-		k.At(at, func() { got = append(got, stamp{at, i}) })
+		k.AtArg(at, call, func() { got = append(got, stamp{at, i}) })
 	}
 	k.Run(0)
 	if len(got) != n {
@@ -206,7 +210,7 @@ func TestKernelOverflowOrdering(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		at := Time(r.Intn(5000)) // ~80% beyond the wheel horizon
-		k.At(at, func() { got = append(got, stamp{at, i}) })
+		k.AtArg(at, call, func() { got = append(got, stamp{at, i}) })
 	}
 	k.Run(0)
 	if len(got) != n {
@@ -227,15 +231,15 @@ func TestKernelOverflowOrdering(t *testing.T) {
 func TestKernelOverflowMigrationFIFO(t *testing.T) {
 	k := NewKernel(1)
 	var got []int
-	k.At(5000, func() { got = append(got, 0) }) // far future: overflow
-	k.At(1, func() {
-		k.At(5000, func() { got = append(got, 1) }) // still overflow
+	k.AtArg(5000, call, func() { got = append(got, 0) }) // far future: overflow
+	k.AtArg(1, call, func() {
+		k.AtArg(5000, call, func() { got = append(got, 1) }) // still overflow
 	})
-	k.At(4500, func() {
+	k.AtArg(4500, call, func() {
 		// now = 4500: cycle 5000 is inside the wheel horizon, so this
 		// schedules directly into the slot the overflow events migrated
 		// to — and must run after them.
-		k.At(5000, func() { got = append(got, 2) })
+		k.AtArg(5000, call, func() { got = append(got, 2) })
 	})
 	k.Run(0)
 	want := []int{0, 1, 2}
@@ -270,16 +274,19 @@ func TestKernelAtArgNoAllocs(t *testing.T) {
 	}
 }
 
+// TestKernelPastPanics schedules into the past from inside a handler,
+// where the clock is the dispatched event's time.
 func TestKernelPastPanics(t *testing.T) {
 	k := NewKernel(1)
-	k.At(100, func() {})
+	panicked := false
+	k.AtArg(100, call, func() {
+		defer func() { panicked = recover() != nil }()
+		k.AtArg(99, call, func() {})
+	})
 	k.Run(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	k.At(50, func() {})
+	if !panicked {
+		t.Fatal("scheduling in the past did not panic")
+	}
 }
 
 func TestKernelEmptyStep(t *testing.T) {
@@ -366,10 +373,10 @@ func TestRandIntnPanics(t *testing.T) {
 
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	k := NewKernel(1)
-	nop := func() {}
+	nop := func(any) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.After(Time(i%64), nop)
+		k.AfterArg(Time(i%64), nop, nil)
 		if k.Pending() > 1024 {
 			k.Run(k.Now() + 32)
 		}
@@ -386,17 +393,17 @@ func TestKernelTagPropagation(t *testing.T) {
 	record := func() { got = append(got, k.Tag()) }
 
 	k.SetTag(7)
-	k.After(5, func() {
+	k.AfterArg(5, call, func() {
 		record() // sees 7
 		// Nested scheduling inherits the restored tag.
-		k.After(5, record) // sees 7
+		k.AfterArg(5, call, record) // sees 7
 		k.SetTag(9)
-		k.After(1, record) // sees 9
+		k.AfterArg(1, call, record) // sees 9
 	})
 	k.SetTag(3)
 	k.AfterArg(2, func(any) { record() }, nil) // sees 3
 	k.SetTag(0)
-	k.After(1, record) // sees 0 (untagged)
+	k.AfterArg(1, call, record) // sees 0 (untagged)
 
 	k.Run(0)
 	want := []uint64{0, 3, 7, 9, 7}
@@ -425,13 +432,13 @@ func TestKernelTagInterleaving(t *testing.T) {
 		seen[tag]++
 		if depth < 4 {
 			// Both trees schedule into the same future cycles.
-			k.After(Time(1+tag%3), func() { grow(tag, depth+1) })
+			k.AfterArg(Time(1+tag%3), call, func() { grow(tag, depth+1) })
 		}
 	}
 	for tag := uint64(1); tag <= 5; tag++ {
 		tag := tag
 		k.SetTag(tag)
-		k.After(1, func() { grow(tag, 1) })
+		k.AfterArg(1, call, func() { grow(tag, 1) })
 	}
 	k.SetTag(0)
 	k.Run(0)
@@ -443,27 +450,28 @@ func TestKernelTagInterleaving(t *testing.T) {
 }
 
 // TestKernelForEachPending walks a queue holding wheel and overflow
-// events in both forms: every pending event is visited once with its
-// time and form, the walk changes nothing, and a dispatched event is no
+// events: every pending event is visited once with its time, handler
+// and argument, the walk changes nothing, and a dispatched event is no
 // longer visited.
 func TestKernelForEachPending(t *testing.T) {
 	k := NewKernel(1)
 	nop := func(any) {}
+	other := func(any) {}
 	k.AtArg(3, nop, 1)
 	k.AtArg(3, nop, 2)
-	k.At(7, func() {})
+	k.AtArg(7, other, 4)
 	k.AtArg(wheelSize+40, nop, 3) // overflow heap
 	walk := func() map[Time][]any {
 		got := map[Time][]any{}
 		k.ForEachPending(func(at Time, fn func(any), arg any) {
-			if fn == nil {
-				arg = "closure"
+			if reflect.ValueOf(fn).Pointer() == reflect.ValueOf(other).Pointer() {
+				arg = "other"
 			}
 			got[at] = append(got[at], arg)
 		})
 		return got
 	}
-	want := map[Time][]any{3: {1, 2}, 7: {"closure"}, wheelSize + 40: {3}}
+	want := map[Time][]any{3: {1, 2}, 7: {"other"}, wheelSize + 40: {3}}
 	if got := walk(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pending = %v, want %v", got, want)
 	}

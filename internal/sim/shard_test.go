@@ -181,15 +181,15 @@ func TestShardedSameCycleCrossShardArrival(t *testing.T) {
 		sk := NewSharded(1, 2, Time(4))
 		var order []string
 		send := func() { sk.Shard(0).Send(1, 4, func(any) { order = append(order, "arrival") }, nil) }
-		local := func() { sk.Shard(1).After(4, func() { order = append(order, "local") }) }
+		local := func() { sk.Shard(1).AfterArg(4, call, func() { order = append(order, "local") }) }
 		// Both events fire at cycle 0 on different lanes; their seeding
 		// order is their global schedule order.
 		if sendFirst {
-			sk.Shard(0).At(0, send)
-			sk.Shard(1).At(0, local)
+			sk.Shard(0).AtArg(0, call, send)
+			sk.Shard(1).AtArg(0, call, local)
 		} else {
-			sk.Shard(1).At(0, local)
-			sk.Shard(0).At(0, send)
+			sk.Shard(1).AtArg(0, call, local)
+			sk.Shard(0).AtArg(0, call, send)
 		}
 		sk.RunParallel(0)
 		return order
@@ -208,8 +208,8 @@ func TestShardedSameCycleCrossShardArrival(t *testing.T) {
 func TestShardedIdleLanes(t *testing.T) {
 	sk := NewSharded(3, 4, 2)
 	var fired []Time
-	sk.Shard(2).At(10, func() { fired = append(fired, sk.Shard(2).Now()) })
-	sk.Shard(2).After(wheelSize+50, func() { fired = append(fired, sk.Shard(2).Now()) })
+	sk.Shard(2).AtArg(10, call, func() { fired = append(fired, sk.Shard(2).Now()) })
+	sk.Shard(2).AfterArg(wheelSize+50, call, func() { fired = append(fired, sk.Shard(2).Now()) })
 	if n := sk.RunParallel(0); n != 2 {
 		t.Fatalf("ran %d events, want 2", n)
 	}
@@ -243,8 +243,8 @@ func TestShardedSendBelowLookaheadPanics(t *testing.T) {
 func TestShardedRunLimit(t *testing.T) {
 	sk := NewSharded(9, 2, 3)
 	var got []int
-	sk.Shard(0).At(1500, func() { got = append(got, 0) })
-	sk.Shard(1).At(10, func() { got = append(got, 1) })
+	sk.Shard(0).AtArg(1500, call, func() { got = append(got, 0) })
+	sk.Shard(1).AtArg(10, call, func() { got = append(got, 1) })
 	sk.RunParallel(1000)
 	if want := []int{1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after RunParallel(1000): %v, want %v", got, want)
@@ -254,7 +254,7 @@ func TestShardedRunLimit(t *testing.T) {
 	}
 	// An event scheduled after the jump must not overtake the pending
 	// overflow event.
-	sk.Shard(0).At(1800, func() { got = append(got, 2) })
+	sk.Shard(0).AtArg(1800, call, func() { got = append(got, 2) })
 	sk.RunParallel(0)
 	if want := []int{1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("final order %v, want %v", got, want)

@@ -344,10 +344,11 @@ func runSampled(k *sim.Kernel, s *Sampler) {
 func TestSamplerTicks(t *testing.T) {
 	k, s, counters := samplerFixture(100, 0)
 	counters.Inc("refs")
+	work := func(any) { counters.Inc("refs") }
 	// Phase 1: work until cycle 995.
 	scheduled := 0
 	for c := sim.Time(1); c <= 1000; c += 7 {
-		k.At(c, func() { counters.Inc("refs") })
+		k.AtArg(c, work, nil)
 		scheduled++
 	}
 	s.SetPhase("warmup")
@@ -368,7 +369,7 @@ func TestSamplerTicks(t *testing.T) {
 	// Phase 2 restarts the clock from the phase start.
 	start := k.Now()
 	for c := start + 1; c <= start+500; c += 7 {
-		k.At(c, func() { counters.Inc("refs") })
+		k.AtArg(c, work, nil)
 	}
 	s.SetPhase("measure")
 	if s.Due() != start+100 {
@@ -426,7 +427,7 @@ func TestSamplerRingCap(t *testing.T) {
 func TestSamplerTickIdempotent(t *testing.T) {
 	k, s, _ := samplerFixture(50, 0)
 	s.SetPhase("measure")
-	k.At(500, func() {})
+	k.AtArg(500, func(any) {}, nil)
 	k.Run(0) // one window across ten boundaries
 	s.Tick()
 	s.Tick()
