@@ -583,8 +583,9 @@ func (k *Kernel) runWindow(limit Time) {
 	}
 }
 
-// RunUntil executes events while cond returns true and events remain.
-// It returns the number of events executed.
+// RunUntil executes events until cond returns true or the queue
+// drains; cond is checked before each event. It returns the number of
+// events executed.
 func (k *Kernel) RunUntil(cond func() bool) uint64 {
 	start := k.events
 	for k.Pending() > 0 && !cond() {
