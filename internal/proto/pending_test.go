@@ -55,7 +55,8 @@ func pauseStep(a any) {
 // TestPendingStateIsData pauses checked stress runs of all four engines,
 // on a narrow and a wide stream, at seeded random event counts. At each
 // pause every engine event and every L1 and home waiter must be a
-// bound handler with a *message: the pending state is data an explorer can hash.
+// bound handler with a *message: the pending state is data an explorer
+// can hash.
 func TestPendingStateIsData(t *testing.T) {
 	streams := []struct {
 		name string

@@ -52,11 +52,12 @@ type evKey struct {
 }
 
 // evPayload is the dispatch half of a pending event: argFn(arg) runs
-// it (AtArg/AfterArg). tag is the causal context (see Kernel.Tag) captured at scheduling time.
-// seq is the global scheduling-order stamp a sharded run assigns (zero
-// and unused when the kernel runs standalone): the RunParallel barrier
-// orders same-cycle events across shards by ascending seq, which
-// reproduces the standalone kernel's FIFO-within-slot total order.
+// it (AtArg/AfterArg). tag is the causal context (see Kernel.Tag)
+// captured at scheduling time. seq is the global scheduling-order
+// stamp a sharded run assigns (zero and unused when the kernel runs
+// standalone): the RunParallel barrier orders same-cycle events across
+// shards by ascending seq, which reproduces the standalone kernel's
+// FIFO-within-slot total order.
 type evPayload struct {
 	tag   uint64
 	seq   uint64
